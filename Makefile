@@ -23,9 +23,11 @@ lint:
 		$(GO) vet ./...; \
 	fi
 
+# Every registered experiment once, as BenchmarkExperiments/<name>.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Perf trajectory: cache-sweep and failover-sweep TEPS as JSON snapshots.
+# The repository's benchmark (BENCHMARK.json): every workload, untraced
+# then traced, into bench/out/result.json.
 bench-json:
-	sh scripts/bench.sh
+	bash bench/run.sh --workload all --out bench/out/result.json

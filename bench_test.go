@@ -1,8 +1,8 @@
-// Package semibfs's bench_test regenerates every table and figure of the
-// paper's evaluation as testing.B benchmarks. Each benchmark delegates to
-// internal/experiments (the same code cmd/analyze and cmd/sweep run),
-// prints the paper-style rows once, and reports the headline quantity as
-// a custom benchmark metric.
+// Package semibfs's bench_test regenerates every table, figure and sweep
+// of the evaluation as testing.B sub-benchmarks: one loop over the
+// experiment registry in internal/experiments (the same entries
+// cmd/analyze runs), printing each experiment's rows once and reporting
+// its headline numbers as custom benchmark metrics.
 //
 // The instance scale defaults to a laptop-friendly SCALE 14 so that
 // `go test -bench=.` finishes quickly; set SEMIBFS_BENCH_SCALE=18 (and
@@ -18,286 +18,42 @@ import (
 	"semibfs/internal/experiments"
 )
 
-func benchOptions(b *testing.B) experiments.Options {
+func benchEnv(b *testing.B, name string, def int) int {
 	b.Helper()
-	scale := 14
-	if s := os.Getenv("SEMIBFS_BENCH_SCALE"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			b.Fatalf("bad SEMIBFS_BENCH_SCALE %q: %v", s, err)
-		}
-		scale = v
+	s := os.Getenv(name)
+	if s == "" {
+		return def
 	}
-	roots := 4
-	if s := os.Getenv("SEMIBFS_BENCH_ROOTS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			b.Fatalf("bad SEMIBFS_BENCH_ROOTS %q: %v", s, err)
-		}
-		roots = v
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		b.Fatalf("bad %s %q: %v", name, s, err)
 	}
-	return experiments.Options{
-		Scale:                  scale,
+	return v
+}
+
+// BenchmarkExperiments runs every registered experiment, e.g.
+// `go test -bench 'Experiments/(headline|fig14)$' -benchtime 1x -run '^$' .`
+func BenchmarkExperiments(b *testing.B) {
+	opts := experiments.Options{
+		Scale:                  benchEnv(b, "SEMIBFS_BENCH_SCALE", 14),
 		Seed:                   12345,
-		Roots:                  roots,
+		Roots:                  benchEnv(b, "SEMIBFS_BENCH_ROOTS", 4),
 		ScaleEquivalentLatency: true,
 	}
-}
-
-// BenchmarkTableI_Scenarios renders the machine configurations (Table I).
-func BenchmarkTableI_Scenarios(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.TableI()
-		if i == 0 {
-			fmt.Println(experiments.FormatTableI(rows))
-		}
-	}
-}
-
-// BenchmarkTableII_GraphSize measures the real data-structure sizes
-// (Table II: paper reports 40.1 / 33.1 / 15.1 GB at SCALE 27).
-func BenchmarkTableII_GraphSize(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		measured, paper, err := experiments.TableII(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatTableII(opts.WithDefaults().Scale, measured, paper))
-		}
-	}
-}
-
-// BenchmarkFig3_SizeBreakdown computes the graph-size growth per SCALE.
-func BenchmarkFig3_SizeBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig3(nil, 16)
-		if i == 0 {
-			fmt.Println(experiments.FormatFig3(rows))
-		}
-	}
-}
-
-// BenchmarkFig7_AlphaBetaHeatmap sweeps the switching-parameter grid for
-// the three scenarios (Figure 7).
-func BenchmarkFig7_AlphaBetaHeatmap(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		sweeps, err := experiments.Fig7(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig7(sweeps,
-				experiments.SweepAlphas, experiments.SweepBetaMults))
-			b.ReportMetric(sweeps[0].Best.TEPS/1e9, "best-DRAM-GTEPS")
-		}
-	}
-}
-
-// BenchmarkFig8_BFSPerformanceLarge compares the three scenarios plus the
-// top-down-only, bottom-up-only and reference baselines (Figure 8).
-func BenchmarkFig8_BFSPerformanceLarge(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig8(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig8(
-				fmt.Sprintf("Figure 8: BFS performance, SCALE %d", opts.WithDefaults().Scale),
-				series))
-		}
-	}
-}
-
-// BenchmarkFig9_BFSPerformanceSmall repeats the comparison one scale down,
-// where everything fits in DRAM (Figure 9).
-func BenchmarkFig9_BFSPerformanceSmall(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig9(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig8(
-				fmt.Sprintf("Figure 9: BFS performance, SCALE %d", opts.WithDefaults().SmallScale),
-				series))
-		}
-	}
-}
-
-// BenchmarkFig10_TraversedEdges measures per-direction examined edges
-// (Figure 10).
-func BenchmarkFig10_TraversedEdges(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig10(rows))
-		}
-	}
-}
-
-// BenchmarkFig11_DegradationVsDegree measures per-level top-down slowdown
-// against average frontier degree (Figure 11).
-func BenchmarkFig11_DegradationVsDegree(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig11(res))
-			b.ReportMetric(res[0].Max, "pcie-max-slowdown-x")
-			b.ReportMetric(res[1].Max, "ssd-max-slowdown-x")
-		}
-	}
-}
-
-// BenchmarkFig12_AvgQueueSize and BenchmarkFig13_AvgRequestSize report the
-// iostat-style device statistics during BFS (Figures 12 and 13).
-func BenchmarkFig12_AvgQueueSize(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		usages, err := experiments.Fig12And13(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig12And13(usages))
-			b.ReportMetric(usages[0].Stats.AvgQueueSize, "pcie-avgqu-sz")
-			b.ReportMetric(usages[1].Stats.AvgQueueSize, "ssd-avgqu-sz")
-		}
-	}
-}
-
-func BenchmarkFig13_AvgRequestSize(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		usages, err := experiments.Fig12And13(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(usages[0].Stats.AvgRequestSectors, "pcie-avgrq-sectors")
-			b.ReportMetric(usages[1].Stats.AvgRequestSectors, "ssd-avgrq-sectors")
-		}
-	}
-}
-
-// BenchmarkFig14_BackwardGraphOffload measures the backward-graph tail
-// offloading trade-off (Figure 14).
-func BenchmarkFig14_BackwardGraphOffload(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig14(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatFig14(rows))
-			b.ReportMetric(rows[0].NVMAccessPct, "k2-nvm-access-pct")
-			b.ReportMetric(rows[len(rows)-1].NVMAccessPct, "k32-nvm-access-pct")
-		}
-	}
-}
-
-// BenchmarkHeadline_ScenarioComparison reproduces the abstract's numbers:
-// best TEPS per scenario and the degradation vs DRAM-only (paper: 5.12 G,
-// 4.22 G at -19.18%, 2.76 G at -47.1%).
-func BenchmarkHeadline_ScenarioComparison(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Headline(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatHeadline(rows))
-			for _, r := range rows {
-				switch r.Scenario {
-				case "DRAM-only":
-					b.ReportMetric(r.TEPS/1e9, "dram-GTEPS")
-				case "DRAM+PCIeFlash":
-					b.ReportMetric(r.DegradationPct, "pcie-degradation-pct")
-				case "DRAM+SSD":
-					b.ReportMetric(r.DegradationPct, "ssd-degradation-pct")
+	for _, e := range experiments.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					fmt.Println(res.Text())
+					for _, m := range res.Headline {
+						b.ReportMetric(m.Value, m.Name)
+					}
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkScaling_MultiNode measures the distributed extension (the
-// paper's future work): TEPS vs machine count, DRAM vs per-node NVM.
-func BenchmarkScaling_MultiNode(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Scaling(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatScaling(rows))
-			b.ReportMetric(rows[len(rows)-1].TEPS/rows[0].TEPS, "speedup-at-max-machines")
-		}
-	}
-}
-
-// BenchmarkAblations measures the design-choice studies of DESIGN.md
-// (adjacency order, index placement, request aggregation).
-func BenchmarkAblations(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablations(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatAblations(rows))
-		}
-	}
-}
-
-// BenchmarkPearceComparison reproduces the Related Work comparison
-// against the Pearce-style edge-scan semi-external BFS (paper: 4.22 GTEPS
-// vs 0.05 GTEPS with a lower DRAM:NVM ratio).
-func BenchmarkPearceComparison(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PearceComparison(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatPearce(rows))
-			if rows[1].TEPS > 0 {
-				b.ReportMetric(rows[0].TEPS/rows[1].TEPS, "hybrid-over-scan-x")
-			}
-		}
-	}
-}
-
-// BenchmarkGreenGraph500_MTEPSPerWatt estimates energy efficiency (the
-// paper's 4.35 MTEPS/W Green Graph500 entry).
-func BenchmarkGreenGraph500_MTEPSPerWatt(b *testing.B) {
-	opts := benchOptions(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Green(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(experiments.FormatGreen(rows))
-			b.ReportMetric(rows[1].MTEPSPerW, "pcie-MTEPS-per-W")
-		}
+		})
 	}
 }

@@ -1,35 +1,81 @@
-// Command analyze regenerates the paper's analysis figures and tables
-// (Table I/II, Figures 3, 10, 11, 12/13, 14, the headline comparison, and
-// the Green Graph500 estimate) and prints them as text tables.
+// Command analyze regenerates the paper's tables and figures and the
+// repository's extension sweeps. It is a loop over the experiment registry
+// in internal/experiments: every registered name renders as an aligned
+// text table (default), CSV (-csv) or JSON (-json).
 //
 // Examples:
 //
 //	analyze -exp all -scale 18
-//	analyze -exp fig11 -scale 18 -roots 8
-//	analyze -exp headline -scale 20 -roots 16
+//	analyze -exp fig7 -scale 18 -roots 8
+//	analyze -exp headline,cache -scale 16 -json
+//	analyze -exp fig8 -scale 16 -fault-rate 0.01 -csv
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"semibfs/internal/experiments"
+	"semibfs/internal/faults"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process edges injected, so tests can drive the CLI.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp    = flag.String("exp", "all", "experiment: table1|table2|fig3|fig10|fig11|fig12-13|fig14|headline|green|ablations|scaling|scale|pearce|trace|faults|cache|io|failover|partial|query|load|update|algo|all")
-		scale  = flag.Int("scale", 18, "large instance scale")
-		ef     = flag.Int("edgefactor", 16, "edges per vertex")
-		seed   = flag.Uint64("seed", 12345, "generator seed")
-		roots  = flag.Int("roots", 8, "BFS iterations per configuration")
-		dir    = flag.String("dir", "", "directory for NVM store files")
-		noEq   = flag.Bool("no-latency-equivalence", false, "disable the SCALE-27 latency equivalence in performance experiments")
-		asJSON = flag.Bool("json", false, "emit machine-readable JSON instead of text tables (supported: cache, io, failover, partial, query, load, update, scale)")
+		exp    = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments.Names(), "|")+"|all")
+		scale  = fs.Int("scale", 18, "large instance scale (fig9 and update run at scale-1)")
+		ef     = fs.Int("edgefactor", 16, "edges per vertex")
+		seed   = fs.Uint64("seed", 12345, "generator seed")
+		roots  = fs.Int("roots", 8, "BFS iterations per configuration")
+		dir    = fs.String("dir", "", "directory for NVM store files")
+		noEq   = fs.Bool("no-latency-equivalence", false, "disable the SCALE-27 latency equivalence in performance experiments")
+		asJSON = fs.Bool("json", false, "emit one JSON object keyed by experiment name instead of text tables")
+		asCSV  = fs.Bool("csv", false, "emit CSV (raw numbers, one header line per experiment) instead of text tables")
+		// The same fault-injection flags cmd/graph500 takes, so any
+		// experiment can be re-run on a faulty device.
+		faultRate  = fs.Float64("fault-rate", 0, "inject transient read errors at this rate on every NVM store")
+		faultAfter = fs.Int64("fault-after", 0, "kill each NVM store permanently after this many reads (0 = never)")
+		faultSeed  = fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
+		corrupt    = fs.Float64("fault-corrupt", 0, "bit-flip corruption rate on NVM reads (enables CRC32 checksums)")
 	)
-	flag.Parse()
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: analyze [flags]\n\nexperiments:")
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stderr, "  %-10s %s\n", e.Name, e.Doc)
+		}
+		fmt.Fprintln(stderr, "\nflags:")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	entries, err := experiments.Select(*exp)
+	switch {
+	case err != nil:
+	case *asJSON && *asCSV:
+		err = fmt.Errorf("-json and -csv are mutually exclusive")
+	case *faultRate < 0 || *faultRate > 1 || *corrupt < 0 || *corrupt > 1:
+		err = fmt.Errorf("-fault-rate / -fault-corrupt must be in [0, 1]")
+	case *faultAfter < 0:
+		err = fmt.Errorf("-fault-after must be >= 0")
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "analyze:", err)
+		return 2
+	}
 
 	opts := experiments.Options{
 		Scale:                  *scale,
@@ -38,236 +84,41 @@ func main() {
 		Roots:                  *roots,
 		Dir:                    *dir,
 		ScaleEquivalentLatency: !*noEq,
+		Faults: faults.Config{
+			Seed:          *faultSeed,
+			TransientRate: *faultRate,
+			DieAfterReads: *faultAfter,
+			CorruptRate:   *corrupt,
+		},
 	}
 
-	names := strings.Split(*exp, ",")
-	if *exp == "all" {
-		names = []string{"table1", "table2", "fig3", "headline", "fig10", "fig11", "fig12-13", "fig14", "green", "ablations", "scaling", "pearce"}
+	byName := make(map[string]json.RawMessage, len(entries))
+	for _, e := range entries {
+		res, err := e.Run(opts)
+		switch {
+		case err != nil:
+		case *asJSON:
+			byName[e.Name], err = json.Marshal(res.Rows)
+		case *asCSV:
+			if len(entries) > 1 {
+				fmt.Fprintf(stdout, "# %s\n", e.Name)
+			}
+			fmt.Fprint(stdout, res.Table.CSV())
+		default:
+			fmt.Fprintln(stdout, res.Text())
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "analyze: %s: %v\n", e.Name, err)
+			return 1
+		}
 	}
-	for _, name := range names {
-		if err := run(strings.TrimSpace(name), opts, *asJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: %s: %v\n", name, err)
-			os.Exit(1)
+	if *asJSON {
+		out, err := json.MarshalIndent(byName, "", "  ")
+		if err != nil {
+			fmt.Fprintln(stderr, "analyze:", err)
+			return 1
 		}
+		fmt.Fprintln(stdout, string(out))
 	}
-}
-
-func run(name string, opts experiments.Options, asJSON bool) error {
-	switch name {
-	case "table1":
-		fmt.Println(experiments.FormatTableI(experiments.TableI()))
-	case "table2":
-		measured, paper, err := experiments.TableII(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTableII(opts.WithDefaults().Scale, measured, paper))
-	case "fig3":
-		fmt.Println(experiments.FormatFig3(experiments.Fig3(nil, opts.EdgeFactor)))
-	case "fig10":
-		rows, err := experiments.Fig10(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig10(rows))
-	case "fig11":
-		res, err := experiments.Fig11(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig11(res))
-	case "fig12-13", "fig12", "fig13":
-		usages, err := experiments.Fig12And13(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig12And13(usages))
-	case "fig14":
-		rows, err := experiments.Fig14(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig14(rows))
-	case "headline":
-		rows, err := experiments.Headline(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatHeadline(rows))
-	case "green":
-		rows, err := experiments.Green(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatGreen(rows))
-	case "ablations":
-		rows, err := experiments.Ablations(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblations(rows))
-	case "scaling":
-		rows, err := experiments.Scaling(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatScaling(rows))
-	case "scale":
-		rows, err := experiments.Scaling2D(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.Scaling2DJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatScaling2D(rows))
-		fmt.Println(experiments.Scaling2DCSV(rows))
-	case "pearce":
-		rows, err := experiments.PearceComparison(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatPearce(rows))
-	case "trace":
-		rows, err := experiments.Trace(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTrace(rows))
-	case "faults":
-		rows, err := experiments.FaultSweep(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFaultSweep(rows))
-		fmt.Println(experiments.FaultSweepCSV(rows))
-	case "cache":
-		rows, err := experiments.CacheSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.CacheSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatCacheSweep(rows))
-		fmt.Println(experiments.CacheSweepCSV(rows))
-	case "io":
-		rows, err := experiments.IOSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.IOSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatIOSweep(rows))
-		fmt.Println(experiments.IOSweepCSV(rows))
-	case "failover":
-		rows, err := experiments.FailoverSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.FailoverSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatFailoverSweep(rows))
-		fmt.Println(experiments.FailoverSweepCSV(rows))
-	case "query":
-		rows, err := experiments.QuerySweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.QuerySweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatQuerySweep(rows))
-		fmt.Println(experiments.QuerySweepCSV(rows))
-	case "load":
-		rows, err := experiments.LoadSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.LoadSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatLoadSweep(rows))
-		fmt.Println(experiments.LoadSweepCSV(rows))
-	case "partial":
-		rows, err := experiments.PartialSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.PartialSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatPartialSweep(rows))
-		fmt.Println(experiments.PartialSweepCSV(rows))
-	case "update":
-		rows, err := experiments.UpdateSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.UpdateSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatUpdateSweep(rows))
-		fmt.Println(experiments.UpdateSweepCSV(rows))
-	case "algo":
-		rows, err := experiments.AlgoSweep(opts)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			out, err := experiments.AlgoSweepJSON(rows)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		}
-		fmt.Println(experiments.FormatAlgoSweep(rows))
-		fmt.Println(experiments.AlgoSweepCSV(rows))
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	return nil
+	return 0
 }

@@ -966,67 +966,6 @@ func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOpti
 	return nil
 }
 
-// updateStream generates state-changing edge toggles against a DRAM
-// multiset mirror of the evolving graph: absent pairs are inserted,
-// singleton pairs deleted, and self-loops / duplicated base edges
-// skipped, so every emitted update changes adjacency.
-type updateStream struct {
-	n   int64
-	adj []map[int64]int
-	rng uint64
-}
-
-func newUpdateStream(list *edgelist.List, seed uint64) *updateStream {
-	us := &updateStream{n: list.NumVertices, adj: make([]map[int64]int, list.NumVertices), rng: seed}
-	for v := range us.adj {
-		us.adj[v] = map[int64]int{}
-	}
-	for _, e := range list.Edges {
-		if e.U == e.V {
-			continue
-		}
-		us.adj[e.U][e.V]++
-		us.adj[e.V][e.U]++
-	}
-	return us
-}
-
-func (us *updateStream) batch(size int) []dyn.Update {
-	var out []dyn.Update
-	for len(out) < size {
-		us.rng = us.rng*6364136223846793005 + 1442695040888963407
-		u := int64(us.rng>>33) % us.n
-		us.rng = us.rng*6364136223846793005 + 1442695040888963407
-		v := int64(us.rng>>33) % us.n
-		if u == v || us.adj[u][v] > 1 {
-			continue
-		}
-		up := dyn.Update{U: u, V: v, Del: us.adj[u][v] == 1}
-		if up.Del {
-			delete(us.adj[u], v)
-			delete(us.adj[v], u)
-		} else {
-			us.adj[u][v] = 1
-			us.adj[v][u] = 1
-		}
-		out = append(out, up)
-	}
-	return out
-}
-
-func (us *updateStream) unapply(batch []dyn.Update) {
-	for i := len(batch) - 1; i >= 0; i-- {
-		up := batch[i]
-		if up.Del {
-			us.adj[up.U][up.V] = 1
-			us.adj[up.V][up.U] = 1
-		} else {
-			delete(us.adj[up.U], up.V)
-			delete(us.adj[up.V], up.U)
-		}
-	}
-}
-
 // runDynamic streams durable edge updates through the WAL-backed dynamic
 // graph while the BFS iterations run: before each iteration one batch is
 // appended to the log, applied to the DRAM overlay, and the maintained
@@ -1096,7 +1035,7 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 	fmt.Printf("update stream:        %d updates in batches of %d, crash-at %s\n", total, rate, crash)
 	fmt.Println("\niter  updates  repair-us  repair-edges        bfs-vtime        TEPS")
 
-	us := newUpdateStream(list, p.Seed|1)
+	us := dyn.NewUpdateStream(list, p.Seed|1)
 	var updateTime, repairTime vtime.Duration
 	var repairEdges int64
 	var teps []float64
@@ -1116,7 +1055,7 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 			if size > remaining {
 				size = remaining
 			}
-			batch := us.batch(size)
+			batch := us.Batch(size)
 			bstart := clock.Now()
 			_, aerr := ds.Graph.Apply(clock, batch)
 			switch {
@@ -1144,7 +1083,7 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 				// continue on the recovered boot. The tracked tree was
 				// only ever repaired with durable batches, so it is still
 				// exact after replay.
-				us.unapply(batch)
+				us.Unapply(batch)
 				cutBatch = batches
 				rclock := vtime.NewClock(0)
 				if err := ds.Recover(rclock, faults.Config{}); err != nil {

@@ -275,6 +275,38 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunTimeIsPerRun pins Result.Time to the run it describes: machine
+// clocks never rewind, so a reused cluster or grid must subtract the
+// run's start stamp rather than report its cumulative clock.
+func TestRunTimeIsPerRun(t *testing.T) {
+	list := testList(t, 9, 55)
+	src := edgelist.ListSource{List: list}
+	root := firstConnected(list)
+	cfg := Config{Machines: 4, Alpha: 32, Beta: 320}
+	c, err := Build(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildGrid(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(int64) (*Result, error){"1d": c.Run, "2d": g.Run} {
+		first, err := run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstTime := first.Time
+		second, err := run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if firstTime <= 0 || second.Time != firstTime {
+			t.Errorf("%s: consecutive runs of root %d took %v then %v", name, root, firstTime, second.Time)
+		}
+	}
+}
+
 func TestClusterReuseAcrossRoots(t *testing.T) {
 	list := testList(t, 9, 56)
 	c, err := Build(edgelist.ListSource{List: list}, Config{Machines: 4, Alpha: 32, Beta: 320})

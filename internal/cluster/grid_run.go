@@ -29,7 +29,6 @@ func (g *Grid) Run(root int64) (*Result, error) {
 	g.deadMachines = nil
 	for i := range g.machines {
 		for _, m := range g.machines[i] {
-			m.clock.AdvanceTo(0)
 			m.dead = false
 			m.stacks.resetDevices()
 		}
@@ -43,6 +42,9 @@ func (g *Grid) Run(root int64) (*Result, error) {
 	res := &Result{Root: root, Visited: 1}
 	dir := bfs.TopDown
 	prevCount, curCount := int64(0), int64(1)
+	// As in Cluster.Run: clocks never rewind, so time is measured from
+	// wherever the previous run left them.
+	runStart := vtime.MaxOf(g.allClocks())
 
 	for level := 0; ; level++ {
 		if level > int(g.n) {
@@ -103,7 +105,7 @@ func (g *Grid) Run(root int64) (*Result, error) {
 		g.promoteNext()
 		prevCount, curCount = curCount, claimed
 	}
-	res.Time = vtime.MaxOf(g.allClocks())
+	res.Time = vtime.MaxOf(g.allClocks()) - runStart
 	res.Tree = g.tree
 	res.Comm = g.comm
 	res.CommBytes = g.comm.Total()

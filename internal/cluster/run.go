@@ -68,7 +68,6 @@ func (c *Cluster) Run(root int64) (*Result, error) {
 	c.next.Reset()
 	c.comm = CommStats{}
 	for _, m := range c.machines {
-		m.clock.AdvanceTo(0)
 		m.stacks.resetDevices()
 	}
 	for k := range c.frontQ {
@@ -83,6 +82,9 @@ func (c *Cluster) Run(root int64) (*Result, error) {
 	res := &Result{Root: root, Visited: 1}
 	dir := bfs.TopDown
 	prevCount, curCount := int64(0), int64(1)
+	// Machine clocks never rewind, so a reused cluster starts this run at
+	// the previous run's end; Result.Time is measured from here.
+	runStart := vtime.MaxOf(c.clocks())
 
 	for level := 0; ; level++ {
 		if level > int(c.n) {
@@ -134,7 +136,7 @@ func (c *Cluster) Run(root int64) (*Result, error) {
 		}
 		prevCount, curCount = curCount, claimed
 	}
-	res.Time = vtime.MaxOf(c.clocks())
+	res.Time = vtime.MaxOf(c.clocks()) - runStart
 	res.Tree = c.tree
 	res.Comm = c.comm
 	res.CommBytes = c.comm.Total()

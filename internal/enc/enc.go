@@ -23,6 +23,7 @@ package enc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"semibfs/internal/nvm"
 )
@@ -95,19 +96,22 @@ func DecodeList(data []byte, src int64, out []int64) ([]int64, int, error) {
 // chunk.
 type Decoder struct {
 	prev      int64
+	count     uint64
 	remaining uint64
 	started   bool
 }
 
 // Reset prepares the decoder for a new list owned by source vertex src.
 func (d *Decoder) Reset(src int64) {
-	d.prev = src
-	d.remaining = 0
-	d.started = false
+	*d = Decoder{prev: src}
 }
 
 // Done reports whether the whole list has been decoded.
 func (d *Decoder) Done() bool { return d.started && d.remaining == 0 }
+
+// Emitted returns how many neighbors Decode has passed to emit since
+// Reset, so a caller that only counts them needs no wrapper around emit.
+func (d *Decoder) Emitted() int64 { return int64(d.count - d.remaining) }
 
 // Decode consumes as many complete varints from data as possible, calling
 // emit for each decoded neighbor until emit returns false. It returns the
@@ -125,20 +129,39 @@ func (d *Decoder) Decode(data []byte, emit func(nb int64) bool) (consumed int, s
 		if n < 0 {
 			return 0, false, corruptf("stream header: count varint overflow")
 		}
-		d.remaining = count
+		d.count, d.remaining = count, count
 		d.started = true
 		pos = n
 	}
 	for d.remaining > 0 && pos < len(data) {
-		delta, n := binary.Varint(data[pos:])
-		if n == 0 {
-			return pos, false, nil // delta split across chunks
+		// Deltas of up to four bytes (|delta| < 2^27) are decoded inline and
+		// without a branch on their length: this loop runs once per NVM
+		// edge, the lengths are random, and a mispredicted length costs as
+		// much as the neighbor's use. Longer, split and malformed varints
+		// (and the last three bytes of a chunk) take the encoding/binary
+		// path, so their handling is the library's.
+		var ux uint64
+		n := 0
+		rest := data[pos:]
+		var ends uint32 // bit 7 of each of the next four bytes that ends a varint
+		if len(rest) >= 4 {
+			ends = ^binary.LittleEndian.Uint32(rest) & 0x80808080
 		}
-		if n < 0 {
-			return pos, false, corruptf("stream at byte %d: delta varint overflow", pos)
+		if ends != 0 {
+			n = bits.TrailingZeros32(ends)/8 + 1
+			w := binary.LittleEndian.Uint32(rest) & uint32(1<<(8*n)-1)
+			ux = uint64(w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000 | w>>3&0xfe00000)
+		} else {
+			ux, n = binary.Uvarint(rest)
+			if n == 0 {
+				return pos, false, nil // delta split across chunks
+			}
+			if n < 0 {
+				return pos, false, corruptf("stream at byte %d: delta varint overflow", pos)
+			}
 		}
 		pos += n
-		d.prev += delta
+		d.prev += int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
 		d.remaining--
 		if !emit(d.prev) {
 			return pos, true, nil

@@ -165,6 +165,38 @@ func TestDecoderEarlyExit(t *testing.T) {
 	}
 }
 
+// TestDecoderVarintLengths drives the streaming decoder's inline path
+// across every delta length it handles (1-4 bytes), the first length it
+// hands to encoding/binary (5), both signs and the values at each length's
+// edges, whole and at chunkings that leave fewer than four bytes behind a
+// delta.
+func TestDecoderVarintLengths(t *testing.T) {
+	var nbs []int64
+	prev := int64(0)
+	for bytes := 1; bytes <= 5; bytes++ {
+		lo, hi := int64(1)<<(7*(bytes-1))>>1, int64(1)<<(7*bytes)>>1 // |delta| in [lo, hi)
+		for _, d := range []int64{lo, lo + 1, (lo + hi) / 2, hi - 1, -lo - 1, -hi} {
+			prev += d
+			nbs = append(nbs, prev)
+		}
+	}
+	buf := AppendList(nil, 0, nbs)
+	want, _, err := DecodeList(buf, 0, nil)
+	if err != nil || !reflect.DeepEqual(want, nbs) {
+		t.Fatalf("DecodeList: %v, %v", want, err)
+	}
+	for _, chunk := range []int{1, 2, 3, 4, 5, 6, 8, len(buf)} {
+		if got := decodeAll(t, buf, 0, chunk); !reflect.DeepEqual(got, nbs) {
+			t.Fatalf("chunk %d: got %v want %v", chunk, got, nbs)
+		}
+	}
+	var d Decoder
+	d.Reset(0)
+	if _, stopped, err := d.Decode(buf, func(int64) bool { return d.Emitted() < 7 }); err != nil || !stopped || d.Emitted() != 7 {
+		t.Fatalf("stopped=%v err=%v emitted=%d, want a stop after 7", stopped, err, d.Emitted())
+	}
+}
+
 func TestDecodeListCorrupt(t *testing.T) {
 	good := AppendList(nil, 5, []int64{1, 9, 200, 5000})
 	cases := map[string][]byte{

@@ -2,25 +2,25 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/csr"
 	"semibfs/internal/graph500"
+	"semibfs/internal/nvm"
 )
 
 // AblationRow is one design-choice measurement.
 type AblationRow struct {
-	Study   string
-	Variant string
-	TEPS    float64
+	Study   string  `json:"study"`
+	Variant string  `json:"variant"`
+	TEPS    float64 `json:"teps"`
 	// NVMReads / AvgRequestSectors are filled for NVM variants.
-	NVMReads          int64
-	AvgRequestSectors float64
+	NVMReads          int64   `json:"nvm_reads"`
+	AvgRequestSectors float64 `json:"avg_request_sectors"`
 	// ExaminedBU is the bottom-up examined-edge count (adjacency-order
 	// study).
-	ExaminedBU int64
+	ExaminedBU int64 `json:"examined_bu"`
 }
 
 // Ablations measures the design choices DESIGN.md calls out:
@@ -68,7 +68,7 @@ func Ablations(opts Options) ([]AblationRow, error) {
 	// Studies 2 and 3: forward-graph placement variants on PCIe flash.
 	base := core.ScenarioPCIeFlash
 	if opts.ScaleEquivalentLatency {
-		base.LatencyScale = scaleEquivalence(opts.Scale)
+		base.LatencyScale = nvm.ScaleEquivalenceFactor(opts.Scale, PaperScale)
 	}
 	for _, variant := range []struct {
 		study, name string
@@ -100,37 +100,16 @@ func Ablations(opts Options) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// scaleEquivalence mirrors nvm.ScaleEquivalenceFactor without the import
-// cycle risk of reaching through the lab.
-func scaleEquivalence(scale int) float64 {
-	f := 1.0
-	for s := scale; s < PaperScale; s++ {
-		f /= 2
-	}
-	for s := scale; s > PaperScale; s-- {
-		f *= 2
-	}
-	return f
-}
-
-// FormatAblations renders the ablation table grouped by study.
-func FormatAblations(rows []AblationRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Ablations: design choices of DESIGN.md")
-	last := ""
-	for _, r := range rows {
-		if r.Study != last {
-			fmt.Fprintf(&b, "\n[%s]\n", r.Study)
-			last = r.Study
-		}
-		fmt.Fprintf(&b, "  %-24s %10s", r.Variant, shortTEPS(r.TEPS))
-		if r.NVMReads > 0 {
-			fmt.Fprintf(&b, "  %8d NVM reads  %6.1f sectors/req", r.NVMReads, r.AvgRequestSectors)
-		}
-		if r.ExaminedBU > 0 {
-			fmt.Fprintf(&b, "  %12d BU edges/BFS", r.ExaminedBU)
-		}
-		fmt.Fprintln(&b)
-	}
-	return b.String()
-}
+var ablationsEntry = flat[AblationRow]{
+	name: "ablations", doc: "DESIGN.md design choices: adjacency order, forward index placement, request aggregation",
+	run:   Ablations,
+	title: "Ablations: design choices of DESIGN.md",
+	cols: []Col[AblationRow]{
+		{"study", "study", func(r AblationRow) any { return r.Study }},
+		{"variant", "variant", func(r AblationRow) any { return r.Variant }},
+		{"teps", "TEPS", func(r AblationRow) any { return TEPS(r.TEPS) }},
+		{"nvm_reads", "NVM reads", func(r AblationRow) any { return r.NVMReads }},
+		{"avg_request_sectors", "sectors/req", func(r AblationRow) any { return r.AvgRequestSectors }},
+		{"examined_bu", "BU edges/BFS", func(r AblationRow) any { return r.ExaminedBU }},
+	},
+}.entry()

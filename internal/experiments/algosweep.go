@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
+	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/graph500"
 	"semibfs/internal/stats"
@@ -60,23 +59,15 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 	}
 	defer lab.Close()
 
-	cfg := defaultBFSConfig(opts)
-	cfg.Alpha = CacheSweepAlpha
-	cfg.Beta = 10 * CacheSweepAlpha
-	cfg.RealWorkers = opts.Workers
-	vcfg := vp.Config{Config: cfg}
+	vcfg := vp.Config{Config: sweepBFSConfig(opts, bfs.ModeHybrid)}
 	prOpts := vp.PageRankOptions{}
-
-	degree := func(sys *core.System) func(int64) int64 {
-		return func(v int64) int64 { return sys.Backward.Degree(v) }
-	}
 
 	// DRAM references, computed once per algorithm.
 	dramSys, err := lab.System(core.ScenarioDRAMOnly, false)
 	if err != nil {
 		return nil, err
 	}
-	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), opts.Roots, opts.Seed, degree(dramSys))
+	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), opts.Roots, opts.Seed, dramSys.Backward.Degree)
 	if err != nil {
 		return nil, err
 	}
@@ -174,139 +165,105 @@ func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRank
 		Algo:       sc.Algorithm.String(),
 		Fraction:   frac,
 		CacheBytes: sc.CacheBytes,
-		StateBytes: vp.StateBytes(prog),
+		Converged:  true,
 	}
-	if sc.Algorithm == core.AlgoBFS {
-		degree := func(v int64) int64 { return sys.Backward.Degree(v) }
-		var teps []float64
-		var examined, nvmReads, hits, misses int64
-		var seconds float64
-		var iters int
-		for _, root := range roots {
-			res, err := eng.Run(root)
-			if err != nil {
-				return row, err
-			}
-			tree := prog.(*vp.BFS).Tree()
-			ref := refTrees[root]
-			for v := range ref {
-				if tree[v] != ref[v] {
+	// BFS runs once per sampled root; the iterative programs' work is
+	// root-independent, so they run once.
+	isBFS := sc.Algorithm == core.AlgoBFS
+	starts, degree := []int64{0}, []int64(nil)
+	if isBFS {
+		starts, degree = roots, degreesOf(sys)
+	}
+	var teps []float64
+	var examined, hits, misses int64
+	for _, start := range starts {
+		res, err := eng.Run(start)
+		if err != nil {
+			return row, err
+		}
+		switch p := prog.(type) {
+		case *vp.BFS:
+			tree := p.Tree()
+			for v, want := range refTrees[start] {
+				if tree[v] != want {
 					return row, fmt.Errorf("root %d: tree[%d] = %d, DRAM reference %d",
-						root, v, tree[v], ref[v])
+						start, v, tree[v], want)
 				}
 			}
-			var traversed int64
-			for v, p := range tree {
-				if p != -1 {
-					traversed += degree(int64(v))
+			teps = appendTEPS(teps, tree, degree, res.Time)
+		case *vp.Components:
+			for v, l := range p.Labels() {
+				if l != refLabels[v] {
+					return row, fmt.Errorf("label[%d] = %d, DRAM reference %d", v, l, refLabels[v])
 				}
 			}
-			traversed /= 2
-			if res.Time > 0 {
-				teps = append(teps, float64(traversed)/res.Time.Seconds())
+		case *vp.PageRank:
+			for v, r := range p.Ranks() {
+				if r != refRanks[v] {
+					return row, fmt.Errorf("rank[%d] = %v, DRAM reference %v (not bit-identical)",
+						v, r, refRanks[v])
+				}
 			}
-			examined += res.ExaminedPush + res.ExaminedPull
-			nvmReads += res.Layers.Get("mirror", "reads")
-			hits += res.Cache.Hits
-			misses += res.Cache.Misses
-			seconds += res.Time.Seconds()
-			iters = res.Iterations
+			row.Converged = res.Converged
 		}
+		examined += res.ExaminedPush + res.ExaminedPull
+		row.NVMReads += res.Layers.Get("mirror", "reads")
+		hits += res.Cache.Hits
+		misses += res.Cache.Misses
+		row.Seconds += res.Time.Seconds()
+		row.Iterations = res.Iterations
+	}
+	if isBFS {
 		row.TEPS = stats.Summarize(teps).HarmonicMean
-		row.Iterations = iters
-		row.Converged = true
-		row.Seconds = seconds
-		if seconds > 0 {
-			row.EdgesPerSec = float64(examined) / seconds
-		}
-		row.NVMReads = nvmReads
-		if hits+misses > 0 {
-			row.HitRate = float64(hits) / float64(hits+misses)
-		}
-		row.StateBytes = vp.StateBytes(prog)
-		return row, nil
 	}
-
-	res, err := eng.Run(0)
-	if err != nil {
-		return row, err
-	}
-	switch sc.Algorithm {
-	case core.AlgoComponents:
-		for v, l := range prog.(*vp.Components).Labels() {
-			if l != refLabels[v] {
-				return row, fmt.Errorf("label[%d] = %d, DRAM reference %d", v, l, refLabels[v])
-			}
-		}
-		row.Converged = true
-	case core.AlgoPageRank:
-		pr := prog.(*vp.PageRank)
-		for v, r := range pr.Ranks() {
-			if r != refRanks[v] {
-				return row, fmt.Errorf("rank[%d] = %v, DRAM reference %v (not bit-identical)",
-					v, r, refRanks[v])
-			}
-		}
-		row.Converged = res.Converged
-	}
-	row.Iterations = res.Iterations
-	row.Seconds = res.Time.Seconds()
 	if row.Seconds > 0 {
-		row.EdgesPerSec = float64(res.ExaminedPush+res.ExaminedPull) / row.Seconds
-		row.IterationsPerSec = float64(res.Iterations) / row.Seconds
+		row.EdgesPerSec = float64(examined) / row.Seconds
+		if !isBFS {
+			row.IterationsPerSec = float64(row.Iterations) / row.Seconds
+		}
 	}
-	row.NVMReads = res.Layers.Get("mirror", "reads")
-	if t := res.Cache.Hits + res.Cache.Misses; t > 0 {
-		row.HitRate = float64(res.Cache.Hits) / float64(t)
+	if hits+misses > 0 {
+		row.HitRate = float64(hits) / float64(hits+misses)
 	}
 	row.StateBytes = vp.StateBytes(prog)
 	return row, nil
 }
 
-// FormatAlgoSweep renders the algorithm sweep as a text table.
-func FormatAlgoSweep(rows []AlgoRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Algorithm sweep: vertex programs through the full NVM stack vs cache budget")
-	fmt.Fprintf(&b, "%-12s %-9s %8s %10s %12s %6s %10s %8s %10s\n",
-		"device", "algo", "budget", "TEPS", "edges/s", "iters", "iters/s", "hit%", "state")
-	for _, r := range rows {
-		budget := "off"
-		if r.CacheBytes > 0 {
-			budget = fmt.Sprintf("1/%.0f", 1/r.Fraction)
+var algoEntry = flat[AlgoRow]{
+	name: "algo", doc: "algorithm sweep: BFS / components / PageRank vertex programs through the full stack vs cache budget",
+	run:   AlgoSweep,
+	title: "Algorithm sweep: vertex programs through the full NVM stack vs cache budget",
+	cols: []Col[AlgoRow]{
+		{"scenario", "scenario", func(r AlgoRow) any { return r.Scenario }},
+		{"algo", "algo", func(r AlgoRow) any { return r.Algo }},
+		{"fraction", "budget", func(r AlgoRow) any { return Budget(r.Fraction) }},
+		{"cache_bytes", "", func(r AlgoRow) any { return r.CacheBytes }},
+		{"teps", "TEPS", func(r AlgoRow) any { return TEPS(r.TEPS) }},
+		{"edges_per_sec", "edges/s", func(r AlgoRow) any { return TEPS(r.EdgesPerSec) }},
+		{"iterations", "iters", func(r AlgoRow) any { return r.Iterations }},
+		{"iterations_per_sec", "iters/s", func(r AlgoRow) any { return r.IterationsPerSec }},
+		{"converged", "", func(r AlgoRow) any { return r.Converged }},
+		{"state_bytes", "state", func(r AlgoRow) any { return Bytes(r.StateBytes) }},
+		{"hit_rate", "hit%", func(r AlgoRow) any { return Frac(r.HitRate) }},
+		{"nvm_reads", "", func(r AlgoRow) any { return r.NVMReads }},
+		{"seconds", "", func(r AlgoRow) any { return r.Seconds }},
+	},
+	// Best BFS TEPS through the full stack per device, and the best
+	// PageRank iteration throughput on the primary device.
+	headline: func(rows []AlgoRow) []Metric {
+		best := map[string]float64{}
+		for _, r := range rows {
+			rate := r.IterationsPerSec
+			if r.Algo == core.AlgoBFS.String() {
+				rate = r.TEPS
+			}
+			k := r.Scenario + "/" + r.Algo
+			best[k] = max(best[k], rate)
 		}
-		teps := "-"
-		if r.TEPS > 0 {
-			teps = shortTEPS(r.TEPS)
+		return []Metric{
+			{"pcie-bfs-MTEPS", best[core.ScenarioPCIeFlash.Name+"/"+core.AlgoBFS.String()] / 1e6},
+			{"ssd-bfs-MTEPS", best[core.ScenarioSSD.Name+"/"+core.AlgoBFS.String()] / 1e6},
+			{"pcie-pagerank-iters-per-s", best[core.ScenarioPCIeFlash.Name+"/"+core.AlgoPageRank.String()]},
 		}
-		ips := "-"
-		if r.IterationsPerSec > 0 {
-			ips = fmt.Sprintf("%.1f", r.IterationsPerSec)
-		}
-		fmt.Fprintf(&b, "%-12s %-9s %8s %10s %12s %6d %10s %7.1f%% %10s\n",
-			r.Scenario, r.Algo, budget, teps, shortTEPS(r.EdgesPerSec),
-			r.Iterations, ips, 100*r.HitRate, stats.FormatBytes(r.StateBytes))
-	}
-	return b.String()
-}
-
-// AlgoSweepCSV renders the sweep as CSV for plotting.
-func AlgoSweepCSV(rows []AlgoRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,algo,fraction,cache_bytes,teps,edges_per_sec,iterations,iterations_per_sec,converged,state_bytes,hit_rate,nvm_reads,seconds")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%g,%d,%.6g,%.6g,%d,%.6g,%v,%d,%.4f,%d,%.6g\n",
-			r.Scenario, r.Algo, r.Fraction, r.CacheBytes, r.TEPS, r.EdgesPerSec,
-			r.Iterations, r.IterationsPerSec, r.Converged, r.StateBytes,
-			r.HitRate, r.NVMReads, r.Seconds)
-	}
-	return b.String()
-}
-
-// AlgoSweepJSON renders the sweep as indented JSON.
-func AlgoSweepJSON(rows []AlgoRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+	},
+}.entry()

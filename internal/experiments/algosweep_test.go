@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"semibfs/internal/core"
@@ -57,33 +56,5 @@ func TestAlgoSweepAcceptance(t *testing.T) {
 				t.Errorf("%s/%s: %d rows, want %d", sc, algo, seen[sc+"/"+algo], len(CacheFractions))
 			}
 		}
-	}
-}
-
-// TestAlgoSweepRenderers smoke-tests the text/CSV/JSON renderings.
-func TestAlgoSweepRenderers(t *testing.T) {
-	rows := []AlgoRow{
-		{Scenario: "DRAM+PCIeFlash", Algo: "bfs", Fraction: 0.125, CacheBytes: 1 << 20,
-			TEPS: 1.5e8, EdgesPerSec: 2e8, Iterations: 9, Converged: true,
-			StateBytes: 4096, HitRate: 0.75, NVMReads: 1234, Seconds: 0.5},
-		{Scenario: "DRAM+SSD", Algo: "pagerank", EdgesPerSec: 3e7, Iterations: 40,
-			IterationsPerSec: 11, Converged: true, StateBytes: 8192, Seconds: 3.5},
-	}
-	text := FormatAlgoSweep(rows)
-	for _, needle := range []string{"bfs", "pagerank", "1/8", "off"} {
-		if !strings.Contains(text, needle) {
-			t.Errorf("table missing %q:\n%s", needle, text)
-		}
-	}
-	csv := AlgoSweepCSV(rows)
-	if !strings.HasPrefix(csv, "scenario,algo,") || len(strings.Split(strings.TrimSpace(csv), "\n")) != 3 {
-		t.Errorf("bad CSV:\n%s", csv)
-	}
-	js, err := AlgoSweepJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js, "\"edges_per_sec\"") {
-		t.Errorf("bad JSON:\n%s", js)
 	}
 }

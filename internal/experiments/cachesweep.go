@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
-	"semibfs/internal/stats"
 )
 
 // CacheFractions is the budget grid of the cache sweep, as fractions of
@@ -29,6 +26,15 @@ const CacheReadahead = 4
 // keeps the switch at the same qualitative point (frontier ~ N/64) at
 // any scale.
 const CacheSweepAlpha = 64
+
+// sweepBFSConfig is the switching configuration every device-behaviour
+// sweep shares: CacheSweepAlpha, beta = 10*alpha, in the given mode.
+func sweepBFSConfig(opts Options, mode bfs.Mode) bfs.Config {
+	cfg := defaultBFSConfig(opts)
+	cfg.Mode = mode
+	cfg.Alpha, cfg.Beta = CacheSweepAlpha, 10*CacheSweepAlpha
+	return cfg
+}
 
 // CacheRow is one (scenario, mode, budget) measurement of the cache sweep.
 type CacheRow struct {
@@ -82,10 +88,7 @@ func CacheSweep(opts Options) ([]CacheRow, error) {
 		}
 		fwdBytes := sys.NVMForwardBytes
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly} {
-			cfg := defaultBFSConfig(opts)
-			cfg.Mode = mode
-			cfg.Alpha = CacheSweepAlpha
-			cfg.Beta = 10 * CacheSweepAlpha
+			cfg := sweepBFSConfig(opts, mode)
 			for _, frac := range CacheFractions {
 				cached := sc
 				if frac > 0 {
@@ -117,42 +120,22 @@ func CacheSweep(opts Options) ([]CacheRow, error) {
 	return rows, nil
 }
 
-// FormatCacheSweep renders the cache sweep as a text table.
-func FormatCacheSweep(rows []CacheRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Cache sweep: harmonic-mean TEPS vs forward-graph page-cache budget")
-	fmt.Fprintf(&b, "%-16s %-14s %8s %10s %10s %8s %12s %12s\n",
-		"scenario", "mode", "budget", "cache", "TEPS", "hit%", "NVM reads", "evictions")
-	for _, r := range rows {
-		budget := "off"
-		if r.CacheBytes > 0 {
-			budget = fmt.Sprintf("1/%.0f", 1/r.Fraction)
-		}
-		fmt.Fprintf(&b, "%-16s %-14s %8s %10s %10s %7.1f%% %12d %12d\n",
-			r.Scenario, r.Mode, budget, stats.FormatBytes(r.CacheBytes),
-			shortTEPS(r.TEPS), 100*r.HitRate, r.NVMReads, r.Evictions)
-	}
-	return b.String()
-}
-
-// CacheSweepCSV renders the sweep as CSV for plotting.
-func CacheSweepCSV(rows []CacheRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,mode,fraction,cache_bytes,readahead,teps,hit_rate,hits,misses,evictions,prefetches,nvm_reads")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%g,%d,%d,%.6g,%.4f,%d,%d,%d,%d,%d\n",
-			r.Scenario, r.Mode, r.Fraction, r.CacheBytes, r.Readahead,
-			r.TEPS, r.HitRate, r.Hits, r.Misses, r.Evictions, r.Prefetches, r.NVMReads)
-	}
-	return b.String()
-}
-
-// CacheSweepJSON renders the sweep as indented JSON (the bench tooling
-// records it alongside the headline numbers).
-func CacheSweepJSON(rows []CacheRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+var cacheEntry = flat[CacheRow]{
+	name: "cache", doc: "cache sweep: TEPS and hit rate vs forward-graph page-cache budget, hybrid and top-down",
+	run:   CacheSweep,
+	title: "Cache sweep: harmonic-mean TEPS vs forward-graph page-cache budget",
+	cols: []Col[CacheRow]{
+		{"scenario", "scenario", func(r CacheRow) any { return r.Scenario }},
+		{"mode", "mode", func(r CacheRow) any { return r.Mode }},
+		{"fraction", "budget", func(r CacheRow) any { return Budget(r.Fraction) }},
+		{"cache_bytes", "cache", func(r CacheRow) any { return Bytes(r.CacheBytes) }},
+		{"readahead", "", func(r CacheRow) any { return r.Readahead }},
+		{"teps", "TEPS", func(r CacheRow) any { return TEPS(r.TEPS) }},
+		{"hit_rate", "hit%", func(r CacheRow) any { return Frac(r.HitRate) }},
+		{"hits", "", func(r CacheRow) any { return r.Hits }},
+		{"misses", "", func(r CacheRow) any { return r.Misses }},
+		{"evictions", "evictions", func(r CacheRow) any { return r.Evictions }},
+		{"prefetches", "", func(r CacheRow) any { return r.Prefetches }},
+		{"nvm_reads", "NVM reads", func(r CacheRow) any { return r.NVMReads }},
+	},
+}.entry()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"semibfs/internal/core"
@@ -84,33 +83,5 @@ func TestCacheSweepDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across identical sweeps:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestCacheSweepRenderings(t *testing.T) {
-	rows := []CacheRow{
-		{Scenario: "DRAM+PCIeFlash", Mode: "hybrid", Fraction: 0, TEPS: 1e8, NVMReads: 1000},
-		{Scenario: "DRAM+PCIeFlash", Mode: "hybrid", Fraction: 0.125, CacheBytes: 1 << 20,
-			Readahead: 4, TEPS: 2e8, HitRate: 0.9, Hits: 900, Misses: 100, NVMReads: 100},
-	}
-	text := FormatCacheSweep(rows)
-	for _, want := range []string{"hybrid", "1/8", "hit%"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table missing %q:\n%s", want, text)
-		}
-	}
-	csv := CacheSweepCSV(rows)
-	if !strings.HasPrefix(csv, "scenario,mode,fraction,") {
-		t.Fatalf("bad CSV header:\n%s", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want 3", lines)
-	}
-	js, err := CacheSweepJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js, "\"cache_bytes\"") {
-		t.Fatalf("JSON missing field:\n%s", js)
 	}
 }

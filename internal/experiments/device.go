@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
@@ -13,19 +12,20 @@ import (
 
 // Fig11Point is one top-down level's degradation measurement.
 type Fig11Point struct {
-	Root      int64
-	Level     int
-	AvgDegree float64
+	Root      int64   `json:"root"`
+	Level     int     `json:"level"`
+	AvgDegree float64 `json:"avg_degree"`
 	// Ratio is the level's virtual time on the NVM scenario divided by
 	// the same root's same level on DRAM-only.
-	Ratio float64
+	Ratio float64 `json:"ratio"`
 }
 
 // Fig11Result is one NVM scenario's cloud of degradation points.
 type Fig11Result struct {
-	Scenario string
-	Points   []Fig11Point
-	Min, Max float64
+	Scenario string       `json:"scenario"`
+	Points   []Fig11Point `json:"points"`
+	Min      float64      `json:"min_ratio"`
+	Max      float64      `json:"max_ratio"`
 }
 
 // Fig11 reproduces the degradation-vs-degree analysis: with the paper's
@@ -91,55 +91,69 @@ func Fig11(opts Options) ([]Fig11Result, error) {
 	return out, nil
 }
 
-// FormatFig11 renders the degradation analysis, bucketing points by
-// decade of average degree.
-func FormatFig11(results []Fig11Result) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Figure 11: top-down slowdown vs DRAM-only, by average frontier degree")
-	fmt.Fprintln(&b, "(paper: ioDrive2 max 5758.5x / min 1.2x; SSD max 123482.6x / min 2.8x at SCALE 27)")
-	for _, r := range results {
-		fmt.Fprintf(&b, "\n[%s]  min %.1fx  max %.1fx\n", r.Scenario, r.Min, r.Max)
-		buckets := map[int][]float64{}
-		for _, p := range r.Points {
-			d := 0
-			for x := p.AvgDegree; x >= 10; x /= 10 {
-				d++
-			}
-			buckets[d] = append(buckets[d], p.Ratio)
-		}
-		decades := make([]int, 0, len(buckets))
-		for d := range buckets {
-			decades = append(decades, d)
-		}
-		sort.Ints(decades)
-		fmt.Fprintf(&b, "%-22s %8s %12s\n", "avg degree", "levels", "mean ratio")
-		for _, d := range decades {
-			lo, hi := pow10(d), pow10(d+1)
-			var sum float64
-			for _, x := range buckets[d] {
-				sum += x
-			}
-			fmt.Fprintf(&b, "[%8.0f, %8.0f) %8d %11.1fx\n",
-				lo, hi, len(buckets[d]), sum/float64(len(buckets[d])))
-		}
-	}
-	return b.String()
+// fig11Bucket is one decade of average frontier degree in one scenario's
+// degradation cloud — the resolution at which the text and CSV renderings
+// summarize Figure 11 (the JSON rows keep every point).
+type fig11Bucket struct {
+	scenario string
+	lo       float64 // degrees in [lo, 10*lo); below 10 all land in [1, 10)
+	levels   int
+	sum      float64
 }
 
-func pow10(d int) float64 {
-	x := 1.0
-	for i := 0; i < d; i++ {
-		x *= 10
+func fig11Buckets(results []Fig11Result) []fig11Bucket {
+	var out []fig11Bucket
+	for _, r := range results {
+		// Points are sorted by degree, so each decade is one run.
+		for _, p := range r.Points {
+			lo := 1.0
+			for p.AvgDegree >= 10*lo {
+				lo *= 10
+			}
+			if n := len(out); n == 0 || out[n-1].scenario != r.Scenario || out[n-1].lo != lo {
+				out = append(out, fig11Bucket{scenario: r.Scenario, lo: lo})
+			}
+			out[len(out)-1].levels++
+			out[len(out)-1].sum += p.Ratio
+		}
 	}
-	return x
+	return out
+}
+
+var fig11Entry = Entry{
+	Name: "fig11", Doc: "Figure 11: per-level top-down slowdown vs DRAM-only against average frontier degree",
+	Run: func(opts Options) (Result, error) {
+		results, err := Fig11(opts)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{
+			Rows: results,
+			Table: tabulate("Figure 11: top-down slowdown vs DRAM-only, by decade of average frontier degree\n"+
+				"(paper: ioDrive2 max 5758.5x / min 1.2x; SSD max 123482.6x / min 2.8x at SCALE 27)",
+				fig11Buckets(results), []Col[fig11Bucket]{
+					{"scenario", "scenario", func(b fig11Bucket) any { return b.scenario }},
+					{"avg_degree_from", "avg degree >=", func(b fig11Bucket) any { return b.lo }},
+					{"avg_degree_below", "<", func(b fig11Bucket) any { return 10 * b.lo }},
+					{"levels", "levels", func(b fig11Bucket) any { return b.levels }},
+					{"mean_ratio", "mean ratio", func(b fig11Bucket) any { return Times(b.sum / float64(b.levels)) }},
+				}),
+			Headline: []Metric{
+				{"pcie-min-slowdown-x", results[0].Min},
+				{"pcie-max-slowdown-x", results[0].Max},
+				{"ssd-min-slowdown-x", results[1].Min},
+				{"ssd-max-slowdown-x", results[1].Max},
+			},
+		}, nil
+	},
 }
 
 // DeviceUsage is one NVM scenario's iostat-style measurement over the full
 // multi-root benchmark run (Figures 12 and 13).
 type DeviceUsage struct {
-	Scenario string
-	Stats    nvm.Stats
-	Series   []nvm.SeriesPoint
+	Scenario string            `json:"scenario"`
+	Stats    nvm.Stats         `json:"stats"`
+	Series   []nvm.SeriesPoint `json:"series"`
 }
 
 // Fig12And13 runs the benchmark on both NVM scenarios with per-bin device
@@ -168,39 +182,42 @@ func Fig12And13(opts Options) ([]DeviceUsage, error) {
 	return out, nil
 }
 
-// FormatFig12And13 renders both figures' summary rows and a compact
-// series.
-func FormatFig12And13(usages []DeviceUsage) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Figures 12/13: NVM request queue length and size during BFS")
-	fmt.Fprintln(&b, "(paper averages: avgqu-sz 36.1 ioDrive2 / 56.1 SSD; avgrq-sz 22.6 / 22.7 sectors)")
-	for _, u := range usages {
-		fmt.Fprintf(&b, "\n[%s] reads=%d avgqu-sz=%.1f avgrq-sz=%.1f sectors await=%v util=%.0f%%\n",
-			u.Scenario, u.Stats.Reads, u.Stats.AvgQueueSize, u.Stats.AvgRequestSectors,
-			(u.Stats.AvgWait + u.Stats.AvgService).ToTime(), 100*u.Stats.Utilization)
-		if len(u.Series) > 0 {
-			fmt.Fprintf(&b, "%-12s %10s %10s %10s\n", "t(start)", "requests", "avgqu-sz", "avgrq-sz")
-			step := len(u.Series)/12 + 1
-			for i := 0; i < len(u.Series); i += step {
-				p := u.Series[i]
-				fmt.Fprintf(&b, "%-12s %10d %10.1f %10.1f\n",
-					p.Start.String(), p.Requests, p.AvgQueueSize, p.AvgRequestSectors)
-			}
+// The table is the iostat summary the paper quotes; the per-bin series
+// behind the two figures ride in the JSON rows.
+var fig12And13Entry = flat[DeviceUsage]{
+	name: "fig12-13", doc: "Figures 12/13: iostat-style NVM queue length (avgqu-sz) and request size (avgrq-sz) during BFS",
+	run: Fig12And13,
+	title: "Figures 12/13: NVM request queue length and size during BFS\n" +
+		"(paper averages: avgqu-sz 36.1 ioDrive2 / 56.1 SSD; avgrq-sz 22.6 / 22.7 sectors)",
+	cols: []Col[DeviceUsage]{
+		{"scenario", "scenario", func(u DeviceUsage) any { return u.Scenario }},
+		{"reads", "reads", func(u DeviceUsage) any { return u.Stats.Reads }},
+		{"avgqu_sz", "avgqu-sz", func(u DeviceUsage) any { return u.Stats.AvgQueueSize }},
+		{"avgrq_sz", "avgrq-sz", func(u DeviceUsage) any { return u.Stats.AvgRequestSectors }},
+		{"await_ns", "await", func(u DeviceUsage) any { return u.Stats.AvgWait + u.Stats.AvgService }},
+		{"utilization", "util", func(u DeviceUsage) any { return Frac(u.Stats.Utilization) }},
+		{"series_bins", "series bins", func(u DeviceUsage) any { return len(u.Series) }},
+	},
+	headline: func(usages []DeviceUsage) []Metric {
+		return []Metric{
+			{"pcie-avgqu-sz", usages[0].Stats.AvgQueueSize},
+			{"ssd-avgqu-sz", usages[1].Stats.AvgQueueSize},
+			{"pcie-avgrq-sectors", usages[0].Stats.AvgRequestSectors},
+			{"ssd-avgrq-sectors", usages[1].Stats.AvgRequestSectors},
 		}
-	}
-	return b.String()
-}
+	},
+}.entry()
 
 // Fig14Row is one per-vertex DRAM edge cap measurement.
 type Fig14Row struct {
-	Limit int
+	Limit int `json:"keep_edges"`
 	// DRAMSizeReductionPct is the backward graph's DRAM savings
 	// relative to keeping it fully resident.
-	DRAMSizeReductionPct float64
+	DRAMSizeReductionPct float64 `json:"bwd_dram_reduction_pct"`
 	// NVMAccessPct is the fraction of bottom-up neighbor examinations
 	// served from NVM.
-	NVMAccessPct float64
-	TEPS         float64
+	NVMAccessPct float64 `json:"nvm_access_pct"`
+	TEPS         float64 `json:"teps"`
 }
 
 // Fig14Limits are the per-vertex caps the paper evaluates.
@@ -251,25 +268,31 @@ func Fig14(opts Options) ([]Fig14Row, error) {
 	return rows, nil
 }
 
-// FormatFig14 renders the backward-graph offloading table.
-func FormatFig14(rows []Fig14Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Figure 14: backward graph (BG) offloading vs DRAM edge cap k")
-	fmt.Fprintln(&b, "(paper: k=2 -> 38.2% of accesses on NVM; k=32 -> 0.7%)")
-	fmt.Fprintf(&b, "%-6s %18s %16s %10s\n", "k", "BG DRAM reduction", "NVM access ratio", "TEPS")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %17.1f%% %15.2f%% %10s\n",
-			r.Limit, r.DRAMSizeReductionPct, r.NVMAccessPct, shortTEPS(r.TEPS))
-	}
-	return b.String()
-}
+var fig14Entry = flat[Fig14Row]{
+	name: "fig14", doc: "Figure 14: backward-graph offloading vs per-vertex DRAM edge cap k",
+	run: Fig14,
+	title: "Figure 14: backward graph (BG) offloading vs DRAM edge cap k\n" +
+		"(paper: k=2 -> 38.2% of accesses on NVM; k=32 -> 0.7%)",
+	cols: []Col[Fig14Row]{
+		{"keep_edges", "k", func(r Fig14Row) any { return r.Limit }},
+		{"bwd_dram_reduction_pct", "BG DRAM reduction", func(r Fig14Row) any { return Pct(r.DRAMSizeReductionPct) }},
+		{"nvm_access_pct", "NVM access ratio", func(r Fig14Row) any { return Pct(r.NVMAccessPct) }},
+		{"teps", "TEPS", func(r Fig14Row) any { return TEPS(r.TEPS) }},
+	},
+	headline: func(rows []Fig14Row) []Metric {
+		return []Metric{
+			{"k2-nvm-access-pct", rows[0].NVMAccessPct},
+			{"k32-nvm-access-pct", rows[len(rows)-1].NVMAccessPct},
+		}
+	},
+}.entry()
 
 // GreenRow is the Green Graph500 efficiency estimate.
 type GreenRow struct {
-	Scenario  string
-	TEPS      float64
-	Watts     float64
-	MTEPSPerW float64
+	Scenario  string  `json:"scenario"`
+	TEPS      float64 `json:"teps"`
+	Watts     float64 `json:"watts"`
+	MTEPSPerW float64 `json:"mteps_per_watt"`
 }
 
 // Green evaluates the power model over each scenario's best headline
@@ -312,14 +335,17 @@ func Green(opts Options) ([]GreenRow, error) {
 	return out, nil
 }
 
-// FormatGreen renders the efficiency table.
-func FormatGreen(rows []GreenRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Green Graph500 estimate (paper: 4.35 MTEPS/W on a 4-way 500 GB + 4 TB NVM system)")
-	fmt.Fprintf(&b, "%-16s %10s %10s %12s\n", "scenario", "TEPS", "watts", "MTEPS/W")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %10s %10.0f %12.2f\n",
-			r.Scenario, shortTEPS(r.TEPS), r.Watts, r.MTEPSPerW)
-	}
-	return b.String()
-}
+var greenEntry = flat[GreenRow]{
+	name: "green", doc: "Green Graph500 estimate: the power model over each scenario's best result (4.35 MTEPS/W)",
+	run:   Green,
+	title: "Green Graph500 estimate (paper: 4.35 MTEPS/W on a 4-way 500 GB + 4 TB NVM system)",
+	cols: []Col[GreenRow]{
+		{"scenario", "scenario", func(r GreenRow) any { return r.Scenario }},
+		{"teps", "TEPS", func(r GreenRow) any { return TEPS(r.TEPS) }},
+		{"watts", "watts", func(r GreenRow) any { return r.Watts }},
+		{"mteps_per_watt", "MTEPS/W", func(r GreenRow) any { return r.MTEPSPerW }},
+	},
+	headline: func(rows []GreenRow) []Metric {
+		return []Metric{{"pcie-MTEPS-per-W", rows[1].MTEPSPerW}}
+	},
+}.entry()

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
+	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/faults"
 	"semibfs/internal/nvm"
@@ -81,9 +80,7 @@ func FailoverSweep(opts Options) ([]FailoverRow, error) {
 				TransientRate: rate,
 				CorruptRate:   rate / 2,
 			}
-			cfg := defaultBFSConfig(opts)
-			cfg.Alpha = CacheSweepAlpha
-			cfg.Beta = 10 * CacheSweepAlpha
+			cfg := sweepBFSConfig(opts, bfs.ModeHybrid)
 			res, err := lab.Run(sc, cfg, false, false)
 			if err != nil {
 				return nil, fmt.Errorf("failover sweep r=%d rate=%g: %w",
@@ -115,41 +112,21 @@ func FailoverSweep(opts Options) ([]FailoverRow, error) {
 	return rows, nil
 }
 
-// FormatFailoverSweep renders the failover sweep as a text table.
-func FormatFailoverSweep(rows []FailoverRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Failover sweep: harmonic-mean TEPS vs per-device fault rate and replica count")
-	fmt.Fprintf(&b, "%-16s %4s %8s %10s %10s %9s %9s %9s %11s %5s %9s\n",
-		"scenario", "reps", "rate", "TEPS", "failovers", "errors",
-		"scrubbed", "repaired", "repair-us", "dead", "degraded")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %4d %8g %10s %10d %9d %9d %9d %11.1f %5d %9d\n",
-			r.Scenario, r.Replicas, r.Rate, shortTEPS(r.TEPS), r.Failovers,
-			r.ReadErrors, r.ScrubbedBlocks, r.RepairedBlocks,
-			r.MeanRepairUs, r.DeadDevices, r.DegradedRuns)
-	}
-	return b.String()
-}
-
-// FailoverSweepCSV renders the sweep as CSV for plotting.
-func FailoverSweepCSV(rows []FailoverRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,replicas,rate,teps,failovers,read_errors,scrubbed_blocks,repaired_blocks,mean_repair_us,dead_devices,degraded_runs")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%g,%.6g,%d,%d,%d,%d,%.3f,%d,%d\n",
-			r.Scenario, r.Replicas, r.Rate, r.TEPS, r.Failovers, r.ReadErrors,
-			r.ScrubbedBlocks, r.RepairedBlocks, r.MeanRepairUs,
-			r.DeadDevices, r.DegradedRuns)
-	}
-	return b.String()
-}
-
-// FailoverSweepJSON renders the sweep as indented JSON (the bench tooling
-// records it as BENCH_PR3.json).
-func FailoverSweepJSON(rows []FailoverRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+var failoverEntry = flat[FailoverRow]{
+	name: "failover", doc: "failover sweep: TEPS and repair activity vs per-device fault rate, 1/2/3-way mirrors",
+	run:   FailoverSweep,
+	title: "Failover sweep: harmonic-mean TEPS vs per-device fault rate and replica count",
+	cols: []Col[FailoverRow]{
+		{"scenario", "scenario", func(r FailoverRow) any { return r.Scenario }},
+		{"replicas", "reps", func(r FailoverRow) any { return r.Replicas }},
+		{"rate", "rate", func(r FailoverRow) any { return r.Rate }},
+		{"teps", "TEPS", func(r FailoverRow) any { return TEPS(r.TEPS) }},
+		{"failovers", "failovers", func(r FailoverRow) any { return r.Failovers }},
+		{"read_errors", "errors", func(r FailoverRow) any { return r.ReadErrors }},
+		{"scrubbed_blocks", "scrubbed", func(r FailoverRow) any { return r.ScrubbedBlocks }},
+		{"repaired_blocks", "repaired", func(r FailoverRow) any { return r.RepairedBlocks }},
+		{"mean_repair_us", "repair-us", func(r FailoverRow) any { return r.MeanRepairUs }},
+		{"dead_devices", "dead", func(r FailoverRow) any { return r.DeadDevices }},
+		{"degraded_runs", "degraded", func(r FailoverRow) any { return r.DegradedRuns }},
+	},
+}.entry()

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -84,42 +82,5 @@ func TestFailoverSweepDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across identical sweeps:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestFailoverSweepRenderings(t *testing.T) {
-	rows := []FailoverRow{
-		{Scenario: "DRAM+PCIeFlash", Replicas: 1, Rate: 0, TEPS: 1e8,
-			ScrubbedBlocks: 1200},
-		{Scenario: "DRAM+PCIeFlash", Replicas: 2, Rate: 0.01, TEPS: 9e7,
-			Failovers: 40, ReadErrors: 3, ScrubbedBlocks: 1200,
-			RepairedBlocks: 5, MeanRepairUs: 12.5, DeadDevices: 0},
-	}
-	text := FormatFailoverSweep(rows)
-	for _, want := range []string{"Failover sweep", "DRAM+PCIeFlash", "failovers", "repaired"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table missing %q:\n%s", want, text)
-		}
-	}
-	csv := FailoverSweepCSV(rows)
-	if !strings.HasPrefix(csv, "scenario,replicas,rate,") {
-		t.Fatalf("bad CSV header:\n%s", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want 3", lines)
-	}
-	js, err := FailoverSweepJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []FailoverRow
-	if err := json.Unmarshal([]byte(js), &back); err != nil {
-		t.Fatalf("JSON does not round-trip: %v", err)
-	}
-	if len(back) != 2 || back[1].Failovers != 40 {
-		t.Fatalf("JSON round-trip mangled rows: %+v", back)
-	}
-	if !strings.Contains(js, "\"repaired_blocks\"") {
-		t.Fatalf("JSON missing field:\n%s", js)
 	}
 }

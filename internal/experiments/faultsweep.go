@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"semibfs/internal/core"
 	"semibfs/internal/faults"
@@ -16,20 +15,20 @@ var FaultRates = []float64{0, 0.001, 0.01, 0.05}
 
 // FaultRow is one (scenario, error-rate) measurement of the fault sweep.
 type FaultRow struct {
-	Scenario string
-	Rate     float64
-	TEPS     float64
+	Scenario string  `json:"scenario"`
+	Rate     float64 `json:"rate"`
+	TEPS     float64 `json:"teps"`
 	// Retries / ReadErrors / BackoffTime are the per-benchmark totals the
 	// retry layer reports; Injected is the fault layer's own count of
 	// transient errors it produced (the two error counts agree when no
 	// other error source is active).
-	Retries     int64
-	ReadErrors  int64
-	BackoffTime vtime.Duration
-	Injected    int64
+	Retries     int64          `json:"retries"`
+	ReadErrors  int64          `json:"read_errors"`
+	BackoffTime vtime.Duration `json:"backoff_ns"`
+	Injected    int64          `json:"injected"`
 	// DegradedRuns counts roots that finished in degraded mode (expected
 	// zero in this sweep: transient faults recover by retry).
-	DegradedRuns int
+	DegradedRuns int `json:"degraded_runs"`
 }
 
 // FaultSweep measures TEPS versus injected transient-error rate for both
@@ -68,28 +67,18 @@ func FaultSweep(opts Options) ([]FaultRow, error) {
 	return rows, nil
 }
 
-// FormatFaultSweep renders the fault sweep as a text table.
-func FormatFaultSweep(rows []FaultRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Fault sweep: median TEPS vs injected transient-error rate")
-	fmt.Fprintf(&b, "%-16s %8s %10s %10s %10s %12s %9s\n",
-		"scenario", "rate", "TEPS", "retries", "errors", "backoff", "degraded")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %8g %10s %10d %10d %12v %9d\n",
-			r.Scenario, r.Rate, shortTEPS(r.TEPS),
-			r.Retries, r.ReadErrors, r.BackoffTime.ToTime(), r.DegradedRuns)
-	}
-	return b.String()
-}
-
-// FaultSweepCSV renders the sweep as CSV for plotting.
-func FaultSweepCSV(rows []FaultRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,rate,teps,retries,read_errors,backoff_us,injected,degraded_runs")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%g,%.6g,%d,%d,%.3f,%d,%d\n",
-			r.Scenario, r.Rate, r.TEPS, r.Retries, r.ReadErrors,
-			float64(r.BackoffTime)/float64(vtime.Microsecond), r.Injected, r.DegradedRuns)
-	}
-	return b.String()
-}
+var faultsEntry = flat[FaultRow]{
+	name: "faults", doc: "fault sweep: median TEPS vs injected transient-error rate, both NVM scenarios",
+	run:   FaultSweep,
+	title: "Fault sweep: median TEPS vs injected transient-error rate",
+	cols: []Col[FaultRow]{
+		{"scenario", "scenario", func(r FaultRow) any { return r.Scenario }},
+		{"rate", "rate", func(r FaultRow) any { return r.Rate }},
+		{"teps", "TEPS", func(r FaultRow) any { return TEPS(r.TEPS) }},
+		{"retries", "retries", func(r FaultRow) any { return r.Retries }},
+		{"read_errors", "errors", func(r FaultRow) any { return r.ReadErrors }},
+		{"backoff_ns", "backoff", func(r FaultRow) any { return r.BackoffTime }},
+		{"injected", "", func(r FaultRow) any { return r.Injected }},
+		{"degraded_runs", "degraded", func(r FaultRow) any { return r.DegradedRuns }},
+	},
+}.entry()

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
@@ -81,10 +79,7 @@ func IOSweep(opts Options) ([]IORow, error) {
 		}
 		budget := int64(IOCacheFraction * float64(probe.NVMForwardBytes))
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly} {
-			cfg := defaultBFSConfig(opts)
-			cfg.Mode = mode
-			cfg.Alpha = CacheSweepAlpha
-			cfg.Beta = 10 * CacheSweepAlpha
+			cfg := sweepBFSConfig(opts, mode)
 			var baseTEPS float64
 			for _, compress := range []bool{false, true} {
 				for _, qd := range IOQueueDepths {
@@ -140,64 +135,46 @@ func IOSweep(opts Options) ([]IORow, error) {
 	return rows, nil
 }
 
-// FormatIOSweep renders the I/O sweep as a text table.
-func FormatIOSweep(rows []IORow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "I/O sweep: harmonic-mean TEPS vs queue depth x compression (cache = 1/8 raw forward bytes)")
-	fmt.Fprintf(&b, "%-16s %-14s %4s %4s %5s %10s %8s %7s %8s %12s %14s\n",
-		"scenario", "mode", "cmp", "qd", "pf", "TEPS", "speedup", "ratio", "hit%", "NVM reads", "NVM read MB")
-	for _, r := range rows {
-		cmp := "off"
-		if r.Compress {
-			cmp = "on"
-		}
-		fmt.Fprintf(&b, "%-16s %-14s %4s %4d %5d %10s %7.2fx %6.2fx %7.1f%% %12d %14.1f\n",
-			r.Scenario, r.Mode, cmp, r.QueueDepth, r.Prefetch,
-			shortTEPS(r.TEPS), r.Speedup, r.CompressionRatio,
-			100*r.HitRate, r.NVMReads, float64(r.NVMReadBytes)/(1<<20))
-	}
-	// The headline comparisons: best async+compressed row over the raw
-	// synchronous baseline, per scenario (hybrid mode).
-	for _, scen := range []string{"DRAM+PCIeFlash", "DRAM+SSD"} {
-		var base, best float64
+var ioEntry = flat[IORow]{
+	name: "io", doc: "I/O sweep: TEPS vs async queue depth x adjacency compression at a fixed cache budget",
+	run:   IOSweep,
+	title: "I/O sweep: harmonic-mean TEPS vs queue depth x compression (cache = 1/8 raw forward bytes)",
+	cols: []Col[IORow]{
+		{"scenario", "scenario", func(r IORow) any { return r.Scenario }},
+		{"mode", "mode", func(r IORow) any { return r.Mode }},
+		{"compress", "cmp", func(r IORow) any { return r.Compress }},
+		{"queue_depth", "qd", func(r IORow) any { return r.QueueDepth }},
+		{"prefetch", "pf", func(r IORow) any { return r.Prefetch }},
+		{"cache_bytes", "", func(r IORow) any { return r.CacheBytes }},
+		{"teps", "TEPS", func(r IORow) any { return TEPS(r.TEPS) }},
+		{"speedup", "speedup", func(r IORow) any { return Times(r.Speedup) }},
+		{"compression_ratio", "ratio", func(r IORow) any { return Times(r.CompressionRatio) }},
+		{"hit_rate", "hit%", func(r IORow) any { return Frac(r.HitRate) }},
+		{"nvm_reads", "NVM reads", func(r IORow) any { return r.NVMReads }},
+		{"nvm_read_bytes", "NVM read", func(r IORow) any { return Bytes(r.NVMReadBytes) }},
+		{"demand_runs", "", func(r IORow) any { return r.DemandRuns }},
+		{"prefetch_blocks", "", func(r IORow) any { return r.PrefetchBlocks }},
+		{"decoded_hits", "", func(r IORow) any { return r.DecodedHits }},
+	},
+	// The rows the tentpole is judged by: the adjacency compression ratio
+	// and, per device, the best compressed+async hybrid row over the raw
+	// synchronous baseline.
+	headline: func(rows []IORow) []Metric {
+		best := map[string]float64{}
+		var ratio float64
 		for _, r := range rows {
-			if r.Scenario != scen || r.Mode != "hybrid" {
+			if !r.Compress {
 				continue
 			}
-			if !r.Compress && r.QueueDepth == 0 {
-				base = r.TEPS
-			}
-			if r.Compress && r.QueueDepth > 0 && r.TEPS > best {
-				best = r.TEPS
+			ratio = max(ratio, r.CompressionRatio)
+			if r.Mode == "hybrid" && r.QueueDepth > 0 {
+				best[r.Scenario] = max(best[r.Scenario], r.Speedup)
 			}
 		}
-		if base > 0 && best > 0 {
-			fmt.Fprintf(&b, "%s hybrid: compressed+async %.2fx over raw synchronous (%s -> %s TEPS)\n",
-				scen, best/base, shortTEPS(base), shortTEPS(best))
+		return []Metric{
+			{"compression-ratio-x", ratio},
+			{"pcie-hybrid-cmp-async-speedup-x", best[core.ScenarioPCIeFlash.Name]},
+			{"ssd-hybrid-cmp-async-speedup-x", best[core.ScenarioSSD.Name]},
 		}
-	}
-	return b.String()
-}
-
-// IOSweepCSV renders the sweep as CSV for plotting.
-func IOSweepCSV(rows []IORow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,mode,compress,queue_depth,prefetch,cache_bytes,teps,speedup,compression_ratio,hit_rate,nvm_reads,nvm_read_bytes,demand_runs,prefetch_blocks,decoded_hits")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%v,%d,%d,%d,%.6g,%.4f,%.4f,%.4f,%d,%d,%d,%d,%d\n",
-			r.Scenario, r.Mode, r.Compress, r.QueueDepth, r.Prefetch, r.CacheBytes,
-			r.TEPS, r.Speedup, r.CompressionRatio, r.HitRate,
-			r.NVMReads, r.NVMReadBytes, r.DemandRuns, r.PrefetchBlocks, r.DecodedHits)
-	}
-	return b.String()
-}
-
-// IOSweepJSON renders the sweep as indented JSON (the bench tooling
-// records it as BENCH_PR7.json).
-func IOSweepJSON(rows []IORow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+	},
+}.entry()

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VI). Each experiment is one function returning
-// structured rows plus a printable rendering; cmd/analyze, cmd/sweep and
-// the repository's bench_test.go all delegate here, so the numbers in
-// EXPERIMENTS.md come from exactly this code.
+// evaluation (Section VI) and the repository's extension sweeps. Each
+// experiment is one function returning typed rows plus one registry Entry
+// (registry.go) whose column description renders them as text, CSV and
+// JSON; cmd/analyze and the repository's bench_test.go are loops over that
+// registry, so the numbers in EXPERIMENTS.md come from exactly this code.
 package experiments
 
 import (
@@ -165,6 +166,36 @@ func (l *Lab) Run(sc core.Scenario, cfg bfs.Config, keepLevels, series bool) (*g
 		KeepLevelStats: keepLevels,
 	}
 	return graph500.RunOnSystem(sys, l.Src, p)
+}
+
+// sampleRoots draws Opts.Roots Graph500 search keys off the lab's edge list
+// and returns them with the per-vertex degrees TEPS accounting needs.
+func (l *Lab) sampleRoots() (roots, degree []int64, err error) {
+	degree = make([]int64, l.List.NumVertices)
+	for _, e := range l.List.Edges {
+		if e.U != e.V {
+			degree[e.U]++
+			degree[e.V]++
+		}
+	}
+	roots, err = graph500.SampleRoots(l.List.NumVertices, l.Opts.Roots, l.Opts.Seed,
+		func(v int64) int64 { return degree[v] })
+	return roots, degree, err
+}
+
+// appendTEPS appends one search's Graph500 rate — undirected edges incident
+// to the vertices tree reached, over its virtual time t — unless t is zero.
+func appendTEPS(teps []float64, tree, degree []int64, t vtime.Duration) []float64 {
+	var traversed int64
+	for v, parent := range tree {
+		if parent != -1 {
+			traversed += degree[v]
+		}
+	}
+	if t > 0 {
+		teps = append(teps, float64(traversed/2)/t.Seconds())
+	}
+	return teps
 }
 
 // Close releases every cached system.

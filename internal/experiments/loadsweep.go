@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
-	"semibfs/internal/graph500"
 	"semibfs/internal/serve"
 	"semibfs/internal/validate"
 )
@@ -87,26 +84,14 @@ func LoadSweep(opts Options) ([]LoadRow, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := defaultBFSConfig(opts)
-	cfg.Alpha = CacheSweepAlpha
-	cfg.Beta = 10 * CacheSweepAlpha
+	cfg := sweepBFSConfig(opts, bfs.ModeHybrid)
 	queries := LoadSweepQueriesPerRootOpt * opts.Roots
 
 	var rows []LoadRow
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
 		sc := lab.scenario(base, true)
-		probe, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: opts.Dir})
+		cached, roots, err := servingSetup(lab, sc, queries, LoadSweepSeed)
 		if err != nil {
-			return nil, err
-		}
-		deg := probe.Backward.Degree
-		roots, err := graph500.SampleRoots(lab.Src.NumVertices(), queries, LoadSweepSeed, deg)
-		if err != nil {
-			probe.Close()
-			return nil, err
-		}
-		cached := sc.WithCache(int64(QuerySweepCacheFraction*float64(probe.NVMForwardBytes)), CacheReadahead)
-		if err := probe.Close(); err != nil {
 			return nil, err
 		}
 
@@ -272,43 +257,28 @@ func serveLoadTrace(lab *Lab, sc core.Scenario, cfg bfs.Config, trace []serve.Ar
 	return outs, srv.Stats(), nil
 }
 
-// FormatLoadSweep renders the load sweep as a text table.
-func FormatLoadSweep(rows []LoadRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Load sweep: serving latency vs offered load (open-loop arrivals, B =",
-		LoadSweepLanes, "lanes)")
-	fmt.Fprintf(&b, "%-16s %6s %9s %6s %7s %6s %7s %10s %10s %10s %8s %6s\n",
-		"scenario", "load", "qps", "shed?", "served", "shed", "expired", "p50 s", "p99 s", "wait99 s", "maxq", "occ%")
-	for _, r := range rows {
-		policy := "off"
-		if r.Shedding {
-			policy = "on"
-		}
-		fmt.Fprintf(&b, "%-16s %5.2gx %9.3g %6s %7d %6d %7d %10.4g %10.4g %10.4g %8d %5.1f%%\n",
-			r.Scenario, r.LoadFactor, r.QPS, policy, r.Served, r.Shed, r.Expired,
-			r.P50, r.P99, r.WaitP99, r.MaxQueueDepth, 100*r.Occupancy)
-	}
-	return b.String()
-}
-
-// LoadSweepCSV renders the sweep as CSV for plotting latency-load curves.
-func LoadSweepCSV(rows []LoadRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,load_factor,qps,capacity_qps,shedding,queries,served,shed,expired,p50_seconds,p95_seconds,p99_seconds,mean_seconds,wait_p99_seconds,max_queue_depth,mean_queue_depth,occupancy,aggregate_teps")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%g,%.6g,%.6g,%v,%d,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%d,%.4g,%.4f,%.6g\n",
-			r.Scenario, r.LoadFactor, r.QPS, r.CapacityQPS, r.Shedding, r.Queries,
-			r.Served, r.Shed, r.Expired, r.P50, r.P95, r.P99, r.Mean, r.WaitP99,
-			r.MaxQueueDepth, r.MeanQueueDepth, r.Occupancy, r.AggregateTEPS)
-	}
-	return b.String()
-}
-
-// LoadSweepJSON renders the sweep as indented JSON.
-func LoadSweepJSON(rows []LoadRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+var loadEntry = flat[LoadRow]{
+	name: "load", doc: "load sweep: serving latency quantiles vs open-loop offered load, with and without shedding",
+	run:   LoadSweep,
+	title: fmt.Sprintf("Load sweep: serving latency vs offered load (open-loop arrivals, B = %d lanes)", LoadSweepLanes),
+	cols: []Col[LoadRow]{
+		{"scenario", "scenario", func(r LoadRow) any { return r.Scenario }},
+		{"load_factor", "load", func(r LoadRow) any { return Times(r.LoadFactor) }},
+		{"qps", "qps", func(r LoadRow) any { return r.QPS }},
+		{"capacity_qps", "", func(r LoadRow) any { return r.CapacityQPS }},
+		{"shedding", "shed?", func(r LoadRow) any { return r.Shedding }},
+		{"queries", "", func(r LoadRow) any { return r.Queries }},
+		{"served", "served", func(r LoadRow) any { return r.Served }},
+		{"shed", "shed", func(r LoadRow) any { return r.Shed }},
+		{"expired", "expired", func(r LoadRow) any { return r.Expired }},
+		{"p50_seconds", "p50 s", func(r LoadRow) any { return r.P50 }},
+		{"p95_seconds", "", func(r LoadRow) any { return r.P95 }},
+		{"p99_seconds", "p99 s", func(r LoadRow) any { return r.P99 }},
+		{"mean_seconds", "", func(r LoadRow) any { return r.Mean }},
+		{"wait_p99_seconds", "wait99 s", func(r LoadRow) any { return r.WaitP99 }},
+		{"max_queue_depth", "maxq", func(r LoadRow) any { return r.MaxQueueDepth }},
+		{"mean_queue_depth", "", func(r LoadRow) any { return r.MeanQueueDepth }},
+		{"occupancy", "occ%", func(r LoadRow) any { return Frac(r.Occupancy) }},
+		{"aggregate_teps", "", func(r LoadRow) any { return r.AggregateTEPS }},
+	},
+}.entry()

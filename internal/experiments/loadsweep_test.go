@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"semibfs/internal/core"
@@ -91,37 +90,5 @@ func TestLoadSweepDeterministicAcrossWorkers(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs between 1 and 2 workers:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestLoadSweepRenderings(t *testing.T) {
-	rows := []LoadRow{
-		{Scenario: "DRAM+PCIeFlash", LoadFactor: 0.5, QPS: 100, CapacityQPS: 200,
-			Queries: 64, Served: 64, P50: 0.01, P95: 0.02, P99: 0.03, Mean: 0.012,
-			Occupancy: 0.4, AggregateTEPS: 3e7},
-		{Scenario: "DRAM+PCIeFlash", LoadFactor: 4, QPS: 800, CapacityQPS: 200,
-			Shedding: true, Queries: 64, Served: 20, Shed: 40, Expired: 4,
-			P50: 0.02, P95: 0.04, P99: 0.05, Mean: 0.025, MaxQueueDepth: 16,
-			Occupancy: 0.9, AggregateTEPS: 5e7},
-	}
-	text := FormatLoadSweep(rows)
-	for _, want := range []string{"offered load", "p99 s", "maxq"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table missing %q:\n%s", want, text)
-		}
-	}
-	csv := LoadSweepCSV(rows)
-	if !strings.HasPrefix(csv, "scenario,load_factor,qps,") {
-		t.Fatalf("bad CSV header:\n%s", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want 3", lines)
-	}
-	js, err := LoadSweepJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js, "\"capacity_qps\"") {
-		t.Fatalf("JSON missing field:\n%s", js)
 	}
 }

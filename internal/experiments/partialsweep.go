@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
-	"semibfs/internal/stats"
 )
 
 // PartialLimits is the per-vertex DRAM edge cap grid of the partial
@@ -16,12 +13,6 @@ import (
 // prefix toward one neighbor per vertex, pushing ever more of the
 // bottom-up scan traffic onto the NVM tails.
 var PartialLimits = []int{0, 64, 16, 4, 1}
-
-// PartialSweepAlpha is the direction-switch threshold the sweep uses
-// (beta = 10*alpha), for the same reason as CacheSweepAlpha: the headline
-// alpha of 1e4 never leaves top-down at reproduction scales, and this
-// sweep is about the bottom-up levels' tail traffic.
-const PartialSweepAlpha = CacheSweepAlpha
 
 // PartialRow is one (scenario, mode, k) measurement of the partial
 // backward-offload sweep.
@@ -72,10 +63,11 @@ func PartialSweep(opts Options) ([]PartialRow, error) {
 		}
 		fullBwd := fullSys.DRAMBackwardBytes + fullSys.NVMBackwardBytes
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly} {
-			cfg := defaultBFSConfig(opts)
-			cfg.Mode = mode
-			cfg.Alpha = PartialSweepAlpha
-			cfg.Beta = 10 * PartialSweepAlpha
+			// The cache sweep's switching point, for the same reason: the
+			// headline alpha of 1e4 never leaves top-down at reproduction
+			// scales, and this sweep is about the bottom-up levels' tail
+			// traffic.
+			cfg := sweepBFSConfig(opts, mode)
 			for _, k := range PartialLimits {
 				part := sc
 				part.BackwardDRAMEdgeLimit = k
@@ -111,44 +103,20 @@ func PartialSweep(opts Options) ([]PartialRow, error) {
 	return rows, nil
 }
 
-// FormatPartialSweep renders the sweep as a text table.
-func FormatPartialSweep(rows []PartialRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Partial backward-graph offload: harmonic-mean TEPS vs DRAM edge cap k")
-	fmt.Fprintln(&b, "(k = DRAM neighbors kept per vertex; 0 keeps the whole backward graph in DRAM)")
-	fmt.Fprintf(&b, "%-16s %-14s %6s %10s %14s %12s %12s\n",
-		"scenario", "mode", "k", "TEPS", "BG DRAM cut", "NVM access", "tail bytes")
-	for _, r := range rows {
-		kcol := "all"
-		if r.KeepEdges > 0 {
-			kcol = fmt.Sprintf("%d", r.KeepEdges)
-		}
-		fmt.Fprintf(&b, "%-16s %-14s %6s %10s %13.1f%% %11.2f%% %12s\n",
-			r.Scenario, r.Mode, kcol, shortTEPS(r.TEPS),
-			r.BwdDRAMReductionPct, r.NVMAccessPct, stats.FormatBytes(r.BwdNVMBytes))
-	}
-	return b.String()
-}
-
-// PartialSweepCSV renders the sweep as CSV for plotting.
-func PartialSweepCSV(rows []PartialRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,mode,keep_edges,teps,bwd_dram_reduction_pct,nvm_access_pct,bwd_dram_scans,bwd_nvm_scans,bwd_nvm_bytes")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%.6g,%.2f,%.4f,%d,%d,%d\n",
-			r.Scenario, r.Mode, r.KeepEdges, r.TEPS,
-			r.BwdDRAMReductionPct, r.NVMAccessPct,
-			r.BwdDRAMScans, r.BwdNVMScans, r.BwdNVMBytes)
-	}
-	return b.String()
-}
-
-// PartialSweepJSON renders the sweep as indented JSON (the bench tooling
-// records it alongside the other sweeps).
-func PartialSweepJSON(rows []PartialRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+var partialEntry = flat[PartialRow]{
+	name: "partial", doc: "partial backward-graph offload (Section VI-E for real): TEPS vs DRAM edge cap k",
+	run: PartialSweep,
+	title: "Partial backward-graph offload: harmonic-mean TEPS vs DRAM edge cap k\n" +
+		"(k = DRAM neighbors kept per vertex; 0 keeps the whole backward graph in DRAM)",
+	cols: []Col[PartialRow]{
+		{"scenario", "scenario", func(r PartialRow) any { return r.Scenario }},
+		{"mode", "mode", func(r PartialRow) any { return r.Mode }},
+		{"keep_edges", "k", func(r PartialRow) any { return r.KeepEdges }},
+		{"teps", "TEPS", func(r PartialRow) any { return TEPS(r.TEPS) }},
+		{"bwd_dram_reduction_pct", "BG DRAM cut", func(r PartialRow) any { return Pct(r.BwdDRAMReductionPct) }},
+		{"nvm_access_pct", "NVM access", func(r PartialRow) any { return Pct(r.NVMAccessPct) }},
+		{"bwd_dram_scans", "", func(r PartialRow) any { return r.BwdDRAMScans }},
+		{"bwd_nvm_scans", "", func(r PartialRow) any { return r.BwdNVMScans }},
+		{"bwd_nvm_bytes", "tail bytes", func(r PartialRow) any { return Bytes(r.BwdNVMBytes) }},
+	},
+}.entry()

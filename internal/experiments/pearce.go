@@ -1,26 +1,22 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
-	"semibfs/internal/graph500"
 	"semibfs/internal/stats"
 )
 
 // PearceRow compares the paper's technique against the Pearce-style
 // semi-external baseline on the same instance.
 type PearceRow struct {
-	System    string
-	TEPS      float64
-	DRAMBytes int64
-	NVMBytes  int64
+	System    string  `json:"system"`
+	TEPS      float64 `json:"teps"`
+	DRAMBytes int64   `json:"dram_bytes"`
+	NVMBytes  int64   `json:"nvm_bytes"`
 	// DRAMRatio is DRAM / (DRAM + NVM) — the capacity trade-off the
 	// paper's Related Work discusses ("our approach uses higher DRAM
 	// to NVM ratio").
-	DRAMRatio float64
+	DRAMRatio float64 `json:"dram_ratio"`
 }
 
 // PearceComparison reproduces the paper's Related Work comparison
@@ -56,34 +52,17 @@ func PearceComparison(opts Options) ([]PearceRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	degree := make([]int64, lab.List.NumVertices)
-	for _, e := range lab.List.Edges {
-		if e.U != e.V {
-			degree[e.U]++
-			degree[e.V]++
-		}
-	}
-	roots, err := graph500.SampleRoots(lab.List.NumVertices, opts.Roots, opts.Seed,
-		func(v int64) int64 { return degree[v] })
+	roots, degree, err := lab.sampleRoots()
 	if err != nil {
 		return nil, err
 	}
-	teps := make([]float64, 0, len(roots))
+	var teps []float64
 	for _, root := range roots {
 		res, err := scan.Run(root)
 		if err != nil {
 			return nil, err
 		}
-		var traversed int64
-		for v, parent := range res.Tree {
-			if parent != -1 {
-				traversed += degree[v]
-			}
-		}
-		traversed /= 2
-		if res.Time > 0 {
-			teps = append(teps, float64(traversed)/res.Time.Seconds())
-		}
+		teps = appendTEPS(teps, res.Tree, degree, res.Time)
 	}
 	rows = append(rows, PearceRow{
 		System:    "edge-scan semi-external (Pearce-style)",
@@ -100,20 +79,21 @@ func PearceComparison(opts Options) ([]PearceRow, error) {
 	return rows, nil
 }
 
-// FormatPearce renders the comparison.
-func FormatPearce(rows []PearceRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Pearce comparison (paper §VII: 4.22 GTEPS vs 0.05 GTEPS, higher DRAM:NVM ratio)")
-	fmt.Fprintf(&b, "%-42s %10s %12s %12s %10s\n",
-		"system", "TEPS", "DRAM", "NVM", "DRAM ratio")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-42s %10s %12s %12s %9.0f%%\n",
-			r.System, shortTEPS(r.TEPS),
-			stats.FormatBytes(r.DRAMBytes), stats.FormatBytes(r.NVMBytes),
-			100*r.DRAMRatio)
-	}
-	if len(rows) == 2 && rows[1].TEPS > 0 {
-		fmt.Fprintf(&b, "speedup of the paper's technique: %.0fx\n", rows[0].TEPS/rows[1].TEPS)
-	}
-	return b.String()
-}
+var pearceEntry = flat[PearceRow]{
+	name: "pearce", doc: "Related Work: the hybrid vs a Pearce-style edge-scan semi-external BFS on the same device",
+	run:   PearceComparison,
+	title: "Pearce comparison (paper §VII: 4.22 GTEPS vs 0.05 GTEPS, higher DRAM:NVM ratio)",
+	cols: []Col[PearceRow]{
+		{"system", "system", func(r PearceRow) any { return r.System }},
+		{"teps", "TEPS", func(r PearceRow) any { return TEPS(r.TEPS) }},
+		{"dram_bytes", "DRAM", func(r PearceRow) any { return Bytes(r.DRAMBytes) }},
+		{"nvm_bytes", "NVM", func(r PearceRow) any { return Bytes(r.NVMBytes) }},
+		{"dram_ratio", "DRAM ratio", func(r PearceRow) any { return Frac(r.DRAMRatio) }},
+	},
+	headline: func(rows []PearceRow) []Metric {
+		if rows[1].TEPS == 0 {
+			return nil
+		}
+		return []Metric{{"hybrid-over-scan-x", rows[0].TEPS / rows[1].TEPS}}
+	},
+}.entry()

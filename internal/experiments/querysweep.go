@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
@@ -70,27 +68,13 @@ func QuerySweep(opts Options) ([]QueryRow, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := defaultBFSConfig(opts)
-	cfg.Alpha = CacheSweepAlpha
-	cfg.Beta = 10 * CacheSweepAlpha
+	cfg := sweepBFSConfig(opts, bfs.ModeHybrid)
 
 	var rows []QueryRow
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
 		sc := lab.scenario(base, true)
-		// Probe build: measure the forward footprint for the cache budget
-		// and sample the fixed query stream off the degree distribution.
-		probe, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: opts.Dir})
+		cached, roots, err := servingSetup(lab, sc, opts.Roots, QuerySweepSeed)
 		if err != nil {
-			return nil, err
-		}
-		deg := probe.Backward.Degree
-		roots, err := graph500.SampleRoots(lab.Src.NumVertices(), opts.Roots, QuerySweepSeed, deg)
-		if err != nil {
-			probe.Close()
-			return nil, err
-		}
-		cached := sc.WithCache(int64(QuerySweepCacheFraction*float64(probe.NVMForwardBytes)), CacheReadahead)
-		if err := probe.Close(); err != nil {
 			return nil, err
 		}
 
@@ -103,6 +87,23 @@ func QuerySweep(opts Options) ([]QueryRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// servingSetup readies one scenario of the serving sweeps with a probe
+// build: it measures the forward footprint to size the shared page cache
+// (QuerySweepCacheFraction of it) and samples the fixed query stream off
+// the degree distribution.
+func servingSetup(lab *Lab, sc core.Scenario, queries int, seed uint64) (core.Scenario, []int64, error) {
+	probe, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
+	if err != nil {
+		return sc, nil, err
+	}
+	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), queries, seed, probe.Backward.Degree)
+	cached := sc.WithCache(int64(QuerySweepCacheFraction*float64(probe.NVMForwardBytes)), CacheReadahead)
+	if cerr := probe.Close(); err == nil {
+		err = cerr
+	}
+	return cached, roots, err
 }
 
 // runQueryWidth serves the fixed root stream at one batch width on a fresh
@@ -163,38 +164,22 @@ func runQueryWidth(lab *Lab, sc core.Scenario, cfg bfs.Config, name string, lane
 	return row, nil
 }
 
-// FormatQuerySweep renders the query sweep as a text table.
-func FormatQuerySweep(rows []QueryRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Query sweep: amortized per-query cost vs batch width B (fixed query stream)")
-	fmt.Fprintf(&b, "%-16s %4s %8s %8s %12s %10s %10s %8s %14s\n",
-		"scenario", "B", "queries", "batches", "amort s/qry", "hm TEPS", "agg TEPS", "hit%", "NVM edges")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %4d %8d %8d %12.4g %10s %10s %7.1f%% %14d\n",
-			r.Scenario, r.Lanes, r.Queries, r.Batches, r.AmortizedSeconds,
-			shortTEPS(r.TEPS), shortTEPS(r.AggregateTEPS), 100*r.CacheHitRate, r.NVMEdges)
-	}
-	return b.String()
-}
-
-// QuerySweepCSV renders the sweep as CSV for plotting.
-func QuerySweepCSV(rows []QueryRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,lanes,queries,batches,seconds,amortized_seconds,teps,aggregate_teps,cache_hit_rate,nvm_edges,switches,levels")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%.4f,%d,%d,%d\n",
-			r.Scenario, r.Lanes, r.Queries, r.Batches, r.Seconds, r.AmortizedSeconds,
-			r.TEPS, r.AggregateTEPS, r.CacheHitRate, r.NVMEdges, r.Switches, r.Levels)
-	}
-	return b.String()
-}
-
-// QuerySweepJSON renders the sweep as indented JSON (the bench tooling
-// records it alongside the headline numbers).
-func QuerySweepJSON(rows []QueryRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+var queryEntry = flat[QueryRow]{
+	name: "query", doc: "query sweep: amortized per-query BFS cost vs multi-source batch width B",
+	run:   QuerySweep,
+	title: "Query sweep: amortized per-query cost vs batch width B (fixed query stream)",
+	cols: []Col[QueryRow]{
+		{"scenario", "scenario", func(r QueryRow) any { return r.Scenario }},
+		{"lanes", "B", func(r QueryRow) any { return r.Lanes }},
+		{"queries", "queries", func(r QueryRow) any { return r.Queries }},
+		{"batches", "batches", func(r QueryRow) any { return r.Batches }},
+		{"seconds", "", func(r QueryRow) any { return r.Seconds }},
+		{"amortized_seconds", "amort s/qry", func(r QueryRow) any { return r.AmortizedSeconds }},
+		{"teps", "hm TEPS", func(r QueryRow) any { return TEPS(r.TEPS) }},
+		{"aggregate_teps", "agg TEPS", func(r QueryRow) any { return TEPS(r.AggregateTEPS) }},
+		{"cache_hit_rate", "hit%", func(r QueryRow) any { return Frac(r.CacheHitRate) }},
+		{"nvm_edges", "NVM edges", func(r QueryRow) any { return r.NVMEdges }},
+		{"switches", "", func(r QueryRow) any { return r.Switches }},
+		{"levels", "", func(r QueryRow) any { return r.Levels }},
+	},
+}.entry()

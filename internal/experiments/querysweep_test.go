@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"semibfs/internal/core"
@@ -84,35 +83,5 @@ func TestQuerySweepDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across identical sweeps:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestQuerySweepRenderings(t *testing.T) {
-	rows := []QueryRow{
-		{Scenario: "DRAM+PCIeFlash", Lanes: 1, Queries: 12, Batches: 12,
-			Seconds: 0.08, AmortizedSeconds: 0.0066, TEPS: 2e7, AggregateTEPS: 2e7, NVMEdges: 140000},
-		{Scenario: "DRAM+PCIeFlash", Lanes: 16, Queries: 12, Batches: 1,
-			Seconds: 0.03, AmortizedSeconds: 0.0026, TEPS: 5e7, AggregateTEPS: 5e7,
-			CacheHitRate: 0.79, NVMEdges: 99000},
-	}
-	text := FormatQuerySweep(rows)
-	for _, want := range []string{"batch width", "hm TEPS", "hit%"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table missing %q:\n%s", want, text)
-		}
-	}
-	csv := QuerySweepCSV(rows)
-	if !strings.HasPrefix(csv, "scenario,lanes,queries,") {
-		t.Fatalf("bad CSV header:\n%s", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want 3", lines)
-	}
-	js, err := QuerySweepJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js, "\"aggregate_teps\"") {
-		t.Fatalf("JSON missing field:\n%s", js)
 	}
 }

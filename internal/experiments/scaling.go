@@ -1,31 +1,61 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"semibfs/internal/cluster"
-	"semibfs/internal/graph500"
+	"semibfs/internal/nvm"
 	"semibfs/internal/stats"
 )
 
 // ScalingRow is one cluster-size measurement of the multi-node extension.
 type ScalingRow struct {
-	Machines  int
-	TEPS      float64 // median over roots, 1D layout
-	CommBytes int64   // mean per BFS, 1D layout
+	Machines  int     `json:"machines"`
+	TEPS      float64 `json:"teps"`       // median over roots, 1D layout
+	CommBytes int64   `json:"comm_bytes"` // mean per BFS, 1D layout
 	// Comm splits the 1D traffic by phase; the bottom-up allgather
 	// bucket is the one that scales with P.
-	Comm cluster.CommStats
+	Comm cluster.CommStats `json:"comm"`
 	// NVMTEPS is the same cluster with per-machine forward offload.
-	NVMTEPS float64
+	NVMTEPS float64 `json:"nvm_teps"`
 	// TEPS2D / CommBytes2D / Comm2D measure the 2D (Beamer MTAAP'13)
 	// layout, whose collectives span sqrt(P) machines — visible in the
 	// allgather bucket. (The 2D ring pays for parent updates the 1D
 	// layout resolves locally, so totals need not favor 2D.)
-	TEPS2D      float64
-	CommBytes2D int64
-	Comm2D      cluster.CommStats
+	TEPS2D      float64           `json:"teps_2d"`
+	CommBytes2D int64             `json:"comm_bytes_2d"`
+	Comm2D      cluster.CommStats `json:"comm_2d"`
+}
+
+// runClusterRoots runs every root through one cluster and reduces the
+// results to the median TEPS, the mean total traffic per BFS and its mean
+// per-phase split; check, when set, vets each result first.
+func runClusterRoots(roots, degree []int64, run func(int64) (*cluster.Result, error),
+	check func(root int64, res *cluster.Result) error) (float64, int64, cluster.CommStats, error) {
+	var teps []float64
+	var comm int64
+	var split cluster.CommStats
+	for _, root := range roots {
+		res, err := run(root)
+		if err == nil && check != nil {
+			err = check(root, res)
+		}
+		if err != nil {
+			return 0, 0, split, err
+		}
+		teps = appendTEPS(teps, res.Tree, degree, res.Time)
+		comm += res.CommBytes
+		split.TDFrontier += res.Comm.TDFrontier
+		split.TDCandidate += res.Comm.TDCandidate
+		split.BUAllgather += res.Comm.BUAllgather
+		split.BURing += res.Comm.BURing
+		split.Control += res.Comm.Control
+	}
+	n := int64(len(roots))
+	split.TDFrontier /= n
+	split.TDCandidate /= n
+	split.BUAllgather /= n
+	split.BURing /= n
+	split.Control /= n
+	return stats.Median(teps), comm / n, split, nil
 }
 
 // ScalingMachines is the cluster-size sweep of the multi-node experiment.
@@ -42,54 +72,10 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 	}
 	defer lab.Close()
 
-	degree := make([]int64, lab.List.NumVertices)
-	for _, e := range lab.List.Edges {
-		if e.U != e.V {
-			degree[e.U]++
-			degree[e.V]++
-		}
-	}
-	roots, err := graph500.SampleRoots(lab.List.NumVertices, opts.Roots, opts.Seed,
-		func(v int64) int64 { return degree[v] })
+	roots, degree, err := lab.sampleRoots()
 	if err != nil {
 		return nil, err
 	}
-
-	runRoots := func(run func(int64) (*cluster.Result, error)) (float64, int64, cluster.CommStats, error) {
-		teps := make([]float64, 0, len(roots))
-		var comm int64
-		var split cluster.CommStats
-		for _, root := range roots {
-			res, err := run(root)
-			if err != nil {
-				return 0, 0, split, err
-			}
-			var traversed int64
-			for v, parent := range res.Tree {
-				if parent != -1 {
-					traversed += degree[v]
-				}
-			}
-			traversed /= 2
-			if res.Time > 0 {
-				teps = append(teps, float64(traversed)/res.Time.Seconds())
-			}
-			comm += res.CommBytes
-			split.TDFrontier += res.Comm.TDFrontier
-			split.TDCandidate += res.Comm.TDCandidate
-			split.BUAllgather += res.Comm.BUAllgather
-			split.BURing += res.Comm.BURing
-			split.Control += res.Comm.Control
-		}
-		n := int64(len(roots))
-		split.TDFrontier /= n
-		split.TDCandidate /= n
-		split.BUAllgather /= n
-		split.BURing /= n
-		split.Control /= n
-		return stats.Median(teps), comm / n, split, nil
-	}
-
 	var rows []ScalingRow
 	for _, p := range ScalingMachines {
 		row := ScalingRow{Machines: p}
@@ -101,13 +87,13 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 				ForwardOnNVM: onNVM,
 			}
 			if onNVM && opts.ScaleEquivalentLatency {
-				cfg.LatencyScale = scaleEquivalence(opts.Scale)
+				cfg.LatencyScale = nvm.ScaleEquivalenceFactor(opts.Scale, PaperScale)
 			}
 			c, err := cluster.Build(lab.Src, cfg)
 			if err != nil {
 				return nil, err
 			}
-			median, comm, split, err := runRoots(c.Run)
+			median, comm, split, err := runClusterRoots(roots, degree, c.Run, nil)
 			c.Close()
 			if err != nil {
 				return nil, err
@@ -126,7 +112,7 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		median, comm, split, err := runRoots(grid.Run)
+		median, comm, split, err := runClusterRoots(roots, degree, grid.Run, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -138,17 +124,21 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 	return rows, nil
 }
 
-// FormatScaling renders the multi-node table.
-func FormatScaling(rows []ScalingRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Multi-node extension: distributed hybrid BFS (paper future work)")
-	fmt.Fprintf(&b, "%-10s %12s %16s %12s %12s %12s\n",
-		"machines", "1D TEPS", "1D+node NVM", "1D comm", "2D TEPS", "2D comm")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10d %12s %16s %12s %12s %12s\n",
-			r.Machines, shortTEPS(r.TEPS), shortTEPS(r.NVMTEPS),
-			stats.FormatBytes(r.CommBytes),
-			shortTEPS(r.TEPS2D), stats.FormatBytes(r.CommBytes2D))
-	}
-	return b.String()
-}
+var scalingEntry = flat[ScalingRow]{
+	name: "scaling", doc: "multi-node extension (the paper's future work): TEPS and traffic vs machine count, 1D and 2D",
+	run:   Scaling,
+	title: "Multi-node extension: distributed hybrid BFS (paper future work)",
+	cols: []Col[ScalingRow]{
+		{"machines", "machines", func(r ScalingRow) any { return r.Machines }},
+		{"teps", "1D TEPS", func(r ScalingRow) any { return TEPS(r.TEPS) }},
+		{"nvm_teps", "1D+node NVM", func(r ScalingRow) any { return TEPS(r.NVMTEPS) }},
+		{"comm_bytes", "1D comm", func(r ScalingRow) any { return Bytes(r.CommBytes) }},
+		{"bu_allgather_bytes", "1D allgather", func(r ScalingRow) any { return Bytes(r.Comm.BUAllgather) }},
+		{"teps_2d", "2D TEPS", func(r ScalingRow) any { return TEPS(r.TEPS2D) }},
+		{"comm_bytes_2d", "2D comm", func(r ScalingRow) any { return Bytes(r.CommBytes2D) }},
+		{"bu_allgather_bytes_2d", "2D allgather", func(r ScalingRow) any { return Bytes(r.Comm2D.BUAllgather) }},
+	},
+	headline: func(rows []ScalingRow) []Metric {
+		return []Metric{{"speedup-at-max-machines", rows[len(rows)-1].TEPS / rows[0].TEPS}}
+	},
+}.entry()

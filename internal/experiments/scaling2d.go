@@ -10,16 +10,12 @@ package experiments
 // grid's column height sqrt(P) instead of P.
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/cluster"
 	"semibfs/internal/core"
-	"semibfs/internal/graph500"
 	"semibfs/internal/nvm"
-	"semibfs/internal/stats"
 )
 
 // Scaling2DRow is one (machines, layout, encoding, device) cell.
@@ -63,15 +59,7 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 	}
 	defer lab.Close()
 
-	degree := make([]int64, lab.List.NumVertices)
-	for _, e := range lab.List.Edges {
-		if e.U != e.V {
-			degree[e.U]++
-			degree[e.V]++
-		}
-	}
-	roots, err := graph500.SampleRoots(lab.List.NumVertices, opts.Roots, opts.Seed,
-		func(v int64) int64 { return degree[v] })
+	roots, degree, err := lab.sampleRoots()
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +82,17 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 			return nil, err
 		}
 		refTrees[root] = res.CloneTree()
+	}
+
+	// Every cluster tree must match the reference bit for bit.
+	check := func(root int64, res *cluster.Result) error {
+		for v, want := range refTrees[root] {
+			if res.Tree[v] != want {
+				return fmt.Errorf("root %d: tree[%d] = %d, single-node DRAM has %d",
+					root, v, res.Tree[v], want)
+			}
+		}
+		return nil
 	}
 
 	var rows []Scaling2DRow
@@ -135,50 +134,14 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 						}
 						run, done = cl.Run, cl.Close
 					}
-					teps := make([]float64, 0, len(roots))
-					var split cluster.CommStats
-					for _, root := range roots {
-						res, err := run(root)
-						if err != nil {
-							done()
-							return nil, fmt.Errorf("scaling2d %s p=%d: %w", layout, p, err)
-						}
-						want := refTrees[root]
-						for v := range want {
-							if res.Tree[v] != want[v] {
-								done()
-								return nil, fmt.Errorf(
-									"scaling2d %s p=%d dev=%s compressed=%v root %d: tree[%d] = %d, single-node DRAM has %d",
-									layout, p, profile.Name, compressed, root, v, res.Tree[v], want[v])
-							}
-						}
-						var traversed int64
-						for v, parent := range res.Tree {
-							if parent != -1 {
-								traversed += degree[v]
-							}
-						}
-						traversed /= 2
-						if res.Time > 0 {
-							teps = append(teps, float64(traversed)/res.Time.Seconds())
-						}
-						split.TDFrontier += res.Comm.TDFrontier
-						split.TDCandidate += res.Comm.TDCandidate
-						split.BUAllgather += res.Comm.BUAllgather
-						split.BURing += res.Comm.BURing
-						split.Control += res.Comm.Control
+					var err error
+					row.TEPS, _, row.Comm, err = runClusterRoots(roots, degree, run, check)
+					if cerr := done(); err == nil {
+						err = cerr
 					}
-					if err := done(); err != nil {
-						return nil, err
-					}
-					nr := int64(len(roots))
-					row.TEPS = stats.Median(teps)
-					row.Comm = cluster.CommStats{
-						TDFrontier:  split.TDFrontier / nr,
-						TDCandidate: split.TDCandidate / nr,
-						BUAllgather: split.BUAllgather / nr,
-						BURing:      split.BURing / nr,
-						Control:     split.Control / nr,
+					if err != nil {
+						return nil, fmt.Errorf("scaling2d %s p=%d dev=%s compressed=%v: %w",
+							layout, p, profile.Name, compressed, err)
 					}
 					// Derive the mean total from the averaged split so the
 					// phase-sum invariant holds exactly despite integer
@@ -193,45 +156,45 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 	return rows, nil
 }
 
-// FormatScaling2D renders the unified-cluster table.
-func FormatScaling2D(rows []Scaling2DRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Unified grid-over-NVM scaling: per-machine semi-external stacks")
-	fmt.Fprintln(&b, "(every row's parent trees validated against the single-node DRAM reference)")
-	fmt.Fprintf(&b, "%-9s %-6s %-6s %-10s %-5s %12s %12s %12s %12s\n",
-		"machines", "shape", "layout", "device", "enc", "TEPS", "comm", "allgather", "ring")
-	for _, r := range rows {
-		enc := "raw"
-		if r.Compressed {
-			enc = "cmp"
+var scaling2DEntry = flat[Scaling2DRow]{
+	name: "scale", doc: "grid-over-NVM cluster scaling: 1D vs 2D x raw vs compressed, per-machine storage stacks",
+	run: Scaling2D,
+	title: "Unified grid-over-NVM scaling: per-machine semi-external stacks\n" +
+		"(every row's parent trees validated against the single-node DRAM reference)",
+	cols: []Col[Scaling2DRow]{
+		{"machines", "machines", func(r Scaling2DRow) any { return r.Machines }},
+		{"rows", "rows", func(r Scaling2DRow) any { return r.Rows }},
+		{"cols", "cols", func(r Scaling2DRow) any { return r.Cols }},
+		{"layout", "layout", func(r Scaling2DRow) any { return r.Layout }},
+		{"device", "device", func(r Scaling2DRow) any { return r.Device }},
+		{"compressed", "cmp", func(r Scaling2DRow) any { return r.Compressed }},
+		{"teps", "TEPS", func(r Scaling2DRow) any { return TEPS(r.TEPS) }},
+		{"comm_bytes", "comm", func(r Scaling2DRow) any { return Bytes(r.CommBytes) }},
+		{"td_frontier_bytes", "", func(r Scaling2DRow) any { return r.Comm.TDFrontier }},
+		{"td_candidate_bytes", "", func(r Scaling2DRow) any { return r.Comm.TDCandidate }},
+		{"bu_allgather_bytes", "allgather", func(r Scaling2DRow) any { return Bytes(r.Comm.BUAllgather) }},
+		{"bu_ring_bytes", "ring", func(r Scaling2DRow) any { return Bytes(r.Comm.BURing) }},
+		{"control_bytes", "", func(r Scaling2DRow) any { return r.Comm.Control }},
+		{"validated", "", func(r Scaling2DRow) any { return r.Validated }},
+	},
+	// At the largest machine count on the primary device: the 2D
+	// allgather as a share of 1D's (the sqrt(P) column fan-out claim) and
+	// the compressed 2D wire as a share of raw.
+	headline: func(rows []Scaling2DRow) []Metric {
+		pmax := Scaling2DMachines[len(Scaling2DMachines)-1]
+		pick := func(layout string, compressed bool) Scaling2DRow {
+			for _, r := range rows {
+				if r.Machines == pmax && r.Layout == layout && r.Compressed == compressed &&
+					r.Device == scaling2DDevices()[0].Name {
+					return r
+				}
+			}
+			return Scaling2DRow{}
 		}
-		fmt.Fprintf(&b, "%-9d %-6s %-6s %-10s %-5s %12s %12s %12s %12s\n",
-			r.Machines, fmt.Sprintf("%dx%d", r.Rows, r.Cols), r.Layout, r.Device, enc,
-			shortTEPS(r.TEPS), stats.FormatBytes(r.CommBytes),
-			stats.FormatBytes(r.Comm.BUAllgather), stats.FormatBytes(r.Comm.BURing))
-	}
-	return b.String()
-}
-
-// Scaling2DCSV renders the sweep as CSV rows.
-func Scaling2DCSV(rows []Scaling2DRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "machines,rows,cols,layout,device,compressed,teps,comm_bytes,td_frontier,td_candidate,bu_allgather,bu_ring,control,validated")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%d,%d,%s,%s,%v,%.6g,%d,%d,%d,%d,%d,%d,%v\n",
-			r.Machines, r.Rows, r.Cols, r.Layout, r.Device, r.Compressed,
-			r.TEPS, r.CommBytes, r.Comm.TDFrontier, r.Comm.TDCandidate,
-			r.Comm.BUAllgather, r.Comm.BURing, r.Comm.Control, r.Validated)
-	}
-	return b.String()
-}
-
-// Scaling2DJSON renders the sweep as indented JSON (the bench tooling
-// records it as BENCH_PR10.json).
-func Scaling2DJSON(rows []Scaling2DRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+		oneD, twoD, twoDCmp := pick("1d", false), pick("2d", false), pick("2d", true)
+		return []Metric{
+			{"2d-allgather-pct-of-1d", 100 * float64(twoD.Comm.BUAllgather) / float64(oneD.Comm.BUAllgather)},
+			{"2d-cmp-wire-pct-of-raw", 100 * float64(twoDCmp.CommBytes) / float64(twoD.CommBytes)},
+		}
+	},
+}.entry()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -48,9 +47,6 @@ func TestScaling(t *testing.T) {
 			t.Fatalf("comm not increasing: %+v", rows)
 		}
 	}
-	if !strings.Contains(FormatScaling(rows), "machines") {
-		t.Fatal("rendering missing header")
-	}
 }
 
 func TestAblations(t *testing.T) {
@@ -85,9 +81,6 @@ func TestAblations(t *testing.T) {
 		t.Errorf("DRAM index did not reduce requests: %d vs %d",
 			inDRAM.NVMReads, onNVM.NVMReads)
 	}
-	if !strings.Contains(FormatAblations(rows), "design choices") {
-		t.Fatal("rendering missing title")
-	}
 }
 
 func TestPearceComparison(t *testing.T) {
@@ -110,20 +103,5 @@ func TestPearceComparison(t *testing.T) {
 	}
 	if scan.DRAMRatio > 0.2 {
 		t.Fatalf("scan baseline DRAM ratio %v implausibly high", scan.DRAMRatio)
-	}
-	if !strings.Contains(FormatPearce(rows), "speedup") {
-		t.Fatal("rendering missing speedup line")
-	}
-}
-
-func TestScaleEquivalenceHelper(t *testing.T) {
-	if scaleEquivalence(PaperScale) != 1 {
-		t.Fatal("identity at paper scale")
-	}
-	if scaleEquivalence(PaperScale-1) != 0.5 {
-		t.Fatal("one scale down should halve")
-	}
-	if scaleEquivalence(PaperScale+2) != 4 {
-		t.Fatal("two scales up should quadruple")
 	}
 }

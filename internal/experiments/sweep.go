@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/graph500"
-	"semibfs/internal/stats"
 )
 
 // defaultBFSConfig is the paper's default switching configuration.
@@ -34,22 +32,18 @@ var (
 
 // HeatCell is one (alpha, beta) measurement.
 type HeatCell struct {
-	Alpha, Beta float64
-	TEPS        float64
+	Alpha float64 `json:"alpha"`
+	Beta  float64 `json:"beta"`
+	TEPS  float64 `json:"teps"`
 	// Run keeps the full result for downstream analyses.
-	Run *graph500.Result
-}
-
-// Label renders the cell's parameters the way the paper's axes do.
-func (c HeatCell) Label() string {
-	return fmt.Sprintf("a=%.0e b=%gα", c.Alpha, c.Beta/c.Alpha)
+	Run *graph500.Result `json:"-"`
 }
 
 // ScenarioSweep is one scenario's grid of measurements.
 type ScenarioSweep struct {
-	Scenario string
-	Cells    []HeatCell
-	Best     HeatCell
+	Scenario string     `json:"scenario"`
+	Cells    []HeatCell `json:"cells"`
+	Best     HeatCell   `json:"best"`
 }
 
 // Fig7 sweeps the (alpha, beta) grid for all three scenarios at the large
@@ -87,46 +81,57 @@ func sweepScenarios(lab *Lab, alphas, betaMults []float64) ([]ScenarioSweep, err
 	return out, nil
 }
 
-// FormatFig7 renders the sweeps as one text heatmap per scenario.
-func FormatFig7(sweeps []ScenarioSweep, alphas, betaMults []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: median TEPS over the (alpha, beta) grid\n")
-	for _, sw := range sweeps {
-		fmt.Fprintf(&b, "\n[%s]  best: %s at %s\n", sw.Scenario,
-			stats.FormatTEPS(sw.Best.TEPS), sw.Best.Label())
-		fmt.Fprintf(&b, "%-10s", "alpha\\beta")
-		for _, bm := range betaMults {
-			fmt.Fprintf(&b, " %10s", fmt.Sprintf("%gα", bm))
-		}
-		fmt.Fprintln(&b)
-		i := 0
-		for range alphas {
-			fmt.Fprintf(&b, "%-10.0e", sw.Cells[i].Alpha)
-			for range betaMults {
-				fmt.Fprintf(&b, " %10s", shortTEPS(sw.Cells[i].TEPS))
-				i++
-			}
-			fmt.Fprintln(&b)
-		}
+// cellTable flattens the (alpha, beta) cells of Figures 7-9 into one table,
+// marking each series' best cell; key names the grouping column.
+func cellTable(title, key string, series []Fig8Series) Table {
+	type cell struct {
+		group string
+		HeatCell
+		best bool
 	}
-	return b.String()
+	var cells []cell
+	for _, s := range series {
+		best := 0
+		for i, p := range s.Points {
+			cells = append(cells, cell{group: s.Name, HeatCell: p})
+			if p.TEPS > s.Points[best].TEPS {
+				best = i
+			}
+		}
+		cells[len(cells)-len(s.Points)+best].best = true
+	}
+	return tabulate(title, cells, []Col[cell]{
+		{key, key, func(c cell) any { return c.group }},
+		{"alpha", "alpha", func(c cell) any { return c.Alpha }},
+		{"beta", "beta", func(c cell) any { return c.Beta }},
+		{"teps", "TEPS", func(c cell) any { return TEPS(c.TEPS) }},
+		{"best", "best", func(c cell) any { return c.best }},
+	})
 }
 
-func shortTEPS(teps float64) string {
-	switch {
-	case teps >= 1e9:
-		return fmt.Sprintf("%.2fG", teps/1e9)
-	case teps >= 1e6:
-		return fmt.Sprintf("%.0fM", teps/1e6)
-	default:
-		return fmt.Sprintf("%.0fk", teps/1e3)
-	}
+var fig7Entry = Entry{
+	Name: "fig7", Doc: "Figure 7: median TEPS over the (alpha, beta) grid, three scenarios",
+	Run: func(opts Options) (Result, error) {
+		sweeps, err := Fig7(opts)
+		if err != nil {
+			return Result{}, err
+		}
+		series := make([]Fig8Series, len(sweeps))
+		for i, sw := range sweeps {
+			series[i] = Fig8Series{Name: sw.Scenario, Points: sw.Cells}
+		}
+		return Result{
+			Rows:     sweeps,
+			Table:    cellTable("Figure 7: median TEPS over the (alpha, beta) grid", "scenario", series),
+			Headline: []Metric{{"best-DRAM-GTEPS", sweeps[0].Best.TEPS / 1e9}},
+		}, nil
+	},
 }
 
 // Fig8Series is one bar series of Figure 8/9: a scenario or baseline.
 type Fig8Series struct {
-	Name   string
-	Points []HeatCell // empty Alpha/Beta for the single-bar baselines
+	Name   string     `json:"name"`
+	Points []HeatCell `json:"points"` // empty Alpha/Beta for the single-bar baselines
 }
 
 // Fig8 measures the large-scale BFS performance comparison: the three
@@ -188,30 +193,32 @@ func figPerformance(opts Options, scale int, baselines bool) ([]Fig8Series, erro
 	return out, nil
 }
 
-// FormatFig8 renders a Figure 8/9 series set.
-func FormatFig8(title string, series []Fig8Series) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, title)
-	for _, s := range series {
-		if len(s.Points) == 1 && s.Points[0].Alpha == 0 {
-			fmt.Fprintf(&b, "%-28s %10s\n", s.Name, shortTEPS(s.Points[0].TEPS))
-			continue
-		}
-		fmt.Fprintf(&b, "%s:\n", s.Name)
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, "  %-18s %10s\n", p.Label(), shortTEPS(p.TEPS))
-		}
-	}
-	return b.String()
+// barsEntry registers a Figure 8/9 comparison: the series' cells as one
+// flat table.
+func barsEntry(name, doc, title string, run func(Options) ([]Fig8Series, error)) Entry {
+	return Entry{Name: name, Doc: doc, Run: func(opts Options) (Result, error) {
+		series, err := run(opts)
+		return Result{Rows: series, Table: cellTable(title, "series", series)}, err
+	}}
 }
+
+var (
+	fig8Entry = barsEntry("fig8", "Figure 8: scenarios x nine (alpha, beta) settings plus DRAM baselines, large scale",
+		"Figure 8: BFS performance at -scale (baselines carry no alpha/beta)", Fig8)
+	fig9Entry = barsEntry("fig9", "Figure 9: the same comparison one scale down, where everything fits in DRAM",
+		"Figure 9: BFS performance one scale below -scale (fits in DRAM)", Fig9)
+)
 
 // Fig10Row is one (alpha, beta) point of the traversed-edges comparison.
 type Fig10Row struct {
-	Alpha, Beta float64
+	Alpha float64 `json:"alpha"`
+	Beta  float64 `json:"beta"`
 	// TD/BU/Total are the average edges examined per BFS by each
 	// direction. They are independent of device placement (the same
 	// vertices are traversed), so one scenario's numbers represent all.
-	TD, BU, Total float64
+	TD    float64 `json:"top_down_edges"`
+	BU    float64 `json:"bottom_up_edges"`
+	Total float64 `json:"total_edges"`
 }
 
 // Fig10 measures the average traversed (examined) edges per direction for
@@ -249,26 +256,28 @@ func Fig10(opts Options) ([]Fig10Row, error) {
 	return rows, nil
 }
 
-// FormatFig10 renders the traversed-edge table.
-func FormatFig10(rows []Fig10Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Figure 10: average traversed edges per BFS (top-down / bottom-up / total)")
-	fmt.Fprintf(&b, "%-20s %14s %14s %14s\n", "alpha,beta", "top-down", "bottom-up", "total")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %14.0f %14.0f %14.0f\n",
-			fmt.Sprintf("a=%.0e b=%gα", r.Alpha, r.Beta/r.Alpha), r.TD, r.BU, r.Total)
-	}
-	return b.String()
-}
+var fig10Entry = flat[Fig10Row]{
+	name: "fig10", doc: "Figure 10: average traversed edges per BFS by direction, nine (alpha, beta) settings",
+	run:   Fig10,
+	title: "Figure 10: average traversed edges per BFS (top-down / bottom-up / total)",
+	cols: []Col[Fig10Row]{
+		{"alpha", "alpha", func(r Fig10Row) any { return r.Alpha }},
+		{"beta", "beta", func(r Fig10Row) any { return r.Beta }},
+		{"top_down_edges", "top-down", func(r Fig10Row) any { return r.TD }},
+		{"bottom_up_edges", "bottom-up", func(r Fig10Row) any { return r.BU }},
+		{"total_edges", "total", func(r Fig10Row) any { return r.Total }},
+	},
+}.entry()
 
 // HeadlineRow is one scenario's best result (the abstract's comparison).
 type HeadlineRow struct {
-	Scenario       string
-	Alpha, Beta    float64
-	TEPS           float64
-	DegradationPct float64 // vs DRAM-only best
-	DRAMBytes      int64
-	NVMBytes       int64
+	Scenario       string  `json:"scenario"`
+	Alpha          float64 `json:"alpha"`
+	Beta           float64 `json:"beta"`
+	TEPS           float64 `json:"teps"`
+	DegradationPct float64 `json:"degradation_pct"` // vs DRAM-only best
+	DRAMBytes      int64   `json:"dram_bytes"`
+	NVMBytes       int64   `json:"nvm_bytes"`
 }
 
 // Headline finds each scenario's best (alpha, beta) over the Figure 8 grid
@@ -311,17 +320,24 @@ func Headline(opts Options) ([]HeadlineRow, error) {
 	return rows, nil
 }
 
-// FormatHeadline renders the headline comparison.
-func FormatHeadline(rows []HeadlineRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Headline: best configuration per scenario (paper: 5.12 G / 4.22 G -19.18% / 2.76 G -47.1%)")
-	fmt.Fprintf(&b, "%-16s %-20s %10s %12s %12s %12s\n",
-		"scenario", "best (alpha,beta)", "TEPS", "degradation", "graph DRAM", "graph NVM")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %-20s %10s %11.2f%% %12s %12s\n",
-			r.Scenario, fmt.Sprintf("a=%.0e b=%gα", r.Alpha, r.Beta/r.Alpha),
-			shortTEPS(r.TEPS), r.DegradationPct,
-			stats.FormatBytes(r.DRAMBytes), stats.FormatBytes(r.NVMBytes))
-	}
-	return b.String()
-}
+var headlineEntry = flat[HeadlineRow]{
+	name: "headline", doc: "the abstract's comparison: best TEPS per scenario and degradation vs DRAM-only (-19% / -47%)",
+	run:   Headline,
+	title: "Headline: best configuration per scenario (paper: 5.12 G / 4.22 G -19.18% / 2.76 G -47.1%)",
+	cols: []Col[HeadlineRow]{
+		{"scenario", "scenario", func(r HeadlineRow) any { return r.Scenario }},
+		{"alpha", "best alpha", func(r HeadlineRow) any { return r.Alpha }},
+		{"beta", "beta", func(r HeadlineRow) any { return r.Beta }},
+		{"teps", "TEPS", func(r HeadlineRow) any { return TEPS(r.TEPS) }},
+		{"degradation_pct", "degradation", func(r HeadlineRow) any { return Pct(r.DegradationPct) }},
+		{"dram_bytes", "graph DRAM", func(r HeadlineRow) any { return Bytes(r.DRAMBytes) }},
+		{"nvm_bytes", "graph NVM", func(r HeadlineRow) any { return Bytes(r.NVMBytes) }},
+	},
+	headline: func(rows []HeadlineRow) []Metric {
+		return []Metric{
+			{"dram-GTEPS", rows[0].TEPS / 1e9},
+			{"pcie-degradation-pct", rows[1].DegradationPct},
+			{"ssd-degradation-pct", rows[2].DegradationPct},
+		}
+	},
+}.entry()

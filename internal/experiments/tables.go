@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"semibfs/internal/core"
 	"semibfs/internal/csr"
@@ -11,13 +10,13 @@ import (
 
 // TableIRow describes one machine configuration (Table I).
 type TableIRow struct {
-	Scenario     string
-	CPU          string
-	DRAM         string
-	NVM          string
-	ReadLatency  string
-	ReadBW       string
-	PeakReadIOPS string
+	Scenario     string `json:"scenario"`
+	CPU          string `json:"cpu"`
+	DRAM         string `json:"dram"`
+	NVM          string `json:"nvm"`
+	ReadLatency  string `json:"read_latency"`
+	ReadBW       string `json:"read_bw"`
+	PeakReadIOPS string `json:"peak_read_iops"`
 }
 
 // TableI renders the three machine configurations together with the
@@ -43,18 +42,20 @@ func TableI() []TableIRow {
 	return rows
 }
 
-// FormatTableI renders Table I as text.
-func FormatTableI(rows []TableIRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table I: machine configurations\n")
-	fmt.Fprintf(&b, "%-16s %-10s %-10s %-12s %-12s %-10s\n",
-		"scenario", "DRAM", "NVM", "read lat", "read BW", "4K IOPS")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %-10s %-10s %-12s %-12s %-10s\n",
-			r.Scenario, r.DRAM, r.NVM, r.ReadLatency, r.ReadBW, r.PeakReadIOPS)
-	}
-	return b.String()
-}
+var tableIEntry = flat[TableIRow]{
+	name: "table1", doc: "Table I: the three machine configurations and their modeled devices",
+	run:   func(Options) ([]TableIRow, error) { return TableI(), nil },
+	title: "Table I: machine configurations",
+	cols: []Col[TableIRow]{
+		{"scenario", "scenario", func(r TableIRow) any { return r.Scenario }},
+		{"cpu", "", func(r TableIRow) any { return r.CPU }},
+		{"dram", "DRAM", func(r TableIRow) any { return r.DRAM }},
+		{"nvm", "NVM", func(r TableIRow) any { return r.NVM }},
+		{"read_latency", "read lat", func(r TableIRow) any { return r.ReadLatency }},
+		{"read_bw", "read BW", func(r TableIRow) any { return r.ReadBW }},
+		{"peak_read_iops", "4K IOPS", func(r TableIRow) any { return r.PeakReadIOPS }},
+	},
+}.entry()
 
 // TableIIRow is one dataset-size row (Table II).
 type TableIIRow struct {
@@ -99,16 +100,31 @@ func TableII(opts Options) (measured, paper27 []TableIIRow, err error) {
 	return measured, paper27, nil
 }
 
-// FormatTableII renders both columns of Table II.
-func FormatTableII(scale int, measured, paper27 []TableIIRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table II: graph size (SCALE %d measured | SCALE 27 analytic; paper: 40.1/33.1/15.1/88.3 GB)\n", scale)
-	for i, r := range measured {
-		fmt.Fprintf(&b, "%-16s %12s | %12s\n",
-			r.Name, stats.FormatBytes(r.Bytes), stats.FormatBytes(paper27[i].Bytes))
-	}
-	return b.String()
+// tableIISides is one Table II row as emitted: the measured instance
+// beside the analytic SCALE 27 column.
+type tableIISides struct {
+	Name     string `json:"name"`
+	Measured int64  `json:"measured_bytes"`
+	Paper27  int64  `json:"scale27_bytes"`
 }
+
+var tableIIEntry = flat[tableIISides]{
+	name: "table2", doc: "Table II: graph data-structure sizes, measured beside the analytic SCALE 27 column",
+	run: func(opts Options) ([]tableIISides, error) {
+		measured, paper27, err := TableII(opts)
+		rows := make([]tableIISides, len(measured))
+		for i, m := range measured {
+			rows[i] = tableIISides{m.Name, m.Bytes, paper27[i].Bytes}
+		}
+		return rows, err
+	},
+	title: "Table II: graph size, measured at -scale | analytic at SCALE 27 (paper: 40.1/33.1/15.1/88.3 GB)",
+	cols: []Col[tableIISides]{
+		{"name", "structure", func(r tableIISides) any { return r.Name }},
+		{"measured_bytes", "measured", func(r tableIISides) any { return Bytes(r.Measured) }},
+		{"scale27_bytes", "SCALE 27", func(r tableIISides) any { return Bytes(r.Paper27) }},
+	},
+}.entry()
 
 // Fig3 computes the analytic size breakdown per SCALE (the paper plots
 // SCALEs up to 31, where the total reaches 1.5 TB).
@@ -128,20 +144,16 @@ func Fig3(scales []int, edgeFactor int) []csr.SizeBreakdown {
 	return out
 }
 
-// FormatFig3 renders the Figure 3 series as a table.
-func FormatFig3(rows []csr.SizeBreakdown) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3: breakdown of graph size at each SCALE\n")
-	fmt.Fprintf(&b, "%-6s %12s %14s %14s %12s %12s\n",
-		"SCALE", "edge list", "forward graph", "backward graph", "status", "total")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %12s %14s %14s %12s %12s\n",
-			r.Scale,
-			stats.FormatBytes(r.EdgeList),
-			stats.FormatBytes(r.Forward),
-			stats.FormatBytes(r.Backward),
-			stats.FormatBytes(r.Status),
-			stats.FormatBytes(r.Total()))
-	}
-	return b.String()
-}
+var fig3Entry = flat[csr.SizeBreakdown]{
+	name: "fig3", doc: "Figure 3: analytic breakdown of graph size at SCALE 20-31",
+	run:   func(o Options) ([]csr.SizeBreakdown, error) { return Fig3(nil, o.EdgeFactor), nil },
+	title: "Figure 3: breakdown of graph size at each SCALE",
+	cols: []Col[csr.SizeBreakdown]{
+		{"scale", "SCALE", func(r csr.SizeBreakdown) any { return r.Scale }},
+		{"edge_list_bytes", "edge list", func(r csr.SizeBreakdown) any { return Bytes(r.EdgeList) }},
+		{"forward_bytes", "forward graph", func(r csr.SizeBreakdown) any { return Bytes(r.Forward) }},
+		{"backward_bytes", "backward graph", func(r csr.SizeBreakdown) any { return Bytes(r.Backward) }},
+		{"status_bytes", "status", func(r csr.SizeBreakdown) any { return Bytes(r.Status) }},
+		{"total_bytes", "total", func(r csr.SizeBreakdown) any { return Bytes(r.Total()) }},
+	},
+}.entry()

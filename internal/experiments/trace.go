@@ -1,23 +1,20 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 )
 
 // TraceRow is one BFS level of the execution trace.
 type TraceRow struct {
-	Scenario  string
-	Level     int
-	Direction string
-	Frontier  int64
-	AvgDegree float64
-	Examined  int64
-	NVMEdges  int64
-	Seconds   float64
+	Scenario  string  `json:"scenario"`
+	Level     int     `json:"level"`
+	Direction string  `json:"direction"`
+	Frontier  int64   `json:"frontier"`
+	AvgDegree float64 `json:"avg_degree"`
+	Examined  int64   `json:"examined"`
+	NVMEdges  int64   `json:"nvm_edges"`
+	Seconds   float64 `json:"seconds"`
 }
 
 // Trace records the per-level anatomy of one BFS on each scenario — the
@@ -61,20 +58,18 @@ func Trace(opts Options) ([]TraceRow, error) {
 	return rows, nil
 }
 
-// FormatTrace renders the traces grouped by scenario.
-func FormatTrace(rows []TraceRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Execution trace: per-level anatomy of one BFS (Section VI-C narrative)")
-	last := ""
-	for _, r := range rows {
-		if r.Scenario != last {
-			fmt.Fprintf(&b, "\n[%s]\n", r.Scenario)
-			fmt.Fprintf(&b, "%-6s %-10s %10s %10s %12s %10s %12s\n",
-				"level", "direction", "frontier", "avgdeg", "examined", "NVM", "vtime")
-			last = r.Scenario
-		}
-		fmt.Fprintf(&b, "%-6d %-10s %10d %10.1f %12d %10d %11.3gs\n",
-			r.Level, r.Direction, r.Frontier, r.AvgDegree, r.Examined, r.NVMEdges, r.Seconds)
-	}
-	return b.String()
-}
+var traceEntry = flat[TraceRow]{
+	name: "trace", doc: "Section VI-C narrative: the per-level anatomy of one BFS on each scenario",
+	run:   Trace,
+	title: "Execution trace: per-level anatomy of one BFS (Section VI-C narrative)",
+	cols: []Col[TraceRow]{
+		{"scenario", "scenario", func(r TraceRow) any { return r.Scenario }},
+		{"level", "level", func(r TraceRow) any { return r.Level }},
+		{"direction", "direction", func(r TraceRow) any { return r.Direction }},
+		{"frontier", "frontier", func(r TraceRow) any { return r.Frontier }},
+		{"avg_degree", "avgdeg", func(r TraceRow) any { return r.AvgDegree }},
+		{"examined", "examined", func(r TraceRow) any { return r.Examined }},
+		{"nvm_edges", "NVM", func(r TraceRow) any { return r.NVMEdges }},
+		{"seconds", "vtime s", func(r TraceRow) any { return r.Seconds }},
+	},
+}.entry()

@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/dyn"
 	"semibfs/internal/edgelist"
 	"semibfs/internal/faults"
-	"semibfs/internal/generator"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
@@ -60,70 +57,6 @@ type UpdateRow struct {
 	CompactUs float64 `json:"compact_us"`
 }
 
-// updateStream generates effective (state-changing) updates against a
-// DRAM multiset mirror of the evolving graph.
-type updateStream struct {
-	n   int64
-	adj []map[int64]int
-	rng uint64
-}
-
-func newUpdateStream(list *edgelist.List, seed uint64) *updateStream {
-	us := &updateStream{n: list.NumVertices, adj: make([]map[int64]int, list.NumVertices), rng: seed}
-	for v := range us.adj {
-		us.adj[v] = map[int64]int{}
-	}
-	for _, e := range list.Edges {
-		if e.U == e.V {
-			continue
-		}
-		us.adj[e.U][e.V]++
-		us.adj[e.V][e.U]++
-	}
-	return us
-}
-
-func (us *updateStream) next() (int64, int64) {
-	us.rng = us.rng*6364136223846793005 + 1442695040888963407
-	u := int64(us.rng>>33) % us.n
-	us.rng = us.rng*6364136223846793005 + 1442695040888963407
-	v := int64(us.rng>>33) % us.n
-	return u, v
-}
-
-func (us *updateStream) batch(size int) []dyn.Update {
-	var out []dyn.Update
-	for len(out) < size {
-		u, v := us.next()
-		if u == v || us.adj[u][v] > 1 {
-			continue
-		}
-		up := dyn.Update{U: u, V: v, Del: us.adj[u][v] == 1}
-		if up.Del {
-			delete(us.adj[u], v)
-			delete(us.adj[v], u)
-		} else {
-			us.adj[u][v] = 1
-			us.adj[v][u] = 1
-		}
-		out = append(out, up)
-	}
-	return out
-}
-
-func (us *updateStream) unapply(batch []dyn.Update) {
-	for i := len(batch) - 1; i >= 0; i-- {
-		up := batch[i]
-		if up.Del {
-			us.adj[up.U][up.V] = 1
-			us.adj[up.V][up.U] = 1
-		} else {
-			delete(us.adj[up.U], up.V)
-			delete(us.adj[up.V], up.U)
-		}
-	}
-}
-
 // UpdateSweep measures durable-update throughput, incremental BFS repair
 // cost against a full rebuild, and crash-recovery cost, across batch
 // sizes and injected crash kinds on both NVM device profiles. Updates
@@ -133,11 +66,7 @@ func (us *updateStream) unapply(batch []dyn.Update) {
 // live generation, rewriting the backward graph, and replaying the log.
 func UpdateSweep(opts Options) ([]UpdateRow, error) {
 	opts = opts.WithDefaults()
-	gen := generator.Config{Scale: opts.SmallScale, EdgeFactor: opts.EdgeFactor, Seed: opts.Seed}
-	if err := gen.Validate(); err != nil {
-		return nil, err
-	}
-	list, err := generator.Generate(gen)
+	lab, err := NewLab(opts, opts.SmallScale)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +74,7 @@ func UpdateSweep(opts Options) ([]UpdateRow, error) {
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
 		for _, size := range UpdateBatchSizes {
 			for _, crash := range UpdateCrashes {
-				row, err := updateRun(opts, list, base, size, crash)
+				row, err := updateRun(opts, lab.List, base, size, crash)
 				if err != nil {
 					return nil, fmt.Errorf("update sweep %s b=%d crash=%s: %w", base.Name, size, crash, err)
 				}
@@ -188,17 +117,17 @@ func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, cr
 	row.RebuildUs = float64(res.Time) / float64(vtime.Microsecond)
 	st := bfs.NewTreeState(root, res.Tree)
 
-	us := newUpdateStream(list, opts.Seed|1)
+	us := dyn.NewUpdateStream(list, opts.Seed|1)
 	var updateTime, repairTime vtime.Duration
 	var repairEdges int64
 	batches := 0
 	cut := false
 	for b := 0; b < UpdateBatches; b++ {
-		batch := us.batch(size)
+		batch := us.Batch(size)
 		start := clock.Now()
 		if _, err := ds.Graph.Apply(clock, batch); err != nil {
 			if errors.Is(err, nvm.ErrPowerCut) && crash == "wal" {
-				us.unapply(batch)
+				us.Unapply(batch)
 				cut = true
 				break
 			}
@@ -260,40 +189,38 @@ func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, cr
 	return row, nil
 }
 
-// FormatUpdateSweep renders the update sweep as a text table.
-func FormatUpdateSweep(rows []UpdateRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Update sweep: durable update cost, incremental repair vs rebuild, crash recovery")
-	fmt.Fprintf(&b, "%-16s %6s %-11s %8s %10s %10s %10s %11s %8s %11s %9s %10s\n",
-		"scenario", "batch", "crash", "applied", "wal-bytes", "update-us",
-		"repair-us", "repair-edges", "speedup", "recovery-us", "replayed", "compact-us")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %6d %-11s %8d %10d %10.2f %10.1f %11.0f %8.1f %11.1f %9d %10.1f\n",
-			r.Scenario, r.BatchSize, r.Crash, r.Applied, r.WALBytes, r.UpdateUs,
-			r.RepairUs, r.RepairEdges, r.RepairSpeedup, r.RecoveryUs, r.Replayed, r.CompactUs)
-	}
-	return b.String()
-}
-
-// UpdateSweepCSV renders the sweep as CSV for plotting.
-func UpdateSweepCSV(rows []UpdateRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,batch_size,crash,applied,wal_bytes,update_us,repair_us,repair_edges,rebuild_us,repair_speedup,recovery_us,replayed,compact_us")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%s,%d,%d,%.3f,%.3f,%.1f,%.3f,%.2f,%.3f,%d,%.3f\n",
-			r.Scenario, r.BatchSize, r.Crash, r.Applied, r.WALBytes, r.UpdateUs,
-			r.RepairUs, r.RepairEdges, r.RebuildUs, r.RepairSpeedup,
-			r.RecoveryUs, r.Replayed, r.CompactUs)
-	}
-	return b.String()
-}
-
-// UpdateSweepJSON renders the sweep as indented JSON (the bench tooling
-// records it as BENCH_PR8.json).
-func UpdateSweepJSON(rows []UpdateRow) (string, error) {
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
+var updateEntry = flat[UpdateRow]{
+	name: "update", doc: "update sweep: durable update cost, incremental repair vs rebuild, crash-recovery cost",
+	run:   UpdateSweep,
+	title: "Update sweep: durable update cost, incremental repair vs rebuild, crash recovery",
+	cols: []Col[UpdateRow]{
+		{"scenario", "scenario", func(r UpdateRow) any { return r.Scenario }},
+		{"batch_size", "batch", func(r UpdateRow) any { return r.BatchSize }},
+		{"crash", "crash", func(r UpdateRow) any { return r.Crash }},
+		{"applied", "applied", func(r UpdateRow) any { return r.Applied }},
+		{"wal_bytes", "wal-bytes", func(r UpdateRow) any { return r.WALBytes }},
+		{"update_us", "update-us", func(r UpdateRow) any { return r.UpdateUs }},
+		{"repair_us", "repair-us", func(r UpdateRow) any { return r.RepairUs }},
+		{"repair_edges", "repair-edges", func(r UpdateRow) any { return r.RepairEdges }},
+		{"rebuild_us", "rebuild-us", func(r UpdateRow) any { return r.RebuildUs }},
+		{"repair_speedup", "speedup", func(r UpdateRow) any { return Times(r.RepairSpeedup) }},
+		{"recovery_us", "recovery-us", func(r UpdateRow) any { return r.RecoveryUs }},
+		{"replayed", "replayed", func(r UpdateRow) any { return r.Replayed }},
+		{"compact_us", "compact-us", func(r UpdateRow) any { return r.CompactUs }},
+	},
+	// Best incremental-repair speedup over a fresh rebuild per device,
+	// and the costliest post-crash recovery.
+	headline: func(rows []UpdateRow) []Metric {
+		best := map[string]float64{}
+		var worst float64
+		for _, r := range rows {
+			best[r.Scenario] = max(best[r.Scenario], r.RepairSpeedup)
+			worst = max(worst, r.RecoveryUs)
+		}
+		return []Metric{
+			{"pcie-repair-speedup-x", best[core.ScenarioPCIeFlash.Name]},
+			{"ssd-repair-speedup-x", best[core.ScenarioSSD.Name]},
+			{"worst-recovery-ms", worst / 1000},
+		}
+	},
+}.entry()

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -84,43 +82,5 @@ func TestUpdateSweepDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across identical sweeps:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestUpdateSweepRenderings(t *testing.T) {
-	rows := []UpdateRow{
-		{Scenario: "DRAM+PCIeFlash", BatchSize: 64, Crash: "none", Applied: 640,
-			WALBytes: 10896, UpdateUs: 1.5, RepairUs: 120, RepairEdges: 900,
-			RebuildUs: 40000, RepairSpeedup: 333.3, CompactUs: 80000},
-		{Scenario: "DRAM+SSD", BatchSize: 64, Crash: "wal", Applied: 320,
-			WALBytes: 5448, UpdateUs: 2.5, RepairUs: 110, RepairEdges: 850,
-			RebuildUs: 90000, RepairSpeedup: 818.2, RecoveryUs: 500000, Replayed: 320},
-	}
-	text := FormatUpdateSweep(rows)
-	for _, want := range []string{"Update sweep", "DRAM+PCIeFlash", "recovery-us", "speedup"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table missing %q:\n%s", want, text)
-		}
-	}
-	csv := UpdateSweepCSV(rows)
-	if !strings.HasPrefix(csv, "scenario,batch_size,crash,") {
-		t.Fatalf("bad CSV header:\n%s", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want 3", lines)
-	}
-	js, err := UpdateSweepJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []UpdateRow
-	if err := json.Unmarshal([]byte(js), &back); err != nil {
-		t.Fatalf("JSON does not round-trip: %v", err)
-	}
-	if len(back) != 2 || back[1].Replayed != 320 {
-		t.Fatalf("JSON round-trip mangled rows: %+v", back)
-	}
-	if !strings.Contains(js, "\"repair_speedup\"") {
-		t.Fatalf("JSON missing field:\n%s", js)
 	}
 }

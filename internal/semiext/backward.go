@@ -361,17 +361,20 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined
 		if delta != nil && len(delta.dels) > 0 {
 			tailDelta = &vertexDelta{dels: delta.dels}
 		}
+		// The stream counts the neighbors fn saw, so fn is passed through
+		// unwrapped; only pending adds (below) need to know it stopped.
 		stopped := false
+		tailFn := fn
+		if delta != nil {
+			tailFn = func(nb int64) bool {
+				stopped = !fn(nb)
+				return !stopped
+			}
+		}
 		n, err := streamNeighbors(node.TailStore, s.clock, compress, v, lo, hi,
-			&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, tailDelta, func(nb int64) bool {
-				s.NVMEdgesScanned++
-				if !fn(nb) {
-					stopped = true
-					return false
-				}
-				return true
-			})
+			&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, tailDelta, tailFn)
 		examined += n
+		s.NVMEdgesScanned += n
 		if err != nil || stopped {
 			return examined, err
 		}

@@ -164,19 +164,13 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 
 	// Compressed: decode the varint stream chunk by chunk. carried tracks
 	// the partial varint left over from the previous chunk, kept at the
-	// front of the scratch buffer.
+	// front of the scratch buffer. fn goes to the decoder as it is and the
+	// decoder counts what it emitted: a counting wrapper here would be one
+	// more call per edge.
 	var dec enc.Decoder
 	dec.Reset(src)
 	carried := int64(0)
 	stopped := false
-	emit := func(nb int64) bool {
-		examined++
-		if !fn(nb) {
-			stopped = true
-			return false
-		}
-		return true
-	}
 	for off := lo; off < hi && !dec.Done() && !stopped; {
 		n := int64(chunkBytes) - carried
 		if n > hi-off {
@@ -184,24 +178,25 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 		}
 		buf := growBytes(scratch, carried+n)
 		if err := store.ReadAt(clock, buf[carried:], off); err != nil {
-			return examined, err
+			return dec.Emitted(), err
 		}
 		off += n
-		used, _, err := dec.Decode(buf, emit)
+		var used int
+		used, stopped, err = dec.Decode(buf, fn)
 		if err != nil {
-			return examined, err
+			return dec.Emitted(), err
 		}
 		chargeDecode(store, clock, int64(used))
 		carried = int64(copy(buf, buf[used:]))
 		if used == 0 && carried >= int64(chunkBytes) {
 			// No progress with a full buffer: the stream cannot be valid.
-			return examined, corruptStream(src, off)
+			return dec.Emitted(), corruptStream(src, off)
 		}
 	}
 	if !dec.Done() && !stopped {
-		return examined, corruptStream(src, hi)
+		return dec.Emitted(), corruptStream(src, hi)
 	}
-	return examined, nil
+	return dec.Emitted(), nil
 }
 
 // corruptStream reports a compressed block that ended mid-list.

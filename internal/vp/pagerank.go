@@ -57,7 +57,11 @@ type PageRank struct {
 	dangling []int64   // degree-zero vertices, ascending
 
 	rank, next []float64
-	scratch    []prAcc
+	// share[v] = rank[v]*inv[v], what v hands each neighbor this sweep:
+	// computed once per vertex per sweep, so the per-edge gather is one
+	// load instead of two and a multiply (same product, same sum order).
+	share   []float64
+	scratch []prAcc
 
 	iters int
 	delta float64 // last sweep's L1 delta
@@ -118,6 +122,7 @@ func (p *PageRank) Setup(n int64, workers int) {
 	}
 	p.rank = make([]float64, n)
 	p.next = make([]float64, n)
+	p.share = make([]float64, n)
 	p.scratch = make([]prAcc, workers)
 }
 
@@ -127,6 +132,7 @@ func (p *PageRank) Reset(root int64) error {
 	for i := range p.rank {
 		p.rank[i] = u
 		p.next[i] = 0
+		p.share[i] = u * p.inv[i]
 	}
 	for i := range p.scratch {
 		p.scratch[i] = prAcc{}
@@ -159,7 +165,7 @@ func (p *PageRank) BeginPull(w int, v int64) { p.scratch[w].sum = 0 }
 // PullEdge implements Program: accumulate nb's rank share in the engine's
 // fixed scan order (no early exit).
 func (p *PageRank) PullEdge(w int, v, nb int64, inFrontier bool) bool {
-	p.scratch[w].sum += p.rank[nb] * p.inv[nb]
+	p.scratch[w].sum += p.share[nb]
 	return true
 }
 
@@ -193,6 +199,9 @@ func (p *PageRank) EndLevel(level int) {
 	p.dmass = 0
 	for _, v := range p.dangling {
 		p.dmass += p.rank[v]
+	}
+	for v, r := range p.rank {
+		p.share[v] = r * p.inv[v]
 	}
 	p.iters++
 }
