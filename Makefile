@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-json
+.PHONY: build test check lint bench bench-json simdiff
 
 build:
 	$(GO) build ./...
@@ -31,3 +31,7 @@ bench:
 # then traced, into bench/out/result.json.
 bench-json:
 	bash bench/run.sh --workload all --out bench/out/result.json
+
+# Are this tree's virtual numbers byte-identical to REF's? (make simdiff REF=HEAD~1)
+simdiff:
+	bash scripts/simdiff.sh $(REF)

@@ -63,7 +63,7 @@ type BatchRunner struct {
 	pinned    bool
 	pinnedDir Direction
 
-	acc         []workerAcc
+	acc         []WorkerAcc
 	offsScratch []int
 }
 
@@ -141,7 +141,7 @@ func NewBatchRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition,
 		cursors:  make([]ForwardCursor, nw),
 		scanners: make([]BackwardScan, nw),
 		barrier:  vtime.NewBarrier(cfg.Cost.Barrier),
-		acc:      make([]workerAcc, nw),
+		acc:      make([]WorkerAcc, nw),
 
 		offsScratch: make([]int, nw+1),
 	}
@@ -194,27 +194,10 @@ func (r *BatchRunner) layerTotals() nvm.StackStats {
 // vertices of single-source frontier. With active == 1 this is exactly the
 // single-source rule.
 func (r *BatchRunner) decide(cur Direction, prevCount, curCount int64) Direction {
-	if r.pinned {
-		return r.pinnedDir
+	if dir, forced := steerMode(r.pinned, r.pinnedDir, r.cfg.Mode); forced {
+		return dir
 	}
-	switch r.cfg.Mode {
-	case ModeTopDownOnly:
-		return TopDown
-	case ModeBottomUpOnly:
-		return BottomUp
-	}
-	scale := float64(r.n) * float64(r.active)
-	switch cur {
-	case TopDown:
-		if curCount > prevCount && float64(curCount) > scale/r.cfg.Alpha {
-			return BottomUp
-		}
-	case BottomUp:
-		if curCount < prevCount && float64(curCount) < scale/r.cfg.Beta {
-			return TopDown
-		}
-	}
-	return cur
+	return NextDirection(cur, prevCount, curCount, float64(r.n)*float64(r.active), r.cfg.Alpha, r.cfg.Beta)
 }
 
 // minClaim records v as a candidate parent for some (lane, vertex) slot,
@@ -265,12 +248,14 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	for w := range r.nextQ {
 		r.nextQ[w] = r.nextQ[w][:0]
 	}
-	for _, c := range r.clocks {
-		c.AdvanceTo(0)
-	}
 	r.pinned = false
+	// A completed batch ends on a barrier, but a failed one leaves the
+	// clocks wherever its workers stopped; start every batch level.
+	start := vtime.MaxOf(r.clocks)
+	for _, c := range r.clocks {
+		c.AdvanceTo(start)
+	}
 	layers0 := r.layerTotals()
-	start := r.clocks[0].Now()
 
 	for l, root := range roots {
 		r.trees[l][root] = root
@@ -300,74 +285,15 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 			res.Switches++
 			dir = newDir
 		}
-		// The frontier always lives in the lane words; the top-down kernel
-		// additionally wants the active-vertex list.
-		if dir == TopDown {
-			if err := r.buildFrontQ(); err != nil {
-				return nil, err
-			}
+		ls, degraded, err := r.runLevel(level, dir, curCount)
+		if err != nil {
+			return nil, err
 		}
-		runLevel := func() error {
-			for w := range r.acc {
-				r.acc[w] = workerAcc{}
-			}
-			if dir == TopDown {
-				if err := r.runBatchTopDownLevel(); err != nil {
-					return err
-				}
-				return r.mergeNext()
-			}
-			return r.runBatchBottomUpLevel()
-		}
-		levelStart := vtime.MaxOf(r.clocks)
-		var seeded int64
-		if err := runLevel(); err != nil {
-			// A level kernel failed — usually a device declared dead after
-			// exhausting retries. Rescue the level in the DRAM-resident
-			// direction when there is one, pinned for the rest of the run:
-			// all lanes survive together on the surviving direction.
-			to, ok := r.degradeTarget(dir)
-			if !ok {
-				return nil, fmt.Errorf("bfs: batch level %d (%s): %w", level, dir, err)
-			}
-			cause := err
-			seeded, err = r.enterDegraded(dir, to)
-			if err != nil {
-				return nil, fmt.Errorf("bfs: batch level %d: degrading %s -> %s: %w", level, dir, to, err)
-			}
-			res.Resilience.Degraded = append(res.Resilience.Degraded, DegradedEvent{
-				Level: level, From: dir, To: to, Cause: cause.Error(),
-			})
-			r.pinned, r.pinnedDir = true, to
-			dir = to
+		if degraded != nil {
+			res.Resilience.Degraded = append(res.Resilience.Degraded, *degraded)
+			dir = degraded.To
 			res.Switches++
-			if err := runLevel(); err != nil {
-				return nil, fmt.Errorf("bfs: batch level %d (%s, degraded): %w", level, dir, err)
-			}
 		}
-		levelEnd := r.barrier.Sync(r.clocks)
-
-		ls := LevelStats{
-			Level:     level,
-			Direction: dir,
-			Frontier:  curCount,
-			Start:     levelStart,
-			Time:      levelEnd - levelStart,
-		}
-		if dir == TopDown {
-			for w := range r.acc {
-				ls.FrontierDegree += r.acc[w].frontierDeg
-			}
-		} else {
-			ls.FrontierDegree = -1
-		}
-		claimed := seeded
-		for w := range r.acc {
-			ls.ExaminedDRAM += r.acc[w].examinedDRAM
-			ls.ExaminedNVM += r.acc[w].examinedNVM
-			claimed += r.acc[w].claimed
-		}
-		ls.Claimed = claimed
 		res.Levels = append(res.Levels, ls)
 		if dir == TopDown {
 			res.ExaminedTD += ls.Examined()
@@ -376,13 +302,13 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 		}
 		res.ExaminedNVM += ls.ExaminedNVM
 
-		if claimed == 0 {
+		if ls.Claimed == 0 {
 			break
 		}
 		if err := r.promote(); err != nil {
 			return nil, err
 		}
-		prevCount, curCount = curCount, claimed
+		prevCount, curCount = curCount, ls.Claimed
 	}
 	res.Time = vtime.MaxOf(r.clocks) - start
 	res.Trees = r.trees[:r.active]
@@ -396,6 +322,59 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	res.Resilience.Devices = nvm.CollectReplicaHealth(r.stacks()...)
 	res.Cache = res.Layers.CacheView()
 	return res, nil
+}
+
+// runLevel runs one joint level of the live lanes in direction dir: build
+// the active-vertex list a top-down scatter wants, run the kernel, rescue a
+// failed kernel, close on the barrier. It is the level body of both
+// RunBatch and BatchSession.Step. A rescued level reports the event and
+// carries the surviving direction in ls.Direction; the runner stays pinned
+// to it.
+func (r *BatchRunner) runLevel(level int, dir Direction, frontier int64) (ls LevelStats, degraded *DegradedEvent, err error) {
+	// The frontier always lives in the lane words; the top-down kernel
+	// additionally wants the active-vertex list.
+	if dir == TopDown {
+		if err := r.buildFrontQ(); err != nil {
+			return ls, nil, err
+		}
+	}
+	kernel := func() error {
+		for w := range r.acc {
+			r.acc[w] = WorkerAcc{}
+		}
+		if dir == TopDown {
+			if err := r.runBatchTopDownLevel(); err != nil {
+				return err
+			}
+			return r.mergeNext()
+		}
+		return r.runBatchBottomUpLevel()
+	}
+	start := vtime.MaxOf(r.clocks)
+	var seeded int64
+	if err := kernel(); err != nil {
+		// A level kernel failed — usually a device declared dead after
+		// exhausting retries. Rescue the level in the DRAM-resident
+		// direction when there is one, pinned from here on: all lanes
+		// survive together on the surviving direction.
+		to, ok := rescueTarget(r.cfg.Mode, r.pinned, dir, r.fwd, r.bwd)
+		if !ok {
+			return ls, nil, fmt.Errorf("bfs: batch level %d (%s): %w", level, dir, err)
+		}
+		degraded = &DegradedEvent{Level: level, From: dir, To: to, Cause: err.Error()}
+		if seeded, err = r.enterDegraded(dir, to); err != nil {
+			return ls, nil, fmt.Errorf("bfs: batch level %d: degrading %s -> %s: %w", level, dir, to, err)
+		}
+		r.pinned, r.pinnedDir = true, to
+		dir = to
+		if err := kernel(); err != nil {
+			return ls, nil, fmt.Errorf("bfs: batch level %d (%s, degraded): %w", level, dir, err)
+		}
+	}
+	end := r.barrier.Sync(r.clocks)
+	ls = foldLevel(r.acc, level, dir, frontier, seeded)
+	ls.Start, ls.Time = start, end-start
+	return ls, degraded, nil
 }
 
 // buildFrontQ extracts the vertices with any active frontier lane into the
@@ -422,23 +401,15 @@ func (r *BatchRunner) buildFrontQ() error {
 	if err != nil {
 		return err
 	}
-	return r.gatherQueues()
+	return r.concatQueues()
 }
 
-// gatherQueues concatenates the per-worker extraction queues into frontQ
-// at precomputed offsets (same scheme as Runner.gatherQueues).
-func (r *BatchRunner) gatherQueues() error {
-	total := 0
+// concatQueues concatenates the per-worker extraction queues into frontQ
+// at precomputed offsets (same layout as Hybrid.gatherQueues; nothing to
+// finalise or sort — stripes are already in vertex order).
+func (r *BatchRunner) concatQueues() error {
 	offs := r.offsScratch
-	for w := 0; w < r.nWorkers; w++ {
-		offs[w] = total
-		total += len(r.nextQ[w])
-	}
-	offs[r.nWorkers] = total
-	if cap(r.frontQ) < total {
-		r.frontQ = make([]int64, total)
-	}
-	r.frontQ = r.frontQ[:total]
+	r.frontQ = concatLayout(r.frontQ, r.nextQ, offs)
 	return r.parallel(func(w int) error {
 		q := r.nextQ[w]
 		if len(q) > 0 {
@@ -468,22 +439,6 @@ func (r *BatchRunner) promote() error {
 		r.clocks[w].Advance(r.cfg.Cost.Stream((hi - lo) * 8 * 3))
 		return nil
 	})
-}
-
-// degradeTarget mirrors Runner.degradeTarget for the batched engine: rescue
-// is possible only in hybrid mode, once per run, and only onto a direction
-// whose graph is fully DRAM-resident.
-func (r *BatchRunner) degradeTarget(from Direction) (Direction, bool) {
-	if r.cfg.Mode != ModeHybrid || r.pinned {
-		return 0, false
-	}
-	if from == TopDown && !backwardNVMOf(r.bwd) {
-		return BottomUp, true
-	}
-	if from == BottomUp && !r.fwd.OnNVM() {
-		return TopDown, true
-	}
-	return 0, false
 }
 
 // enterDegraded rescues a partially-executed batched level so it can be

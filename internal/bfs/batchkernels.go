@@ -23,7 +23,7 @@ import (
 // virtual clock deterministic across real-parallelism levels.
 func (r *BatchRunner) runBatchTopDownLevel() error {
 	cm := &r.cfg.Cost
-	numChunks := (len(r.frontQ) + chunkSize - 1) / chunkSize
+	numChunks := (len(r.frontQ) + ChunkSize - 1) / ChunkSize
 	return r.parallel(func(w int) error {
 		k := r.nodeOfWorker(w)
 		j := w % r.cpn
@@ -32,8 +32,8 @@ func (r *BatchRunner) runBatchTopDownLevel() error {
 		acc := &r.acc[w]
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
 		for c := j; c < numChunks; c += r.cpn {
-			lo := c * chunkSize
-			hi := lo + chunkSize
+			lo := c * ChunkSize
+			hi := lo + ChunkSize
 			if hi > len(r.frontQ) {
 				hi = len(r.frontQ)
 			}
@@ -48,7 +48,7 @@ func (r *BatchRunner) runBatchTopDownLevel() error {
 				if r.part.NodeOf(int(v)) == k {
 					// Statistics only (degree of the frontier vertex,
 					// counted once across nodes).
-					acc.frontierDeg += r.bwd.Degree(v)
+					acc.FrontierDeg += r.bwd.Degree(v)
 				}
 				clock.Advance(t)
 				t = 0
@@ -60,10 +60,10 @@ func (r *BatchRunner) runBatchTopDownLevel() error {
 					return err
 				}
 				if fromNVM {
-					acc.examinedNVM += int64(len(nbs))
+					acc.ExaminedNVM += int64(len(nbs))
 				} else {
 					t += cm.LocalAccess + cm.Stream(len(nbs)*8)
-					acc.examinedDRAM += int64(len(nbs))
+					acc.ExaminedDRAM += int64(len(nbs))
 				}
 				for _, nb := range nbs {
 					t += edgeCost
@@ -105,7 +105,7 @@ func (r *BatchRunner) mergeNext() error {
 			newly := nextW[v] &^ visW[v]
 			if newly != 0 {
 				visW[v] |= newly
-				acc.claimed += int64(bits.OnesCount64(newly))
+				acc.Claimed += int64(bits.OnesCount64(newly))
 			}
 		}
 		r.clocks[w].Advance(cm.Stream((hi - lo) * 16))
@@ -129,7 +129,7 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 		clock := r.clocks[w]
 		scanner := r.scanners[w]
 		acc := &r.acc[w]
-		wordLo, wordHi := wordRangeOf(r.part, k)
+		wordLo, wordHi := WordRangeOf(r.part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
 		// One probe closure per worker per level (allocating it per vertex
 		// would cost one heap allocation per scanned vertex).
@@ -184,13 +184,13 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 				examined := dram + nvmEdges
 				t += edgeCost * vtime.Duration(examined)
 				t += cm.Stream(int(dram) * 8)
-				acc.examinedDRAM += dram
-				acc.examinedNVM += nvmEdges
+				acc.ExaminedDRAM += dram
+				acc.ExaminedNVM += nvmEdges
 				if claimed != 0 {
 					r.visited.Or(v, claimed)
 					r.next.Or(v, claimed)
 					t += cm.LocalAccess + 2*cm.BitmapProbe
-					acc.claimed += int64(bits.OnesCount64(claimed))
+					acc.Claimed += int64(bits.OnesCount64(claimed))
 				}
 			}
 			clock.Advance(t)

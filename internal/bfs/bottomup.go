@@ -7,19 +7,14 @@ import (
 	"semibfs/internal/vtime"
 )
 
-// wordRangeOfNode returns the half-open range of 64-bit bitmap word
-// indices whose *base bit* falls inside node k's vertex range. A word
-// straddling a node boundary is owned by the node of its base bit; the
-// owning worker delegates the spill-over vertices to the right node's CSR
-// (the scanners accept any node index), so every vertex is examined by
-// exactly one worker and all next/visited word writes stay word-exclusive.
-func (r *Runner) wordRangeOfNode(k int) (lo, hi int) {
-	return wordRangeOf(r.part, k)
-}
-
-// wordRangeOf is wordRangeOfNode for any partition; BatchRunner uses the
-// same word-block ownership so batched bottom-up writes stay word-exclusive.
-func wordRangeOf(part *numa.Partition, k int) (lo, hi int) {
+// WordRangeOf returns the half-open range of 64-bit bitmap word indices
+// whose *base bit* falls inside node k's vertex range. A word straddling a
+// node boundary is owned by the node of its base bit; the owning worker
+// delegates the spill-over vertices to the right node's CSR (the scanners
+// accept any node index), so every vertex is examined by exactly one worker
+// and all next/visited word writes stay word-exclusive. Every bottom-up
+// kernel (Runner, BatchRunner, vp.Engine) uses this ownership rule.
+func WordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 	sLo, sHi := part.Range(k)
 	lo = (sLo + 63) / 64
 	if k == 0 {
@@ -35,16 +30,16 @@ func wordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 // neighbor found in the frontier as its parent, terminating the scan
 // early (Section III-B).
 func (r *Runner) runBottomUpLevel() error {
-	cm := &r.cfg.Cost
-	n := int(r.n)
-	return r.parallel(func(w int) error {
-		k := r.nodeOfWorker(w)
-		j := w % r.cpn
-		clock := r.clocks[w]
-		scanner := r.scanners[w]
-		acc := &r.acc[w]
-		frontier := r.frontBM[k]
-		wordLo, wordHi := r.wordRangeOfNode(k)
+	cm := &r.Cfg.Cost
+	n := int(r.N)
+	return r.Parallel(func(w int) error {
+		k := r.NodeOfWorker(w)
+		j := w % r.CPN
+		clock := r.Clocks[w]
+		scanner := r.Scanners[w]
+		acc := &r.Acc[w]
+		frontier := r.FrontBM[k]
+		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
 		// One probe closure per worker per level: allocating it inside
 		// the vertex loop would cost one heap allocation per scanned
@@ -57,7 +52,7 @@ func (r *Runner) runBottomUpLevel() error {
 			}
 			return true
 		}
-		for wi := wordLo + j; wi < wordHi; wi += r.cpn {
+		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // visited word load
 			word := r.visited.WordAt(wi)
@@ -80,8 +75,8 @@ func (r *Runner) runBottomUpLevel() error {
 				// Delegate straddling vertices to their owner
 				// node's CSR.
 				vk := k
-				if v < int64(r.part.Starts[k]) || v >= int64(r.part.Starts[k+1]) {
-					vk = r.part.NodeOf(int(v))
+				if v < int64(r.Part.Starts[k]) || v >= int64(r.Part.Starts[k+1]) {
+					vk = r.Part.NodeOf(int(v))
 				}
 				parent = -1
 				dram, nvmEdges, err := scanner.Scan(vk, v, probe)
@@ -91,14 +86,14 @@ func (r *Runner) runBottomUpLevel() error {
 				examined := dram + nvmEdges
 				t += edgeCost * vtime.Duration(examined)
 				t += cm.Stream(int(dram) * 8)
-				acc.examinedDRAM += dram
-				acc.examinedNVM += nvmEdges
+				acc.ExaminedDRAM += dram
+				acc.ExaminedNVM += nvmEdges
 				if parent >= 0 {
 					r.tree[v] = parent
 					r.visited.Set(int(v))
-					r.nextBM.Set(int(v))
+					r.NextBM.Set(int(v))
 					t += cm.LocalAccess + 2*cm.BitmapProbe
-					acc.claimed++
+					acc.Claimed++
 				}
 			}
 			clock.Advance(t)

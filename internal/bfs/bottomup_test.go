@@ -28,7 +28,6 @@ func TestWordRangeOfNodeOwnership(t *testing.T) {
 	for _, tc := range cases {
 		topo := numa.Topology{Nodes: tc.nodes, CoresPerNode: tc.cpn}
 		part := numa.NewPartition(topo, tc.n)
-		r := &Runner{part: part, cpn: tc.cpn, n: int64(tc.n)}
 
 		words := (tc.n + 63) / 64
 		wordOwner := make([]int, words)
@@ -38,7 +37,7 @@ func TestWordRangeOfNodeOwnership(t *testing.T) {
 		scanned := make([]int, tc.n)
 
 		for k := 0; k < tc.nodes; k++ {
-			lo, hi := r.wordRangeOfNode(k)
+			lo, hi := WordRangeOf(part, k)
 			if lo < 0 || hi > words {
 				t.Fatalf("%+v: node %d word range [%d,%d) outside [0,%d)", tc, k, lo, hi, words)
 			}

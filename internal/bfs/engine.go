@@ -3,7 +3,6 @@ package bfs
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"semibfs/internal/bitmap"
 	"semibfs/internal/numa"
@@ -169,16 +168,10 @@ func (r *Result) TDLevels() []LevelStats {
 
 // Runner executes BFS repeatedly over one pair of graphs, reusing all BFS
 // status data (tree, bitmaps, queues) across runs — the structures whose
-// sizes Table II reports.
+// sizes Table II reports. It is the shared Hybrid level loop driven by the
+// monomorphic BFS kernels of topdown.go and bottomup.go.
 type Runner struct {
-	fwd  ForwardAccess
-	bwd  BackwardAccess
-	part *numa.Partition
-	cfg  Config
-	n    int64
-
-	nWorkers int
-	cpn      int // cores per node
+	Hybrid
 
 	// BFS status data.
 	tree    []int64
@@ -192,80 +185,25 @@ type Runner struct {
 	// enqueue the vertex. Bits are never cleared between levels (a stale
 	// bit always belongs to a by-now-visited vertex); Run resets it.
 	claimBM *bitmap.Atomic
-	frontBM []*bitmap.Atomic // per-node frontier replicas
-	nextBM  *bitmap.Bitmap
-	frontQ  []int64
-	nextQ   [][]int64 // per-worker output queues
-
-	clocks   []*vtime.Clock
-	cursors  []ForwardCursor
-	scanners []BackwardScan
-	barrier  *vtime.Barrier
-
-	// Degraded-mode state: after a device failure is rescued mid-run the
-	// controller pins to the surviving direction for the rest of the run.
-	pinned    bool
-	pinnedDir Direction
-
-	// per-level, per-worker accumulators
-	acc []workerAcc
-
-	// offsScratch is gatherQueues's prefix-sum scratch, kept across
-	// levels so deep traversals don't allocate per level.
-	offsScratch []int
-}
-
-type workerAcc struct {
-	examinedDRAM int64
-	examinedNVM  int64
-	claimed      int64
-	frontierDeg  int64
-	_pad         [4]int64 // avoid false sharing between workers
 }
 
 // NewRunner prepares a Runner over the given graphs.
 func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg Config) (*Runner, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Topology.Validate(); err != nil {
+	r := &Runner{}
+	err := r.Init(fwd, bwd, part, cfg.WithDefaults(), Kernels{
+		Name:      "bfs",
+		Push:      r.runTopDownLevel,
+		Pull:      r.runBottomUpLevel,
+		Finalize:  r.markVisited,
+		Monotone:  true,
+		MaxLevels: part.N,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if part.Topology != cfg.Topology {
-		return nil, fmt.Errorf("bfs: partition topology %+v != config topology %+v",
-			part.Topology, cfg.Topology)
-	}
-	n := int64(part.N)
-	nw := cfg.Topology.TotalCores()
-	r := &Runner{
-		fwd:      fwd,
-		bwd:      bwd,
-		part:     part,
-		cfg:      cfg,
-		n:        n,
-		nWorkers: nw,
-		cpn:      cfg.Topology.CoresPerNode,
-		tree:     make([]int64, n),
-		visited:  bitmap.NewAtomic(int(n)),
-		claimBM:  bitmap.NewAtomic(int(n)),
-		nextBM:   bitmap.New(int(n)),
-		nextQ:    make([][]int64, nw),
-		clocks:   make([]*vtime.Clock, nw),
-		cursors:  make([]ForwardCursor, nw),
-		scanners: make([]BackwardScan, nw),
-		barrier:  vtime.NewBarrier(cfg.Cost.Barrier),
-		acc:      make([]workerAcc, nw),
-
-		offsScratch: make([]int, nw+1),
-	}
-	r.frontBM = make([]*bitmap.Atomic, cfg.Topology.Nodes)
-	for k := range r.frontBM {
-		r.frontBM[k] = bitmap.NewAtomic(int(n))
-	}
-	for w := 0; w < nw; w++ {
-		r.clocks[w] = vtime.NewClock(0)
-		r.cursors[w] = fwd.NewCursor(r.clocks[w])
-		r.scanners[w] = bwd.NewScanner(r.clocks[w])
-		r.nextQ[w] = make([]int64, 0, 1024)
-	}
+	r.tree = make([]int64, part.N)
+	r.visited = bitmap.NewAtomic(part.N)
+	r.claimBM = bitmap.NewAtomic(part.N)
 	return r, nil
 }
 
@@ -273,26 +211,20 @@ func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg 
 // visited/frontier/next bitmaps, frontier queues) — the "BFS Status Data"
 // row of Table II.
 func (r *Runner) StatusBytes() int64 {
-	b := int64(len(r.tree)) * 8                  // tree
-	b += (r.n + 7) / 8                           // visited
-	b += (r.n + 7) / 8                           // claim bitmap
-	b += int64(len(r.frontBM)) * ((r.n + 7) / 8) // frontier replicas
-	b += (r.n + 7) / 8                           // next bitmap
-	b += int64(cap(r.frontQ)) * 8                // frontier queue
-	for _, q := range r.nextQ {
-		b += int64(cap(q)) * 8
-	}
-	return b
+	b := int64(len(r.tree)) * 8 // tree
+	b += (r.N + 7) / 8          // visited
+	b += (r.N + 7) / 8          // claim bitmap
+	return b + r.Hybrid.StatusBytes()
 }
 
 // Config returns the runner's effective (defaulted) configuration.
-func (r *Runner) Config() Config { return r.cfg }
+func (r *Runner) Config() Config { return r.Cfg }
 
 // BackwardScanTotals sums the cumulative DRAM/NVM backward-scan edge
 // counts across all workers (zero when the backward access does not track
 // them).
 func (r *Runner) BackwardScanTotals() (dram, nvmEdges int64) {
-	for _, s := range r.scanners {
+	for _, s := range r.Scanners {
 		if c, ok := s.(ScanCounters); ok {
 			d, n := c.Counters()
 			dram += d
@@ -302,242 +234,50 @@ func (r *Runner) BackwardScanTotals() (dram, nvmEdges int64) {
 	return dram, nvmEdges
 }
 
-// parallel runs fn(w) for every simulated worker w, multiplexed over the
-// configured number of real goroutines. Errors are collected; the first
-// non-nil one is returned.
-func (r *Runner) parallel(fn func(w int) error) error {
-	return runParallel(r.nWorkers, r.cfg.RealWorkers, fn)
-}
-
-// RunParallel multiplexes nWorkers simulated workers over at most
-// realWorkers goroutines with the deterministic worker->goroutine mapping
-// of runParallel. It exists for the vertex-program engine (internal/vp),
-// which shares the BFS runner's execution model.
-func RunParallel(nWorkers, realWorkers int, fn func(w int) error) error {
-	return runParallel(nWorkers, realWorkers, fn)
-}
-
-// runParallel multiplexes nWorkers simulated workers over at most
-// realWorkers goroutines, assigning worker w to goroutine w % real so the
-// simulated-worker -> work mapping (and thus every virtual clock) is
-// independent of the real parallelism. Shared by Runner and BatchRunner.
-func runParallel(nWorkers, realWorkers int, fn func(w int) error) error {
-	real := realWorkers
-	if real > nWorkers {
-		real = nWorkers
+// markVisited is the runner's gather hook (Kernels.Finalize): the level
+// boundary where claims become visited. The top-down kernel freezes the
+// visited bitmap while a level runs so the parent choice is a
+// deterministic min over the frontier (see runTopDownLevel).
+func (r *Runner) markVisited(q []int64) vtime.Duration {
+	for _, v := range q {
+		r.visited.Set(int(v))
 	}
-	if real <= 1 {
-		for w := 0; w < nWorkers; w++ {
-			if err := fn(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, real)
-	var wg sync.WaitGroup
-	for g := 0; g < real; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for w := g; w < nWorkers; w += real {
-				if err := fn(w); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// nodeOfWorker returns the NUMA node simulated worker w runs on.
-func (r *Runner) nodeOfWorker(w int) int { return w / r.cpn }
-
-// decide applies the Section III-C switching rule given the frontier sizes
-// of the previous two levels. A degraded run is pinned: the alpha/beta rule
-// must never steer the traversal back onto a dead device.
-func (r *Runner) decide(cur Direction, prevCount, curCount int64) Direction {
-	if r.pinned {
-		return r.pinnedDir
-	}
-	switch r.cfg.Mode {
-	case ModeTopDownOnly:
-		return TopDown
-	case ModeBottomUpOnly:
-		return BottomUp
-	}
-	switch cur {
-	case TopDown:
-		if curCount > prevCount && float64(curCount) > float64(r.n)/r.cfg.Alpha {
-			return BottomUp
-		}
-	case BottomUp:
-		if curCount < prevCount && float64(curCount) < float64(r.n)/r.cfg.Beta {
-			return TopDown
-		}
-	}
-	return cur
+	return vtime.Duration(len(q)) * r.Cfg.Cost.BitmapProbe
 }
 
 // Run executes one BFS from root and returns its result. The returned
 // Tree aliases internal storage; see Result.Tree.
 func (r *Runner) Run(root int64) (*Result, error) {
-	if root < 0 || root >= r.n {
-		return nil, fmt.Errorf("bfs: root %d outside [0,%d)", root, r.n)
+	if root < 0 || root >= r.N {
+		return nil, fmt.Errorf("bfs: root %d outside [0,%d)", root, r.N)
 	}
-	// Reset status data (setup is not charged to BFS time, matching the
-	// Graph500 timing protocol which starts the clock at traversal).
 	for i := range r.tree {
 		r.tree[i] = -1
 	}
 	r.visited.Reset()
 	r.claimBM.Reset()
-	r.nextBM.Reset()
-	for _, bm := range r.frontBM {
-		bm.Reset()
-	}
-	r.frontQ = r.frontQ[:0]
-	for w := range r.nextQ {
-		r.nextQ[w] = r.nextQ[w][:0]
-	}
-	for _, c := range r.clocks {
-		c.AdvanceTo(0)
-	}
-	r.pinned = false
-	// Stack-layer counters accumulate across runs; per-run figures are
-	// deltas against this snapshot.
-	layers0 := r.layerTotals()
-	start := r.clocks[0].Now()
+	r.Begin()
 
 	r.tree[root] = root
 	r.visited.Set(int(root))
-
-	res := &Result{Root: root, Visited: 1}
+	// Level 0 frontier: the root, in the representation the first level
+	// wants. BFS always starts top-down from the source vertex; a forced
+	// bottom-up run finds its root already in the replicas, uncharged.
 	dir := TopDown
-	if r.cfg.Mode == ModeBottomUpOnly {
+	if r.Cfg.Mode == ModeBottomUpOnly {
 		dir = BottomUp
-	}
-	// Level 0 frontier: the root, in the representation dir wants.
-	if dir == TopDown {
-		r.frontQ = append(r.frontQ, root)
-	} else {
-		for _, bm := range r.frontBM {
+		for _, bm := range r.FrontBM {
 			bm.Set(int(root))
 		}
+	} else {
+		r.FrontQ = append(r.FrontQ, root)
 	}
-	prevCount, curCount := int64(0), int64(1)
-
-	for level := 0; ; level++ {
-		if level > int(r.n) {
-			return nil, fmt.Errorf("bfs: level %d exceeds vertex count; cycle in control logic", level)
-		}
-		newDir := dir
-		if level > 0 {
-			// The paper's rule: BFS always starts top-down from the
-			// source vertex; switching is evaluated from level 1 on,
-			// comparing the frontier sizes of the last two levels.
-			newDir = r.decide(dir, prevCount, curCount)
-		}
-		if newDir != dir {
-			if err := r.convertFrontier(dir, newDir); err != nil {
-				return nil, err
-			}
-			res.Switches++
-			dir = newDir
-		}
-		runLevel := func() error {
-			for w := range r.acc {
-				r.acc[w] = workerAcc{}
-			}
-			if dir == TopDown {
-				return r.runTopDownLevel()
-			}
-			return r.runBottomUpLevel()
-		}
-		levelStart := vtime.MaxOf(r.clocks)
-		var seeded int64
-		if err := runLevel(); err != nil {
-			// A level kernel failed — usually a device declared dead
-			// after exhausting retries. If the other direction's graph is
-			// DRAM-resident, rescue the level: keep the claims already
-			// made, convert the frontier, and re-run the remainder of
-			// the level in the surviving direction, pinned for the rest
-			// of the run.
-			to, ok := r.degradeTarget(dir)
-			if !ok {
-				return nil, fmt.Errorf("bfs: level %d (%s): %w", level, dir, err)
-			}
-			cause := err
-			seeded, err = r.enterDegraded(dir, to)
-			if err != nil {
-				return nil, fmt.Errorf("bfs: level %d: degrading %s -> %s: %w", level, dir, to, err)
-			}
-			res.Resilience.Degraded = append(res.Resilience.Degraded, DegradedEvent{
-				Level: level, From: dir, To: to, Cause: cause.Error(),
-			})
-			r.pinned, r.pinnedDir = true, to
-			dir = to
-			res.Switches++
-			if err := runLevel(); err != nil {
-				return nil, fmt.Errorf("bfs: level %d (%s, degraded): %w", level, dir, err)
-			}
-		}
-		levelEnd := r.barrier.Sync(r.clocks)
-
-		ls := LevelStats{
-			Level:     level,
-			Direction: dir,
-			Frontier:  curCount,
-			Start:     levelStart,
-			Time:      levelEnd - levelStart,
-		}
-		if dir == TopDown {
-			for w := range r.acc {
-				ls.FrontierDegree += r.acc[w].frontierDeg
-			}
-		} else {
-			ls.FrontierDegree = -1
-		}
-		// seeded counts claims made by a failed kernel before this level
-		// degraded; their tree entries are set but the re-run's
-		// accumulators never saw them.
-		claimed := seeded
-		for w := range r.acc {
-			ls.ExaminedDRAM += r.acc[w].examinedDRAM
-			ls.ExaminedNVM += r.acc[w].examinedNVM
-			claimed += r.acc[w].claimed
-		}
-		ls.Claimed = claimed
-		res.Levels = append(res.Levels, ls)
-		res.Visited += claimed
-		if dir == TopDown {
-			res.ExaminedTD += ls.Examined()
-		} else {
-			res.ExaminedBU += ls.Examined()
-		}
-		res.ExaminedNVM += ls.ExaminedNVM
-
-		if claimed == 0 {
-			break
-		}
-		if err := r.promoteNext(dir); err != nil {
-			return nil, err
-		}
-		prevCount, curCount = curCount, claimed
+	res, _, err := r.Traverse(dir, 1)
+	if err != nil {
+		return nil, err
 	}
-	res.Time = vtime.MaxOf(r.clocks) - start
+	res.Root = root
+	res.Visited++ // the root
 	res.Tree = r.tree
-	res.Layers = r.layerTotals().Sub(layers0)
-	// The legacy summary fields are views over the generic layer deltas.
-	res.Resilience.fromLayers(res.Layers)
-	res.Resilience.Devices = r.deviceHealth()
-	res.Cache = res.Layers.CacheView()
 	return res, nil
 }

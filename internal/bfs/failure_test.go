@@ -128,9 +128,12 @@ func TestRunnerUsableAfterFailure(t *testing.T) {
 	}
 	defer sf.Close()
 	_, bwd := wrapDRAM(t, fg, bg)
-	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, Config{
-		Topology: topo, Mode: ModeTopDownOnly,
-	})
+	cfg := Config{Topology: topo, Mode: ModeTopDownOnly}
+	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,19 +141,55 @@ func TestRunnerUsableAfterFailure(t *testing.T) {
 	for bg.Degree(root) == 0 {
 		root++
 	}
-	for _, s := range stores {
-		s.failAfter = 2
+	roots := []int64{root, root + 1, root + 2}
+	fail := func(run func() error) {
+		t.Helper()
+		for _, s := range stores {
+			s.reads.Store(0)
+			s.failAfter = 2
+		}
+		if err := run(); err == nil {
+			t.Fatal("expected failure")
+		}
+		for _, s := range stores {
+			s.failAfter = 1 << 60
+		}
 	}
-	if _, err := r.Run(root); err == nil {
-		t.Fatal("expected failure")
-	}
-	for _, s := range stores {
-		s.failAfter = 1 << 60
-	}
+
+	fail(func() error { _, err := r.Run(root); return err })
 	res, err := r.Run(root)
 	if err != nil {
 		t.Fatalf("post-recovery run failed: %v", err)
 	}
 	checkAgainstSerial(t, res.Tree, list, root)
-	_ = list
+	// The failed run stopped its workers at different virtual times; the
+	// next run must not inherit that skew.
+	fresh, err := NewRunner(NVMForward{SF: sf}, bwd, part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Time != want.Time {
+		t.Errorf("post-recovery run took %v, a fresh runner on the same stores %v", res.Time, want.Time)
+	}
+
+	fail(func() error { _, err := br.RunBatch(roots); return err })
+	bres, err := br.RunBatch(roots)
+	if err != nil {
+		t.Fatalf("post-recovery batch failed: %v", err)
+	}
+	freshBatch, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bwant, err := freshBatch.RunBatch(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bres.Time != bwant.Time {
+		t.Errorf("post-recovery batch took %v, a fresh batch runner on the same stores %v", bres.Time, bwant.Time)
+	}
 }

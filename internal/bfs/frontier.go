@@ -11,75 +11,61 @@ import (
 // promoteNext installs the level's output (per-worker queues after a
 // top-down level, the next bitmap after a bottom-up level) as the frontier
 // in the representation matching dir. Direction switches are handled
-// afterwards by convertFrontier.
+// afterwards by ConvertFrontier.
 //
 // Invariant maintained across levels: whenever the current direction is
 // top-down, the per-node frontier bitmap replicas are all-clear.
-func (r *Runner) promoteNext(dir Direction) error {
+func (h *Hybrid) promoteNext(dir Direction) error {
 	if dir == TopDown {
-		return r.gatherQueues()
+		return h.gatherQueues()
 	}
-	return r.replicateNextBitmap()
+	return h.replicateNextBitmap()
 }
 
-// convertFrontier rewrites the current frontier from the representation of
-// direction from into the representation of direction to.
-func (r *Runner) convertFrontier(from, to Direction) error {
+// ConvertFrontier rewrites the current frontier from the representation of
+// direction from into the representation of direction to, charging the
+// workers for the conversion.
+func (h *Hybrid) ConvertFrontier(from, to Direction) error {
 	switch {
 	case from == TopDown && to == BottomUp:
-		return r.queueToReplicas()
+		return h.queueToReplicas()
 	case from == BottomUp && to == TopDown:
-		return r.replicasToQueue()
+		return h.replicasToQueue()
 	default:
 		return fmt.Errorf("bfs: bad frontier conversion %v -> %v", from, to)
 	}
 }
 
 // gatherQueues concatenates the per-worker next queues into the frontier
-// queue, marks the gathered vertices visited, and sorts the frontier
-// ascending. Each worker copies its own output at a precomputed offset, so
-// the copy itself parallelizes; the bytes moved are charged as streams.
-//
-// This is the level boundary where claims become visited: the top-down
-// kernel freezes the visited bitmap while a level runs so the parent
-// choice is a deterministic min over the frontier (see runTopDownLevel).
-// Sorting keeps the semi-external forward reads in adjacency-offset order
+// queue, makes the gathered claims final (Kernels.Finalize), and sorts the
+// frontier ascending. Each worker copies its own output at a precomputed
+// offset, so the copy itself parallelizes; the bytes moved are charged as
+// streams. Sorting keeps the semi-external forward reads in adjacency-offset order
 // — sequential, coalescible NVM runs for the prefetcher — and makes the
 // frontier layout independent of which worker won each claim.
-func (r *Runner) gatherQueues() error {
-	total := 0
-	offs := r.offsScratch
-	for w := 0; w < r.nWorkers; w++ {
-		offs[w] = total
-		total += len(r.nextQ[w])
-	}
-	offs[r.nWorkers] = total
-	if cap(r.frontQ) < total {
-		r.frontQ = make([]int64, total)
-	}
-	r.frontQ = r.frontQ[:total]
-	err := r.parallel(func(w int) error {
-		q := r.nextQ[w]
+func (h *Hybrid) gatherQueues() error {
+	offs := h.offsScratch
+	h.FrontQ = concatLayout(h.FrontQ, h.NextQ, offs)
+	total := len(h.FrontQ)
+	err := h.Parallel(func(w int) error {
+		q := h.NextQ[w]
 		if len(q) > 0 {
-			copy(r.frontQ[offs[w]:offs[w+1]], q)
-			for _, v := range q {
-				r.visited.Set(int(v))
-			}
-			// Read + write of the vertex IDs, plus the visited marks.
-			r.clocks[w].Advance(r.cfg.Cost.Stream(len(q)*16) +
-				vtime.Duration(len(q))*r.cfg.Cost.BitmapProbe)
+			copy(h.FrontQ[offs[w]:offs[w+1]], q)
+			// Read + write of the vertex IDs, plus what the kernel set
+			// charges for finalising them (its visited marks).
+			h.Clocks[w].Advance(h.Cfg.Cost.Stream(len(q)*16) + h.k.Finalize(q))
 		}
-		r.nextQ[w] = q[:0]
+		h.NextQ[w] = q[:0]
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	sort.Slice(r.frontQ, func(i, j int) bool { return r.frontQ[i] < r.frontQ[j] })
+	sort.Slice(h.FrontQ, func(i, j int) bool { return h.FrontQ[i] < h.FrontQ[j] })
 	if total > 0 {
 		// Modeled as one parallel merge pass over the gathered IDs.
-		per := r.cfg.Cost.Stream(total * 16 / r.nWorkers)
-		for _, c := range r.clocks {
+		per := h.Cfg.Cost.Stream(total * 16 / h.nWorkers)
+		for _, c := range h.Clocks {
 			c.Advance(per)
 		}
 	}
@@ -89,87 +75,104 @@ func (r *Runner) gatherQueues() error {
 // replicateNextBitmap copies the next bitmap into every NUMA node's
 // frontier replica and clears it. This is the per-level frontier broadcast
 // that buys the bottom-up kernel its purely node-local frontier probes.
-func (r *Runner) replicateNextBitmap() error {
-	words := r.nextBM.Words()
+func (h *Hybrid) replicateNextBitmap() error {
+	words := h.NextBM.Words()
 	nw := len(words)
-	return r.parallel(func(w int) error {
-		lo, hi := stripe(nw, r.nWorkers, w)
+	return h.Parallel(func(w int) error {
+		lo, hi := stripe(nw, h.nWorkers, w)
 		if lo >= hi {
 			return nil
 		}
 		var t vtime.Duration
-		for _, bm := range r.frontBM {
+		for _, bm := range h.FrontBM {
 			dst := bm.Words()
 			copy(dst[lo:hi], words[lo:hi])
-			t += r.cfg.Cost.Stream((hi - lo) * 8 * 2)
+			t += h.Cfg.Cost.Stream((hi - lo) * 8 * 2)
 		}
 		for i := lo; i < hi; i++ {
 			words[i] = 0
 		}
-		t += r.cfg.Cost.Stream((hi - lo) * 8)
-		r.clocks[w].Advance(t)
+		t += h.Cfg.Cost.Stream((hi - lo) * 8)
+		h.Clocks[w].Advance(t)
 		return nil
 	})
 }
 
 // queueToReplicas sets the frontier queue's vertices in every node's
 // frontier bitmap replica (top-down -> bottom-up switch).
-func (r *Runner) queueToReplicas() error {
-	return r.parallel(func(w int) error {
-		lo, hi := stripe(len(r.frontQ), r.nWorkers, w)
+func (h *Hybrid) queueToReplicas() error {
+	return h.Parallel(func(w int) error {
+		lo, hi := stripe(len(h.FrontQ), h.nWorkers, w)
 		if lo >= hi {
 			return nil
 		}
 		var t vtime.Duration
-		t += r.cfg.Cost.Stream((hi - lo) * 8)
-		probes := vtime.Duration(len(r.frontBM)) * r.cfg.Cost.BitmapProbe
-		for _, v := range r.frontQ[lo:hi] {
-			for _, bm := range r.frontBM {
+		t += h.Cfg.Cost.Stream((hi - lo) * 8)
+		probes := vtime.Duration(len(h.FrontBM)) * h.Cfg.Cost.BitmapProbe
+		for _, v := range h.FrontQ[lo:hi] {
+			for _, bm := range h.FrontBM {
 				bm.Set(int(v))
 			}
 			t += probes
 		}
-		r.clocks[w].Advance(t)
+		h.Clocks[w].Advance(t)
 		return nil
 	})
 }
 
 // replicasToQueue extracts the frontier from the bitmap replicas into the
 // frontier queue and clears all replicas (bottom-up -> top-down switch).
-func (r *Runner) replicasToQueue() error {
-	src := r.frontBM[0]
+func (h *Hybrid) replicasToQueue() error {
+	src := h.FrontBM[0]
 	nw := src.NumWords()
-	err := r.parallel(func(w int) error {
-		lo, hi := stripe(nw, r.nWorkers, w)
-		q := r.nextQ[w][:0]
+	err := h.Parallel(func(w int) error {
+		lo, hi := stripe(nw, h.nWorkers, w)
+		q := h.NextQ[w][:0]
 		var t vtime.Duration
 		for i := lo; i < hi; i++ {
-			t += r.cfg.Cost.Stream(8)
+			t += h.Cfg.Cost.Stream(8)
 			word := src.WordAt(i)
 			base := i * 64
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &= word - 1
 				q = append(q, int64(base+b))
-				t += r.cfg.Cost.QueueAppend
+				t += h.Cfg.Cost.QueueAppend
 			}
 		}
-		r.nextQ[w] = q
+		h.NextQ[w] = q
 		// Clear this stripe in every replica.
-		for _, bm := range r.frontBM {
+		for _, bm := range h.FrontBM {
 			dst := bm.Words()
 			for i := lo; i < hi; i++ {
 				dst[i] = 0
 			}
 		}
-		t += r.cfg.Cost.Stream((hi - lo) * 8 * len(r.frontBM))
-		r.clocks[w].Advance(t)
+		t += h.Cfg.Cost.Stream((hi - lo) * 8 * len(h.FrontBM))
+		h.Clocks[w].Advance(t)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return r.gatherQueues()
+	return h.gatherQueues()
+}
+
+// concatLayout lays the per-worker queues out back to back: it fills offs
+// with each queue's offset in the concatenation (queue w occupies
+// offs[w]:offs[w+1]) and returns frontQ resized to hold it, so every worker
+// can copy its own queue in parallel.
+func concatLayout(frontQ []int64, nextQ [][]int64, offs []int) []int64 {
+	total := 0
+	for w, q := range nextQ {
+		offs[w] = total
+		total += len(q)
+	}
+	offs[len(nextQ)] = total
+	if cap(frontQ) < total {
+		frontQ = make([]int64, total)
+	}
+	return frontQ[:total]
 }
 
 // stripe splits n items into nWorkers nearly-equal contiguous ranges and

@@ -355,31 +355,59 @@ func TestDirectionAndModeStrings(t *testing.T) {
 	}
 }
 
+// TestDecideRule drives the one exported alpha/beta rule directly and
+// through each engine in this package that wraps it.
 func TestDecideRule(t *testing.T) {
 	topo := numa.Topology{Nodes: 2, CoresPerNode: 1}
 	fg, bg, _, part := buildTestGraphs(t, 8, 3, topo)
 	fwd, bwd := wrapDRAM(t, fg, bg)
-	r, err := NewRunner(fwd, bwd, part, Config{Topology: topo, Alpha: 4, Beta: 8})
+	cfg := Config{Topology: topo, Alpha: 4, Beta: 8}
+	r, err := NewRunner(fwd, bwd, part, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := r.n // 256; n/alpha = 64, n/beta = 32
-	_ = n
+	pinned, err := NewRunner(fwd, bwd, part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned.pinned, pinned.pinnedDir = true, BottomUp
+	br, err := NewBatchRunner(fwd, bwd, part, 64, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br.active = 64
+
+	type decider func(dir Direction, prev, cur int64) Direction
+	// n = 256: n/alpha = 64, n/beta = 32; times 64 for a full batch.
+	rule := func(dir Direction, prev, cur int64) Direction {
+		return NextDirection(dir, prev, cur, float64(r.N), 4, 8)
+	}
+	runner := func(dir Direction, prev, cur int64) Direction { return r.decide(1, dir, prev, cur) }
+	stuck := func(dir Direction, prev, cur int64) Direction { return pinned.decide(1, dir, prev, cur) }
 	cases := []struct {
+		decide    decider
 		dir       Direction
 		prev, cur int64
 		want      Direction
 		desc      string
 	}{
-		{TopDown, 10, 100, BottomUp, "grew past n/alpha"},
-		{TopDown, 200, 100, TopDown, "shrank: stay"},
-		{TopDown, 10, 50, TopDown, "below n/alpha: stay"},
-		{BottomUp, 100, 20, TopDown, "shrank below n/beta"},
-		{BottomUp, 10, 20, BottomUp, "grew: stay"},
-		{BottomUp, 100, 40, BottomUp, "above n/beta: stay"},
+		{rule, TopDown, 10, 100, BottomUp, "grew past n/alpha"},
+		{rule, TopDown, 200, 100, TopDown, "shrank: stay"},
+		{rule, TopDown, 10, 50, TopDown, "below n/alpha: stay"},
+		{rule, BottomUp, 100, 20, TopDown, "shrank below n/beta"},
+		{rule, BottomUp, 10, 20, BottomUp, "grew: stay"},
+		{rule, BottomUp, 100, 40, BottomUp, "above n/beta: stay"},
+		{runner, TopDown, 10, 100, BottomUp, "runner: grew past n/alpha"},
+		{runner, BottomUp, 100, 20, TopDown, "runner: shrank below n/beta"},
+		{br.decide, TopDown, 10, 100, TopDown, "batch: 100 lane-bits are below 64n/alpha"},
+		{br.decide, TopDown, 10 * 64, 100 * 64, BottomUp, "batch: grew past 64n/alpha"},
+		{br.decide, BottomUp, 100 * 64, 40 * 64, BottomUp, "batch: above 64n/beta: stay"},
+		{br.decide, BottomUp, 100 * 64, 20 * 64, TopDown, "batch: shrank below 64n/beta"},
+		{stuck, BottomUp, 100, 20, BottomUp, "pinned bottom-up: the rule may not steer back"},
+		{stuck, TopDown, 10, 100, BottomUp, "pinned bottom-up: from either direction"},
 	}
 	for _, c := range cases {
-		if got := r.decide(c.dir, c.prev, c.cur); got != c.want {
+		if got := c.decide(c.dir, c.prev, c.cur); got != c.want {
 			t.Errorf("%s: decide(%v, %d, %d) = %v, want %v",
 				c.desc, c.dir, c.prev, c.cur, got, c.want)
 		}

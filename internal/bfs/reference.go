@@ -92,15 +92,15 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 	perEdge := r.cost.EdgeCompute + 2*mixed // value load + tree probe
 
 	for level := 0; len(r.frontQ) > 0; level++ {
-		numChunks := (len(r.frontQ) + chunkSize - 1) / chunkSize
+		numChunks := (len(r.frontQ) + ChunkSize - 1) / ChunkSize
 		claims := make([]int64, r.nWorkers)
 		examined := make([]int64, r.nWorkers)
 		r.runParallel(func(w int) {
 			clock := r.clocks[w]
 			nq := r.nextQ[w][:0]
 			for c := w; c < numChunks; c += r.nWorkers {
-				lo := c * chunkSize
-				hi := lo + chunkSize
+				lo := c * ChunkSize
+				hi := lo + ChunkSize
 				if hi > len(r.frontQ) {
 					hi = len(r.frontQ)
 				}

@@ -85,15 +85,6 @@ func backwardNVMOf(bwd BackwardAccess) bool {
 	return true
 }
 
-// ResilienceFromLayers builds the summary counters as views over generic
-// per-layer deltas. It is shared with the vertex-program engine (internal/vp)
-// so every engine reports fault handling identically.
-func ResilienceFromLayers(layers nvm.StackStats) Resilience {
-	var r Resilience
-	r.fromLayers(layers)
-	return r
-}
-
 // fromLayers fills the legacy Resilience summary counters as views over the
 // generic per-layer deltas.
 func (r *Resilience) fromLayers(layers nvm.StackStats) {
@@ -106,68 +97,53 @@ func (r *Resilience) fromLayers(layers nvm.StackStats) {
 	r.RepairTime = vtime.Duration(layers.Get("mirror", "repair_ns"))
 }
 
-// stacks returns every NVM storage stack behind the runner's graphs
-// (forward and backward), or nil when both are fully DRAM-resident.
-func (r *Runner) stacks() []nvm.Storage { return stacksOf(r.fwd, r.bwd) }
-
-// layerTotals collects the cumulative per-layer counters of every stack.
-func (r *Runner) layerTotals() nvm.StackStats {
-	return nvm.CollectStacks(r.stacks()...)
-}
-
-// deviceHealth merges per-device replica health across every stack's
-// mirror layer, or nil without mirroring.
-func (r *Runner) deviceHealth() []nvm.ReplicaHealth {
-	return nvm.CollectReplicaHealth(r.stacks()...)
-}
-
-// backwardOnNVM reports whether the backward graph has NVM-resident data.
-func (r *Runner) backwardOnNVM() bool { return backwardNVMOf(r.bwd) }
-
-// degradeTarget decides whether a failed level can be rescued by switching
+// rescueTarget decides whether a failed level can be rescued by switching
 // to the other direction: only in hybrid mode (a forced single-direction
 // mode is a contract, not a preference), only once per run, and only when
 // the target direction's graph is fully DRAM-resident — the paper's §V-C
 // placement keeps the backward graph in DRAM precisely so the bottom-up
 // direction survives a forward-device failure.
-func (r *Runner) degradeTarget(from Direction) (Direction, bool) {
-	if r.cfg.Mode != ModeHybrid || r.pinned {
+func rescueTarget(mode Mode, pinned bool, from Direction, fwd ForwardAccess, bwd BackwardAccess) (Direction, bool) {
+	if mode != ModeHybrid || pinned {
 		return 0, false
 	}
-	if from == TopDown && !r.backwardOnNVM() {
+	if from == TopDown && !backwardNVMOf(bwd) {
 		return BottomUp, true
 	}
-	if from == BottomUp && !r.fwd.OnNVM() {
+	if from == BottomUp && !fwd.OnNVM() {
 		return TopDown, true
 	}
 	return 0, false
 }
 
 // enterDegraded rescues a partially-executed level so it can be re-run in
-// direction to. Claims the failed kernel already made are valid (each
-// claimed parent is in the current frontier) and their tree entries are
-// already set — so they are preserved by seeding them into the level's
-// output representation, and the re-run kernel skips them via the visited
-// bitmap and claims the remainder. The current frontier is converted to
-// the representation the new direction expects. Returns the number of
-// seeded (pre-degradation) claims.
-func (r *Runner) enterDegraded(from, to Direction) (int64, error) {
+// direction to. Claims the failed kernel of a monotone algorithm already
+// made are valid (each claimed parent is in the current frontier) and
+// their state is already set — so they are preserved by seeding them into
+// the level's output representation, and the re-run kernel skips them and
+// claims the remainder. A non-monotone algorithm's partial claims are
+// dropped from the frontier accounting instead (see Kernels.Monotone). The
+// current frontier is converted to the representation the new direction
+// expects. Returns the number of seeded (pre-degradation) claims.
+func (h *Hybrid) enterDegraded(from, to Direction) (int64, error) {
 	var seeded int64
 	if from == TopDown {
 		// Partial claims live in the per-worker next queues; the
 		// bottom-up re-run outputs into the next bitmap. The top-down
-		// kernel defers visited marks to gather time, which this rescue
-		// skips, so mark the seeds visited here or the re-run would
-		// claim them a second time.
-		for w := range r.nextQ {
-			for _, v := range r.nextQ[w] {
-				r.nextBM.Set(int(v))
-				r.visited.Set(int(v))
-				seeded++
+		// kernel defers finalising its claims to gather time, which this
+		// rescue skips, so finalise the seeds here (uncharged) or the
+		// re-run would claim them a second time.
+		for w, q := range h.NextQ {
+			if h.k.Monotone {
+				for _, v := range q {
+					h.NextBM.Set(int(v))
+				}
+				h.k.Finalize(q)
+				seeded += int64(len(q))
 			}
-			r.nextQ[w] = r.nextQ[w][:0]
+			h.NextQ[w] = q[:0]
 		}
-		if err := r.convertFrontier(TopDown, BottomUp); err != nil {
+		if err := h.ConvertFrontier(TopDown, BottomUp); err != nil {
 			return 0, err
 		}
 		return seeded, nil
@@ -175,19 +151,19 @@ func (r *Runner) enterDegraded(from, to Direction) (int64, error) {
 	// Bottom-up failed: convert the frontier first (replicasToQueue uses
 	// the next queues as scratch), then move the partial claims from the
 	// next bitmap into a worker queue for the top-down promote path.
-	if err := r.convertFrontier(BottomUp, TopDown); err != nil {
+	if err := h.ConvertFrontier(BottomUp, TopDown); err != nil {
 		return 0, err
 	}
-	words := r.nextBM.Words()
+	words := h.NextBM.Words()
 	for i, word := range words {
-		base := i * 64
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			r.nextQ[0] = append(r.nextQ[0], int64(base+b))
+		words[i] = 0
+		if !h.k.Monotone {
+			continue
+		}
+		for ; word != 0; word &= word - 1 {
+			h.NextQ[0] = append(h.NextQ[0], int64(i*64+bits.TrailingZeros64(word)))
 			seeded++
 		}
-		words[i] = 0
 	}
 	return seeded, nil
 }

@@ -205,50 +205,20 @@ func (s *BatchSession) Step() (*SessionLevel, error) {
 			out.Switched = true
 		}
 	}
-	if s.dir == TopDown {
-		if err := r.buildFrontQ(); err != nil {
-			return nil, err
-		}
+	// Same level body as RunBatch; a rescue pulls the whole live cohort
+	// onto a DRAM-resident direction, pinned for the rest of the session.
+	ls, degraded, err := r.runLevel(s.level, s.dir, s.curCount)
+	if err != nil {
+		return nil, err
 	}
-	runLevel := func() error {
-		for w := range r.acc {
-			r.acc[w] = workerAcc{}
-		}
-		if s.dir == TopDown {
-			if err := r.runBatchTopDownLevel(); err != nil {
-				return err
-			}
-			return r.mergeNext()
-		}
-		return r.runBatchBottomUpLevel()
-	}
-	if err := runLevel(); err != nil {
-		// Same rescue as RunBatch: pull the whole live cohort onto a
-		// DRAM-resident direction, pinned for the rest of the session.
-		to, ok := r.degradeTarget(s.dir)
-		if !ok {
-			return nil, fmt.Errorf("bfs: session level %d (%s): %w", s.level, s.dir, err)
-		}
-		cause := err
-		if _, err = r.enterDegraded(s.dir, to); err != nil {
-			return nil, fmt.Errorf("bfs: session level %d: degrading %s -> %s: %w", s.level, s.dir, to, err)
-		}
-		out.Degraded = append(out.Degraded, DegradedEvent{
-			Level: s.level, From: s.dir, To: to, Cause: cause.Error(),
-		})
-		r.pinned, r.pinnedDir = true, to
-		s.dir = to
+	if degraded != nil {
+		out.Degraded = append(out.Degraded, *degraded)
+		s.dir = degraded.To
 		out.Switched = true
-		if err := runLevel(); err != nil {
-			return nil, fmt.Errorf("bfs: session level %d (%s, degraded): %w", s.level, s.dir, err)
-		}
 	}
-	out.End = r.barrier.Sync(r.clocks)
+	out.End = ls.Start + ls.Time
 	out.Direction = s.dir
-	for w := range r.acc {
-		out.ExaminedDRAM += r.acc[w].examinedDRAM
-		out.ExaminedNVM += r.acc[w].examinedNVM
-	}
+	out.ExaminedDRAM, out.ExaminedNVM = ls.ExaminedDRAM, ls.ExaminedNVM
 
 	// Per-lane accounting: after the level, next holds exactly the lane
 	// bits newly claimed this level — the top-down merge leaves only claims

@@ -6,18 +6,18 @@ import (
 	"semibfs/internal/vtime"
 )
 
-// chunkSize is the number of frontier vertices a worker dequeues at a
+// ChunkSize is the number of frontier vertices a worker dequeues at a
 // time, following the paper's Section V-C ("each thread dequeues a fixed
 // number (64 in our current implementation) of vertices").
-const chunkSize = 64
+const ChunkSize = 64
 
-// minParent installs v as *p's parent unless a smaller parent is already
+// MinParent installs v as *p's parent unless a smaller parent is already
 // there (-1 means none yet). The visited bitmap is frozen during a
 // top-down level, so *every* frontier parent of an unvisited vertex races
 // here; the survivor is the minimum, which makes the parent tree a pure
 // function of the graph and the root — independent of worker count, queue
 // depth, and I/O completion order.
-func minParent(p *int64, v int64) {
+func MinParent(p *int64, v int64) {
 	for {
 		cur := atomic.LoadInt64(p)
 		if cur != -1 && cur <= v {
@@ -29,7 +29,7 @@ func minParent(p *int64, v int64) {
 	}
 }
 
-// runTopDownLevel expands the frontier queue r.frontQ one level in the
+// runTopDownLevel expands the frontier queue r.FrontQ one level in the
 // top-down direction. Every NUMA node's workers scan the whole frontier,
 // but against the node's own forward-graph replica, which contains only
 // the neighbors the node owns — so every visited/tree write is node-local
@@ -42,43 +42,43 @@ func minParent(p *int64, v int64) {
 // worker's next chunk announced before the current one is scanned, so
 // next-chunk readahead overlaps the current chunk's expansion.
 func (r *Runner) runTopDownLevel() error {
-	cm := &r.cfg.Cost
-	numChunks := (len(r.frontQ) + chunkSize - 1) / chunkSize
-	return r.parallel(func(w int) error {
-		k := r.nodeOfWorker(w)
-		j := w % r.cpn
-		clock := r.clocks[w]
-		cursor := r.cursors[w]
+	cm := &r.Cfg.Cost
+	numChunks := (len(r.FrontQ) + ChunkSize - 1) / ChunkSize
+	return r.Parallel(func(w int) error {
+		k := r.NodeOfWorker(w)
+		j := w % r.CPN
+		clock := r.Clocks[w]
+		cursor := r.Cursors[w]
 		pf, _ := cursor.(FrontierPrefetcher)
-		acc := &r.acc[w]
-		nq := r.nextQ[w]
+		acc := &r.Acc[w]
+		nq := r.NextQ[w]
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		for c := j; c < numChunks; c += r.cpn {
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > len(r.frontQ) {
-				hi = len(r.frontQ)
+		for c := j; c < numChunks; c += r.CPN {
+			lo := c * ChunkSize
+			hi := lo + ChunkSize
+			if hi > len(r.FrontQ) {
+				hi = len(r.FrontQ)
 			}
 			if pf != nil {
 				// Announce the worker's *next* chunk so its adjacency
 				// I/O is in flight while this chunk is expanded. The
 				// frontier is sorted, so the spans coalesce into runs.
-				if nlo := (c + r.cpn) * chunkSize; nlo < len(r.frontQ) {
-					nhi := nlo + chunkSize
-					if nhi > len(r.frontQ) {
-						nhi = len(r.frontQ)
+				if nlo := (c + r.CPN) * ChunkSize; nlo < len(r.FrontQ) {
+					nhi := nlo + ChunkSize
+					if nhi > len(r.FrontQ) {
+						nhi = len(r.FrontQ)
 					}
-					pf.PrefetchFrontier(k, r.frontQ[nlo:nhi])
+					pf.PrefetchFrontier(k, r.FrontQ[nlo:nhi])
 				}
 			}
 			var t vtime.Duration
 			t += cm.Stream((hi - lo) * 8) // dequeue the chunk
-			for _, v := range r.frontQ[lo:hi] {
+			for _, v := range r.FrontQ[lo:hi] {
 				t += cm.VertexOverhead
-				if r.part.NodeOf(int(v)) == k {
+				if r.Part.NodeOf(int(v)) == k {
 					// Statistics only (degree of the frontier
 					// vertex, counted once across nodes).
-					acc.frontierDeg += r.bwd.Degree(v)
+					acc.FrontierDeg += r.Bwd.Degree(v)
 				}
 				clock.Advance(t)
 				t = 0
@@ -88,27 +88,27 @@ func (r *Runner) runTopDownLevel() error {
 					// are already set, and the degraded-mode rescue
 					// marks them visited and seeds them as next-frontier
 					// members, or the tree loses subtrees.
-					r.nextQ[w] = nq
+					r.NextQ[w] = nq
 					return err
 				}
 				if fromNVM {
-					acc.examinedNVM += int64(len(nbs))
+					acc.ExaminedNVM += int64(len(nbs))
 				} else {
 					// Index entry fetch plus the streamed
 					// adjacency bytes.
 					t += cm.LocalAccess + cm.Stream(len(nbs)*8)
-					acc.examinedDRAM += int64(len(nbs))
+					acc.ExaminedDRAM += int64(len(nbs))
 				}
 				for _, nb := range nbs {
 					t += edgeCost
 					if r.visited.Test(int(nb)) {
 						continue
 					}
-					minParent(&r.tree[nb], v)
+					MinParent(&r.tree[nb], v)
 					if r.claimBM.TestAndSet(int(nb)) {
 						t += cm.AtomicOp + cm.LocalAccess + cm.QueueAppend
 						nq = append(nq, nb)
-						acc.claimed++
+						acc.Claimed++
 					} else {
 						t += cm.AtomicOp
 					}
@@ -116,7 +116,7 @@ func (r *Runner) runTopDownLevel() error {
 			}
 			clock.Advance(t)
 		}
-		r.nextQ[w] = nq
+		r.NextQ[w] = nq
 		return nil
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"semibfs/internal/bfs"
 	"semibfs/internal/bitmap"
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
@@ -588,22 +587,6 @@ func (g *Grid) barrier() vtime.Duration {
 		c.AdvanceTo(max)
 	}
 	return max
-}
-
-// decide applies the alpha/beta rule (global counts, allreduce charged
-// by the caller).
-func (g *Grid) decide(dir bfs.Direction, prev, cur int64) bfs.Direction {
-	switch dir {
-	case bfs.TopDown:
-		if cur > prev && float64(cur) > float64(g.n)/g.cfg.Alpha {
-			return bfs.BottomUp
-		}
-	case bfs.BottomUp:
-		if cur < prev && float64(cur) < float64(g.n)/g.cfg.Beta {
-			return bfs.TopDown
-		}
-	}
-	return dir
 }
 
 // allreduce charges a log2(P) tree.

@@ -51,7 +51,7 @@ func (g *Grid) Run(root int64) (*Result, error) {
 			return nil, fmt.Errorf("cluster: grid runaway at level %d", level)
 		}
 		if level > 0 {
-			newDir := g.decide(dir, prevCount, curCount)
+			newDir := bfs.NextDirection(dir, prevCount, curCount, float64(g.n), g.cfg.Alpha, g.cfg.Beta)
 			if newDir != dir {
 				res.Switches++
 				dir = newDir

@@ -91,7 +91,7 @@ func (c *Cluster) Run(root int64) (*Result, error) {
 			return nil, fmt.Errorf("cluster: runaway level %d", level)
 		}
 		if level > 0 {
-			newDir := c.decide(dir, prevCount, curCount)
+			newDir := bfs.NextDirection(dir, prevCount, curCount, float64(c.n), c.cfg.Alpha, c.cfg.Beta)
 			if newDir != dir {
 				if err := c.convertFrontier(dir, newDir); err != nil {
 					return nil, err
@@ -170,21 +170,6 @@ func (c *Cluster) allreduce(bytes int64) {
 		m.clock.Advance(cost)
 	}
 	c.comm.Control += int64(steps) * bytes * int64(p)
-}
-
-// decide applies the alpha/beta rule to the global frontier count.
-func (c *Cluster) decide(dir bfs.Direction, prev, cur int64) bfs.Direction {
-	switch dir {
-	case bfs.TopDown:
-		if cur > prev && float64(cur) > float64(c.n)/c.cfg.Alpha {
-			return bfs.BottomUp
-		}
-	case bfs.BottomUp:
-		if cur < prev && float64(cur) < float64(c.n)/c.cfg.Beta {
-			return bfs.TopDown
-		}
-	}
-	return dir
 }
 
 // charge adds compute time t to machine m, scaled by its core count

@@ -2,8 +2,8 @@ package vp
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"semibfs/internal/bfs"
 	"semibfs/internal/bitmap"
 )
 
@@ -80,7 +80,7 @@ func (b *BFS) PushEdge(w int, src, dst int64) bool {
 	if b.visited.Test(int(dst)) {
 		return false
 	}
-	minParent(&b.tree[dst], src)
+	bfs.MinParent(&b.tree[dst], src)
 	return true
 }
 
@@ -120,18 +120,3 @@ func (b *BFS) EndLevel(level int) {}
 
 // Converged implements Program: BFS terminates when the frontier drains.
 func (b *BFS) Converged() bool { return false }
-
-// minParent installs v as *p's parent unless a smaller parent is already
-// there (-1 means none yet) — the same order-independent claim as the BFS
-// runner's.
-func minParent(p *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(p)
-		if cur != -1 && cur <= v {
-			return
-		}
-		if atomic.CompareAndSwapInt64(p, cur, v) {
-			return
-		}
-	}
-}

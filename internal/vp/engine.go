@@ -2,30 +2,23 @@ package vp
 
 import (
 	"fmt"
-	"math/bits"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/bitmap"
 	"semibfs/internal/numa"
-	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
 
-// Engine executes vertex programs over one forward/backward graph pair,
-// reusing all shared traversal state (frontier queue, bitmap replicas,
-// dedup bitmap, worker clocks) across runs. It is the scatter/gather
-// skeleton extracted from bfs.Runner; the per-vertex state that used to be
-// the tree/visited pair now lives in the Program.
+// Engine executes vertex programs over one forward/backward graph pair. It
+// is the shared hybrid level loop (bfs.Hybrid, which owns the frontier, the
+// worker clocks and the direction controller) driven by the generic
+// push/pull kernels of push.go and pull.go, which call the Program per edge
+// and per vertex; the per-vertex state that is bfs.Runner's tree/visited
+// pair lives in the Program.
 type Engine struct {
-	fwd  bfs.ForwardAccess
-	bwd  bfs.BackwardAccess
-	part *numa.Partition
+	bfs.Hybrid
 	prog Program
 	cfg  Config
-	n    int64
-
-	nWorkers int
-	cpn      int // cores per node
 
 	// dedup arbitrates next-queue membership during a push level, exactly
 	// as bfs.Runner's claim bitmap does: PushEdge's idempotent state
@@ -35,37 +28,13 @@ type Engine struct {
 	// vertices in later levels, so a claim bit must not outlive its level.
 	// For BFS this is equivalence-neutral: a gathered vertex is visited,
 	// so PushEdge never exposes it to the dedup again.
-	dedup   *bitmap.Atomic
-	frontBM []*bitmap.Atomic // per-node frontier replicas
-	nextBM  *bitmap.Bitmap
-	frontQ  []int64
-	nextQ   [][]int64 // per-worker output queues
-
-	clocks   []*vtime.Clock
-	cursors  []bfs.ForwardCursor
-	scanners []bfs.BackwardScan
-	barrier  *vtime.Barrier
-
-	// Degraded-mode state: after a device failure is rescued mid-run the
-	// controller pins to the surviving direction for the rest of the run.
-	pinned    bool
-	pinnedDir bfs.Direction
-
-	acc         []workerAcc
-	offsScratch []int
+	dedup *bitmap.Atomic
 }
 
 // NewEngine prepares an Engine running prog over the given graphs. It
 // calls prog.Setup once; a Program instance belongs to one Engine.
 func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partition, prog Program, cfg Config) (*Engine, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.Topology.Validate(); err != nil {
-		return nil, err
-	}
-	if part.Topology != cfg.Topology {
-		return nil, fmt.Errorf("vp: partition topology %+v != config topology %+v",
-			part.Topology, cfg.Topology)
-	}
 	caps := prog.Caps()
 	if caps&(CapPush|CapPull) == 0 {
 		return nil, fmt.Errorf("vp: program %q implements no kernel direction", prog.Name())
@@ -76,39 +45,34 @@ func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partiti
 	if cfg.Mode == bfs.ModeBottomUpOnly && caps&CapPull == 0 {
 		return nil, fmt.Errorf("vp: program %q cannot run bottom-up-only (no pull kernel)", prog.Name())
 	}
-	n := int64(part.N)
-	nw := cfg.Topology.TotalCores()
-	e := &Engine{
-		fwd:      fwd,
-		bwd:      bwd,
-		part:     part,
-		prog:     prog,
-		cfg:      cfg,
-		n:        n,
-		nWorkers: nw,
-		cpn:      cfg.Topology.CoresPerNode,
-		dedup:    bitmap.NewAtomic(int(n)),
-		nextBM:   bitmap.New(int(n)),
-		nextQ:    make([][]int64, nw),
-		clocks:   make([]*vtime.Clock, nw),
-		cursors:  make([]bfs.ForwardCursor, nw),
-		scanners: make([]bfs.BackwardScan, nw),
-		barrier:  vtime.NewBarrier(cfg.Cost.Barrier),
-		acc:      make([]workerAcc, nw),
-
-		offsScratch: make([]int, nw+1),
+	e := &Engine{prog: prog, cfg: cfg}
+	k := bfs.Kernels{
+		Name:     "vp: " + prog.Name(),
+		Finalize: e.activate,
+		Monotone: prog.Monotone(),
+		Steer:    e.steer,
+		EndLevel: func(level int) bool {
+			prog.EndLevel(level)
+			return prog.Converged()
+		},
+		// Any frontier program converges within n levels; the slack covers
+		// fixed-point programs on tiny graphs.
+		MaxLevels: part.N + 64,
 	}
-	e.frontBM = make([]*bitmap.Atomic, cfg.Topology.Nodes)
-	for k := range e.frontBM {
-		e.frontBM[k] = bitmap.NewAtomic(int(n))
+	if cfg.MaxLevels > 0 {
+		k.MaxLevels = cfg.MaxLevels
 	}
-	for w := 0; w < nw; w++ {
-		e.clocks[w] = vtime.NewClock(0)
-		e.cursors[w] = fwd.NewCursor(e.clocks[w])
-		e.scanners[w] = bwd.NewScanner(e.clocks[w])
-		e.nextQ[w] = make([]int64, 0, 1024)
+	if caps&CapPush != 0 {
+		k.Push = e.runPushLevel
 	}
-	prog.Setup(n, nw)
+	if caps&CapPull != 0 {
+		k.Pull = e.runPullLevel
+	}
+	if err := e.Init(fwd, bwd, part, cfg.Config, k); err != nil {
+		return nil, err
+	}
+	e.dedup = bitmap.NewAtomic(part.N)
+	prog.Setup(e.N, len(e.Clocks))
 	return e, nil
 }
 
@@ -121,36 +85,33 @@ func (e *Engine) Config() Config { return e.cfg }
 // StatusBytes returns the DRAM footprint of the engine-owned traversal
 // state (bitmaps and queues); the program's per-vertex state is extra.
 func (e *Engine) StatusBytes() int64 {
-	b := (e.n + 7) / 8                            // dedup bitmap
-	b += int64(len(e.frontBM)) * ((e.n + 7) / 8)  // frontier replicas
-	b += (e.n + 7) / 8                            // next bitmap
-	b += int64(cap(e.frontQ)) * 8                 // frontier queue
-	for _, q := range e.nextQ {
-		b += int64(cap(q)) * 8
+	return (e.N+7)/8 + e.Hybrid.StatusBytes() // dedup bitmap + shared state
+}
+
+// activate is the engine's gather hook (bfs.Kernels.Finalize): where the
+// BFS runner marks gathered claims visited, the engine calls
+// Program.Activate and clears the claim's dedup bit so non-monotone
+// programs can re-activate the vertex in a later level — two marks per
+// claim against the runner's one.
+func (e *Engine) activate(q []int64) vtime.Duration {
+	for _, v := range q {
+		e.prog.Activate(v)
+		e.dedup.Clear(int(v))
 	}
-	return b
+	return vtime.Duration(len(q)) * 2 * e.Cfg.Cost.BitmapProbe
 }
 
-// parallel runs fn(w) for every simulated worker, multiplexed over the
-// configured number of real goroutines with the same deterministic
-// worker->goroutine mapping as the BFS runner.
-func (e *Engine) parallel(fn func(w int) error) error {
-	return bfs.RunParallel(e.nWorkers, e.cfg.RealWorkers, fn)
-}
-
-// nodeOfWorker returns the NUMA node simulated worker w runs on.
-func (e *Engine) nodeOfWorker(w int) int { return w / e.cpn }
-
-// maxLevels returns the level-loop bound.
-func (e *Engine) maxLevels() int {
-	if e.cfg.MaxLevels > 0 {
-		return e.cfg.MaxLevels
+// steer wraps the alpha/beta rule's answer for a level (bfs.Kernels.Steer):
+// the program's hint wins over the rule, and either is clamped to the
+// kernels the program implements.
+func (e *Engine) steer(level int, frontier int64, rule bfs.Direction) bfs.Direction {
+	dir := rule
+	switch e.prog.Hint(level, frontier) {
+	case HintPush:
+		dir = bfs.TopDown
+	case HintPull:
+		dir = bfs.BottomUp
 	}
-	return int(e.n) + 64
-}
-
-// clamp restricts dir to the program's capabilities.
-func (e *Engine) clamp(dir bfs.Direction) bfs.Direction {
 	caps := e.prog.Caps()
 	if dir == bfs.TopDown && caps&CapPush == 0 {
 		return bfs.BottomUp
@@ -161,314 +122,52 @@ func (e *Engine) clamp(dir bfs.Direction) bfs.Direction {
 	return dir
 }
 
-// decide picks the next level's direction: degraded pinning first, then a
-// forced mode, then the program's hint, then the paper's alpha/beta rule
-// on the last two frontier sizes — all clamped to the program's kernels.
-func (e *Engine) decide(cur bfs.Direction, level int, prevCount, curCount int64) bfs.Direction {
-	if e.pinned {
-		return e.pinnedDir
-	}
-	switch e.cfg.Mode {
-	case bfs.ModeTopDownOnly:
-		return bfs.TopDown
-	case bfs.ModeBottomUpOnly:
-		return bfs.BottomUp
-	}
-	switch e.prog.Hint(level, curCount) {
-	case HintPush:
-		return e.clamp(bfs.TopDown)
-	case HintPull:
-		return e.clamp(bfs.BottomUp)
-	}
-	switch cur {
-	case bfs.TopDown:
-		if curCount > prevCount && float64(curCount) > float64(e.n)/e.cfg.Alpha {
-			return e.clamp(bfs.BottomUp)
-		}
-	case bfs.BottomUp:
-		if curCount < prevCount && float64(curCount) < float64(e.n)/e.cfg.Beta {
-			return e.clamp(bfs.TopDown)
-		}
-	}
-	return e.clamp(cur)
-}
-
-// initialDirection picks level 0's direction: a forced mode wins, then the
-// program's level-0 hint, then top-down (the paper's rule: BFS always
-// starts top-down from the source).
-func (e *Engine) initialDirection(count int64) bfs.Direction {
-	switch e.cfg.Mode {
-	case bfs.ModeTopDownOnly:
-		return bfs.TopDown
-	case bfs.ModeBottomUpOnly:
-		return bfs.BottomUp
-	}
-	switch e.prog.Hint(0, count) {
-	case HintPull:
-		return e.clamp(bfs.BottomUp)
-	case HintPush:
-		return e.clamp(bfs.TopDown)
-	}
-	return e.clamp(bfs.TopDown)
-}
-
 // Run executes one program run from root (ignored by unrooted programs)
 // and returns its result. Per-vertex output stays with the Program.
 func (e *Engine) Run(root int64) (*Result, error) {
 	if err := e.prog.Reset(root); err != nil {
 		return nil, err
 	}
-	// Reset traversal state (setup is not charged, matching the Graph500
-	// timing protocol which starts the clock at traversal).
 	e.dedup.Reset()
-	e.nextBM.Reset()
-	for _, bm := range e.frontBM {
-		bm.Reset()
-	}
-	e.frontQ = e.frontQ[:0]
-	for w := range e.nextQ {
-		e.nextQ[w] = e.nextQ[w][:0]
-	}
-	for _, c := range e.clocks {
-		c.AdvanceTo(0)
-	}
-	e.pinned = false
-	layers0 := e.layerTotals()
-	start := e.clocks[0].Now()
+	e.Begin()
+	e.prog.InitialFrontier(root, func(v int64) { e.FrontQ = append(e.FrontQ, v) })
+	count := int64(len(e.FrontQ))
 
-	res := &Result{Root: root}
-	e.prog.InitialFrontier(root, func(v int64) { e.frontQ = append(e.frontQ, v) })
-	curCount := int64(len(e.frontQ))
-	res.Frontier0 = curCount
-	if curCount == 0 {
-		e.finish(res, start, layers0)
-		return res, nil
+	// Level 0's direction: a forced mode wins, then the program's level-0
+	// hint, then top-down (the paper's rule: BFS always starts top-down
+	// from the source). A level-0 pull pays for its frontier conversion.
+	var dir bfs.Direction
+	switch e.Cfg.Mode {
+	case bfs.ModeTopDownOnly:
+		dir = bfs.TopDown
+	case bfs.ModeBottomUpOnly:
+		dir = bfs.BottomUp
+	default:
+		dir = e.steer(0, count, bfs.TopDown)
 	}
-	dir := e.initialDirection(curCount)
-	if dir == bfs.BottomUp {
-		if err := e.convertFrontier(bfs.TopDown, bfs.BottomUp); err != nil {
+	if dir == bfs.BottomUp && count > 0 {
+		if err := e.ConvertFrontier(bfs.TopDown, bfs.BottomUp); err != nil {
 			return nil, err
 		}
 	}
-	prevCount := int64(0)
-
-	for level := 0; ; level++ {
-		if level > e.maxLevels() {
-			return nil, fmt.Errorf("vp: %s: level %d exceeds bound %d without converging",
-				e.prog.Name(), level, e.maxLevels())
-		}
-		newDir := dir
-		if level > 0 {
-			newDir = e.decide(dir, level, prevCount, curCount)
-		}
-		if newDir != dir {
-			if err := e.convertFrontier(dir, newDir); err != nil {
-				return nil, err
-			}
-			res.Switches++
-			dir = newDir
-		}
-		runLevel := func() error {
-			for w := range e.acc {
-				e.acc[w] = workerAcc{}
-			}
-			if dir == bfs.TopDown {
-				return e.runPushLevel()
-			}
-			return e.runPullLevel()
-		}
-		levelStart := vtime.MaxOf(e.clocks)
-		var seeded int64
-		if err := runLevel(); err != nil {
-			// A level kernel failed — usually a device declared dead after
-			// exhausting retries. If the program implements the other
-			// direction and that direction's graph is DRAM-resident,
-			// rescue the level and pin for the rest of the run.
-			to, ok := e.degradeTarget(dir)
-			if !ok {
-				return nil, fmt.Errorf("vp: %s: level %d (%s): %w", e.prog.Name(), level, dir, err)
-			}
-			cause := err
-			seeded, err = e.enterDegraded(dir, to)
-			if err != nil {
-				return nil, fmt.Errorf("vp: %s: level %d: degrading %s -> %s: %w",
-					e.prog.Name(), level, dir, to, err)
-			}
-			res.Resilience.Degraded = append(res.Resilience.Degraded, bfs.DegradedEvent{
-				Level: level, From: dir, To: to, Cause: cause.Error(),
-			})
-			e.pinned, e.pinnedDir = true, to
-			dir = to
-			res.Switches++
-			if err := runLevel(); err != nil {
-				return nil, fmt.Errorf("vp: %s: level %d (%s, degraded): %w",
-					e.prog.Name(), level, dir, err)
-			}
-		}
-		levelEnd := e.barrier.Sync(e.clocks)
-
-		ls := bfs.LevelStats{
-			Level:     level,
-			Direction: dir,
-			Frontier:  curCount,
-			Start:     levelStart,
-			Time:      levelEnd - levelStart,
-		}
-		if dir == bfs.TopDown {
-			for w := range e.acc {
-				ls.FrontierDegree += e.acc[w].frontierDeg
-			}
-		} else {
-			ls.FrontierDegree = -1
-		}
-		// seeded counts claims made by a failed kernel before this level
-		// degraded (monotone programs only); their state is already set but
-		// the re-run's accumulators never saw them.
-		claimed := seeded
-		for w := range e.acc {
-			ls.ExaminedDRAM += e.acc[w].examinedDRAM
-			ls.ExaminedNVM += e.acc[w].examinedNVM
-			claimed += e.acc[w].claimed
-		}
-		ls.Claimed = claimed
-		res.Levels = append(res.Levels, ls)
-		res.Claimed += claimed
-		if dir == bfs.TopDown {
-			res.ExaminedPush += ls.Examined()
-		} else {
-			res.ExaminedPull += ls.Examined()
-		}
-		res.ExaminedNVM += ls.ExaminedNVM
-
-		e.prog.EndLevel(level)
-		if claimed == 0 {
-			break
-		}
-		if e.prog.Converged() {
-			res.Converged = true
-			break
-		}
-		if err := e.promoteNext(dir); err != nil {
-			return nil, err
-		}
-		prevCount, curCount = curCount, claimed
+	run, converged, err := e.Traverse(dir, count)
+	if err != nil {
+		return nil, err
 	}
-	e.finish(res, start, layers0)
-	return res, nil
-}
-
-// finish fills the result's run-wide time and storage-layer views.
-func (e *Engine) finish(res *Result, start vtime.Duration, layers0 nvm.StackStats) {
-	res.Iterations = len(res.Levels)
-	res.Time = vtime.MaxOf(e.clocks) - start
-	res.Layers = e.layerTotals().Sub(layers0)
-	degraded := res.Resilience.Degraded
-	res.Resilience = bfs.ResilienceFromLayers(res.Layers)
-	res.Resilience.Degraded = degraded
-	res.Resilience.Devices = e.deviceHealth()
-	res.Cache = res.Layers.CacheView()
-}
-
-// stacks returns every NVM storage stack behind the engine's graphs.
-func (e *Engine) stacks() []nvm.Storage {
-	var out []nvm.Storage
-	if s, ok := e.fwd.(bfs.StorageStacks); ok {
-		out = append(out, s.Stacks()...)
-	}
-	if s, ok := e.bwd.(bfs.StorageStacks); ok {
-		out = append(out, s.Stacks()...)
-	}
-	return out
-}
-
-// layerTotals collects the cumulative per-layer counters of every stack.
-func (e *Engine) layerTotals() nvm.StackStats { return nvm.CollectStacks(e.stacks()...) }
-
-// deviceHealth merges per-device replica health across every stack.
-func (e *Engine) deviceHealth() []nvm.ReplicaHealth {
-	return nvm.CollectReplicaHealth(e.stacks()...)
-}
-
-// backwardOnNVM reports whether the backward graph has NVM-resident data;
-// unknown placements count as NVM, as in the BFS runner.
-func (e *Engine) backwardOnNVM() bool {
-	if b, ok := e.bwd.(bfs.BackwardNVM); ok {
-		return b.OnNVM()
-	}
-	return true
-}
-
-// degradeTarget decides whether a failed level can be rescued by switching
-// direction: only in hybrid mode, only once per run, only when the program
-// implements the target kernel, and only when the target direction's graph
-// is fully DRAM-resident.
-func (e *Engine) degradeTarget(from bfs.Direction) (bfs.Direction, bool) {
-	if e.cfg.Mode != bfs.ModeHybrid || e.pinned {
-		return 0, false
-	}
-	caps := e.prog.Caps()
-	if from == bfs.TopDown && caps&CapPull != 0 && !e.backwardOnNVM() {
-		return bfs.BottomUp, true
-	}
-	if from == bfs.BottomUp && caps&CapPush != 0 && !e.fwd.OnNVM() {
-		return bfs.TopDown, true
-	}
-	return 0, false
-}
-
-// enterDegraded rescues a partially-executed level so it can be re-run in
-// direction to. For monotone programs the failed kernel's partial claims
-// are preserved by seeding them into the level's output representation —
-// their state is final and the re-run skips them. For non-monotone
-// programs the partial claims are discarded from the frontier accounting
-// (their idempotent state writes stay; the full re-run recomputes every
-// claim exactly once, because a pull level examines all candidates and a
-// push level reaches every vertex adjacent to the frontier). Returns the
-// number of seeded claims.
-func (e *Engine) enterDegraded(from, to bfs.Direction) (int64, error) {
-	var seeded int64
-	if from == bfs.TopDown {
-		// Partial claims live in the per-worker next queues; the pull
-		// re-run outputs into the next bitmap.
-		monotone := e.prog.Monotone()
-		for w := range e.nextQ {
-			for _, v := range e.nextQ[w] {
-				e.dedup.Clear(int(v))
-				if monotone {
-					e.nextBM.Set(int(v))
-					e.prog.Activate(v)
-					seeded++
-				}
-			}
-			e.nextQ[w] = e.nextQ[w][:0]
-		}
-		if err := e.convertFrontier(bfs.TopDown, bfs.BottomUp); err != nil {
-			return 0, err
-		}
-		return seeded, nil
-	}
-	// Pull failed: convert the frontier first (replicasToQueue uses the
-	// next queues as scratch), then move or drop the partial claims in the
-	// next bitmap.
-	if err := e.convertFrontier(bfs.BottomUp, bfs.TopDown); err != nil {
-		return 0, err
-	}
-	words := e.nextBM.Words()
-	if e.prog.Monotone() {
-		for i, word := range words {
-			base := i * 64
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				e.nextQ[0] = append(e.nextQ[0], int64(base+b))
-				seeded++
-			}
-			words[i] = 0
-		}
-	} else {
-		for i := range words {
-			words[i] = 0
-		}
-	}
-	return seeded, nil
+	return &Result{
+		Root:         root,
+		Frontier0:    count,
+		Claimed:      run.Visited,
+		Levels:       run.Levels,
+		Iterations:   len(run.Levels),
+		Converged:    converged,
+		Time:         run.Time,
+		ExaminedPush: run.ExaminedTD,
+		ExaminedPull: run.ExaminedBU,
+		ExaminedNVM:  run.ExaminedNVM,
+		Switches:     run.Switches,
+		Resilience:   run.Resilience,
+		Cache:        run.Cache,
+		Layers:       run.Layers,
+	}, nil
 }

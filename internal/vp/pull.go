@@ -1,6 +1,7 @@
 package vp
 
 import (
+	"semibfs/internal/bfs"
 	"semibfs/internal/vtime"
 )
 
@@ -15,16 +16,16 @@ import (
 // delegates straddling vertices to the owner node's CSR, so every EndPull
 // state write stays worker-exclusive.
 func (e *Engine) runPullLevel() error {
-	cm := &e.cfg.Cost
-	n := int(e.n)
-	return e.parallel(func(w int) error {
-		k := e.nodeOfWorker(w)
-		j := w % e.cpn
-		clock := e.clocks[w]
-		scanner := e.scanners[w]
-		acc := &e.acc[w]
-		frontier := e.frontBM[k]
-		wordLo, wordHi := wordRangeOf(e.part, k)
+	cm := &e.Cfg.Cost
+	n := int(e.N)
+	return e.Parallel(func(w int) error {
+		k := e.NodeOfWorker(w)
+		j := w % e.CPN
+		clock := e.Clocks[w]
+		scanner := e.Scanners[w]
+		acc := &e.Acc[w]
+		frontier := e.FrontBM[k]
+		wordLo, wordHi := bfs.WordRangeOf(e.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
 		// One probe closure per worker per level, as in the BFS runner:
 		// allocating it per vertex would cost one heap allocation per
@@ -33,7 +34,7 @@ func (e *Engine) runPullLevel() error {
 		probe := func(nb int64) bool {
 			return e.prog.PullEdge(w, curV, nb, frontier.Test(int(nb)))
 		}
-		for wi := wordLo + j; wi < wordHi; wi += e.cpn {
+		for wi := wordLo + j; wi < wordHi; wi += e.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // candidate word load
 			base := wi * 64
@@ -51,8 +52,8 @@ func (e *Engine) runPullLevel() error {
 				t = 0
 				// Delegate straddling vertices to their owner node's CSR.
 				vk := k
-				if vi < e.part.Starts[k] || vi >= e.part.Starts[k+1] {
-					vk = e.part.NodeOf(vi)
+				if vi < e.Part.Starts[k] || vi >= e.Part.Starts[k+1] {
+					vk = e.Part.NodeOf(vi)
 				}
 				curV = v
 				e.prog.BeginPull(w, v)
@@ -63,12 +64,12 @@ func (e *Engine) runPullLevel() error {
 				examined := dram + nvmEdges
 				t += edgeCost * vtime.Duration(examined)
 				t += cm.Stream(int(dram) * 8)
-				acc.examinedDRAM += dram
-				acc.examinedNVM += nvmEdges
+				acc.ExaminedDRAM += dram
+				acc.ExaminedNVM += nvmEdges
 				if e.prog.EndPull(w, v) {
-					e.nextBM.Set(vi)
+					e.NextBM.Set(vi)
 					t += cm.LocalAccess + 2*cm.BitmapProbe
-					acc.claimed++
+					acc.Claimed++
 				}
 			}
 			clock.Advance(t)

@@ -5,10 +5,6 @@ import (
 	"semibfs/internal/vtime"
 )
 
-// chunkSize is the number of frontier vertices a worker dequeues at a
-// time, matching the BFS runner (the paper's Section V-C).
-const chunkSize = 64
-
 // runPushLevel expands the frontier queue one level in the scatter
 // direction. Every NUMA node's workers scan the whole frontier against the
 // node's own forward-graph replica, so every state write the program makes
@@ -21,42 +17,42 @@ const chunkSize = 64
 // FrontierPrefetcher get the worker's next chunk announced before the
 // current one is scanned.
 func (e *Engine) runPushLevel() error {
-	cm := &e.cfg.Cost
-	numChunks := (len(e.frontQ) + chunkSize - 1) / chunkSize
-	return e.parallel(func(w int) error {
-		k := e.nodeOfWorker(w)
-		j := w % e.cpn
-		clock := e.clocks[w]
-		cursor := e.cursors[w]
+	cm := &e.Cfg.Cost
+	numChunks := (len(e.FrontQ) + bfs.ChunkSize - 1) / bfs.ChunkSize
+	return e.Parallel(func(w int) error {
+		k := e.NodeOfWorker(w)
+		j := w % e.CPN
+		clock := e.Clocks[w]
+		cursor := e.Cursors[w]
 		pf, _ := cursor.(bfs.FrontierPrefetcher)
-		acc := &e.acc[w]
-		nq := e.nextQ[w]
+		acc := &e.Acc[w]
+		nq := e.NextQ[w]
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		for c := j; c < numChunks; c += e.cpn {
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > len(e.frontQ) {
-				hi = len(e.frontQ)
+		for c := j; c < numChunks; c += e.CPN {
+			lo := c * bfs.ChunkSize
+			hi := lo + bfs.ChunkSize
+			if hi > len(e.FrontQ) {
+				hi = len(e.FrontQ)
 			}
 			if pf != nil {
 				// Announce the worker's *next* chunk so its adjacency I/O
 				// is in flight while this chunk is expanded.
-				if nlo := (c + e.cpn) * chunkSize; nlo < len(e.frontQ) {
-					nhi := nlo + chunkSize
-					if nhi > len(e.frontQ) {
-						nhi = len(e.frontQ)
+				if nlo := (c + e.CPN) * bfs.ChunkSize; nlo < len(e.FrontQ) {
+					nhi := nlo + bfs.ChunkSize
+					if nhi > len(e.FrontQ) {
+						nhi = len(e.FrontQ)
 					}
-					pf.PrefetchFrontier(k, e.frontQ[nlo:nhi])
+					pf.PrefetchFrontier(k, e.FrontQ[nlo:nhi])
 				}
 			}
 			var t vtime.Duration
 			t += cm.Stream((hi - lo) * 8) // dequeue the chunk
-			for _, v := range e.frontQ[lo:hi] {
+			for _, v := range e.FrontQ[lo:hi] {
 				t += cm.VertexOverhead
-				if e.part.NodeOf(int(v)) == k {
+				if e.Part.NodeOf(int(v)) == k {
 					// Statistics only (degree of the frontier vertex,
 					// counted once across nodes).
-					acc.frontierDeg += e.bwd.Degree(v)
+					acc.FrontierDeg += e.Bwd.Degree(v)
 				}
 				clock.Advance(t)
 				t = 0
@@ -66,15 +62,15 @@ func (e *Engine) runPushLevel() error {
 					// are already applied, and the degraded-mode rescue
 					// seeds or discards them per the program's
 					// monotonicity contract.
-					e.nextQ[w] = nq
+					e.NextQ[w] = nq
 					return err
 				}
 				if fromNVM {
-					acc.examinedNVM += int64(len(nbs))
+					acc.ExaminedNVM += int64(len(nbs))
 				} else {
 					// Index entry fetch plus the streamed adjacency bytes.
 					t += cm.LocalAccess + cm.Stream(len(nbs)*8)
-					acc.examinedDRAM += int64(len(nbs))
+					acc.ExaminedDRAM += int64(len(nbs))
 				}
 				for _, nb := range nbs {
 					t += edgeCost
@@ -84,7 +80,7 @@ func (e *Engine) runPushLevel() error {
 					if e.dedup.TestAndSet(int(nb)) {
 						t += cm.AtomicOp + cm.LocalAccess + cm.QueueAppend
 						nq = append(nq, nb)
-						acc.claimed++
+						acc.Claimed++
 					} else {
 						t += cm.AtomicOp
 					}
@@ -92,7 +88,7 @@ func (e *Engine) runPushLevel() error {
 			}
 			clock.Advance(t)
 		}
-		e.nextQ[w] = nq
+		e.NextQ[w] = nq
 		return nil
 	})
 }

@@ -9,12 +9,16 @@
 // frontiers, frontier-driven prefetch, and degraded-mode rescue.
 //
 // A Program supplies only the per-vertex state and the per-edge/per-vertex
-// hooks; the engine owns every shared structure (frontier queue, per-node
-// frontier bitmap replicas, next bitmap, claim-deduplication bitmap) and
-// all virtual-time cost accounting. BFS is one program among several — see
-// bfsprog.go, components.go, and pagerank.go — and the BFS program is held
-// to bit-identical parent trees against bfs.Runner as the refactor's
-// correctness anchor.
+// hooks. The level loop itself is not this package's: Engine embeds
+// bfs.Hybrid — the one single-source skeleton bfs.Runner also runs on,
+// owner of the frontier queue, the per-node frontier bitmap replicas, the
+// next bitmap, the direction controller and the degraded rescue — and
+// supplies the generic push/pull kernels of push.go and pull.go as its
+// bfs.Kernels, together with the claim-deduplication bitmap those kernels
+// need and all their virtual-time cost accounting. BFS is one program among
+// several — see bfsprog.go, components.go, and pagerank.go — and the BFS
+// program is held to bit-identical parent trees against bfs.Runner as the
+// framework's correctness anchor.
 //
 // # Hook order
 //
@@ -57,7 +61,6 @@ package vp
 
 import (
 	"semibfs/internal/bfs"
-	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
@@ -179,28 +182,4 @@ type Result struct {
 	Resilience bfs.Resilience
 	Cache      nvm.CacheStats
 	Layers     nvm.StackStats
-}
-
-// workerAcc accumulates one worker's per-level counters, padded so workers
-// on adjacent cache lines don't false-share.
-type workerAcc struct {
-	examinedDRAM int64
-	examinedNVM  int64
-	claimed      int64
-	frontierDeg  int64
-	_pad         [4]int64
-}
-
-// wordRangeOf returns the half-open range of 64-bit bitmap word indices
-// whose base bit falls inside node k's vertex range — the same word-block
-// ownership rule as the BFS bottom-up kernel, so every pull-level state
-// write stays word-exclusive.
-func wordRangeOf(part *numa.Partition, k int) (lo, hi int) {
-	sLo, sHi := part.Range(k)
-	lo = (sLo + 63) / 64
-	if k == 0 {
-		lo = 0
-	}
-	hi = (sHi + 63) / 64
-	return lo, hi
 }

@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# simdiff.sh <git-ref>: do the virtual numbers of this tree equal <git-ref>'s?
+#
+# Builds cmd/analyze from <git-ref> (exported with `git archive` into a
+# temporary directory outside the checkout) and from the working tree, runs
+#   GOMAXPROCS=1 analyze -exp all -scale 10 -roots 2 -json
+# on both, and compares the outputs byte for byte. On a difference it names
+# the first experiment whose rows differ and exits 1. GOMAXPROCS=1 because
+# virtual time is schedule-dependent above it (ROADMAP item 1).
+#
+# A local tool for refactors that must not move a number; not a CI gate,
+# since a PR may move numbers on purpose.
+set -euo pipefail
+
+[ $# -eq 1 ] || { echo "usage: $0 <git-ref>" >&2; exit 2; }
+ref=$1
+cd "$(git rev-parse --show-toplevel)"
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git archive "$ref" | tar -x -C "$tmp/ref"
+
+(cd "$tmp/ref" && go build -o "$tmp/analyze-ref" ./cmd/analyze)
+go build -o "$tmp/analyze-tree" ./cmd/analyze
+
+args=(-exp all -scale 10 -roots 2 -json)
+GOMAXPROCS=1 "$tmp/analyze-ref" "${args[@]}" > "$tmp/ref.json"
+GOMAXPROCS=1 "$tmp/analyze-tree" "${args[@]}" > "$tmp/tree.json"
+
+if cmp -s "$tmp/ref.json" "$tmp/tree.json"; then
+	echo "simdiff: identical to $ref ($(grep -cE '^  "[^"]+": ' "$tmp/tree.json") experiments, $(wc -c < "$tmp/tree.json") bytes)"
+	exit 0
+fi
+# The JSON is one indented object keyed by experiment name: the key that
+# owns the first differing line is the last top-level key at or above it.
+line=$({ cmp "$tmp/ref.json" "$tmp/tree.json" || true; } | sed 's/.*line \([0-9]*\).*/\1/')
+key=$(awk -v n="$line" 'NR > n { exit } /^  "[^"]+": / { k = $1 } END { gsub(/[":]/, "", k); print k }' "$tmp/tree.json")
+echo "simdiff: differs from $ref; first differing experiment: ${key:-<top level>} (line $line)"
+{ diff "$tmp/ref.json" "$tmp/tree.json" || true; } | head -20
+exit 1
