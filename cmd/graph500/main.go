@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -34,62 +35,72 @@ import (
 	"semibfs/internal/vtime"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process edges injected, so tests can drive the CLI.
+func run(args []string, w, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graph500", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale      = flag.Int("scale", 18, "log2 of the number of vertices")
-		edgeFactor = flag.Int("edgefactor", 16, "edges per vertex")
-		seed       = flag.Uint64("seed", 12345, "graph generator seed")
-		roots      = flag.Int("roots", 64, "number of BFS iterations")
-		validate   = flag.Int("validate", 4, "fully validate this many roots (0 = all)")
-		scenario   = flag.String("scenario", "dram", "dram | pcie | ssd")
-		alpha      = flag.Float64("alpha", 1e4, "top-down -> bottom-up switch threshold")
-		betaMult   = flag.Float64("beta-mult", 10, "beta = beta-mult * alpha")
-		mode       = flag.String("mode", "hybrid", "hybrid | topdown | bottomup | reference")
-		algo       = flag.String("algo", "bfs", "vertex program: bfs (Graph500 protocol) | cc (connected components) | pagerank")
-		prTol      = flag.Float64("pr-tol", 0, "PageRank L1 convergence tolerance (0 = 1e-6; requires -algo pagerank)")
-		prIters    = flag.Int("pr-iters", 0, "PageRank iteration cap (0 = 100; requires -algo pagerank)")
-		dir        = flag.String("dir", "", "directory for NVM store files (empty = in-memory)")
-		bwLimit    = flag.Int("backward-limit", 0, "DRAM edges per vertex for the backward graph (0 = all)")
-		levels     = flag.Bool("levels", false, "print per-level statistics of the first root")
-		latScale   = flag.String("latency-scale", "1", "device latency scale factor, or 'auto' for the SCALE-27 equivalence factor")
-		aggIO      = flag.Bool("aggregate-io", false, "raise forward-graph requests from 4 KiB to 128 KiB (libaio-style aggregation ablation)")
-		idxDRAM    = flag.Bool("index-in-dram", false, "keep the forward graph's index arrays in DRAM (ablation; the paper stores them on NVM)")
-		elNVM      = flag.Bool("edgelist-nvm", false, "offload the edge list to its own NVM store and stream construction/validation from it (the paper's Step 1/2 data path)")
-		edgesFile  = flag.String("edges", "", "load the edge list from a file written by cmd/gen instead of generating")
-		official   = flag.Bool("official", false, "print the official Graph500 output format instead of the extended report")
-		faultRate  = flag.Float64("fault-rate", 0, "inject transient read errors at this rate on every NVM store")
-		faultAfter = flag.Int64("fault-after", 0, "kill each NVM store permanently after this many reads (0 = never)")
-		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-		corrupt    = flag.Float64("fault-corrupt", 0, "bit-flip corruption rate on NVM reads (enables CRC32 checksums)")
-		faultRep   = flag.Int("fault-replica", 0, "restrict -fault-after to one replica: 1 kills replica 0, ... (0 = all stores)")
-		replicas   = flag.Int("replicas", 1, "mirror the forward graph across this many simulated devices")
-		scrubRate  = flag.Float64("scrub-rate", 0, "background scrub pace in blocks per virtual second (0 = off; requires -replicas > 1)")
-		cacheSize  = flag.String("cache-bytes", "", "DRAM page-cache budget for the forward graph, e.g. 64M or 1G (empty = no cache)")
-		readahead  = flag.Int("readahead", 0, "value-store readahead depth in cache blocks (requires -cache-bytes)")
-		compress   = flag.Bool("compress", false, "store NVM adjacency delta+varint compressed (trades device bytes for host decode time)")
-		queueDepth = flag.Int("queue-depth", 0, "async I/O pipeline slots above each NVM store's cache (0 = synchronous; requires -cache-bytes)")
-		prefetch   = flag.Int("prefetch", 0, "frontier vertices announced for readahead per top-down chunk (0 = off; requires -cache-bytes)")
-		layers     = flag.Bool("layers", false, "print the per-layer storage-stack counter report")
-		batch      = flag.Int("batch", 0, "batched multi-source mode: BFS lanes per batch, 1-64 (0 = classic per-root protocol)")
-		queries    = flag.Int("queries", 0, "query-stream length in batched mode (0 = -roots; requires -batch)")
-		qps        = flag.Float64("qps", 0, "serving mode: open-loop query arrivals at this rate on the virtual clock (requires -batch)")
-		deadline   = flag.Float64("deadline", 0, "serving mode: per-query virtual deadline in seconds (0 = none)")
-		queueCap   = flag.Int("queue-cap", 0, "serving mode: submission-queue bound; full queues shed per -shed-policy (0 = unbounded)")
-		shedPolicy = flag.String("shed-policy", "reject-newest", "serving mode: reject-newest | reject-oldest | reject-lowest-priority")
-		grid       = flag.String("grid", "", "simulate an RxC cluster (e.g. 4x4): the adjacency is 2D-blocked and every machine carries the scenario's per-node storage stack")
-		updates    = flag.Int("updates", 0, "dynamic mode: stream this many durable graph updates through the WAL, interleaved with the BFS iterations (requires pcie or ssd)")
-		updRate    = flag.Int("update-rate", 0, "dynamic mode: updates per batch; one batch is logged, applied, and repaired before each BFS iteration (0 = updates/roots)")
-		crashAt    = flag.String("crash-at", "none", "dynamic mode: inject a power cut during 'wal' (mid log append) or 'compaction' (mid manifest flip), then recover (none = crash-free)")
+		scale      = fs.Int("scale", 18, "log2 of the number of vertices")
+		edgeFactor = fs.Int("edgefactor", 16, "edges per vertex")
+		seed       = fs.Uint64("seed", 12345, "graph generator seed")
+		roots      = fs.Int("roots", 64, "number of BFS iterations")
+		validate   = fs.Int("validate", 4, "fully validate this many roots (0 = all)")
+		scenario   = fs.String("scenario", "dram", "dram | pcie | ssd")
+		alpha      = fs.Float64("alpha", 1e4, "top-down -> bottom-up switch threshold")
+		betaMult   = fs.Float64("beta-mult", 10, "beta = beta-mult * alpha")
+		mode       = fs.String("mode", "hybrid", "hybrid | topdown | bottomup | reference")
+		algo       = fs.String("algo", "bfs", "vertex program: bfs (Graph500 protocol) | cc (connected components) | pagerank")
+		prTol      = fs.Float64("pr-tol", 0, "PageRank L1 convergence tolerance (0 = 1e-6; requires -algo pagerank)")
+		prIters    = fs.Int("pr-iters", 0, "PageRank iteration cap (0 = 100; requires -algo pagerank)")
+		dir        = fs.String("dir", "", "directory for NVM store files (empty = in-memory)")
+		bwLimit    = fs.Int("backward-limit", 0, "DRAM edges per vertex for the backward graph (0 = all)")
+		levels     = fs.Bool("levels", false, "print per-level statistics of the first root")
+		latScale   = fs.String("latency-scale", "1", "device latency scale factor, or 'auto' for the SCALE-27 equivalence factor")
+		aggIO      = fs.Bool("aggregate-io", false, "raise forward-graph requests from 4 KiB to 128 KiB (libaio-style aggregation ablation)")
+		idxDRAM    = fs.Bool("index-in-dram", false, "keep the forward graph's index arrays in DRAM (ablation; the paper stores them on NVM)")
+		elNVM      = fs.Bool("edgelist-nvm", false, "offload the edge list to its own NVM store and stream construction/validation from it (the paper's Step 1/2 data path)")
+		edgesFile  = fs.String("edges", "", "load the edge list from a file written by cmd/gen instead of generating")
+		official   = fs.Bool("official", false, "print the official Graph500 output format instead of the extended report")
+		faultRate  = fs.Float64("fault-rate", 0, "inject transient read errors at this rate on every NVM store")
+		faultAfter = fs.Int64("fault-after", 0, "kill each NVM store permanently after this many reads (0 = never)")
+		faultSeed  = fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
+		corrupt    = fs.Float64("fault-corrupt", 0, "bit-flip corruption rate on NVM reads (enables CRC32 checksums)")
+		faultRep   = fs.Int("fault-replica", 0, "restrict -fault-after to one replica: 1 kills replica 0, ... (0 = all stores)")
+		replicas   = fs.Int("replicas", 1, "mirror the forward graph across this many simulated devices")
+		scrubRate  = fs.Float64("scrub-rate", 0, "background scrub pace in blocks per virtual second (0 = off; requires -replicas > 1)")
+		cacheSize  = fs.String("cache-bytes", "", "DRAM page-cache budget for the forward graph, e.g. 64M or 1G (empty = no cache)")
+		readahead  = fs.Int("readahead", 0, "value-store readahead depth in cache blocks (requires -cache-bytes)")
+		compress   = fs.Bool("compress", false, "store NVM adjacency delta+varint compressed (trades device bytes for host decode time)")
+		queueDepth = fs.Int("queue-depth", 0, "async I/O pipeline slots above each NVM store's cache (0 = synchronous; requires -cache-bytes)")
+		prefetch   = fs.Int("prefetch", 0, "frontier vertices announced for readahead per top-down chunk (0 = off; requires -cache-bytes)")
+		layers     = fs.Bool("layers", false, "print the per-layer storage-stack counter report")
+		batch      = fs.Int("batch", 0, "batched multi-source mode: BFS lanes per batch, 1-64 (0 = classic per-root protocol)")
+		queries    = fs.Int("queries", 0, "query-stream length in batched mode (0 = -roots; requires -batch)")
+		qps        = fs.Float64("qps", 0, "serving mode: open-loop query arrivals at this rate on the virtual clock (requires -batch)")
+		deadline   = fs.Float64("deadline", 0, "serving mode: per-query virtual deadline in seconds (0 = none)")
+		queueCap   = fs.Int("queue-cap", 0, "serving mode: submission-queue bound; full queues shed per -shed-policy (0 = unbounded)")
+		shedPolicy = fs.String("shed-policy", "reject-newest", "serving mode: reject-newest | reject-oldest | reject-lowest-priority")
+		grid       = fs.String("grid", "", "simulate an RxC cluster (e.g. 4x4): the adjacency is 2D-blocked and every machine carries the scenario's per-node storage stack")
+		updates    = fs.Int("updates", 0, "dynamic mode: stream this many durable graph updates through the WAL, interleaved with the BFS iterations (requires pcie or ssd)")
+		updRate    = fs.Int("update-rate", 0, "dynamic mode: updates per batch; one batch is logged, applied, and repaired before each BFS iteration (0 = updates/roots)")
+		crashAt    = fs.String("crash-at", "none", "dynamic mode: inject a power cut during 'wal' (mid log append) or 'compaction' (mid manifest flip), then recover (none = crash-free)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	sc, err := scenarioByName(*scenario)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	if *bwLimit > 0 {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-backward-limit requires an NVM scenario (pcie or ssd)"))
+			return fail(stderr, fmt.Errorf("-backward-limit requires an NVM scenario (pcie or ssd)"))
 		}
 		sc.BackwardDRAMEdgeLimit = *bwLimit
 	}
@@ -100,26 +111,26 @@ func main() {
 	default:
 		f, err := strconv.ParseFloat(*latScale, 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad -latency-scale %q: %v", *latScale, err))
+			return fail(stderr, fmt.Errorf("bad -latency-scale %q: %v", *latScale, err))
 		}
 		sc.LatencyScale = f
 	}
 	if *aggIO || *idxDRAM {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-aggregate-io / -index-in-dram require an NVM scenario"))
+			return fail(stderr, fmt.Errorf("-aggregate-io / -index-in-dram require an NVM scenario"))
 		}
 		sc.AggregateIO = *aggIO
 		sc.IndexInDRAM = *idxDRAM
 	}
 	if *faultRate < 0 || *faultRate > 1 || *corrupt < 0 || *corrupt > 1 {
-		fatal(fmt.Errorf("-fault-rate / -fault-corrupt must be in [0, 1]"))
+		return fail(stderr, fmt.Errorf("-fault-rate / -fault-corrupt must be in [0, 1]"))
 	}
 	if *faultAfter < 0 {
-		fatal(fmt.Errorf("-fault-after must be >= 0"))
+		return fail(stderr, fmt.Errorf("-fault-after must be >= 0"))
 	}
 	if *faultRate > 0 || *faultAfter > 0 || *corrupt > 0 {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-fault-rate / -fault-after / -fault-corrupt require an NVM scenario"))
+			return fail(stderr, fmt.Errorf("-fault-rate / -fault-after / -fault-corrupt require an NVM scenario"))
 		}
 		sc.Faults = faults.Config{
 			Seed:          *faultSeed,
@@ -132,67 +143,67 @@ func main() {
 		sc.Checksums = *corrupt > 0
 	}
 	if *replicas < 1 {
-		fatal(fmt.Errorf("-replicas must be >= 1"))
+		return fail(stderr, fmt.Errorf("-replicas must be >= 1"))
 	}
 	if *replicas > 1 || *scrubRate > 0 {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-replicas / -scrub-rate require an NVM scenario (pcie or ssd)"))
+			return fail(stderr, fmt.Errorf("-replicas / -scrub-rate require an NVM scenario (pcie or ssd)"))
 		}
 		if *scrubRate < 0 {
-			fatal(fmt.Errorf("-scrub-rate must be >= 0"))
+			return fail(stderr, fmt.Errorf("-scrub-rate must be >= 0"))
 		}
 		if *scrubRate > 0 && *replicas == 1 {
-			fatal(fmt.Errorf("-scrub-rate requires -replicas > 1 (a lone device has no mirror to repair from)"))
+			return fail(stderr, fmt.Errorf("-scrub-rate requires -replicas > 1 (a lone device has no mirror to repair from)"))
 		}
 		sc = sc.WithReplicas(*replicas, *scrubRate)
 	}
 	if *faultRep < 0 || *faultRep > *replicas {
-		fatal(fmt.Errorf("-fault-replica must be in [0, %d]", *replicas))
+		return fail(stderr, fmt.Errorf("-fault-replica must be in [0, %d]", *replicas))
 	}
 	if *cacheSize != "" {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-cache-bytes requires an NVM scenario (pcie or ssd)"))
+			return fail(stderr, fmt.Errorf("-cache-bytes requires an NVM scenario (pcie or ssd)"))
 		}
 		budget, err := parseBytes(*cacheSize)
 		if err != nil {
-			fatal(fmt.Errorf("bad -cache-bytes %q: %v", *cacheSize, err))
+			return fail(stderr, fmt.Errorf("bad -cache-bytes %q: %v", *cacheSize, err))
 		}
 		sc.CacheBytes = budget
 	}
 	if *readahead < 0 {
-		fatal(fmt.Errorf("-readahead must be >= 0"))
+		return fail(stderr, fmt.Errorf("-readahead must be >= 0"))
 	}
 	if *readahead > 0 {
 		if sc.CacheBytes <= 0 {
-			fatal(fmt.Errorf("-readahead requires -cache-bytes"))
+			return fail(stderr, fmt.Errorf("-readahead requires -cache-bytes"))
 		}
 		sc.ReadaheadBlocks = *readahead
 	}
 	if *queueDepth < 0 || *prefetch < 0 {
-		fatal(fmt.Errorf("-queue-depth / -prefetch must be >= 0"))
+		return fail(stderr, fmt.Errorf("-queue-depth / -prefetch must be >= 0"))
 	}
 	if *compress || *queueDepth > 0 || *prefetch > 0 {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-compress / -queue-depth / -prefetch require an NVM scenario"))
+			return fail(stderr, fmt.Errorf("-compress / -queue-depth / -prefetch require an NVM scenario"))
 		}
 		if (*queueDepth > 0 || *prefetch > 0) && sc.CacheBytes <= 0 {
-			fatal(fmt.Errorf("-queue-depth / -prefetch require -cache-bytes (the pipeline fills cache pages)"))
+			return fail(stderr, fmt.Errorf("-queue-depth / -prefetch require -cache-bytes (the pipeline fills cache pages)"))
 		}
 		sc = sc.WithIO(*compress, *queueDepth, *prefetch)
 	}
 	bfsMode, isRef, err := modeByName(*mode)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	alg, err := core.ParseAlgorithm(*algo)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	if (*prTol != 0 || *prIters != 0) && alg != core.AlgoPageRank {
-		fatal(fmt.Errorf("-pr-tol / -pr-iters require -algo pagerank"))
+		return fail(stderr, fmt.Errorf("-pr-tol / -pr-iters require -algo pagerank"))
 	}
 	if *prTol < 0 || *prIters < 0 {
-		fatal(fmt.Errorf("-pr-tol / -pr-iters must be >= 0"))
+		return fail(stderr, fmt.Errorf("-pr-tol / -pr-iters must be >= 0"))
 	}
 	sc = sc.WithAlgorithm(alg)
 
@@ -215,35 +226,35 @@ func main() {
 	}
 
 	if *queries != 0 && *batch == 0 {
-		fatal(fmt.Errorf("-queries requires -batch"))
+		return fail(stderr, fmt.Errorf("-queries requires -batch"))
 	}
 	if (*qps != 0 || *deadline != 0 || *queueCap != 0) && *batch == 0 {
-		fatal(fmt.Errorf("-qps / -deadline / -queue-cap require -batch"))
+		return fail(stderr, fmt.Errorf("-qps / -deadline / -queue-cap require -batch"))
 	}
 	if *qps < 0 || *deadline < 0 || *queueCap < 0 {
-		fatal(fmt.Errorf("-qps / -deadline / -queue-cap must be >= 0"))
+		return fail(stderr, fmt.Errorf("-qps / -deadline / -queue-cap must be >= 0"))
 	}
 	policy, err := serve.ParsePolicy(*shedPolicy)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	crash := strings.ToLower(*crashAt)
 	if crash == "" {
 		crash = "none"
 	}
 	if (*updRate != 0 || crash != "none") && *updates == 0 {
-		fatal(fmt.Errorf("-update-rate / -crash-at require -updates"))
+		return fail(stderr, fmt.Errorf("-update-rate / -crash-at require -updates"))
 	}
 	if *updates < 0 || *updRate < 0 {
-		fatal(fmt.Errorf("-updates / -update-rate must be >= 0"))
+		return fail(stderr, fmt.Errorf("-updates / -update-rate must be >= 0"))
 	}
 	if *grid != "" {
 		if *batch > 0 || *updates > 0 || isRef || *official || alg != core.AlgoBFS {
-			fatal(fmt.Errorf("-grid runs the distributed BFS protocol; it does not combine with -batch, -updates, -official, -algo, or the reference mode"))
+			return fail(stderr, fmt.Errorf("-grid runs the distributed BFS protocol; it does not combine with -batch, -updates, -official, -algo, or the reference mode"))
 		}
 		gr, gc, err := parseGrid(*grid)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		var list *edgelist.List
 		if *edgesFile != "" {
@@ -254,16 +265,16 @@ func main() {
 			})
 		}
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		if err := runGrid(list, p, gr, gc); err != nil {
-			fatal(err)
+		if err := runGrid(w, list, p, gr, gc); err != nil {
+			return fail(stderr, err)
 		}
-		return
+		return 0
 	}
 	if alg != core.AlgoBFS {
 		if *batch > 0 || *updates > 0 || isRef || *official {
-			fatal(fmt.Errorf("-algo %s runs the vertex-program path; it does not combine with -batch, -updates, -official, or the reference mode", alg))
+			return fail(stderr, fmt.Errorf("-algo %s runs the vertex-program path; it does not combine with -batch, -updates, -official, or the reference mode", alg))
 		}
 		var list *edgelist.List
 		if *edgesFile != "" {
@@ -274,26 +285,26 @@ func main() {
 			})
 		}
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		prOpts := vp.PageRankOptions{Tol: *prTol, MaxIters: *prIters}
-		if err := runAlgorithm(list, p, prOpts, *levels, *layers); err != nil {
-			fatal(err)
+		if err := runAlgorithm(w, list, p, prOpts, *levels, *layers); err != nil {
+			return fail(stderr, err)
 		}
-		return
+		return 0
 	}
 	if *updates > 0 {
 		if !sc.HasNVM() {
-			fatal(fmt.Errorf("-updates requires an NVM scenario (pcie or ssd): durability lives on the device stores"))
+			return fail(stderr, fmt.Errorf("-updates requires an NVM scenario (pcie or ssd): durability lives on the device stores"))
 		}
 		if *batch > 0 || isRef {
-			fatal(fmt.Errorf("-updates does not combine with -batch or the reference mode"))
+			return fail(stderr, fmt.Errorf("-updates does not combine with -batch or the reference mode"))
 		}
 		if *official {
-			fatal(fmt.Errorf("-updates prints the extended dynamic report, not the official format"))
+			return fail(stderr, fmt.Errorf("-updates prints the extended dynamic report, not the official format"))
 		}
 		if *dir != "" {
-			fatal(fmt.Errorf("-updates keeps its stores on simulated reopenable media; -dir is not supported"))
+			return fail(stderr, fmt.Errorf("-updates keeps its stores on simulated reopenable media; -dir is not supported"))
 		}
 		var list *edgelist.List
 		if *edgesFile != "" {
@@ -304,16 +315,16 @@ func main() {
 			})
 		}
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		if err := runDynamic(list, p, *updates, *updRate, crash); err != nil {
-			fatal(err)
+		if err := runDynamic(w, list, p, *updates, *updRate, crash); err != nil {
+			return fail(stderr, err)
 		}
-		return
+		return 0
 	}
 	if *batch > 0 {
 		if isRef {
-			fatal(fmt.Errorf("-batch does not apply to the reference mode"))
+			return fail(stderr, fmt.Errorf("-batch does not apply to the reference mode"))
 		}
 		var list *edgelist.List
 		if *edgesFile != "" {
@@ -324,7 +335,7 @@ func main() {
 			})
 		}
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		nq := *queries
 		if nq == 0 {
@@ -338,14 +349,14 @@ func main() {
 				DefaultDeadline: *deadline,
 				KeepTrees:       true,
 			}
-			err = runServed(list, p, nq, *qps, scfg)
+			err = runServed(w, list, p, nq, *qps, scfg)
 		} else {
-			err = runBatched(list, p, *batch, nq)
+			err = runBatched(w, list, p, *batch, nq)
 		}
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		return
+		return 0
 	}
 
 	start := time.Now()
@@ -356,45 +367,46 @@ func main() {
 	case *edgesFile != "":
 		list, lerr := edgelist.LoadFile(*edgesFile)
 		if lerr != nil {
-			fatal(lerr)
+			return fail(stderr, lerr)
 		}
 		res, err = graph500.RunList(list, p)
 	default:
 		res, err = graph500.Run(p)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	if *official {
-		if err := graph500.WriteReport(os.Stdout, res); err != nil {
-			fatal(err)
+		if err := graph500.WriteReport(w, res); err != nil {
+			return fail(stderr, err)
 		}
-		return
+		return 0
 	}
-	printReport(res, time.Since(start))
+	printReport(w, res, time.Since(start))
 	if *layers {
-		printLayers(res.Layers)
+		printLayers(w, res.Layers)
 	}
+	return 0
 }
 
 // printLayers renders the generic per-layer storage-stack counters
 // aggregated over all BFS iterations, outermost layer first. Gauges
 // (capacities, block sizes, limits) are marked to distinguish them from
 // accumulated activity.
-func printLayers(s nvm.StackStats) {
-	fmt.Println("\nstorage stack layers (outermost first):")
+func printLayers(w io.Writer, s nvm.StackStats) {
+	fmt.Fprintln(w, "\nstorage stack layers (outermost first):")
 	if len(s) == 0 {
-		fmt.Println("  (no NVM storage stacks; graphs are DRAM-resident)")
+		fmt.Fprintln(w, "  (no NVM storage stacks; graphs are DRAM-resident)")
 		return
 	}
 	for _, l := range s {
-		fmt.Printf("  %s:\n", l.Kind)
+		fmt.Fprintf(w, "  %s:\n", l.Kind)
 		for _, c := range l.Counters {
 			mark := ""
 			if c.Gauge {
 				mark = "  (gauge)"
 			}
-			fmt.Printf("    %-20s %12d%s\n", c.Name, c.Value, mark)
+			fmt.Fprintf(w, "    %-20s %12d%s\n", c.Name, c.Value, mark)
 		}
 	}
 }
@@ -418,7 +430,7 @@ func parseGrid(s string) (rows, cols int, err error) {
 // runGrid runs the per-root protocol on a simulated RxC cluster whose
 // machines each carry the scenario's per-node storage stack, and prints
 // the distributed report plus the per-machine layer/health table.
-func runGrid(list *edgelist.List, p graph500.Params, rows, cols int) error {
+func runGrid(w io.Writer, list *edgelist.List, p graph500.Params, rows, cols int) error {
 	p = p.WithDefaults()
 	start := time.Now()
 	src := edgelist.ListSource{List: list}
@@ -443,12 +455,12 @@ func runGrid(list *edgelist.List, p graph500.Params, rows, cols int) error {
 		return err
 	}
 
-	fmt.Printf("SCALE:                %d\n", p.Scale)
-	fmt.Printf("edgefactor:           %d\n", p.EdgeFactor)
-	fmt.Printf("NBFS:                 %d\n", len(roots))
-	fmt.Printf("scenario:             %s (per machine)\n", p.Scenario.Name)
-	fmt.Printf("grid:                 %dx%d machines, 2D adjacency blocking\n", rows, cols)
-	fmt.Printf("mode:                 hybrid  alpha=%g beta=%g\n", cfg.Alpha, cfg.Beta)
+	fmt.Fprintf(w, "SCALE:                %d\n", p.Scale)
+	fmt.Fprintf(w, "edgefactor:           %d\n", p.EdgeFactor)
+	fmt.Fprintf(w, "NBFS:                 %d\n", len(roots))
+	fmt.Fprintf(w, "scenario:             %s (per machine)\n", p.Scenario.Name)
+	fmt.Fprintf(w, "grid:                 %dx%d machines, 2D adjacency blocking\n", rows, cols)
+	fmt.Fprintf(w, "mode:                 hybrid  alpha=%g beta=%g\n", cfg.Alpha, cfg.Beta)
 
 	var teps []float64
 	var comm cluster.CommStats
@@ -484,21 +496,21 @@ func runGrid(list *edgelist.List, p graph500.Params, rows, cols int) error {
 		}
 	}
 	s := stats.Summarize(teps)
-	fmt.Printf("validated roots:      %d of %d\n", validated, len(roots))
-	fmt.Printf("median_TEPS:          %s\n", stats.FormatTEPS(s.Median))
-	fmt.Printf("harmonic_mean_TEPS:   %s\n", stats.FormatTEPS(s.HarmonicMean))
-	fmt.Printf("comm bytes:           %s over %d runs\n", stats.FormatBytes(comm.Total()), len(roots))
-	fmt.Printf("  td frontier:        %s\n", stats.FormatBytes(comm.TDFrontier))
-	fmt.Printf("  td candidates:      %s\n", stats.FormatBytes(comm.TDCandidate))
-	fmt.Printf("  bu allgather:       %s\n", stats.FormatBytes(comm.BUAllgather))
-	fmt.Printf("  bu ring:            %s\n", stats.FormatBytes(comm.BURing))
-	fmt.Printf("  control:            %s\n", stats.FormatBytes(comm.Control))
+	fmt.Fprintf(w, "validated roots:      %d of %d\n", validated, len(roots))
+	fmt.Fprintf(w, "median_TEPS:          %s\n", stats.FormatTEPS(s.Median))
+	fmt.Fprintf(w, "harmonic_mean_TEPS:   %s\n", stats.FormatTEPS(s.HarmonicMean))
+	fmt.Fprintf(w, "comm bytes:           %s over %d runs\n", stats.FormatBytes(comm.Total()), len(roots))
+	fmt.Fprintf(w, "  td frontier:        %s\n", stats.FormatBytes(comm.TDFrontier))
+	fmt.Fprintf(w, "  td candidates:      %s\n", stats.FormatBytes(comm.TDCandidate))
+	fmt.Fprintf(w, "  bu allgather:       %s\n", stats.FormatBytes(comm.BUAllgather))
+	fmt.Fprintf(w, "  bu ring:            %s\n", stats.FormatBytes(comm.BURing))
+	fmt.Fprintf(w, "  control:            %s\n", stats.FormatBytes(comm.Control))
 	if degradedRuns > 0 {
-		fmt.Printf("degraded runs:        %d (a machine died unrescuably; traversal pinned to DRAM-resident state)\n", degradedRuns)
+		fmt.Fprintf(w, "degraded runs:        %d (a machine died unrescuably; traversal pinned to DRAM-resident state)\n", degradedRuns)
 	}
 
-	fmt.Println("\nper-machine report:")
-	fmt.Println("machine  status  vtime         reads   read-bytes   replicas")
+	fmt.Fprintln(w, "\nper-machine report:")
+	fmt.Fprintln(w, "machine  status  vtime         reads   read-bytes   replicas")
 	for _, st := range g.MachineReport() {
 		status := "ok"
 		if st.Dead {
@@ -512,11 +524,11 @@ func runGrid(list *edgelist.List, p graph500.Params, rows, cols int) error {
 			}
 			rep = strings.Join(parts, " ")
 		}
-		fmt.Printf("(%d,%d)    %-6s  %-12v %6d   %-10s   %s\n",
+		fmt.Fprintf(w, "(%d,%d)    %-6s  %-12v %6d   %-10s   %s\n",
 			st.Row, st.Col, status, st.Time.ToTime(), st.Device.Reads,
 			stats.FormatBytes(st.Device.ReadBytes), rep)
 	}
-	fmt.Printf("\nwall time:            %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "\nwall time:            %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -577,86 +589,86 @@ func modeByName(name string) (bfs.Mode, bool, error) {
 	}
 }
 
-func printReport(res *graph500.Result, wall time.Duration) {
+func printReport(w io.Writer, res *graph500.Result, wall time.Duration) {
 	p := res.Params
-	fmt.Printf("SCALE:                %d\n", p.Scale)
-	fmt.Printf("edgefactor:           %d\n", p.EdgeFactor)
-	fmt.Printf("NBFS:                 %d\n", len(res.PerRoot))
-	fmt.Printf("scenario:             %s\n", p.Scenario.Name)
-	fmt.Printf("mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
-	fmt.Printf("graph DRAM bytes:     %s\n", stats.FormatBytes(res.DRAMBytes))
-	fmt.Printf("graph NVM bytes:      %s\n", stats.FormatBytes(res.NVMBytes))
-	fmt.Printf("BFS status bytes:     %s\n", stats.FormatBytes(res.StatusBytes))
+	fmt.Fprintf(w, "SCALE:                %d\n", p.Scale)
+	fmt.Fprintf(w, "edgefactor:           %d\n", p.EdgeFactor)
+	fmt.Fprintf(w, "NBFS:                 %d\n", len(res.PerRoot))
+	fmt.Fprintf(w, "scenario:             %s\n", p.Scenario.Name)
+	fmt.Fprintf(w, "mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
+	fmt.Fprintf(w, "graph DRAM bytes:     %s\n", stats.FormatBytes(res.DRAMBytes))
+	fmt.Fprintf(w, "graph NVM bytes:      %s\n", stats.FormatBytes(res.NVMBytes))
+	fmt.Fprintf(w, "BFS status bytes:     %s\n", stats.FormatBytes(res.StatusBytes))
 	s := res.TEPS
-	fmt.Printf("min_TEPS:             %s\n", stats.FormatTEPS(s.Min))
-	fmt.Printf("firstquartile_TEPS:   %s\n", stats.FormatTEPS(s.FirstQuartile))
-	fmt.Printf("median_TEPS:          %s\n", stats.FormatTEPS(s.Median))
-	fmt.Printf("thirdquartile_TEPS:   %s\n", stats.FormatTEPS(s.ThirdQuartile))
-	fmt.Printf("max_TEPS:             %s\n", stats.FormatTEPS(s.Max))
-	fmt.Printf("harmonic_mean_TEPS:   %s\n", stats.FormatTEPS(s.HarmonicMean))
+	fmt.Fprintf(w, "min_TEPS:             %s\n", stats.FormatTEPS(s.Min))
+	fmt.Fprintf(w, "firstquartile_TEPS:   %s\n", stats.FormatTEPS(s.FirstQuartile))
+	fmt.Fprintf(w, "median_TEPS:          %s\n", stats.FormatTEPS(s.Median))
+	fmt.Fprintf(w, "thirdquartile_TEPS:   %s\n", stats.FormatTEPS(s.ThirdQuartile))
+	fmt.Fprintf(w, "max_TEPS:             %s\n", stats.FormatTEPS(s.Max))
+	fmt.Fprintf(w, "harmonic_mean_TEPS:   %s\n", stats.FormatTEPS(s.HarmonicMean))
 	if res.DeviceStats.Reads > 0 {
 		d := res.DeviceStats
-		fmt.Printf("NVM reads:            %d (%s)\n", d.Reads, stats.FormatBytes(d.ReadBytes))
-		fmt.Printf("NVM avgqu-sz:         %.1f\n", d.AvgQueueSize)
-		fmt.Printf("NVM avgrq-sz:         %.1f sectors\n", d.AvgRequestSectors)
-		fmt.Printf("NVM await:            %v\n", (d.AvgWait + d.AvgService).ToTime())
+		fmt.Fprintf(w, "NVM reads:            %d (%s)\n", d.Reads, stats.FormatBytes(d.ReadBytes))
+		fmt.Fprintf(w, "NVM avgqu-sz:         %.1f\n", d.AvgQueueSize)
+		fmt.Fprintf(w, "NVM avgrq-sz:         %.1f sectors\n", d.AvgRequestSectors)
+		fmt.Fprintf(w, "NVM await:            %v\n", (d.AvgWait + d.AvgService).ToTime())
 	}
 	if c := res.CacheStats; c.CapacityBytes > 0 {
-		fmt.Printf("page cache:           %s (%d-byte blocks, readahead %d)\n",
+		fmt.Fprintf(w, "page cache:           %s (%d-byte blocks, readahead %d)\n",
 			stats.FormatBytes(c.CapacityBytes), c.BlockBytes, p.Scenario.ReadaheadBlocks)
-		fmt.Printf("cache hits:           %d of %d lookups (%.1f%%), %d evictions\n",
+		fmt.Fprintf(w, "cache hits:           %d of %d lookups (%.1f%%), %d evictions\n",
 			c.Hits, c.Hits+c.Misses, 100*c.HitRate(), c.Evictions)
 		if c.Prefetches > 0 {
-			fmt.Printf("cache prefetches:     %d issued, %d hit\n", c.Prefetches, c.PrefetchHits)
+			fmt.Fprintf(w, "cache prefetches:     %d issued, %d hit\n", c.Prefetches, c.PrefetchHits)
 		}
 	}
 	if p.Scenario.Compress && res.CompressionRatio > 0 {
-		fmt.Printf("NVM compression:      %.2fx (delta+varint adjacency)\n", res.CompressionRatio)
+		fmt.Fprintf(w, "NVM compression:      %.2fx (delta+varint adjacency)\n", res.CompressionRatio)
 		if res.DecodedCacheHits > 0 {
-			fmt.Printf("decoded-hub cache:    %d hits\n", res.DecodedCacheHits)
+			fmt.Fprintf(w, "decoded-hub cache:    %d hits\n", res.DecodedCacheHits)
 		}
 	}
 	if a, ok := res.Layers.Layer("async"); ok {
-		fmt.Printf("async pipeline:       depth %d, %d demand runs (%d blocks), %d prefetch runs (%d blocks)\n",
+		fmt.Fprintf(w, "async pipeline:       depth %d, %d demand runs (%d blocks), %d prefetch runs (%d blocks)\n",
 			a.Get("queue_depth"), a.Get("demand_runs"), a.Get("demand_blocks"),
 			a.Get("prefetch_runs"), a.Get("prefetch_blocks"))
 	}
 	if r := res.Resilience; r.Retries > 0 || r.ReadErrors > 0 || r.DegradedRuns > 0 {
-		fmt.Printf("NVM read errors:      %d (%d retried, backoff %v)\n",
+		fmt.Fprintf(w, "NVM read errors:      %d (%d retried, backoff %v)\n",
 			r.ReadErrors, r.Retries, r.BackoffTime.ToTime())
 		if r.DegradedRuns > 0 {
-			fmt.Printf("degraded runs:        %d (%d levels rescued)\n",
+			fmt.Fprintf(w, "degraded runs:        %d (%d levels rescued)\n",
 				r.DegradedRuns, r.DegradedLevels)
 		}
 		f := res.Faults
-		fmt.Printf("injected faults:      %d transient, %d corrupt, %d spikes over %d reads\n",
+		fmt.Fprintf(w, "injected faults:      %d transient, %d corrupt, %d spikes over %d reads\n",
 			f.Transient, f.Corrupted, f.Spikes, f.Reads)
 	}
 	if r := res.Resilience; len(res.DeviceHealth) > 0 {
-		fmt.Printf("mirror failovers:     %d\n", r.Failovers)
+		fmt.Fprintf(w, "mirror failovers:     %d\n", r.Failovers)
 		if r.ScrubbedBlocks > 0 || r.RepairedBlocks > 0 {
-			fmt.Printf("scrubber:             %d blocks verified, %d repaired (repair vtime %v)\n",
+			fmt.Fprintf(w, "scrubber:             %d blocks verified, %d repaired (repair vtime %v)\n",
 				r.ScrubbedBlocks, r.RepairedBlocks, r.RepairTime.ToTime())
 		}
 		for i, d := range res.DeviceHealth {
-			fmt.Printf("device r%d:            %-8s %d reads, %d errors", i, d.State, d.Reads, d.Errors)
+			fmt.Fprintf(w, "device r%d:            %-8s %d reads, %d errors", i, d.State, d.Reads, d.Errors)
 			if i < len(res.PerDevice) {
-				fmt.Printf(" (media: %d reads, %d writes)", res.PerDevice[i].Reads, res.PerDevice[i].Writes)
+				fmt.Fprintf(w, " (media: %d reads, %d writes)", res.PerDevice[i].Reads, res.PerDevice[i].Writes)
 			}
-			fmt.Println()
+			fmt.Fprintln(w, )
 		}
 	}
 	if res.ConstructionTime > 0 {
-		fmt.Printf("construction vtime:   %v (edge list on NVM: %d reads, %d writes)\n",
+		fmt.Fprintf(w, "construction vtime:   %v (edge list on NVM: %d reads, %d writes)\n",
 			res.ConstructionTime.ToTime(),
 			res.EdgeListDevice.Reads, res.EdgeListDevice.Writes)
 	}
-	fmt.Printf("wall time:            %v\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(w, "wall time:            %v\n", wall.Round(time.Millisecond))
 	if p.KeepLevelStats && len(res.PerRoot) > 0 {
-		fmt.Println("\nper-level stats of first root:")
-		fmt.Println("level  direction   frontier  avg-degree  examined(DRAM/NVM)   vtime")
+		fmt.Fprintln(w, "\nper-level stats of first root:")
+		fmt.Fprintln(w, "level  direction   frontier  avg-degree  examined(DRAM/NVM)   vtime")
 		for _, l := range res.PerRoot[0].Levels {
-			fmt.Printf("%5d  %-10s %9d  %10.1f  %9d/%-9d  %v\n",
+			fmt.Fprintf(w, "%5d  %-10s %9d  %10.1f  %9d/%-9d  %v\n",
 				l.Level, l.Direction, l.Frontier, l.AvgDegree(),
 				l.ExaminedDRAM, l.ExaminedNVM, l.Time.ToTime())
 		}
@@ -668,7 +680,7 @@ func printReport(res *graph500.Result, wall time.Duration) {
 // are packed into batches of up to `lanes` roots, each batch advances all
 // of its searches in one sweep of the shared stores, and the report prices
 // every query at its amortized share of its batch's virtual time.
-func runBatched(list *edgelist.List, p graph500.Params, lanes, queries int) error {
+func runBatched(w io.Writer, list *edgelist.List, p graph500.Params, lanes, queries int) error {
 	p = p.WithDefaults()
 	start := time.Now()
 	src := edgelist.ListSource{List: list}
@@ -686,14 +698,14 @@ func runBatched(list *edgelist.List, p graph500.Params, lanes, queries int) erro
 		return err
 	}
 
-	fmt.Printf("SCALE:                %d\n", p.Scale)
-	fmt.Printf("edgefactor:           %d\n", p.EdgeFactor)
-	fmt.Printf("scenario:             %s\n", p.Scenario.Name)
-	fmt.Printf("mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
-	fmt.Printf("batch width:          %d lanes\n", lanes)
-	fmt.Printf("queries:              %d\n", len(roots))
-	fmt.Printf("BFS status bytes:     %s\n", stats.FormatBytes(br.StatusBytes()))
-	fmt.Println("\nbatch   size  levels  switches        vtime   amortized s/query")
+	fmt.Fprintf(w, "SCALE:                %d\n", p.Scale)
+	fmt.Fprintf(w, "edgefactor:           %d\n", p.EdgeFactor)
+	fmt.Fprintf(w, "scenario:             %s\n", p.Scenario.Name)
+	fmt.Fprintf(w, "mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
+	fmt.Fprintf(w, "batch width:          %d lanes\n", lanes)
+	fmt.Fprintf(w, "queries:              %d\n", len(roots))
+	fmt.Fprintf(w, "BFS status bytes:     %s\n", stats.FormatBytes(br.StatusBytes()))
+	fmt.Fprintln(w, "\nbatch   size  levels  switches        vtime   amortized s/query")
 	var totalSec, invSum float64
 	var traversed, hits, misses, readErrors, retries int64
 	validated, nb, degradedBatches, degradedLevels := 0, 0, 0, 0
@@ -718,7 +730,7 @@ func runBatched(list *edgelist.List, p graph500.Params, lanes, queries int) erro
 			degradedLevels += n
 		}
 		amort := sec / float64(len(b))
-		fmt.Printf("%5d  %5d  %6d  %8d  %11v  %18.4g\n",
+		fmt.Fprintf(w, "%5d  %5d  %6d  %8d  %11v  %18.4g\n",
 			nb, len(b), len(res.Levels), res.Switches, res.Time.ToTime(), amort)
 		for l, root := range b {
 			var sum int64
@@ -741,28 +753,28 @@ func runBatched(list *edgelist.List, p graph500.Params, lanes, queries int) erro
 		}
 		nb++
 	}
-	fmt.Printf("\nvalidated queries:    %d of %d\n", validated, len(roots))
-	fmt.Printf("total vtime:          %.6g s\n", totalSec)
-	fmt.Printf("amortized s/query:    %.6g\n", totalSec/float64(len(roots)))
+	fmt.Fprintf(w, "\nvalidated queries:    %d of %d\n", validated, len(roots))
+	fmt.Fprintf(w, "total vtime:          %.6g s\n", totalSec)
+	fmt.Fprintf(w, "amortized s/query:    %.6g\n", totalSec/float64(len(roots)))
 	if invSum > 0 {
-		fmt.Printf("harmonic_mean_TEPS:   %s (amortized per query)\n",
+		fmt.Fprintf(w, "harmonic_mean_TEPS:   %s (amortized per query)\n",
 			stats.FormatTEPS(float64(len(roots))/invSum))
 	}
 	if totalSec > 0 {
-		fmt.Printf("aggregate_TEPS:       %s\n", stats.FormatTEPS(float64(traversed)/totalSec))
+		fmt.Fprintf(w, "aggregate_TEPS:       %s\n", stats.FormatTEPS(float64(traversed)/totalSec))
 	}
 	if hits+misses > 0 {
-		fmt.Printf("cache hits:           %d of %d lookups (%.1f%%)\n",
+		fmt.Fprintf(w, "cache hits:           %d of %d lookups (%.1f%%)\n",
 			hits, hits+misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if readErrors > 0 || degradedLevels > 0 {
-		fmt.Printf("NVM read errors:      %d (%d retried)\n", readErrors, retries)
+		fmt.Fprintf(w, "NVM read errors:      %d (%d retried)\n", readErrors, retries)
 		if degradedLevels > 0 {
-			fmt.Printf("degraded batches:     %d (%d levels rescued)\n",
+			fmt.Fprintf(w, "degraded batches:     %d (%d levels rescued)\n",
 				degradedBatches, degradedLevels)
 		}
 	}
-	fmt.Printf("wall time:            %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "wall time:            %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -773,7 +785,7 @@ func runBatched(list *edgelist.List, p graph500.Params, lanes, queries int) erro
 // policy, and deadlines expire queries the server cannot reach in time.
 // The report accounts every query to exactly one outcome and prints the
 // completion-latency and queue-wait histograms of the served ones.
-func runServed(list *edgelist.List, p graph500.Params, queries int, qps float64, scfg serve.ServerConfig) error {
+func runServed(w io.Writer, list *edgelist.List, p graph500.Params, queries int, qps float64, scfg serve.ServerConfig) error {
 	p = p.WithDefaults()
 	start := time.Now()
 	src := edgelist.ListSource{List: list}
@@ -803,21 +815,21 @@ func runServed(list *edgelist.List, p graph500.Params, queries int, qps float64,
 	}
 	st := srv.Stats()
 
-	fmt.Printf("SCALE:                %d\n", p.Scale)
-	fmt.Printf("edgefactor:           %d\n", p.EdgeFactor)
-	fmt.Printf("scenario:             %s\n", p.Scenario.Name)
-	fmt.Printf("mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
-	fmt.Printf("serving lanes:        %d\n", scfg.Lanes)
-	fmt.Printf("offered load:         %g queries/s (virtual), %d queries\n", qps, len(roots))
+	fmt.Fprintf(w, "SCALE:                %d\n", p.Scale)
+	fmt.Fprintf(w, "edgefactor:           %d\n", p.EdgeFactor)
+	fmt.Fprintf(w, "scenario:             %s\n", p.Scenario.Name)
+	fmt.Fprintf(w, "mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
+	fmt.Fprintf(w, "serving lanes:        %d\n", scfg.Lanes)
+	fmt.Fprintf(w, "offered load:         %g queries/s (virtual), %d queries\n", qps, len(roots))
 	if scfg.QueueCap > 0 {
-		fmt.Printf("queue cap:            %d (%s)\n", scfg.QueueCap, scfg.Policy)
+		fmt.Fprintf(w, "queue cap:            %d (%s)\n", scfg.QueueCap, scfg.Policy)
 	} else {
-		fmt.Printf("queue cap:            unbounded\n")
+		fmt.Fprintf(w, "queue cap:            unbounded\n")
 	}
 	if scfg.DefaultDeadline > 0 {
-		fmt.Printf("deadline:             %gs\n", scfg.DefaultDeadline)
+		fmt.Fprintf(w, "deadline:             %gs\n", scfg.DefaultDeadline)
 	}
-	fmt.Printf("BFS status bytes:     %s\n", stats.FormatBytes(br.StatusBytes()))
+	fmt.Fprintf(w, "BFS status bytes:     %s\n", stats.FormatBytes(br.StatusBytes()))
 
 	validated, degraded := 0, 0
 	var traversed int64
@@ -841,37 +853,37 @@ func runServed(list *edgelist.List, p graph500.Params, queries int, qps float64,
 		}
 	}
 
-	fmt.Printf("\nserved:               %d of %d\n", st.Served, st.Submitted)
-	fmt.Printf("shed:                 %d\n", st.Shed)
-	fmt.Printf("expired:              %d\n", st.Expired)
+	fmt.Fprintf(w, "\nserved:               %d of %d\n", st.Served, st.Submitted)
+	fmt.Fprintf(w, "shed:                 %d\n", st.Shed)
+	fmt.Fprintf(w, "expired:              %d\n", st.Expired)
 	if st.Cancelled > 0 || st.Failed > 0 {
-		fmt.Printf("cancelled/failed:     %d / %d\n", st.Cancelled, st.Failed)
+		fmt.Fprintf(w, "cancelled/failed:     %d / %d\n", st.Cancelled, st.Failed)
 	}
 	if st.Served > 0 {
-		fmt.Printf("latency p50/p95/p99:  %.4g / %.4g / %.4g s (mean %.4g)\n",
+		fmt.Fprintf(w, "latency p50/p95/p99:  %.4g / %.4g / %.4g s (mean %.4g)\n",
 			st.Latency.P50()/1e9, st.Latency.P95()/1e9, st.Latency.P99()/1e9, st.Latency.Mean()/1e9)
-		fmt.Printf("queue wait p50/p99:   %.4g / %.4g s\n", st.Wait.P50()/1e9, st.Wait.P99()/1e9)
+		fmt.Fprintf(w, "queue wait p50/p99:   %.4g / %.4g s\n", st.Wait.P50()/1e9, st.Wait.P99()/1e9)
 	}
-	fmt.Printf("queue depth:          max %d, mean %.2f\n", st.MaxQueueDepth, st.MeanQueueDepth())
-	fmt.Printf("lane occupancy:       %.1f%% over %d sweeps\n", 100*st.Occupancy(scfg.Lanes), st.Steps)
+	fmt.Fprintf(w, "queue depth:          max %d, mean %.2f\n", st.MaxQueueDepth, st.MeanQueueDepth())
+	fmt.Fprintf(w, "lane occupancy:       %.1f%% over %d sweeps\n", 100*st.Occupancy(scfg.Lanes), st.Steps)
 	if degraded > 0 {
-		fmt.Printf("degraded queries:     %d\n", degraded)
+		fmt.Fprintf(w, "degraded queries:     %d\n", degraded)
 	}
 	layers := srv.Layers()
 	if readErrors := layers.Get("retry", "read_errors"); readErrors > 0 {
-		fmt.Printf("NVM read errors:      %d (%d retried)\n",
+		fmt.Fprintf(w, "NVM read errors:      %d (%d retried)\n",
 			readErrors, layers.Get("retry", "retries"))
 	}
 	if c := layers.CacheView(); c.Hits+c.Misses > 0 {
-		fmt.Printf("cache hits:           %d of %d lookups (%.1f%%)\n",
+		fmt.Fprintf(w, "cache hits:           %d of %d lookups (%.1f%%)\n",
 			c.Hits, c.Hits+c.Misses, 100*c.HitRate())
 	}
-	fmt.Printf("validated queries:    %d\n", validated)
+	fmt.Fprintf(w, "validated queries:    %d\n", validated)
 	if makespan > 0 {
-		fmt.Printf("makespan vtime:       %.6g s\n", makespan)
-		fmt.Printf("aggregate_TEPS:       %s\n", stats.FormatTEPS(float64(traversed)/makespan))
+		fmt.Fprintf(w, "makespan vtime:       %.6g s\n", makespan)
+		fmt.Fprintf(w, "aggregate_TEPS:       %s\n", stats.FormatTEPS(float64(traversed)/makespan))
 	}
-	fmt.Printf("wall time:            %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "wall time:            %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -881,7 +893,7 @@ func runServed(list *edgelist.List, p graph500.Params, queries int, qps float64,
 // cache and resilience lines. The iterative algorithms are
 // root-independent, so there is no per-root protocol — one run is the
 // measurement.
-func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOptions, showLevels, showLayers bool) error {
+func runAlgorithm(w io.Writer, list *edgelist.List, p graph500.Params, prOpts vp.PageRankOptions, showLevels, showLayers bool) error {
 	p = p.WithDefaults()
 	start := time.Now()
 	src := edgelist.ListSource{List: list}
@@ -903,21 +915,21 @@ func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOpti
 		return err
 	}
 
-	fmt.Printf("SCALE:                %d\n", p.Scale)
-	fmt.Printf("edgefactor:           %d\n", p.EdgeFactor)
-	fmt.Printf("scenario:             %s\n", p.Scenario.Name)
-	fmt.Printf("algorithm:            %s\n", p.Scenario.Algorithm)
-	fmt.Printf("mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
-	fmt.Printf("iterations:           %d (converged: %v, %d direction switches)\n",
+	fmt.Fprintf(w, "SCALE:                %d\n", p.Scale)
+	fmt.Fprintf(w, "edgefactor:           %d\n", p.EdgeFactor)
+	fmt.Fprintf(w, "scenario:             %s\n", p.Scenario.Name)
+	fmt.Fprintf(w, "algorithm:            %s\n", p.Scenario.Algorithm)
+	fmt.Fprintf(w, "mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
+	fmt.Fprintf(w, "iterations:           %d (converged: %v, %d direction switches)\n",
 		res.Iterations, res.Converged, res.Switches)
-	fmt.Printf("examined edges:       %d push, %d pull (%d from NVM)\n",
+	fmt.Fprintf(w, "examined edges:       %d push, %d pull (%d from NVM)\n",
 		res.ExaminedPush, res.ExaminedPull, res.ExaminedNVM)
-	fmt.Printf("vtime:                %v\n", res.Time.ToTime())
+	fmt.Fprintf(w, "vtime:                %v\n", res.Time.ToTime())
 	if sec := res.Time.Seconds(); sec > 0 {
-		fmt.Printf("edges/s:              %s\n",
+		fmt.Fprintf(w, "edges/s:              %s\n",
 			stats.FormatTEPS(float64(res.ExaminedPush+res.ExaminedPull)/sec))
 	}
-	fmt.Printf("state bytes:          %s (packed snapshot)\n", stats.FormatBytes(vp.StateBytes(prog)))
+	fmt.Fprintf(w, "state bytes:          %s (packed snapshot)\n", stats.FormatBytes(vp.StateBytes(prog)))
 	switch pg := prog.(type) {
 	case *vp.Components:
 		counts := map[int64]int64{}
@@ -930,38 +942,38 @@ func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOpti
 				largest = c
 			}
 		}
-		fmt.Printf("components:           %d (largest %d vertices)\n", len(counts), largest)
+		fmt.Fprintf(w, "components:           %d (largest %d vertices)\n", len(counts), largest)
 	case *vp.PageRank:
 		o := pg.Options()
 		var sum float64
 		for _, r := range pg.Ranks() {
 			sum += r
 		}
-		fmt.Printf("pagerank:             damping %g, tol %g, max %d iters; rank sum %.9f\n",
+		fmt.Fprintf(w, "pagerank:             damping %g, tol %g, max %d iters; rank sum %.9f\n",
 			o.Damping, o.Tol, o.MaxIters, sum)
 	}
 	if c := res.Cache; c.Hits+c.Misses > 0 {
-		fmt.Printf("cache hits:           %d of %d lookups (%.1f%%)\n",
+		fmt.Fprintf(w, "cache hits:           %d of %d lookups (%.1f%%)\n",
 			c.Hits, c.Hits+c.Misses, 100*c.HitRate())
 	}
 	if r := res.Resilience; r.ReadErrors > 0 || r.Retries > 0 {
-		fmt.Printf("NVM read errors:      %d (%d retried)\n", r.ReadErrors, r.Retries)
+		fmt.Fprintf(w, "NVM read errors:      %d (%d retried)\n", r.ReadErrors, r.Retries)
 	}
 	if r := res.Resilience; r.Failovers > 0 {
-		fmt.Printf("mirror failovers:     %d\n", r.Failovers)
+		fmt.Fprintf(w, "mirror failovers:     %d\n", r.Failovers)
 	}
-	fmt.Printf("wall time:            %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "wall time:            %v\n", time.Since(start).Round(time.Millisecond))
 	if showLevels && len(res.Levels) > 0 {
-		fmt.Println("\nper-level stats:")
-		fmt.Println("level  direction   frontier  avg-degree  examined(DRAM/NVM)   vtime")
+		fmt.Fprintln(w, "\nper-level stats:")
+		fmt.Fprintln(w, "level  direction   frontier  avg-degree  examined(DRAM/NVM)   vtime")
 		for _, l := range res.Levels {
-			fmt.Printf("%5d  %-10s %9d  %10.1f  %9d/%-9d  %v\n",
+			fmt.Fprintf(w, "%5d  %-10s %9d  %10.1f  %9d/%-9d  %v\n",
 				l.Level, l.Direction, l.Frontier, l.AvgDegree(),
 				l.ExaminedDRAM, l.ExaminedNVM, l.Time.ToTime())
 		}
 	}
 	if showLayers {
-		printLayers(res.Layers)
+		printLayers(w, res.Layers)
 	}
 	return nil
 }
@@ -975,7 +987,7 @@ func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOpti
 // log, and continues. The report extends the classic format with the
 // durability lines and ends by checking the repaired tree bit-identical
 // against a fresh rebuild over the final graph.
-func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash string) error {
+func runDynamic(w io.Writer, list *edgelist.List, p graph500.Params, total, rate int, crash string) error {
 	p = p.WithDefaults()
 	start := time.Now()
 	if rate <= 0 {
@@ -1027,13 +1039,13 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 	rebuildUs := float64(res0.Time) / float64(vtime.Microsecond)
 	st := bfs.NewTreeState(roots[0], res0.Tree)
 
-	fmt.Printf("SCALE:                %d\n", p.Scale)
-	fmt.Printf("edgefactor:           %d\n", p.EdgeFactor)
-	fmt.Printf("NBFS:                 %d\n", len(roots))
-	fmt.Printf("scenario:             %s\n", p.Scenario.Name)
-	fmt.Printf("mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
-	fmt.Printf("update stream:        %d updates in batches of %d, crash-at %s\n", total, rate, crash)
-	fmt.Println("\niter  updates  repair-us  repair-edges        bfs-vtime        TEPS")
+	fmt.Fprintf(w, "SCALE:                %d\n", p.Scale)
+	fmt.Fprintf(w, "edgefactor:           %d\n", p.EdgeFactor)
+	fmt.Fprintf(w, "NBFS:                 %d\n", len(roots))
+	fmt.Fprintf(w, "scenario:             %s\n", p.Scenario.Name)
+	fmt.Fprintf(w, "mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
+	fmt.Fprintf(w, "update stream:        %d updates in batches of %d, crash-at %s\n", total, rate, crash)
+	fmt.Fprintln(w, "\niter  updates  repair-us  repair-edges        bfs-vtime        TEPS")
 
 	us := dyn.NewUpdateStream(list, p.Seed|1)
 	var updateTime, repairTime vtime.Duration
@@ -1117,7 +1129,7 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 			if sec > 0 && te > 0 {
 				teps = append(teps, te/sec)
 			}
-			fmt.Printf("%4d  %7d  %9.1f  %12d  %15v  %10s\n",
+			fmt.Fprintf(w, "%4d  %7d  %9.1f  %12d  %15v  %10s\n",
 				i, applied, repUs, scanned, res.Time.ToTime(), stats.FormatTEPS(te/sec))
 		}
 	}
@@ -1157,10 +1169,10 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 	}
 
 	dst := ds.Graph.Stats()
-	fmt.Printf("\ndurable updates:      %d applied in %d batches\n", dst.Applied, batches)
-	fmt.Printf("WAL:                  %d appends, %s\n", dst.WALAppends, stats.FormatBytes(dst.WALBytes))
+	fmt.Fprintf(w, "\ndurable updates:      %d applied in %d batches\n", dst.Applied, batches)
+	fmt.Fprintf(w, "WAL:                  %d appends, %s\n", dst.WALAppends, stats.FormatBytes(dst.WALBytes))
 	if dst.Applied > 0 {
-		fmt.Printf("update cost:          %.2f us/update (virtual)\n",
+		fmt.Fprintf(w, "update cost:          %.2f us/update (virtual)\n",
 			float64(updateTime)/float64(vtime.Microsecond)/float64(dst.Applied))
 	}
 	if batches > 0 {
@@ -1169,7 +1181,7 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 		if repUs > 0 {
 			vs = fmt.Sprintf("rebuild %.1f us, %.0fx", rebuildUs, rebuildUs/repUs)
 		}
-		fmt.Printf("incremental repair:   %.1f us/batch, %.0f edges scanned/batch (%s)\n",
+		fmt.Fprintf(w, "incremental repair:   %.1f us/batch, %.0f edges scanned/batch (%s)\n",
 			repUs, float64(repairEdges)/float64(batches), vs)
 	}
 	if crash != "none" {
@@ -1177,16 +1189,16 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 		if crash == "wal" {
 			where = fmt.Sprintf("WAL append of batch %d (torn frame dropped)", cutBatch+1)
 		}
-		fmt.Printf("power cut:            %s\n", where)
-		fmt.Printf("recovery:             %.1f us virtual, %d updates replayed\n", recoveryUs, replayed)
+		fmt.Fprintf(w, "power cut:            %s\n", where)
+		fmt.Fprintf(w, "recovery:             %.1f us virtual, %d updates replayed\n", recoveryUs, replayed)
 	}
 	if compactUs > 0 {
-		fmt.Printf("compaction:           %.1f us virtual (generation %d)\n", compactUs, ds.Graph.Generation())
+		fmt.Fprintf(w, "compaction:           %.1f us virtual (generation %d)\n", compactUs, ds.Graph.Generation())
 	}
 	if len(teps) > 0 {
 		s := stats.Summarize(teps)
-		fmt.Printf("median_TEPS:          %s\n", stats.FormatTEPS(s.Median))
-		fmt.Printf("harmonic_mean_TEPS:   %s\n", stats.FormatTEPS(s.HarmonicMean))
+		fmt.Fprintf(w, "median_TEPS:          %s\n", stats.FormatTEPS(s.Median))
+		fmt.Fprintf(w, "harmonic_mean_TEPS:   %s\n", stats.FormatTEPS(s.HarmonicMean))
 	}
 	fresh, err := tracker.Run(roots[0])
 	if err != nil {
@@ -1198,12 +1210,12 @@ func runDynamic(list *edgelist.List, p graph500.Params, total, rate int, crash s
 				v, st.Parent[v], fresh.Tree[v])
 		}
 	}
-	fmt.Printf("repair equivalence:   OK (%d batches repaired, tree bit-identical to fresh rebuild)\n", batches)
-	fmt.Printf("wall time:            %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "repair equivalence:   OK (%d batches repaired, tree bit-identical to fresh rebuild)\n", batches)
+	fmt.Fprintf(w, "wall time:            %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "graph500:", err)
-	os.Exit(1)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "graph500:", err)
+	return 1
 }
