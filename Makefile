@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-json simdiff
+.PHONY: build test check lint bench bench-json simdiff golden
 
 build:
 	$(GO) build ./...
@@ -35,3 +35,7 @@ bench-json:
 # Are this tree's virtual numbers byte-identical to REF's? (make simdiff REF=HEAD~1)
 simdiff:
 	bash scripts/simdiff.sh $(REF)
+
+# Regenerate cmd/graph500's report goldens — only when a report is meant to change.
+golden:
+	$(GO) test ./cmd/graph500 -run Golden -update

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"semibfs/internal/numa"
@@ -13,16 +13,18 @@ import (
 	"semibfs/internal/vtime"
 )
 
-// flakyStore fails every period-th read with a retryable transient error;
-// the retry (a fresh read) lands on a different count and succeeds.
+// flakyStore fails the first read at every offset inside each period-th
+// 512-byte block with a retryable transient error; the retry (a second
+// attempt at the same offset) succeeds. The failures depend only on what is
+// read, never on the order concurrent workers read it in.
 type flakyStore struct {
 	nvm.Storage
-	reads  atomic.Int64
-	period int64
+	attempts sync.Map // offset -> struct{}, once it has been read
+	period   int64
 }
 
 func (s *flakyStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	if s.reads.Add(1)%s.period == 0 {
+	if _, retried := s.attempts.LoadOrStore(off, struct{}{}); !retried && (off>>9)%s.period == 0 {
 		return fmt.Errorf("flaky read at %d: %w", off, nvm.ErrTransient)
 	}
 	return s.Storage.ReadAt(clock, p, off)

@@ -170,9 +170,10 @@ func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRank
 	// BFS runs once per sampled root; the iterative programs' work is
 	// root-independent, so they run once.
 	isBFS := sc.Algorithm == core.AlgoBFS
-	starts, degree := []int64{0}, []int64(nil)
+	starts := []int64{0}
+	var degree func(int64) int64
 	if isBFS {
-		starts, degree = roots, degreesOf(sys)
+		starts, degree = roots, sys.Backward.Degree
 	}
 	var teps []float64
 	var examined, hits, misses int64

@@ -17,6 +17,7 @@ import (
 	"semibfs/internal/graph500"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
+	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
 )
 
@@ -169,31 +170,16 @@ func (l *Lab) Run(sc core.Scenario, cfg bfs.Config, keepLevels, series bool) (*g
 }
 
 // sampleRoots draws Opts.Roots Graph500 search keys off the lab's edge list
-// and returns them with the per-vertex degrees TEPS accounting needs.
-func (l *Lab) sampleRoots() (roots, degree []int64, err error) {
-	degree = make([]int64, l.List.NumVertices)
-	for _, e := range l.List.Edges {
-		if e.U != e.V {
-			degree[e.U]++
-			degree[e.V]++
-		}
-	}
-	roots, err = graph500.SampleRoots(l.List.NumVertices, l.Opts.Roots, l.Opts.Seed,
-		func(v int64) int64 { return degree[v] })
-	return roots, degree, err
+// and returns them with the degree lookup TEPS accounting needs.
+func (l *Lab) sampleRoots() ([]int64, func(int64) int64, error) {
+	return graph500.ListRoots(l.List, l.Opts.Roots, l.Opts.Seed)
 }
 
 // appendTEPS appends one search's Graph500 rate — undirected edges incident
 // to the vertices tree reached, over its virtual time t — unless t is zero.
-func appendTEPS(teps []float64, tree, degree []int64, t vtime.Duration) []float64 {
-	var traversed int64
-	for v, parent := range tree {
-		if parent != -1 {
-			traversed += degree[v]
-		}
-	}
+func appendTEPS(teps []float64, tree []int64, degree func(int64) int64, t vtime.Duration) []float64 {
 	if t > 0 {
-		teps = append(teps, float64(traversed/2)/t.Seconds())
+		teps = append(teps, float64(validate.TraversedEdges(tree, degree))/t.Seconds())
 	}
 	return teps
 }

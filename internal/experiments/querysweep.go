@@ -6,7 +6,6 @@ import (
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/graph500"
-	"semibfs/internal/validate"
 )
 
 // QueryBatchWidths is the batch-size grid of the query sweep: B BFS roots
@@ -107,59 +106,26 @@ func servingSetup(lab *Lab, sc core.Scenario, queries int, seed uint64) (core.Sc
 }
 
 // runQueryWidth serves the fixed root stream at one batch width on a fresh
-// system and reduces the per-query amortized costs into a QueryRow.
+// system, every lane validated, and reduces the stream into a QueryRow.
 func runQueryWidth(lab *Lab, sc core.Scenario, cfg bfs.Config, name string, lanes int, roots []int64) (*QueryRow, error) {
 	sys, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	br, err := sys.NewBatchRunner(lanes, cfg)
+	res, err := graph500.RunBatched(sys, lab.Src, cfg, lanes, roots, 0)
 	if err != nil {
 		return nil, err
 	}
-	row := &QueryRow{Scenario: name, Lanes: lanes, Queries: len(roots)}
-	var traversed int64
-	var invSum float64 // sum of 1/TEPS_q for the harmonic mean
-	var hits, misses int64
-	for lo := 0; lo < len(roots); lo += lanes {
-		hi := lo + lanes
-		if hi > len(roots) {
-			hi = len(roots)
-		}
-		batch := roots[lo:hi]
-		res, err := br.RunBatch(batch)
-		if err != nil {
-			return nil, err
-		}
-		row.Batches++
-		row.Seconds += res.Time.Seconds()
-		row.Switches += res.Switches
-		row.Levels += len(res.Levels)
-		row.NVMEdges += res.ExaminedNVM
-		hits += res.Cache.Hits
-		misses += res.Cache.Misses
-		amortized := res.Time.Seconds() / float64(len(batch))
-		for l, root := range batch {
-			rep, err := validate.Run(res.Trees[l], root, lab.Src)
-			if err != nil {
-				return nil, fmt.Errorf("lane %d root %d: %w", l, root, err)
-			}
-			traversed += rep.TraversedEdges
-			if rep.TraversedEdges > 0 {
-				invSum += amortized / float64(rep.TraversedEdges)
-			}
-		}
+	row := &QueryRow{
+		Scenario: name, Lanes: lanes, Queries: res.Queries, Batches: len(res.Batches),
+		Seconds: res.Seconds, AmortizedSeconds: res.Seconds / float64(res.Queries),
+		TEPS: res.HarmonicTEPS, AggregateTEPS: res.AggregateTEPS(),
+		CacheHitRate: res.Cache.HitRate(), NVMEdges: res.NVMEdges,
 	}
-	row.AmortizedSeconds = row.Seconds / float64(row.Queries)
-	if invSum > 0 {
-		row.TEPS = float64(row.Queries) / invSum
-	}
-	if row.Seconds > 0 {
-		row.AggregateTEPS = float64(traversed) / row.Seconds
-	}
-	if hits+misses > 0 {
-		row.CacheHitRate = float64(hits) / float64(hits+misses)
+	for _, b := range res.Batches {
+		row.Switches += b.Switches
+		row.Levels += b.Levels
 	}
 	return row, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"semibfs/internal/cluster"
+	"semibfs/internal/graph500"
 	"semibfs/internal/nvm"
 	"semibfs/internal/stats"
 )
@@ -25,37 +26,24 @@ type ScalingRow struct {
 	Comm2D      cluster.CommStats `json:"comm_2d"`
 }
 
-// runClusterRoots runs every root through one cluster and reduces the
-// results to the median TEPS, the mean total traffic per BFS and its mean
-// per-phase split; check, when set, vets each result first.
-func runClusterRoots(roots, degree []int64, run func(int64) (*cluster.Result, error),
+// clusterMeans runs every root through one cluster (graph500.RunCluster;
+// check, when set, vets each result) and reduces the totals to the median
+// TEPS, the mean total traffic per BFS and its mean per-phase split.
+func clusterMeans(roots []int64, degree func(int64) int64, run func(int64) (*cluster.Result, error),
 	check func(root int64, res *cluster.Result) error) (float64, int64, cluster.CommStats, error) {
-	var teps []float64
-	var comm int64
-	var split cluster.CommStats
-	for _, root := range roots {
-		res, err := run(root)
-		if err == nil && check != nil {
-			err = check(root, res)
-		}
-		if err != nil {
-			return 0, 0, split, err
-		}
-		teps = appendTEPS(teps, res.Tree, degree, res.Time)
-		comm += res.CommBytes
-		split.TDFrontier += res.Comm.TDFrontier
-		split.TDCandidate += res.Comm.TDCandidate
-		split.BUAllgather += res.Comm.BUAllgather
-		split.BURing += res.Comm.BURing
-		split.Control += res.Comm.Control
+	t, err := graph500.RunCluster(run, roots, degree, 0, check)
+	if err != nil {
+		return 0, 0, cluster.CommStats{}, err
 	}
 	n := int64(len(roots))
-	split.TDFrontier /= n
-	split.TDCandidate /= n
-	split.BUAllgather /= n
-	split.BURing /= n
-	split.Control /= n
-	return stats.Median(teps), comm / n, split, nil
+	split := cluster.CommStats{
+		TDFrontier:  t.Comm.TDFrontier / n,
+		TDCandidate: t.Comm.TDCandidate / n,
+		BUAllgather: t.Comm.BUAllgather / n,
+		BURing:      t.Comm.BURing / n,
+		Control:     t.Comm.Control / n,
+	}
+	return stats.Median(t.TEPS), t.CommBytes / n, split, nil
 }
 
 // ScalingMachines is the cluster-size sweep of the multi-node experiment.
@@ -93,7 +81,7 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			median, comm, split, err := runClusterRoots(roots, degree, c.Run, nil)
+			median, comm, split, err := clusterMeans(roots, degree, c.Run, nil)
 			c.Close()
 			if err != nil {
 				return nil, err
@@ -112,7 +100,7 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		median, comm, split, err := runClusterRoots(roots, degree, grid.Run, nil)
+		median, comm, split, err := clusterMeans(roots, degree, grid.Run, nil)
 		if err != nil {
 			return nil, err
 		}

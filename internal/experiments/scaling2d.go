@@ -88,8 +88,7 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 	check := func(root int64, res *cluster.Result) error {
 		for v, want := range refTrees[root] {
 			if res.Tree[v] != want {
-				return fmt.Errorf("root %d: tree[%d] = %d, single-node DRAM has %d",
-					root, v, res.Tree[v], want)
+				return fmt.Errorf("tree[%d] = %d, single-node DRAM has %d", v, res.Tree[v], want)
 			}
 		}
 		return nil
@@ -135,7 +134,7 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 						run, done = cl.Run, cl.Close
 					}
 					var err error
-					row.TEPS, _, row.Comm, err = runClusterRoots(roots, degree, run, check)
+					row.TEPS, _, row.Comm, err = clusterMeans(roots, degree, run, check)
 					if cerr := done(); err == nil {
 						err = cerr
 					}

@@ -178,7 +178,7 @@ func figPerformance(opts Options, scale int, baselines bool) ([]Fig8Series, erro
 			Points: []HeatCell{{TEPS: res.MedianTEPS(), Run: res}},
 		})
 	}
-	ref, err := graph500.RunReference(graph500.Params{
+	ref, err := graph500.RunReference(lab.List, graph500.Params{
 		Scale: scale, EdgeFactor: opts.EdgeFactor, Seed: opts.Seed,
 		Roots: opts.Roots, ValidateRoots: 1,
 		BFS: bfs.Config{RealWorkers: opts.Workers},

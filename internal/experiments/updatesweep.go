@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/dyn"
 	"semibfs/internal/edgelist"
-	"semibfs/internal/faults"
+	"semibfs/internal/graph500"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
@@ -66,6 +65,11 @@ type UpdateRow struct {
 // live generation, rewriting the backward graph, and replaying the log.
 func UpdateSweep(opts Options) ([]UpdateRow, error) {
 	opts = opts.WithDefaults()
+	// One real worker, for the reason FailoverSweep pins it: device
+	// arrival order is schedule-dependent above one (ROADMAP item 1), and
+	// the top-down rebuild each row is measured against goes to the device
+	// on every level.
+	opts.Workers = 1
 	lab, err := NewLab(opts, opts.SmallScale)
 	if err != nil {
 		return nil, err
@@ -88,13 +92,9 @@ func UpdateSweep(opts Options) ([]UpdateRow, error) {
 func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, crash string) (UpdateRow, error) {
 	row := UpdateRow{Scenario: sc.Name, BatchSize: size, Crash: crash}
 	sc.BackwardDRAMEdgeLimit = 4
-	switch crash {
-	case "wal":
-		// Torn write halfway through the batch stream.
-		sc.Faults = faults.Config{Seed: opts.Seed, CutAtWrite: int64(UpdateBatches/2 + 1), TornWrite: true, CutStores: "dyn-wal"}
-	case "compaction":
-		// Torn manifest flip: the only manifest write is compaction's.
-		sc.Faults = faults.Config{Seed: opts.Seed, CutAtWrite: 1, TornWrite: true, CutStores: "dyn-manifest"}
+	var err error
+	if sc.Faults, err = graph500.CrashFaults(crash, opts.Seed, UpdateBatches); err != nil {
+		return row, err
 	}
 	clock := vtime.NewClock(0)
 	ds, err := core.BuildDynamic(edgelist.ListSource{List: list}, topology(), sc, clock)
@@ -102,60 +102,34 @@ func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, cr
 		return row, err
 	}
 	defer ds.Close()
-
-	cfg := defaultBFSConfig(opts)
-	cfg.Mode = bfs.ModeTopDownOnly
-	root := int64(1)
-	runner, err := ds.NewRunner(cfg)
+	tr, err := graph500.NewTreeRepair(ds, clock, defaultBFSConfig(opts), 1)
 	if err != nil {
 		return row, err
 	}
-	res, err := runner.Run(root)
-	if err != nil {
-		return row, err
-	}
-	row.RebuildUs = float64(res.Time) / float64(vtime.Microsecond)
-	st := bfs.NewTreeState(root, res.Tree)
+	row.RebuildUs = tr.Rebuild.Micros()
 
+	// The sweep stops streaming at the cut; recovery is measured below.
 	us := dyn.NewUpdateStream(list, opts.Seed|1)
-	var updateTime, repairTime vtime.Duration
-	var repairEdges int64
-	batches := 0
 	cut := false
 	for b := 0; b < UpdateBatches; b++ {
-		batch := us.Batch(size)
-		start := clock.Now()
-		if _, err := ds.Graph.Apply(clock, batch); err != nil {
-			if errors.Is(err, nvm.ErrPowerCut) && crash == "wal" {
-				us.Unapply(batch)
-				cut = true
-				break
-			}
-			return row, err
+		_, _, err := tr.Step(us, size)
+		if crash == "wal" && errors.Is(err, nvm.ErrPowerCut) {
+			cut = true
+			break
 		}
-		updateTime += clock.Now() - start
-		eu := make([]bfs.EdgeUpdate, len(batch))
-		for i, up := range batch {
-			eu[i] = bfs.EdgeUpdate{U: up.U, V: up.V, Del: up.Del}
-		}
-		rstart := clock.Now()
-		rst, err := bfs.RepairTree(st, eu, ds.Backward(), ds.Part, clock)
 		if err != nil {
 			return row, err
 		}
-		repairTime += clock.Now() - rstart
-		repairEdges += rst.EdgesScanned
-		batches++
 	}
 	stats := ds.Graph.Stats()
 	row.Applied = stats.Applied
 	row.WALBytes = stats.WALBytes
 	if stats.Applied > 0 {
-		row.UpdateUs = float64(updateTime) / float64(vtime.Microsecond) / float64(stats.Applied)
+		row.UpdateUs = tr.UpdateTime.Micros() / float64(stats.Applied)
 	}
-	if batches > 0 {
-		row.RepairUs = float64(repairTime) / float64(vtime.Microsecond) / float64(batches)
-		row.RepairEdges = float64(repairEdges) / float64(batches)
+	if tr.Batches > 0 {
+		row.RepairUs = tr.RepairTime.Micros() / float64(tr.Batches)
+		row.RepairEdges = float64(tr.RepairEdges) / float64(tr.Batches)
 	}
 	if row.RepairUs > 0 {
 		row.RepairSpeedup = row.RebuildUs / row.RepairUs
@@ -167,7 +141,7 @@ func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, cr
 		if err := ds.Graph.Compact(clock); err != nil {
 			return row, err
 		}
-		row.CompactUs = float64(clock.Now()-start) / float64(vtime.Microsecond)
+		row.CompactUs = (clock.Now() - start).Micros()
 	case "wal":
 		if !cut {
 			return row, fmt.Errorf("power cut never fired")
@@ -179,14 +153,14 @@ func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, cr
 		cut = true
 	}
 	if cut {
-		rclock := vtime.NewClock(0)
-		if err := ds.Recover(rclock, faults.Config{}); err != nil {
+		rclock, replayed, err := tr.Recover()
+		if err != nil {
 			return row, err
 		}
-		row.RecoveryUs = float64(rclock.Now()) / float64(vtime.Microsecond)
-		row.Replayed = ds.Graph.Stats().Applied
+		row.RecoveryUs = rclock.Now().Micros()
+		row.Replayed = replayed
 	}
-	return row, nil
+	return row, tr.Verify()
 }
 
 var updateEntry = flat[UpdateRow]{

@@ -314,24 +314,48 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 		return nil, err
 	}
 
+	if err := res.runRoots(runner.Run, roots, src, degree); err != nil {
+		return nil, err
+	}
+	if sys.Device != nil {
+		res.DeviceStats = sys.Device.Snapshot()
+		res.DeviceSeries = sys.Device.Series()
+	}
+	for _, dev := range sys.Devices {
+		res.PerDevice = append(res.PerDevice, dev.Snapshot())
+	}
+	res.BackwardDRAMScans, res.BackwardNVMScans = runner.BackwardScanTotals()
+	res.Faults = sys.FaultCounters()
+	if sf := sys.SemiForward(); sf != nil {
+		res.DecodedCacheHits, _, _ = sf.DecodedCacheStats()
+	}
+	return res, nil
+}
+
+// runRoots is Steps 3-4 over any single-source runner: one traversal per
+// root, fully validated against src for the first Params.ValidateRoots
+// roots (0 = all) and priced off the visited degrees for the rest, folded
+// into res.
+func (res *Result) runRoots(run func(root int64) (*bfs.Result, error), roots []int64,
+	src edgelist.Source, degree func(int64) int64) error {
+	p := res.Params
 	teps := make([]float64, 0, len(roots))
 	for i, root := range roots {
 		// Step 3: BFS.
-		out, err := runner.Run(root)
+		out, err := run(root)
 		if err != nil {
-			return nil, fmt.Errorf("graph500: BFS from root %d: %w", root, err)
+			return fmt.Errorf("graph500: BFS from root %d: %w", root, err)
 		}
 		// Step 4: validation.
-		fullValidate := p.ValidateRoots == 0 || i < p.ValidateRoots
 		var traversed int64
-		if fullValidate {
+		if p.ValidateRoots == 0 || i < p.ValidateRoots {
 			rep, err := validate.Run(out.Tree, root, src)
 			if err != nil {
-				return nil, fmt.Errorf("graph500: validation failed for root %d: %w", root, err)
+				return fmt.Errorf("graph500: validation failed for root %d: %w", root, err)
 			}
 			traversed = rep.TraversedEdges
 		} else {
-			traversed = traversedFromDegrees(out.Tree, degree)
+			traversed = validate.TraversedEdges(out.Tree, degree)
 		}
 		rr := RootResult{
 			Root:        root,
@@ -370,33 +394,7 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 		teps = append(teps, rr.TEPS)
 	}
 	res.TEPS = stats.Summarize(teps)
-	if sys.Device != nil {
-		res.DeviceStats = sys.Device.Snapshot()
-		res.DeviceSeries = sys.Device.Series()
-	}
-	for _, dev := range sys.Devices {
-		res.PerDevice = append(res.PerDevice, dev.Snapshot())
-	}
-	res.BackwardDRAMScans, res.BackwardNVMScans = runner.BackwardScanTotals()
-	res.Faults = sys.FaultCounters()
-	if sf := sys.SemiForward(); sf != nil {
-		res.DecodedCacheHits, _, _ = sf.DecodedCacheStats()
-	}
-	return res, nil
-}
-
-// traversedFromDegrees counts the input edges inside the traversed
-// component as half the degree sum of the visited vertices. Validation
-// rule 5 (no edge joins visited and unvisited vertices) makes this exactly
-// the streamed count.
-func traversedFromDegrees(tree []int64, degree func(int64) int64) int64 {
-	var sum int64
-	for v, parent := range tree {
-		if parent != -1 {
-			sum += degree(int64(v))
-		}
-	}
-	return sum / 2
+	return nil
 }
 
 // SampleRoots draws count distinct roots with non-zero degree, as the
@@ -424,4 +422,20 @@ func SampleRoots(n int64, count int, seed uint64, degree func(int64) int64) ([]i
 		roots = append(roots, v)
 	}
 	return roots, nil
+}
+
+// ListRoots samples roots for a graph held only as an edge list (a
+// cluster's machines each build a block of it), and returns the degree
+// lookup it sampled against for the TEPS accounting.
+func ListRoots(list *edgelist.List, count int, seed uint64) ([]int64, func(int64) int64, error) {
+	deg := make([]int64, list.NumVertices)
+	for _, e := range list.Edges {
+		if e.U != e.V {
+			deg[e.U]++
+			deg[e.V]++
+		}
+	}
+	degree := func(v int64) int64 { return deg[v] }
+	roots, err := SampleRoots(list.NumVertices, count, seed, degree)
+	return roots, degree, err
 }

@@ -206,7 +206,7 @@ func TestSampleRootsDeterministic(t *testing.T) {
 func TestRunReference(t *testing.T) {
 	p := smallParams(core.Scenario{})
 	p.Scenario = core.Scenario{} // ignored
-	res, err := RunReference(p)
+	res, err := RunReference(smallList(t, p), p)
 	if err != nil {
 		t.Fatal(err)
 	}

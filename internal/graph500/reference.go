@@ -1,30 +1,17 @@
 package graph500
 
 import (
-	"fmt"
-
 	"semibfs/internal/bfs"
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
-	"semibfs/internal/generator"
-	"semibfs/internal/stats"
-	"semibfs/internal/validate"
 )
 
-// RunReference executes the benchmark protocol using the Graph500
+// RunReference executes Steps 2-4 over list using the Graph500
 // reference-implementation baseline (plain top-down BFS over a single
 // non-partitioned CSR, DRAM-only) — the lowest bar in Figure 8. Scenario
 // and mode fields of p are ignored.
-func RunReference(p Params) (*Result, error) {
+func RunReference(list *edgelist.List, p Params) (*Result, error) {
 	p = p.WithDefaults()
-	gen := generator.Config{Scale: p.Scale, EdgeFactor: p.EdgeFactor, Seed: p.Seed}
-	if err := gen.Validate(); err != nil {
-		return nil, err
-	}
-	list, err := generator.Generate(gen)
-	if err != nil {
-		return nil, err
-	}
 	src := edgelist.ListSource{List: list}
 	g, err := csr.BuildSimple(src)
 	if err != nil {
@@ -36,48 +23,16 @@ func RunReference(p Params) (*Result, error) {
 	}
 	res := &Result{
 		Params:    p,
-		N:         gen.NumVertices(),
-		M:         gen.NumEdges(),
+		N:         src.NumVertices(),
+		M:         src.NumEdges(),
 		DRAMBytes: g.Bytes(),
 	}
-	degree := func(v int64) int64 { return g.Degree(v) }
-	roots, err := SampleRoots(gen.NumVertices(), p.Roots, p.Seed, degree)
+	roots, err := SampleRoots(src.NumVertices(), p.Roots, p.Seed, g.Degree)
 	if err != nil {
 		return nil, err
 	}
-	teps := make([]float64, 0, len(roots))
-	for i, root := range roots {
-		out, err := runner.Run(root)
-		if err != nil {
-			return nil, fmt.Errorf("graph500: reference BFS from root %d: %w", root, err)
-		}
-		fullValidate := p.ValidateRoots == 0 || i < p.ValidateRoots
-		var traversed int64
-		if fullValidate {
-			rep, err := validate.Run(out.Tree, root, src)
-			if err != nil {
-				return nil, fmt.Errorf("graph500: validation failed for root %d: %w", root, err)
-			}
-			traversed = rep.TraversedEdges
-		} else {
-			traversed = traversedFromDegrees(out.Tree, degree)
-		}
-		rr := RootResult{
-			Root:       root,
-			Time:       out.Time,
-			Traversed:  traversed,
-			Visited:    out.Visited,
-			ExaminedTD: out.ExaminedTD,
-		}
-		if out.Time > 0 {
-			rr.TEPS = float64(traversed) / out.Time.Seconds()
-		}
-		if p.KeepLevelStats {
-			rr.Levels = out.Levels
-		}
-		res.PerRoot = append(res.PerRoot, rr)
-		teps = append(teps, rr.TEPS)
+	if err := res.runRoots(runner.Run, roots, src, g.Degree); err != nil {
+		return nil, err
 	}
-	res.TEPS = stats.Summarize(teps)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package graph500
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"semibfs/internal/stats"
 )
@@ -23,36 +24,26 @@ func WriteReport(w io.Writer, res *Result) error {
 	ts := stats.Summarize(times)
 	te := res.TEPS
 
-	p := func(key string, format string, args ...interface{}) error {
-		_, err := fmt.Fprintf(w, "%s: "+format+"\n", append([]interface{}{key}, args...)...)
-		return err
-	}
-	steps := []func() error{
-		func() error { return p("SCALE", "%d", res.Params.Scale) },
-		func() error { return p("edgefactor", "%d", res.Params.EdgeFactor) },
-		func() error { return p("NBFS", "%d", len(res.PerRoot)) },
-		func() error {
-			return p("construction_time", "%.6g", res.ConstructionTime.Seconds())
-		},
-		func() error { return p("min_time", "%.6g", ts.Min) },
-		func() error { return p("firstquartile_time", "%.6g", ts.FirstQuartile) },
-		func() error { return p("median_time", "%.6g", ts.Median) },
-		func() error { return p("thirdquartile_time", "%.6g", ts.ThirdQuartile) },
-		func() error { return p("max_time", "%.6g", ts.Max) },
-		func() error { return p("mean_time", "%.6g", ts.Mean) },
-		func() error { return p("stddev_time", "%.6g", ts.StdDev) },
-		func() error { return p("min_TEPS", "%.6g", te.Min) },
-		func() error { return p("firstquartile_TEPS", "%.6g", te.FirstQuartile) },
-		func() error { return p("median_TEPS", "%.6g", te.Median) },
-		func() error { return p("thirdquartile_TEPS", "%.6g", te.ThirdQuartile) },
-		func() error { return p("max_TEPS", "%.6g", te.Max) },
-		func() error { return p("harmonic_mean_TEPS", "%.6g", te.HarmonicMean) },
-		func() error { return p("harmonic_stddev_TEPS", "%.6g", te.HarmonicStdDev) },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	var b strings.Builder
+	line := func(key, format string, v any) { fmt.Fprintf(&b, "%s: "+format+"\n", key, v) }
+	line("SCALE", "%d", res.Params.Scale)
+	line("edgefactor", "%d", res.Params.EdgeFactor)
+	line("NBFS", "%d", len(res.PerRoot))
+	line("construction_time", "%.6g", res.ConstructionTime.Seconds())
+	line("min_time", "%.6g", ts.Min)
+	line("firstquartile_time", "%.6g", ts.FirstQuartile)
+	line("median_time", "%.6g", ts.Median)
+	line("thirdquartile_time", "%.6g", ts.ThirdQuartile)
+	line("max_time", "%.6g", ts.Max)
+	line("mean_time", "%.6g", ts.Mean)
+	line("stddev_time", "%.6g", ts.StdDev)
+	line("min_TEPS", "%.6g", te.Min)
+	line("firstquartile_TEPS", "%.6g", te.FirstQuartile)
+	line("median_TEPS", "%.6g", te.Median)
+	line("thirdquartile_TEPS", "%.6g", te.ThirdQuartile)
+	line("max_TEPS", "%.6g", te.Max)
+	line("harmonic_mean_TEPS", "%.6g", te.HarmonicMean)
+	line("harmonic_stddev_TEPS", "%.6g", te.HarmonicStdDev)
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -136,3 +136,17 @@ func Run(tree []int64, root int64, src edgelist.Source) (*Report, error) {
 	}
 	return rep, nil
 }
+
+// TraversedEdges is the TEPS numerator of a tree that was not streamed
+// through Run: the input edges inside the traversed component, counted as
+// half the degree sum of the visited vertices. Rule 5 (no edge joins a
+// visited and an unvisited vertex) makes this exactly Run's streamed count.
+func TraversedEdges(tree []int64, degree func(int64) int64) int64 {
+	var sum int64
+	for v, parent := range tree {
+		if parent != unreached {
+			sum += degree(int64(v))
+		}
+	}
+	return sum / 2
+}

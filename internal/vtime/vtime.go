@@ -35,6 +35,9 @@ func (d Duration) ToTime() time.Duration { return time.Duration(d) }
 // Seconds returns d as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
+// Micros returns d as floating-point microseconds.
+func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
+
 // String formats d using time.Duration's notation.
 func (d Duration) String() string { return time.Duration(d).String() }
 

@@ -337,13 +337,7 @@ func (s *System) BFS(root int64) (*Result, error) {
 		ExaminedBU: out.ExaminedBU,
 		Switches:   out.Switches,
 	}
-	var sum int64
-	for v, p := range res.Parents {
-		if p != -1 {
-			sum += s.deg[v]
-		}
-	}
-	res.TraversedEdges = sum / 2
+	res.TraversedEdges = validate.TraversedEdges(res.Parents, func(v int64) int64 { return s.deg[v] })
 	for _, l := range out.Levels {
 		res.Levels = append(res.Levels, LevelInfo{
 			Level:        l.Level,
