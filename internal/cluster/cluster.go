@@ -29,19 +29,20 @@
 //     the end of every bottom-up level.
 //   - direction switching uses the global frontier count (an allreduce,
 //     charged as a log2(P) latency tree).
+//
+// Both layouts embed one scaffold (core.go: machines, status arrays, the
+// level loop, the top-down exchange, barrier/allreduce/charge, the block
+// writer); run.go and grid_run.go hold only the collectives that differ.
 package cluster
 
 import (
 	"fmt"
 
-	"semibfs/internal/bitmap"
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
-	"semibfs/internal/enc"
 	"semibfs/internal/faults"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
-	"semibfs/internal/semiext"
 	"semibfs/internal/vtime"
 )
 
@@ -281,51 +282,11 @@ func (ns *nodeStacks) resetDevices() {
 	}
 }
 
-// machine is one simulated cluster node.
-type machine struct {
-	id     int
-	lo, hi int64 // owned vertex range
-	adj    *csr.LocalGraph
-	clock  *vtime.Clock
-	// Semi-external forward adjacency (nil stacks when in DRAM). With
-	// compression on, the index holds byte offsets of delta+varint blocks
-	// instead of element offsets of raw int64s.
-	stacks     *nodeStacks
-	indexStore nvm.Storage
-	valueStore nvm.Storage
-	compressed bool
-	readBuf    []byte
-	idsBuf     []int64
-	// Per-level outboxes: candidate (child, parent) pairs per owner, plus
-	// the wire-decoded inbox and the encode scratch buffer.
-	outbox  [][]pair
-	inbox   []pair
-	wirebuf []byte
-	// Per-level accumulators, reduced after each parallel phase.
-	examined int64
-	claimed  int64
-}
-
-type pair struct{ child, parent int64 }
-
-// Cluster is a built, partitioned graph ready for distributed traversal.
+// Cluster is the 1D layout: the graph is block-partitioned over P machines
+// by vertex, each owning its vertices' full adjacency and status. It is
+// the shared scaffold (core) plus the 1D collectives in run.go.
 type Cluster struct {
-	cfg      Config
-	n        int64
-	part     *numa.Partition
-	machines []*machine
-
-	// BFS status data (globally addressed; each machine writes only its
-	// own range, so the single arrays stand in for per-machine copies).
-	// visited and next are atomic because owner ranges straddle words.
-	tree     []int64
-	visited  *bitmap.Atomic
-	frontier *bitmap.Bitmap // global frontier bitmap (bottom-up tests)
-	next     *bitmap.Atomic
-	frontQ   [][]int64 // per-machine top-down frontier queues
-
-	// comm accumulates interconnect usage per Run, split by phase.
-	comm CommStats
+	core
 }
 
 // Build partitions src across the configured machines and constructs each
@@ -346,122 +307,20 @@ func Build(src edgelist.Source, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		cfg:      cfg,
-		n:        n,
-		part:     part,
-		tree:     make([]int64, n),
-		visited:  bitmap.NewAtomic(int(n)),
-		frontier: bitmap.New(int(n)),
-		next:     bitmap.NewAtomic(int(n)),
-		frontQ:   make([][]int64, cfg.Machines),
+	starts := make([]int64, len(part.Starts))
+	for k, s := range part.Starts {
+		starts[k] = int64(s)
 	}
-	for k := 0; k < cfg.Machines; k++ {
-		lo, hi := part.Range(k)
-		m := &machine{
-			id:     k,
-			lo:     int64(lo),
-			hi:     int64(hi),
-			adj:    bg.PerNode[k],
-			clock:  vtime.NewClock(0),
-			outbox: make([][]pair, cfg.Machines),
-		}
+	c := &Cluster{}
+	c.init(cfg, n, cfg.Machines, starts, c)
+	for k, m := range c.machines {
+		m.td.LocalGraph = *bg.PerNode[k]
 		if cfg.ForwardOnNVM {
-			if err := c.offloadForward(m, cfg); err != nil {
+			if err := c.offload(m, &m.td, fmt.Sprintf("m%d-fwd", k)); err != nil {
 				c.Close()
 				return nil, err
 			}
 		}
-		c.machines = append(c.machines, m)
 	}
 	return c, nil
-}
-
-// offloadForward builds machine m's forward stack pair and writes its
-// owned adjacency through it (untimed setup clock; per-run device stats
-// start from Run's device reset).
-func (c *Cluster) offloadForward(m *machine, cfg Config) error {
-	ns := newNodeStacks(cfg, m.id)
-	m.stacks = ns
-	idx, err := ns.build(cfg, fmt.Sprintf("m%d-fwd-idx", m.id))
-	if err != nil {
-		return err
-	}
-	val, err := ns.build(cfg, fmt.Sprintf("m%d-fwd-val", m.id))
-	if err != nil {
-		return err
-	}
-	m.indexStore, m.valueStore = idx, val
-	m.compressed = cfg.Compress
-	setup := vtime.NewClock(0)
-	local := int(m.hi - m.lo)
-	if cfg.Compress {
-		// Re-encode each owned adjacency as one delta+varint block; the
-		// index becomes byte offsets into the blob.
-		offs := make([]int64, local+1)
-		var blob []byte
-		for i := 0; i < local; i++ {
-			offs[i] = int64(len(blob))
-			v := m.lo + int64(i)
-			blob = enc.AppendList(blob, v, m.adj.Neighbors(v))
-		}
-		offs[local] = int64(len(blob))
-		if err := semiext.WriteInt64s(idx, setup, offs); err != nil {
-			return err
-		}
-		if err := semiext.WriteBytes(val, setup, blob); err != nil {
-			return err
-		}
-	} else {
-		if err := semiext.WriteInt64s(idx, setup, m.adj.Index); err != nil {
-			return err
-		}
-		if err := semiext.WriteInt64s(val, setup, m.adj.Value); err != nil {
-			return err
-		}
-	}
-	m.readBuf = make([]byte, nvm.DefaultChunkSize)
-	return nil
-}
-
-// Close releases every machine's storage stacks (exactly once each).
-func (c *Cluster) Close() error {
-	var first error
-	for _, m := range c.machines {
-		if err := m.stacks.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// NumMachines returns the cluster size.
-func (c *Cluster) NumMachines() int { return c.cfg.Machines }
-
-// Owner returns the machine owning vertex v.
-func (c *Cluster) Owner(v int64) int { return c.part.NodeOf(int(v)) }
-
-// DeviceStats returns per-machine NVM statistics (nil without offload);
-// with mirroring, the primary replica's device is reported.
-func (c *Cluster) DeviceStats() []nvm.Stats {
-	if !c.cfg.ForwardOnNVM {
-		return nil
-	}
-	out := make([]nvm.Stats, len(c.machines))
-	for i, m := range c.machines {
-		if m.stacks != nil && len(m.stacks.devs) > 0 {
-			out[i] = m.stacks.devs[0].Snapshot()
-		}
-	}
-	return out
-}
-
-// ReplicaHealth returns machine k's merged replica health (nil without
-// mirroring).
-func (c *Cluster) ReplicaHealth(k int) []nvm.ReplicaHealth {
-	m := c.machines[k]
-	if m.stacks == nil {
-		return nil
-	}
-	return nvm.CollectReplicaHealth(m.stacks.stores...)
 }

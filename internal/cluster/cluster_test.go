@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"semibfs/internal/bfs"
@@ -8,6 +10,7 @@ import (
 	"semibfs/internal/generator"
 	"semibfs/internal/nvm"
 	"semibfs/internal/validate"
+	"semibfs/internal/vtime"
 )
 
 func testList(t *testing.T, scale int, seed uint64) *edgelist.List {
@@ -188,19 +191,21 @@ func TestClusterForwardOnNVM(t *testing.T) {
 	if b.Time <= aTime {
 		t.Fatalf("NVM cluster (%v) not slower than DRAM cluster (%v)", b.Time, aTime)
 	}
-	stats := nvmC.DeviceStats()
-	if len(stats) != 4 {
-		t.Fatalf("%d device stats", len(stats))
+	report := nvmC.MachineReport()
+	if len(report) != 4 {
+		t.Fatalf("%d machine statuses", len(report))
 	}
 	var reads int64
-	for _, s := range stats {
-		reads += s.Reads
+	for _, st := range report {
+		reads += st.Device.Reads
 	}
 	if reads == 0 {
 		t.Fatal("no per-machine NVM reads")
 	}
-	if dram.DeviceStats() != nil {
-		t.Fatal("DRAM cluster has device stats")
+	for _, st := range dram.MachineReport() {
+		if st.Device.Reads != 0 || st.Health != nil {
+			t.Fatal("DRAM cluster has device stats")
+		}
 	}
 }
 
@@ -244,8 +249,8 @@ func TestClusterCompressedAdjacency(t *testing.T) {
 	}
 	bytesOf := func(c *Cluster) int64 {
 		var total int64
-		for _, s := range c.DeviceStats() {
-			total += s.ReadBytes
+		for _, st := range c.MachineReport() {
+			total += st.Device.ReadBytes
 		}
 		return total
 	}
@@ -275,34 +280,71 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 }
 
+// switchStore fails every read, retryably, while failing is set: the
+// retry layer backs off on the reader's clock until it gives up.
+type switchStore struct {
+	nvm.Storage
+	failing *atomic.Bool
+}
+
+func (s *switchStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
+	if s.failing.Load() {
+		return fmt.Errorf("switch: %w", nvm.ErrTransient)
+	}
+	return s.Storage.ReadAt(clock, p, off)
+}
+
 // TestRunTimeIsPerRun pins Result.Time to the run it describes: machine
 // clocks never rewind, so a reused cluster or grid must subtract the
-// run's start stamp rather than report its cumulative clock.
+// run's start stamp rather than report its cumulative clock — and a run
+// whose storage failed in between (machine 3's media: the 1D run aborts
+// mid-level with machine 3's clock ahead by its retry backoff, the grid's
+// degrades) must not make the next one cheaper.
 func TestRunTimeIsPerRun(t *testing.T) {
 	list := testList(t, 9, 55)
 	src := edgelist.ListSource{List: list}
 	root := firstConnected(list)
-	cfg := Config{Machines: 4, Alpha: 32, Beta: 320}
+	var failing atomic.Bool
+	cfg := Config{
+		Machines: 4, Alpha: 32, Beta: 320, ForwardOnNVM: true,
+		WrapBase: func(machine int, name string, inner nvm.Storage) nvm.Storage {
+			if machine != 3 {
+				return inner
+			}
+			return &switchStore{Storage: inner, failing: &failing}
+		},
+	}
 	c, err := Build(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	g, err := BuildGrid(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Close()
 	for name, run := range map[string]func(int64) (*Result, error){"1d": c.Run, "2d": g.Run} {
 		first, err := run(root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		firstTime := first.Time
+		failing.Store(true)
+		res, err := run(root)
+		failing.Store(false)
+		if name == "1d" && err == nil {
+			t.Errorf("1d: run survived machine 3's storage failure")
+		}
+		if name == "2d" && (err != nil || !res.Degraded) {
+			t.Errorf("2d: run over machine 3's failed storage: err %v, want a degraded result", err)
+		}
 		second, err := run(root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if firstTime <= 0 || second.Time != firstTime {
-			t.Errorf("%s: consecutive runs of root %d took %v then %v", name, root, firstTime, second.Time)
+			t.Errorf("%s: runs of root %d around a failed one took %v then %v", name, root, firstTime, second.Time)
 		}
 	}
 }

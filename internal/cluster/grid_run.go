@@ -1,122 +1,28 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
-
 	"semibfs/internal/bfs"
 	"semibfs/internal/vtime"
 )
 
-// Run executes one 2D-partitioned hybrid BFS from root. A level that
-// hits an unrescuable storage failure (the mirror layer exhausts its
-// replicas) marks that machine dead, pins the grid to the DRAM-resident
-// bottom-up layout, and re-runs the level — the claim state is rolled
-// back, so degraded runs stay bit-identical to healthy ones.
-func (g *Grid) Run(root int64) (*Result, error) {
-	if root < 0 || root >= g.n {
-		return nil, fmt.Errorf("cluster: grid root %d outside [0,%d)", root, g.n)
-	}
-	for i := range g.tree {
-		g.tree[i] = -1
-	}
-	g.visited.Reset()
-	g.next.Reset()
-	g.frontier.Reset()
+// The grid's side of the level loop (layout): every level starts by
+// allgathering the frontier down the processor columns, the bottom-up
+// level is Beamer's rotating ring scan, and because the bu blocks stay in
+// DRAM the grid installs core.rollback and survives machine death.
+
+func (g *Grid) install(root int64) {
 	g.fview.Reset()
-	g.comm = CommStats{}
-	g.degraded = false
-	g.deadMachines = nil
-	for i := range g.machines {
-		for _, m := range g.machines[i] {
-			m.dead = false
-			m.stacks.resetDevices()
-		}
-	}
 	g.resetLevelScratch()
-
-	g.tree[root] = root
-	g.visited.Set(int(root))
 	g.frontier.Set(int(root))
-
-	res := &Result{Root: root, Visited: 1}
-	dir := bfs.TopDown
-	prevCount, curCount := int64(0), int64(1)
-	// As in Cluster.Run: clocks never rewind, so time is measured from
-	// wherever the previous run left them.
-	runStart := vtime.MaxOf(g.allClocks())
-
-	for level := 0; ; level++ {
-		if level > int(g.n) {
-			return nil, fmt.Errorf("cluster: grid runaway at level %d", level)
-		}
-		if level > 0 {
-			newDir := bfs.NextDirection(dir, prevCount, curCount, float64(g.n), g.cfg.Alpha, g.cfg.Beta)
-			if newDir != dir {
-				res.Switches++
-				dir = newDir
-			}
-		}
-		start := vtime.MaxOf(g.allClocks())
-		comm0 := g.comm
-
-		var claimed, examined int64
-		for {
-			var err error
-			claimed, examined, err = g.runLevel(dir)
-			if err == nil {
-				break
-			}
-			var me *machineError
-			if !errors.As(err, &me) {
-				return nil, err
-			}
-			if m := g.machineAt(me.machine); !m.dead {
-				// Unrescuable storage death: declare the machine dead,
-				// pin the grid to the DRAM-resident layout, roll the
-				// level back and retry.
-				m.dead = true
-				g.degraded = true
-				g.deadMachines = append(g.deadMachines, me.machine)
-				g.resetLevelScratch()
-				continue
-			}
-			return nil, err
-		}
-
-		g.allreduce(8)
-		end := g.barrier()
-
-		delta := g.comm.sub(comm0)
-		res.Levels = append(res.Levels, LevelStats{
-			Level:     level,
-			Direction: dir,
-			Frontier:  curCount,
-			Claimed:   claimed,
-			Examined:  examined,
-			CommBytes: delta.Total(),
-			Comm:      delta,
-			Time:      end - start,
-		})
-		res.Visited += claimed
-		if claimed == 0 {
-			break
-		}
-		g.promoteNext()
-		prevCount, curCount = curCount, claimed
-	}
-	res.Time = vtime.MaxOf(g.allClocks()) - runStart
-	res.Tree = g.tree
-	res.Comm = g.comm
-	res.CommBytes = g.comm.Total()
-	res.Degraded = g.degraded
-	res.DeadMachines = append([]int(nil), g.deadMachines...)
-	return res, nil
 }
 
-// runLevel distributes the frontier and executes one level in the
-// layout dir and the degradation state call for.
-func (g *Grid) runLevel(dir bfs.Direction) (claimed, examined int64, err error) {
+// redirect is a no-op: the grid keeps its frontier as one bitmap and
+// re-distributes it in the direction's format at the top of every level.
+func (g *Grid) redirect(from, to bfs.Direction) error { return nil }
+
+// level distributes the frontier and executes one level in the layout dir
+// and the degradation state call for.
+func (g *Grid) level(dir bfs.Direction) (claimed, examined int64, err error) {
 	if err := g.distributeFrontier(dir); err != nil {
 		return 0, 0, err
 	}
@@ -137,14 +43,8 @@ func (g *Grid) resetLevelScratch() {
 		}
 		g.touched[i] = g.touched[i][:0]
 	}
-	for i := range g.machines {
-		for _, m := range g.machines[i] {
-			for o := range m.outbox {
-				m.outbox[o] = m.outbox[o][:0]
-			}
-			m.inbox = m.inbox[:0]
-			m.pending = m.pending[:0]
-		}
+	for _, m := range g.machines {
+		m.resetBoxes()
 	}
 }
 
@@ -163,12 +63,12 @@ func (g *Grid) distributeFrontier(dir bfs.Direction) error {
 		lo, hi := g.colStart[j], g.colStart[j+1]
 		parts := blockStarts(hi-lo, g.rows)
 		if sparse {
-			g.colQ[j] = g.colQ[j][:0]
+			g.queues[j] = g.queues[j][:0]
 		}
 		fragLen := make([]int64, g.rows)
 		var total int64
 		for r := 0; r < g.rows; r++ {
-			m := g.machines[r][j]
+			m := g.at(r, j)
 			flo, fhi := lo+parts[r], lo+parts[r+1]
 			if sparse {
 				q := m.idsBuf[:0]
@@ -177,11 +77,11 @@ func (g *Grid) distributeFrontier(dir bfs.Direction) error {
 				})
 				m.idsBuf = q[:0]
 				m.wirebuf = appendList(m.wirebuf[:0], q, g.cfg.Compress)
-				dec, _, err := decodeList(m.wirebuf, g.colQ[j])
+				dec, _, err := decodeList(m.wirebuf, g.queues[j])
 				if err != nil {
 					return err
 				}
-				g.colQ[j] = dec
+				g.queues[j] = dec
 			} else {
 				m.wirebuf = appendBitmap(m.wirebuf[:0], g.frontier.Test, int(flo), int(fhi), g.cfg.Compress)
 				off := int(flo)
@@ -201,117 +101,11 @@ func (g *Grid) distributeFrontier(dir bfs.Direction) error {
 		}
 		if g.rows > 1 {
 			for r := 0; r < g.rows; r++ {
-				g.machines[r][j].clock.Advance(g.cfg.Net.transfer(total - fragLen[r]))
+				g.at(r, j).clock.Advance(g.cfg.Net.transfer(total - fragLen[r]))
 			}
 		}
 	}
 	return nil
-}
-
-// topDownLevel expands every block against the column queues; candidate
-// (child, parent) pairs cross each processor row wire-encoded to their
-// owners, who arbitrate by minimum parent — the single-node claim rule.
-func (g *Grid) topDownLevel() (claimed, examined int64, err error) {
-	cm := &g.cfg.Cost
-	jobs := g.rows * g.cols
-	// Phase 1: expansion (parallel; each job touches only its machine).
-	err = runJobsErr(g.cfg.RealWorkers, jobs, func(idx int) error {
-		m := g.machineAt(idx)
-		m.examined, m.claimed = 0, 0
-		for o := range m.outbox {
-			m.outbox[o] = m.outbox[o][:0]
-		}
-		m.inbox = m.inbox[:0]
-		base := g.colStart[m.j]
-		var t vtime.Duration
-		for _, u := range g.colQ[m.j] {
-			t += cm.VertexOverhead
-			parent := u
-			serr := m.streamTD(u, base, &t, cm, func(v int64) bool {
-				t += cm.EdgeCompute + cm.BitmapProbe
-				m.examined++
-				if !g.visited.Test(int(v)) {
-					_, oj := g.ownerOf(v)
-					m.outbox[oj] = append(m.outbox[oj], pair{v, parent})
-					t += cm.QueueAppend
-				}
-				return true
-			})
-			if serr != nil {
-				return &machineError{machine: idx, err: serr}
-			}
-		}
-		for o := range m.outbox {
-			m.outbox[o] = sortDedupPairs(m.outbox[o])
-		}
-		m.charge(g, t)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	// Phase 2: wire-encoded candidate exchange across each row (serial).
-	recv := make([]vtime.Duration, jobs)
-	for i := 0; i < g.rows; i++ {
-		for j := 0; j < g.cols; j++ {
-			m := g.machines[i][j]
-			for oj, box := range m.outbox {
-				if oj == j || len(box) == 0 {
-					continue
-				}
-				m.wirebuf = appendPairs(m.wirebuf[:0], box, g.cfg.Compress)
-				nb := int64(len(m.wirebuf))
-				g.comm.TDCandidate += nb
-				oidx := i*g.cols + oj
-				if done := m.clock.Now() + g.cfg.Net.transfer(nb); done > recv[oidx] {
-					recv[oidx] = done
-				}
-				dst := g.machines[i][oj]
-				dec, _, derr := decodePairs(m.wirebuf, dst.inbox)
-				if derr != nil {
-					return 0, 0, derr
-				}
-				dst.inbox = dec
-			}
-		}
-	}
-	// Phase 3: arbitration (parallel; ownerOf gives every child exactly
-	// one owner, so tree writes never race).
-	runJobs(g.cfg.RealWorkers, jobs, func(idx int) {
-		m := g.machineAt(idx)
-		if recv[idx] > m.clock.Now() {
-			m.clock.AdvanceTo(recv[idx])
-		}
-		var t vtime.Duration
-		claim := func(pr pair) {
-			t += cm.EdgeCompute + cm.BitmapProbe
-			if g.visited.Test(int(pr.child)) {
-				return
-			}
-			if !g.next.Test(int(pr.child)) {
-				g.next.Set(int(pr.child))
-				g.tree[pr.child] = pr.parent
-				t += cm.AtomicOp + cm.LocalAccess
-				m.claimed++
-			} else if pr.parent < g.tree[pr.child] {
-				g.tree[pr.child] = pr.parent
-			}
-		}
-		for _, pr := range m.outbox[m.j] {
-			claim(pr)
-		}
-		for _, pr := range m.inbox {
-			claim(pr)
-		}
-		m.charge(g, t)
-	})
-	for i := range g.machines {
-		for _, m := range g.machines[i] {
-			claimed += m.claimed
-			examined += m.examined
-		}
-	}
-	return claimed, examined, nil
 }
 
 // scanLevel runs Beamer's rotating sub-phases over every processor row
@@ -327,14 +121,13 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 	cm := &g.cfg.Cost
 	rowComm := make([]int64, g.rows)
 	err = runJobsErr(g.cfg.RealWorkers, g.rows, func(i int) error {
-		base := g.rowStart[i]
 		for j := 0; j < g.cols; j++ {
-			m := g.machines[i][j]
+			m := g.at(i, j)
 			m.examined, m.claimed = 0, 0
 		}
 		for s := 0; s < g.cols; s++ {
 			for j := 0; j < g.cols; j++ {
-				m := g.machines[i][j]
+				m := g.at(i, j)
 				t0 := (j + s) % g.cols
 				lo, hi := g.stripeRange(i, t0)
 				var t vtime.Duration
@@ -349,7 +142,7 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 					best := cur
 					var serr error
 					if emulateTD {
-						serr = m.streamBU(v, base, &t, cm, func(u int64) bool {
+						serr = g.stream(m, &m.bu, v, &t, func(u int64) bool {
 							t += cm.EdgeCompute + cm.BitmapProbe
 							m.examined++
 							if g.fview.Test(int(u)) && (best == -1 || u < best) {
@@ -358,7 +151,7 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 							return true
 						})
 					} else {
-						serr = m.streamBU(v, base, &t, cm, func(u int64) bool {
+						serr = g.stream(m, &m.bu, v, &t, func(u int64) bool {
 							t += cm.EdgeCompute + cm.BitmapProbe
 							m.examined++
 							if cur != -1 && !g.better(u, cur) {
@@ -379,7 +172,7 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 						t += cm.QueueAppend
 					}
 				}
-				m.charge(g, t)
+				g.charge(m, t)
 			}
 			// Ring shift: each machine passes its stripe's wire-encoded
 			// claim updates on; the decoded copy becomes the claim state.
@@ -387,7 +180,7 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 				var maxBytes int64
 				var rowMax vtime.Duration
 				for j := 0; j < g.cols; j++ {
-					m := g.machines[i][j]
+					m := g.at(i, j)
 					m.wirebuf = appendPairs(m.wirebuf[:0], m.pending, g.cfg.Compress)
 					nb := int64(len(m.wirebuf))
 					rowComm[i] += nb
@@ -400,10 +193,10 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 				}
 				cost := g.cfg.Net.transfer(maxBytes)
 				for j := 0; j < g.cols; j++ {
-					g.machines[i][j].clock.AdvanceTo(rowMax + cost)
+					g.at(i, j).clock.AdvanceTo(rowMax + cost)
 				}
 				for j := 0; j < g.cols; j++ {
-					m := g.machines[i][j]
+					m := g.at(i, j)
 					ps, _, derr := decodePairs(m.wirebuf, m.inbox[:0])
 					if derr != nil {
 						return derr
@@ -417,7 +210,7 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 					}
 				}
 			} else {
-				m := g.machines[i][0]
+				m := g.at(i, 0)
 				for _, pr := range m.pending {
 					if g.cand[pr.child] == -1 {
 						g.touched[i] = append(g.touched[i], pr.child)
@@ -446,27 +239,22 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 			g.next.Set(int(v))
 			claimed++
 			g.cand[v] = -1
-			oi, oj := g.ownerOf(v)
-			chargeT[oi*g.cols+oj] += cm.LocalAccess + 2*cm.BitmapProbe
+			chargeT[g.owner(v)] += cm.LocalAccess + 2*cm.BitmapProbe
 		}
 		g.touched[i] = g.touched[i][:0]
 	}
 	for idx, t := range chargeT {
 		if t > 0 {
-			g.machineAt(idx).charge(g, t)
+			g.charge(g.machines[idx], t)
 		}
 	}
-	for i := range g.machines {
-		for _, m := range g.machines[i] {
-			examined += m.examined
-		}
-	}
+	_, examined = g.tally()
 	return claimed, examined, nil
 }
 
-// promoteNext installs the next frontier: visited |= next, frontier =
-// next (serial between levels, then reset).
-func (g *Grid) promoteNext() {
+// promote installs the next frontier: visited |= next, frontier = next
+// (serial between levels, then reset).
+func (g *Grid) promote(bfs.Direction) error {
 	vw, nw, fw := g.visited.Words(), g.next.Words(), g.frontier.Words()
 	for wi := range nw {
 		vw[wi] |= nw[wi]
@@ -474,4 +262,5 @@ func (g *Grid) promoteNext() {
 	}
 	g.next.Reset()
 	g.barrier()
+	return nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"semibfs/internal/bfs"
@@ -23,22 +24,50 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
+// explicitShapes are the tall and degenerate grids GridShape never picks
+// (rows > cols, a single row for a composite P, a single column — the
+// no-ring branch of scanLevel), each in DRAM and offloaded + compressed.
+func explicitShapes() []Config {
+	var cfgs []Config
+	for _, s := range [][2]int{{1, 4}, {4, 1}, {3, 2}, {2, 3}, {1, 1}} {
+		for _, nvm := range []bool{false, true} {
+			cfgs = append(cfgs, Config{
+				Machines: s[0] * s[1], GridRows: s[0], GridCols: s[1],
+				ForwardOnNVM: nvm, Compress: nvm,
+			})
+		}
+	}
+	return cfgs
+}
+
 func TestGridMatchesSerial(t *testing.T) {
 	list := testList(t, 10, 91)
 	src := edgelist.ListSource{List: list}
 	root := firstConnected(list)
+	var cfgs []Config
 	for _, machines := range []int{1, 2, 4, 6, 9} {
-		g, err := BuildGrid(src, Config{Machines: machines, Alpha: 64, Beta: 640})
+		cfgs = append(cfgs, Config{Machines: machines})
+	}
+	for _, cfg := range append(cfgs, explicitShapes()...) {
+		name := fmt.Sprintf("machines=%d shape=%dx%d nvm=%v", cfg.Machines, cfg.GridRows, cfg.GridCols, cfg.ForwardOnNVM)
+		cfg.Alpha, cfg.Beta = 64, 640
+		g, err := BuildGrid(src, cfg)
 		if err != nil {
-			t.Fatalf("machines=%d: %v", machines, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		res, err := g.Run(root)
 		if err != nil {
-			t.Fatalf("machines=%d: %v", machines, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		checkTree(t, list, res)
 		if res.Time <= 0 {
-			t.Fatalf("machines=%d: no virtual time", machines)
+			t.Fatalf("%s: no virtual time", name)
+		}
+		if rows, cols := g.Shape(); cfg.GridRows > 0 && (rows != cfg.GridRows || cols != cfg.GridCols) {
+			t.Fatalf("%s: built %dx%d", name, rows, cols)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
 		}
 	}
 }
@@ -242,8 +271,9 @@ func TestGridOwnerOfCoversAllVertices(t *testing.T) {
 		counts[i] = make([]int64, cols)
 	}
 	for v := int64(0); v < list.NumVertices; v++ {
-		i, j := g.ownerOf(v)
-		if i < 0 || i >= rows || j < 0 || j >= cols {
+		k := g.owner(v)
+		i, j := k/cols, k%cols
+		if k < 0 || k >= rows*cols {
 			t.Fatalf("vertex %d owned by (%d,%d)", v, i, j)
 		}
 		counts[i][j]++

@@ -158,3 +158,38 @@ func TestReadInt64sNoSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("readInt64s allocates %.1f objects per steady-state call, want 0", allocs)
 	}
 }
+
+// TestStreamIndexedNeighborsNoSteadyStateAllocs: one indexed lookup on a
+// warm plain stack — the 16-byte index bracket plus the value range —
+// allocates nothing once the caller's buffers have reached size.
+func TestStreamIndexedNeighborsNoSteadyStateAllocs(t *testing.T) {
+	index := []int64{0, 3, 3, 40}
+	value := make([]int64, 40)
+	for i := range value {
+		value[i] = int64(i) * 5
+	}
+	idx := nvm.NewNamedMemStore("allocs-idx", nil, nvm.DefaultChunkSize)
+	defer idx.Close()
+	val := nvm.NewNamedMemStore("allocs-val", nil, nvm.DefaultChunkSize)
+	defer val.Close()
+	if err := writeInt64s(idx, nil, index); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeInt64s(val, nil, value); err != nil {
+		t.Fatal(err)
+	}
+	var scratch []byte
+	var ids []int64
+	var sum int64
+	fn := func(nb int64) bool { sum += nb; return true }
+	lookup := func() {
+		n, err := StreamIndexedNeighbors(idx, val, nil, false, 2, 2, &scratch, &ids, 0, fn)
+		if err != nil || n != 37 {
+			t.Fatalf("streamed %d neighbors, err %v; want 37", n, err)
+		}
+	}
+	lookup()
+	if allocs := testing.AllocsPerRun(50, lookup); allocs > 0 {
+		t.Fatalf("StreamIndexedNeighbors allocates %.1f objects per steady-state call, want 0", allocs)
+	}
+}

@@ -33,12 +33,18 @@ func WriteBytes(store nvm.Storage, clock *vtime.Clock, p []byte) error {
 // and delta+varint-compressed (byte offsets) stores read identically.
 // src is the global vertex ID the compressed decoder needs; i is the
 // local index into idx. fn, scratch, ids and chunkBytes behave exactly
-// as in StreamNeighbors.
+// as in StreamNeighbors; the bracket is read into scratch too (a local
+// array would escape through the Storage interface and cost one heap
+// object per call), and its offsets are extracted before scratch is
+// reused.
 func StreamIndexedNeighbors(idx, val nvm.Storage, clock *vtime.Clock, compressed bool,
 	src, i int64, scratch *[]byte, ids *[]int64, chunkBytes int,
 	fn func(nb int64) bool) (examined int64, err error) {
-	var bracket [16]byte
-	if err := idx.ReadAt(clock, bracket[:], i*8); err != nil {
+	if cap(*scratch) < 16 {
+		*scratch = make([]byte, 16)
+	}
+	bracket := (*scratch)[:16]
+	if err := idx.ReadAt(clock, bracket, i*8); err != nil {
 		return 0, err
 	}
 	lo := int64(binary.LittleEndian.Uint64(bracket[0:8]))
