@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-json simdiff golden
+.PHONY: build test check lint bench bench-json simdiff golden loc
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,10 @@ bench-json:
 # Are this tree's virtual numbers byte-identical to REF's? (make simdiff REF=HEAD~1)
 simdiff:
 	bash scripts/simdiff.sh $(REF)
+
+# Non-test Go lines per package, here or at REF (make loc REF=HEAD~1).
+loc:
+	bash scripts/loc.sh $(REF)
 
 # Regenerate cmd/graph500's report goldens — only when a report is meant to change.
 golden:

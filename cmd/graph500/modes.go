@@ -260,27 +260,21 @@ func runServed(c *cli) error {
 	if err != nil {
 		return err
 	}
-	br, err := sys.NewBatchRunner(c.batch, p.BFS)
-	if err != nil {
-		return err
+	trace := make([]serve.Arrival, len(roots))
+	for i, root := range roots {
+		trace[i] = serve.Arrival{Root: root, At: float64(i) / c.qps}
 	}
-	srv := serve.NewServer(br, sys.Backward.Degree, src.NumVertices(), serve.ServerConfig{
+	res, err := graph500.RunServed(sys, p.BFS, serve.ServerConfig{
 		Lanes:           c.batch,
 		QueueCap:        c.queueCap,
 		Policy:          c.policy,
 		DefaultDeadline: c.deadline,
 		KeepTrees:       true,
-	})
-	defer srv.Close()
-	trace := make([]serve.Arrival, len(roots))
-	for i, root := range roots {
-		trace[i] = serve.Arrival{Root: root, At: float64(i) / c.qps}
-	}
-	outs, err := srv.ServeTrace(trace)
+	}, trace)
 	if err != nil {
 		return err
 	}
-	st := srv.Stats()
+	st, layers := res.Stats, res.Layers
 
 	c.header(p, -1)
 	c.kv("serving lanes", "%d", c.batch)
@@ -293,12 +287,12 @@ func runServed(c *cli) error {
 	if c.deadline > 0 {
 		c.kv("deadline", "%gs", c.deadline)
 	}
-	c.bytes("BFS status bytes", br.StatusBytes())
+	c.bytes("BFS status bytes", res.StatusBytes)
 
 	validated, degraded := 0, 0
 	var traversed int64
 	var makespan float64
-	for _, o := range outs {
+	for _, o := range res.Outcomes {
 		makespan = max(makespan, o.Finished)
 		if o.Outcome != serve.OutcomeServed {
 			continue
@@ -332,7 +326,6 @@ func runServed(c *cli) error {
 	if degraded > 0 {
 		c.kv("degraded queries", "%d", degraded)
 	}
-	layers := srv.Layers()
 	if readErrors := layers.Get("retry", "read_errors"); readErrors > 0 {
 		c.readErrors(readErrors, layers.Get("retry", "retries"), "")
 	}

@@ -98,15 +98,6 @@ func (r *BatchResult) CloneTree(l int) []int64 {
 	return append([]int64(nil), r.Trees[l]...)
 }
 
-// TotalVisited sums the per-lane visited counts.
-func (r *BatchResult) TotalVisited() int64 {
-	var v int64
-	for _, c := range r.Visited {
-		v += c
-	}
-	return v
-}
-
 // NewBatchRunner prepares a BatchRunner traversing up to lanes sources per
 // batch over the given graphs. Status data is reused across RunBatch calls.
 func NewBatchRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, lanes int, cfg Config) (*BatchRunner, error) {
@@ -159,9 +150,6 @@ func NewBatchRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition,
 
 // Lanes returns the runner's batch capacity B.
 func (r *BatchRunner) Lanes() int { return r.lanes }
-
-// Config returns the runner's effective (defaulted) configuration.
-func (r *BatchRunner) Config() Config { return r.cfg }
 
 // StatusBytes returns the DRAM footprint of the batched BFS status data
 // (per-lane trees, lane words, frontier queues) — the Table II row scaled
@@ -231,24 +219,7 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	}
 	r.active = len(roots)
 	r.activeMask = bitmap.LaneMask(r.active)
-
-	// Reset status data (setup is not charged to BFS time, matching the
-	// Graph500 timing protocol which starts the clock at traversal).
-	n := int(r.n)
-	for l := 0; l < r.active; l++ {
-		tree := r.trees[l]
-		for i := range tree {
-			tree[i] = -1
-		}
-	}
-	r.visited.ResetRange(0, n)
-	r.frontier.ResetRange(0, n)
-	r.next.ResetRange(0, n)
-	r.frontQ = r.frontQ[:0]
-	for w := range r.nextQ {
-		r.nextQ[w] = r.nextQ[w][:0]
-	}
-	r.pinned = false
+	r.reset(r.active)
 	// A completed batch ends on a barrier, but a failed one leaves the
 	// clocks wherever its workers stopped; start every batch level.
 	start := vtime.MaxOf(r.clocks)
@@ -267,35 +238,21 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 		Roots:   append([]int64(nil), roots...),
 		Visited: make([]int64, r.active),
 	}
-	dir := TopDown
-	if r.cfg.Mode == ModeBottomUpOnly {
-		dir = BottomUp
-	}
-	prevCount, curCount := int64(0), int64(r.active)
-
+	sw := sweep{fresh: true, cur: int64(r.active)}
 	for level := 0; ; level++ {
 		if level > int(r.n) {
 			return nil, fmt.Errorf("bfs: batch level %d exceeds vertex count; cycle in control logic", level)
 		}
-		newDir := dir
-		if level > 0 {
-			newDir = r.decide(dir, prevCount, curCount)
-		}
-		if newDir != dir {
-			res.Switches++
-			dir = newDir
-		}
-		ls, degraded, err := r.runLevel(level, dir, curCount)
+		ls, degraded, switches, err := r.advance(level, &sw)
 		if err != nil {
 			return nil, err
 		}
+		res.Switches += switches
 		if degraded != nil {
 			res.Resilience.Degraded = append(res.Resilience.Degraded, *degraded)
-			dir = degraded.To
-			res.Switches++
 		}
 		res.Levels = append(res.Levels, ls)
-		if dir == TopDown {
+		if sw.dir == TopDown {
 			res.ExaminedTD += ls.Examined()
 		} else {
 			res.ExaminedBU += ls.Examined()
@@ -308,11 +265,11 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 		if err := r.promote(); err != nil {
 			return nil, err
 		}
-		prevCount, curCount = curCount, ls.Claimed
+		sw.prev, sw.cur = sw.cur, ls.Claimed
 	}
 	res.Time = vtime.MaxOf(r.clocks) - start
 	res.Trees = r.trees[:r.active]
-	for v := 0; v < n; v++ {
+	for v := 0; v < int(r.n); v++ {
 		for w := r.visited.Word(v); w != 0; w &= w - 1 {
 			res.Visited[bits.TrailingZeros64(w)]++
 		}
@@ -324,10 +281,65 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	return res, nil
 }
 
+// reset clears the status data of the first `lanes` lanes and unpins the
+// runner (setup is not charged to BFS time, matching the Graph500 timing
+// protocol which starts the clock at traversal).
+func (r *BatchRunner) reset(lanes int) {
+	for _, tree := range r.trees[:lanes] {
+		for i := range tree {
+			tree[i] = -1
+		}
+	}
+	n := int(r.n)
+	r.visited.ResetRange(0, n)
+	r.frontier.ResetRange(0, n)
+	r.next.ResetRange(0, n)
+	r.frontQ = r.frontQ[:0]
+	for w := range r.nextQ {
+		r.nextQ[w] = r.nextQ[w][:0]
+	}
+	r.pinned = false
+}
+
+// sweep is the direction controller's state across the joint levels of the
+// live lanes: the current direction and the lane-bit frontier sizes of the
+// last two levels.
+type sweep struct {
+	dir       Direction
+	prev, cur int64
+	fresh     bool // no level has run since the lanes were last all idle
+}
+
+// advance runs one joint level, the step RunBatch's loop and
+// BatchSession.Step share: pick the direction, run the level body, fold a
+// rescue. A fresh cohort starts top-down (the paper's rule: BFS always
+// begins at the source) unless the mode or a pin says otherwise; later
+// levels apply the switching rule. It returns the level, the rescue event if
+// a device died, and how many times the direction changed.
+func (r *BatchRunner) advance(level int, sw *sweep) (ls LevelStats, degraded *DegradedEvent, switches int, err error) {
+	if sw.fresh {
+		sw.dir = TopDown
+		if dir, forced := steerMode(r.pinned, r.pinnedDir, r.cfg.Mode); forced {
+			sw.dir = dir
+		}
+		sw.prev, sw.fresh = 0, false
+	} else if next := r.decide(sw.dir, sw.prev, sw.cur); next != sw.dir {
+		sw.dir = next
+		switches++
+	}
+	if ls, degraded, err = r.runLevel(level, sw.dir, sw.cur); err != nil {
+		return ls, nil, 0, err
+	}
+	if degraded != nil {
+		sw.dir = degraded.To
+		switches++
+	}
+	return ls, degraded, switches, nil
+}
+
 // runLevel runs one joint level of the live lanes in direction dir: build
 // the active-vertex list a top-down scatter wants, run the kernel, rescue a
-// failed kernel, close on the barrier. It is the level body of both
-// RunBatch and BatchSession.Step. A rescued level reports the event and
+// failed kernel, close on the barrier. A rescued level reports the event and
 // carries the surviving direction in ls.Direction; the runner stays pinned
 // to it.
 func (r *BatchRunner) runLevel(level int, dir Direction, frontier int64) (ls LevelStats, degraded *DegradedEvent, err error) {

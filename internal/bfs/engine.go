@@ -155,17 +155,6 @@ func (r *Result) CloneTree() []int64 {
 	return append([]int64(nil), r.Tree...)
 }
 
-// TDLevels returns the statistics of the top-down levels only.
-func (r *Result) TDLevels() []LevelStats {
-	var out []LevelStats
-	for _, l := range r.Levels {
-		if l.Direction == TopDown {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Runner executes BFS repeatedly over one pair of graphs, reusing all BFS
 // status data (tree, bitmaps, queues) across runs — the structures whose
 // sizes Table II reports. It is the shared Hybrid level loop driven by the

@@ -34,11 +34,8 @@ type BatchSession struct {
 	r *BatchRunner
 
 	inUse uint64 // lanes currently owned by live searches
-	fresh bool   // no step has run since the session last went idle
-
-	dir                 Direction
-	prevCount, curCount int64
-	level               int // session-monotone step counter
+	sw    sweep
+	level int // session-monotone step counter
 
 	roots    [bitmap.MaxLanes]int64
 	visCount [bitmap.MaxLanes]int64
@@ -63,42 +60,21 @@ type SessionLevel struct {
 	// nothing): their trees are final and they must be released before the
 	// next Step.
 	Finished uint64
-	// Switched reports a direction change (including a degraded rescue).
-	Switched bool
 	// Degraded holds the level's rescue events, if a device died mid-level
 	// and a DRAM-resident direction absorbed the whole live cohort.
 	Degraded []DegradedEvent
-	// ExaminedDRAM / ExaminedNVM count neighbor IDs examined per tier.
-	ExaminedDRAM, ExaminedNVM int64
 }
 
 // OpenSession resets the runner's lane structures and returns a session
 // over them. The session borrows the runner exclusively; see BatchSession.
 func (r *BatchRunner) OpenSession() *BatchSession {
-	n := int(r.n)
-	for l := range r.trees {
-		tree := r.trees[l]
-		for i := range tree {
-			tree[i] = -1
-		}
-	}
-	r.visited.ResetRange(0, n)
-	r.frontier.ResetRange(0, n)
-	r.next.ResetRange(0, n)
-	r.frontQ = r.frontQ[:0]
-	for w := range r.nextQ {
-		r.nextQ[w] = r.nextQ[w][:0]
-	}
-	r.pinned = false
+	r.reset(r.lanes)
 	return &BatchSession{
 		r:       r,
-		fresh:   true,
+		sw:      sweep{fresh: true},
 		laneAcc: make([][bitmap.MaxLanes]int64, r.nWorkers),
 	}
 }
-
-// Lanes returns the lane capacity B.
-func (s *BatchSession) Lanes() int { return s.r.lanes }
 
 // InUse returns the mask of lanes owned by live searches.
 func (s *BatchSession) InUse() uint64 { return s.inUse }
@@ -143,11 +119,6 @@ func (s *BatchSession) Tree(l int) []int64 { return s.r.trees[l] }
 // session's graphs; serving layers diff snapshots for per-cohort stats.
 func (s *BatchSession) LayerTotals() nvm.StackStats { return s.r.layerTotals() }
 
-// DeviceHealth snapshots per-device replica health under the session.
-func (s *BatchSession) DeviceHealth() []nvm.ReplicaHealth {
-	return nvm.CollectReplicaHealth(s.r.stacks()...)
-}
-
 // Admit starts a new search for root on free lane l, effective at the next
 // Step: the root becomes a frontier bit and rides the joint sweep. Admission
 // is a level-boundary operation; it charges no virtual time of its own.
@@ -167,7 +138,7 @@ func (s *BatchSession) Admit(l int, root int64) error {
 	s.inUse |= 1 << uint(l)
 	s.roots[l] = root
 	s.visCount[l] = 1
-	s.curCount++
+	s.sw.cur++
 	return nil
 }
 
@@ -186,39 +157,17 @@ func (s *BatchSession) Step() (*SessionLevel, error) {
 	r.activeMask = s.inUse
 
 	out := &SessionLevel{Level: s.level, Start: s.Now()}
-	if s.fresh {
-		// A new cohort from idle starts top-down (the paper's rule: BFS
-		// always begins at the source) unless the mode or a pin says
-		// otherwise; prev/cur counts restart from the admitted roots.
-		s.dir = TopDown
-		if r.cfg.Mode == ModeBottomUpOnly {
-			s.dir = BottomUp
-		}
-		if r.pinned {
-			s.dir = r.pinnedDir
-		}
-		s.prevCount = 0
-		s.fresh = false
-	} else {
-		if newDir := r.decide(s.dir, s.prevCount, s.curCount); newDir != s.dir {
-			s.dir = newDir
-			out.Switched = true
-		}
-	}
-	// Same level body as RunBatch; a rescue pulls the whole live cohort
-	// onto a DRAM-resident direction, pinned for the rest of the session.
-	ls, degraded, err := r.runLevel(s.level, s.dir, s.curCount)
+	// Same step as RunBatch; a rescue pulls the whole live cohort onto a
+	// DRAM-resident direction, pinned for the rest of the session.
+	ls, degraded, _, err := r.advance(s.level, &s.sw)
 	if err != nil {
 		return nil, err
 	}
 	if degraded != nil {
 		out.Degraded = append(out.Degraded, *degraded)
-		s.dir = degraded.To
-		out.Switched = true
 	}
 	out.End = ls.Start + ls.Time
-	out.Direction = s.dir
-	out.ExaminedDRAM, out.ExaminedNVM = ls.ExaminedDRAM, ls.ExaminedNVM
+	out.Direction = s.sw.dir
 
 	// Per-lane accounting: after the level, next holds exactly the lane
 	// bits newly claimed this level — the top-down merge leaves only claims
@@ -246,7 +195,7 @@ func (s *BatchSession) Step() (*SessionLevel, error) {
 			return nil, err
 		}
 	}
-	s.prevCount, s.curCount = s.curCount, out.Claimed
+	s.sw.prev, s.sw.cur = s.sw.cur, out.Claimed
 	s.level++
 	return out, nil
 }
@@ -329,12 +278,12 @@ func (s *BatchSession) Release(mask uint64) error {
 	}
 	// The joint frontier shrank; the direction rule's occupancy must track
 	// the surviving lanes only.
-	s.curCount = 0
+	s.sw.cur = 0
 	for _, rem := range remaining {
-		s.curCount += rem
+		s.sw.cur += rem
 	}
 	if s.inUse == 0 {
-		s.fresh = true
+		s.sw.fresh = true
 	}
 	return nil
 }

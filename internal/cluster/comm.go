@@ -38,9 +38,6 @@ func (s CommStats) Total() int64 {
 // TopDownBytes groups the top-down phase's traffic.
 func (s CommStats) TopDownBytes() int64 { return s.TDFrontier + s.TDCandidate }
 
-// BottomUpBytes groups the bottom-up phase's traffic.
-func (s CommStats) BottomUpBytes() int64 { return s.BUAllgather + s.BURing }
-
 func (s CommStats) sub(o CommStats) CommStats {
 	return CommStats{
 		TDFrontier:  s.TDFrontier - o.TDFrontier,

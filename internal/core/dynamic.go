@@ -34,28 +34,7 @@ func (s Scenario) DynamicOptions() (dyn.Options, error) {
 	if !s.HasNVM() || !s.ForwardOnNVM {
 		return dyn.Options{}, fmt.Errorf("core: scenario %q cannot host a dynamic graph: durable updates need the forward graph on a device", s.Name)
 	}
-	return dyn.Options{
-		Forward: semiext.ForwardOptions{
-			IndexInDRAM:      s.IndexInDRAM,
-			AggregateIO:      s.AggregateIO,
-			CacheBytes:       s.CacheBytes,
-			ReadaheadBlocks:  s.ReadaheadBlocks,
-			Replicas:         s.Replicas,
-			Mirror:           nvm.MirrorConfig{ScrubInterval: s.scrubInterval()},
-			Checksums:        s.Checksums,
-			Compress:         s.Compress,
-			QueueDepth:       s.QueueDepth,
-			FrontierPrefetch: s.FrontierPrefetch,
-		},
-		Backward: semiext.BackwardOptions{
-			KeepEdges:  s.BackwardDRAMEdgeLimit,
-			Checksums:  s.Checksums,
-			Replicas:   s.Replicas,
-			Mirror:     nvm.MirrorConfig{ScrubInterval: s.scrubInterval()},
-			Compress:   s.Compress,
-			QueueDepth: s.QueueDepth,
-		},
-	}, nil
+	return dyn.Options{Forward: s.forwardOptions(), Backward: s.backwardOptions()}, nil
 }
 
 // BuildDynamic constructs a dynamic graph from src placed per sc. The

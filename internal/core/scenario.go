@@ -129,12 +129,6 @@ func (s Scenario) WithAlgorithm(a Algorithm) Scenario {
 	return s
 }
 
-// WithFaults returns the scenario with fault injection configured.
-func (s Scenario) WithFaults(cfg faults.Config) Scenario {
-	s.Faults = cfg
-	return s
-}
-
 // WithLatencyScale returns the scenario with its device latencies scaled.
 func (s Scenario) WithLatencyScale(f float64) Scenario {
 	s.LatencyScale = f
@@ -264,15 +258,6 @@ type System struct {
 	faultFactory *faults.Factory
 }
 
-// FaultStores returns the fault-injecting store wrappers (nil when the
-// scenario injects no faults).
-func (s *System) FaultStores() []*faults.Store {
-	if s.faultFactory == nil {
-		return nil
-	}
-	return s.faultFactory.Stores()
-}
-
 // FaultCounters sums the injected-fault totals across all NVM stores.
 func (s *System) FaultCounters() faults.Counters {
 	if s.faultFactory == nil {
@@ -331,6 +316,36 @@ func (s *System) NewRunner(cfg bfs.Config) (*bfs.Runner, error) {
 // same shared store pair (and page cache) as the single-source runner.
 func (s *System) NewBatchRunner(lanes int, cfg bfs.Config) (*bfs.BatchRunner, error) {
 	return bfs.NewBatchRunner(s.Forward, s.Backward, s.Part, lanes, cfg)
+}
+
+// forwardOptions and backwardOptions are the one translation of the
+// scenario's placement and I/O knobs into offload options, shared by Build
+// and DynamicOptions. BackwardOptions.Cache is not a knob: the tails share
+// the page cache of the forward graph they are offloaded next to.
+func (s Scenario) forwardOptions() semiext.ForwardOptions {
+	return semiext.ForwardOptions{
+		IndexInDRAM:      s.IndexInDRAM,
+		AggregateIO:      s.AggregateIO,
+		CacheBytes:       s.CacheBytes,
+		ReadaheadBlocks:  s.ReadaheadBlocks,
+		Replicas:         s.Replicas,
+		Mirror:           nvm.MirrorConfig{ScrubInterval: s.scrubInterval()},
+		Checksums:        s.Checksums,
+		Compress:         s.Compress,
+		QueueDepth:       s.QueueDepth,
+		FrontierPrefetch: s.FrontierPrefetch,
+	}
+}
+
+func (s Scenario) backwardOptions() semiext.BackwardOptions {
+	return semiext.BackwardOptions{
+		KeepEdges:  s.BackwardDRAMEdgeLimit,
+		Checksums:  s.Checksums,
+		Replicas:   s.Replicas,
+		Mirror:     nvm.MirrorConfig{ScrubInterval: s.scrubInterval()},
+		Compress:   s.Compress,
+		QueueDepth: s.QueueDepth,
+	}
 }
 
 // Build constructs the forward and backward graphs from src and places
@@ -402,19 +417,7 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 		return nil, fmt.Errorf("core: build forward graph: %w", err)
 	}
 	if sc.ForwardOnNVM {
-		fwdOpts := semiext.ForwardOptions{
-			IndexInDRAM:      sc.IndexInDRAM,
-			AggregateIO:      sc.AggregateIO,
-			CacheBytes:       sc.CacheBytes,
-			ReadaheadBlocks:  sc.ReadaheadBlocks,
-			Replicas:         sc.Replicas,
-			Mirror:           nvm.MirrorConfig{ScrubInterval: sc.scrubInterval()},
-			Checksums:        sc.Checksums,
-			Compress:         sc.Compress,
-			QueueDepth:       sc.QueueDepth,
-			FrontierPrefetch: sc.FrontierPrefetch,
-		}
-		sf, err := semiext.OffloadForward(fg, mk, opts.ConstructClock, fwdOpts)
+		sf, err := semiext.OffloadForward(fg, mk, opts.ConstructClock, sc.forwardOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -437,15 +440,8 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 		// Tails ride the same declarative stack as the forward graph —
 		// checksums, mirroring, retry — and share the forward graph's page
 		// cache (when one exists), so one DRAM budget serves both graphs.
-		bwdOpts := semiext.BackwardOptions{
-			KeepEdges:  sc.BackwardDRAMEdgeLimit,
-			Checksums:  sc.Checksums,
-			Replicas:   sc.Replicas,
-			Mirror:     nvm.MirrorConfig{ScrubInterval: sc.scrubInterval()},
-			Cache:      sys.PageCache(),
-			Compress:   sc.Compress,
-			QueueDepth: sc.QueueDepth,
-		}
+		bwdOpts := sc.backwardOptions()
+		bwdOpts.Cache = sys.PageCache()
 		hb, err := semiext.OffloadBackward(bg, mk, opts.ConstructClock, bwdOpts)
 		if err != nil {
 			return nil, err

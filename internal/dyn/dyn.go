@@ -142,6 +142,7 @@ func Build(src edgelist.Source, part *numa.Partition, mk semiext.StoreFactory, c
 		g.closeLogs()
 		return nil, err
 	}
+	bo.Cache = sf.Cache() // tails share the forward graph's page cache, as in core.Build
 	hb, err := semiext.OffloadBackward(bg, mk, clock, bo)
 	if err != nil {
 		sf.Close()
@@ -415,6 +416,7 @@ func (g *Graph) Compact(clock *vtime.Clock) error {
 	if err != nil {
 		return fmt.Errorf("dyn: compact offload forward: %w", err)
 	}
+	bo.Cache = sf.Cache()
 	hb, err := semiext.OffloadBackward(bg, g.mk, clock, bo)
 	if err != nil {
 		sf.Close()

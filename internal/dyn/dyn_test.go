@@ -327,3 +327,58 @@ func TestDynPowerCutDuringCompaction(t *testing.T) {
 		})
 	}
 }
+
+// TestDynTailsShareForwardCache checks that a dynamic graph with a page
+// cache and NVM backward tails reads the tails through that cache — one
+// DRAM budget serves both graphs, as in a static build — in every
+// generation: the first build, a compaction, a recovery.
+func TestDynTailsShareForwardCache(t *testing.T) {
+	list, part := genList(t, 8)
+	media := NewMedia(nil)
+	clock := vtime.NewClock(0)
+	opts := Options{
+		Forward:  semiext.ForwardOptions{CacheBytes: 256 << 10},
+		Backward: semiext.BackwardOptions{KeepEdges: 2},
+	}
+	check := func(g *Graph, tag string) {
+		t.Helper()
+		hb := g.Backward()
+		if hb.TailEdges() == 0 {
+			t.Fatalf("%s: no tail edges on NVM", tag)
+		}
+		sc := semiext.NewBackwardScanner(hb, clock)
+		scanAll := func() {
+			for v := int64(0); v < list.NumVertices; v++ {
+				if _, err := sc.Scan(part.NodeOf(int(v)), v, func(int64) bool { return true }); err != nil {
+					t.Fatalf("%s: backward scan v=%d: %v", tag, v, err)
+				}
+			}
+		}
+		scanAll() // warm: every tail block is now cached
+		warm := hb.LayerStats()
+		scanAll()
+		st := hb.LayerStats().Sub(warm)
+		if hits, misses := st.Get("cache", "hits"), st.Get("cache", "misses"); hits == 0 || misses != 0 {
+			t.Fatalf("%s: warm tail scan saw %d cache hits, %d misses; want every read to hit", tag, hits, misses)
+		}
+	}
+
+	g, err := Build(edgelist.ListSource{List: list}, part, media.Factory(), clock, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(g, "build")
+	if err := g.Compact(clock); err != nil {
+		t.Fatal(err)
+	}
+	check(g, "compact")
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Recover(part, media.Factory(), clock, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "recover")
+}

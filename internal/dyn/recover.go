@@ -61,6 +61,7 @@ func Recover(part *numa.Partition, mk semiext.StoreFactory, clock *vtime.Clock, 
 		g.manifest.Close()
 		return nil, err
 	}
+	bo.Cache = sf.Cache()
 	hb, err := semiext.OffloadBackward(bg, mk, clock, bo)
 	if err != nil {
 		sf.Close()

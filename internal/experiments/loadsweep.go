@@ -7,6 +7,7 @@ import (
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
+	"semibfs/internal/graph500"
 	"semibfs/internal/serve"
 	"semibfs/internal/validate"
 )
@@ -128,10 +129,11 @@ func calibrateLoad(lab *Lab, sc core.Scenario, cfg bfs.Config, roots []int64) (c
 	for i, root := range roots {
 		trace[i] = serve.Arrival{Root: root, At: 0}
 	}
-	outs, st, err := serveLoadTrace(lab, sc, cfg, trace, serve.ServerConfig{Lanes: LoadSweepLanes})
+	res, err := serveLoadTrace(lab, sc, cfg, trace, serve.ServerConfig{Lanes: LoadSweepLanes})
 	if err != nil {
 		return 0, 0, err
 	}
+	outs, st := res.Outcomes, res.Stats
 	var makespan float64
 	var waitFree []float64
 	for _, o := range outs {
@@ -167,10 +169,11 @@ func runLoadPoint(lab *Lab, sc core.Scenario, cfg bfs.Config, name string, roots
 		// service times, never an unbounded queue's worth.
 		scfg.DefaultDeadline = 8 * unloaded
 	}
-	outs, st, err := serveLoadTrace(lab, sc, cfg, trace, scfg)
+	res, err := serveLoadTrace(lab, sc, cfg, trace, scfg)
 	if err != nil {
 		return nil, err
 	}
+	outs, st := res.Outcomes, res.Stats
 
 	row := &LoadRow{
 		Scenario:       name,
@@ -235,26 +238,16 @@ func quantileExact(sorted []float64, q float64) float64 {
 	return sorted[rank-1]
 }
 
-// serveLoadTrace builds a fresh system for sc, plays the trace through a
-// server configured per scfg, and returns the outcomes and stats.
+// serveLoadTrace builds a fresh system for sc and plays the trace through a
+// server configured per scfg.
 func serveLoadTrace(lab *Lab, sc core.Scenario, cfg bfs.Config, trace []serve.Arrival,
-	scfg serve.ServerConfig) ([]serve.ServedQuery, serve.ServerStats, error) {
+	scfg serve.ServerConfig) (*graph500.ServedResult, error) {
 	sys, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
 	if err != nil {
-		return nil, serve.ServerStats{}, err
+		return nil, err
 	}
 	defer sys.Close()
-	br, err := sys.NewBatchRunner(scfg.Lanes, cfg)
-	if err != nil {
-		return nil, serve.ServerStats{}, err
-	}
-	srv := serve.NewServer(br, sys.Backward.Degree, lab.Src.NumVertices(), scfg)
-	defer srv.Close()
-	outs, err := srv.ServeTrace(trace)
-	if err != nil {
-		return nil, serve.ServerStats{}, err
-	}
-	return outs, srv.Stats(), nil
+	return graph500.RunServed(sys, cfg, scfg, trace)
 }
 
 var loadEntry = flat[LoadRow]{

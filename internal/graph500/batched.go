@@ -51,6 +51,43 @@ func (r *BatchedResult) AggregateTEPS() float64 {
 	return float64(r.Traversed) / r.Seconds
 }
 
+// Batch is one executed batch: the row RunBatched reports, each lane's
+// traversed edges, and the engine's result behind them (its trees alias the
+// runner until the next batch).
+type Batch struct {
+	BatchRow
+	Traversed []int64
+	Result    *bfs.BatchResult
+}
+
+// RunBatch advances roots together as one batch on br — one sweep of the
+// shared stores — and prices it. The first validateLanes lanes are
+// validated against src, which also counts their traversed edges; the rest
+// are counted off degree (src may be nil when validateLanes is 0).
+func RunBatch(br *bfs.BatchRunner, roots []int64, degree func(int64) int64, src edgelist.Source, validateLanes int) (*Batch, error) {
+	res, err := br.RunBatch(roots)
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{
+		BatchRow:  BatchRow{Size: len(roots), Levels: len(res.Levels), Switches: res.Switches, Time: res.Time},
+		Traversed: make([]int64, len(roots)),
+		Result:    res,
+	}
+	for l, root := range roots {
+		if l >= validateLanes {
+			b.Traversed[l] = validate.TraversedEdges(res.Trees[l], degree)
+			continue
+		}
+		rep, err := validate.Run(res.Trees[l], root, src)
+		if err != nil {
+			return nil, fmt.Errorf("lane %d (root %d): %w", l, root, err)
+		}
+		b.Traversed[l] = rep.TraversedEdges
+	}
+	return b, nil
+}
+
 // RunBatched serves roots through sys's batched multi-source engine, up to
 // lanes per batch in arrival order: every batch advances all its searches
 // in one sweep of the shared stores, and each query is priced at its
@@ -61,40 +98,33 @@ func RunBatched(sys *core.System, src edgelist.Source, cfg bfs.Config, lanes int
 	if err != nil {
 		return nil, err
 	}
+	if validateRoots == 0 {
+		validateRoots = len(roots)
+	}
 	r := &BatchedResult{Queries: len(roots), StatusBytes: br.StatusBytes()}
 	var invSum float64 // sum of 1/TEPS_q
 	for lo := 0; lo < len(roots); lo += lanes {
 		batch := roots[lo:min(lo+lanes, len(roots))]
-		res, err := br.RunBatch(batch)
+		check := min(len(batch), validateRoots-r.Validated)
+		b, err := RunBatch(br, batch, sys.Backward.Degree, src, check)
 		if err != nil {
 			return nil, fmt.Errorf("batch %d: %w", len(r.Batches), err)
 		}
-		row := BatchRow{Size: len(batch), Levels: len(res.Levels), Switches: res.Switches, Time: res.Time}
-		r.Batches = append(r.Batches, row)
-		r.Seconds += res.Time.Seconds()
-		r.NVMEdges += res.ExaminedNVM
-		r.Cache = r.Cache.Add(res.Cache)
-		r.ReadErrors += res.Resilience.ReadErrors
-		r.Retries += res.Resilience.Retries
-		if n := res.Resilience.DegradedLevels(); n > 0 {
+		r.Batches = append(r.Batches, b.BatchRow)
+		r.Validated += check
+		r.Seconds += b.Time.Seconds()
+		r.NVMEdges += b.Result.ExaminedNVM
+		r.Cache = r.Cache.Add(b.Result.Cache)
+		r.ReadErrors += b.Result.Resilience.ReadErrors
+		r.Retries += b.Result.Resilience.Retries
+		if n := b.Result.Resilience.DegradedLevels(); n > 0 {
 			r.DegradedBatches++
 			r.DegradedLevels += n
 		}
-		for l, root := range batch {
-			var traversed int64
-			if validateRoots == 0 || r.Validated < validateRoots {
-				rep, err := validate.Run(res.Trees[l], root, src)
-				if err != nil {
-					return nil, fmt.Errorf("query %d (root %d): %w", lo+l, root, err)
-				}
-				r.Validated++
-				traversed = rep.TraversedEdges
-			} else {
-				traversed = validate.TraversedEdges(res.Trees[l], sys.Backward.Degree)
-			}
+		for _, traversed := range b.Traversed {
 			r.Traversed += traversed
 			if traversed > 0 {
-				invSum += row.Amortized() / float64(traversed)
+				invSum += b.Amortized() / float64(traversed)
 			}
 		}
 	}

@@ -628,9 +628,6 @@ type CachedStore struct {
 // Cache returns the shared cache this store reads through.
 func (s *CachedStore) Cache() *PageCache { return s.cache }
 
-// Inner returns the wrapped store.
-func (s *CachedStore) Inner() Storage { return s.inner }
-
 // Device returns the inner store's device model.
 func (s *CachedStore) Device() *Device { return s.inner.Device() }
 

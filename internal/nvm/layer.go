@@ -318,14 +318,3 @@ func StackPhysicalBytes(root Storage) int64 {
 	}
 	return root.Size()
 }
-
-// CloseStack closes root exactly once per layer: layers propagate Close
-// to what they wrap, so closing the outermost layer suffices — this
-// helper exists for callers holding a partially built stack whose
-// outermost layer is not yet determined.
-func CloseStack(root Storage) error {
-	if root == nil {
-		return nil
-	}
-	return root.Close()
-}

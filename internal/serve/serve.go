@@ -101,9 +101,6 @@ func NewQueue(cap int, policy Policy) *Queue {
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return len(q.reqs) }
 
-// Cap returns the queue bound (<= 0: unbounded).
-func (q *Queue) Cap() int { return q.cap }
-
 // Snapshot returns the queued requests in arrival order (a copy).
 func (q *Queue) Snapshot() []Request {
 	return append([]Request(nil), q.reqs...)

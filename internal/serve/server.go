@@ -3,13 +3,13 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"sync"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/nvm"
 	"semibfs/internal/stats"
+	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
 )
 
@@ -35,10 +35,6 @@ type ServerConfig struct {
 	// ServedQuery (one int64 per vertex per query — expensive; off for
 	// load experiments).
 	KeepTrees bool
-	// Gang restores drain-mode batching: queries are admitted only when
-	// every lane is free, in full cohorts, exactly like QueryPool's
-	// batches. Continuous (per-lane) admission is the default.
-	Gang bool
 	// BetweenSweeps, when set, runs at every sweep boundary with the
 	// current virtual time (seconds). No search is mid-sweep at that
 	// point, so it is the server's safe point for applying dynamic-graph
@@ -110,8 +106,6 @@ type ServedQuery struct {
 	// Levels counts the sweeps the query rode; Lane is its bit lane.
 	Levels int
 	Lane   int
-	// Batch is the gang-mode cohort index, -1 under continuous admission.
-	Batch int
 	// Degraded reports the query lived through a device-death rescue.
 	Degraded bool
 	// Visited / TraversedEdges describe the finished search (served only).
@@ -166,17 +160,6 @@ func (s *ServerStats) MeanQueueDepth() float64 {
 	return float64(s.QueueDepthSum) / float64(s.Steps)
 }
 
-// CohortStats describes one gang-mode cohort (a QueryPool batch).
-type CohortStats struct {
-	Batch      int
-	Roots      []int64
-	Start, End vtime.Duration
-	Levels     int
-	Switches   int
-	Degraded   int
-	Layers     nvm.StackStats
-}
-
 // Arrival is one open-loop trace entry for ServeTrace.
 type Arrival struct {
 	Root int64
@@ -194,7 +177,6 @@ type laneTrack struct {
 	req      Request
 	admitted vtime.Duration
 	levels   int
-	batch    int
 	degraded bool
 	cancel   bool
 }
@@ -208,11 +190,11 @@ type laneTrack struct {
 // direction without dropping admitted work. Every submission is accounted
 // to exactly one Outcome.
 //
-// A server is deterministic when driven single-threaded (ServeTrace, or
-// Submit/Pump from one goroutine): virtual time and every outcome are a
-// pure function of the call sequence, independent of Options.Workers. The
-// live mode (Start) adds a background pump goroutine; Submit, Cancel,
-// Drain and Close are then safe from any goroutine.
+// A server is deterministic when driven single-threaded (ServeTrace):
+// virtual time and every outcome are a pure function of the trace,
+// independent of Options.Workers. The live mode (Start) adds a background
+// pump goroutine; Submit, Cancel, Drain and Close are then safe from any
+// goroutine.
 type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -227,27 +209,18 @@ type Server struct {
 	nextID   int
 	stats    ServerStats
 	outcomes []ServedQuery
-	cohorts  []CohortStats
-
-	// gang-mode state
-	batches    int
-	cohortOpen bool
-	cohortL0   nvm.StackStats
-	cohort     CohortStats
 
 	closed  bool
 	started bool
 	loopErr error
 	done    chan struct{}
 
-	closers   []io.Closer
 	closeOnce sync.Once
-	closeErr  error
 }
 
 // NewServer wires a server over an existing batch runner; deg is the
 // degree oracle for traversed-edge accounting and n the vertex-universe
-// size. Closers are appended by callers that own stores (semibfs does).
+// size. The server shares the runner's stores; it closes none of them.
 func NewServer(br *bfs.BatchRunner, deg func(int64) int64, n int64, cfg ServerConfig) *Server {
 	sv := &Server{
 		sess:  br.OpenSession(),
@@ -291,13 +264,6 @@ func (sv *Server) QueueDepth() int {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	return sv.queue.Len()
-}
-
-// InFlight returns the number of occupied lanes.
-func (sv *Server) InFlight() int {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return bits.OnesCount64(sv.sess.InUse())
 }
 
 // Submit enqueues a query at the current virtual time and returns its ID.
@@ -360,7 +326,7 @@ func (sv *Server) resolveQueued(req Request, o Outcome, now vtime.Duration) {
 		Arrival:  req.Arrival.Seconds(),
 		Finished: now.Seconds(),
 		Latency:  (now - req.Arrival).Seconds(),
-		Lane:     -1, Batch: -1,
+		Lane:     -1,
 	}
 	sv.countOutcome(o)
 	sv.outcomes = append(sv.outcomes, sq)
@@ -378,19 +344,12 @@ func (sv *Server) resolveLane(l int, o Outcome, now vtime.Duration) {
 		Latency:  (now - tr.req.Arrival).Seconds(),
 		Levels:   tr.levels,
 		Lane:     l,
-		Batch:    tr.batch,
 		Degraded: tr.degraded,
 	}
 	if o == OutcomeServed {
 		sq.Visited = sv.sess.VisitedCount(l)
 		tree := sv.sess.Tree(l)
-		var sum int64
-		for v, par := range tree {
-			if par != -1 {
-				sum += sv.deg(int64(v))
-			}
-		}
-		sq.TraversedEdges = sum / 2
+		sq.TraversedEdges = validate.TraversedEdges(tree, sv.deg)
 		if sv.cfg.KeepTrees {
 			sq.Parents = append([]int64(nil), tree...)
 		}
@@ -399,9 +358,6 @@ func (sv *Server) resolveLane(l int, o Outcome, now vtime.Duration) {
 	sv.countOutcome(o)
 	sv.outcomes = append(sv.outcomes, sq)
 	tr.active = false
-	if sv.cohortOpen {
-		sv.cohortMaybeClose(now)
-	}
 }
 
 func (sv *Server) countOutcome(o Outcome) {
@@ -419,34 +375,9 @@ func (sv *Server) countOutcome(o Outcome) {
 	}
 }
 
-// cohortMaybeClose finishes the open gang cohort once every member lane
-// has resolved.
-func (sv *Server) cohortMaybeClose(now vtime.Duration) {
-	for l := range sv.lanes {
-		if sv.lanes[l].active {
-			return
-		}
-	}
-	c := sv.cohort
-	c.End = now
-	c.Layers = sv.sess.LayerTotals().Sub(sv.cohortL0)
-	sv.cohorts = append(sv.cohorts, c)
-	sv.cohortOpen = false
-}
-
-// admitLocked moves queued requests into free lanes. Under continuous
-// admission this happens at every boundary; gang mode waits for an idle
-// session and admits a full cohort.
+// admitLocked moves queued requests into free lanes, at every sweep
+// boundary.
 func (sv *Server) admitLocked(now vtime.Duration) error {
-	if sv.cfg.Gang {
-		if sv.sess.InUse() != 0 || sv.cohortOpen || sv.queue.Len() == 0 {
-			return nil
-		}
-		sv.cohort = CohortStats{Batch: sv.batches, Start: now}
-		sv.cohortL0 = sv.sess.LayerTotals()
-		sv.cohortOpen = true
-		sv.batches++
-	}
 	for free := sv.sess.FreeLanes(); free != 0; free &= free - 1 {
 		req, ok := sv.queue.Take()
 		if !ok {
@@ -456,13 +387,7 @@ func (sv *Server) admitLocked(now vtime.Duration) error {
 		if err := sv.sess.Admit(l, req.Root); err != nil {
 			return err
 		}
-		sv.lanes[l] = laneTrack{
-			active: true, req: req, admitted: now, batch: -1,
-		}
-		if sv.cfg.Gang {
-			sv.lanes[l].batch = sv.cohort.Batch
-			sv.cohort.Roots = append(sv.cohort.Roots, req.Root)
-		}
+		sv.lanes[l] = laneTrack{active: true, req: req, admitted: now}
 		sv.stats.Wait.Observe(int64(now - req.Arrival))
 	}
 	return nil
@@ -521,9 +446,7 @@ func (sv *Server) stepLocked() (bool, error) {
 	lv, err := sess.Step()
 	if err != nil {
 		// Unrescuable: the in-flight cohort is lost. Account every lane,
-		// scrub everything, and surface the error. The aborted cohort is
-		// abandoned before resolving so it never lands in the stats.
-		sv.cohortOpen = false
+		// scrub everything, and surface the error.
 		end := sess.Now()
 		for l := range sv.lanes {
 			if sv.lanes[l].active {
@@ -548,13 +471,6 @@ func (sv *Server) stepLocked() (bool, error) {
 				sv.lanes[l].degraded = true
 			}
 		}
-	}
-	if sv.cohortOpen {
-		sv.cohort.Levels++
-		if lv.Switched {
-			sv.cohort.Switches++
-		}
-		sv.cohort.Degraded += len(lv.Degraded)
 	}
 	for l := range sv.lanes {
 		if sv.lanes[l].active {
@@ -640,31 +556,12 @@ func (sv *Server) ServeTrace(trace []Arrival) ([]ServedQuery, error) {
 	return sv.outcomes[start:], nil
 }
 
-// Pump runs one serving cycle synchronously: reclaim cancelled and
-// expired lanes, expire the queue, admit, sweep, resolve what finished.
-// It reports whether a sweep ran. Pump is the deterministic drive —
-// QueryPool and the experiments use it instead of Start.
-func (sv *Server) Pump() (bool, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.stepLocked()
-}
-
 // TakeOutcomes returns the accumulated outcomes and clears them.
 func (sv *Server) TakeOutcomes() []ServedQuery {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	out := sv.outcomes
 	sv.outcomes = nil
-	return out
-}
-
-// TakeCohorts returns the accumulated gang-cohort stats and clears them.
-func (sv *Server) TakeCohorts() []CohortStats {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	out := sv.cohorts
-	sv.cohorts = nil
 	return out
 }
 
@@ -734,13 +631,8 @@ func (sv *Server) pumpLoop() {
 			sv.cond.Broadcast()
 			return
 		}
-		if sv.queue.Len() == 0 && sv.sess.InUse() == 0 {
-			sv.cond.Wait()
-			continue
-		}
-		// Queue non-empty but nothing progressed: only possible when the
-		// last sweep errored and lanes were cleared, or gang mode waits on
-		// an open cohort race. Park until state changes.
+		// Idle — or, after a sweep that errored and cleared the lanes, a
+		// queue that cannot progress: park until state changes.
 		sv.cond.Wait()
 	}
 }
@@ -763,8 +655,8 @@ func (sv *Server) Drain() ([]ServedQuery, error) {
 }
 
 // Close stops accepting queries, lets in-flight work finish (queued work
-// is cancelled), stops the pump loop, and closes any stores the server
-// owns — exactly once, no matter how many goroutines call it.
+// is cancelled) and stops the pump loop — exactly once, no matter how many
+// goroutines call it. The stores under the runner stay open.
 func (sv *Server) Close() error {
 	sv.closeOnce.Do(func() {
 		sv.mu.Lock()
@@ -795,11 +687,6 @@ func (sv *Server) Close() error {
 			}
 			sv.mu.Unlock()
 		}
-		for _, c := range sv.closers {
-			if err := c.Close(); err != nil && sv.closeErr == nil {
-				sv.closeErr = err
-			}
-		}
 	})
-	return sv.closeErr
+	return nil
 }

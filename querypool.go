@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/graph500"
 	"semibfs/internal/nvm"
-	"semibfs/internal/serve"
 )
 
 // ErrPoolClosed is returned by Submit once the pool has been closed.
@@ -80,26 +79,24 @@ type BatchStats struct {
 // pair — so a single pass of NVM reads (and one warm page cache) serves
 // every query in the batch.
 //
-// The pool is a thin wrapper over Server in gang mode: each Flush submits
-// the pending queries to a private always-on server whose admission is
-// restricted to full cohorts, then pumps it dry. The continuous-admission
-// serving loop (Server) subsumes this API; the pool remains for callers
-// that want the simple submit/flush lifecycle and per-batch statistics.
+// The pool is the library caller of the fixed-batch protocol that
+// `graph500 -batch` and the query sweep run (graph500.RunBatch): each batch
+// runs to completion, so a query's Seconds here is the amortized cost those
+// report. An open stream with arrivals, deadlines and backpressure is what
+// Server is for.
 //
 // A pool is not safe for concurrent use, with one exception: Close may be
 // called from any goroutine, any number of times, concurrently with itself
 // — the shared stores are closed exactly once, even when a mid-batch
 // device death has aborted some lanes.
 type QueryPool struct {
-	srv     *Server
+	br      *bfs.BatchRunner
 	deg     func(int64) int64
 	n       int64
 	pending []Query
 	nextID  int
-	// byServerID maps the private server's query IDs back to pool queries
-	// for the flush in progress.
-	byServerID map[int]Query
-	closed     atomic.Bool
+	batches int // batches started so far, across Flush calls
+	closed  atomic.Bool
 
 	closers   []io.Closer
 	closeOnce sync.Once
@@ -128,15 +125,7 @@ func NewQueryPool(edges *EdgeList, lanes int, opts Options) (*QueryPool, error) 
 // it does not own them: its Close is a no-op and the System must outlive
 // it.
 func (s *System) NewQueryPool(lanes int) (*QueryPool, error) {
-	cfg := bfs.Config{
-		Topology:    s.runner.Config().Topology,
-		Cost:        s.runner.Config().Cost,
-		Alpha:       s.opts.Alpha,
-		Beta:        s.opts.Beta,
-		Mode:        bfs.Mode(s.opts.Mode),
-		RealWorkers: s.opts.Workers,
-	}
-	br, err := s.sys.NewBatchRunner(lanes, cfg)
+	br, err := s.sys.NewBatchRunner(lanes, s.runner.Config())
 	if err != nil {
 		return nil, err
 	}
@@ -146,20 +135,11 @@ func (s *System) NewQueryPool(lanes int) (*QueryPool, error) {
 // newQueryPool wires a pool over an existing batch runner; closers are
 // appended by the callers that own stores.
 func newQueryPool(br *bfs.BatchRunner, deg func(int64) int64, n int64) *QueryPool {
-	return &QueryPool{
-		srv: serve.NewServer(br, deg, n, ServerConfig{
-			Lanes:     br.Lanes(),
-			Gang:      true,
-			KeepTrees: true,
-		}),
-		deg:        deg,
-		n:          n,
-		byServerID: make(map[int]Query),
-	}
+	return &QueryPool{br: br, deg: deg, n: n}
 }
 
 // Lanes returns the pool's batch capacity B.
-func (p *QueryPool) Lanes() int { return p.srv.Lanes() }
+func (p *QueryPool) Lanes() int { return p.br.Lanes() }
 
 // Pending returns the queries accepted but not yet flushed.
 func (p *QueryPool) Pending() int { return len(p.pending) }
@@ -183,10 +163,7 @@ func (p *QueryPool) Submit(root int64) (int, error) {
 // preserving arrival order: batch i holds queries[i*lanes:(i+1)*lanes].
 // It is pure (no pool state) so the packing invariants — no query lost,
 // duplicated, reordered, or over-wide — are fuzzable in isolation; see
-// FuzzBatchPack. It is the specification of the gang-mode server's cohort
-// partition: uniform priorities and a common arrival time make the queue
-// admit in ID order, full cohorts at a time, which is exactly this
-// packing (TestQueryPoolCohortsMatchPackBatches holds the two together).
+// FuzzBatchPack; TestQueryPoolCohortsMatchPackBatches holds Flush to it.
 func packBatches(queries []Query, lanes int) [][]Query {
 	if lanes < 1 || len(queries) == 0 {
 		return nil
@@ -202,109 +179,57 @@ func packBatches(queries []Query, lanes int) [][]Query {
 	return batches
 }
 
-// Flush runs the pending queries in gang batches, returning one
-// QueryResult per query (in submission order) and one BatchStats per
-// executed batch. On a mid-batch failure (a dead device with no
-// DRAM-resident direction to degrade to) the completed batches' results
-// are returned along with the error; the aborted batch's queries are
-// dropped, and the shared stores remain open until Close.
+// Flush runs the pending queries in batches, returning one QueryResult per
+// query (in submission order) and one BatchStats per executed batch. On a
+// mid-batch failure (a dead device with no DRAM-resident direction to
+// degrade to) the completed batches' results are returned along with the
+// error; the aborted batch's queries and everything behind it are dropped,
+// and the shared stores remain open until Close.
 func (p *QueryPool) Flush() ([]QueryResult, []BatchStats, error) {
-	if len(p.pending) == 0 {
-		return nil, nil, nil
-	}
-	submitted := make([]int, 0, len(p.pending))
-	for _, q := range p.pending {
-		sid, err := p.srv.Submit(q.Root, SubmitOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		p.byServerID[sid] = q
-		submitted = append(submitted, sid)
-	}
-	p.pending = p.pending[:0]
-
-	var flushErr error
-	for {
-		progressed, err := p.srv.Pump()
-		if err != nil {
-			flushErr = err
-			break
-		}
-		if !progressed {
-			break
-		}
-	}
-	if flushErr != nil {
-		// Drop the queries the aborted flush never reached.
-		for _, sid := range submitted {
-			p.srv.Cancel(sid)
-		}
-	}
-
-	outcomes := p.srv.TakeOutcomes()
-	cohorts := p.srv.TakeCohorts()
-
-	stats := make([]BatchStats, 0, len(cohorts))
-	amortized := make(map[int]float64, len(cohorts))
-	statIdx := make(map[int]int, len(cohorts))
-	for _, c := range cohorts {
-		bs := BatchStats{
-			Batch:        c.Batch,
-			Size:         len(c.Roots),
-			Roots:        c.Roots,
-			Seconds:      (c.End - c.Start).Seconds(),
-			Switches:     c.Switches,
-			Levels:       c.Levels,
-			Degraded:     c.Degraded,
-			Layers:       c.Layers,
-			CacheHitRate: c.Layers.CacheView().HitRate(),
-		}
-		bs.AmortizedSeconds = bs.Seconds / float64(bs.Size)
-		amortized[c.Batch] = bs.AmortizedSeconds
-		statIdx[c.Batch] = len(stats)
-		stats = append(stats, bs)
-	}
-
+	pending := p.pending
+	p.pending = nil
 	var results []QueryResult
-	failedBatch := -1
-	for _, o := range outcomes {
-		q, ok := p.byServerID[o.ID]
-		if !ok {
-			continue
+	var stats []BatchStats
+	for _, batch := range packBatches(pending, p.br.Lanes()) {
+		index := p.batches
+		p.batches++
+		roots := make([]int64, len(batch))
+		for l, q := range batch {
+			roots[l] = q.Root
 		}
-		delete(p.byServerID, o.ID)
-		if o.Outcome == OutcomeFailed && o.Batch > failedBatch {
-			failedBatch = o.Batch
+		b, err := graph500.RunBatch(p.br, roots, p.deg, nil, 0)
+		if err != nil {
+			return results, stats, fmt.Errorf("semibfs: batch %d: %w", index, err)
 		}
-		if o.Outcome != OutcomeServed {
-			continue
+		bs := BatchStats{
+			Batch:            index,
+			Size:             b.Size,
+			Roots:            roots,
+			Seconds:          b.Time.Seconds(),
+			AmortizedSeconds: b.Amortized(),
+			CacheHitRate:     b.Result.Cache.HitRate(),
+			Switches:         b.Switches,
+			Levels:           b.Levels,
+			Degraded:         b.Result.Resilience.DegradedLevels(),
+			Layers:           b.Result.Layers,
 		}
-		qr := QueryResult{
-			ID:             q.ID,
-			Root:           q.Root,
-			Parents:        o.Parents,
-			Visited:        o.Visited,
-			TraversedEdges: o.TraversedEdges,
-			Seconds:        amortized[o.Batch],
-			Batch:          o.Batch,
-			Lane:           o.Lane,
+		for l, q := range batch {
+			results = append(results, QueryResult{
+				ID:             q.ID,
+				Root:           q.Root,
+				Parents:        b.Result.CloneTree(l),
+				Visited:        b.Result.Visited[l],
+				TraversedEdges: b.Traversed[l],
+				Seconds:        bs.AmortizedSeconds,
+				Batch:          index,
+				Lane:           l,
+			})
+			bs.TraversedEdges += b.Traversed[l]
 		}
-		if i, ok := statIdx[o.Batch]; ok {
-			stats[i].TraversedEdges += qr.TraversedEdges
+		if bs.Seconds > 0 {
+			bs.TEPS = float64(bs.TraversedEdges) / bs.Seconds
 		}
-		results = append(results, qr)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
-	for i := range stats {
-		if stats[i].Seconds > 0 {
-			stats[i].TEPS = float64(stats[i].TraversedEdges) / stats[i].Seconds
-		}
-	}
-	if flushErr != nil {
-		if failedBatch < 0 {
-			failedBatch = len(stats)
-		}
-		return results, stats, fmt.Errorf("semibfs: batch %d: %w", failedBatch, flushErr)
+		stats = append(stats, bs)
 	}
 	return results, stats, nil
 }

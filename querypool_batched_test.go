@@ -12,7 +12,8 @@ import (
 // TestQueryPoolMatchesRunBatched holds the library's fixed-batch path
 // (QueryPool) to the CLI's and the query sweep's (graph500.RunBatched): the
 // same roots must give the same batch partition, the same per-lane trees,
-// Visited and TraversedEdges.
+// Visited and TraversedEdges, and — both being one protocol — exactly the
+// same levels, switches and virtual seconds per batch.
 //
 // Each side gets a fresh System: the device keeps its channel occupancy in
 // absolute time, so a second runner on the same System starts behind the
@@ -66,8 +67,13 @@ func TestQueryPoolMatchesRunBatched(t *testing.T) {
 				var traversed int64
 				for b, bs := range stats {
 					row := want.Batches[b]
-					if bs.Batch != b || bs.Size != row.Size {
-						t.Fatalf("batch %d: pool (index %d, size %d), RunBatched %+v", b, bs.Batch, bs.Size, row)
+					if bs.Batch != b || bs.Size != row.Size || bs.Levels != row.Levels || bs.Switches != row.Switches {
+						t.Fatalf("batch %d: pool (index %d, size %d, %d levels, %d switches), RunBatched %+v",
+							b, bs.Batch, bs.Size, bs.Levels, bs.Switches, row)
+					}
+					if bs.Seconds != row.Time.Seconds() || bs.AmortizedSeconds != row.Amortized() {
+						t.Fatalf("batch %d: pool took %v s (%v per query), RunBatched %v s (%v per query)",
+							b, bs.Seconds, bs.AmortizedSeconds, row.Time.Seconds(), row.Amortized())
 					}
 					traversed += bs.TraversedEdges
 				}

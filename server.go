@@ -1,9 +1,6 @@
 package semibfs
 
-import (
-	"semibfs/internal/bfs"
-	"semibfs/internal/serve"
-)
+import "semibfs/internal/serve"
 
 // Server is the always-on continuous-batching serving loop; see the serve
 // package for the engine. New queries join the next sweep's free lanes
@@ -27,9 +24,6 @@ type ServedQuery = serve.ServedQuery
 
 // ServerStats aggregates the serving loop's accounting.
 type ServerStats = serve.ServerStats
-
-// CohortStats describes one gang-mode cohort (a QueryPool batch).
-type CohortStats = serve.CohortStats
 
 // Arrival is one open-loop trace entry for Server.ServeTrace.
 type Arrival = serve.Arrival
@@ -70,15 +64,7 @@ func ParseShedPolicy(s string) (ShedPolicy, error) { return serve.ParsePolicy(s)
 // stores and page cache. The server shares the stores (its Close stops the
 // loop but closes nothing); the System must outlive it.
 func (s *System) NewServer(cfg ServerConfig) (*Server, error) {
-	bcfg := bfs.Config{
-		Topology:    s.runner.Config().Topology,
-		Cost:        s.runner.Config().Cost,
-		Alpha:       s.opts.Alpha,
-		Beta:        s.opts.Beta,
-		Mode:        bfs.Mode(s.opts.Mode),
-		RealWorkers: s.opts.Workers,
-	}
-	br, err := s.sys.NewBatchRunner(cfg.Lanes, bcfg)
+	br, err := s.sys.NewBatchRunner(cfg.Lanes, s.runner.Config())
 	if err != nil {
 		return nil, err
 	}
