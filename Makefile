@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-json simdiff golden loc
+.PHONY: build test check lint bench bench-json benchpair simdiff golden loc
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ bench:
 # then traced, into bench/out/result.json.
 bench-json:
 	bash bench/run.sh --workload all --out bench/out/result.json
+
+# Alternating benchmark pairs of this tree against REF on workload WL
+# (make benchpair REF=HEAD~1 WL=g500-pcie [PAIRS=10] [SEED0=1]).
+benchpair:
+	bash scripts/benchpair.sh $(REF) $(WL) $(PAIRS) $(SEED0)
 
 # Are this tree's virtual numbers byte-identical to REF's? (make simdiff REF=HEAD~1)
 simdiff:

@@ -21,7 +21,8 @@ package csr
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"semibfs/internal/edgelist"
 	"semibfs/internal/numa"
@@ -301,8 +302,7 @@ func BuildForward(src edgelist.Source, part *numa.Partition) (*ForwardGraph, err
 	// deltas instead of 8-byte words.
 	for _, g := range fg.PerNode {
 		for i := int64(0); i < n; i++ {
-			nb := g.Value[g.Index[i]:g.Index[i+1]]
-			sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
+			slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
 		}
 	}
 	return fg, nil
@@ -359,21 +359,30 @@ func BuildBackward(src edgelist.Source, part *numa.Partition, mode SortMode) (*B
 	case SortByID:
 		for _, g := range bg.PerNode {
 			for i := int64(0); i < g.Len; i++ {
-				nb := g.Value[g.Index[i]:g.Index[i+1]]
-				sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
+				slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
 			}
 		}
 	case SortByDegreeDesc:
+		// Hubs first, ties by ascending ID: (maxDeg - degree) is packed
+		// above the ID bits of every neighbour, so the order is a plain
+		// integer sort with no degree lookups inside the comparisons.
+		var maxDeg int64
+		for _, d := range deg {
+			maxDeg = max(maxDeg, d)
+		}
+		idBits := bits.Len64(uint64(n))
+		if idBits+bits.Len64(uint64(maxDeg)) > 63 {
+			return nil, fmt.Errorf("csr: %d vertices with maximum degree %d overflow the degree-sort key", n, maxDeg)
+		}
 		for _, g := range bg.PerNode {
+			for i, v := range g.Value {
+				g.Value[i] = (maxDeg-deg[v])<<idBits | v
+			}
 			for i := int64(0); i < g.Len; i++ {
-				nb := g.Value[g.Index[i]:g.Index[i+1]]
-				sort.Slice(nb, func(a, b int) bool {
-					da, db := deg[nb[a]], deg[nb[b]]
-					if da != db {
-						return da > db
-					}
-					return nb[a] < nb[b]
-				})
+				slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
+			}
+			for i, key := range g.Value {
+				g.Value[i] = key & (1<<idBits - 1)
 			}
 		}
 	default:

@@ -90,24 +90,47 @@ func (c Config) NumEdges() int64 {
 // Edge returns edge number i of the instance. It is a pure function of
 // (config, i) and therefore safe to call from any number of goroutines.
 func (c Config) Edge(i int64) edgelist.Edge {
+	p := c.prepare()
+	return p.edge(i)
+}
+
+// prepared is everything about an instance that does not depend on the
+// edge number, derived once per Generate, GenerateRange or Edge call.
+type prepared struct {
+	scale   int
+	seedMix uint64
+	// ab = A+B splits the row choice; aNorm and cNorm are the column
+	// thresholds within the upper and lower half.
+	ab, aNorm, cNorm float64
+	perm             permutation
+}
+
+func (c Config) prepare() prepared {
 	cc := c.WithDefaults()
-	// A private SplitMix64 stream per edge keeps generation order-free.
-	g := rng.NewSplitMix64(rng.Mix64(cc.Seed) ^ rng.Mix64(uint64(i)+0x8000000000000000))
 	ab := cc.A + cc.B
-	aNorm := cc.A / ab
-	cNorm := cc.C / (1 - ab)
+	return prepared{
+		scale:   cc.Scale,
+		seedMix: rng.Mix64(cc.Seed),
+		ab:      ab,
+		aNorm:   cc.A / ab,
+		cNorm:   cc.C / (1 - ab),
+		perm:    newPermutation(cc.NumVertices(), cc.Seed),
+	}
+}
+
+func (p *prepared) edge(i int64) edgelist.Edge {
+	// A private SplitMix64 stream per edge keeps generation order-free.
+	g := rng.NewSplitMix64(p.seedMix ^ rng.Mix64(uint64(i)+0x8000000000000000))
 	var u, v int64
-	for bit := 0; bit < cc.Scale; bit++ {
+	for bit := 0; bit < p.scale; bit++ {
 		r := g.Next()
 		// Two independent uniforms from one 64-bit draw.
 		r1 := float64(r>>40) / (1 << 24)
 		r2 := float64(r&0xFFFFFF) / (1 << 24)
-		uBit := r1 > ab
-		var thresh float64
+		uBit := r1 > p.ab
+		thresh := p.aNorm
 		if uBit {
-			thresh = cNorm
-		} else {
-			thresh = aNorm
+			thresh = p.cNorm
 		}
 		vBit := r2 > thresh
 		u = u<<1 | boolToInt64(uBit)
@@ -115,9 +138,7 @@ func (c Config) Edge(i int64) edgelist.Edge {
 	}
 	// Permute the vertex labels and randomly orient the tuple, as the
 	// Graph500 spec requires.
-	n := cc.NumVertices()
-	u = permute(u, n, cc.Seed)
-	v = permute(v, n, cc.Seed)
+	u, v = p.perm.apply(u), p.perm.apply(v)
 	if g.Next()&1 == 1 {
 		u, v = v, u
 	}
@@ -131,32 +152,40 @@ func boolToInt64(b bool) int64 {
 	return 0
 }
 
-// permute applies a seed-keyed bijection of [0, n) to x. n must be a power
-// of two (it always is: n = 2^Scale). The bijection composes three rounds
-// of add-key, multiply-by-odd, and xorshift-right steps, each of which is
-// individually invertible modulo 2^bits, so the composition is a
-// pseudorandom permutation of the whole domain.
-func permute(x, n int64, seed uint64) int64 {
+// permutation is a seed-keyed bijection of [0, n) for a power-of-two n
+// (it always is: n = 2^Scale). It composes three rounds of add-key,
+// multiply-by-odd, and xorshift-right steps, each of which is individually
+// invertible modulo 2^bits, so the composition is a pseudorandom
+// permutation of the whole domain.
+type permutation struct {
+	mask  uint64
+	shift uint
+	keys  [3]uint64
+}
+
+func newPermutation(n int64, seed uint64) permutation {
 	bits := uint(0)
 	for int64(1)<<bits < n {
 		bits++
 	}
-	if bits == 0 {
-		return x
+	p := permutation{mask: uint64(1)<<bits - 1, shift: bits/2 + 1}
+	if p.shift >= bits {
+		p.shift = 1
 	}
-	mask := uint64(1)<<bits - 1
-	shift := bits/2 + 1
-	if shift >= bits {
-		shift = 1
+	for round := range p.keys {
+		p.keys[round] = rng.Mix64(seed + 0x1000*uint64(round) + 7)
 	}
+	return p
+}
+
+func (p *permutation) apply(x int64) int64 {
 	v := uint64(x)
-	for round := uint64(0); round < 3; round++ {
-		key := rng.Mix64(seed + 0x1000*round + 7)
-		v = (v + key) & mask
-		v = (v * (key | 1)) & mask
-		v ^= v >> shift
+	for _, key := range p.keys {
+		v = (v + key) & p.mask
+		v = (v * (key | 1)) & p.mask
+		v ^= v >> p.shift
 	}
-	return int64(v & mask)
+	return int64(v & p.mask)
 }
 
 // Generate materializes the whole edge list in DRAM using cfg.Workers
@@ -166,6 +195,7 @@ func Generate(cfg Config) (*edgelist.List, error) {
 		return nil, err
 	}
 	cc := cfg.WithDefaults()
+	p := cc.prepare()
 	m := cc.NumEdges()
 	edges := make([]edgelist.Edge, m)
 	var wg sync.WaitGroup
@@ -184,7 +214,7 @@ func Generate(cfg Config) (*edgelist.List, error) {
 		go func(lo, hi int64) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				edges[i] = cc.Edge(i)
+				edges[i] = p.edge(i)
 			}
 		}(lo, hi)
 	}
@@ -199,14 +229,14 @@ func GenerateRange(cfg Config, lo int64, out []edgelist.Edge) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	cc := cfg.WithDefaults()
-	m := cc.NumEdges()
+	p := cfg.prepare()
+	m := cfg.NumEdges()
 	if lo < 0 || lo+int64(len(out)) > m {
 		return fmt.Errorf("generator: range [%d,%d) outside [0,%d)",
 			lo, lo+int64(len(out)), m)
 	}
 	for i := range out {
-		out[i] = cc.Edge(lo + int64(i))
+		out[i] = p.edge(lo + int64(i))
 	}
 	return nil
 }

@@ -140,6 +140,12 @@ func TestGenerateRangeBounds(t *testing.T) {
 	}
 }
 
+// permute applies the seed-keyed vertex relabeling of an n-vertex instance.
+func permute(x, n int64, seed uint64) int64 {
+	p := newPermutation(n, seed)
+	return p.apply(x)
+}
+
 func TestPermuteIsBijection(t *testing.T) {
 	for _, scale := range []int{1, 2, 3, 7, 12} {
 		n := int64(1) << uint(scale)

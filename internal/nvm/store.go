@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sync"
 
@@ -106,6 +107,9 @@ func (s *FileStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 
 // WriteAt implements Storage.
 func (s *FileStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
+	if off < 0 || int64(len(p)) > math.MaxInt64-off {
+		return fmt.Errorf("nvm: write store %s: %d bytes at offset %d out of range", s.path, len(p), off)
+	}
 	end := off + int64(len(p))
 	for len(p) > 0 {
 		n := len(p)
@@ -147,7 +151,9 @@ func (s *FileStore) Stats() LayerStats {
 
 // MemStore is a Storage backed by an in-memory byte slice. It charges the
 // same device model as FileStore and is used by tests and by callers that
-// want the timing model without filesystem traffic.
+// want the timing model without filesystem traffic. The slice's length is
+// the store's size; its capacity grows geometrically, so appending n bytes
+// in any number of writes costs O(n) host time.
 type MemStore struct {
 	dev   *Device
 	chunk int
@@ -187,10 +193,12 @@ func (s *MemStore) Size() int64 {
 // ReadAt implements Storage.
 func (s *MemStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	s.mu.Lock()
-	if off < 0 || off+int64(len(p)) > int64(len(s.buf)) {
+	// Compared without forming off+len(p), which wraps negative for an
+	// offset near math.MaxInt64.
+	if size := int64(len(s.buf)); off < 0 || off > size || int64(len(p)) > size-off {
 		s.mu.Unlock()
-		return fmt.Errorf("nvm: %s: read [%d,%d) out of range [0,%d)",
-			s.name, off, off+int64(len(p)), len(s.buf))
+		return fmt.Errorf("nvm: %s: read of %d bytes at offset %d out of range [0,%d)",
+			s.name, len(p), off, size)
 	}
 	copy(p, s.buf[off:])
 	s.mu.Unlock()
@@ -209,15 +217,21 @@ func (s *MemStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 
 // WriteAt implements Storage.
 func (s *MemStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
-	if off < 0 {
-		return fmt.Errorf("nvm: %s: write at negative offset %d", s.name, off)
+	if off < 0 || int64(len(p)) > math.MaxInt64-off {
+		return fmt.Errorf("nvm: %s: write of %d bytes at offset %d out of range", s.name, len(p), off)
 	}
 	s.mu.Lock()
-	end := off + int64(len(p))
-	if end > int64(len(s.buf)) {
-		grown := make([]byte, end)
-		copy(grown, s.buf)
-		s.buf = grown
+	if end := off + int64(len(p)); end > int64(len(s.buf)) {
+		if end > int64(cap(s.buf)) {
+			// Geometric growth: a run of appends copies each byte O(1)
+			// times instead of once per write.
+			grown := make([]byte, len(s.buf), max(end, int64(cap(s.buf))*3/2))
+			copy(grown, s.buf)
+			s.buf = grown
+		}
+		// len never shrinks, so the bytes between len and cap have never
+		// been written: a gap below off is already zero.
+		s.buf = s.buf[:end]
 	}
 	copy(s.buf[off:], p)
 	s.mu.Unlock()

@@ -2,7 +2,10 @@ package nvm
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -232,5 +235,139 @@ func TestStoreDeviceAccessor(t *testing.T) {
 	defer fs.Close()
 	if fs.Device() != dev {
 		t.Fatal("FileStore.Device")
+	}
+}
+
+func TestStoreOffsetOverflow(t *testing.T) {
+	// off+len(p) wraps negative here; both methods must report the range
+	// error, not slice with a wrapped bound.
+	const off = math.MaxInt64 - 3
+	for name, s := range stores(t, nil, 0) {
+		t.Run(name, func(t *testing.T) {
+			if err := s.WriteAt(nil, []byte("resident"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ReadAt(nil, make([]byte, 8), off); err == nil {
+				t.Error("read at an offset whose end overflows succeeded")
+			}
+			if err := s.WriteAt(nil, make([]byte, 8), off); err == nil {
+				t.Error("write at an offset whose end overflows succeeded")
+			}
+			if s.Size() != 8 {
+				t.Errorf("Size = %d after rejected requests, want 8", s.Size())
+			}
+		})
+	}
+}
+
+func TestMemStoreAppendIsAmortised(t *testing.T) {
+	const writes, block = 4096, 4096
+	p := bytes.Repeat([]byte{0xA5}, block)
+	s := NewMemStore(nil, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < writes; i++ {
+		if err := s.WriteAt(nil, p, i*block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if s.Size() != writes*block {
+		t.Fatalf("Size = %d, want %d", s.Size(), writes*block)
+	}
+	// Geometric growth reallocates O(log n) times and copies O(n) bytes;
+	// exact-size growth does one allocation per write and ~32 GiB in all.
+	if allocs := after.Mallocs - before.Mallocs; allocs > 64 {
+		t.Errorf("%d appends made %d allocations, want O(log n) <= 64", writes, allocs)
+	}
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 4*writes*block {
+		t.Errorf("%d appends allocated %d bytes in total, want < 4x the final %d", writes, total, writes*block)
+	}
+}
+
+func TestMemStoreSizeFollowsLenNotCap(t *testing.T) {
+	s := NewMemStore(nil, 0)
+	ones := bytes.Repeat([]byte{0xFF}, 1000)
+	for i := int64(0); i < 5; i++ {
+		if err := s.WriteAt(nil, ones, i*1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(s.buf)-len(s.buf) < 200 {
+		t.Fatalf("len %d cap %d: the test needs capacity slack", len(s.buf), cap(s.buf))
+	}
+	// A read may not reach into the slack.
+	if err := s.ReadAt(nil, make([]byte, 2), 4999); err == nil {
+		t.Fatal("read past Size into capacity slack succeeded")
+	}
+	// A sparse write that lands inside the slack leaves a zero gap.
+	if err := s.WriteAt(nil, []byte{7}, 5100); err != nil {
+		t.Fatal(err)
+	}
+	if s.Size() != 5101 {
+		t.Fatalf("Size = %d, want 5101", s.Size())
+	}
+	got := make([]byte, 102)
+	if err := s.ReadAt(nil, got, 4999); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte{0xFF}, make([]byte, 100)...), 7)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("bytes [4999,5101) = %v, want 0xFF, 100 zeros, 7", got)
+	}
+	if err := s.ReadAt(nil, make([]byte, 1), 5101); err == nil {
+		t.Fatal("read past the new Size succeeded")
+	}
+}
+
+// TestMemStoreConcurrentAppendRead appends while readers verify everything
+// below the size they observed; run it with -race -count=10.
+func TestMemStoreConcurrentAppendRead(t *testing.T) {
+	const writes, block = 512, 256
+	s := NewMemStore(nil, 0)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, block)
+			for size := int64(0); size < writes*block; {
+				if size = s.Size(); size == 0 {
+					continue
+				}
+				off := size - block
+				if err := s.ReadAt(nil, buf, off); err != nil {
+					t.Errorf("read [%d,%d) below observed size: %v", off, size, err)
+					return
+				}
+				if want := bytes.Repeat([]byte{byte(off / block)}, block); !bytes.Equal(buf, want) {
+					t.Errorf("block %d read back torn or stale", off/block)
+					return
+				}
+			}
+		}()
+	}
+	for i := int64(0); i < writes; i++ {
+		if err := s.WriteAt(nil, bytes.Repeat([]byte{byte(i)}, block), i*block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}
+
+// BenchmarkMemStoreAppend is the offload's write pattern: 16 MiB appended
+// in 4 KiB writes to a fresh store.
+func BenchmarkMemStoreAppend(b *testing.B) {
+	const total, block = 16 << 20, 4096
+	p := make([]byte, block)
+	b.SetBytes(total)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewMemStore(nil, 0)
+		for off := int64(0); off < total; off += block {
+			if err := s.WriteAt(nil, p, off); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -685,22 +685,14 @@ func (r *ForwardReader) PrefetchFrontier(k int, vs []int64) {
 
 // writeInt64s streams vals into store from offset 0 in chunk-sized writes.
 func writeInt64s(store nvm.Storage, clock *vtime.Clock, vals []int64) error {
-	buf := make([]byte, 0, nvm.DefaultChunkSize)
-	off := int64(0)
-	for _, v := range vals {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		buf = append(buf, tmp[:]...)
-		if len(buf) >= nvm.DefaultChunkSize {
-			if err := store.WriteAt(clock, buf, off); err != nil {
-				return err
-			}
-			off += int64(len(buf))
-			buf = buf[:0]
+	const perChunk = nvm.DefaultChunkSize / 8
+	buf := make([]byte, nvm.DefaultChunkSize)
+	for off := 0; off < len(vals); off += perChunk {
+		chunk := vals[off:min(off+perChunk, len(vals))]
+		for i, v := range chunk {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
 		}
-	}
-	if len(buf) > 0 {
-		if err := store.WriteAt(clock, buf, off); err != nil {
+		if err := store.WriteAt(clock, buf[:8*len(chunk)], int64(off)*8); err != nil {
 			return err
 		}
 	}

@@ -377,3 +377,28 @@ func TestOffloadChargesConstructClock(t *testing.T) {
 		t.Errorf("offload ended at %d ns, pinned %d", got, wantNow)
 	}
 }
+
+// BenchmarkOffloadForwardScale14 is the paper's defining step on the host
+// clock: the raw forward graph written to in-memory PCIe-flash stores.
+func BenchmarkOffloadForwardScale14(b *testing.B) {
+	list, err := generator.Generate(generator.Config{Scale: 14, EdgeFactor: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	part := numa.NewPartition(numa.DefaultTopology, int(list.NumVertices))
+	fg, err := csr.BuildForward(edgelist.ListSource{List: list}, part)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fg.Bytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+		sf, err := OffloadForward(fg, memFactory(dev), vtime.NewClock(0), ForwardOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sf.Close()
+	}
+}
