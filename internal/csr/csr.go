@@ -310,7 +310,8 @@ func BuildForward(src edgelist.Source, part *numa.Partition) (*ForwardGraph, err
 
 // BuildBackward constructs the source-partitioned backward graph from src.
 // mode selects neighbor ordering; SortByDegreeDesc requires a second pass
-// over the degree array and is the NETAL default.
+// over the degree array and is the NETAL default. It is an error if a
+// vertex ID and a degree do not fit one 63-bit sort key together.
 func BuildBackward(src edgelist.Source, part *numa.Partition, mode SortMode) (*BackwardGraph, error) {
 	n := src.NumVertices()
 	if int64(part.N) != n {
@@ -374,6 +375,7 @@ func BuildBackward(src edgelist.Source, part *numa.Partition, mode SortMode) (*B
 		if idBits+bits.Len64(uint64(maxDeg)) > 63 {
 			return nil, fmt.Errorf("csr: %d vertices with maximum degree %d overflow the degree-sort key", n, maxDeg)
 		}
+		idMask := int64(1)<<idBits - 1
 		for _, g := range bg.PerNode {
 			for i, v := range g.Value {
 				g.Value[i] = (maxDeg-deg[v])<<idBits | v
@@ -382,7 +384,7 @@ func BuildBackward(src edgelist.Source, part *numa.Partition, mode SortMode) (*B
 				slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
 			}
 			for i, key := range g.Value {
-				g.Value[i] = key & (1<<idBits - 1)
+				g.Value[i] = key & idMask
 			}
 		}
 	default:
