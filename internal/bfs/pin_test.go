@@ -3,9 +3,12 @@ package bfs
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"testing"
 
 	"semibfs/internal/numa"
+	"semibfs/internal/nvm"
+	"semibfs/internal/semiext"
 	"semibfs/internal/vtime"
 )
 
@@ -132,6 +135,275 @@ func TestVirtualTimePins(t *testing.T) {
 			if got := c.run(t, workers); got != c.want {
 				t.Errorf("%s, %d real workers: got %v, pinned %v", c.name, workers, got, c.want)
 			}
+		}
+	}
+}
+
+// The NVM pins: the same engines over a forward graph read through a
+// storage stack, at one real worker (device arbitration follows real
+// arrival order above that — ROADMAP item 1). Every cell offloads its own
+// forward graph onto its own device, so cache and channel state never leak
+// between cells. Each pins the run's virtual time, the level count, the
+// per-level (direction, claimed, examined DRAM, examined NVM, time) hash and
+// the page cache's prefetch count.
+
+type nvmPin struct {
+	pin
+	prefetches int64
+}
+
+func (p nvmPin) String() string {
+	return fmt.Sprintf("{%v, %d}", p.pin, p.prefetches)
+}
+
+// examinedPin is levelsPin with the per-tier examined counts folded in.
+func examinedPin(total vtime.Duration, levels []LevelStats) pin {
+	h := fnv.New64a()
+	for _, l := range levels {
+		fmt.Fprintf(h, "%d,%d,%d,%d,%d;", l.Direction, l.Claimed, l.ExaminedDRAM, l.ExaminedNVM, int64(l.Time))
+	}
+	return pin{total, len(levels), h.Sum64()}
+}
+
+func treeHash(trees ...[]int64) uint64 {
+	h := fnv.New64a()
+	for _, tree := range trees {
+		for _, p := range tree {
+			fmt.Fprintf(h, "%d,", p)
+		}
+		h.Write([]byte{';'})
+	}
+	return h.Sum64()
+}
+
+// pinStacks are the two forward-graph storage stacks of the NVM pins: the
+// paper's raw layout, and every optional layer at once.
+var pinStacks = []struct {
+	name string
+	opts semiext.ForwardOptions
+}{
+	{"raw", semiext.ForwardOptions{}},
+	{"full", semiext.ForwardOptions{
+		Compress: true, CacheBytes: 16 << 10, QueueDepth: 4, FrontierPrefetch: 8,
+		Replicas: 2, Checksums: true,
+	}},
+}
+
+func TestNVMVirtualTimePins(t *testing.T) {
+	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
+	_, bwd := wrapDRAM(t, fg, bg)
+	n := int64(part.N)
+	root := int64(0)
+	for bg.Degree(root) == 0 {
+		root++
+	}
+	roots64 := make([]int64, 64)
+	for l := range roots64 {
+		roots64[l] = (root + int64(l)*5) % n
+	}
+	offload := func(t *testing.T, opts semiext.ForwardOptions) NVMForward {
+		dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+		mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+		sf, err := semiext.OffloadForward(fg, mk, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sf.Close() })
+		return NVMForward{SF: sf}
+	}
+
+	runner := func(mode Mode) func(t *testing.T, fwd NVMForward) nvmPin {
+		return func(t *testing.T, fwd NVMForward) nvmPin {
+			r, err := NewRunner(fwd, bwd, part, pinConfig(mode, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nvmPin{examinedPin(res.Time, res.Levels), res.Layers.Get("cache", "prefetches")}
+		}
+	}
+	batch := func(t *testing.T, fwd NVMForward) nvmPin {
+		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunBatch(roots64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nvmPin{examinedPin(res.Time, res.Levels), res.Layers.Get("cache", "prefetches")}
+	}
+	session := func(t *testing.T, fwd NVMForward) nvmPin {
+		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.OpenSession()
+		var levels []LevelStats
+		for step := 0; step < 3 || s.InUse() != 0; step++ {
+			if step < 3 {
+				if err := s.Admit(step, roots64[step*7]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lv, err := s.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels = append(levels, LevelStats{
+				Direction: lv.Direction, Claimed: lv.Claimed, Time: lv.End - lv.Start,
+			})
+			if err := s.Release(lv.Finished); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nvmPin{examinedPin(s.Now(), levels), s.LayerTotals().Get("cache", "prefetches")}
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T, fwd NVMForward) nvmPin
+		want [2]nvmPin // by pinStacks index
+	}{
+		{"runner/hybrid", runner(ModeHybrid), [2]nvmPin{
+			{pin{3063874, 5, 0x21de17f46e1acc89}, 0}, {pin{1533615, 5, 0x7cf25c3035f78919}, 0}}},
+		{"runner/top-down-only", runner(ModeTopDownOnly), [2]nvmPin{
+			{pin{196454084, 5, 0x8822fab8c0c3b80b}, 0}, {pin{2367376, 5, 0xc168ff3131d58e83}, 16}}},
+		{"batch/64", batch, [2]nvmPin{
+			{pin{311539355, 7, 0x28026b1ccc559fd}, 0}, {pin{5417602, 7, 0x19923b3ca122c72b}, 0}}},
+		{"session/3-admissions", session, [2]nvmPin{
+			{pin{216381273, 7, 0x7e6b119eb618c0fe}, 0}, {pin{2404846, 7, 0xb9bb4f41940058d6}, 0}}},
+	}
+	for _, c := range cases {
+		for i, stack := range pinStacks {
+			if got := c.run(t, offload(t, stack.opts)); got != c.want[i] {
+				t.Errorf("%s over %s: got %v, pinned %v", c.name, stack.name, got, c.want[i])
+			}
+		}
+	}
+}
+
+type rescuePin struct {
+	pin
+	switches int
+	// seeded counts the failed kernel's claims the rescue kept.
+	seeded int64
+	trees  uint64
+}
+
+func (p rescuePin) String() string {
+	return fmt.Sprintf("{%v, %d, %d, %#x}", p.pin, p.switches, p.seeded, p.trees)
+}
+
+// seedSpy reads a top-down rescue's seeded claim count from outside the
+// engine: it wraps the backward access and, on the run's first backward scan,
+// counts the bits the rescue left in the engine's next structure. Alpha 1
+// never turns bottom-up by itself, so that scan opens the re-run, and with one
+// real worker no bottom-up claim has landed yet.
+type seedSpy struct {
+	HybridBackwardAccess
+	count  func() int64
+	seen   bool
+	seeded int64
+}
+
+func (s *seedSpy) NewScanner(clock *vtime.Clock) BackwardScan {
+	return spyScan{s.HybridBackwardAccess.NewScanner(clock), s}
+}
+
+type spyScan struct {
+	BackwardScan
+	spy *seedSpy
+}
+
+func (s spyScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+	if !s.spy.seen {
+		s.spy.seen, s.spy.seeded = true, s.spy.count()
+	}
+	return s.BackwardScan.Scan(k, v, fn)
+}
+
+// TestRescuePins pins one rescued run per engine: the raw forward stores
+// die 100 reads in, in the middle of a multi-chunk top-down level (alpha 1
+// keeps the rule on top-down), and the level is re-run bottom-up.
+func TestRescuePins(t *testing.T) {
+	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
+	_, dram := wrapDRAM(t, fg, bg)
+	n := int64(part.N)
+	root := int64(0)
+	for bg.Degree(root) == 0 {
+		root++
+	}
+	roots64 := make([]int64, 64)
+	for l := range roots64 {
+		roots64[l] = (root + int64(l)*5) % n
+	}
+	cfg := pinConfig(ModeHybrid, 1)
+	cfg.Alpha, cfg.Beta = 1, 10
+	dying := func(t *testing.T) NVMForward {
+		dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+		mk := func(_ string, chunk int) (nvm.Storage, error) {
+			return &failingStore{Storage: nvm.NewMemStore(dev, chunk), failAfter: 100}, nil
+		}
+		sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sf.Close() })
+		return NVMForward{SF: sf}
+	}
+	summarize := func(t *testing.T, total vtime.Duration, levels []LevelStats, switches int, res Resilience, spy *seedSpy, trees [][]int64) rescuePin {
+		if len(res.Degraded) != 1 || res.Degraded[0].From != TopDown || !spy.seen {
+			t.Fatalf("degraded events %+v, want one top-down rescue", res.Degraded)
+		}
+		return rescuePin{examinedPin(total, levels), switches, spy.seeded, treeHash(trees...)}
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T) rescuePin
+		want rescuePin
+	}{
+		{"runner", func(t *testing.T) rescuePin {
+			spy := &seedSpy{HybridBackwardAccess: dram.(HybridBackwardAccess)}
+			r, err := NewRunner(dying(t), spy, part, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spy.count = func() int64 { return int64(r.NextBM.Count()) }
+			res, err := r.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return summarize(t, res.Time, res.Levels, res.Switches, res.Resilience, spy, [][]int64{res.Tree})
+		}, rescuePin{pin{14106500, 5, 0xe93131f3e4da4e0f}, 1, 56, 0xb85cbc3a5e032914}},
+		{"batch/64", func(t *testing.T) rescuePin {
+			spy := &seedSpy{HybridBackwardAccess: dram.(HybridBackwardAccess)}
+			r, err := NewBatchRunner(dying(t), spy, part, 64, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A failed scatter has committed nothing, so its rescue keeps
+			// nothing: the next lanes must be scrubbed.
+			spy.count = func() (kept int64) {
+				for _, w := range r.next.Words() {
+					kept += int64(bits.OnesCount64(w))
+				}
+				return kept
+			}
+			res, err := r.RunBatch(roots64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return summarize(t, res.Time, res.Levels, res.Switches, res.Resilience, spy, res.Trees)
+		}, rescuePin{pin{19382606, 7, 0x351f549cc3c63e81}, 1, 0, 0x82c791bd0e184ce7}},
+	}
+	for _, c := range cases {
+		if got := c.run(t); got != c.want {
+			t.Errorf("%s: got %v, pinned %v", c.name, got, c.want)
 		}
 	}
 }
