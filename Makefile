@@ -32,8 +32,9 @@ bench:
 bench-json:
 	bash bench/run.sh --workload all --out bench/out/result.json
 
-# Alternating benchmark pairs of this tree against REF on workload WL
-# (make benchpair REF=HEAD~1 WL=g500-pcie [PAIRS=10] [SEED0=1]).
+# Alternating benchmark pairs of this tree against REF on workload WL, or on
+# each of a comma-separated list of them
+# (make benchpair REF=HEAD~1 WL=g500-pcie,td-ssd-stack [PAIRS=10] [SEED0=1]).
 benchpair:
 	bash scripts/benchpair.sh $(REF) $(WL) $(PAIRS) $(SEED0)
 

@@ -24,8 +24,6 @@ import (
 // already been charged to the worker's clock).
 type ForwardCursor interface {
 	Neighbors(k int, v int64) (nbs []int64, fromNVM bool, err error)
-	// NVMEdges returns the cumulative neighbor IDs served from NVM.
-	NVMEdges() int64
 }
 
 // FrontierPrefetcher is optionally implemented by forward cursors that can
@@ -105,8 +103,6 @@ func (c *dramForwardCursor) Neighbors(k int, v int64) ([]int64, bool, error) {
 	return c.g.PerNode[k].Neighbors(v), false, nil
 }
 
-func (c *dramForwardCursor) NVMEdges() int64 { return 0 }
-
 // NVMForward adapts a semi-external semiext.SemiForward.
 type NVMForward struct {
 	SF *semiext.SemiForward
@@ -131,8 +127,6 @@ func (c *nvmForwardCursor) Neighbors(k int, v int64) ([]int64, bool, error) {
 	nbs, err := c.r.Neighbors(k, v)
 	return nbs, true, err
 }
-
-func (c *nvmForwardCursor) NVMEdges() int64 { return c.r.EdgesRead }
 
 // PrefetchFrontier implements FrontierPrefetcher.
 func (c *nvmForwardCursor) PrefetchFrontier(k int, vs []int64) {

@@ -3,11 +3,9 @@ package bfs
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"semibfs/internal/bitmap"
 	"semibfs/internal/numa"
-	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
 
@@ -31,18 +29,14 @@ import (
 // 64-vertex blocks with a fixed block -> worker mapping, so every write is
 // worker-local.
 type BatchRunner struct {
-	fwd  ForwardAccess
-	bwd  BackwardAccess
-	part *numa.Partition
-	cfg  Config
-	n    int64
+	// Team is the worker team the batch runs on; FrontQ is the top-down
+	// scatter's active-vertex list and NextQ its per-worker extraction
+	// scratch.
+	Team
 
 	lanes      int    // capacity B of the lane words
 	active     int    // lanes in use by the current RunBatch
 	activeMask uint64 // low `active` bits
-
-	nWorkers int
-	cpn      int
 
 	// BFS status data: one lane word per vertex per structure, one parent
 	// array per lane. This is the MS-BFS memory trade — status data is B
@@ -52,19 +46,8 @@ type BatchRunner struct {
 	visited  *bitmap.Lanes
 	frontier *bitmap.Lanes
 	next     *bitmap.AtomicLanes
-	frontQ   []int64
-	nextQ    [][]int64 // per-worker frontQ extraction scratch
 
-	clocks   []*vtime.Clock
-	cursors  []ForwardCursor
-	scanners []BackwardScan
-	barrier  *vtime.Barrier
-
-	pinned    bool
-	pinnedDir Direction
-
-	acc         []WorkerAcc
-	offsScratch []int
+	probes []lanesProbe // per-worker bottom-up probes
 }
 
 // BatchResult is one batched BFS execution's outcome.
@@ -77,20 +60,11 @@ type BatchResult struct {
 	Trees [][]int64
 	// Visited counts the vertices reached by each lane.
 	Visited []int64
-	// Levels holds per-level statistics; Frontier and Claimed count
-	// lane-bits (vertex-lane pairs), not distinct vertices.
-	Levels      []LevelStats
-	Time        vtime.Duration
-	ExaminedTD  int64
-	ExaminedBU  int64
-	ExaminedNVM int64
-	Switches    int
-	// Resilience / Cache / Layers are per-batch counters with the same
-	// semantics as Result's fields: one shared storage pass serves all
-	// lanes, so they are amortized over the whole batch.
-	Resilience Resilience
-	Cache      nvm.CacheStats
-	Layers     nvm.StackStats
+	// RunStats has the same semantics as in Result, except that Levels'
+	// Frontier and Claimed count lane-bits (vertex-lane pairs), not distinct
+	// vertices, and the storage counters are per batch: one shared storage
+	// pass serves all lanes, so they are amortized over the whole batch.
+	RunStats
 }
 
 // CloneTree returns a copy of lane l's parent array.
@@ -105,45 +79,32 @@ func NewBatchRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition,
 		return nil, fmt.Errorf("bfs: batch width %d outside [1,%d]", lanes, bitmap.MaxLanes)
 	}
 	cfg = cfg.WithDefaults()
-	if err := cfg.Topology.Validate(); err != nil {
+	r := &BatchRunner{lanes: lanes}
+	if err := r.Team.init("bfs: batch", fwd, bwd, part, cfg); err != nil {
 		return nil, err
 	}
-	if part.Topology != cfg.Topology {
-		return nil, fmt.Errorf("bfs: partition topology %+v != config topology %+v",
-			part.Topology, cfg.Topology)
-	}
-	n := int64(part.N)
-	nw := cfg.Topology.TotalCores()
-	r := &BatchRunner{
-		fwd:      fwd,
-		bwd:      bwd,
-		part:     part,
-		cfg:      cfg,
-		n:        n,
-		lanes:    lanes,
-		nWorkers: nw,
-		cpn:      cfg.Topology.CoresPerNode,
-		trees:    make([][]int64, lanes),
-		visited:  bitmap.NewLanes(int(n)),
-		frontier: bitmap.NewLanes(int(n)),
-		next:     bitmap.NewAtomicLanes(int(n)),
-		nextQ:    make([][]int64, nw),
-		clocks:   make([]*vtime.Clock, nw),
-		cursors:  make([]ForwardCursor, nw),
-		scanners: make([]BackwardScan, nw),
-		barrier:  vtime.NewBarrier(cfg.Cost.Barrier),
-		acc:      make([]WorkerAcc, nw),
-
-		offsScratch: make([]int, nw+1),
-	}
+	n := part.N
+	r.trees = make([][]int64, lanes)
 	for l := range r.trees {
 		r.trees[l] = make([]int64, n)
 	}
-	for w := 0; w < nw; w++ {
-		r.clocks[w] = vtime.NewClock(0)
-		r.cursors[w] = fwd.NewCursor(r.clocks[w])
-		r.scanners[w] = bwd.NewScanner(r.clocks[w])
-		r.nextQ[w] = make([]int64, 0, 1024)
+	r.visited = bitmap.NewLanes(n)
+	r.frontier = bitmap.NewLanes(n)
+	r.next = bitmap.NewAtomicLanes(n)
+
+	// The scatter reads the frontier lane word on top of the dequeue.
+	r.setExpand(func(int) Expand { return newScatter(r) }, cfg.Cost.VertexOverhead+cfg.Cost.BitmapProbe)
+	r.kernels[TopDown] = func() error {
+		if err := r.sweepTopDown(); err != nil {
+			return err
+		}
+		return r.mergeNext()
+	}
+	r.kernels[BottomUp] = r.runBatchBottomUpLevel
+	r.degrade = r.enterDegraded
+	r.probes = make([]lanesProbe, r.nWorkers)
+	for w := range r.probes {
+		newLanesProbe(&r.probes[w], r)
 	}
 	return r, nil
 }
@@ -155,25 +116,9 @@ func (r *BatchRunner) Lanes() int { return r.lanes }
 // (per-lane trees, lane words, frontier queues) — the Table II row scaled
 // by the batch width.
 func (r *BatchRunner) StatusBytes() int64 {
-	b := int64(r.lanes) * r.n * 8 // per-lane trees
-	b += 3 * r.n * 8              // visited/frontier/next lane words
-	b += int64(cap(r.frontQ)) * 8
-	for _, q := range r.nextQ {
-		b += int64(cap(q)) * 8
-	}
-	return b
-}
-
-func (r *BatchRunner) parallel(fn func(w int) error) error {
-	return runParallel(r.nWorkers, r.cfg.RealWorkers, fn)
-}
-
-func (r *BatchRunner) nodeOfWorker(w int) int { return w / r.cpn }
-
-func (r *BatchRunner) stacks() []nvm.Storage { return stacksOf(r.fwd, r.bwd) }
-
-func (r *BatchRunner) layerTotals() nvm.StackStats {
-	return nvm.CollectStacks(r.stacks()...)
+	b := int64(r.lanes) * r.N * 8 // per-lane trees
+	b += 3 * r.N * 8              // visited/frontier/next lane words
+	return b + r.queueBytes()
 }
 
 // decide applies the Section III-C switching rule to aggregate lane-bit
@@ -182,27 +127,10 @@ func (r *BatchRunner) layerTotals() nvm.StackStats {
 // vertices of single-source frontier. With active == 1 this is exactly the
 // single-source rule.
 func (r *BatchRunner) decide(cur Direction, prevCount, curCount int64) Direction {
-	if dir, forced := steerMode(r.pinned, r.pinnedDir, r.cfg.Mode); forced {
+	if dir, forced := r.forced(); forced {
 		return dir
 	}
-	return NextDirection(cur, prevCount, curCount, float64(r.n)*float64(r.active), r.cfg.Alpha, r.cfg.Beta)
-}
-
-// minClaim records v as a candidate parent for some (lane, vertex) slot,
-// keeping the smallest claiming frontier vertex. Min is commutative and
-// idempotent, so the final value is independent of claim interleaving —
-// this is what makes the scatter phase's racing parent writes
-// deterministic at the level boundary. -1 means unclaimed.
-func minClaim(p *int64, v int64) {
-	for {
-		old := atomic.LoadInt64(p)
-		if old >= 0 && old <= v {
-			return
-		}
-		if atomic.CompareAndSwapInt64(p, old, v) {
-			return
-		}
-	}
+	return NextDirection(cur, prevCount, curCount, float64(r.N)*float64(r.active), r.Cfg.Alpha, r.Cfg.Beta)
 }
 
 // RunBatch executes one batched BFS from up to Lanes() roots (lane l
@@ -213,20 +141,13 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 		return nil, fmt.Errorf("bfs: batch of %d roots outside [1,%d]", len(roots), r.lanes)
 	}
 	for l, root := range roots {
-		if root < 0 || root >= r.n {
-			return nil, fmt.Errorf("bfs: lane %d root %d outside [0,%d)", l, root, r.n)
+		if root < 0 || root >= r.N {
+			return nil, fmt.Errorf("bfs: lane %d root %d outside [0,%d)", l, root, r.N)
 		}
 	}
 	r.active = len(roots)
 	r.activeMask = bitmap.LaneMask(r.active)
 	r.reset(r.active)
-	// A completed batch ends on a barrier, but a failed one leaves the
-	// clocks wherever its workers stopped; start every batch level.
-	start := vtime.MaxOf(r.clocks)
-	for _, c := range r.clocks {
-		c.AdvanceTo(start)
-	}
-	layers0 := r.layerTotals()
 
 	for l, root := range roots {
 		r.trees[l][root] = root
@@ -240,7 +161,7 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	}
 	sw := sweep{fresh: true, cur: int64(r.active)}
 	for level := 0; ; level++ {
-		if level > int(r.n) {
+		if level > int(r.N) {
 			return nil, fmt.Errorf("bfs: batch level %d exceeds vertex count; cycle in control logic", level)
 		}
 		ls, degraded, switches, err := r.advance(level, &sw)
@@ -251,13 +172,7 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 		if degraded != nil {
 			res.Resilience.Degraded = append(res.Resilience.Degraded, *degraded)
 		}
-		res.Levels = append(res.Levels, ls)
-		if sw.dir == TopDown {
-			res.ExaminedTD += ls.Examined()
-		} else {
-			res.ExaminedBU += ls.Examined()
-		}
-		res.ExaminedNVM += ls.ExaminedNVM
+		res.addLevel(ls)
 
 		if ls.Claimed == 0 {
 			break
@@ -267,22 +182,18 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 		}
 		sw.prev, sw.cur = sw.cur, ls.Claimed
 	}
-	res.Time = vtime.MaxOf(r.clocks) - start
+	r.finish(&res.RunStats)
 	res.Trees = r.trees[:r.active]
-	for v := 0; v < int(r.n); v++ {
+	for v := 0; v < int(r.N); v++ {
 		for w := r.visited.Word(v); w != 0; w &= w - 1 {
 			res.Visited[bits.TrailingZeros64(w)]++
 		}
 	}
-	res.Layers = r.layerTotals().Sub(layers0)
-	res.Resilience.fromLayers(res.Layers)
-	res.Resilience.Devices = nvm.CollectReplicaHealth(r.stacks()...)
-	res.Cache = res.Layers.CacheView()
 	return res, nil
 }
 
-// reset clears the status data of the first `lanes` lanes and unpins the
-// runner (setup is not charged to BFS time, matching the Graph500 timing
+// reset clears the status data of the first `lanes` lanes and begins a run
+// on the team (setup is not charged to BFS time, matching the Graph500 timing
 // protocol which starts the clock at traversal).
 func (r *BatchRunner) reset(lanes int) {
 	for _, tree := range r.trees[:lanes] {
@@ -290,15 +201,11 @@ func (r *BatchRunner) reset(lanes int) {
 			tree[i] = -1
 		}
 	}
-	n := int(r.n)
+	n := int(r.N)
 	r.visited.ResetRange(0, n)
 	r.frontier.ResetRange(0, n)
 	r.next.ResetRange(0, n)
-	r.frontQ = r.frontQ[:0]
-	for w := range r.nextQ {
-		r.nextQ[w] = r.nextQ[w][:0]
-	}
-	r.pinned = false
+	r.begin()
 }
 
 // sweep is the direction controller's state across the joint levels of the
@@ -311,21 +218,28 @@ type sweep struct {
 }
 
 // advance runs one joint level, the step RunBatch's loop and
-// BatchSession.Step share: pick the direction, run the level body, fold a
-// rescue. A fresh cohort starts top-down (the paper's rule: BFS always
+// BatchSession.Step share: pick the direction, build the active-vertex list a
+// top-down scatter wants beside the lane words, run the team's level step,
+// fold a rescue. A fresh cohort starts top-down (the paper's rule: BFS always
 // begins at the source) unless the mode or a pin says otherwise; later
 // levels apply the switching rule. It returns the level, the rescue event if
-// a device died, and how many times the direction changed.
+// a device died — all lanes survive together on the surviving direction — and
+// how many times the direction changed.
 func (r *BatchRunner) advance(level int, sw *sweep) (ls LevelStats, degraded *DegradedEvent, switches int, err error) {
 	if sw.fresh {
 		sw.dir = TopDown
-		if dir, forced := steerMode(r.pinned, r.pinnedDir, r.cfg.Mode); forced {
+		if dir, forced := r.forced(); forced {
 			sw.dir = dir
 		}
 		sw.prev, sw.fresh = 0, false
 	} else if next := r.decide(sw.dir, sw.prev, sw.cur); next != sw.dir {
 		sw.dir = next
 		switches++
+	}
+	if sw.dir == TopDown {
+		if err := r.buildFrontQ(); err != nil {
+			return ls, nil, 0, err
+		}
 	}
 	if ls, degraded, err = r.runLevel(level, sw.dir, sw.cur); err != nil {
 		return ls, nil, 0, err
@@ -337,109 +251,41 @@ func (r *BatchRunner) advance(level int, sw *sweep) (ls LevelStats, degraded *De
 	return ls, degraded, switches, nil
 }
 
-// runLevel runs one joint level of the live lanes in direction dir: build
-// the active-vertex list a top-down scatter wants, run the kernel, rescue a
-// failed kernel, close on the barrier. A rescued level reports the event and
-// carries the surviving direction in ls.Direction; the runner stays pinned
-// to it.
-func (r *BatchRunner) runLevel(level int, dir Direction, frontier int64) (ls LevelStats, degraded *DegradedEvent, err error) {
-	// The frontier always lives in the lane words; the top-down kernel
-	// additionally wants the active-vertex list.
-	if dir == TopDown {
-		if err := r.buildFrontQ(); err != nil {
-			return ls, nil, err
-		}
-	}
-	kernel := func() error {
-		for w := range r.acc {
-			r.acc[w] = WorkerAcc{}
-		}
-		if dir == TopDown {
-			if err := r.runBatchTopDownLevel(); err != nil {
-				return err
-			}
-			return r.mergeNext()
-		}
-		return r.runBatchBottomUpLevel()
-	}
-	start := vtime.MaxOf(r.clocks)
-	var seeded int64
-	if err := kernel(); err != nil {
-		// A level kernel failed — usually a device declared dead after
-		// exhausting retries. Rescue the level in the DRAM-resident
-		// direction when there is one, pinned from here on: all lanes
-		// survive together on the surviving direction.
-		to, ok := rescueTarget(r.cfg.Mode, r.pinned, dir, r.fwd, r.bwd)
-		if !ok {
-			return ls, nil, fmt.Errorf("bfs: batch level %d (%s): %w", level, dir, err)
-		}
-		degraded = &DegradedEvent{Level: level, From: dir, To: to, Cause: err.Error()}
-		if seeded, err = r.enterDegraded(dir, to); err != nil {
-			return ls, nil, fmt.Errorf("bfs: batch level %d: degrading %s -> %s: %w", level, dir, to, err)
-		}
-		r.pinned, r.pinnedDir = true, to
-		dir = to
-		if err := kernel(); err != nil {
-			return ls, nil, fmt.Errorf("bfs: batch level %d (%s, degraded): %w", level, dir, err)
-		}
-	}
-	end := r.barrier.Sync(r.clocks)
-	ls = foldLevel(r.acc, level, dir, frontier, seeded)
-	ls.Start, ls.Time = start, end-start
-	return ls, degraded, nil
-}
-
 // buildFrontQ extracts the vertices with any active frontier lane into the
-// frontier queue, in vertex order within worker stripes. The scan streams
-// the whole lane array — O(n) per top-down level — which is the batched
-// analog of the single-source engine's per-level bitmap broadcast.
+// frontier queue, in vertex order within worker stripes (so the concatenation
+// has nothing to finalise or sort). The scan streams the whole lane array —
+// O(n) per top-down level — which is the batched analog of the single-source
+// engine's per-level bitmap broadcast.
 func (r *BatchRunner) buildFrontQ() error {
-	n := int(r.n)
-	err := r.parallel(func(w int) error {
+	n := int(r.N)
+	err := r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
-		q := r.nextQ[w][:0]
+		q := r.NextQ[w][:0]
 		var t vtime.Duration
-		t += r.cfg.Cost.Stream((hi - lo) * 8)
+		t += r.Cfg.Cost.Stream((hi - lo) * 8)
 		for v := lo; v < hi; v++ {
 			if r.frontier.Word(v)&r.activeMask != 0 {
 				q = append(q, int64(v))
-				t += r.cfg.Cost.QueueAppend
+				t += r.Cfg.Cost.QueueAppend
 			}
 		}
-		r.nextQ[w] = q
-		r.clocks[w].Advance(t)
+		r.NextQ[w] = q
+		r.Clocks[w].Advance(t)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return r.concatQueues()
-}
-
-// concatQueues concatenates the per-worker extraction queues into frontQ
-// at precomputed offsets (same layout as Hybrid.gatherQueues; nothing to
-// finalise or sort — stripes are already in vertex order).
-func (r *BatchRunner) concatQueues() error {
-	offs := r.offsScratch
-	r.frontQ = concatLayout(r.frontQ, r.nextQ, offs)
-	return r.parallel(func(w int) error {
-		q := r.nextQ[w]
-		if len(q) > 0 {
-			copy(r.frontQ[offs[w]:offs[w+1]], q)
-			r.clocks[w].Advance(r.cfg.Cost.Stream(len(q) * 16))
-		}
-		r.nextQ[w] = q[:0]
-		return nil
-	})
+	return r.concat(nil)
 }
 
 // promote installs the level's output lanes as the next frontier and
 // clears the output, in worker stripes.
 func (r *BatchRunner) promote() error {
-	n := int(r.n)
+	n := int(r.N)
 	nextW := r.next.Words()
 	frontW := r.frontier.Words()
-	return r.parallel(func(w int) error {
+	return r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
 		if lo >= hi {
 			return nil
@@ -448,7 +294,7 @@ func (r *BatchRunner) promote() error {
 		for i := lo; i < hi; i++ {
 			nextW[i] = 0
 		}
-		r.clocks[w].Advance(r.cfg.Cost.Stream((hi - lo) * 8 * 3))
+		r.Clocks[w].Advance(r.Cfg.Cost.Stream((hi - lo) * 8 * 3))
 		return nil
 	})
 }
@@ -465,7 +311,7 @@ func (r *BatchRunner) promote() error {
 // are kept and counted as seeded, and the top-down re-run skips them
 // through the visited lanes.
 func (r *BatchRunner) enterDegraded(from, to Direction) (int64, error) {
-	n := int(r.n)
+	n := int(r.N)
 	if from == TopDown {
 		nextW := r.next.Words()
 		for v := 0; v < n; v++ {

@@ -57,7 +57,8 @@ func TestBatchMatchesSerialBFS(t *testing.T) {
 // TestBatchWidthOneMatchesSingleSource pins the degenerate case: a 1-lane
 // batch must produce exactly the level structure of the single-source
 // Runner, including the same direction schedule (the scaled alpha/beta rule
-// collapses to the single-source rule at B = 1).
+// collapses to the single-source rule at B = 1) and, the two running the same
+// top-down sweep and bottom-up scan order, the same examined-edge counts.
 func TestBatchWidthOneMatchesSingleSource(t *testing.T) {
 	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
 	fg, bg, list, part := buildTestGraphs(t, 10, 2, topo)
@@ -89,9 +90,11 @@ func TestBatchWidthOneMatchesSingleSource(t *testing.T) {
 	}
 	for i := range bres.Levels {
 		b, s := bres.Levels[i], sres.Levels[i]
-		if b.Direction != s.Direction || b.Frontier != s.Frontier || b.Claimed != s.Claimed {
-			t.Fatalf("level %d: batch {%v f=%d c=%d}, single {%v f=%d c=%d}",
-				i, b.Direction, b.Frontier, b.Claimed, s.Direction, s.Frontier, s.Claimed)
+		if b.Direction != s.Direction || b.Frontier != s.Frontier || b.Claimed != s.Claimed ||
+			b.ExaminedDRAM != s.ExaminedDRAM || b.ExaminedNVM != s.ExaminedNVM {
+			t.Fatalf("level %d: batch {%v f=%d c=%d examined %d+%d}, single {%v f=%d c=%d examined %d+%d}",
+				i, b.Direction, b.Frontier, b.Claimed, b.ExaminedDRAM, b.ExaminedNVM,
+				s.Direction, s.Frontier, s.Claimed, s.ExaminedDRAM, s.ExaminedNVM)
 		}
 	}
 	want, err := validate.Levels(sres.Tree, root)
@@ -248,5 +251,64 @@ func TestBatchRejectsBadInput(t *testing.T) {
 	}
 	if _, err := br.RunBatch([]int64{1 << 20}); err == nil {
 		t.Error("out-of-range root accepted")
+	}
+}
+
+// TestBatchFrontierPrefetch: a batch over a cached NVM forward graph honours
+// FrontierPrefetch like a single-source run does — the scatter announces each
+// worker's next chunk — once the frontier spans more chunks than a node has
+// cores. The trees do not depend on it.
+func TestBatchFrontierPrefetch(t *testing.T) {
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	fg, bg, list, part := buildTestGraphs(t, 10, 42, topo)
+	_, bwd := wrapDRAM(t, fg, bg)
+	roots := pickRoots(t, bg.Degree, list.NumVertices, 16)
+	run := func(frontierPrefetch int) (*BatchResult, [][]int64) {
+		dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+		mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+		sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{
+			CacheBytes: 16 << 10, FrontierPrefetch: frontierPrefetch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sf.Close()
+		br, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, len(roots), Config{
+			Topology: topo, Mode: ModeTopDownOnly, RealWorkers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := br.RunBatch(roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest := int64(0)
+		for _, ls := range res.Levels {
+			widest = max(widest, ls.Frontier)
+		}
+		// Frontiers are counted in lane-bits, at most one per lane per
+		// vertex: this many bits need more vertices than the chunks a node's
+		// workers take in one round, so some worker has a next chunk.
+		if widest <= int64(len(roots)*topo.CoresPerNode*ChunkSize) {
+			t.Fatalf("widest frontier %d lane-bits; the batch never outgrew one chunk per worker", widest)
+		}
+		trees := make([][]int64, len(roots))
+		for l := range trees {
+			trees[l] = res.CloneTree(l)
+		}
+		return res, trees
+	}
+	off, offTrees := run(0)
+	on, onTrees := run(8)
+	if a, b := on.Layers.Get("cache", "prefetches"), off.Layers.Get("cache", "prefetches"); a <= b {
+		t.Errorf("cache prefetches: %d with FrontierPrefetch 8, %d with 0; the batch ignored the option", a, b)
+	}
+	for l := range roots {
+		for v := range onTrees[l] {
+			if onTrees[l][v] != offTrees[l][v] {
+				t.Fatalf("lane %d: tree[%d] = %d with prefetch, %d without", l, v, onTrees[l][v], offTrees[l][v])
+			}
+		}
 	}
 }

@@ -6,12 +6,10 @@ import (
 	"semibfs/internal/vtime"
 )
 
-// runBatchTopDownLevel is the scatter phase of a batched top-down level.
-// Every NUMA node's workers scan the whole frontier queue in fixed chunks
-// (chunk c -> worker c % coresPerNode, as in the single-source kernel),
-// reading each frontier vertex's adjacency once from the node's replica —
-// one NVM read serving every lane that has the vertex in its frontier. For
-// each neighbor the claim mask
+// newScatter builds the Expand hook of a batched top-down level's scatter
+// phase (the workers share one). The team's sweep reads each frontier vertex's
+// adjacency once from the node's replica — one NVM read serving every lane
+// that has the vertex in its frontier. For each neighbor the claim mask
 //
 //	d = frontier[v] &^ visited[nb]
 //
@@ -20,69 +18,32 @@ import (
 // are committed with a commutative atomic OR into the next lanes and a
 // commutative min-CAS per claimed lane's parent slot. Costs are charged
 // from d alone, never from who won a race, which keeps every worker's
-// virtual clock deterministic across real-parallelism levels.
-func (r *BatchRunner) runBatchTopDownLevel() error {
-	cm := &r.cfg.Cost
-	numChunks := (len(r.frontQ) + ChunkSize - 1) / ChunkSize
-	return r.parallel(func(w int) error {
-		k := r.nodeOfWorker(w)
-		j := w % r.cpn
-		clock := r.clocks[w]
-		cursor := r.cursors[w]
-		acc := &r.acc[w]
-		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		for c := j; c < numChunks; c += r.cpn {
-			lo := c * ChunkSize
-			hi := lo + ChunkSize
-			if hi > len(r.frontQ) {
-				hi = len(r.frontQ)
+// virtual clock deterministic across real-parallelism levels. Nothing is
+// queued: no claim reaches visited before the merge phase, and a rescue scrubs
+// the partial next/parent writes (enterDegraded).
+//
+// Out of line for the reason newExpander is.
+//
+//go:noinline
+func newScatter(r *BatchRunner) Expand {
+	atomicOp, localAccess := r.Cfg.Cost.AtomicOp, r.Cfg.Cost.LocalAccess
+	visited, frontier, next, trees := r.visited, r.frontier, r.next, r.trees
+	return func(v int64, nbs, nq []int64) ([]int64, vtime.Duration) {
+		fw := frontier.Word(int(v)) & r.activeMask
+		var t vtime.Duration
+		for _, nb := range nbs {
+			d := fw &^ visited.Word(int(nb))
+			if d == 0 {
+				continue
 			}
-			var t vtime.Duration
-			t += cm.Stream((hi - lo) * 8) // dequeue the chunk
-			for _, v := range r.frontQ[lo:hi] {
-				t += cm.VertexOverhead + cm.BitmapProbe // frontier lane word
-				fw := r.frontier.Word(int(v)) & r.activeMask
-				if fw == 0 {
-					continue
-				}
-				if r.part.NodeOf(int(v)) == k {
-					// Statistics only (degree of the frontier vertex,
-					// counted once across nodes).
-					acc.FrontierDeg += r.bwd.Degree(v)
-				}
-				clock.Advance(t)
-				t = 0
-				nbs, fromNVM, err := cursor.Neighbors(k, v)
-				if err != nil {
-					// Nothing to publish: no claim reached visited (the
-					// merge phase has not run), and enterDegraded scrubs
-					// the partial next/parent writes.
-					return err
-				}
-				if fromNVM {
-					acc.ExaminedNVM += int64(len(nbs))
-				} else {
-					t += cm.LocalAccess + cm.Stream(len(nbs)*8)
-					acc.ExaminedDRAM += int64(len(nbs))
-				}
-				for _, nb := range nbs {
-					t += edgeCost
-					d := fw &^ r.visited.Word(int(nb))
-					if d == 0 {
-						continue
-					}
-					t += cm.AtomicOp
-					r.next.Or(int(nb), d)
-					for dd := d; dd != 0; dd &= dd - 1 {
-						minClaim(&r.trees[bits.TrailingZeros64(dd)][nb], v)
-					}
-					t += vtime.Duration(bits.OnesCount64(d)) * cm.LocalAccess
-				}
+			next.Or(int(nb), d)
+			for dd := d; dd != 0; dd &= dd - 1 {
+				MinParent(&trees[bits.TrailingZeros64(dd)][nb], v)
 			}
-			clock.Advance(t)
+			t += atomicOp + vtime.Duration(bits.OnesCount64(d))*localAccess
 		}
-		return nil
-	})
+		return nq, t
+	}
 }
 
 // mergeNext is the merge phase of a batched top-down level: in fixed
@@ -91,16 +52,16 @@ func (r *BatchRunner) runBatchTopDownLevel() error {
 // committed before a mid-level degradation are already in visited and are
 // deliberately not re-counted (they arrive through the seeded count).
 func (r *BatchRunner) mergeNext() error {
-	cm := &r.cfg.Cost
-	n := int(r.n)
+	cm := &r.Cfg.Cost
+	n := int(r.N)
 	nextW := r.next.Words()
 	visW := r.visited.Words()
-	return r.parallel(func(w int) error {
+	return r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
 		if lo >= hi {
 			return nil
 		}
-		acc := &r.acc[w]
+		acc := &r.Acc[w]
 		for v := lo; v < hi; v++ {
 			newly := nextW[v] &^ visW[v]
 			if newly != 0 {
@@ -108,9 +69,38 @@ func (r *BatchRunner) mergeNext() error {
 				acc.Claimed += int64(bits.OnesCount64(newly))
 			}
 		}
-		r.clocks[w].Advance(cm.Stream((hi - lo) * 16))
+		r.Clocks[w].Advance(cm.Stream((hi - lo) * 16))
 		return nil
 	})
+}
+
+// lanesProbe is one worker's batched bottom-up probe: the closure its scanner
+// calls per neighbor, and the state of the vertex being scanned — the lanes
+// still unclaimed, the lanes claimed so far. Built once per BatchRunner and
+// padded, like the Runner's pullProbe.
+type lanesProbe struct {
+	rem, claimed uint64
+	v            int
+	fn           func(nb int64) bool
+	_            [4]int64
+}
+
+// newLanesProbe arms p. Out of line for the reason newExpander is.
+//
+//go:noinline
+func newLanesProbe(p *lanesProbe, r *BatchRunner) {
+	frontier, trees := r.frontier, r.trees
+	p.fn = func(nb int64) bool {
+		d := frontier.Word(int(nb)) & p.rem
+		if d != 0 {
+			for dd := d; dd != 0; dd &= dd - 1 {
+				trees[bits.TrailingZeros64(dd)][p.v] = nb
+			}
+			p.claimed |= d
+			p.rem &^= d
+		}
+		return p.rem != 0
+	}
 }
 
 // runBatchBottomUpLevel expands one batched level bottom-up: every vertex
@@ -121,32 +111,18 @@ func (r *BatchRunner) mergeNext() error {
 // single-source kernel, so trees/visited/next writes are worker-local and
 // the level is deterministic by construction.
 func (r *BatchRunner) runBatchBottomUpLevel() error {
-	cm := &r.cfg.Cost
-	n := int(r.n)
-	return r.parallel(func(w int) error {
-		k := r.nodeOfWorker(w)
-		j := w % r.cpn
-		clock := r.clocks[w]
-		scanner := r.scanners[w]
-		acc := &r.acc[w]
-		wordLo, wordHi := WordRangeOf(r.part, k)
+	cm := &r.Cfg.Cost
+	n := int(r.N)
+	return r.Parallel(func(w int) error {
+		k := r.NodeOfWorker(w)
+		j := w % r.CPN
+		clock := r.Clocks[w]
+		scanner := r.Scanners[w]
+		acc := &r.Acc[w]
+		probe := &r.probes[w]
+		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		// One probe closure per worker per level (allocating it per vertex
-		// would cost one heap allocation per scanned vertex).
-		var rem, claimed uint64
-		var vcur int
-		probe := func(nb int64) bool {
-			d := r.frontier.Word(int(nb)) & rem
-			if d != 0 {
-				for dd := d; dd != 0; dd &= dd - 1 {
-					r.trees[bits.TrailingZeros64(dd)][vcur] = nb
-				}
-				claimed |= d
-				rem &^= d
-			}
-			return rem != 0
-		}
-		for wi := wordLo + j; wi < wordHi; wi += r.cpn {
+		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			base := wi * 64
 			hiV := base + 64
 			if hiV > n {
@@ -157,8 +133,8 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 			// per vertex, not one bit.
 			t += cm.Stream((hiV - base) * 8)
 			for v := base; v < hiV; v++ {
-				rem = r.activeMask &^ r.visited.Word(v)
-				if rem == 0 {
+				probe.rem = r.activeMask &^ r.visited.Word(v)
+				if probe.rem == 0 {
 					continue
 				}
 				t += cm.VertexOverhead
@@ -166,12 +142,13 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 				t = 0
 				// Delegate straddling vertices to their owner node's CSR.
 				vk := k
-				if v < r.part.Starts[k] || v >= r.part.Starts[k+1] {
-					vk = r.part.NodeOf(v)
+				if v < r.Part.Starts[k] || v >= r.Part.Starts[k+1] {
+					vk = r.Part.NodeOf(v)
 				}
-				claimed = 0
-				vcur = v
-				dram, nvmEdges, err := scanner.Scan(vk, int64(v), probe)
+				probe.claimed = 0
+				probe.v = v
+				dram, nvmEdges, err := scanner.Scan(vk, int64(v), probe.fn)
+				claimed := probe.claimed
 				if err != nil {
 					// Scrub this vertex's partial parent entries so a
 					// degraded re-run's min-claims start from -1; claims

@@ -3,6 +3,7 @@ package bfs
 import (
 	"math/bits"
 
+	"semibfs/internal/bitmap"
 	"semibfs/internal/numa"
 	"semibfs/internal/vtime"
 )
@@ -24,6 +25,31 @@ func WordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 	return lo, hi
 }
 
+// pullProbe is one worker's bottom-up probe: the closure its scanner calls
+// per neighbor and the frontier parent that closure found. Built once per
+// Runner — a closure made inside the level would cost an allocation per worker
+// per level, inside the vertex loop one per scanned vertex — and padded, since
+// parent is written per scanned vertex.
+type pullProbe struct {
+	parent int64
+	fn     func(nb int64) bool
+	_      [6]int64
+}
+
+// newPullProbe arms p over a node's frontier replica. Kept out of line for
+// the reason newExpander is.
+//
+//go:noinline
+func newPullProbe(p *pullProbe, frontier *bitmap.Atomic) {
+	p.fn = func(nb int64) bool {
+		if frontier.Test(int(nb)) {
+			p.parent = nb
+			return false
+		}
+		return true
+	}
+}
+
 // runBottomUpLevel expands one level in the bottom-up direction: every
 // unvisited vertex scans its neighbor list (highest-degree first when the
 // backward graph was built with the NETAL ordering) and claims the first
@@ -38,20 +64,9 @@ func (r *Runner) runBottomUpLevel() error {
 		clock := r.Clocks[w]
 		scanner := r.Scanners[w]
 		acc := &r.Acc[w]
-		frontier := r.FrontBM[k]
+		probe := &r.probes[w]
 		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		// One probe closure per worker per level: allocating it inside
-		// the vertex loop would cost one heap allocation per scanned
-		// vertex (real GC pressure at scale).
-		parent := int64(-1)
-		probe := func(nb int64) bool {
-			if frontier.Test(int(nb)) {
-				parent = nb
-				return false
-			}
-			return true
-		}
 		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // visited word load
@@ -60,10 +75,6 @@ func (r *Runner) runBottomUpLevel() error {
 			base := wi * 64
 			if base+64 > n {
 				unvisited &= (1 << uint(n-base)) - 1
-			}
-			if unvisited == 0 {
-				clock.Advance(t)
-				continue
 			}
 			for unvisited != 0 {
 				bit := bits.TrailingZeros64(unvisited)
@@ -78,8 +89,8 @@ func (r *Runner) runBottomUpLevel() error {
 				if v < int64(r.Part.Starts[k]) || v >= int64(r.Part.Starts[k+1]) {
 					vk = r.Part.NodeOf(int(v))
 				}
-				parent = -1
-				dram, nvmEdges, err := scanner.Scan(vk, v, probe)
+				probe.parent = -1
+				dram, nvmEdges, err := scanner.Scan(vk, v, probe.fn)
 				if err != nil {
 					return err
 				}
@@ -88,8 +99,8 @@ func (r *Runner) runBottomUpLevel() error {
 				t += cm.Stream(int(dram) * 8)
 				acc.ExaminedDRAM += dram
 				acc.ExaminedNVM += nvmEdges
-				if parent >= 0 {
-					r.tree[v] = parent
+				if probe.parent >= 0 {
+					r.tree[v] = probe.parent
 					r.visited.Set(int(v))
 					r.NextBM.Set(int(v))
 					t += cm.LocalAccess + 2*cm.BitmapProbe

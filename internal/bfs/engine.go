@@ -6,7 +6,6 @@ import (
 
 	"semibfs/internal/bitmap"
 	"semibfs/internal/numa"
-	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
 
@@ -130,24 +129,8 @@ type Result struct {
 	Visited int64
 	// Tree aliases the Runner's parent array and is valid until the
 	// next Run call; use CloneTree to keep it.
-	Tree        []int64
-	Levels      []LevelStats
-	Time        vtime.Duration
-	ExaminedTD  int64
-	ExaminedBU  int64
-	ExaminedNVM int64
-	Switches    int
-	// Resilience summarizes the run's fault handling (zero for a healthy
-	// run over healthy devices). Its counters are views over Layers.
-	Resilience Resilience
-	// Cache summarizes the run's page-cache activity (zero when no cache
-	// is configured). It is a view over Layers.
-	Cache nvm.CacheStats
-	// Layers holds the per-run delta of every storage-stack layer's
-	// counters (retry, cache, mirror, checksum, fault injection, ...),
-	// aggregated across the forward and backward graphs' stacks. Nil for
-	// fully DRAM-resident graphs.
-	Layers nvm.StackStats
+	Tree []int64
+	RunStats
 }
 
 // CloneTree returns a copy of the parent array.
@@ -158,7 +141,7 @@ func (r *Result) CloneTree() []int64 {
 // Runner executes BFS repeatedly over one pair of graphs, reusing all BFS
 // status data (tree, bitmaps, queues) across runs — the structures whose
 // sizes Table II reports. It is the shared Hybrid level loop driven by the
-// monomorphic BFS kernels of topdown.go and bottomup.go.
+// monomorphic BFS hook of topdown.go and kernel of bottomup.go.
 type Runner struct {
 	Hybrid
 
@@ -174,14 +157,21 @@ type Runner struct {
 	// enqueue the vertex. Bits are never cleared between levels (a stale
 	// bit always belongs to a by-now-visited vertex); Run resets it.
 	claimBM *bitmap.Atomic
+	probes  []pullProbe // per-worker bottom-up probes
 }
 
 // NewRunner prepares a Runner over the given graphs.
 func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg Config) (*Runner, error) {
-	r := &Runner{}
-	err := r.Init(fwd, bwd, part, cfg.WithDefaults(), Kernels{
+	cfg = cfg.WithDefaults()
+	r := &Runner{
+		tree:    make([]int64, part.N),
+		visited: bitmap.NewAtomic(part.N),
+		claimBM: bitmap.NewAtomic(part.N),
+	}
+	expand := newExpander(r.tree, r.visited, r.claimBM, &cfg.Cost)
+	err := r.Init(fwd, bwd, part, cfg, Kernels{
 		Name:      "bfs",
-		Push:      r.runTopDownLevel,
+		Push:      func(int) Expand { return expand },
 		Pull:      r.runBottomUpLevel,
 		Finalize:  r.markVisited,
 		Monotone:  true,
@@ -190,9 +180,10 @@ func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg 
 	if err != nil {
 		return nil, err
 	}
-	r.tree = make([]int64, part.N)
-	r.visited = bitmap.NewAtomic(part.N)
-	r.claimBM = bitmap.NewAtomic(part.N)
+	r.probes = make([]pullProbe, len(r.Clocks))
+	for w := range r.probes {
+		newPullProbe(&r.probes[w], r.FrontBM[r.NodeOfWorker(w)])
+	}
 	return r, nil
 }
 
@@ -226,7 +217,7 @@ func (r *Runner) BackwardScanTotals() (dram, nvmEdges int64) {
 // markVisited is the runner's gather hook (Kernels.Finalize): the level
 // boundary where claims become visited. The top-down kernel freezes the
 // visited bitmap while a level runs so the parent choice is a
-// deterministic min over the frontier (see runTopDownLevel).
+// deterministic min over the frontier (see newExpander).
 func (r *Runner) markVisited(q []int64) vtime.Duration {
 	for _, v := range q {
 		r.visited.Set(int(v))

@@ -3,7 +3,7 @@ package bfs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"semibfs/internal/vtime"
 )
@@ -37,32 +37,17 @@ func (h *Hybrid) ConvertFrontier(from, to Direction) error {
 }
 
 // gatherQueues concatenates the per-worker next queues into the frontier
-// queue, makes the gathered claims final (Kernels.Finalize), and sorts the
-// frontier ascending. Each worker copies its own output at a precomputed
-// offset, so the copy itself parallelizes; the bytes moved are charged as
-// streams. Sorting keeps the semi-external forward reads in adjacency-offset order
-// — sequential, coalescible NVM runs for the prefetcher — and makes the
-// frontier layout independent of which worker won each claim.
+// queue, makes the gathered claims final (Kernels.Finalize, charged with the
+// copy), and sorts the frontier ascending. Sorting keeps the semi-external
+// forward reads in adjacency-offset order — sequential, coalescible NVM runs
+// for the prefetcher — and makes the frontier layout independent of which
+// worker won each claim.
 func (h *Hybrid) gatherQueues() error {
-	offs := h.offsScratch
-	h.FrontQ = concatLayout(h.FrontQ, h.NextQ, offs)
-	total := len(h.FrontQ)
-	err := h.Parallel(func(w int) error {
-		q := h.NextQ[w]
-		if len(q) > 0 {
-			copy(h.FrontQ[offs[w]:offs[w+1]], q)
-			// Read + write of the vertex IDs, plus what the kernel set
-			// charges for finalising them (its visited marks).
-			h.Clocks[w].Advance(h.Cfg.Cost.Stream(len(q)*16) + h.k.Finalize(q))
-		}
-		h.NextQ[w] = q[:0]
-		return nil
-	})
-	if err != nil {
+	if err := h.concat(h.k.Finalize); err != nil {
 		return err
 	}
-	sort.Slice(h.FrontQ, func(i, j int) bool { return h.FrontQ[i] < h.FrontQ[j] })
-	if total > 0 {
+	slices.Sort(h.FrontQ)
+	if total := len(h.FrontQ); total > 0 {
 		// Modeled as one parallel merge pass over the gathered IDs.
 		per := h.Cfg.Cost.Stream(total * 16 / h.nWorkers)
 		for _, c := range h.Clocks {
@@ -156,23 +141,6 @@ func (h *Hybrid) replicasToQueue() error {
 		return err
 	}
 	return h.gatherQueues()
-}
-
-// concatLayout lays the per-worker queues out back to back: it fills offs
-// with each queue's offset in the concatenation (queue w occupies
-// offs[w]:offs[w+1]) and returns frontQ resized to hold it, so every worker
-// can copy its own queue in parallel.
-func concatLayout(frontQ []int64, nextQ [][]int64, offs []int) []int64 {
-	total := 0
-	for w, q := range nextQ {
-		offs[w] = total
-		total += len(q)
-	}
-	offs[len(nextQ)] = total
-	if cap(frontQ) < total {
-		frontQ = make([]int64, total)
-	}
-	return frontQ[:total]
 }
 
 // stripe splits n items into nWorkers nearly-equal contiguous ranges and

@@ -95,7 +95,7 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 		numChunks := (len(r.frontQ) + ChunkSize - 1) / ChunkSize
 		claims := make([]int64, r.nWorkers)
 		examined := make([]int64, r.nWorkers)
-		r.runParallel(func(w int) {
+		_ = runParallel(r.nWorkers, r.realW, func(w int) error { // the kernel cannot fail
 			clock := r.clocks[w]
 			nq := r.nextQ[w][:0]
 			for c := w; c < numChunks; c += r.nWorkers {
@@ -127,6 +127,7 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 				clock.Advance(t)
 			}
 			r.nextQ[w] = nq
+			return nil
 		})
 		end := r.barrier.Sync(r.clocks)
 
@@ -146,9 +147,8 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 			ls.Start = res.Levels[len(res.Levels)-1].Start + res.Levels[len(res.Levels)-1].Time
 		}
 		ls.Time = end - ls.Start
-		res.Levels = append(res.Levels, ls)
+		res.addLevel(ls)
 		res.Visited += claimed
-		res.ExaminedTD += ls.ExaminedDRAM
 
 		// Gather next queues into the frontier.
 		r.frontQ = r.frontQ[:0]
@@ -162,30 +162,4 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 	res.Time = vtime.MaxOf(r.clocks)
 	res.Tree = r.tree
 	return res, nil
-}
-
-// runParallel multiplexes the simulated workers over real goroutines.
-func (r *RefRunner) runParallel(fn func(w int)) {
-	real := r.realW
-	if real > r.nWorkers {
-		real = r.nWorkers
-	}
-	if real <= 1 {
-		for w := 0; w < r.nWorkers; w++ {
-			fn(w)
-		}
-		return
-	}
-	done := make(chan struct{}, real)
-	for g := 0; g < real; g++ {
-		go func(g int) {
-			for w := g; w < r.nWorkers; w += real {
-				fn(w)
-			}
-			done <- struct{}{}
-		}(g)
-	}
-	for g := 0; g < real; g++ {
-		<-done
-	}
 }

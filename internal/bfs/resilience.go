@@ -61,20 +61,6 @@ func (r *Resilience) DeadDevices() int {
 	return n
 }
 
-// stacksOf returns every NVM storage stack behind a forward/backward graph
-// pair, or nil when both are fully DRAM-resident. Shared by Runner and
-// BatchRunner.
-func stacksOf(fwd ForwardAccess, bwd BackwardAccess) []nvm.Storage {
-	var out []nvm.Storage
-	if s, ok := fwd.(StorageStacks); ok {
-		out = append(out, s.Stacks()...)
-	}
-	if s, ok := bwd.(StorageStacks); ok {
-		out = append(out, s.Stacks()...)
-	}
-	return out
-}
-
 // backwardNVMOf reports whether a backward graph has NVM-resident data.
 // Unknown placements count as NVM so the engine never degrades into a
 // direction it cannot prove is DRAM-resident.

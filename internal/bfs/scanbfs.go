@@ -162,10 +162,8 @@ func (r *ScanRunner) Run(root int64) (*Result, error) {
 			Time:           r.clock.Now() - start,
 			FrontierDegree: -1,
 		}
-		res.Levels = append(res.Levels, ls)
+		res.addLevel(ls)
 		res.Visited += claimed
-		res.ExaminedTD += examined
-		res.ExaminedNVM += examined
 		if claimed == 0 {
 			break
 		}

@@ -85,13 +85,13 @@ func (s *BatchSession) FreeLanes() uint64 {
 }
 
 // Now returns the session's virtual time: the furthest worker clock.
-func (s *BatchSession) Now() vtime.Duration { return vtime.MaxOf(s.r.clocks) }
+func (s *BatchSession) Now() vtime.Duration { return vtime.MaxOf(s.r.Clocks) }
 
 // AdvanceTo idles every worker clock forward to at least t — how a serving
 // loop waits for the next arrival when no lanes are live. It never moves
 // time backwards.
 func (s *BatchSession) AdvanceTo(t vtime.Duration) {
-	for _, c := range s.r.clocks {
+	for _, c := range s.r.Clocks {
 		c.AdvanceTo(t)
 	}
 }
@@ -129,8 +129,8 @@ func (s *BatchSession) Admit(l int, root int64) error {
 	if s.inUse&(1<<uint(l)) != 0 {
 		return fmt.Errorf("bfs: session lane %d already in use", l)
 	}
-	if root < 0 || root >= s.r.n {
-		return fmt.Errorf("bfs: root %d outside [0,%d)", root, s.r.n)
+	if root < 0 || root >= s.r.N {
+		return fmt.Errorf("bfs: root %d outside [0,%d)", root, s.r.N)
 	}
 	s.r.trees[l][root] = root
 	s.r.visited.Set(int(root), l)
@@ -204,9 +204,9 @@ func (s *BatchSession) Step() (*SessionLevel, error) {
 // in the same stripes (and with the same streamed cost) as promote.
 func (s *BatchSession) countNext() error {
 	r := s.r
-	n := int(r.n)
+	n := int(r.N)
 	nextW := r.next.Words()
-	return r.parallel(func(w int) error {
+	return r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
 		acc := &s.laneAcc[w]
 		*acc = [bitmap.MaxLanes]int64{}
@@ -218,7 +218,7 @@ func (s *BatchSession) countNext() error {
 				acc[bits.TrailingZeros64(word)]++
 			}
 		}
-		r.clocks[w].Advance(r.cfg.Cost.Stream((hi - lo) * 8))
+		r.Clocks[w].Advance(r.Cfg.Cost.Stream((hi - lo) * 8))
 		return nil
 	})
 }
@@ -235,7 +235,7 @@ func (s *BatchSession) Release(mask uint64) error {
 	if mask == 0 {
 		return nil
 	}
-	n := int(r.n)
+	n := int(r.N)
 	lanes := make([]int, 0, bits.OnesCount64(mask))
 	for m := mask; m != 0; m &= m - 1 {
 		lanes = append(lanes, bits.TrailingZeros64(m))
@@ -246,7 +246,7 @@ func (s *BatchSession) Release(mask uint64) error {
 	keep := ^mask
 	newInUse := s.inUse &^ mask
 	remaining := make([]int64, r.nWorkers)
-	err := r.parallel(func(w int) error {
+	err := r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
 		if lo >= hi {
 			return nil
@@ -265,7 +265,7 @@ func (s *BatchSession) Release(mask uint64) error {
 			}
 		}
 		remaining[w] = rem
-		r.clocks[w].Advance(r.cfg.Cost.Stream((hi - lo) * 8 * (3 + len(lanes))))
+		r.Clocks[w].Advance(r.Cfg.Cost.Stream((hi - lo) * 8 * (3 + len(lanes))))
 		return nil
 	})
 	if err != nil {

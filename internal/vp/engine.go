@@ -10,11 +10,11 @@ import (
 )
 
 // Engine executes vertex programs over one forward/backward graph pair. It
-// is the shared hybrid level loop (bfs.Hybrid, which owns the frontier, the
-// worker clocks and the direction controller) driven by the generic
-// push/pull kernels of push.go and pull.go, which call the Program per edge
-// and per vertex; the per-vertex state that is bfs.Runner's tree/visited
-// pair lives in the Program.
+// is the shared hybrid level loop (bfs.Hybrid, which owns the worker team,
+// the frontier, the top-down sweep and the direction controller) driven by
+// the generic push hook of push.go and pull kernel of pull.go, which call the
+// Program per edge and per vertex; the per-vertex state that is bfs.Runner's
+// tree/visited pair lives in the Program.
 type Engine struct {
 	bfs.Hybrid
 	prog Program
@@ -28,7 +28,8 @@ type Engine struct {
 	// vertices in later levels, so a claim bit must not outlive its level.
 	// For BFS this is equivalence-neutral: a gathered vertex is visited,
 	// so PushEdge never exposes it to the dedup again.
-	dedup *bitmap.Atomic
+	dedup  *bitmap.Atomic
+	probes []pullProbe // per-worker gather probes
 }
 
 // NewEngine prepares an Engine running prog over the given graphs. It
@@ -45,7 +46,7 @@ func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partiti
 	if cfg.Mode == bfs.ModeBottomUpOnly && caps&CapPull == 0 {
 		return nil, fmt.Errorf("vp: program %q cannot run bottom-up-only (no pull kernel)", prog.Name())
 	}
-	e := &Engine{prog: prog, cfg: cfg}
+	e := &Engine{prog: prog, cfg: cfg, dedup: bitmap.NewAtomic(part.N)}
 	k := bfs.Kernels{
 		Name:     "vp: " + prog.Name(),
 		Finalize: e.activate,
@@ -63,7 +64,7 @@ func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partiti
 		k.MaxLevels = cfg.MaxLevels
 	}
 	if caps&CapPush != 0 {
-		k.Push = e.runPushLevel
+		k.Push = func(w int) bfs.Expand { return newPushHook(w, prog, e.dedup, &cfg.Cost) }
 	}
 	if caps&CapPull != 0 {
 		k.Pull = e.runPullLevel
@@ -71,7 +72,10 @@ func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partiti
 	if err := e.Init(fwd, bwd, part, cfg.Config, k); err != nil {
 		return nil, err
 	}
-	e.dedup = bitmap.NewAtomic(part.N)
+	e.probes = make([]pullProbe, len(e.Clocks))
+	for w := range e.probes {
+		newPullProbe(&e.probes[w], w, prog, e.FrontBM[e.NodeOfWorker(w)])
+	}
 	prog.Setup(e.N, len(e.Clocks))
 	return e, nil
 }

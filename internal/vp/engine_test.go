@@ -1,6 +1,7 @@
 package vp_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"semibfs/internal/edgelist"
 	"semibfs/internal/generator"
 	"semibfs/internal/numa"
+	"semibfs/internal/nvm"
 	"semibfs/internal/semiext"
 	"semibfs/internal/vp"
 )
@@ -47,59 +49,71 @@ func vpConfig(workers int, mode bfs.Mode) vp.Config {
 	}}
 }
 
-// TestBFSMatchesRunner is the refactor's correctness anchor at the DRAM
-// level: the vp BFS program must produce bit-identical parent trees to
-// bfs.Runner for every mode and worker count.
+// TestBFSMatchesRunner is the framework's correctness anchor: the vp BFS
+// program must produce bit-identical parent trees to bfs.Runner for every
+// mode and worker count, and — the two engines run the same top-down sweep and
+// the same bottom-up scan order — the same per-level claim, examined-edge and
+// frontier-degree counts, over a DRAM and over an NVM forward graph. Only the
+// virtual time differs, by the documented Finalize charge.
 func TestBFSMatchesRunner(t *testing.T) {
-	fwd, bwd, list, part := buildDRAM(t, 10, 7)
+	dram, bwd, _, part := buildDRAM(t, 10, 7)
+	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+	sf, err := semiext.OffloadForward(dram.(bfs.DRAMForward).G, mk, nil, semiext.ForwardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
 	roots := []int64{0, 3, 101, 777}
-	for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly, bfs.ModeBottomUpOnly} {
-		runner, err := bfs.NewRunner(fwd, bwd, part, bfs.Config{
-			Topology: testTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: 1,
-		})
-		if err != nil {
-			t.Fatalf("runner: %v", err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			prog := vp.NewBFS()
-			eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, mode))
+	for _, fwd := range []bfs.ForwardAccess{dram, bfs.NVMForward{SF: sf}} {
+		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly, bfs.ModeBottomUpOnly} {
+			runner, err := bfs.NewRunner(fwd, bwd, part, bfs.Config{
+				Topology: testTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: 1,
+			})
 			if err != nil {
-				t.Fatalf("engine: %v", err)
+				t.Fatalf("runner: %v", err)
 			}
-			for _, root := range roots {
-				want, err := runner.Run(root)
+			for _, workers := range []int{1, 2, 8} {
+				prog := vp.NewBFS()
+				eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, mode))
 				if err != nil {
-					t.Fatalf("runner.Run(%d): %v", root, err)
+					t.Fatalf("engine: %v", err)
 				}
-				wantTree := want.CloneTree()
-				got, err := eng.Run(root)
-				if err != nil {
-					t.Fatalf("engine.Run(%d): %v", root, err)
-				}
-				for v, p := range prog.Tree() {
-					if p != wantTree[v] {
-						t.Fatalf("mode %v workers %d root %d: tree[%d] = %d, runner has %d",
-							mode, workers, root, v, p, wantTree[v])
+				for _, root := range roots {
+					tag := fmt.Sprintf("NVM %v mode %v workers %d root %d", fwd.OnNVM(), mode, workers, root)
+					want, err := runner.Run(root)
+					if err != nil {
+						t.Fatalf("%s: runner: %v", tag, err)
 					}
-				}
-				if got.Claimed+1 != want.Visited {
-					t.Errorf("mode %v root %d: claimed %d+root, runner visited %d",
-						mode, root, got.Claimed, want.Visited)
-				}
-				if len(got.Levels) != len(want.Levels) {
-					t.Errorf("mode %v root %d: %d levels, runner has %d",
-						mode, root, len(got.Levels), len(want.Levels))
-				}
-				for i := range got.Levels {
-					if i < len(want.Levels) && got.Levels[i].Direction != want.Levels[i].Direction {
-						t.Errorf("mode %v root %d level %d: direction %v, runner chose %v",
-							mode, root, i, got.Levels[i].Direction, want.Levels[i].Direction)
+					wantTree := want.CloneTree()
+					got, err := eng.Run(root)
+					if err != nil {
+						t.Fatalf("%s: engine: %v", tag, err)
+					}
+					for v, p := range prog.Tree() {
+						if p != wantTree[v] {
+							t.Fatalf("%s: tree[%d] = %d, runner has %d", tag, v, p, wantTree[v])
+						}
+					}
+					if got.Claimed+1 != want.Visited {
+						t.Errorf("%s: claimed %d+root, runner visited %d", tag, got.Claimed, want.Visited)
+					}
+					if len(got.Levels) != len(want.Levels) {
+						t.Fatalf("%s: %d levels, runner has %d", tag, len(got.Levels), len(want.Levels))
+					}
+					for i, g := range got.Levels {
+						w := want.Levels[i]
+						if g.Direction != w.Direction || g.Claimed != w.Claimed || g.FrontierDegree != w.FrontierDegree ||
+							g.ExaminedDRAM != w.ExaminedDRAM || g.ExaminedNVM != w.ExaminedNVM {
+							t.Errorf("%s level %d: {%v claimed %d degree %d examined %d+%d}, runner {%v %d %d %d+%d}", tag, i,
+								g.Direction, g.Claimed, g.FrontierDegree, g.ExaminedDRAM, g.ExaminedNVM,
+								w.Direction, w.Claimed, w.FrontierDegree, w.ExaminedDRAM, w.ExaminedNVM)
+						}
 					}
 				}
 			}
 		}
 	}
-	_ = list
 }
 
 // oracleMinLabels computes each vertex's component min-ID with union-find

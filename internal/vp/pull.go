@@ -2,8 +2,28 @@ package vp
 
 import (
 	"semibfs/internal/bfs"
+	"semibfs/internal/bitmap"
 	"semibfs/internal/vtime"
 )
+
+// pullProbe is one worker's gather probe: the closure its scanner calls per
+// neighbor, and the candidate being scanned. Built once per Engine and padded,
+// like bfs.Runner's.
+type pullProbe struct {
+	v  int64
+	fn func(nb int64) bool
+	_  [6]int64
+}
+
+// newPullProbe arms worker w's probe over its node's frontier replica. Out
+// of line for the reason newPushHook is.
+//
+//go:noinline
+func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Atomic) {
+	p.fn = func(nb int64) bool {
+		return prog.PullEdge(w, p.v, nb, frontier.Test(int(nb)))
+	}
+}
 
 // runPullLevel runs one gather sweep: every pull candidate scans its
 // backward adjacency (highest-degree first when the backward graph was
@@ -24,16 +44,9 @@ func (e *Engine) runPullLevel() error {
 		clock := e.Clocks[w]
 		scanner := e.Scanners[w]
 		acc := &e.Acc[w]
-		frontier := e.FrontBM[k]
+		probe := &e.probes[w]
 		wordLo, wordHi := bfs.WordRangeOf(e.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		// One probe closure per worker per level, as in the BFS runner:
-		// allocating it per vertex would cost one heap allocation per
-		// scanned candidate.
-		curV := int64(-1)
-		probe := func(nb int64) bool {
-			return e.prog.PullEdge(w, curV, nb, frontier.Test(int(nb)))
-		}
 		for wi := wordLo + j; wi < wordHi; wi += e.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // candidate word load
@@ -55,9 +68,9 @@ func (e *Engine) runPullLevel() error {
 				if vi < e.Part.Starts[k] || vi >= e.Part.Starts[k+1] {
 					vk = e.Part.NodeOf(vi)
 				}
-				curV = v
+				probe.v = v
 				e.prog.BeginPull(w, v)
-				dram, nvmEdges, err := scanner.Scan(vk, v, probe)
+				dram, nvmEdges, err := scanner.Scan(vk, v, probe.fn)
 				if err != nil {
 					return err
 				}

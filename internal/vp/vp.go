@@ -11,11 +11,12 @@
 // A Program supplies only the per-vertex state and the per-edge/per-vertex
 // hooks. The level loop itself is not this package's: Engine embeds
 // bfs.Hybrid — the one single-source skeleton bfs.Runner also runs on,
-// owner of the frontier queue, the per-node frontier bitmap replicas, the
-// next bitmap, the direction controller and the degraded rescue — and
-// supplies the generic push/pull kernels of push.go and pull.go as its
-// bfs.Kernels, together with the claim-deduplication bitmap those kernels
-// need and all their virtual-time cost accounting. BFS is one program among
+// owner of the worker team and its top-down sweep, the frontier queue, the
+// per-node frontier bitmap replicas, the next bitmap, the direction
+// controller and the degraded rescue — and supplies as its bfs.Kernels the
+// per-adjacency push hook of push.go and the pull kernel of pull.go,
+// together with the claim-deduplication bitmap the hook needs and the
+// virtual-time cost of a claim. BFS is one program among
 // several — see bfsprog.go, components.go, and pagerank.go — and the BFS
 // program is held to bit-identical parent trees against bfs.Runner as the
 // framework's correctness anchor.

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# benchpair.sh <git-ref> <workload> [pairs=10] [seed0=1] [bench flag...]:
+# benchpair.sh <git-ref> <workload[,workload...]> [pairs=10] [seed0=1] [bench flag...]:
 # is this tree's benchmark better or worse than <git-ref>'s on <workload>?
+# A comma-separated list runs the workloads one after another on the same two
+# binaries and prints one table each.
 #
 # Builds ./bench from <git-ref> (exported with `git archive` into a
 # temporary directory outside the checkout, as simdiff.sh does) and from
@@ -19,8 +21,8 @@
 # quartile range. Touches nothing under bench/.
 set -euo pipefail
 
-[ $# -ge 2 ] || { echo "usage: $0 <git-ref> <workload> [pairs=10] [seed0=1] [bench flag...]" >&2; exit 2; }
-ref=$1 wl=$2 pairs=${3:-10} seed0=${4:-1}
+[ $# -ge 2 ] || { echo "usage: $0 <git-ref> <workload[,workload...]> [pairs=10] [seed0=1] [bench flag...]" >&2; exit 2; }
+ref=$1 wls=$2 pairs=${3:-10} seed0=${4:-1}
 shift $(($# < 4 ? $# : 4))
 cd "$(git rev-parse --show-toplevel)"
 
@@ -43,66 +45,72 @@ run() {
 		$1 == "metric" && $2 == "value" { table = 1 }' "$tmp/out" >> "$tmp/samples"
 }
 
-for ((i = 0; i < pairs; i++)); do
-	if ((i % 2 == 0)); then order=(ref tree); else order=(tree ref); fi
-	for side in "${order[@]}"; do
-		run "$side" "$i" "$@"
+status=0
+for wl in ${wls//,/ }; do
+	: > "$tmp/samples"
+	: > "$tmp/digests"
+	for ((i = 0; i < pairs; i++)); do
+		if ((i % 2 == 0)); then order=(ref tree); else order=(tree ref); fi
+		for side in "${order[@]}"; do
+			run "$side" "$i" "$@"
+		done
+		echo "$wl pair $((i + 1))/$pairs (seed $((seed0 + i)), ${order[0]} first): setup_s $(
+			awk -v p="$i" '$2 == p && $3 == "setup_s" { printf "%s %s  ", $1, $4 }' "$tmp/samples")" >&2
 	done
-	echo "pair $((i + 1))/$pairs (seed $((seed0 + i)), ${order[0]} first): setup_s $(
-		awk -v p="$i" '$2 == p && $3 == "setup_s" { printf "%s %s  ", $1, $4 }' "$tmp/samples")" >&2
-done
 
-echo "benchpair: $wl, tree vs $ref, $pairs alternating pairs, seeds $seed0..$((seed0 + pairs - 1))${*:+, flags: $*}"
-# The first pass reads each end-to-end metric's "better" direction out of
-# BENCHMARK.json; the second folds the samples.
-awk '
-	function quantile(a, n, q,    pos, lo) {
-		pos = 1 + (n - 1) * q; lo = int(pos)
-		return lo >= n ? a[n] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
-	}
-	function stats(side, m,    a, n, i, j, t) {
-		n = 0
-		for (i = 0; i < pairs; i++) a[++n] = val[side, i, m]
-		for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-		med[side] = quantile(a, n, 0.5); q1[side] = quantile(a, n, 0.25); q3[side] = quantile(a, n, 0.75)
-	}
-	FNR == NR {
-		if (/"end_to_end"/) e2e = 1
-		else if (/"per_layer"/) e2e = 0
-		if (e2e && match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
-		if (e2e && match($0, /"better": "[^"]+"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
-		next
-	}
-	{
-		if (!($3 in seen)) { seen[$3] = 1; order[++metrics] = $3 }
-		val[$1, $2, $3] = $4
-		if ($2 + 1 > pairs) pairs = $2 + 1
-	}
-	END {
-		printf "%-20s %-6s %12s %25s %12s %25s %9s\n", "metric", "better", "ref median", "ref q1..q3", "tree median", "tree q1..q3", "tree:ref"
-		for (k = 1; k <= metrics; k++) {
-			m = order[k]
-			stats("ref", m); stats("tree", m)
-			won["tree"] = won["ref"] = 0
-			for (i = 0; i < pairs; i++) {
-				d = val["tree", i, m] - val["ref", i, m]
-				if (better[m] == "higher") d = -d
-				if (d < 0) won["tree"]++; else if (d > 0) won["ref"]++
+	echo "benchpair: $wl, tree vs $ref, $pairs alternating pairs, seeds $seed0..$((seed0 + pairs - 1))${*:+, flags: $*}"
+	# The first pass reads each end-to-end metric's "better" direction out of
+	# BENCHMARK.json; the second folds the samples.
+	awk '
+		function quantile(a, n, q,    pos, lo) {
+			pos = 1 + (n - 1) * q; lo = int(pos)
+			return lo >= n ? a[n] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
+		}
+		function stats(side, m,    a, n, i, j, t) {
+			n = 0
+			for (i = 0; i < pairs; i++) a[++n] = val[side, i, m]
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+			med[side] = quantile(a, n, 0.5); q1[side] = quantile(a, n, 0.25); q3[side] = quantile(a, n, 0.75)
+		}
+		FNR == NR {
+			if (/"end_to_end"/) e2e = 1
+			else if (/"per_layer"/) e2e = 0
+			if (e2e && match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
+			if (e2e && match($0, /"better": "[^"]+"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
+			next
+		}
+		{
+			if (!($3 in seen)) { seen[$3] = 1; order[++metrics] = $3 }
+			val[$1, $2, $3] = $4
+			if ($2 + 1 > pairs) pairs = $2 + 1
+		}
+		END {
+			printf "%-20s %-6s %12s %25s %12s %25s %9s\n", "metric", "better", "ref median", "ref q1..q3", "tree median", "tree q1..q3", "tree:ref"
+			for (k = 1; k <= metrics; k++) {
+				m = order[k]
+				stats("ref", m); stats("tree", m)
+				won["tree"] = won["ref"] = 0
+				for (i = 0; i < pairs; i++) {
+					d = val["tree", i, m] - val["ref", i, m]
+					if (better[m] == "higher") d = -d
+					if (d < 0) won["tree"]++; else if (d > 0) won["ref"]++
+				}
+				printf "%-20s %-6s %12.6g %25s %12.6g %25s %9s\n", m, better[m],
+					med["ref"], sprintf("%.6g..%.6g", q1["ref"], q3["ref"]),
+					med["tree"], sprintf("%.6g..%.6g", q1["tree"], q3["tree"]),
+					won["tree"] ":" won["ref"]
 			}
-			printf "%-20s %-6s %12.6g %25s %12.6g %25s %9s\n", m, better[m],
-				med["ref"], sprintf("%.6g..%.6g", q1["ref"], q3["ref"]),
-				med["tree"], sprintf("%.6g..%.6g", q1["tree"], q3["tree"]),
-				won["tree"] ":" won["ref"]
-		}
-	}' BENCHMARK.json "$tmp/samples"
+		}' BENCHMARK.json "$tmp/samples"
 
-awk '
-	{ d[$1, $2] = $3; if ($2 + 1 > pairs) pairs = $2 + 1 }
-	END {
-		for (i = 0; i < pairs; i++) if (d["ref", i] != d["tree", i]) {
-			printf "sim-digests: DIFFER in pair %d (seed offset %d): ref %s, tree %s\n", i + 1, i, d["ref", i], d["tree", i]
-			bad = 1
-		}
-		if (!bad) printf "sim-digests: matched in all %d pairs\n", pairs
-		exit bad
-	}' "$tmp/digests"
+	awk '
+		{ d[$1, $2] = $3; if ($2 + 1 > pairs) pairs = $2 + 1 }
+		END {
+			for (i = 0; i < pairs; i++) if (d["ref", i] != d["tree", i]) {
+				printf "sim-digests: DIFFER in pair %d (seed offset %d): ref %s, tree %s\n", i + 1, i, d["ref", i], d["tree", i]
+				bad = 1
+			}
+			if (!bad) printf "sim-digests: matched in all %d pairs\n", pairs
+			exit bad
+		}' "$tmp/digests" || status=1
+done
+exit $status
