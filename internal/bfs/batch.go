@@ -29,9 +29,8 @@ import (
 // 64-vertex blocks with a fixed block -> worker mapping, so every write is
 // worker-local.
 type BatchRunner struct {
-	// Team is the worker team the batch runs on; FrontQ is the top-down
-	// scatter's active-vertex list and NextQ its per-worker extraction
-	// scratch.
+	// The worker team: FrontQ is the top-down scatter's active-vertex list,
+	// NextQ its per-worker extraction scratch.
 	Team
 
 	lanes      int    // capacity B of the lane words
@@ -93,7 +92,8 @@ func NewBatchRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition,
 	r.next = bitmap.NewAtomicLanes(n)
 
 	// The scatter reads the frontier lane word on top of the dequeue.
-	r.setExpand(func(int) Expand { return newScatter(r) }, cfg.Cost.VertexOverhead+cfg.Cost.BitmapProbe)
+	scatter := newScatter(r)
+	r.setExpand(func(int) Expand { return scatter }, cfg.Cost.VertexOverhead+cfg.Cost.BitmapProbe)
 	r.kernels[TopDown] = func() error {
 		if err := r.sweepTopDown(); err != nil {
 			return err

@@ -44,18 +44,48 @@ func pinConfig(mode Mode, workers int) Config {
 	return Config{Topology: pinTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: workers}
 }
 
-func TestVirtualTimePins(t *testing.T) {
-	fg, bg, _, part := buildTestGraphs(t, 8, 42, pinTopo)
-	fwd, bwd := wrapDRAM(t, fg, bg)
-	n := int64(part.N)
-	root := int64(0)
-	for bg.Degree(root) == 0 {
+// pinRoots returns the pins' single-source root — the first vertex with an
+// edge — and their 64 batch roots.
+func pinRoots(bwd BackwardAccess, n int64) (root int64, roots64 []int64) {
+	for bwd.Degree(root) == 0 {
 		root++
 	}
-	roots64 := make([]int64, 64)
+	roots64 = make([]int64, 64)
 	for l := range roots64 {
 		roots64[l] = (root + int64(l)*5) % n
 	}
+	return root, roots64
+}
+
+// stepPinSession admits three searches one joint level apart, releases
+// finished lanes at every boundary and steps until the session drains.
+func stepPinSession(t *testing.T, r *BatchRunner, roots64 []int64) (*BatchSession, []LevelStats) {
+	s := r.OpenSession()
+	var levels []LevelStats
+	for step := 0; step < 3 || s.InUse() != 0; step++ {
+		if step < 3 {
+			if err := s.Admit(step, roots64[step*7]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lv, err := s.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels = append(levels, LevelStats{
+			Direction: lv.Direction, Claimed: lv.Claimed, Time: lv.End - lv.Start,
+		})
+		if err := s.Release(lv.Finished); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, levels
+}
+
+func TestVirtualTimePins(t *testing.T) {
+	fg, bg, _, part := buildTestGraphs(t, 8, 42, pinTopo)
+	fwd, bwd := wrapDRAM(t, fg, bg)
+	root, roots64 := pinRoots(bwd, int64(part.N))
 
 	runner := func(mode Mode) func(t *testing.T, workers int) pin {
 		return func(t *testing.T, workers int) pin {
@@ -83,32 +113,12 @@ func TestVirtualTimePins(t *testing.T) {
 			return levelsPin(res.Time, res.Levels)
 		}
 	}
-	// Three searches admitted one joint level apart, finished lanes
-	// released at every boundary, stepped until the session drains.
 	session := func(t *testing.T, workers int) pin {
 		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := r.OpenSession()
-		var levels []LevelStats
-		for step := 0; step < 3 || s.InUse() != 0; step++ {
-			if step < 3 {
-				if err := s.Admit(step, roots64[step*7]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			lv, err := s.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			levels = append(levels, LevelStats{
-				Direction: lv.Direction, Claimed: lv.Claimed, Time: lv.End - lv.Start,
-			})
-			if err := s.Release(lv.Finished); err != nil {
-				t.Fatal(err)
-			}
-		}
+		s, levels := stepPinSession(t, r, roots64)
 		return levelsPin(s.Now(), levels)
 	}
 
@@ -192,15 +202,7 @@ var pinStacks = []struct {
 func TestNVMVirtualTimePins(t *testing.T) {
 	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
 	_, bwd := wrapDRAM(t, fg, bg)
-	n := int64(part.N)
-	root := int64(0)
-	for bg.Degree(root) == 0 {
-		root++
-	}
-	roots64 := make([]int64, 64)
-	for l := range roots64 {
-		roots64[l] = (root + int64(l)*5) % n
-	}
+	root, roots64 := pinRoots(bwd, int64(part.N))
 	offload := func(t *testing.T, opts semiext.ForwardOptions) NVMForward {
 		dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
 		mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
@@ -241,25 +243,7 @@ func TestNVMVirtualTimePins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := r.OpenSession()
-		var levels []LevelStats
-		for step := 0; step < 3 || s.InUse() != 0; step++ {
-			if step < 3 {
-				if err := s.Admit(step, roots64[step*7]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			lv, err := s.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			levels = append(levels, LevelStats{
-				Direction: lv.Direction, Claimed: lv.Claimed, Time: lv.End - lv.Start,
-			})
-			if err := s.Release(lv.Finished); err != nil {
-				t.Fatal(err)
-			}
-		}
+		s, levels := stepPinSession(t, r, roots64)
 		return nvmPin{examinedPin(s.Now(), levels), s.LayerTotals().Get("cache", "prefetches")}
 	}
 
@@ -337,15 +321,7 @@ func (s spyScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, err
 func TestRescuePins(t *testing.T) {
 	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
 	_, dram := wrapDRAM(t, fg, bg)
-	n := int64(part.N)
-	root := int64(0)
-	for bg.Degree(root) == 0 {
-		root++
-	}
-	roots64 := make([]int64, 64)
-	for l := range roots64 {
-		roots64[l] = (root + int64(l)*5) % n
-	}
+	root, roots64 := pinRoots(dram, int64(part.N))
 	cfg := pinConfig(ModeHybrid, 1)
 	cfg.Alpha, cfg.Beta = 1, 10
 	dying := func(t *testing.T) NVMForward {

@@ -61,16 +61,6 @@ func (r *Resilience) DeadDevices() int {
 	return n
 }
 
-// backwardNVMOf reports whether a backward graph has NVM-resident data.
-// Unknown placements count as NVM so the engine never degrades into a
-// direction it cannot prove is DRAM-resident.
-func backwardNVMOf(bwd BackwardAccess) bool {
-	if b, ok := bwd.(BackwardNVM); ok {
-		return b.OnNVM()
-	}
-	return true
-}
-
 // fromLayers fills the legacy Resilience summary counters as views over the
 // generic per-layer deltas.
 func (r *Resilience) fromLayers(layers nvm.StackStats) {
@@ -89,14 +79,16 @@ func (r *Resilience) fromLayers(layers nvm.StackStats) {
 // the target direction's graph is fully DRAM-resident — the paper's §V-C
 // placement keeps the backward graph in DRAM precisely so the bottom-up
 // direction survives a forward-device failure.
-func rescueTarget(mode Mode, pinned bool, from Direction, fwd ForwardAccess, bwd BackwardAccess) (Direction, bool) {
-	if mode != ModeHybrid || pinned {
+func (t *Team) rescueTarget(from Direction) (Direction, bool) {
+	if t.Cfg.Mode != ModeHybrid || t.pinned {
 		return 0, false
 	}
-	if from == TopDown && !backwardNVMOf(bwd) {
+	// An unknown backward placement counts as NVM, so the engine never
+	// degrades into a direction it cannot prove is DRAM-resident.
+	if b, known := t.Bwd.(BackwardNVM); from == TopDown && known && !b.OnNVM() {
 		return BottomUp, true
 	}
-	if from == BottomUp && !fwd.OnNVM() {
+	if from == BottomUp && !t.fwd.OnNVM() {
 		return TopDown, true
 	}
 	return 0, false

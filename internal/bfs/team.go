@@ -222,8 +222,7 @@ func (t *Team) begin() {
 }
 
 // finish closes a run's summary: its virtual time and the per-layer counter
-// deltas since begin, of which the legacy Resilience and Cache fields are
-// views.
+// deltas since begin, with the legacy Resilience and Cache fields as views.
 func (t *Team) finish(s *RunStats) {
 	s.Time = vtime.MaxOf(t.Clocks) - t.start
 	s.Layers = t.layerTotals().Sub(t.layers0)
@@ -282,7 +281,7 @@ func (t *Team) runLevel(level int, dir Direction, frontier int64) (ls LevelStats
 	// their state is already set but the re-run's counters never saw them.
 	var seeded int64
 	if err := run(dir); err != nil {
-		to, ok := rescueTarget(t.Cfg.Mode, t.pinned, dir, t.fwd, t.Bwd)
+		to, ok := t.rescueTarget(dir)
 		if !ok || t.kernels[to] == nil {
 			return ls, nil, fmt.Errorf("%s: level %d (%s): %w", t.name, level, dir, err)
 		}
