@@ -35,6 +35,13 @@ import (
 //     once, one issues the device request and the other waits for the
 //     filled page, modeling the request merging a shared OS page cache
 //     performs.
+//   - The cache is a buffer pool: it owns at most one page struct per page
+//     of budget, each with one block-sized frame allocated on first use and
+//     recycled from then on. The CLOCK victim's struct is reassigned in
+//     place, dropped pages wait on a per-shard free list, and the read path
+//     allocates nothing. Because frames are reused, page bytes are only
+//     touched under the shard lock (or by the one filler of an in-flight
+//     page): readBlock copies into the caller's slice before unlocking.
 //
 // Virtual-time accounting: a hit charges the worker's clock the DRAM
 // streaming cost of the copied bytes (numa.CostModel.Stream); a miss
@@ -50,12 +57,8 @@ type PageCache struct {
 	capacity int64
 	// nextID hands out CachedStore identities.
 	nextID atomic.Uint32
-
-	hits, misses, evictions atomic.Int64
-	hitBytes, fillBytes     atomic.Int64
-	prefetches              atomic.Int64
-	prefetchHits            atomic.Int64
-	mergedFills             atomic.Int64
+	// scratch pools fillRunAt's reservation list and multi-block buffer.
+	scratch sync.Pool
 }
 
 // maxCacheShards bounds the lock-shard count. 16 shards keep 48
@@ -73,27 +76,40 @@ const minPagesPerShard = 8
 // formerly-hot page ages out within a few sweeps.
 const maxPageRefs = 3
 
-type pageKey struct {
-	store uint32
-	block int64
+// pageKey is store<<40 ^ block — one word, so the page table hashes on the
+// runtime's 64-bit fast path, and the very word shardOf multiplies. Keys are
+// distinct for blocks below 2^40 and store identities below 2^24 (Wrap
+// enforces the latter).
+type pageKey uint64
+
+func keyOf(store uint32, block int64) pageKey {
+	return pageKey(uint64(store)<<40 ^ uint64(block))
 }
 
 type page struct {
 	key pageKey
-	// buf is immutable once the fill completes; evicted pages keep their
-	// buffer so a straggling waiter can still copy from it.
-	buf []byte
+	// frame is the page's block-sized buffer, allocated when the struct is
+	// first used and kept for its life; n bytes of it are valid (a store's
+	// last block may be short). Touched only under the shard lock, or by
+	// the filler while filling is set.
+	frame []byte
+	n     int
 	// readyAt is the virtual completion time of the fill that produced
-	// the page; readers arriving earlier advance to it.
+	// the page; readers arriving earlier advance to it. fill is the scratch
+	// clock the filler computes that fill's device time on.
 	readyAt vtime.Duration
+	fill    vtime.Clock
 	// refs is the GCLOCK reference counter: incremented (saturating at
 	// maxPageRefs) on each demand hit, decremented by the eviction sweep.
 	// New fills enter at zero, so unreferenced pages evict first.
 	refs uint8
-	// filling marks an in-flight fill; done is closed when it completes
-	// (buf/readyAt/err are published before the close).
+	// filling marks an in-flight fill. gen counts the struct's
+	// transitions (assigned to a key, fill settled, released): a waiter
+	// that recorded gen while filling sleeps on the shard's cond until it
+	// moves, and trusts the page only at exactly gen+1 — settled, and not
+	// evicted or invalidated since.
 	filling bool
-	done    chan struct{}
+	gen     uint32
 	err     error
 	// stale marks a page invalidated by a write while its fill was in
 	// flight; the filler discards it instead of installing it.
@@ -105,12 +121,20 @@ type page struct {
 
 type cacheShard struct {
 	mu sync.Mutex
+	// settled wakes the waiters merged onto this shard's in-flight fills.
+	settled sync.Cond
 	// pages indexes the ring by key; ring is the CLOCK ring, growing up
 	// to capacity before eviction starts.
 	pages    map[pageKey]*page
 	ring     []*page
 	hand     int
 	capacity int
+	// free holds the structs (with their frames) of dropped pages; frames
+	// counts the frames this shard has ever allocated.
+	free   []*page
+	frames int
+	// stats holds the shard's share of the counters, updated under mu.
+	stats CacheStats
 }
 
 // NewPageCache returns a cache with the given byte budget and block size.
@@ -151,6 +175,7 @@ func NewPageCache(budget int64, block int, cost numa.CostModel) *PageCache {
 		}
 		c.shards[i].capacity = int(cap)
 		c.shards[i].pages = make(map[pageKey]*page)
+		c.shards[i].settled.L = &c.shards[i].mu
 	}
 	return c
 }
@@ -173,28 +198,34 @@ func (c *PageCache) CapacityBytes() int64 {
 // Every wrapped store gets a distinct identity, so stores sharing the
 // cache never alias each other's blocks.
 func (c *PageCache) Wrap(inner Storage) *CachedStore {
-	return &CachedStore{inner: inner, cache: c, id: c.nextID.Add(1)}
+	id := c.nextID.Add(1)
+	if id >= 1<<24 {
+		panic("nvm: PageCache.Wrap: more than 2^24 stores on one cache")
+	}
+	return &CachedStore{inner: inner, cache: c, id: id}
 }
 
 // Reset drops every cached page and zeroes the statistics (the benchmark
-// driver calls it so each run starts cold, like the device counters).
+// driver calls it so each run starts cold, like the device counters). The
+// dropped pages' frames stay with the cache; a fill still in flight is
+// marked stale, so its filler discards it.
 func (c *PageCache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.pages = make(map[pageKey]*page)
+		for _, pg := range s.ring {
+			if pg.filling {
+				pg.stale = true
+			} else {
+				s.release(pg)
+			}
+		}
+		clear(s.pages)
 		s.ring = s.ring[:0]
 		s.hand = 0
+		s.stats = CacheStats{}
 		s.mu.Unlock()
 	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-	c.hitBytes.Store(0)
-	c.fillBytes.Store(0)
-	c.prefetches.Store(0)
-	c.prefetchHits.Store(0)
-	c.mergedFills.Store(0)
 }
 
 // CacheStats is a snapshot of a cache's accumulated counters.
@@ -268,18 +299,15 @@ func (s CacheStats) String() string {
 
 // Stats returns the cache's counters so far.
 func (c *PageCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		HitBytes:      c.hitBytes.Load(),
-		FillBytes:     c.fillBytes.Load(),
-		Evictions:     c.evictions.Load(),
-		Prefetches:    c.prefetches.Load(),
-		PrefetchHits:  c.prefetchHits.Load(),
-		MergedFills:   c.mergedFills.Load(),
-		CapacityBytes: c.CapacityBytes(),
-		BlockBytes:    c.block,
+	var st CacheStats
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		st = st.Add(s.stats)
+		s.mu.Unlock()
 	}
+	st.CapacityBytes, st.BlockBytes = c.CapacityBytes(), c.block
+	return st
 }
 
 // Pages returns the number of resident (including in-flight) pages, for
@@ -295,50 +323,72 @@ func (c *PageCache) Pages() int {
 	return n
 }
 
-// shardOf picks the lock shard for a key (fibonacci hash of store+block).
+// shardOf picks the lock shard for a key (fibonacci hash).
 func (c *PageCache) shardOf(k pageKey) *cacheShard {
-	h := (uint64(k.store)<<40 ^ uint64(k.block)) * 0x9e3779b97f4a7c15
+	h := uint64(k) * 0x9e3779b97f4a7c15
 	return &c.shards[h>>48%uint64(len(c.shards))]
 }
 
-// insertLocked places pg in the shard, evicting by CLOCK if the ring is
-// full. The shard lock must be held.
-func (c *PageCache) insertLocked(s *cacheShard, pg *page) {
-	if len(s.ring) < s.capacity {
-		s.pages[pg.key] = pg
-		s.ring = append(s.ring, pg)
-		return
-	}
-	// GCLOCK sweep: decrement reference counters until a zero-count,
-	// settled page turns up. maxPageRefs+1 full turns visit every page
-	// with its counter drained, so the only way out without a victim is a
-	// ring full of in-flight fills; grow past budget transiently rather
-	// than deadlock.
-	for turns := 0; turns < (maxPageRefs+1)*len(s.ring); turns++ {
-		cand := s.ring[s.hand]
-		switch {
-		case cand.filling:
-			// In-flight pages cannot be dropped.
-		case cand.refs > 0:
-			cand.refs--
-		default:
-			delete(s.pages, cand.key)
-			c.evictions.Add(1)
-			s.ring[s.hand] = pg
-			s.pages[pg.key] = pg
+// release puts a dropped page's struct, with its frame, on the free list.
+// The shard lock must be held.
+func (s *cacheShard) release(pg *page) {
+	pg.gen++
+	s.free = append(s.free, pg)
+}
+
+// reserveLocked installs an in-flight page for key and returns it: the
+// CLOCK victim's struct reassigned in place when the ring is full, else a
+// struct off the free list (or a new one) appended to the ring. The shard
+// lock must be held.
+func (c *PageCache) reserveLocked(s *cacheShard, key pageKey) *page {
+	var pg *page
+	if len(s.ring) >= s.capacity {
+		// GCLOCK sweep: decrement reference counters until a zero-count,
+		// settled page turns up. maxPageRefs+1 full turns visit every page
+		// with its counter drained, so the only way out without a victim is a
+		// ring full of in-flight fills; grow past budget transiently rather
+		// than deadlock.
+		for turns := 0; pg == nil && turns < (maxPageRefs+1)*len(s.ring); turns++ {
+			cand := s.ring[s.hand]
 			s.hand = (s.hand + 1) % len(s.ring)
-			return
+			switch {
+			case cand.filling:
+				// In-flight pages cannot be dropped.
+			case cand.refs > 0:
+				cand.refs--
+			default:
+				delete(s.pages, cand.key)
+				s.stats.Evictions++
+				pg = cand
+			}
 		}
-		s.hand = (s.hand + 1) % len(s.ring)
 	}
-	s.pages[pg.key] = pg
-	s.ring = append(s.ring, pg)
+	if pg == nil {
+		if last := len(s.free) - 1; last >= 0 {
+			pg, s.free = s.free[last], s.free[:last]
+		} else {
+			pg = new(page)
+		}
+		s.ring = append(s.ring, pg)
+	}
+	if pg.frame == nil {
+		pg.frame = make([]byte, c.block)
+		s.frames++
+	}
+	pg.key, pg.gen = key, pg.gen+1
+	pg.filling, pg.stale, pg.prefetched = true, false, false
+	pg.refs, pg.readyAt, pg.err = 0, 0, nil
+	s.pages[key] = pg
+	return pg
 }
 
 // removeLocked drops pg from the shard's table and ring (used by failed
-// fills and write invalidation). The shard lock must be held.
+// fills and write invalidation; a no-op for a page Reset already dropped).
+// The shard lock must be held.
 func (c *PageCache) removeLocked(s *cacheShard, pg *page) {
-	delete(s.pages, pg.key)
+	if s.pages[pg.key] == pg {
+		delete(s.pages, pg.key)
+	}
 	for i, q := range s.ring {
 		if q == pg {
 			last := len(s.ring) - 1
@@ -352,147 +402,183 @@ func (c *PageCache) removeLocked(s *cacheShard, pg *page) {
 	}
 }
 
-// getBlock returns block `block` of store id, filling it from inner on a
-// miss. prefetch fills install the page without advancing clock; demand
-// reads advance clock to the page's fill completion. The returned buffer
-// is immutable. A nil buffer with nil error means the block lies beyond
-// the store's end (prefetch past EOF).
+// settleLocked completes pg's fill and wakes its waiters. A failed or
+// invalidated fill leaves the table; its struct stays behind for the
+// waiters that hold it (they read err and stale from it), and only its
+// frame goes back to the free list. The shard lock must be held.
+func (c *PageCache) settleLocked(s *cacheShard, pg *page, err error, readyAt vtime.Duration, prefetched bool) {
+	pg.err, pg.filling = err, false
+	pg.gen++
+	if err != nil || pg.stale {
+		c.removeLocked(s, pg)
+		s.release(&page{frame: pg.frame})
+		pg.frame = nil
+	} else {
+		pg.readyAt, pg.prefetched = readyAt, prefetched
+	}
+	if err == nil {
+		s.stats.FillBytes += int64(pg.n)
+		if prefetched {
+			s.stats.Prefetches++
+		} else {
+			s.stats.Misses++
+		}
+	}
+	s.settled.Broadcast()
+}
+
+// readBlock serves block `block` of store id, filling it from inner on a
+// miss, and copies the page's bytes from lo on into dst — under the shard
+// lock, the only place page bytes are read. It returns the bytes copied;
+// zero with a nil error means lo lies beyond the block's valid bytes.
+// prefetch fills install the page without advancing clock or copying;
+// demand reads advance clock to the page's fill completion. A prefetch
+// past the store's end is a no-op.
 //
 // Write-through races: a write landing while a fill is in flight marks
-// the page stale, and the fill's buffer may hold pre-write bytes. A
-// demand read must never return a stale buffer — both the filler and any
-// waiter that merged onto the fill re-check staleness after the fill
-// settles and retry the lookup (the publish step removed the stale page
-// from the table, so the retry refills from the post-write media). This
-// covers single-block fills and coalesced FillRunAt runs alike.
-func (c *PageCache) getBlock(clock *vtime.Clock, inner Storage, id uint32, block int64, prefetch bool) ([]byte, error) {
-	key := pageKey{store: id, block: block}
+// the page stale, and the fill's frame may hold pre-write bytes. A
+// demand read must never return stale bytes — both the filler and any
+// waiter that merged onto the fill check staleness once the fill settles
+// and retry the lookup (settling removed the stale page from the table, so
+// the retry refills from the post-write media). This covers single-block
+// fills and coalesced FillRunAt runs alike.
+func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, block int64, prefetch bool, dst []byte, lo int64) (int, error) {
+	key := keyOf(id, block)
 	s := c.shardOf(key)
 
 	for {
 		s.mu.Lock()
-		if pg, ok := s.pages[key]; ok {
-			if !pg.filling {
-				first := pg.prefetched
-				if !prefetch {
-					// Only demand hits promote the page; a readahead touching
-					// an already-cached block is not evidence of reuse.
-					if pg.refs < maxPageRefs {
-						pg.refs++
-					}
-					pg.prefetched = false
-				}
-				s.mu.Unlock()
-				if prefetch {
-					return pg.buf, nil
-				}
-				c.hits.Add(1)
-				c.hitBytes.Add(int64(len(pg.buf)))
-				if first {
-					c.prefetchHits.Add(1)
-					// First demand read of a prefetched page waits out the
-					// prefetch's completion: an async readahead is free only
-					// once it has actually finished. Settled demand-filled
-					// pages cost nothing here — the page is plain DRAM, and
-					// dragging this worker's clock to the *filler's* timeline
-					// would couple independent workers' queueing delays.
-					if clock != nil {
-						clock.AdvanceTo(pg.readyAt)
-					}
-				}
-				return pg.buf, nil
-			}
+		pg, ok := s.pages[key]
+		if ok && pg.filling {
 			// Another worker's fill is in flight: wait for it instead of
 			// issuing a second device request for the same block.
-			done := pg.done
-			s.mu.Unlock()
 			if prefetch {
-				return nil, nil
+				s.mu.Unlock()
+				return 0, nil
 			}
-			c.mergedFills.Add(1)
-			<-done
-			if pg.err != nil {
-				return nil, pg.err
+			s.stats.MergedFills++
+			gen := pg.gen
+			for pg.gen == gen {
+				s.settled.Wait()
 			}
-			s.mu.Lock()
-			stale := pg.stale
-			s.mu.Unlock()
-			if stale {
-				// The fill raced a write-through: its bytes predate the
-				// write this reader may already have observed. Retry.
+			if moved, err := pg.gen != gen+1, pg.err; moved || pg.stale || err != nil {
+				// Evicted or invalidated again since it settled (the struct
+				// may already describe another block), or raced a
+				// write-through (its bytes predate a write this reader may
+				// already have observed): retry. Failed: report the error.
+				s.mu.Unlock()
+				if !moved && err != nil {
+					return 0, err
+				}
 				continue
 			}
-			c.hits.Add(1)
-			c.hitBytes.Add(int64(len(pg.buf)))
+			s.stats.Hits++
+			s.stats.HitBytes += int64(pg.n)
+			n, readyAt := pg.copyTo(dst, lo), pg.readyAt
+			s.mu.Unlock()
 			if clock != nil {
-				clock.AdvanceTo(pg.readyAt)
+				clock.AdvanceTo(readyAt)
 			}
-			return pg.buf, nil
+			return n, nil
+		}
+		if ok {
+			if prefetch {
+				// A readahead touching an already-cached block is not
+				// evidence of reuse: only demand hits promote the page.
+				s.mu.Unlock()
+				return 0, nil
+			}
+			if pg.refs < maxPageRefs {
+				pg.refs++
+			}
+			first := pg.prefetched
+			pg.prefetched = false
+			s.stats.Hits++
+			s.stats.HitBytes += int64(pg.n)
+			if first {
+				s.stats.PrefetchHits++
+			}
+			n, readyAt := pg.copyTo(dst, lo), pg.readyAt
+			s.mu.Unlock()
+			// First demand read of a prefetched page waits out the
+			// prefetch's completion: an async readahead is free only once
+			// it has actually finished. Settled demand-filled pages cost
+			// nothing here — the page is plain DRAM, and dragging this
+			// worker's clock to the *filler's* timeline would couple
+			// independent workers' queueing delays.
+			if first && clock != nil {
+				clock.AdvanceTo(readyAt)
+			}
+			return n, nil
 		}
 
-		// Miss: reserve the page, then fill it outside the shard lock.
+		// Miss: reserve the page, then fill its frame outside the shard
+		// lock (nothing else touches the frame of an in-flight page).
 		off := block * c.block
 		size := inner.Size()
 		if off >= size {
 			s.mu.Unlock()
 			if prefetch {
-				return nil, nil
+				return 0, nil
 			}
-			return nil, fmt.Errorf("nvm: cache read block %d beyond store size %d", block, size)
+			return 0, fmt.Errorf("nvm: cache read block %d beyond store size %d", block, size)
 		}
-		n := c.block
-		if off+n > size {
-			n = size - off
+		pg = c.reserveLocked(s, key)
+		pg.n = int(min(c.block, size-off))
+		// The fill's device time is computed on the page's scratch clock so
+		// prefetch issues the request at the worker's current time without
+		// stalling the worker on its completion; demand reads advance to it
+		// below.
+		pg.fill = vtime.Clock{}
+		if clock != nil {
+			pg.fill.AdvanceTo(clock.Now())
 		}
-		pg := &page{key: key, filling: true, done: make(chan struct{})}
-		c.insertLocked(s, pg)
 		s.mu.Unlock()
 
-		// The fill's device time is computed on a scratch clock so prefetch
-		// issues the request at the worker's current time without stalling
-		// the worker on its completion; demand reads advance to it below.
-		var at vtime.Duration
-		if clock != nil {
-			at = clock.Now()
-		}
-		fillClock := vtime.NewClock(at)
-		buf := make([]byte, n)
-		err := inner.ReadAt(fillClock, buf, off)
+		err := inner.ReadAt(&pg.fill, pg.frame[:pg.n], off)
 
 		s.mu.Lock()
 		stale := pg.stale
-		if err != nil || stale {
-			c.removeLocked(s, pg)
-		} else {
-			pg.buf = buf
-			pg.readyAt = fillClock.Now()
-			pg.prefetched = prefetch
+		c.settleLocked(s, pg, err, pg.fill.Now(), prefetch)
+		var n int
+		var readyAt vtime.Duration
+		if err == nil && !stale && !prefetch {
+			n, readyAt = pg.copyTo(dst, lo), pg.readyAt
 		}
-		pg.err = err
-		pg.filling = false
 		s.mu.Unlock()
-		close(pg.done)
-
-		if err != nil {
-			return nil, err
+		if err != nil || prefetch {
+			return 0, err
 		}
-		if prefetch {
-			c.prefetches.Add(1)
-			c.fillBytes.Add(n)
-			return buf, nil
-		}
-		c.misses.Add(1)
-		c.fillBytes.Add(n)
 		if stale {
 			// This fill raced a write-through and may predate it; re-read
 			// so a read issued after the write never returns stale bytes.
 			continue
 		}
 		if clock != nil {
-			clock.AdvanceTo(pg.readyAt)
+			clock.AdvanceTo(readyAt)
 		}
-		return buf, nil
+		return n, nil
 	}
+}
+
+// copyTo copies the page's valid bytes from lo on into dst. The shard lock
+// must be held.
+func (pg *page) copyTo(dst []byte, lo int64) int {
+	if lo >= int64(pg.n) {
+		return 0
+	}
+	return copy(dst, pg.frame[lo:pg.n])
+}
+
+// fillScratch is fillRunAt's per-call working memory, pooled per cache.
+type fillScratch struct {
+	reserved []reservation
+	buf      []byte
+}
+
+type reservation struct {
+	pg  *page
+	blk int64
 }
 
 // fillRunAt fills the nblocks blocks starting at block for store id,
@@ -500,11 +586,13 @@ func (c *PageCache) getBlock(clock *vtime.Clock, inner Storage, id uint32, block
 // request-merging half of the async I/O pipeline. Blocks already cached or
 // in flight are skipped (dedup against single-flight demand fills), the
 // surviving blocks are grouped into maximal contiguous runs, and each run
-// issues ONE inner.ReadAt on a scratch clock starting at virtual time at.
-// Pages are published as subslices of the run buffer with the run's
-// completion as their readyAt, marked prefetched, so the first demand hit
-// waits out the asynchronous fill exactly as with per-block readahead.
-// Failed runs publish the error to any waiters and cache nothing.
+// issues ONE inner.ReadAt on a scratch clock starting at virtual time at:
+// a one-block run straight into its frame, a longer one into the pooled
+// scratch buffer, from which each page's frame is then filled. Pages carry
+// the run's completion as their readyAt and are marked prefetched, so the
+// first demand hit waits out the asynchronous fill exactly as with
+// per-block readahead. Failed runs publish the error to any waiters and
+// cache nothing.
 //
 // Returns the blocks filled, the runs issued, and the latest run
 // completion time (at when nothing was issued).
@@ -514,26 +602,24 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 		return
 	}
 	size := inner.Size()
-	type resv struct {
-		pg  *page
-		blk int64
+	sc, _ := c.scratch.Get().(*fillScratch)
+	if sc == nil {
+		sc = new(fillScratch)
 	}
-	reserved := make([]resv, 0, nblocks)
+	reserved := sc.reserved[:0]
 	for b := block; b < block+nblocks; b++ {
 		if b*c.block >= size {
 			break
 		}
-		key := pageKey{store: id, block: b}
+		key := keyOf(id, b)
 		s := c.shardOf(key)
 		s.mu.Lock()
-		if _, ok := s.pages[key]; ok {
-			s.mu.Unlock()
-			continue
+		if _, ok := s.pages[key]; !ok {
+			pg := c.reserveLocked(s, key)
+			pg.n = int(min(c.block, size-b*c.block))
+			reserved = append(reserved, reservation{pg, b})
 		}
-		pg := &page{key: key, filling: true, done: make(chan struct{})}
-		c.insertLocked(s, pg)
 		s.mu.Unlock()
-		reserved = append(reserved, resv{pg, b})
 	}
 	for i := 0; i < len(reserved); {
 		j := i + 1
@@ -541,54 +627,46 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 			j++
 		}
 		lo := reserved[i].blk * c.block
-		hi := (reserved[j-1].blk + 1) * c.block
-		if hi > size {
-			hi = size
+		hi := min((reserved[j-1].blk+1)*c.block, size)
+		// The run's scratch clock is its first page's.
+		fill := &reserved[i].pg.fill
+		*fill = vtime.Clock{}
+		fill.AdvanceTo(at)
+		var buf []byte
+		if j == i+1 {
+			buf = reserved[i].pg.frame[:hi-lo]
+		} else {
+			if int64(cap(sc.buf)) < hi-lo {
+				sc.buf = make([]byte, hi-lo)
+			}
+			buf = sc.buf[:hi-lo]
 		}
-		fillClock := vtime.NewClock(at)
-		buf := make([]byte, hi-lo)
-		err := inner.ReadAt(fillClock, buf, lo)
-		ready := fillClock.Now()
+		err := inner.ReadAt(fill, buf, lo)
+		ready := fill.Now()
 		if err == nil && ready > readyAt {
 			readyAt = ready
 		}
 		for k := i; k < j; k++ {
-			pg, blk := reserved[k].pg, reserved[k].blk
+			pg := reserved[k].pg
 			s := c.shardOf(pg.key)
 			s.mu.Lock()
-			if err != nil {
-				c.removeLocked(s, pg)
-			} else {
-				o := blk*c.block - lo
-				end := o + c.block
-				if end > int64(len(buf)) {
-					end = int64(len(buf))
-				}
-				pg.buf = buf[o:end:end]
-				pg.readyAt = ready
-				pg.prefetched = true
-				if pg.stale {
-					// Invalidated mid-fill: the page leaves the table, and
-					// demand waiters that merged onto this run see the stale
-					// mark and retry against the rewritten media.
-					c.removeLocked(s, pg)
-				}
+			if err == nil && j > i+1 {
+				copy(pg.frame[:pg.n], buf[reserved[k].blk*c.block-lo:])
 			}
-			pg.err = err
-			pg.filling = false
+			// A page invalidated mid-fill leaves the table here, and demand
+			// waiters that merged onto this run see the stale mark and retry
+			// against the rewritten media.
+			c.settleLocked(s, pg, err, ready, true)
 			s.mu.Unlock()
-			close(pg.done)
-			if err == nil {
-				c.prefetches.Add(1)
-				c.fillBytes.Add(int64(len(pg.buf)))
-				filled++
-			}
 		}
 		if err == nil {
+			filled += j - i
 			runs++
 		}
 		i = j
 	}
+	sc.reserved = reserved
+	c.scratch.Put(sc)
 	return
 }
 
@@ -599,7 +677,7 @@ func (c *PageCache) invalidate(id uint32, off, n int64) {
 		return
 	}
 	for block := off / c.block; block*c.block < off+n; block++ {
-		key := pageKey{store: id, block: block}
+		key := keyOf(id, block)
 		s := c.shardOf(key)
 		s.mu.Lock()
 		if pg, ok := s.pages[key]; ok {
@@ -607,6 +685,7 @@ func (c *PageCache) invalidate(id uint32, off, n int64) {
 				pg.stale = true
 			} else {
 				c.removeLocked(s, pg)
+				s.release(pg)
 			}
 		}
 		s.mu.Unlock()
@@ -667,7 +746,7 @@ func (s *CachedStore) Stats() LayerStats {
 }
 
 // ReadAt implements Storage: each covered block is served from the cache
-// (filled from the inner store on a miss) and copied out. The copy
+// (filled from the inner store on a miss) and copied out under its lock. The copy
 // charges the DRAM streaming cost; fills charge the device through the
 // worker's clock as usual.
 func (s *CachedStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
@@ -682,20 +761,18 @@ func (s *CachedStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	for pos := int64(0); pos < int64(len(p)); {
 		cur := off + pos
 		block := cur / bs
-		buf, err := c.getBlock(clock, s.inner, s.id, block, false)
+		n, err := c.readBlock(clock, s.inner, s.id, block, false, p[pos:], cur-block*bs)
 		if err != nil {
 			return err
 		}
-		lo := cur - block*bs
-		if lo >= int64(len(buf)) {
+		if n == 0 {
 			return fmt.Errorf("nvm: cache read [%d,%d) beyond store size %d",
-				off, off+int64(len(p)), block*bs+int64(len(buf)))
+				off, off+int64(len(p)), s.inner.Size())
 		}
-		n := int64(copy(p[pos:], buf[lo:]))
 		if clock != nil {
-			clock.Advance(c.cost.Stream(int(n)))
+			clock.Advance(c.cost.Stream(n))
 		}
-		pos += n
+		pos += int64(n)
 	}
 	return nil
 }
@@ -714,7 +791,7 @@ func (s *CachedStore) Prefetch(clock *vtime.Clock, off, n int64) {
 	c := s.cache
 	for block := off / c.block; block*c.block < off+n; block++ {
 		// Errors are deliberately dropped: readahead is a hint.
-		c.getBlock(clock, s.inner, s.id, block, true) //nolint:errcheck
+		c.readBlock(clock, s.inner, s.id, block, true, nil, 0) //nolint:errcheck
 	}
 }
 

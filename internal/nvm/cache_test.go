@@ -195,8 +195,9 @@ func TestCacheSingleFlight(t *testing.T) {
 		t.Fatalf("single-flight: want 1 device read for %d concurrent misses, got %d", workers, got)
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits+st.MergedFills != workers-1 {
-		t.Fatalf("want 1 miss and %d merged/hit lookups, got %+v", workers-1, st)
+	// A lookup that merged onto the in-flight fill counts as a hit too.
+	if st.Misses != 1 || st.Hits != workers-1 || st.MergedFills > st.Hits {
+		t.Fatalf("want 1 miss and %d hits, some of them merged, got %+v", workers-1, st)
 	}
 }
 
