@@ -8,10 +8,13 @@ package cluster
 // just a counter.
 //
 // Each message starts with a one-byte tag selecting the encoding. A
-// compressing sender encodes both the literal and the compact form and
-// ships whichever is smaller, so compressed wire volume is <= raw by
+// compressing sender ships the compact form only when it is strictly
+// shorter than the literal one, so compressed wire volume is <= raw by
 // construction on every message; with compression off only the literal
-// form is produced. All malformed-input errors wrap nvm.ErrCorrupt, the
+// form is produced. Both forms share their header (tag, uvarint) and the
+// literal payload's length is closed-form, so an encoder writes the compact
+// payload straight onto dst and overwrites it with the literal one when it
+// did not come out shorter — no temporaries. All malformed-input errors wrap nvm.ErrCorrupt, the
 // same sentinel the storage stack uses for on-media corruption.
 //
 // Formats (all varints are encoding/binary uvarints; signed values use
@@ -61,41 +64,37 @@ func getUvarint(data []byte) (uint64, int, error) {
 
 // appendBitmap encodes bits [lo, hi) of test (re-based to bit 0) onto dst.
 func appendBitmap(dst []byte, test func(int) bool, lo, hi int, compress bool) []byte {
-	span := hi - lo
-	if span < 0 {
-		span = 0
+	span := max(hi-lo, 0)
+	start := len(dst)
+	dst = binary.AppendUvarint(append(dst, wireBitmapRLE), uint64(span))
+	body, nb := len(dst), (span+7)/8
+	if compress {
+		// Run-length form: alternating zero/one run lengths.
+		run, cur := 0, false
+		for i := 0; i < span; i++ {
+			b := test(lo + i)
+			if b == cur {
+				run++
+				continue
+			}
+			dst = binary.AppendUvarint(dst, uint64(run))
+			cur, run = b, 1
+		}
+		dst = binary.AppendUvarint(dst, uint64(run))
+		if len(dst)-body < nb {
+			return dst
+		}
 	}
 	// Literal form.
-	lit := []byte{wireBitmapRaw}
-	lit = binary.AppendUvarint(lit, uint64(span))
-	lit = append(lit, make([]byte, (span+7)/8)...)
-	payload := lit[len(lit)-(span+7)/8:]
+	dst[start] = wireBitmapRaw
+	dst = append(dst[:body], make([]byte, nb)...)
+	payload := dst[body:]
 	for i := 0; i < span; i++ {
 		if test(lo + i) {
 			payload[i/8] |= 1 << uint(i%8)
 		}
 	}
-	if !compress {
-		return append(dst, lit...)
-	}
-	// Run-length form: alternating zero/one run lengths.
-	rle := []byte{wireBitmapRLE}
-	rle = binary.AppendUvarint(rle, uint64(span))
-	run, cur := 0, false
-	for i := 0; i < span; i++ {
-		b := test(lo + i)
-		if b == cur {
-			run++
-			continue
-		}
-		rle = binary.AppendUvarint(rle, uint64(run))
-		cur, run = b, 1
-	}
-	rle = binary.AppendUvarint(rle, uint64(run))
-	if len(rle) < len(lit) {
-		return append(dst, rle...)
-	}
-	return append(dst, lit...)
+	return dst
 }
 
 // decodeBitmap decodes one bitmap message from data, calling set for every
@@ -159,25 +158,25 @@ func decodeBitmap(data []byte, maxSpan int, set func(int)) (span, consumed int, 
 // appendList encodes a vertex list onto dst. Order is preserved; the delta
 // form uses zigzag deltas so the list need not be sorted.
 func appendList(dst []byte, vs []int64, compress bool) []byte {
-	lit := []byte{wireListRaw}
-	lit = binary.AppendUvarint(lit, uint64(len(vs)))
+	start := len(dst)
+	dst = binary.AppendUvarint(append(dst, wireListDelta), uint64(len(vs)))
+	body := len(dst)
+	if compress {
+		prev := int64(0)
+		for _, v := range vs {
+			dst = binary.AppendUvarint(dst, zigzag(v-prev))
+			prev = v
+		}
+		if len(dst)-body < 8*len(vs) {
+			return dst
+		}
+	}
+	dst[start] = wireListRaw
+	dst = dst[:body]
 	for _, v := range vs {
-		lit = binary.LittleEndian.AppendUint64(lit, uint64(v))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	if !compress {
-		return append(dst, lit...)
-	}
-	del := []byte{wireListDelta}
-	del = binary.AppendUvarint(del, uint64(len(vs)))
-	prev := int64(0)
-	for _, v := range vs {
-		del = binary.AppendUvarint(del, zigzag(v-prev))
-		prev = v
-	}
-	if len(del) < len(lit) {
-		return append(dst, del...)
-	}
-	return append(dst, lit...)
+	return dst
 }
 
 // decodeList decodes one vertex-list message, appending the values to out.
@@ -226,37 +225,30 @@ func decodeList(data []byte, out []int64) ([]int64, int, error) {
 // form requires children in ascending order (the arbitration dedup sorts
 // them); the literal form preserves any order.
 func appendPairs(dst []byte, ps []pair, compress bool) []byte {
-	lit := []byte{wirePairsRaw}
-	lit = binary.AppendUvarint(lit, uint64(len(ps)))
-	for _, p := range ps {
-		lit = binary.LittleEndian.AppendUint64(lit, uint64(p.child))
-		lit = binary.LittleEndian.AppendUint64(lit, uint64(p.parent))
+	start := len(dst)
+	dst = binary.AppendUvarint(append(dst, wirePairsDelta), uint64(len(ps)))
+	body := len(dst)
+	for i := 1; compress && i < len(ps); i++ {
+		compress = ps[i].child >= ps[i-1].child
 	}
-	if !compress {
-		return append(dst, lit...)
-	}
-	ascending := true
-	for i := 1; i < len(ps); i++ {
-		if ps[i].child < ps[i-1].child {
-			ascending = false
-			break
+	if compress {
+		prevC, prevP := int64(0), int64(0)
+		for _, p := range ps {
+			dst = binary.AppendUvarint(dst, uint64(p.child-prevC))
+			dst = binary.AppendUvarint(dst, zigzag(p.parent-prevP))
+			prevC, prevP = p.child, p.parent
+		}
+		if len(dst)-body < 16*len(ps) {
+			return dst
 		}
 	}
-	if !ascending {
-		return append(dst, lit...)
-	}
-	del := []byte{wirePairsDelta}
-	del = binary.AppendUvarint(del, uint64(len(ps)))
-	prevC, prevP := int64(0), int64(0)
+	dst[start] = wirePairsRaw
+	dst = dst[:body]
 	for _, p := range ps {
-		del = binary.AppendUvarint(del, uint64(p.child-prevC))
-		del = binary.AppendUvarint(del, zigzag(p.parent-prevP))
-		prevC, prevP = p.child, p.parent
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.child))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.parent))
 	}
-	if len(del) < len(lit) {
-		return append(dst, del...)
-	}
-	return append(dst, lit...)
+	return dst
 }
 
 // decodePairs decodes one candidate-pair message, appending to out.

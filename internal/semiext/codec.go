@@ -209,10 +209,13 @@ func corruptStream(src, off int64) error {
 	}
 }
 
-// decodedKey identifies one vertex's decoded adjacency in one store.
-type decodedKey struct {
-	store uint32
-	v     int64
+// decodedKey identifies one vertex's decoded adjacency in one store:
+// store<<40 ^ vertex, one word like the page cache's key, so the table
+// hashes on the runtime's 64-bit fast path (vertices are below 2^40).
+type decodedKey uint64
+
+func decodedKeyOf(store int, v int64) decodedKey {
+	return decodedKey(uint64(store)<<40 ^ uint64(v))
 }
 
 // decodedEntry is a CLOCK ring member holding an immutable decoded list.
@@ -273,7 +276,7 @@ func newDecodedCache(budget int64) *decodedCache {
 }
 
 func (c *decodedCache) shardOf(k decodedKey) *decodedShard {
-	h := (uint64(k.store)<<40 ^ uint64(k.v)) * 0x9e3779b97f4a7c15
+	h := uint64(k) * 0x9e3779b97f4a7c15
 	return &c.shards[h>>48%uint64(len(c.shards))]
 }
 

@@ -526,7 +526,7 @@ func (r *ForwardReader) Neighbors(k int, v int64) ([]int64, error) {
 		// for the varint work. The cache always holds the *stored* list —
 		// pending edits are applied on top, never cached, so a later
 		// compaction can't leave merged views behind.
-		key := decodedKey{store: uint32(k), v: v}
+		key := decodedKeyOf(k, v)
 		base := r.sf.decoded.get(r.clock, key)
 		if base == nil {
 			base, err = r.readRange(node, v, lo, hi, nil, nil)
