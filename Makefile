@@ -34,7 +34,10 @@ bench-json:
 
 # Alternating benchmark pairs of this tree against REF on workload WL, or on
 # each of a comma-separated list of them
-# (make benchpair REF=HEAD~1 WL=g500-pcie,td-ssd-stack [PAIRS=10] [SEED0=1]).
+# (make benchpair REF=HEAD~1 [WL=g500-pcie,td-ssd-stack] [PAIRS=10] [SEED0=1]).
+# Without WL: the three workloads that configure a page cache, g500-pcie (the
+# storage stack without one) and the g500-dram control.
+WL ?= td-ssd-stack,grid-4x4,pr-tails,g500-pcie,g500-dram
 benchpair:
 	bash scripts/benchpair.sh $(REF) $(WL) $(PAIRS) $(SEED0)
 

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"semibfs/internal/numa"
+	"semibfs/internal/nvm"
+	"semibfs/internal/semiext"
 )
 
 // The allocation guards: a second and later run on one engine over DRAM
@@ -63,5 +65,53 @@ func TestBatchRunnerSteadyStateAllocs(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(10, run); allocs > steadyStateAllocs {
 		t.Fatalf("BatchRunner.RunBatch allocates %.0f objects per steady-state batch, want <= %d", allocs, steadyStateAllocs)
+	}
+}
+
+// fullStackAllocs bounds a top-down-only run whose every adjacency comes
+// through the full storage stack. The stack's read path allocates nothing
+// (the guards in internal/nvm and internal/semiext), so what is left — 139
+// objects here and 241 on the benchmark's td-ssd-stack when written — is
+// per run, not per read: above all the CollectStacks / Stats() /
+// MirrorStore.Health snapshots behind Result.Layers, Cache and Resilience,
+// which ROADMAP item 2's typed counters retire (not chased here), then the
+// engine's own handful and the hub lists the decoded cache admits. The
+// parent allocated a page, a channel, a clock and a buffer per cache miss:
+// 489 objects here, 7,790 on td-ssd-stack.
+const fullStackAllocs = 256
+
+func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
+	_, bwd := wrapDRAM(t, fg, bg)
+	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+	sf, err := semiext.OffloadForward(fg, mk, nil, pinStacks[1].opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, pinConfig(ModeTopDownOnly, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := pinRoots(bwd, int64(part.N))
+	var misses int64
+	run := func() {
+		res, err := r.Run(root)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		misses += res.Cache.Misses
+	}
+	run()
+	misses = 0
+	if allocs := testing.AllocsPerRun(5, run); allocs > fullStackAllocs {
+		t.Fatalf("a top-down run over the full stack allocates %.0f objects, want <= %d", allocs, fullStackAllocs)
+	}
+	if misses < 6*50 {
+		t.Fatalf("%d cache misses in 6 runs: the runs did not churn the cache", misses)
 	}
 }
