@@ -228,6 +228,7 @@ func appendPairs(dst []byte, ps []pair, compress bool) []byte {
 	start := len(dst)
 	dst = binary.AppendUvarint(append(dst, wirePairsDelta), uint64(len(ps)))
 	body := len(dst)
+	// Unsorted children cannot take the delta form.
 	for i := 1; compress && i < len(ps); i++ {
 		compress = ps[i].child >= ps[i-1].child
 	}

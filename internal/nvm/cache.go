@@ -217,7 +217,7 @@ func (c *PageCache) Reset() {
 			if pg.filling {
 				pg.stale = true
 			} else {
-				s.release(pg)
+				s.releaseLocked(pg)
 			}
 		}
 		clear(s.pages)
@@ -329,9 +329,9 @@ func (c *PageCache) shardOf(k pageKey) *cacheShard {
 	return &c.shards[h>>48%uint64(len(c.shards))]
 }
 
-// release puts a dropped page's struct, with its frame, on the free list.
-// The shard lock must be held.
-func (s *cacheShard) release(pg *page) {
+// releaseLocked puts a dropped page's struct, with its frame, on the free
+// list. The shard lock must be held.
+func (s *cacheShard) releaseLocked(pg *page) {
 	pg.gen++
 	s.free = append(s.free, pg)
 }
@@ -385,7 +385,7 @@ func (c *PageCache) reserveLocked(s *cacheShard, key pageKey) *page {
 // removeLocked drops pg from the shard's table and ring (used by failed
 // fills and write invalidation; a no-op for a page Reset already dropped).
 // The shard lock must be held.
-func (c *PageCache) removeLocked(s *cacheShard, pg *page) {
+func (s *cacheShard) removeLocked(pg *page) {
 	if s.pages[pg.key] == pg {
 		delete(s.pages, pg.key)
 	}
@@ -406,12 +406,12 @@ func (c *PageCache) removeLocked(s *cacheShard, pg *page) {
 // invalidated fill leaves the table; its struct stays behind for the
 // waiters that hold it (they read err and stale from it), and only its
 // frame goes back to the free list. The shard lock must be held.
-func (c *PageCache) settleLocked(s *cacheShard, pg *page, err error, readyAt vtime.Duration, prefetched bool) {
+func (s *cacheShard) settleLocked(pg *page, err error, readyAt vtime.Duration, prefetched bool) {
 	pg.err, pg.filling = err, false
 	pg.gen++
 	if err != nil || pg.stale {
-		c.removeLocked(s, pg)
-		s.release(&page{frame: pg.frame})
+		s.removeLocked(pg)
+		s.releaseLocked(&page{frame: pg.frame})
 		pg.frame = nil
 	} else {
 		pg.readyAt, pg.prefetched = readyAt, prefetched
@@ -449,64 +449,54 @@ func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, bloc
 	for {
 		s.mu.Lock()
 		pg, ok := s.pages[key]
-		if ok && pg.filling {
-			// Another worker's fill is in flight: wait for it instead of
-			// issuing a second device request for the same block.
-			if prefetch {
-				s.mu.Unlock()
-				return 0, nil
-			}
-			s.stats.MergedFills++
-			gen := pg.gen
-			for pg.gen == gen {
-				s.settled.Wait()
-			}
-			if moved, err := pg.gen != gen+1, pg.err; moved || pg.stale || err != nil {
-				// Evicted or invalidated again since it settled (the struct
-				// may already describe another block), or raced a
-				// write-through (its bytes predate a write this reader may
-				// already have observed): retry. Failed: report the error.
-				s.mu.Unlock()
-				if !moved && err != nil {
-					return 0, err
-				}
-				continue
-			}
-			s.stats.Hits++
-			s.stats.HitBytes += int64(pg.n)
-			n, readyAt := pg.copyTo(dst, lo), pg.readyAt
+		if ok && prefetch {
+			// Resident or in flight already. A readahead touching a cached
+			// block is not evidence of reuse: only demand hits promote it.
 			s.mu.Unlock()
-			if clock != nil {
-				clock.AdvanceTo(readyAt)
-			}
-			return n, nil
+			return 0, nil
 		}
 		if ok {
-			if prefetch {
-				// A readahead touching an already-cached block is not
-				// evidence of reuse: only demand hits promote the page.
-				s.mu.Unlock()
-				return 0, nil
+			// advance: the reader waits out the fill's completion. That is
+			// so for a fill it merged onto and for the first demand read of
+			// a prefetched page — an async readahead is free only once it has
+			// actually finished. Settled demand-filled pages cost nothing
+			// here: the page is plain DRAM, and dragging this worker's clock
+			// to the *filler's* timeline would couple independent workers'
+			// queueing delays.
+			advance := pg.filling
+			if pg.filling {
+				// Another worker's fill is in flight: wait for it instead of
+				// issuing a second device request for the same block.
+				s.stats.MergedFills++
+				gen := pg.gen
+				for pg.gen == gen {
+					s.settled.Wait()
+				}
+				if moved, err := pg.gen != gen+1, pg.err; moved || pg.stale || err != nil {
+					// Evicted or invalidated again since it settled (the
+					// struct may already describe another block), or raced a
+					// write-through (its bytes predate a write this reader may
+					// already have observed): retry. Failed: report the error.
+					s.mu.Unlock()
+					if !moved && err != nil {
+						return 0, err
+					}
+					continue
+				}
+			} else {
+				if pg.refs < maxPageRefs {
+					pg.refs++
+				}
+				if advance = pg.prefetched; advance {
+					s.stats.PrefetchHits++
+					pg.prefetched = false
+				}
 			}
-			if pg.refs < maxPageRefs {
-				pg.refs++
-			}
-			first := pg.prefetched
-			pg.prefetched = false
 			s.stats.Hits++
 			s.stats.HitBytes += int64(pg.n)
-			if first {
-				s.stats.PrefetchHits++
-			}
 			n, readyAt := pg.copyTo(dst, lo), pg.readyAt
 			s.mu.Unlock()
-			// First demand read of a prefetched page waits out the
-			// prefetch's completion: an async readahead is free only once
-			// it has actually finished. Settled demand-filled pages cost
-			// nothing here — the page is plain DRAM, and dragging this
-			// worker's clock to the *filler's* timeline would couple
-			// independent workers' queueing delays.
-			if first && clock != nil {
+			if advance && clock != nil {
 				clock.AdvanceTo(readyAt)
 			}
 			return n, nil
@@ -539,7 +529,7 @@ func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, bloc
 
 		s.mu.Lock()
 		stale := pg.stale
-		c.settleLocked(s, pg, err, pg.fill.Now(), prefetch)
+		s.settleLocked(pg, err, pg.fill.Now(), prefetch)
 		var n int
 		var readyAt vtime.Duration
 		if err == nil && !stale && !prefetch {
@@ -656,7 +646,7 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 			// A page invalidated mid-fill leaves the table here, and demand
 			// waiters that merged onto this run see the stale mark and retry
 			// against the rewritten media.
-			c.settleLocked(s, pg, err, ready, true)
+			s.settleLocked(pg, err, ready, true)
 			s.mu.Unlock()
 		}
 		if err == nil {
@@ -684,8 +674,8 @@ func (c *PageCache) invalidate(id uint32, off, n int64) {
 			if pg.filling {
 				pg.stale = true
 			} else {
-				c.removeLocked(s, pg)
-				s.release(pg)
+				s.removeLocked(pg)
+				s.releaseLocked(pg)
 			}
 		}
 		s.mu.Unlock()

@@ -17,9 +17,7 @@ import (
 // budget has pages).
 
 // offsetByte is the byte a store holds at off in its gen-th version.
-func offsetByte(off int64, gen uint64) byte {
-	return byte(rng.Mix64(gen<<48 ^ uint64(off)))
-}
+func offsetByte(off int64, gen uint64) byte { return pinByte(0, off, gen) }
 
 // offsetStore returns a MemStore of n bytes holding version 0.
 func offsetStore(t *testing.T, dev *Device, block int, n int64) *MemStore {
@@ -186,39 +184,35 @@ func TestPageCacheSteadyStateAllocs(t *testing.T) {
 	}
 	cs.FillRunAt(clock.Now(), advance(4)*block, 4*block)
 	cs.Prefetch(clock, advance(1)*block, block)
+	read(next - 1)
 
 	for _, op := range []struct {
 		name string
 		run  func()
+		// want is what one call must add to the counters: each operation
+		// has to be what its name says.
+		want CacheStats
 	}{
-		{"hit", func() { read(next - 1) }},
-		{"miss that evicts", func() { read(advance(1)) }},
-		{"Prefetch", func() { cs.Prefetch(clock, advance(1)*block, block) }},
-		{"4-block FillRunAt", func() { cs.FillRunAt(clock.Now(), advance(4)*block, 4*block) }},
+		{"hit", func() { read(next - 1) }, CacheStats{Hits: 1, HitBytes: block}},
+		{"miss that evicts", func() { read(advance(1)) },
+			CacheStats{Misses: 1, FillBytes: block, Evictions: 1}},
+		{"Prefetch", func() { cs.Prefetch(clock, advance(1)*block, block) },
+			CacheStats{Prefetches: 1, FillBytes: block, Evictions: 1}},
+		{"4-block FillRunAt", func() { cs.FillRunAt(clock.Now(), advance(4)*block, 4*block) },
+			CacheStats{Prefetches: 4, FillBytes: 4 * block, Evictions: 4}},
 	} {
 		before := cache.Stats()
-		if allocs := testing.AllocsPerRun(100, op.run); allocs > 0 {
+		const runs = 100
+		if allocs := testing.AllocsPerRun(runs, op.run); allocs > 0 {
 			t.Errorf("%s allocates %.1f objects per call, want 0", op.name, allocs)
 		}
-		// Each operation must have been what its name says.
-		d := cache.Stats().Sub(before)
-		switch op.name {
-		case "hit":
-			if d.Hits != 101 || d.Misses != 0 {
-				t.Errorf("hit: %v", d)
-			}
-		case "miss that evicts":
-			if d.Misses != 101 || d.Evictions != 101 {
-				t.Errorf("miss that evicts: %v", d)
-			}
-		case "Prefetch":
-			if d.Prefetches != 101 || d.Evictions != 101 {
-				t.Errorf("Prefetch: %v", d)
-			}
-		default:
-			if d.Prefetches != 404 || d.Evictions != 404 {
-				t.Errorf("4-block FillRunAt: %v", d)
-			}
+		// AllocsPerRun makes one warm-up call of its own.
+		want := before
+		for i := 0; i <= runs; i++ {
+			want = want.Add(op.want)
+		}
+		if got := cache.Stats(); got != want {
+			t.Errorf("%s: after %d calls the counters are %+v, want %+v", op.name, runs+1, got, want)
 		}
 	}
 }
