@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this bui
 var goldenCases = []struct{ name, args string }{
 	{"classic-dram", "-scale 10"},
 	{"classic-pcie-faults", "-scale 10 -scenario pcie -levels -layers -fault-rate 0.01 -fault-seed 7"},
-	{"classic-ssd-stack", "-scale 10 -scenario ssd -cache-bytes 64K -compress -queue-depth 4 -prefetch 8 -replicas 2 -fault-after 50 -fault-replica 1"},
+	{"classic-ssd-stack", "-scale 10 -scenario ssd -cache-bytes 48K -compress -queue-depth 4 -prefetch 8 -replicas 2 -fault-after 50 -fault-replica 1"},
 	{"official", "-scale 10 -official"},
 	{"reference", "-scale 10 -mode reference"},
 	{"grid", "-scale 10 -scenario pcie -grid 2x2 -compress -cache-bytes 64K"},

@@ -78,9 +78,6 @@ func runClassic(c *cli) error {
 	}
 	if p.Scenario.Compress && res.CompressionRatio > 0 {
 		c.kv("NVM compression", "%.2fx (delta+varint adjacency)", res.CompressionRatio)
-		if res.DecodedCacheHits > 0 {
-			c.kv("decoded-hub cache", "%d hits", res.DecodedCacheHits)
-		}
 	}
 	if a, ok := res.Layers.Layer("async"); ok {
 		c.kv("async pipeline", "depth %d, %d demand runs (%d blocks), %d prefetch runs (%d blocks)",

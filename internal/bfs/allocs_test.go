@@ -75,9 +75,8 @@ func TestBatchRunnerSteadyStateAllocs(t *testing.T) {
 // per run, not per read: above all the CollectStacks / Stats() /
 // MirrorStore.Health snapshots behind Result.Layers, Cache and Resilience,
 // which ROADMAP item 2's typed counters retire (not chased here), then the
-// engine's own handful and the hub lists the decoded cache admits. The
-// parent allocated a page, a channel, a clock and a buffer per cache miss:
-// 489 objects here, 7,790 on td-ssd-stack.
+// engine's own handful. The parent allocated a page, a channel, a clock and
+// a buffer per cache miss: 489 objects here, 7,790 on td-ssd-stack.
 const fullStackAllocs = 256
 
 func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {

@@ -193,8 +193,9 @@ var pinStacks = []struct {
 	opts semiext.ForwardOptions
 }{
 	{"raw", semiext.ForwardOptions{}},
+	// 12 KiB: the cell pins three pages of page cache.
 	{"full", semiext.ForwardOptions{
-		Compress: true, CacheBytes: 16 << 10, QueueDepth: 4, FrontierPrefetch: 8,
+		Compress: true, CacheBytes: 12 << 10, QueueDepth: 4, FrontierPrefetch: 8,
 		Replicas: 2, Checksums: true,
 	}},
 }

@@ -46,8 +46,6 @@ type IORow struct {
 	// counters (0 for synchronous rows).
 	DemandRuns     int64 `json:"demand_runs"`
 	PrefetchBlocks int64 `json:"prefetch_blocks"`
-	// DecodedHits counts decoded-hub-cache hits (compressed rows only).
-	DecodedHits int64 `json:"decoded_hits"`
 }
 
 // IOSweep measures TEPS versus queue depth and adjacency compression on
@@ -93,16 +91,6 @@ func IOSweep(opts Options) ([]IORow, error) {
 						return nil, fmt.Errorf("io sweep %s %s cmp=%v qd=%d: %w",
 							base.Name, mode, compress, qd, err)
 					}
-					sys, err := lab.System(rowSc, false)
-					if err != nil {
-						return nil, err
-					}
-					ratio := 1.0
-					var decodedHits int64
-					if sf := sys.SemiForward(); sf != nil {
-						ratio = sf.CompressionRatio()
-						decodedHits, _, _ = sf.DecodedCacheStats()
-					}
 					teps := res.TEPS.HarmonicMean
 					if !compress && qd == 0 {
 						baseTEPS = teps
@@ -120,13 +108,12 @@ func IOSweep(opts Options) ([]IORow, error) {
 						CacheBytes:       budget,
 						TEPS:             teps,
 						Speedup:          speedup,
-						CompressionRatio: ratio,
+						CompressionRatio: res.CompressionRatio,
 						HitRate:          res.CacheStats.HitRate(),
 						NVMReads:         res.DeviceStats.Reads,
 						NVMReadBytes:     res.DeviceStats.ReadBytes,
 						DemandRuns:       res.Layers.Get("async", "demand_runs"),
 						PrefetchBlocks:   res.Layers.Get("async", "prefetch_blocks"),
-						DecodedHits:      decodedHits,
 					})
 				}
 			}
@@ -154,7 +141,6 @@ var ioEntry = flat[IORow]{
 		{"nvm_read_bytes", "NVM read", func(r IORow) any { return Bytes(r.NVMReadBytes) }},
 		{"demand_runs", "", func(r IORow) any { return r.DemandRuns }},
 		{"prefetch_blocks", "", func(r IORow) any { return r.PrefetchBlocks }},
-		{"decoded_hits", "", func(r IORow) any { return r.DecodedHits }},
 	},
 	// The rows the tentpole is judged by: the adjacency compression ratio
 	// and, per device, the best compressed+async hybrid row over the raw

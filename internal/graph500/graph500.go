@@ -162,10 +162,8 @@ type Result struct {
 	CacheStats nvm.CacheStats
 	// CompressionRatio is the forward graph's raw adjacency bytes over
 	// the bytes actually stored on NVM (1 when not compressed, 0 for
-	// DRAM-only). DecodedCacheHits counts adjacency lists served from
-	// the decoded-hub cache instead of being varint-decoded again.
+	// DRAM-only).
 	CompressionRatio float64
-	DecodedCacheHits int64
 	// Layers aggregates the per-layer storage-stack counters over all BFS
 	// iterations (nil for DRAM-resident graphs). Gauge counters keep their
 	// configured values instead of summing.
@@ -326,9 +324,6 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 	}
 	res.BackwardDRAMScans, res.BackwardNVMScans = runner.BackwardScanTotals()
 	res.Faults = sys.FaultCounters()
-	if sf := sys.SemiForward(); sf != nil {
-		res.DecodedCacheHits, _, _ = sf.DecodedCacheStats()
-	}
 	return res, nil
 }
 

@@ -2,11 +2,8 @@ package semiext
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"semibfs/internal/enc"
-	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
@@ -207,153 +204,4 @@ func corruptStream(src, off int64) error {
 		Off:   off,
 		Err:   nvm.ErrCorrupt,
 	}
-}
-
-// decodedKey identifies one vertex's decoded adjacency in one store:
-// store<<40 ^ vertex, one word like the page cache's key, so the table
-// hashes on the runtime's 64-bit fast path (vertices are below 2^40).
-type decodedKey uint64
-
-func decodedKeyOf(store int, v int64) decodedKey {
-	return decodedKey(uint64(store)<<40 ^ uint64(v))
-}
-
-// decodedEntry is a CLOCK ring member holding an immutable decoded list.
-type decodedEntry struct {
-	key  decodedKey
-	vals []int64
-	refs uint8
-}
-
-type decodedShard struct {
-	mu     sync.Mutex
-	m      map[decodedKey]*decodedEntry
-	ring   []*decodedEntry
-	hand   int
-	bytes  int64
-	budget int64
-}
-
-// decodedCache holds *decoded* adjacency lists of compressed hub vertices,
-// so a hot hub is varint-decoded once and then served as plain DRAM.
-// It complements the page cache underneath (which holds the compressed
-// bytes that checksums and the mirror operate on): when compression is
-// enabled the configured cache budget is split, 3/4 to compressed pages
-// and 1/4 to decoded lists, keeping total DRAM equal to the uncompressed
-// configuration. Only lists whose encoded form spans at least one cache
-// block are admitted — small lists decode for less than a map lookup
-// costs, and admitting them would churn the ring.
-type decodedCache struct {
-	shards []decodedShard
-	cost   numa.CostModel
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-const decodedCacheShards = 8
-
-// maxDecodedRefs matches the page cache's GCLOCK saturation.
-const maxDecodedRefs = 3
-
-func newDecodedCache(budget int64) *decodedCache {
-	if budget <= 0 {
-		return nil
-	}
-	c := &decodedCache{
-		shards: make([]decodedShard, decodedCacheShards),
-		cost:   numa.DefaultCostModel,
-	}
-	per := budget / decodedCacheShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i].budget = per
-		c.shards[i].m = make(map[decodedKey]*decodedEntry)
-	}
-	return c
-}
-
-func (c *decodedCache) shardOf(k decodedKey) *decodedShard {
-	h := uint64(k) * 0x9e3779b97f4a7c15
-	return &c.shards[h>>48%uint64(len(c.shards))]
-}
-
-// get returns the decoded list for key, or nil. A hit charges clock the
-// DRAM streaming cost of the list, as the page cache does for raw bytes.
-func (c *decodedCache) get(clock *vtime.Clock, key decodedKey) []int64 {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
-	if ok && e.refs < maxDecodedRefs {
-		e.refs++
-	}
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
-	if clock != nil {
-		clock.Advance(c.cost.Stream(len(e.vals) * 8))
-	}
-	return e.vals
-}
-
-// put inserts vals (which must not be mutated afterwards) under key,
-// evicting by CLOCK until the shard fits its byte budget. Lists larger
-// than the whole shard are not admitted.
-func (c *decodedCache) put(key decodedKey, vals []int64) {
-	sz := int64(len(vals)) * 8
-	s := c.shardOf(key)
-	if sz > s.budget {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
-		return
-	}
-	for s.bytes+sz > s.budget && len(s.ring) > 0 {
-		cand := s.ring[s.hand]
-		if cand.refs > 0 {
-			cand.refs--
-			s.hand = (s.hand + 1) % len(s.ring)
-			continue
-		}
-		delete(s.m, cand.key)
-		s.bytes -= int64(len(cand.vals)) * 8
-		last := len(s.ring) - 1
-		s.ring[s.hand] = s.ring[last]
-		s.ring = s.ring[:last]
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-	}
-	e := &decodedEntry{key: key, vals: vals}
-	s.m[key] = e
-	s.ring = append(s.ring, e)
-	s.bytes += sz
-}
-
-// Budget returns the cache's total byte budget.
-func (c *decodedCache) Budget() int64 {
-	var b int64
-	for i := range c.shards {
-		b += c.shards[i].budget
-	}
-	return b
-}
-
-// Stats returns (hits, misses, residentBytes).
-func (c *decodedCache) Stats() (hits, misses, bytes int64) {
-	hits, misses = c.hits.Load(), c.misses.Load()
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return
 }

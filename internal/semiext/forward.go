@@ -93,8 +93,8 @@ type ForwardOptions struct {
 	// instead of as raw 8-byte IDs: the index stores then hold byte
 	// offsets into the encoded stream, neighbor lists are sorted so hub
 	// adjacencies shrink ~2-4x, decode cost is charged to the worker's
-	// clock per the device profile, and — when CacheBytes is set — 1/4 of
-	// the cache budget holds *decoded* hub lists so hot hubs decode once.
+	// clock per the device profile. CacheBytes is the page cache's either
+	// way: it holds the encoded pages and every list is decoded per read.
 	Compress bool
 	// QueueDepth > 0 enables the asynchronous coalescing I/O pipeline
 	// (nvm.AsyncStore) above the page cache: multi-block demand reads and
@@ -139,9 +139,6 @@ type SemiForward struct {
 	// cache is the shared page cache all node stores read through, nil
 	// when Options.CacheBytes is zero.
 	cache *nvm.PageCache
-	// decoded caches decoded hub adjacencies when Compress is on (takes
-	// 1/4 of the CacheBytes budget; nil otherwise).
-	decoded *decodedCache
 	// overlay, when set, holds pending dynamic-graph edits that readers
 	// merge into the stored adjacency (see SetOverlay).
 	overlay *DeltaOverlay
@@ -256,22 +253,14 @@ func forwardStoreName(k int, kind string, opts ForwardOptions) string {
 	return fmt.Sprintf("fwd-node%d-%s%s", k, kind, opts.StoreSuffix)
 }
 
-// forwardStackBuilder wires sf's shared page cache (and decoded-list
-// cache split under compression) and returns the per-name stack
-// constructor OffloadForward and OpenForward share.
+// forwardStackBuilder wires sf's shared page cache and returns the
+// per-name stack constructor OffloadForward and OpenForward share.
 func forwardStackBuilder(sf *SemiForward, mk StoreFactory, opts ForwardOptions) func(name string) (nvm.Storage, error) {
 	chunk := opts.chunkBytes()
 	if opts.CacheBytes > 0 {
 		// One cache shared by every node's stores, so the DRAM budget is
-		// global and hot index blocks compete with hot value blocks. With
-		// compression, a quarter of the budget moves to the decoded-list
-		// cache so total DRAM stays at CacheBytes either way.
-		pageBudget := opts.CacheBytes
-		if opts.Compress {
-			pageBudget = opts.CacheBytes * 3 / 4
-			sf.decoded = newDecodedCache(opts.CacheBytes - pageBudget)
-		}
-		sf.cache = nvm.NewPageCache(pageBudget, chunk, numa.CostModel{})
+		// global and hot index blocks compete with hot value blocks.
+		sf.cache = nvm.NewPageCache(opts.CacheBytes, chunk, numa.CostModel{})
 	}
 	return func(name string) (nvm.Storage, error) {
 		return nvm.BuildStack(nvm.StackSpec{
@@ -410,9 +399,6 @@ func (sf *SemiForward) DRAMBytes() int64 {
 	if sf.cache != nil {
 		b += sf.cache.CapacityBytes()
 	}
-	if sf.decoded != nil {
-		b += sf.decoded.Budget()
-	}
 	return b
 }
 
@@ -425,14 +411,9 @@ func (sf *SemiForward) CompressionRatio() float64 {
 	return float64(sf.ValueBytesRaw) / float64(sf.ValueBytesStored)
 }
 
-// DecodedCacheStats returns the decoded-list cache's (hits, misses,
-// resident bytes), all zero when compression is off.
-func (sf *SemiForward) DecodedCacheStats() (hits, misses, bytes int64) {
-	if sf.decoded == nil {
-		return 0, 0, 0
-	}
-	return sf.decoded.Stats()
-}
+// DecodedCacheStats is all zero: the decoded-list cache is gone and only
+// the frozen bench/ harness still asks.
+func (sf *SemiForward) DecodedCacheStats() (hits, misses, bytes int64) { return 0, 0, 0 }
 
 // Cache returns the shared page cache, or nil when none is configured.
 func (sf *SemiForward) Cache() *nvm.PageCache { return sf.cache }
@@ -489,8 +470,7 @@ func NewForwardReader(sf *SemiForward, clock *vtime.Clock) *ForwardReader {
 }
 
 // Neighbors returns vertex v's neighbors held by NUMA node k's replica.
-// The returned slice is valid until the next call on this reader (except
-// decoded-cache hits, which are shared immutable lists).
+// The returned slice is valid until the next call on this reader.
 func (r *ForwardReader) Neighbors(k int, v int64) ([]int64, error) {
 	node := r.sf.PerNode[k]
 	lo, hi, err := r.indexRange(node, v)
@@ -520,31 +500,8 @@ func (r *ForwardReader) Neighbors(k int, v int64) ([]int64, error) {
 		byteLo, byteLen = lo*8, (hi-lo)*8
 	}
 
-	var out []int64
-	if compress && r.sf.decoded != nil && byteLen >= r.blockBytes(node) {
-		// Hot hub: serve the decoded list if another read already paid
-		// for the varint work. The cache always holds the *stored* list —
-		// pending edits are applied on top, never cached, so a later
-		// compaction can't leave merged views behind.
-		key := decodedKeyOf(k, v)
-		base := r.sf.decoded.get(r.clock, key)
-		if base == nil {
-			base, err = r.readRange(node, v, lo, hi, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			r.sf.decoded.put(key, base)
-		}
-		if delta == nil {
-			out = base
-		} else {
-			out = mergeDelta(r.valBuf[:0], base, delta)
-			r.valBuf = out[:0]
-		}
-	} else {
-		out, err = r.readRange(node, v, lo, hi, delta, r.valBuf[:0])
-		r.valBuf = out[:0]
-	}
+	out, err := r.readRange(node, v, lo, hi, delta, r.valBuf[:0])
+	r.valBuf = out[:0]
 	if err != nil {
 		return nil, err
 	}

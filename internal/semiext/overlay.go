@@ -220,25 +220,3 @@ func (o *DeltaOverlay) ForEach(fn func(slot, nb int64, del bool)) {
 		}
 	}
 }
-
-// mergeDelta appends the merged view of base under d to dst: suppressed
-// neighbors are skipped and pending adds are interleaved (d.sorted) or
-// appended. Used by the decoded-hub fast path, where the base list is
-// already in DRAM; NVM-resident reads merge inside streamNeighbors
-// instead.
-func mergeDelta(dst, base []int64, d *vertexDelta) []int64 {
-	ai := 0
-	for _, nb := range base {
-		if d.sorted {
-			for ai < len(d.adds) && d.adds[ai] < nb {
-				dst = append(dst, d.adds[ai])
-				ai++
-			}
-		}
-		if d.deleted(nb) {
-			continue
-		}
-		dst = append(dst, nb)
-	}
-	return append(dst, d.adds[ai:]...)
-}

@@ -80,8 +80,8 @@ func TestOverlayInsertDeleteAnnihilation(t *testing.T) {
 
 // TestOverlayMergedReads drives a batch of random insertions/deletions
 // through forward and backward overlays and checks every read path —
-// sorted per-node forward lists (including the decoded-hub cache),
-// unordered backward scans, and degrees — against a DRAM reference.
+// sorted per-node forward lists, unordered backward scans, and degrees —
+// against a DRAM reference.
 func TestOverlayMergedReads(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -157,8 +157,7 @@ func TestOverlayMergedReads(t *testing.T) {
 			clock := vtime.NewClock(0)
 			r := NewForwardReader(sf, clock)
 			sc := NewBackwardScanner(hb, clock)
-			// Two passes so compressed hubs hit the decoded-cache path on
-			// the second one.
+			// Two passes: the second reads through a warm page cache.
 			for pass := 0; pass < 2; pass++ {
 				for v := int64(0); v < n; v++ {
 					var got []int64

@@ -5,7 +5,7 @@
 # temporary directory outside the checkout) and from the working tree, runs
 #   GOMAXPROCS=1 analyze -exp all -scale 10 -roots 2 -json
 # on both, and compares the outputs byte for byte. On a difference it names
-# the first experiment whose rows differ and exits 1. GOMAXPROCS=1 because
+# every experiment whose rows differ and exits 1. GOMAXPROCS=1 because
 # virtual time is schedule-dependent above it (ROADMAP item 1).
 #
 # A local tool for refactors that must not move a number; not a CI gate,
@@ -32,10 +32,14 @@ if cmp -s "$tmp/ref.json" "$tmp/tree.json"; then
 	echo "simdiff: identical to $ref ($(grep -cE '^  "[^"]+": ' "$tmp/tree.json") experiments, $(wc -c < "$tmp/tree.json") bytes)"
 	exit 0
 fi
-# The JSON is one indented object keyed by experiment name: the key that
-# owns the first differing line is the last top-level key at or above it.
-line=$({ cmp "$tmp/ref.json" "$tmp/tree.json" || true; } | sed 's/.*line \([0-9]*\).*/\1/')
-key=$(awk -v n="$line" 'NR > n { exit } /^  "[^"]+": / { k = $1 } END { gsub(/[":]/, "", k); print k }' "$tmp/tree.json")
-echo "simdiff: differs from $ref; first differing experiment: ${key:-<top level>} (line $line)"
+# The JSON is one indented object keyed by experiment name: tag every line
+# with the last top-level key at or above it, and name each key that owns a
+# differing line.
+tagged() {
+	awk '/^  "[^"]+": / { k = $1; gsub(/[":]/, "", k) } { print (k == "" ? "<top level>" : k) "\t" $0 }' "$1"
+}
+keys=$({ diff <(tagged "$tmp/ref.json") <(tagged "$tmp/tree.json") || true; } |
+	awk -F'\t' '/^[<>] / { print substr($1, 3) }' | sort -u | paste -sd' ' -)
+echo "simdiff: differs from $ref; differing experiments: $keys"
 { diff "$tmp/ref.json" "$tmp/tree.json" || true; } | head -20
 exit 1
