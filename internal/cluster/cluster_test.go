@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
 	"semibfs/internal/generator"
+	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
+	"semibfs/internal/semiext"
 	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
 )
@@ -256,6 +259,38 @@ func TestClusterCompressedAdjacency(t *testing.T) {
 	}
 	if cb, rb := bytesOf(comp), bytesOf(raw); cb == 0 || cb >= rb {
 		t.Fatalf("compressed cluster read %d device bytes, raw read %d", cb, rb)
+	}
+}
+
+// TestClusterCacheBudgetMatchesSingleNode holds ClusterConfig's promise that
+// a grid machine is the scenario's single-node stack: a compressed machine's
+// page cache is as large as the one semiext.OffloadForward builds from the
+// same CacheBytes.
+func TestClusterCacheBudgetMatchesSingleNode(t *testing.T) {
+	const budget = 64 << 10
+	list := testList(t, 8, 54)
+	src := edgelist.ListSource{List: list}
+	c, err := Build(src, Config{Machines: 2, ForwardOnNVM: true, Compress: true, CacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fg, err := csr.BuildForward(src, numa.NewPartition(numa.Topology{Nodes: 1, CoresPerNode: 1}, int(list.NumVertices)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+	sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{Compress: true, CacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	want := sf.Cache().CapacityBytes()
+	for k, m := range c.machines {
+		if got := m.stacks.cache.CapacityBytes(); got != want {
+			t.Errorf("machine %d: page cache of %d bytes, the single node's has %d", k, got, want)
+		}
 	}
 }
 

@@ -9,6 +9,37 @@ import (
 	"semibfs/internal/vtime"
 )
 
+// TestCacheBudgetIsAllPageCache pins the one-budget rule: CacheBytes is the
+// page cache's, whole pages of it, with or without compression, and
+// DRAMBytes is that plus the DRAM index copies and nothing else.
+func TestCacheBudgetIsAllPageCache(t *testing.T) {
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 1}
+	fg, _, _ := buildGraphs(t, 8, topo)
+	var idxBytes int64
+	for _, g := range fg.PerNode {
+		idxBytes += int64(len(g.Index)) * 8
+	}
+	for _, compress := range []bool{false, true} {
+		for _, budget := range []int64{16 << 10, 164 << 10, 1 << 20} {
+			dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+			sf, err := OffloadForward(fg, memFactory(dev), nil, ForwardOptions{
+				Compress: compress, CacheBytes: budget, IndexInDRAM: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := budget / nvm.DefaultChunkSize * nvm.DefaultChunkSize
+			if got := sf.Cache().CapacityBytes(); got != want {
+				t.Errorf("compress=%v CacheBytes=%d: page cache holds %d bytes, want %d", compress, budget, got, want)
+			}
+			if got := sf.DRAMBytes(); got != want+idxBytes {
+				t.Errorf("compress=%v CacheBytes=%d: DRAMBytes %d, want %d", compress, budget, got, want+idxBytes)
+			}
+			sf.Close()
+		}
+	}
+}
+
 // TestCachedForwardRoundTrip checks that a cached offload returns exactly
 // the in-DRAM adjacencies, that repeat passes hit the cache, and that the
 // cache makes the second pass cheaper in virtual time.
