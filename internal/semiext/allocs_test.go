@@ -1,6 +1,7 @@
 package semiext
 
 import (
+	"fmt"
 	"testing"
 
 	"semibfs/internal/numa"
@@ -14,18 +15,27 @@ import (
 // a working set eight times the page cache so most calls miss and evict,
 // multi-block adjacencies go through the coalescing queue and hubs trigger
 // readahead. After one pass over the vertices has sized the reader's
-// buffers and filled the cache's frames, a call allocates nothing. (Raw
-// adjacency: with Compress the decoded-hub cache admits lists, and an
-// admitted list is memory it keeps.)
+// buffers and filled the cache's frames, a call allocates nothing, on raw
+// and on compressed adjacency.
 func TestFullStackReadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			fullStackReadAllocs(t, compress)
+		})
+	}
+}
+
+func fullStackReadAllocs(t *testing.T, compress bool) {
+	// SCALE 14: below it no compressed hub's encoded list spans a block, so
+	// the compressed stack would never issue readahead.
 	topo := numa.Topology{Nodes: 1, CoresPerNode: 2}
-	fg, _, _ := buildGraphs(t, 10, topo)
+	fg, _, _ := buildGraphs(t, 14, topo)
 	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
 	opts := ForwardOptions{
-		QueueDepth: 8, ReadaheadBlocks: 2, Replicas: 2, Checksums: true,
+		Compress: compress, QueueDepth: 8, ReadaheadBlocks: 2, Replicas: 2, Checksums: true,
 	}
 	// Offload once uncached to learn the NVM footprint.
 	probe, err := OffloadForward(fg, memFactory(dev), nil, opts)
@@ -52,7 +62,7 @@ func TestFullStackReadSteadyStateAllocs(t *testing.T) {
 	}
 
 	r := NewForwardReader(sf, vtime.NewClock(0))
-	n := fg.PerNode[0].NumVertices // 1024
+	n := fg.PerNode[0].NumVertices // 16384
 	var v, edges int64
 	next := func() {
 		nbrs, err := r.Neighbors(0, v)
