@@ -51,20 +51,6 @@ type Options struct {
 	// owned by this package (generations overwrite it).
 	Forward  semiext.ForwardOptions
 	Backward semiext.BackwardOptions
-	// Sort is the backward graph's neighbor order;
-	// csr.SortByDegreeDesc (NETAL's default) unless set — note the zero
-	// value csr.SortNone is overridden, use the explicit field only to
-	// match a scenario that set it.
-	Sort csr.SortMode
-	// HaveSort marks Sort as explicitly chosen (lets SortNone be picked).
-	HaveSort bool
-}
-
-func (o Options) sortMode() csr.SortMode {
-	if o.HaveSort {
-		return o.Sort
-	}
-	return csr.SortByDegreeDesc
 }
 
 // Stats counts a dynamic graph's update activity.
@@ -132,7 +118,7 @@ func Build(src edgelist.Source, part *numa.Partition, mk semiext.StoreFactory, c
 		g.closeLogs()
 		return nil, err
 	}
-	bg, err := csr.BuildBackward(src, part, opts.sortMode())
+	bg, err := csr.BuildBackward(src, part, csr.SortByDegreeDesc)
 	if err != nil {
 		g.closeLogs()
 		return nil, err
@@ -408,7 +394,7 @@ func (g *Graph) Compact(clock *vtime.Clock) error {
 	if err != nil {
 		return err
 	}
-	bg, err := csr.BuildBackward(src, g.Part, g.opts.sortMode())
+	bg, err := csr.BuildBackward(src, g.Part, csr.SortByDegreeDesc)
 	if err != nil {
 		return err
 	}

@@ -55,7 +55,7 @@ func Recover(part *numa.Partition, mk semiext.StoreFactory, clock *vtime.Clock, 
 	if opts.Forward.Compress {
 		sf.ValueBytesRaw = 2 * int64(len(list.Edges)) * 8
 	}
-	bg, err := csr.BuildBackward(edgelist.ListSource{List: list}, part, opts.sortMode())
+	bg, err := csr.BuildBackward(edgelist.ListSource{List: list}, part, csr.SortByDegreeDesc)
 	if err != nil {
 		sf.Close()
 		g.manifest.Close()

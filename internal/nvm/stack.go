@@ -53,9 +53,6 @@ type StackSpec struct {
 	// Retry is the retry/backoff policy; the zero value selects
 	// DefaultRetryPolicy. A policy with MaxAttempts 1 disables retries.
 	Retry RetryPolicy
-	// Metrics disables the outermost metrics layer when true (the layer
-	// is on by default: it is free and every report wants it).
-	NoMetrics bool
 }
 
 func (s StackSpec) chunk() int {
@@ -131,8 +128,5 @@ func BuildStack(spec StackSpec) (Storage, error) {
 		}
 	}
 	st = WrapRetry(st, spec.Name, chunk, spec.retry())
-	if !spec.NoMetrics {
-		st = WrapMetrics(st, spec.Name)
-	}
-	return st, nil
+	return WrapMetrics(st, spec.Name), nil
 }
