@@ -55,6 +55,16 @@ func TestLabCachesSystems(t *testing.T) {
 	if a == c {
 		t.Fatal("different scenarios shared a system")
 	}
+	// The key is the whole scenario, so any single field separates systems.
+	idx := core.ScenarioPCIeFlash
+	idx.IndexInDRAM = true
+	d, err := lab.System(idx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == d {
+		t.Fatal("scenarios differing only in IndexInDRAM shared a system")
+	}
 }
 
 func TestTableI(t *testing.T) {

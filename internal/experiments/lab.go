@@ -7,8 +7,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/edgelist"
@@ -84,7 +82,14 @@ type Lab struct {
 	List  *edgelist.List
 	Src   edgelist.Source
 
-	systems map[string]*core.System
+	systems map[systemKey]*core.System
+}
+
+// systemKey identifies a built system: the whole scenario (comparable, so
+// no field can be forgotten) and whether device series are recorded.
+type systemKey struct {
+	sc     core.Scenario
+	series bool
 }
 
 // NewLab generates the edge list for the given scale and returns an empty
@@ -104,7 +109,7 @@ func NewLab(opts Options, scale int) (*Lab, error) {
 		Scale:   scale,
 		List:    list,
 		Src:     edgelist.ListSource{List: list},
-		systems: make(map[string]*core.System),
+		systems: make(map[systemKey]*core.System),
 	}, nil
 }
 
@@ -128,11 +133,7 @@ func (l *Lab) scenario(sc core.Scenario, unscaled bool) core.Scenario {
 // System builds (or returns the cached) system for sc. The series flag
 // enables per-bin device statistics.
 func (l *Lab) System(sc core.Scenario, series bool) (*core.System, error) {
-	key := fmt.Sprintf("%s/k=%d/ls=%g/series=%v/faults=%s/cksum=%v/cache=%d/ra=%d/rep=%d/scrub=%g/cmp=%v/qd=%d/pf=%d/alg=%v",
-		sc.Name, sc.BackwardDRAMEdgeLimit, sc.LatencyScale, series,
-		sc.Faults, sc.Checksums, sc.CacheBytes, sc.ReadaheadBlocks,
-		sc.Replicas, sc.ScrubRate, sc.Compress, sc.QueueDepth, sc.FrontierPrefetch,
-		sc.Algorithm)
+	key := systemKey{sc, series}
 	if sys, ok := l.systems[key]; ok {
 		return sys, nil
 	}
@@ -192,7 +193,7 @@ func (l *Lab) Close() error {
 			first = err
 		}
 	}
-	l.systems = make(map[string]*core.System)
+	l.systems = make(map[systemKey]*core.System)
 	return first
 }
 
