@@ -74,8 +74,8 @@ type Scenario struct {
 	ScrubRate float64
 	// Compress stores the NVM adjacency (forward values, backward tails)
 	// delta+varint encoded (internal/enc): fewer device bytes traded for
-	// host decode time, with the cache budget split between compressed
-	// pages and a decoded-hub cache.
+	// host decode time. CacheBytes stays the page cache's whole budget; its
+	// pages then hold encoded bytes.
 	Compress bool
 	// QueueDepth, when positive, puts an asynchronous coalescing I/O
 	// pipeline of that many virtual slots above each NVM store's cache
@@ -271,8 +271,7 @@ func (s *System) FaultCounters() faults.Counters {
 func (s *System) HybridBackward() *semiext.HybridBackward { return s.hybBwd }
 
 // SemiForward exposes the semi-external forward graph when the scenario
-// offloads it, or nil (the compression ratio and decoded-cache figures
-// live there).
+// offloads it, or nil (the compression ratio lives there).
 func (s *System) SemiForward() *semiext.SemiForward { return s.semiFwd }
 
 // PageCache returns the forward graph's shared page cache, or nil when
