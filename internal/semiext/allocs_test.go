@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"semibfs/internal/csr"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
@@ -21,18 +22,17 @@ func TestFullStackReadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
+	// SCALE 14: below it no compressed hub's encoded list spans a block, so
+	// the compressed stack would never issue readahead.
+	fg, _, _ := buildGraphs(t, 14, numa.Topology{Nodes: 1, CoresPerNode: 2})
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			fullStackReadAllocs(t, compress)
+			fullStackReadAllocs(t, fg, compress)
 		})
 	}
 }
 
-func fullStackReadAllocs(t *testing.T, compress bool) {
-	// SCALE 14: below it no compressed hub's encoded list spans a block, so
-	// the compressed stack would never issue readahead.
-	topo := numa.Topology{Nodes: 1, CoresPerNode: 2}
-	fg, _, _ := buildGraphs(t, 14, topo)
+func fullStackReadAllocs(t *testing.T, fg *csr.ForwardGraph, compress bool) {
 	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
 	opts := ForwardOptions{
 		Compress: compress, QueueDepth: 8, ReadaheadBlocks: 2, Replicas: 2, Checksums: true,
