@@ -3,9 +3,11 @@ package bfs
 import (
 	"testing"
 
+	"semibfs/internal/edgelist"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/semiext"
+	"semibfs/internal/vtime"
 )
 
 // The allocation guards: a second and later run on one engine over DRAM
@@ -112,5 +114,73 @@ func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {
 	}
 	if misses < 6*50 {
 		t.Fatalf("%d cache misses in 6 runs: the runs did not churn the cache", misses)
+	}
+}
+
+// repairAllocs bounds a steady-state RepairTree on a 64-update batch that
+// orphans subtrees and reads NVM tails: the scanner it opens on the caller's
+// clock (4 objects when written) is all that is left per call. Before the
+// repair kept its depths and scratch in the TreeState it built four maps, a
+// per-vertex children index and a depth array per call, and closures per
+// scanned vertex: 1,151 objects here.
+const repairAllocs = 16
+
+func TestRepairTreeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	_, _, list, part := buildTestGraphs(t, 12, 5, topo)
+	rf := newDynRef(list)
+	root := int64(0)
+	for len(rf.adj[root]) == 0 {
+		root++
+	}
+	before := rf.list()
+	rng := uint64(0x5eed)
+	batch := rf.toggle(&rng, 64)
+	after := rf.list()
+	// undo takes the graph back: the batch reversed, each update inverted.
+	undo := make([]EdgeUpdate, len(batch))
+	for i, up := range batch {
+		undo[len(batch)-1-i] = EdgeUpdate{U: up.U, V: up.V, Del: !up.Del}
+	}
+	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	tails := func(l *edgelist.List) BackwardAccess {
+		_, bg := buildGraphsFromList(t, l, part)
+		mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+		hb, err := semiext.BuildHybridBackward(bg, 4, mk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return HybridBackwardAccess{HB: hb}
+	}
+	bwdBefore, bwdAfter := tails(before), tails(after)
+	treeBefore := freshCanonicalTree(t, before, part, topo, root)
+	treeAfter := freshCanonicalTree(t, after, part, topo, root)
+
+	st := NewTreeState(root, treeBefore)
+	clock := vtime.NewClock(0)
+	var orphaned int64
+	round := func() {
+		for _, step := range []struct {
+			ups  []EdgeUpdate
+			bwd  BackwardAccess
+			want []int64
+		}{{batch, bwdAfter, treeAfter}, {undo, bwdBefore, treeBefore}} {
+			stats, err := RepairTree(st, step.ups, step.bwd, part, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareTrees(t, st.Parent, step.want, "repair")
+			orphaned += stats.Orphaned
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(10, round) / 2; allocs > repairAllocs {
+		t.Fatalf("RepairTree allocates %.0f objects per steady-state call, want <= %d", allocs, repairAllocs)
+	}
+	if orphaned == 0 || clock.Now() == 0 {
+		t.Fatalf("the repairs orphaned %d vertices and read NVM for %v: the guard did not reach the children index or the tails", orphaned, clock.Now())
 	}
 }

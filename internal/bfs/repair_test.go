@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"errors"
 	"testing"
 
 	"semibfs/internal/csr"
@@ -230,5 +231,81 @@ func TestRepairMatchesFreshRebuild(t *testing.T) {
 			t.Fatalf("round %d: repair did no work", round)
 		}
 		compareTrees(t, st.Parent, freshCanonicalTree(t, updated, part, topo, root), "round")
+		checkKeptDepths(t, st, round)
 	}
+}
+
+// checkKeptDepths demands the depths a repair keeps for the next one equal
+// the depths of the tree it left behind.
+func checkKeptDepths(t *testing.T, st *TreeState, round int) {
+	t.Helper()
+	want, err := DepthsFromTree(st.Root, st.Parent)
+	if err != nil {
+		t.Fatalf("round %d: %v", round, err)
+	}
+	for v, d := range want {
+		if d < 0 {
+			d = unreached
+		}
+		if got := st.rep.depth[v]; got != d {
+			t.Fatalf("round %d: kept depth[%d] = %d, the tree says %d", round, v, got, d)
+		}
+	}
+}
+
+// failAfter passes scans to a working scanner until limit of them have
+// run, then fails every one, as a tail store dying mid-repair does.
+type failAfter struct {
+	BackwardAccess
+	limit int64
+}
+
+func (f *failAfter) NewScanner(clock *vtime.Clock) BackwardScan {
+	return failAfterScan{f.BackwardAccess.NewScanner(clock), f}
+}
+
+type failAfterScan struct {
+	BackwardScan
+	f *failAfter
+}
+
+func (s failAfterScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+	if s.f.limit == 0 {
+		return 0, 0, errors.New("tail store died")
+	}
+	s.f.limit--
+	return s.BackwardScan.Scan(k, v, fn)
+}
+
+// TestFailedRepairDropsDepths fails a repair at its first settling scan,
+// after phase 2 has lowered a depth but before phase 3 rewrites any parent.
+// The half-updated depths must not survive: the retry derives them from
+// Parent again.
+func TestFailedRepairDropsDepths(t *testing.T) {
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 1}
+	rf := &dynRef{n: 6, adj: make([]map[int64]int, 6)}
+	for v := range rf.adj {
+		rf.adj[v] = map[int64]int{}
+	}
+	// Path 0-1-2-3-4-5, then a shortcut (0,3): 3 rises to depth 1 and
+	// takes 4 and 5 up with it, while every parent but 3's stays put.
+	for _, e := range [][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}} {
+		rf.apply(EdgeUpdate{U: e[0], V: e[1]})
+	}
+	part := numa.NewPartition(topo, 6)
+	st := NewTreeState(0, freshCanonicalTree(t, rf.list(), part, topo, 0))
+	batch := []EdgeUpdate{{U: 0, V: 3}}
+	rf.apply(batch[0])
+	fg, bg := buildGraphsFromList(t, rf.list(), part)
+	_, bwd := wrapDRAM(t, fg, bg)
+
+	if _, err := RepairTree(st, batch, &failAfter{bwd, 0}, part, vtime.NewClock(0)); err == nil {
+		t.Fatal("the repair survived its scanner dying")
+	}
+	compareTrees(t, st.Parent, []int64{0, 0, 1, 2, 3, 4}, "after the failed repair")
+	if _, err := RepairTree(st, batch, bwd, part, vtime.NewClock(0)); err != nil {
+		t.Fatal(err)
+	}
+	compareTrees(t, st.Parent, []int64{0, 0, 1, 0, 3, 4}, "retry")
+	checkKeptDepths(t, st, 1)
 }
