@@ -325,13 +325,13 @@ func NewBackwardScanner(hb *HybridBackward, clock *vtime.Clock) *BackwardScanner
 func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined int64, err error) {
 	node := s.hb.PerNode[k]
 	i := v - node.Base
-	var delta *vertexDelta
+	var delta vertexDelta
 	if o := s.hb.overlay; o != nil {
-		delta = o.delta(v, false)
+		delta = o.delta(v)
 	}
 	prefix := node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]]
 	for _, nb := range prefix {
-		if delta.deleted(nb) {
+		if deleted(delta.dels, nb) {
 			// The DRAM entry was still examined; it just no longer exists
 			// in the merged adjacency.
 			s.DRAMEdgesScanned++
@@ -357,35 +357,29 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined
 		if compress {
 			lo, hi = node.TailByteIndex[i], node.TailByteIndex[i+1]
 		}
-		var tailDelta *vertexDelta
-		if delta != nil && len(delta.dels) > 0 {
-			tailDelta = &vertexDelta{dels: delta.dels}
-		}
 		// The stream counts the neighbors fn saw, so fn is passed through
 		// unwrapped; only pending adds (below) need to know it stopped.
 		stopped := false
 		tailFn := fn
-		if delta != nil {
+		if len(delta.adds) > 0 {
 			tailFn = func(nb int64) bool {
 				stopped = !fn(nb)
 				return !stopped
 			}
 		}
 		n, err := streamNeighbors(node.TailStore, s.clock, compress, v, lo, hi,
-			&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, tailDelta, tailFn)
+			&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, nil, delta.dels, tailFn)
 		examined += n
 		s.NVMEdgesScanned += n
 		if err != nil || stopped {
 			return examined, err
 		}
 	}
-	if delta != nil {
-		for _, nb := range delta.adds {
-			examined++
-			s.DRAMEdgesScanned++
-			if !fn(nb) {
-				return examined, nil
-			}
+	for _, nb := range delta.adds {
+		examined++
+		s.DRAMEdgesScanned++
+		if !fn(nb) {
+			return examined, nil
 		}
 	}
 	return examined, nil

@@ -48,34 +48,34 @@ func growBytes(buf *[]byte, n int64) []byte {
 // first chunk never pays for the rest of a long tail; partial varints at
 // a chunk boundary are carried into the next read.
 //
-// delta, when non-nil, is merged into the stored stream at read time:
-// suppressed neighbors never reach fn, pending adds are interleaved into
-// an ascending stream (delta.sorted) or emitted after the stored range is
-// exhausted, and examined counts the merged view fn actually saw. An
-// early exit skips the remaining adds, exactly as it skips the remaining
-// stored tail.
+// A slot's pending edits are merged into the stored stream at read time:
+// neighbors in dels never reach fn, adds (sorted ascending) are
+// interleaved into the stream — which must then be ascending too, as
+// forward adjacencies are — with the ones past its end emitted after it,
+// and examined counts the merged view fn actually saw. An early exit skips
+// the remaining adds, exactly as it skips the remaining stored tail.
+// Backward tails keep degree-descending order, so there is no order to
+// merge into: their scanner passes dels only and emits the adds itself.
 func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
-	delta *vertexDelta, fn func(nb int64) bool) (examined int64, err error) {
-	if delta == nil {
+	adds, dels []int64, fn func(nb int64) bool) (examined int64, err error) {
+	if len(adds) == 0 && len(dels) == 0 {
 		return streamStored(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
 	}
 	ai := 0
 	stopped := false
 	merged := func(nb int64) bool {
-		if delta.sorted {
-			// Strict '<' is safe: the overlay contract keeps pending adds
-			// disjoint from live stored neighbors.
-			for ai < len(delta.adds) && delta.adds[ai] < nb {
-				examined++
-				if !fn(delta.adds[ai]) {
-					stopped = true
-					return false
-				}
-				ai++
+		// Strict '<' is safe: the overlay contract keeps pending adds
+		// disjoint from live stored neighbors.
+		for ai < len(adds) && adds[ai] < nb {
+			examined++
+			if !fn(adds[ai]) {
+				stopped = true
+				return false
 			}
+			ai++
 		}
-		if delta.deleted(nb) {
+		if deleted(dels, nb) {
 			return true
 		}
 		examined++
@@ -91,9 +91,9 @@ func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	if stopped {
 		return examined, nil
 	}
-	for ; ai < len(delta.adds); ai++ {
+	for ; ai < len(adds); ai++ {
 		examined++
-		if !fn(delta.adds[ai]) {
+		if !fn(adds[ai]) {
 			return examined, nil
 		}
 	}
@@ -116,7 +116,7 @@ func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 func StreamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
 	fn func(nb int64) bool) (examined int64, err error) {
-	return streamNeighbors(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, nil, fn)
+	return streamNeighbors(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, nil, nil, fn)
 }
 
 // streamStored is streamNeighbors' stored-only core: it streams exactly

@@ -1,6 +1,9 @@
 package semiext
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // DeltaOverlay is the DRAM edge-delta overlay that makes an offloaded
 // graph dynamic without rewriting its NVM-resident CSR: insertions and
@@ -25,24 +28,30 @@ import "sync"
 // construction keeps them); a deletion suppresses every stored copy, so
 // "delete (u, v)" always means the edge is gone from the merged view.
 //
-// Mutations are copy-on-write per slot: a snapshot handed out by delta()
-// is immutable, so readers racing a concurrent Insert/Delete (e.g. a
-// serve-layer update landing between BFS sweeps) see either the old or
-// the new version of a slot, never a torn one.
+// Mutations are copy-on-write per slot: each builds the slot's next
+// snapshot and stores it in place of the old one, whose slices it never
+// writes, so readers racing a concurrent Insert/Delete (e.g. a serve-layer
+// update landing between BFS sweeps) see either the old or the new version
+// of a slot, never a torn one. A read is one map lookup that copies the
+// stored snapshot out; it allocates nothing.
 type DeltaOverlay struct {
-	mu   sync.RWMutex
-	adds map[int64][]int64
-	dels map[int64]map[int64]struct{}
-	addN int64
-	delN int64
+	mu    sync.RWMutex
+	slots map[int64]vertexDelta
+	addN  int64
+	delN  int64
+}
+
+// vertexDelta is an immutable snapshot of one slot's pending edits, both
+// sorted ascending: adds are neighbors the merged view gains, dels stored
+// neighbors it suppresses. The zero value is a clean slot.
+type vertexDelta struct {
+	adds []int64
+	dels []int64
 }
 
 // NewDeltaOverlay returns an empty overlay.
 func NewDeltaOverlay() *DeltaOverlay {
-	return &DeltaOverlay{
-		adds: make(map[int64][]int64),
-		dels: make(map[int64]map[int64]struct{}),
-	}
+	return &DeltaOverlay{slots: make(map[int64]vertexDelta)}
 }
 
 // Insert records neighbor nb as added under slot. If nb was pending
@@ -51,39 +60,19 @@ func NewDeltaOverlay() *DeltaOverlay {
 func (o *DeltaOverlay) Insert(slot, nb int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if dels := o.dels[slot]; dels != nil {
-		if _, ok := dels[nb]; ok {
-			// Re-inserting a deleted stored edge: unmark the deletion
-			// (copy-on-write, snapshots in reader hands stay intact).
-			next := make(map[int64]struct{}, len(dels)-1)
-			for v := range dels {
-				if v != nb {
-					next[v] = struct{}{}
-				}
-			}
-			if len(next) == 0 {
-				delete(o.dels, slot)
-			} else {
-				o.dels[slot] = next
-			}
-			o.delN--
-			return
+	d := o.slots[slot]
+	if i, ok := slices.BinarySearch(d.dels, nb); ok {
+		d.dels = removed(d.dels, i)
+		o.delN--
+	} else {
+		i, ok := slices.BinarySearch(d.adds, nb)
+		if ok {
+			return // duplicate insert, contract violation tolerated as no-op
 		}
+		d.adds = inserted(d.adds, i, nb)
+		o.addN++
 	}
-	old := o.adds[slot]
-	pos := 0
-	for pos < len(old) && old[pos] < nb {
-		pos++
-	}
-	if pos < len(old) && old[pos] == nb {
-		return // duplicate insert, contract violation tolerated as no-op
-	}
-	next := make([]int64, 0, len(old)+1)
-	next = append(next, old[:pos]...)
-	next = append(next, nb)
-	next = append(next, old[pos:]...)
-	o.adds[slot] = next
-	o.addN++
+	o.store(slot, d)
 }
 
 // Delete records neighbor nb as removed under slot. If nb was a pending
@@ -92,92 +81,82 @@ func (o *DeltaOverlay) Insert(slot, nb int64) {
 func (o *DeltaOverlay) Delete(slot, nb int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if old := o.adds[slot]; len(old) > 0 {
-		pos := 0
-		for pos < len(old) && old[pos] < nb {
-			pos++
+	d := o.slots[slot]
+	if i, ok := slices.BinarySearch(d.adds, nb); ok {
+		d.adds = removed(d.adds, i)
+		o.addN--
+	} else {
+		i, ok := slices.BinarySearch(d.dels, nb)
+		if ok {
+			return // duplicate delete, contract violation tolerated as no-op
 		}
-		if pos < len(old) && old[pos] == nb {
-			next := make([]int64, 0, len(old)-1)
-			next = append(next, old[:pos]...)
-			next = append(next, old[pos+1:]...)
-			if len(next) == 0 {
-				delete(o.adds, slot)
-			} else {
-				o.adds[slot] = next
-			}
-			o.addN--
-			return
-		}
+		d.dels = inserted(d.dels, i, nb)
+		o.delN++
 	}
-	old := o.dels[slot]
-	if _, ok := old[nb]; ok {
-		return // duplicate delete, contract violation tolerated as no-op
-	}
-	next := make(map[int64]struct{}, len(old)+1)
-	for v := range old {
-		next[v] = struct{}{}
-	}
-	next[nb] = struct{}{}
-	o.dels[slot] = next
-	o.delN++
+	o.store(slot, d)
 }
 
-// vertexDelta is an immutable snapshot of one slot's pending edits: adds
-// is sorted ascending, dels is the set of stored neighbors to suppress.
-// sorted selects the merge discipline — true interleaves adds into an
-// ascending base stream (forward adjacencies), false appends them after
-// the base is exhausted (backward tails keep degree-descending order, so
-// there is no shared order to merge into).
-type vertexDelta struct {
-	adds   []int64
-	dels   map[int64]struct{}
-	sorted bool
+// store makes d slot's snapshot, dropping the slot once it is clean.
+func (o *DeltaOverlay) store(slot int64, d vertexDelta) {
+	if len(d.adds) == 0 && len(d.dels) == 0 {
+		delete(o.slots, slot)
+		return
+	}
+	o.slots[slot] = d
 }
 
-// deleted reports whether stored neighbor nb is suppressed.
-func (d *vertexDelta) deleted(nb int64) bool {
-	if d == nil || d.dels == nil {
+// inserted returns a copy of s with x at index i.
+func inserted(s []int64, i int, x int64) []int64 {
+	out := make([]int64, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// removed returns a copy of s without s[i], nil when nothing is left.
+func removed(s []int64, i int) []int64 {
+	if len(s) == 1 {
+		return nil
+	}
+	out := make([]int64, 0, len(s)-1)
+	return append(append(out, s[:i]...), s[i+1:]...)
+}
+
+// deleted reports whether stored neighbor nb is in dels, a snapshot's
+// sorted suppression list.
+func deleted(dels []int64, nb int64) bool {
+	if len(dels) == 0 {
 		return false
 	}
-	_, ok := d.dels[nb]
+	_, ok := slices.BinarySearch(dels, nb)
 	return ok
 }
 
-// delta snapshots slot's pending edits, or nil when the slot is clean.
-// The snapshot aliases the overlay's copy-on-write internals and stays
-// valid (and immutable) across concurrent mutations.
-func (o *DeltaOverlay) delta(slot int64, sorted bool) *vertexDelta {
+// delta returns slot's snapshot, the zero value when the slot is clean. It
+// stays valid (and immutable) across concurrent mutations.
+func (o *DeltaOverlay) delta(slot int64) vertexDelta {
 	o.mu.RLock()
-	adds, dels := o.adds[slot], o.dels[slot]
+	d := o.slots[slot]
 	o.mu.RUnlock()
-	if adds == nil && dels == nil {
-		return nil
-	}
-	return &vertexDelta{adds: adds, dels: dels, sorted: sorted}
+	return d
 }
 
 // Adds returns slot's pending insertions, sorted ascending (nil when
 // none). The slice is an immutable snapshot.
 func (o *DeltaOverlay) Adds(slot int64) []int64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.adds[slot]
+	return o.delta(slot).adds
 }
 
 // IsDeleted reports whether (slot, nb) is pending deletion.
 func (o *DeltaOverlay) IsDeleted(slot, nb int64) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	_, ok := o.dels[slot][nb]
-	return ok
+	return deleted(o.delta(slot).dels, nb)
 }
 
 // DegreeDelta returns the slot's net degree change (adds minus dels).
 func (o *DeltaOverlay) DegreeDelta(slot int64) int64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return int64(len(o.adds[slot])) - int64(len(o.dels[slot]))
+	d := o.delta(slot)
+	return int64(len(d.adds)) - int64(len(d.dels))
 }
 
 // Counts returns the overlay-wide pending (insertions, deletions).
@@ -199,8 +178,7 @@ func (o *DeltaOverlay) Empty() bool {
 func (o *DeltaOverlay) Clear() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.adds = make(map[int64][]int64)
-	o.dels = make(map[int64]map[int64]struct{})
+	o.slots = make(map[int64]vertexDelta)
 	o.addN, o.delN = 0, 0
 }
 
@@ -209,13 +187,11 @@ func (o *DeltaOverlay) Clear() {
 func (o *DeltaOverlay) ForEach(fn func(slot, nb int64, del bool)) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	for slot, adds := range o.adds {
-		for _, nb := range adds {
+	for slot, d := range o.slots {
+		for _, nb := range d.adds {
 			fn(slot, nb, false)
 		}
-	}
-	for slot, dels := range o.dels {
-		for nb := range dels {
+		for _, nb := range d.dels {
 			fn(slot, nb, true)
 		}
 	}

@@ -1,6 +1,7 @@
 package semiext
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -274,4 +275,44 @@ func TestOpenForwardRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOverlaySnapshotsUnderConcurrentEdits edits slots while readers walk
+// the snapshots they were handed: under the race detector a mutation that
+// wrote into a handed-out snapshot instead of replacing it is a reported
+// race, and every snapshot a reader sees must stay sorted.
+func TestOverlaySnapshotsUnderConcurrentEdits(t *testing.T) {
+	o := NewDeltaOverlay()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for slot := int64(0); slot < 4; slot++ {
+					d := o.delta(slot)
+					if !slices.IsSorted(d.adds) || !slices.IsSorted(d.dels) {
+						t.Errorf("slot %d snapshot not sorted: %+v", slot, d)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := int64(0); i < 4000; i++ {
+		slot, nb := i%4, (i*7)%64
+		if i%3 == 0 {
+			o.Delete(slot, nb)
+		} else {
+			o.Insert(slot, nb)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
