@@ -91,8 +91,11 @@ type Graph struct {
 	manifest *nvm.WALStore
 	gen      uint64
 	walMark  uint64
-	qr       *semiext.ForwardReader
-	stats    Stats
+	// qr validates Apply's updates; it charges qrClock, the clock of the
+	// Apply that opened it.
+	qr      *semiext.ForwardReader
+	qrClock *vtime.Clock
+	stats   Stats
 }
 
 const (
@@ -240,10 +243,11 @@ func (g *Graph) PendingEdits() (adds, dels int64) {
 }
 
 // hasEdge reports whether undirected edge (u, v) exists in the merged
-// view. Must be called under g.mu (uses the shared query reader).
+// view, charging the read to clock. Must be called under g.mu (uses the
+// shared query reader).
 func (g *Graph) hasEdge(clock *vtime.Clock, u, v int64) (bool, error) {
-	if g.qr == nil {
-		g.qr = semiext.NewForwardReader(g.sf, clock)
+	if g.qr == nil || g.qrClock != clock {
+		g.qr, g.qrClock = semiext.NewForwardReader(g.sf, clock), clock
 	}
 	found := false
 	nbs, err := g.qr.Neighbors(g.Part.NodeOf(int(v)), u)
@@ -369,7 +373,11 @@ func decodeBatch(payload []byte) ([]Update, error) {
 // (overlay attached, so pending edits are folded in). Must be called
 // under g.mu.
 func (g *Graph) mergedEdges(clock *vtime.Clock) (*edgelist.List, error) {
-	return transposeForward(g.sf, g.Part, clock)
+	// The merged degree total, from counts already in DRAM: the stored
+	// entries plus the backward overlay's net edits, each undirected edge
+	// counted at both endpoints.
+	adds, dels := g.bo.Counts()
+	return transposeForward(g.sf, g.Part, clock, (g.sf.ValueBytesRaw/8+adds-dels)/2)
 }
 
 // Compact folds the overlay into a new CSR generation: it reads the

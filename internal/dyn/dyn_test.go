@@ -382,3 +382,49 @@ func TestDynTailsShareForwardCache(t *testing.T) {
 	defer re.Close()
 	check(re, "recover")
 }
+
+// TestApplyChargesItsOwnClock applies two batches on two clocks. The second
+// Apply's validation reads and WAL append land on its own clock, costing
+// exactly what they cost on a twin graph that keeps one clock, and the
+// first clock stays put.
+func TestApplyChargesItsOwnClock(t *testing.T) {
+	list, part := genList(t, 8)
+	rg := newRefGraph(list)
+	rng := uint64(0xc10c)
+	b1, b2 := rg.toggleBatch(&rng, 20), rg.toggleBatch(&rng, 20)
+	build := func() *Graph {
+		media := NewMedia(nvm.NewDevice(nvm.ProfileIoDrive2, 0))
+		g, err := Build(edgelist.ListSource{List: list}, part, media.Factory(), vtime.NewClock(0), testOptions(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	apply := func(g *Graph, clock *vtime.Clock, batch []Update) {
+		if applied, err := g.Apply(clock, batch); err != nil || applied != len(batch) {
+			t.Fatalf("applied %d of %d: %v", applied, len(batch), err)
+		}
+	}
+
+	one := build()
+	defer one.Close()
+	clock := vtime.NewClock(0)
+	apply(one, clock, b1)
+	start := clock.Now()
+	apply(one, clock, b2)
+	want := clock.Now() - start
+
+	two := build()
+	defer two.Close()
+	c1 := vtime.NewClock(0)
+	apply(two, c1, b1)
+	mark := c1.Now()
+	c2 := vtime.NewClock(mark)
+	apply(two, c2, b2)
+	if c1.Now() != mark {
+		t.Errorf("the first clock moved by %v during an Apply on the second", c1.Now()-mark)
+	}
+	if got := c2.Now() - mark; got != want {
+		t.Errorf("the second Apply charged %v to its clock, want %v", got, want)
+	}
+}

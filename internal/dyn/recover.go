@@ -46,7 +46,7 @@ func Recover(part *numa.Partition, mk semiext.StoreFactory, clock *vtime.Clock, 
 	// v < nb half restores exact multiplicity) and rebuild the backward
 	// graph from it. Decoding everything also restores the raw-size
 	// accounting OpenForward cannot know for compressed stores.
-	list, err := transposeForward(sf, part, clock)
+	list, err := transposeForward(sf, part, clock, sf.ValueBytesRaw/16)
 	if err != nil {
 		sf.Close()
 		g.manifest.Close()
@@ -94,11 +94,12 @@ func Recover(part *numa.Partition, mk semiext.StoreFactory, clock *vtime.Clock, 
 
 // transposeForward reads every vertex's forward adjacency (across all
 // owner nodes) through sf and returns the undirected edge list, charging
-// the reads to clock.
-func transposeForward(sf *semiext.SemiForward, part *numa.Partition, clock *vtime.Clock) (*edgelist.List, error) {
+// the reads to clock. edges is the list's expected length, which sizes it
+// once (0 when unknown: the list then grows as it fills).
+func transposeForward(sf *semiext.SemiForward, part *numa.Partition, clock *vtime.Clock, edges int64) (*edgelist.List, error) {
 	r := semiext.NewForwardReader(sf, clock)
 	n := int64(part.N)
-	list := &edgelist.List{NumVertices: n}
+	list := &edgelist.List{NumVertices: n, Edges: make([]edgelist.Edge, 0, edges)}
 	for v := int64(0); v < n; v++ {
 		for k := range sf.PerNode {
 			nbs, err := r.Neighbors(k, v)
