@@ -125,7 +125,7 @@ func TestBuildLatencyScale(t *testing.T) {
 
 func TestBuildSortModeOverride(t *testing.T) {
 	src := testSource(t, 8)
-	opts := BuildOptions{SortMode: csr.SortByID, SortModeSet: true}
+	opts := BuildOptions{SortMode: csr.SortByID}
 	sys, err := Build(src, numa.Topology{Nodes: 2, CoresPerNode: 1}, ScenarioDRAMOnly, opts)
 	if err != nil {
 		t.Fatal(err)

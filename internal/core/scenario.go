@@ -220,11 +220,9 @@ type BuildOptions struct {
 	// SeriesBinWidth, when positive, enables the device's per-bin
 	// request time series (Figures 12/13).
 	SeriesBinWidth vtime.Duration
-	// SortMode orders backward-graph adjacencies; the zero value
-	// selects csr.SortByDegreeDesc via Build.
+	// SortMode orders backward-graph adjacencies; the zero value is
+	// csr.SortByDegreeDesc.
 	SortMode csr.SortMode
-	// sortModeSet distinguishes an explicit SortNone from the default.
-	SortModeSet bool
 	// ConstructClock, when non-nil, is charged for offload writes.
 	ConstructClock *vtime.Clock
 }
@@ -356,10 +354,6 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 		return nil, err
 	}
 	part := numa.NewPartition(topo, int(src.NumVertices()))
-	sort := opts.SortMode
-	if !opts.SortModeSet && sort == csr.SortNone {
-		sort = csr.SortByDegreeDesc
-	}
 
 	sys := &System{Scenario: sc, Part: part}
 	var devs []*nvm.Device
@@ -431,7 +425,7 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 		sys.DRAMForwardBytes = fg.Bytes()
 	}
 
-	bg, err := csr.BuildBackward(src, part, sort)
+	bg, err := csr.BuildBackward(src, part, opts.SortMode)
 	if err != nil {
 		return nil, fmt.Errorf("core: build backward graph: %w", err)
 	}

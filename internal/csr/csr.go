@@ -32,13 +32,14 @@ import (
 type SortMode int
 
 const (
+	// SortByDegreeDesc orders neighbors by descending degree (hubs
+	// first), the NETAL ordering that accelerates bottom-up search. It is
+	// the zero value: the paper's order, and every default.
+	SortByDegreeDesc SortMode = iota
 	// SortNone keeps edge-list arrival order.
-	SortNone SortMode = iota
+	SortNone
 	// SortByID orders neighbors by ascending vertex ID.
 	SortByID
-	// SortByDegreeDesc orders neighbors by descending degree (hubs
-	// first), the NETAL ordering that accelerates bottom-up search.
-	SortByDegreeDesc
 )
 
 func (m SortMode) String() string {

@@ -48,7 +48,7 @@ func Ablations(opts Options) ([]AblationRow, error) {
 			Scale: opts.Scale, EdgeFactor: opts.EdgeFactor, Seed: opts.Seed,
 			Roots: opts.Roots, ValidateRoots: 1,
 			Scenario: core.ScenarioDRAMOnly, BFS: cfg,
-			SortMode: variant.mode, SortModeSet: true,
+			SortMode: variant.mode,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ablation sort=%s: %w", variant.name, err)

@@ -47,9 +47,9 @@ type Params struct {
 	Dir string
 	// SeriesBinWidth enables per-bin device statistics when positive.
 	SeriesBinWidth vtime.Duration
-	// SortMode overrides the backward graph's adjacency order.
-	SortMode    csr.SortMode
-	SortModeSet bool
+	// SortMode overrides the backward graph's adjacency order; the zero
+	// value is csr.SortByDegreeDesc.
+	SortMode csr.SortMode
 	// KeepLevelStats retains per-level statistics for every root (the
 	// degradation analyses need them); otherwise only totals are kept.
 	KeepLevelStats bool
@@ -239,7 +239,6 @@ func RunList(list *edgelist.List, p Params) (*Result, error) {
 		Dir:            p.Dir,
 		SeriesBinWidth: p.SeriesBinWidth,
 		SortMode:       p.SortMode,
-		SortModeSet:    p.SortModeSet,
 		ConstructClock: constructClock,
 	}
 	sys, err := core.Build(src, p.BFS.Topology, p.Scenario, opts)
