@@ -17,9 +17,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
 
 // goldenCases pins one report per mode and per printer branch at SCALE 10.
-// Everything in a report except the wall-time line is virtual, so at
-// GOMAXPROCS=1 it is byte-identical run to run (ROADMAP item 1 covers why
-// not above it).
+// Everything in a report except the wall-time line is virtual, so it is
+// byte-identical run to run at any GOMAXPROCS; TestGolden runs at 8 to
+// show it.
 var goldenCases = []struct{ name, args string }{
 	{"classic-dram", "-scale 10"},
 	{"classic-pcie-faults", "-scale 10 -scenario pcie -levels -layers -fault-rate 0.01 -fault-seed 7"},
@@ -57,7 +57,7 @@ func runCLI(args string) string {
 }
 
 func TestGolden(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runCLI(tc.args)
