@@ -49,9 +49,6 @@ type ClusterOptions struct {
 	// stack; QueueDepth enables the async I/O layer when > 0.
 	CacheBytes int64
 	QueueDepth int
-	// Workers runs each machine's per-level scan on that many real
-	// goroutines (simulated time is unaffected; default 1).
-	Workers int
 	// DeviceLatencyScale scales the per-machine device latencies.
 	DeviceLatencyScale float64
 	// NetworkLatencySeconds / NetworkBandwidth override the
@@ -105,7 +102,6 @@ func NewCluster(edges *EdgeList, opts ClusterOptions) (*Cluster, error) {
 		Replicas:        opts.Replicas,
 		CacheBytes:      opts.CacheBytes,
 		QueueDepth:      opts.QueueDepth,
-		RealWorkers:     opts.Workers,
 		LatencyScale:    opts.DeviceLatencyScale,
 	}
 	if opts.NetworkLatencySeconds > 0 || opts.NetworkBandwidth > 0 {

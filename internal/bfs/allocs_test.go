@@ -14,8 +14,7 @@ import (
 // graphs allocates its result, a closure per parallel phase and little else
 // (17 objects per Run, 23 per RunBatch when written). In particular it builds
 // no top-down hook and no bottom-up probe per worker per level: 48 workers of
-// them put the parent at 511 and 1,191 objects on these two runs. One real
-// worker: goroutines are not what is being counted.
+// them put the parent at 511 and 1,191 objects on these two runs.
 
 const steadyStateAllocs = 48
 
@@ -26,7 +25,7 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	topo := numa.DefaultTopology
 	fg, bg, _, part := buildTestGraphs(t, 12, 5, topo)
 	fwd, bwd := wrapDRAM(t, fg, bg)
-	r, err := NewRunner(fwd, bwd, part, Config{Topology: topo, RealWorkers: 1})
+	r, err := NewRunner(fwd, bwd, part, Config{Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestBatchRunnerSteadyStateAllocs(t *testing.T) {
 	topo := numa.DefaultTopology
 	fg, bg, list, part := buildTestGraphs(t, 12, 5, topo)
 	fwd, bwd := wrapDRAM(t, fg, bg)
-	r, err := NewBatchRunner(fwd, bwd, part, 64, Config{Topology: topo, RealWorkers: 1})
+	r, err := NewBatchRunner(fwd, bwd, part, 64, Config{Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sf.Close()
-	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, pinConfig(ModeTopDownOnly, 1))
+	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, pinConfig(ModeTopDownOnly))
 	if err != nil {
 		t.Fatal(err)
 	}

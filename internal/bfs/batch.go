@@ -19,13 +19,11 @@ import (
 // rule is decided per batch from aggregate lane-bit occupancy; with B = 1
 // it degenerates to the single-source rule.
 //
-// Determinism contract (same as Runner): virtual time and every lane's
-// parent tree are independent of RealWorkers for DRAM-resident graphs. The
-// top-down kernel achieves this with a two-phase level: a scatter phase
-// computes claim masks against the *frozen* pre-level visited lanes and
-// commits them with commutative atomic OR / min-CAS (so the final state is
-// interleaving-independent), and a striped merge phase folds the next
-// lanes into visited. The bottom-up kernel partitions vertices into
+// The top-down kernel is a two-phase level: a scatter phase computes claim
+// masks against the *frozen* pre-level visited lanes and commits them with
+// an OR into the next lanes and MinParent per claimed lane (so the final
+// state does not depend on worker order), and a striped merge phase folds
+// the next lanes into visited. The bottom-up kernel partitions vertices into
 // 64-vertex blocks with a fixed block -> worker mapping, so every write is
 // worker-local.
 type BatchRunner struct {
@@ -44,7 +42,7 @@ type BatchRunner struct {
 	trees    [][]int64 // trees[lane][v]
 	visited  *bitmap.Lanes
 	frontier *bitmap.Lanes
-	next     *bitmap.AtomicLanes
+	next     *bitmap.Lanes
 
 	probes []lanesProbe // per-worker bottom-up probes
 }
@@ -89,7 +87,7 @@ func NewBatchRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition,
 	}
 	r.visited = bitmap.NewLanes(n)
 	r.frontier = bitmap.NewLanes(n)
-	r.next = bitmap.NewAtomicLanes(n)
+	r.next = bitmap.NewLanes(n)
 
 	// The scatter reads the frontier lane word on top of the dequeue.
 	scatter := newScatter(r)

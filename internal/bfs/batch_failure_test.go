@@ -32,7 +32,7 @@ func TestBatchForwardDeathDegradesAllLanes(t *testing.T) {
 	// Alpha 1 keeps the rule on top-down, so the batch is still streaming
 	// the forward device when it dies.
 	br, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, len(roots), Config{
-		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10, RealWorkers: 2,
+		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestBatchBackwardDeathDegradesToTopDown(t *testing.T) {
 	// huge beta keeps the run bottom-up, so the batch is mid-sweep on the
 	// backward tail store when it dies.
 	br, err := NewBatchRunner(DRAMForward{G: fg}, HybridBackwardAccess{HB: hb}, part, len(roots), Config{
-		Topology: topo, Mode: ModeHybrid, Alpha: 1e6, Beta: 1e18, RealWorkers: 2,
+		Topology: topo, Mode: ModeHybrid, Alpha: 1e6, Beta: 1e18,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestBatchPropagatesUnrescuableFailure(t *testing.T) {
 	defer hb.Close()
 	roots := pickRoots(t, bg.Degree, list.NumVertices, 4)
 	br, err := NewBatchRunner(NVMForward{SF: sf}, HybridBackwardAccess{HB: hb}, part, len(roots), Config{
-		Topology: topo, Mode: ModeTopDownOnly, RealWorkers: 2,
+		Topology: topo, Mode: ModeTopDownOnly,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func batchEquivalenceCase(t *testing.T, seed uint64, kind, stack, width uint8) e
 	for i := range roots {
 		roots[i] = int64(rng.Intn(int(list.NumVertices)))
 	}
-	cfg := Config{Topology: topo, Alpha: 4, Beta: 40, RealWorkers: 2}
+	cfg := Config{Topology: topo, Alpha: 4, Beta: 40}
 	br, err := NewBatchRunner(fwd, bwd, part, b, cfg)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"slices"
 	"testing"
 
 	"semibfs/internal/edgelist"
@@ -158,19 +159,16 @@ func TestBatchOverNVMForwardMatchesDRAM(t *testing.T) {
 }
 
 // TestBatchRunIsDeterministic extends the engine's determinism invariant
-// to the batched runner: virtual time AND every lane's parent tree must be
-// identical across RealWorkers counts.
+// to the batched runner on a full 64-lane batch: every lane's tree
+// validates, and a second runner reproduces the virtual time and every
+// lane's parent tree bit for bit.
 func TestBatchRunIsDeterministic(t *testing.T) {
 	topo := numa.Topology{Nodes: 4, CoresPerNode: 3}
-	fg, bg, list, part := buildTestGraphs(t, 9, 7, topo)
+	fg, bg, list, part := buildTestGraphs(t, 9, 13, topo)
 	fwd, bwd := wrapDRAM(t, fg, bg)
-	roots := pickRoots(t, bg.Degree, list.NumVertices, 5)
-	var refTime int64
-	var refTrees [][]int64
-	for _, rw := range []int{1, 2, 8} {
-		br, err := NewBatchRunner(fwd, bwd, part, len(roots), Config{
-			Topology: topo, Alpha: 32, Beta: 320, RealWorkers: rw,
-		})
+	roots := pickRoots(t, bg.Degree, list.NumVertices, 64)
+	run := func() *BatchResult {
+		br, err := NewBatchRunner(fwd, bwd, part, len(roots), Config{Topology: topo, Alpha: 32, Beta: 320})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,50 +176,18 @@ func TestBatchRunIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if refTrees == nil {
-			refTime = int64(res.Time)
-			refTrees = make([][]int64, len(roots))
-			for l := range roots {
-				refTrees[l] = res.CloneTree(l)
-			}
-			continue
-		}
-		if int64(res.Time) != refTime {
-			t.Fatalf("RealWorkers=%d: virtual time %d, want %d", rw, res.Time, refTime)
-		}
-		for l := range roots {
-			for v, p := range res.Trees[l] {
-				if refTrees[l][v] != p {
-					t.Fatalf("RealWorkers=%d lane %d vertex %d: parent %d, want %d",
-						rw, l, v, p, refTrees[l][v])
-				}
-			}
-		}
+		return res
 	}
-	_ = list
-}
-
-// TestBatchRaceStress is the CI race job's batched stress case: 8 real
-// workers driving a full 64-lane batch. Run with -race it exercises the
-// scatter phase's concurrent lane claims.
-func TestBatchRaceStress(t *testing.T) {
-	topo := numa.Topology{Nodes: 4, CoresPerNode: 3}
-	fg, bg, list, part := buildTestGraphs(t, 9, 13, topo)
-	fwd, bwd := wrapDRAM(t, fg, bg)
-	roots := pickRoots(t, bg.Degree, list.NumVertices, 64)
-	br, err := NewBatchRunner(fwd, bwd, part, 64, Config{
-		Topology: topo, Alpha: 32, Beta: 320, RealWorkers: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := br.RunBatch(roots)
-	if err != nil {
-		t.Fatal(err)
+	a, b := run(), run()
+	if a.Time != b.Time {
+		t.Fatalf("virtual time %d, then %d", a.Time, b.Time)
 	}
 	for l, root := range roots {
-		if _, err := validate.Run(res.Trees[l], root, edgelist.ListSource{List: list}); err != nil {
+		if _, err := validate.Run(a.Trees[l], root, edgelist.ListSource{List: list}); err != nil {
 			t.Fatalf("lane %d root %d: %v", l, root, err)
+		}
+		if !slices.Equal(a.Trees[l], b.Trees[l]) {
+			t.Fatalf("lane %d root %d: the second run's tree differs", l, root)
 		}
 	}
 }
@@ -274,7 +240,7 @@ func TestBatchFrontierPrefetch(t *testing.T) {
 		}
 		defer sf.Close()
 		br, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, len(roots), Config{
-			Topology: topo, Mode: ModeTopDownOnly, RealWorkers: 1,
+			Topology: topo, Mode: ModeTopDownOnly,
 		})
 		if err != nil {
 			t.Fatal(err)

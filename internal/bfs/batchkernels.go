@@ -14,12 +14,10 @@ import (
 //	d = frontier[v] &^ visited[nb]
 //
 // is computed against the *frozen* pre-level visited lanes (visited is only
-// written by the merge phase), so d is interleaving-independent; the claims
-// are committed with a commutative atomic OR into the next lanes and a
-// commutative min-CAS per claimed lane's parent slot. Costs are charged
-// from d alone, never from who won a race, which keeps every worker's
-// virtual clock deterministic across real-parallelism levels. Nothing is
-// queued: no claim reaches visited before the merge phase, and a rescue scrubs
+// written by the merge phase), so d does not depend on worker order; the
+// claims are committed with an OR into the next lanes and MinParent per
+// claimed lane's parent slot. Costs are charged from d alone, never from
+// which worker claimed first. Nothing is queued: no claim reaches visited before the merge phase, and a rescue scrubs
 // the partial next/parent writes (enterDegraded).
 //
 // Out of line for the reason newExpander is.
@@ -76,13 +74,12 @@ func (r *BatchRunner) mergeNext() error {
 
 // lanesProbe is one worker's batched bottom-up probe: the closure its scanner
 // calls per neighbor, and the state of the vertex being scanned — the lanes
-// still unclaimed, the lanes claimed so far. Built once per BatchRunner and
-// padded, like the Runner's pullProbe.
+// still unclaimed, the lanes claimed so far. Built once per BatchRunner,
+// like the Runner's pullProbe.
 type lanesProbe struct {
 	rem, claimed uint64
 	v            int
 	fn           func(nb int64) bool
-	_            [4]int64
 }
 
 // newLanesProbe arms p. Out of line for the reason newExpander is.

@@ -28,19 +28,17 @@ func WordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 // pullProbe is one worker's bottom-up probe: the closure its scanner calls
 // per neighbor and the frontier parent that closure found. Built once per
 // Runner — a closure made inside the level would cost an allocation per worker
-// per level, inside the vertex loop one per scanned vertex — and padded, since
-// parent is written per scanned vertex.
+// per level, inside the vertex loop one per scanned vertex.
 type pullProbe struct {
 	parent int64
 	fn     func(nb int64) bool
-	_      [6]int64
 }
 
 // newPullProbe arms p over a node's frontier replica. Kept out of line for
 // the reason newExpander is.
 //
 //go:noinline
-func newPullProbe(p *pullProbe, frontier *bitmap.Atomic) {
+func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
 	p.fn = func(nb int64) bool {
 		if frontier.Test(int(nb)) {
 			p.parent = nb
@@ -67,11 +65,11 @@ func (r *Runner) runBottomUpLevel() error {
 		probe := &r.probes[w]
 		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
+		visW := r.visited.Words()
 		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // visited word load
-			word := r.visited.WordAt(wi)
-			unvisited := ^word
+			unvisited := ^visW[wi]
 			base := wi * 64
 			if base+64 > n {
 				unvisited &= (1 << uint(n-base)) - 1

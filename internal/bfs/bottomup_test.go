@@ -9,7 +9,7 @@ import (
 // TestWordRangeOfNodeOwnership checks the word-ownership invariant the
 // bottom-up kernel relies on: across all NUMA nodes and their workers,
 // every 64-bit bitmap word is visited by exactly one worker, so every
-// vertex is scanned exactly once and next/visited word writes never race.
+// vertex is scanned exactly once and next/visited word writes never overlap.
 // The partitions are chosen so node boundaries straddle words (sizes not
 // multiples of 64, more nodes than words, single-vertex nodes).
 func TestWordRangeOfNodeOwnership(t *testing.T) {

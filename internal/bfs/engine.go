@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"fmt"
-	"runtime"
 
 	"semibfs/internal/bitmap"
 	"semibfs/internal/numa"
@@ -67,8 +66,8 @@ type Config struct {
 	Beta float64
 	// Mode selects hybrid or single-direction traversal.
 	Mode Mode
-	// RealWorkers bounds the number of real goroutines executing the
-	// simulated workers; 0 selects GOMAXPROCS.
+	// RealWorkers is ignored: a run's simulated workers execute in order on
+	// the caller's goroutine.
 	RealWorkers int
 }
 
@@ -85,9 +84,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Beta == 0 {
 		c.Beta = 10 * c.Alpha
-	}
-	if c.RealWorkers <= 0 {
-		c.RealWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -147,16 +143,16 @@ type Runner struct {
 
 	// BFS status data.
 	tree    []int64
-	visited *bitmap.Atomic
+	visited *bitmap.Bitmap
 	// claimBM arbitrates next-queue membership during a top-down level.
 	// The visited bitmap is frozen while a level runs (claims become
 	// visited at gather time), so every frontier parent of an unvisited
-	// vertex competes in a min-CAS on the tree entry — making the parent
+	// vertex is offered to MinParent on the tree entry — making the parent
 	// tree independent of worker count, queue depth, and I/O completion
 	// order — while claimBM's TestAndSet picks exactly one worker to
 	// enqueue the vertex. Bits are never cleared between levels (a stale
 	// bit always belongs to a by-now-visited vertex); Run resets it.
-	claimBM *bitmap.Atomic
+	claimBM *bitmap.Bitmap
 	probes  []pullProbe // per-worker bottom-up probes
 }
 
@@ -165,8 +161,8 @@ func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg 
 	cfg = cfg.WithDefaults()
 	r := &Runner{
 		tree:    make([]int64, part.N),
-		visited: bitmap.NewAtomic(part.N),
-		claimBM: bitmap.NewAtomic(part.N),
+		visited: bitmap.New(part.N),
+		claimBM: bitmap.New(part.N),
 	}
 	expand := newExpander(r.tree, r.visited, r.claimBM, &cfg.Cost)
 	err := r.Init(fwd, bwd, part, cfg, Kernels{

@@ -209,8 +209,8 @@ func TestRunIsVirtualTimeDeterministic(t *testing.T) {
 		root++
 	}
 	var times []int64
-	for trial := 0; trial < 3; trial++ {
-		r, err := NewRunner(fwd, bwd, part, Config{Topology: topo, Alpha: 32, Beta: 320, RealWorkers: 1 + trial})
+	for range 3 {
+		r, err := NewRunner(fwd, bwd, part, Config{Topology: topo, Alpha: 32, Beta: 320})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestRunIsVirtualTimeDeterministic(t *testing.T) {
 	}
 	_ = list
 	if times[0] != times[1] || times[1] != times[2] {
-		t.Fatalf("virtual time differs across real-worker counts: %v", times)
+		t.Fatalf("virtual time differs across runners: %v", times)
 	}
 }
 
@@ -278,7 +278,7 @@ func TestReferenceRunnerMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewRefRunner(g, topo, numa.DefaultCostModel, 2)
+	ref, err := NewRefRunner(g, topo, numa.DefaultCostModel)
 	if err != nil {
 		t.Fatal(err)
 	}

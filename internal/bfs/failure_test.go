@@ -46,7 +46,7 @@ func TestRunPropagatesDeviceFailure(t *testing.T) {
 	defer sf.Close()
 	_, bwd := wrapDRAM(t, fg, bg)
 	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, Config{
-		Topology: topo, Mode: ModeTopDownOnly, RealWorkers: 2,
+		Topology: topo, Mode: ModeTopDownOnly,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestRunPropagatesBackwardTailFailure(t *testing.T) {
 	}
 	defer hb.Close()
 	r, err := NewRunner(DRAMForward{G: fg}, HybridBackwardAccess{HB: hb}, part, Config{
-		Topology: topo, Mode: ModeBottomUpOnly, RealWorkers: 2,
+		Topology: topo, Mode: ModeBottomUpOnly,
 	})
 	if err != nil {
 		t.Fatal(err)

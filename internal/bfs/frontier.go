@@ -108,15 +108,15 @@ func (h *Hybrid) queueToReplicas() error {
 // replicasToQueue extracts the frontier from the bitmap replicas into the
 // frontier queue and clears all replicas (bottom-up -> top-down switch).
 func (h *Hybrid) replicasToQueue() error {
-	src := h.FrontBM[0]
-	nw := src.NumWords()
+	src := h.FrontBM[0].Words()
+	nw := len(src)
 	err := h.Parallel(func(w int) error {
 		lo, hi := stripe(nw, h.nWorkers, w)
 		q := h.NextQ[w][:0]
 		var t vtime.Duration
 		for i := lo; i < hi; i++ {
 			t += h.Cfg.Cost.Stream(8)
-			word := src.WordAt(i)
+			word := src[i]
 			base := i * 64
 			for word != 0 {
 				b := bits.TrailingZeros64(word)

@@ -55,7 +55,7 @@ type Kernels struct {
 type Hybrid struct {
 	Team
 
-	FrontBM []*bitmap.Atomic // per-node frontier replicas
+	FrontBM []*bitmap.Bitmap // per-node frontier replicas
 	NextBM  *bitmap.Bitmap
 
 	k Kernels
@@ -68,9 +68,9 @@ func (h *Hybrid) Init(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partitio
 	if err := h.Team.init(k.Name, fwd, bwd, part, cfg); err != nil {
 		return err
 	}
-	h.FrontBM = make([]*bitmap.Atomic, cfg.Topology.Nodes)
+	h.FrontBM = make([]*bitmap.Bitmap, cfg.Topology.Nodes)
 	for node := range h.FrontBM {
-		h.FrontBM[node] = bitmap.NewAtomic(part.N)
+		h.FrontBM[node] = bitmap.New(part.N)
 	}
 	h.NextBM = bitmap.New(part.N)
 	h.k = k

@@ -333,9 +333,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Alpha != 1e4 || c.Beta != 1e5 {
 		t.Fatalf("alpha/beta defaults: %v/%v", c.Alpha, c.Beta)
 	}
-	if c.RealWorkers <= 0 {
-		t.Fatal("workers default")
-	}
 	c = Config{Alpha: 7}.WithDefaults()
 	if c.Beta != 70 {
 		t.Fatalf("beta should default to 10*alpha, got %v", c.Beta)

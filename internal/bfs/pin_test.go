@@ -14,8 +14,7 @@ import (
 
 // The virtual-time pins: every level loop in this package, on one seeded
 // SCALE-8 DRAM graph, must reproduce these exact nanoseconds, level counts
-// and per-level (direction, claimed, time) sequences at any real
-// parallelism. They were recorded before the level loops were merged; a
+// and per-level (direction, claimed, time) sequences. They were recorded before the level loops were merged; a
 // refactor of the loops must leave every constant untouched, and a change
 // that means to move virtual time must say so by editing them.
 
@@ -40,8 +39,8 @@ func levelsPin(total vtime.Duration, levels []LevelStats) pin {
 	return pin{total, len(levels), h.Sum64()}
 }
 
-func pinConfig(mode Mode, workers int) Config {
-	return Config{Topology: pinTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: workers}
+func pinConfig(mode Mode) Config {
+	return Config{Topology: pinTopo, Alpha: 4, Beta: 40, Mode: mode}
 }
 
 // pinRoots returns the pins' single-source root — the first vertex with an
@@ -87,9 +86,9 @@ func TestVirtualTimePins(t *testing.T) {
 	fwd, bwd := wrapDRAM(t, fg, bg)
 	root, roots64 := pinRoots(bwd, int64(part.N))
 
-	runner := func(mode Mode) func(t *testing.T, workers int) pin {
-		return func(t *testing.T, workers int) pin {
-			r, err := NewRunner(fwd, bwd, part, pinConfig(mode, workers))
+	runner := func(mode Mode) func(t *testing.T) pin {
+		return func(t *testing.T) pin {
+			r, err := NewRunner(fwd, bwd, part, pinConfig(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,9 +99,9 @@ func TestVirtualTimePins(t *testing.T) {
 			return levelsPin(res.Time, res.Levels)
 		}
 	}
-	batch := func(roots []int64) func(t *testing.T, workers int) pin {
-		return func(t *testing.T, workers int) pin {
-			r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, workers))
+	batch := func(roots []int64) func(t *testing.T) pin {
+		return func(t *testing.T) pin {
+			r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,8 +112,8 @@ func TestVirtualTimePins(t *testing.T) {
 			return levelsPin(res.Time, res.Levels)
 		}
 	}
-	session := func(t *testing.T, workers int) pin {
-		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, workers))
+	session := func(t *testing.T) pin {
+		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,36 +121,27 @@ func TestVirtualTimePins(t *testing.T) {
 		return levelsPin(s.Now(), levels)
 	}
 
-	// The single-source top-down kernel charges a claim's winner more than
-	// its losers, so once a frontier spans several chunks (top-down-only
-	// here; the hybrid's top-down frontiers stay inside one chunk) its time
-	// depends on who wins with two real workers — ROADMAP item 1. That case
-	// is pinned at one real worker only.
 	cases := []struct {
-		name    string
-		run     func(t *testing.T, workers int) pin
-		workers []int
-		want    pin
+		name string
+		run  func(t *testing.T) pin
+		want pin
 	}{
-		{"runner/hybrid", runner(ModeHybrid), []int{1, 2}, pin{52279, 5, 0x8dbd2674a3c44271}},
-		{"runner/top-down-only", runner(ModeTopDownOnly), []int{1}, pin{94144, 5, 0x3ec98c83276a7f98}},
-		{"runner/bottom-up-only", runner(ModeBottomUpOnly), []int{1, 2}, pin{77205, 5, 0xff760edb3e5e966a}},
-		{"batch/1-lane", batch(roots64[:1]), []int{1, 2}, pin{62410, 5, 0xc1397afc428a8b63}},
-		{"batch/64-lanes", batch(roots64), []int{1, 2}, pin{1187499, 5, 0x1e73d653aadbfde9}},
-		{"session/3-admissions", session, []int{1, 2}, pin{184198, 7, 0x4428a30a870f1f8d}},
+		{"runner/hybrid", runner(ModeHybrid), pin{52279, 5, 0x8dbd2674a3c44271}},
+		{"runner/top-down-only", runner(ModeTopDownOnly), pin{94144, 5, 0x3ec98c83276a7f98}},
+		{"runner/bottom-up-only", runner(ModeBottomUpOnly), pin{77205, 5, 0xff760edb3e5e966a}},
+		{"batch/1-lane", batch(roots64[:1]), pin{62410, 5, 0xc1397afc428a8b63}},
+		{"batch/64-lanes", batch(roots64), pin{1187499, 5, 0x1e73d653aadbfde9}},
+		{"session/3-admissions", session, pin{184198, 7, 0x4428a30a870f1f8d}},
 	}
 	for _, c := range cases {
-		for _, workers := range c.workers {
-			if got := c.run(t, workers); got != c.want {
-				t.Errorf("%s, %d real workers: got %v, pinned %v", c.name, workers, got, c.want)
-			}
+		if got := c.run(t); got != c.want {
+			t.Errorf("%s: got %v, pinned %v", c.name, got, c.want)
 		}
 	}
 }
 
 // The NVM pins: the same engines over a forward graph read through a
-// storage stack, at one real worker (device arbitration follows real
-// arrival order above that — ROADMAP item 1). Every cell offloads its own
+// storage stack. Every cell offloads its own
 // forward graph onto its own device, so cache and channel state never leak
 // between cells. Each pins the run's virtual time, the level count, the
 // per-level (direction, claimed, examined DRAM, examined NVM, time) hash and
@@ -217,7 +207,7 @@ func TestNVMVirtualTimePins(t *testing.T) {
 
 	runner := func(mode Mode) func(t *testing.T, fwd NVMForward) nvmPin {
 		return func(t *testing.T, fwd NVMForward) nvmPin {
-			r, err := NewRunner(fwd, bwd, part, pinConfig(mode, 1))
+			r, err := NewRunner(fwd, bwd, part, pinConfig(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +219,7 @@ func TestNVMVirtualTimePins(t *testing.T) {
 		}
 	}
 	batch := func(t *testing.T, fwd NVMForward) nvmPin {
-		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, 1))
+		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +230,7 @@ func TestNVMVirtualTimePins(t *testing.T) {
 		return nvmPin{examinedPin(res.Time, res.Levels), res.Layers.Get("cache", "prefetches")}
 	}
 	session := func(t *testing.T, fwd NVMForward) nvmPin {
-		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid, 1))
+		r, err := NewBatchRunner(fwd, bwd, part, 64, pinConfig(ModeHybrid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +281,8 @@ func (p rescuePin) String() string {
 // seedSpy reads a top-down rescue's seeded claim count from outside the
 // engine: it wraps the backward access and, on the run's first backward scan,
 // counts the bits the rescue left in the engine's next structure. Alpha 1
-// never turns bottom-up by itself, so that scan opens the re-run, and with one
-// real worker no bottom-up claim has landed yet.
+// never turns bottom-up by itself, so that scan opens the re-run, before any
+// bottom-up claim has landed.
 type seedSpy struct {
 	HybridBackwardAccess
 	count  func() int64
@@ -323,7 +313,7 @@ func TestRescuePins(t *testing.T) {
 	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
 	_, dram := wrapDRAM(t, fg, bg)
 	root, roots64 := pinRoots(dram, int64(part.N))
-	cfg := pinConfig(ModeHybrid, 1)
+	cfg := pinConfig(ModeHybrid)
 	cfg.Alpha, cfg.Beta = 1, 10
 	dying := func(t *testing.T) NVMForward {
 		dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)

@@ -26,9 +26,8 @@ type RefRunner struct {
 	cost numa.CostModel
 
 	nWorkers int
-	realW    int
 	tree     []int64
-	visited  *bitmap.Atomic
+	visited  *bitmap.Bitmap
 	clocks   []*vtime.Clock
 	frontQ   []int64
 	nextQ    [][]int64
@@ -36,12 +35,9 @@ type RefRunner struct {
 }
 
 // NewRefRunner prepares a reference BFS over the plain CSR g.
-func NewRefRunner(g *csr.Graph, topo numa.Topology, cost numa.CostModel, realWorkers int) (*RefRunner, error) {
+func NewRefRunner(g *csr.Graph, topo numa.Topology, cost numa.CostModel) (*RefRunner, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
-	}
-	if realWorkers <= 0 {
-		realWorkers = 1
 	}
 	nw := topo.TotalCores()
 	r := &RefRunner{
@@ -49,9 +45,8 @@ func NewRefRunner(g *csr.Graph, topo numa.Topology, cost numa.CostModel, realWor
 		topo:     topo,
 		cost:     cost,
 		nWorkers: nw,
-		realW:    realWorkers,
 		tree:     make([]int64, g.NumVertices),
-		visited:  bitmap.NewAtomic(int(g.NumVertices)),
+		visited:  bitmap.New(int(g.NumVertices)),
 		clocks:   make([]*vtime.Clock, nw),
 		nextQ:    make([][]int64, nw),
 		barrier:  vtime.NewBarrier(cost.Barrier),
@@ -93,9 +88,8 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 
 	for level := 0; len(r.frontQ) > 0; level++ {
 		numChunks := (len(r.frontQ) + ChunkSize - 1) / ChunkSize
-		claims := make([]int64, r.nWorkers)
-		examined := make([]int64, r.nWorkers)
-		_ = runParallel(r.nWorkers, r.realW, func(w int) error { // the kernel cannot fail
+		var claimed, examined int64
+		for w := range r.nWorkers {
 			clock := r.clocks[w]
 			nq := r.nextQ[w][:0]
 			for c := w; c < numChunks; c += r.nWorkers {
@@ -108,27 +102,21 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 				for _, v := range r.frontQ[lo:hi] {
 					t += r.cost.VertexOverhead + mixed // index fetch
 					nbs := r.g.Neighbors(v)
-					examined[w] += int64(len(nbs))
+					examined += int64(len(nbs))
 					for _, nb := range nbs {
 						t += perEdge
-						if r.visited.Test(int(nb)) {
-							continue
-						}
 						if r.visited.TestAndSet(int(nb)) {
 							t += r.cost.AtomicOp + mixed + r.cost.QueueAppend
 							r.tree[nb] = v
 							nq = append(nq, nb)
-							claims[w]++
-						} else {
-							t += r.cost.AtomicOp
+							claimed++
 						}
 					}
 				}
 				clock.Advance(t)
 			}
 			r.nextQ[w] = nq
-			return nil
-		})
+		}
 		end := r.barrier.Sync(r.clocks)
 
 		ls := LevelStats{
@@ -136,13 +124,9 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 			Direction:      TopDown,
 			Frontier:       int64(len(r.frontQ)),
 			FrontierDegree: -1,
+			ExaminedDRAM:   examined,
+			Claimed:        claimed,
 		}
-		var claimed int64
-		for w := 0; w < r.nWorkers; w++ {
-			claimed += claims[w]
-			ls.ExaminedDRAM += examined[w]
-		}
-		ls.Claimed = claimed
 		if len(res.Levels) > 0 {
 			ls.Start = res.Levels[len(res.Levels)-1].Start + res.Levels[len(res.Levels)-1].Time
 		}

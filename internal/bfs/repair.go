@@ -15,7 +15,7 @@ import (
 // affected region. The repaired tree is bit-identical to what a fresh
 // top-down rebuild over the updated graph produces, because both resolve
 // every vertex's parent to the canonical minimum — in top-down BFS every
-// depth-(d-1) neighbor of v races minParent for v, so the fresh tree's
+// depth-(d-1) neighbor of v competes in minParent for v, so the fresh tree's
 // parent of v is exactly min{u in N(v) : depth(u) = depth(v)-1}.
 
 // EdgeUpdate is one undirected edge mutation applied to the graph a tree

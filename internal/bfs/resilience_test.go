@@ -16,7 +16,7 @@ import (
 // flakyStore fails the first read at every offset inside each period-th
 // 512-byte block with a retryable transient error; the retry (a second
 // attempt at the same offset) succeeds. The failures depend only on what is
-// read, never on the order concurrent workers read it in.
+// read, never on the order workers read it in.
 type flakyStore struct {
 	nvm.Storage
 	attempts sync.Map // offset -> struct{}, once it has been read
@@ -46,7 +46,7 @@ func TestHybridRecoversFromTransientFaults(t *testing.T) {
 	// Alpha 1 keeps the hybrid top-down (the frontier can never exceed
 	// N/1), so the traversal actually streams the flaky NVM store.
 	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, Config{
-		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10, RealWorkers: 2,
+		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestForwardDeviceDeathDegradesToBottomUp(t *testing.T) {
 	// Alpha 1 keeps the alpha/beta rule on top-down, so the run is still
 	// streaming the forward device when it dies mid-traversal.
 	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, Config{
-		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10, RealWorkers: 2,
+		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestBackwardTailDeathDegradesToTopDown(t *testing.T) {
 	defer hb.Close()
 	// Forward graph in DRAM: the degraded top-down direction is available.
 	r, err := NewRunner(DRAMForward{G: fg}, HybridBackwardAccess{HB: hb}, part, Config{
-		Topology: topo, Mode: ModeHybrid, Alpha: 16, Beta: 160, RealWorkers: 2,
+		Topology: topo, Mode: ModeHybrid, Alpha: 16, Beta: 160,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,8 @@ import (
 // use, RunBatch must not be called (and vice versa — RunBatch resets the
 // lanes a session thinks it owns). Sessions are not safe for concurrent use.
 //
-// Determinism contract (inherited from BatchRunner): given the same
-// admit/step/release sequence, virtual time and every lane's parent tree
-// are independent of RealWorkers.
+// Given the same admit/step/release sequence, virtual time and every lane's
+// parent tree are the same on every run.
 type BatchSession struct {
 	r *BatchRunner
 

@@ -185,20 +185,17 @@ func TestSessionGangMatchesRunBatch(t *testing.T) {
 	}
 }
 
-// TestSessionDeterministicAcrossRealWorkers replays one staggered
-// admit/step/release script at different real parallelism and demands
-// bit-identical virtual time and trees.
-func TestSessionDeterministicAcrossRealWorkers(t *testing.T) {
+// TestSessionDeterministic replays one staggered admit/step/release script
+// on two runners and demands bit-identical virtual time and trees.
+func TestSessionDeterministic(t *testing.T) {
 	topo := numa.Topology{Nodes: 4, CoresPerNode: 3}
 	fg, bg, list, part := buildTestGraphs(t, 9, 29, topo)
 	fwd, bwd := wrapDRAM(t, fg, bg)
 	roots := pickRoots(t, bg.Degree, list.NumVertices, 11)
 	var refTime int64
 	var refTrees map[int64][]int64
-	for _, rw := range []int{1, 2, 8} {
-		br, err := NewBatchRunner(fwd, bwd, part, 4, Config{
-			Topology: topo, Alpha: 32, Beta: 320, RealWorkers: rw,
-		})
+	for trial := range 2 {
+		br, err := NewBatchRunner(fwd, bwd, part, 4, Config{Topology: topo, Alpha: 32, Beta: 320})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +229,7 @@ func TestSessionDeterministicAcrossRealWorkers(t *testing.T) {
 			}
 		}
 		if len(trees) != len(roots) {
-			t.Fatalf("RealWorkers=%d: served %d, want %d", rw, len(trees), len(roots))
+			t.Fatalf("run %d: served %d, want %d", trial, len(trees), len(roots))
 		}
 		if refTrees == nil {
 			refTime = int64(s.Now())
@@ -240,13 +237,13 @@ func TestSessionDeterministicAcrossRealWorkers(t *testing.T) {
 			continue
 		}
 		if int64(s.Now()) != refTime {
-			t.Fatalf("RealWorkers=%d: virtual time %d, want %d", rw, s.Now(), refTime)
+			t.Fatalf("run %d: virtual time %d, want %d", trial, s.Now(), refTime)
 		}
 		for root, tree := range trees {
 			for v, p := range tree {
 				if refTrees[root][v] != p {
-					t.Fatalf("RealWorkers=%d root %d vertex %d: parent %d, want %d",
-						rw, root, v, p, refTrees[root][v])
+					t.Fatalf("run %d root %d vertex %d: parent %d, want %d",
+						trial, root, v, p, refTrees[root][v])
 				}
 			}
 		}
@@ -317,7 +314,7 @@ func TestSessionForwardDeathDegradesLiveCohort(t *testing.T) {
 	_, bwd := wrapDRAM(t, fg, bg)
 	roots := pickRoots(t, bg.Degree, list.NumVertices, 6)
 	br, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, 4, Config{
-		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10, RealWorkers: 2,
+		Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +406,7 @@ func TestSessionUnrescuableDeathCleansUpViaRelease(t *testing.T) {
 	defer hb.Close()
 	roots := pickRoots(t, bg.Degree, list.NumVertices, 4)
 	br, err := NewBatchRunner(NVMForward{SF: sf}, HybridBackwardAccess{HB: hb}, part, 2, Config{
-		Topology: topo, Mode: ModeTopDownOnly, RealWorkers: 2,
+		Topology: topo, Mode: ModeTopDownOnly,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"fmt"
-	"sync"
 
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
@@ -15,7 +14,6 @@ type WorkerAcc struct {
 	ExaminedNVM  int64
 	Claimed      int64
 	FrontierDeg  int64
-	_            [4]int64 // avoid false sharing between workers
 }
 
 // Expand is the per-adjacency body of a top-down level: the one place the
@@ -137,47 +135,13 @@ func (t *Team) queueBytes() int64 {
 	return b
 }
 
-// Parallel runs fn(w) for every simulated worker w, multiplexed over the
-// configured number of real goroutines. Errors are collected; the first
-// non-nil one is returned.
+// Parallel runs fn(w) for every simulated worker w in order, on the
+// caller's goroutine: worker w runs its statically assigned work to
+// completion before w+1 starts, which makes every virtual clock a pure
+// function of the input. It stops at the first error.
 func (t *Team) Parallel(fn func(w int) error) error {
-	return runParallel(t.nWorkers, t.Cfg.RealWorkers, fn)
-}
-
-// runParallel multiplexes nWorkers simulated workers over at most
-// realWorkers goroutines, assigning worker w to goroutine w % real so the
-// simulated-worker -> work mapping (and thus every virtual clock) is
-// independent of the real parallelism. Shared by Team and RefRunner.
-func runParallel(nWorkers, realWorkers int, fn func(w int) error) error {
-	// Assigned once: a variable reassigned anywhere is captured by the
-	// goroutines below by reference, which heap-allocates it on every call,
-	// the sequential ones included.
-	real := min(realWorkers, nWorkers)
-	if real <= 1 {
-		for w := 0; w < nWorkers; w++ {
-			if err := fn(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, real)
-	var wg sync.WaitGroup
-	for g := 0; g < real; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for w := g; w < nWorkers; w += real {
-				if err := fn(w); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for w := range t.nWorkers {
+		if err := fn(w); err != nil {
 			return err
 		}
 	}

@@ -1,18 +1,11 @@
 // Package bitmap provides dense bit sets used as BFS status data: the
 // visited map and the frontier/next bitmaps of the bottom-up direction.
 //
-// Two variants are provided. Bitmap is a plain single-owner bit set with no
-// synchronization, used where each simulated worker owns a disjoint vertex
-// range (the NETAL NUMA partitioning guarantees exactly that for writes).
-// Atomic is a concurrently-writable bit set whose Set/TestAndSet use
-// atomic operations, used for the top-down direction where several workers
-// may race to claim the same neighbor.
+// The sets carry no synchronization: a run's simulated workers execute one
+// after another on one goroutine, so every update is a plain load and store.
 package bitmap
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 const wordBits = 64
 
@@ -40,6 +33,18 @@ func (b *Bitmap) Clear(i int) { b.words[i/wordBits] &^= 1 << uint(i%wordBits) }
 // Test reports whether bit i is set.
 func (b *Bitmap) Test(i int) bool {
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
+}
+
+// TestAndSet sets bit i and reports whether this call changed it (true
+// means the bit was clear and the caller claimed it).
+func (b *Bitmap) TestAndSet(i int) bool {
+	w := &b.words[i/wordBits]
+	mask := uint64(1) << uint(i%wordBits)
+	if *w&mask != 0 {
+		return false
+	}
+	*w |= mask
+	return true
 }
 
 // Reset clears every bit.
@@ -113,90 +118,3 @@ func (b *Bitmap) CopyFrom(src *Bitmap) {
 // Words exposes the raw backing words. Callers must not resize the slice.
 // It exists so that the bottom-up kernel can scan 64 vertices per load.
 func (b *Bitmap) Words() []uint64 { return b.words }
-
-// Atomic is a bit set safe for concurrent Set/TestAndSet/Test.
-type Atomic struct {
-	words []uint64
-	n     int
-}
-
-// NewAtomic returns an Atomic bitmap able to hold n bits, all clear.
-func NewAtomic(n int) *Atomic {
-	return &Atomic{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
-}
-
-// Len returns the number of bits the set can hold.
-func (b *Atomic) Len() int { return b.n }
-
-// Set atomically sets bit i.
-func (b *Atomic) Set(i int) {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 || atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
-}
-
-// TestAndSet atomically sets bit i and reports whether this call changed it
-// (true means the bit was previously clear and the caller "won").
-func (b *Atomic) TestAndSet(i int) bool {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
-	}
-}
-
-// Clear atomically clears bit i.
-func (b *Atomic) Clear(i int) {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask == 0 || atomic.CompareAndSwapUint64(w, old, old&^mask) {
-			return
-		}
-	}
-}
-
-// Test reports whether bit i is set. The read is atomic.
-func (b *Atomic) Test(i int) bool {
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<uint(i%wordBits)) != 0
-}
-
-// Reset clears every bit. Not safe to call concurrently with writers.
-func (b *Atomic) Reset() {
-	for i := range b.words {
-		atomic.StoreUint64(&b.words[i], 0)
-	}
-}
-
-// WordAt returns the i-th 64-bit word of the set via an atomic load.
-func (b *Atomic) WordAt(i int) uint64 { return atomic.LoadUint64(&b.words[i]) }
-
-// NumWords returns the number of backing words.
-func (b *Atomic) NumWords() int { return len(b.words) }
-
-// Words exposes the raw backing words for phase-boundary bulk operations
-// (copying a completed level's bitmap into the per-node replicas). It must
-// not be used while concurrent writers are active.
-func (b *Atomic) Words() []uint64 { return b.words }
-
-// Count returns the number of set bits (a consistent snapshot only when no
-// concurrent writers are active).
-func (b *Atomic) Count() int {
-	c := 0
-	for i := range b.words {
-		c += bits.OnesCount64(atomic.LoadUint64(&b.words[i]))
-	}
-	return c
-}

@@ -1,7 +1,6 @@
 package bitmap
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -131,118 +130,25 @@ func TestQuickBitmapMatchesMap(t *testing.T) {
 	}
 }
 
-func TestAtomicSetTest(t *testing.T) {
-	b := NewAtomic(130)
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	for i := 0; i < 130; i++ {
-		want := i == 0 || i == 64 || i == 129
-		if b.Test(i) != want {
-			t.Fatalf("bit %d = %v", i, b.Test(i))
-		}
-	}
-	if b.Count() != 3 {
-		t.Fatalf("Count = %d", b.Count())
-	}
-}
-
-func TestAtomicTestAndSet(t *testing.T) {
-	b := NewAtomic(64)
+func TestTestAndSet(t *testing.T) {
+	b := New(130)
 	if !b.TestAndSet(10) {
 		t.Fatal("first TestAndSet lost")
 	}
 	if b.TestAndSet(10) {
 		t.Fatal("second TestAndSet won")
 	}
-}
-
-func TestAtomicConcurrentClaims(t *testing.T) {
-	// Many goroutines race to claim every bit; each bit must be won by
-	// exactly one claimant.
-	const n = 1 << 14
-	const workers = 8
-	b := NewAtomic(n)
-	wins := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if b.TestAndSet(i) {
-					wins[w] = append(wins[w], i)
-				}
-			}
-		}(w)
+	if !b.TestAndSet(129) || !b.Test(129) || b.Test(128) {
+		t.Fatal("TestAndSet in the last word")
 	}
-	wg.Wait()
-	total := 0
-	seen := make([]bool, n)
-	for _, ws := range wins {
-		for _, i := range ws {
-			if seen[i] {
-				t.Fatalf("bit %d claimed twice", i)
-			}
-			seen[i] = true
-			total++
-		}
-	}
-	if total != n {
-		t.Fatalf("claimed %d bits, want %d", total, n)
-	}
-	if b.Count() != n {
-		t.Fatalf("Count = %d, want %d", b.Count(), n)
-	}
-}
-
-func TestAtomicConcurrentSetSameWord(t *testing.T) {
-	// Concurrent sets within one 64-bit word must not lose updates.
-	b := NewAtomic(64)
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b.Set(i)
-		}(i)
-	}
-	wg.Wait()
-	if b.Count() != 64 {
-		t.Fatalf("lost updates: Count = %d", b.Count())
-	}
-}
-
-func TestAtomicWords(t *testing.T) {
-	b := NewAtomic(128)
-	b.Set(1)
-	b.Set(64)
-	if b.NumWords() != 2 {
-		t.Fatalf("NumWords = %d", b.NumWords())
-	}
-	if b.WordAt(0) != 2 {
-		t.Fatalf("WordAt(0) = %x", b.WordAt(0))
-	}
-	if b.WordAt(1) != 1 {
-		t.Fatalf("WordAt(1) = %x", b.WordAt(1))
-	}
-	w := b.Words()
-	w[0] = 0xFF
-	if b.Count() != 9 {
-		t.Fatalf("raw word write not visible: Count = %d", b.Count())
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("Reset left bits")
+	if b.Count() != 2 {
+		t.Fatalf("Count = %d, want 2", b.Count())
 	}
 }
 
 func TestLen(t *testing.T) {
 	if New(100).Len() != 100 {
 		t.Fatal("Bitmap.Len")
-	}
-	if NewAtomic(100).Len() != 100 {
-		t.Fatal("Atomic.Len")
 	}
 }
 
@@ -253,8 +159,8 @@ func BenchmarkBitmapSet(b *testing.B) {
 	}
 }
 
-func BenchmarkAtomicTestAndSet(b *testing.B) {
-	bm := NewAtomic(1 << 20)
+func BenchmarkBitmapTestAndSet(b *testing.B) {
+	bm := New(1 << 20)
 	for i := 0; i < b.N; i++ {
 		bm.TestAndSet(i & (1<<20 - 1))
 	}

@@ -3,17 +3,10 @@
 // v in this set". With B <= 64 concurrent searches a single word-level
 // AND/OR advances all of them at once, which is what lets one backward-graph
 // sweep (or one pass of NVM forward reads) serve a whole batch.
-//
-// Two variants mirror Bitmap/Atomic: Lanes is single-owner (each simulated
-// worker writes a disjoint vertex range), AtomicLanes supports concurrent
-// OR-claims from racing top-down workers.
 
 package bitmap
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // MaxLanes is the widest batch a lane word can hold.
 const MaxLanes = 64
@@ -83,48 +76,3 @@ func (l *Lanes) CountRange(lo, hi int) int64 {
 // Words exposes the backing words (one per vertex) for bulk phase-boundary
 // operations. Callers must not resize the slice.
 func (l *Lanes) Words() []uint64 { return l.words }
-
-// AtomicLanes is a lane set safe for concurrent Or claims.
-type AtomicLanes struct {
-	words []uint64
-}
-
-// NewAtomicLanes returns an atomic lane set for n vertices, all clear.
-func NewAtomicLanes(n int) *AtomicLanes {
-	return &AtomicLanes{words: make([]uint64, n)}
-}
-
-// Len returns the number of vertices.
-func (l *AtomicLanes) Len() int { return len(l.words) }
-
-// Or atomically ORs mask into vertex v's word and returns the bits this
-// call newly set (the lanes whose claim the caller "won"). The return value
-// depends on interleaving, but the final word does not — OR is commutative —
-// which is what keeps batched top-down deterministic at the level boundary.
-func (l *AtomicLanes) Or(v int, mask uint64) uint64 {
-	w := &l.words[v]
-	for {
-		old := atomic.LoadUint64(w)
-		add := mask &^ old
-		if add == 0 {
-			return 0
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return add
-		}
-	}
-}
-
-// Word returns vertex v's lane word via an atomic load.
-func (l *AtomicLanes) Word(v int) uint64 { return atomic.LoadUint64(&l.words[v]) }
-
-// ResetRange clears vertices [lo, hi). Not safe alongside writers.
-func (l *AtomicLanes) ResetRange(lo, hi int) {
-	for v := lo; v < hi; v++ {
-		atomic.StoreUint64(&l.words[v], 0)
-	}
-}
-
-// Words exposes the backing words for phase-boundary bulk operations. It
-// must not be used while concurrent writers are active.
-func (l *AtomicLanes) Words() []uint64 { return l.words }

@@ -44,8 +44,8 @@ func TestLanesBasics(t *testing.T) {
 	}
 }
 
-func TestAtomicLanesOrReturnsNewBits(t *testing.T) {
-	l := NewAtomicLanes(4)
+func TestLanesOrReturnsNewBits(t *testing.T) {
+	l := NewLanes(4)
 	if add := l.Or(2, 0b1010); add != 0b1010 {
 		t.Fatalf("first Or = %#x", add)
 	}
@@ -60,10 +60,9 @@ func TestAtomicLanesOrReturnsNewBits(t *testing.T) {
 	}
 }
 
-// FuzzLaneOps drives a Lanes and an AtomicLanes with a fuzz-chosen sequence
-// of set/or/and-not operations and cross-checks every step against a naive
-// per-bit model (a [][]bool matrix). The two real variants must agree with
-// the model and with each other.
+// FuzzLaneOps drives a Lanes with a fuzz-chosen sequence of set/or/and-not
+// operations and cross-checks every step against a naive per-bit model (a
+// [][]bool matrix).
 func FuzzLaneOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(4), uint8(7))
 	f.Add([]byte{9, 9, 9}, uint8(1), uint8(64))
@@ -73,7 +72,6 @@ func FuzzLaneOps(f *testing.F) {
 		b := int(lanes)%MaxLanes + 1
 		mask := LaneMask(b)
 		plain := NewLanes(n)
-		at := NewAtomicLanes(n)
 		model := make([][]bool, n)
 		for i := range model {
 			model[i] = make([]bool, MaxLanes)
@@ -95,15 +93,11 @@ func FuzzLaneOps(f *testing.F) {
 			case 0: // single-lane set
 				lane := int(ops[i+2]) % b
 				plain.Set(v, lane)
-				at.Or(v, 1<<uint(lane))
 				model[v][lane] = true
 			case 1: // word OR, checking the newly-set return
 				wantAdd := arg &^ modelWord(v)
 				if add := plain.Or(v, arg); add != wantAdd {
 					t.Fatalf("Lanes.Or(%d,%#x) new = %#x, want %#x", v, arg, add, wantAdd)
-				}
-				if add := at.Or(v, arg); add != wantAdd {
-					t.Fatalf("AtomicLanes.Or(%d,%#x) new = %#x, want %#x", v, arg, add, wantAdd)
 				}
 				for l := 0; l < MaxLanes; l++ {
 					if arg&(1<<uint(l)) != 0 {
@@ -119,9 +113,6 @@ func FuzzLaneOps(f *testing.F) {
 			// Round-trip invariants after every mutation.
 			if plain.Word(v) != modelWord(v) {
 				t.Fatalf("Lanes word %d = %#x, model %#x", v, plain.Word(v), modelWord(v))
-			}
-			if at.Word(v) != modelWord(v) {
-				t.Fatalf("AtomicLanes word %d = %#x, model %#x", v, at.Word(v), modelWord(v))
 			}
 		}
 		var wantCount int64

@@ -120,8 +120,8 @@ type Config struct {
 	// one node, composing node failure with the mirror failover path.
 	Faults       faults.Config
 	FaultMachine int
-	// RealWorkers > 1 executes per-machine work on that many OS
-	// goroutines. Results are independent of worker count.
+	// RealWorkers is ignored: machines execute in order on the caller's
+	// goroutine.
 	RealWorkers int
 	// WrapBase, when non-nil, wraps every media store as it is created
 	// (innermost, below fault injection). Test hook for close tracking.
@@ -153,9 +153,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ForwardOnNVM && c.Device.Name == "" {
 		c.Device = nvm.ProfileIoDrive2
-	}
-	if c.RealWorkers < 1 {
-		c.RealWorkers = 1
 	}
 	return c
 }

@@ -1,12 +1,5 @@
 package cluster
 
-import (
-	"math/bits"
-	"sync"
-
-	"semibfs/internal/bitmap"
-)
-
 // CommStats splits interconnect traffic by phase and encoding, so the
 // 2D-vs-1D communication-volume claim is directly measurable: the
 // bottom-up allgather bucket is the one that grows with P on a 1D layout
@@ -48,80 +41,15 @@ func (s CommStats) sub(o CommStats) CommStats {
 	}
 }
 
-// runJobs executes fn(0..jobs-1) on up to workers goroutines. Every job
-// must touch only its own machine state (clocks, outboxes, disjoint
-// vertex ranges), which is what keeps the result independent of worker
-// count and interleaving.
-func runJobs(workers, jobs int, fn func(job int)) {
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers <= 1 {
-		for j := 0; j < jobs; j++ {
-			fn(j)
-		}
-		return
-	}
-	var next sync.Mutex
-	cursor := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				j := cursor
-				cursor++
-				next.Unlock()
-				if j >= jobs {
-					return
-				}
-				fn(j)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runJobsErr is runJobs with per-job errors; the lowest-indexed failure
-// wins, keeping error selection deterministic under concurrency.
-func runJobsErr(workers, jobs int, fn func(job int) error) error {
-	errs := make([]error, jobs)
-	runJobs(workers, jobs, func(j int) { errs[j] = fn(j) })
-	for _, err := range errs {
-		if err != nil {
-			return err
+// runJobsErr runs fn(0..jobs-1) in order and returns the lowest-indexed
+// error. Every job runs even after one fails: stopping early would leave the
+// later machines' clocks short of where the level's work put them.
+func runJobsErr(jobs int, fn func(job int) error) error {
+	var first error
+	for j := range jobs {
+		if err := fn(j); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
-}
-
-// forEachSetAtomic calls fn for every set bit of b in [lo, hi),
-// ascending, using atomic word loads.
-func forEachSetAtomic(b *bitmap.Atomic, lo, hi int, fn func(i int)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.Len() {
-		hi = b.Len()
-	}
-	for wi := lo / 64; wi*64 < hi; wi++ {
-		w := b.WordAt(wi)
-		if w == 0 {
-			continue
-		}
-		base := wi * 64
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if i < lo {
-				continue
-			}
-			if i >= hi {
-				return
-			}
-			fn(i)
-		}
-	}
+	return first
 }

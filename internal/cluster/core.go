@@ -161,11 +161,10 @@ type core struct {
 	rollback func()
 
 	// BFS status data (each machine writes only what it owns, so single
-	// arrays stand in for per-machine copies). visited and next are atomic
-	// because owner ranges straddle words.
+	// arrays stand in for per-machine copies).
 	tree     []int64
-	visited  *bitmap.Atomic
-	next     *bitmap.Atomic
+	visited  *bitmap.Bitmap
+	next     *bitmap.Bitmap
 	frontier *bitmap.Bitmap
 	// queues[j] is the top-down frontier queue of the machines in column j
 	// of every exchange group.
@@ -183,8 +182,8 @@ func (c *core) init(cfg Config, n int64, cols int, ownStart []int64, lay layout)
 	*c = core{
 		cfg: cfg, n: n, cols: cols, ownStart: ownStart, lay: lay,
 		tree:     make([]int64, n),
-		visited:  bitmap.NewAtomic(int(n)),
-		next:     bitmap.NewAtomic(int(n)),
+		visited:  bitmap.New(int(n)),
+		next:     bitmap.New(int(n)),
 		frontier: bitmap.New(int(n)),
 		queues:   make([][]int64, cols),
 	}
@@ -469,14 +468,14 @@ func sortDedupPairs(ps []pair) []pair {
 // frontier queue into per-peer candidate outboxes, ships the remote boxes
 // wire-encoded across the exchange group, and lets each owner arbitrate
 // its children by minimum parent — the same claim rule as the single-node
-// engine's min-parent CAS, which keeps the parent tree bit-identical
+// engine's MinParent, which keeps the parent tree bit-identical
 // across worker counts and topologies.
 func (c *core) topDownLevel() (claimed, examined int64, err error) {
 	cm := &c.cfg.Cost
 	p := len(c.machines)
-	// Phase 1: expansion (parallel; each job touches only machine k's
-	// state, reading visited bits frozen since the previous level).
-	err = runJobsErr(c.cfg.RealWorkers, p, func(k int) error {
+	// Phase 1: expansion (each job touches only machine k's state, reading
+	// visited bits frozen since the previous level).
+	err = runJobsErr(p, func(k int) error {
 		m := c.machines[k]
 		m.examined, m.claimed = 0, 0
 		m.resetBoxes()
@@ -532,10 +531,9 @@ func (c *core) topDownLevel() (claimed, examined int64, err error) {
 			dst.inbox = dec
 		}
 	}
-	// Phase 3: arbitration (parallel; every child has exactly one owner,
-	// so tree writes never race, and next-bitmap word sharing is atomic).
-	runJobs(c.cfg.RealWorkers, p, func(k int) {
-		m := c.machines[k]
+	// Phase 3: arbitration (every child has exactly one owner, which
+	// writes its tree entry).
+	for k, m := range c.machines {
 		if recv[k] > m.clock.Now() {
 			m.clock.AdvanceTo(recv[k])
 		}
@@ -561,7 +559,7 @@ func (c *core) topDownLevel() (claimed, examined int64, err error) {
 			claim(pr)
 		}
 		c.charge(m, t)
-	})
+	}
 	claimed, examined = c.tally()
 	return claimed, examined, nil
 }

@@ -120,7 +120,7 @@ func (g *Grid) distributeFrontier(dir bfs.Direction) error {
 func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 	cm := &g.cfg.Cost
 	rowComm := make([]int64, g.rows)
-	err = runJobsErr(g.cfg.RealWorkers, g.rows, func(i int) error {
+	err = runJobsErr(g.rows, func(i int) error {
 		for j := 0; j < g.cols; j++ {
 			m := g.at(i, j)
 			m.examined, m.claimed = 0, 0

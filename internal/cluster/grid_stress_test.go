@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -34,13 +33,11 @@ func (s *stressStore) Close() error {
 }
 
 // TestGridStressFailoverAndNodeDeath drives a compressed, mirrored,
-// checksummed grid with 4 real workers per level through two failures at
-// once — machine 0's primary replica dies early (mirror failover rescues
-// it silently) and every store of machine 2 dies mid-level (unrescuable,
-// so the grid degrades) — and asserts the tree still matches the
-// DRAM-resident grid and every media store is closed exactly once. Run
-// under -race this doubles as the concurrency check on the per-machine
-// worker pool.
+// checksummed grid through two failures at once — machine 0's primary
+// replica dies early (mirror failover rescues it silently) and every store
+// of machine 2 dies mid-level (unrescuable, so the grid degrades) — and
+// asserts the tree still matches the DRAM-resident grid and every media
+// store is closed exactly once.
 func TestGridStressFailoverAndNodeDeath(t *testing.T) {
 	list := testList(t, 9, 41)
 	src := edgelist.ListSource{List: list}
@@ -55,12 +52,11 @@ func TestGridStressFailoverAndNodeDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
 	var created []*stressStore
 	g, err := BuildGrid(src, Config{
 		Machines: 4, Alpha: 4, Beta: 40,
 		ForwardOnNVM: true, Compress: true, Checksums: true,
-		Replicas: 2, RealWorkers: 4,
+		Replicas: 2,
 		// Machine 0: primary replica dies after a handful of reads; the
 		// second replica takes over below the error surface.
 		Faults:       faults.Config{Seed: 5, DieAfterReads: 5, DieReplica: 1},
@@ -70,9 +66,7 @@ func TestGridStressFailoverAndNodeDeath(t *testing.T) {
 			if machine == 2 {
 				st.dieAfter = 50 // both replicas: node death, not replica death
 			}
-			mu.Lock()
 			created = append(created, st)
-			mu.Unlock()
 			return st
 		},
 	})

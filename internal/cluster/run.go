@@ -34,8 +34,8 @@ func (c *Cluster) level(dir bfs.Direction) (claimed, examined int64, err error) 
 // neighbor of its degree-sorted list, the single-node rule.
 func (c *Cluster) bottomUpLevel() (claimed, examined int64) {
 	cm := &c.cfg.Cost
-	runJobs(c.cfg.RealWorkers, len(c.machines), func(k int) {
-		m := c.machines[k]
+	visW := c.visited.Words()
+	for k, m := range c.machines {
 		lo, hi := c.ownStart[k], c.ownStart[k+1]
 		m.examined, m.claimed = 0, 0
 		var t vtime.Duration
@@ -46,7 +46,7 @@ func (c *Cluster) bottomUpLevel() (claimed, examined int64) {
 		wordHi := (int(hi) + 63) / 64
 		for wi := wordLo; wi < wordHi; wi++ {
 			t += cm.Stream(8)
-			unvisited := ^c.visited.WordAt(wi)
+			unvisited := ^visW[wi]
 			base := int64(wi * 64)
 			if base+64 > c.n {
 				unvisited &= (1 << uint(c.n-base)) - 1
@@ -86,7 +86,7 @@ func (c *Cluster) bottomUpLevel() (claimed, examined int64) {
 			}
 		}
 		c.charge(m, t)
-	})
+	}
 	return c.tally()
 }
 
@@ -122,7 +122,7 @@ func (c *Cluster) promote(dir bfs.Direction) error {
 		// Each machine marks its claims visited and extracts its owned
 		// range of the next bitmap into its frontier queue.
 		c.extractQueues(func(lo, hi int, fn func(i int)) {
-			forEachSetAtomic(c.next, lo, hi, func(i int) {
+			c.next.ForEachSet(lo, hi, func(i int) {
 				c.visited.Set(i)
 				fn(i)
 			})

@@ -28,11 +28,8 @@ func buildAlgoSystem(t *testing.T, sc Scenario) (*System, *edgelist.List) {
 	return sys, list
 }
 
-func algoConfig(workers int) vp.Config {
-	return vp.Config{Config: bfs.Config{
-		Topology: numa.Topology{Nodes: 2, CoresPerNode: 2},
-		Alpha:    4, Beta: 40, RealWorkers: workers,
-	}}
+func algoConfig() vp.Config {
+	return vp.Config{Config: bfs.Config{Topology: numa.Topology{Nodes: 2, CoresPerNode: 2}, Alpha: 4, Beta: 40}}
 }
 
 // unionFindMinLabels is the label oracle: each vertex's component minimum
@@ -92,7 +89,7 @@ func TestComponentsThroughFullStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := sys.NewEngine(prog, algoConfig(4))
+		eng, err := sys.NewEngine(prog, algoConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +120,7 @@ func TestPageRankMirrorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sys.NewEngine(prog, algoConfig(4))
+	eng, err := sys.NewEngine(prog, algoConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func TestPageRankMirrorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feng, err := fsys.NewEngine(fprog, algoConfig(4))
+	feng, err := fsys.NewEngine(fprog, algoConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

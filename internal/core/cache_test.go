@@ -16,10 +16,9 @@ import (
 func TestCacheTreeIdentity(t *testing.T) {
 	src := testSource(t, 9)
 	topo := numa.Topology{Nodes: 4, CoresPerNode: 2}
-	// RealWorkers=1 makes traversal order fully deterministic, so tree
-	// equality is exact, not just validity. Alpha=2 keeps the traversal
+	// Tree equality is exact, not just validity. Alpha=2 keeps the traversal
 	// top-down for several levels, so the forward cache sees real reuse.
-	cfg := bfs.Config{Topology: topo, Alpha: 2, Beta: 20, RealWorkers: 1}
+	cfg := bfs.Config{Topology: topo, Alpha: 2, Beta: 20}
 
 	scenarios := []struct {
 		name string
@@ -91,7 +90,7 @@ func TestCacheTreeIdentity(t *testing.T) {
 func TestCacheDeterminism(t *testing.T) {
 	src := testSource(t, 9)
 	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
-	cfg := bfs.Config{Topology: topo, Alpha: 100, Beta: 1000, RealWorkers: 1}
+	cfg := bfs.Config{Topology: topo, Alpha: 100, Beta: 1000}
 	sc := ScenarioSSD.WithCache(1<<20, 4)
 
 	run := func() (*bfs.Result, error) {

@@ -49,7 +49,7 @@ func TestMirrorSurvivesOneDeadReplica(t *testing.T) {
 		t.Fatalf("built %d devices, want 2", len(sys.Devices))
 	}
 	r, err := sys.NewRunner(bfs.Config{
-		Topology: mirrorTopo, Alpha: 4, Beta: 40, RealWorkers: 1,
+		Topology: mirrorTopo, Alpha: 4, Beta: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestMirrorAllReplicasDeadDegrades(t *testing.T) {
 	sys := buildMirrored(t, list, 2, 0,
 		faults.Config{Seed: 7, DieAfterReads: 3}, false)
 	r, err := sys.NewRunner(bfs.Config{
-		Topology: mirrorTopo, Alpha: 4, Beta: 40, RealWorkers: 1,
+		Topology: mirrorTopo, Alpha: 4, Beta: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDegradedModeOnDisconnectedGraph(t *testing.T) {
 	sys := buildMirrored(t, list, 1, 0,
 		faults.Config{Seed: 3, DieAfterReads: 2}, false)
 	r, err := sys.NewRunner(bfs.Config{
-		Topology: mirrorTopo, Alpha: 1, Beta: 1000, RealWorkers: 1,
+		Topology: mirrorTopo, Alpha: 1, Beta: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestMirrorScrubRepairsDeterministically(t *testing.T) {
 		sys := buildMirrored(t, list, 2, 50000,
 			faults.Config{Seed: 11, CorruptRate: 0.01}, true)
 		r, err := sys.NewRunner(bfs.Config{
-			Topology: mirrorTopo, Alpha: 4, Beta: 40, RealWorkers: 1,
+			Topology: mirrorTopo, Alpha: 4, Beta: 40,
 		})
 		if err != nil {
 			t.Fatal(err)

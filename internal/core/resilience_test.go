@@ -12,9 +12,7 @@ import (
 )
 
 // runFaulted builds a fresh faulted system and runs BFS from the given
-// roots with a single real worker (fault decisions are schedule-independent
-// by construction, but bit-identical virtual times additionally require a
-// deterministic claim order).
+// roots.
 func runFaulted(t *testing.T, cfg faults.Config, checksums bool, roots []int64) []*bfs.Result {
 	t.Helper()
 	list, err := generator.Generate(generator.Config{Scale: 10, EdgeFactor: 8, Seed: 99})
@@ -31,7 +29,7 @@ func runFaulted(t *testing.T, cfg faults.Config, checksums bool, roots []int64) 
 	}
 	defer sys.Close()
 	r, err := sys.NewRunner(bfs.Config{
-		Topology: topo, Alpha: 4, Beta: 40, RealWorkers: 1,
+		Topology: topo, Alpha: 4, Beta: 40,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"semibfs/internal/bfs"
@@ -13,14 +12,13 @@ import (
 )
 
 // treesFor builds a system under sc and returns the parent tree of each
-// root, computed with the given number of real workers. The top-down
-// kernel resolves claim races with an atomic minimum, so the trees must
-// not depend on the worker count.
+// root. The top-down kernel keeps the minimum parent offered, so the trees
+// do not depend on the order workers claim in.
 //
 // Every permutation also runs the vp BFS program over the same system and
 // requires its parent tree to be bit-identical to bfs.Runner's — the
 // vertex-program framework's correctness anchor.
-func treesFor(t *testing.T, sc Scenario, roots []int64, workers int) [][]int64 {
+func treesFor(t *testing.T, sc Scenario, roots []int64) [][]int64 {
 	t.Helper()
 	list, err := generator.Generate(generator.Config{Scale: 10, EdgeFactor: 8, Seed: 7})
 	if err != nil {
@@ -32,7 +30,7 @@ func treesFor(t *testing.T, sc Scenario, roots []int64, workers int) [][]int64 {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cfg := bfs.Config{Topology: topo, Alpha: 4, Beta: 40, RealWorkers: workers}
+	cfg := bfs.Config{Topology: topo, Alpha: 4, Beta: 40}
 	r, err := sys.NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +52,8 @@ func treesFor(t *testing.T, sc Scenario, roots []int64, workers int) [][]int64 {
 		}
 		for v, p := range prog.Tree() {
 			if p != tree[v] {
-				t.Fatalf("scenario %s root %d workers %d: vp tree[%d] = %d, runner has %d",
-					sc.Name, root, workers, v, p, tree[v])
+				t.Fatalf("scenario %s root %d: vp tree[%d] = %d, runner has %d",
+					sc.Name, root, v, p, tree[v])
 			}
 		}
 		trees = append(trees, tree)
@@ -105,9 +103,9 @@ func TestStackLayersDoNotChangeParentTrees(t *testing.T) {
 		CorruptRate:   0.01,
 	}
 
-	want := treesFor(t, ScenarioDRAMOnly, roots, 1)
+	want := treesFor(t, ScenarioDRAMOnly, roots)
 	for _, sc := range []Scenario{ScenarioPCIeFlash, full, faulted} {
-		got := treesFor(t, sc, roots, 1)
+		got := treesFor(t, sc, roots)
 		diffTrees(t, sc.Name, roots, got, want)
 	}
 }
@@ -122,7 +120,7 @@ func TestStackLayersDoNotChangeParentTrees(t *testing.T) {
 // claim rule makes the tree independent of claim timing.
 func TestCompressedAsyncParentTreeEquivalence(t *testing.T) {
 	roots := []int64{2, 77, 500}
-	want := treesFor(t, ScenarioDRAMOnly, roots, 1)
+	want := treesFor(t, ScenarioDRAMOnly, roots)
 
 	for _, compress := range []bool{false, true} {
 		for _, qd := range []int{0, 8} {
@@ -140,10 +138,7 @@ func TestCompressedAsyncParentTreeEquivalence(t *testing.T) {
 			if qd > 0 {
 				sc.Name += "+async"
 			}
-			for _, workers := range []int{1, 2, 8} {
-				got := treesFor(t, sc, roots, workers)
-				diffTrees(t, fmt.Sprintf("%s/workers=%d", sc.Name, workers), roots, got, want)
-			}
+			diffTrees(t, sc.Name, roots, treesFor(t, sc, roots), want)
 		}
 	}
 }

@@ -57,7 +57,7 @@ func clusterTrees(t *testing.T, grid bool, cfg cluster.Config, roots []int64) []
 // matrix: the same graph traversed from the same roots must yield
 // bit-identical parent trees whether it runs on a single node (DRAM or
 // the full storage stack), a 1D cluster, or a 2D grid — raw or
-// compressed adjacency, any worker count, healthy or with one node's
+// compressed adjacency, healthy or with one node's
 // replica dying mid-run. All four engines share the alpha/beta switch
 // rule on the global frontier count, the min-parent top-down claim, and
 // the hubs-first bottom-up scan order, so the tree is a pure function
@@ -65,7 +65,7 @@ func clusterTrees(t *testing.T, grid bool, cfg cluster.Config, roots []int64) []
 // from the stack-equivalence harness.
 func TestCrossTopologyTreeEquivalence(t *testing.T) {
 	roots := []int64{2, 77, 500}
-	want := treesFor(t, ScenarioDRAMOnly, roots, 1)
+	want := treesFor(t, ScenarioDRAMOnly, roots)
 
 	// Single node behind the full stack — checksums, mirroring, page
 	// cache, async pipeline — raw and compressed.
@@ -76,41 +76,34 @@ func TestCrossTopologyTreeEquivalence(t *testing.T) {
 		sc.Replicas = 2
 		sc.CacheBytes = 1 << 20
 		sc = sc.WithIO(compress, 4, 8)
-		for _, workers := range []int{1, 2, 8} {
-			got := treesFor(t, sc, roots, workers)
-			diffTrees(t, fmt.Sprintf("%s/workers=%d", sc.Name, workers), roots, got, want)
-		}
+		diffTrees(t, sc.Name, roots, treesFor(t, sc, roots), want)
 	}
 
 	// Distributed cells: every machine carries the full per-node stack.
 	for _, topo := range []string{"1d", "2d"} {
 		for _, compress := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 8} {
-				for _, faulted := range []bool{false, true} {
-					cfg := cluster.Config{
-						Machines: 4, Alpha: 4, Beta: 40,
-						ForwardOnNVM: true,
-						Compress:     compress,
-						Checksums:    true,
-						Replicas:     2,
-						CacheBytes:   1 << 20,
-						QueueDepth:   4,
-						RealWorkers:  workers,
-					}
-					if faulted {
-						// Machine 2's primary replica dies a few media
-						// reads in (the page cache absorbs most, so the
-						// budget is small); the mirror layer fails over
-						// to the idle second replica without surfacing
-						// an error.
-						cfg.Faults = faults.Config{Seed: 99, DieAfterReads: 5, DieReplica: 1}
-						cfg.FaultMachine = 2
-					}
-					label := fmt.Sprintf("%s/compress=%v/workers=%d/faulted=%v",
-						topo, compress, workers, faulted)
-					got := clusterTrees(t, topo == "2d", cfg, roots)
-					diffTrees(t, label, roots, got, want)
+			for _, faulted := range []bool{false, true} {
+				cfg := cluster.Config{
+					Machines: 4, Alpha: 4, Beta: 40,
+					ForwardOnNVM: true,
+					Compress:     compress,
+					Checksums:    true,
+					Replicas:     2,
+					CacheBytes:   1 << 20,
+					QueueDepth:   4,
 				}
+				if faulted {
+					// Machine 2's primary replica dies a few media
+					// reads in (the page cache absorbs most, so the
+					// budget is small); the mirror layer fails over
+					// to the idle second replica without surfacing
+					// an error.
+					cfg.Faults = faults.Config{Seed: 99, DieAfterReads: 5, DieReplica: 1}
+					cfg.FaultMachine = 2
+				}
+				label := fmt.Sprintf("%s/compress=%v/faulted=%v", topo, compress, faulted)
+				got := clusterTrees(t, topo == "2d", cfg, roots)
+				diffTrees(t, label, roots, got, want)
 			}
 		}
 	}
@@ -124,7 +117,7 @@ func TestCrossTopologyTreeEquivalence(t *testing.T) {
 // reference.
 func TestGridDegradedTreeEquivalence(t *testing.T) {
 	roots := []int64{2, 77, 500}
-	want := treesFor(t, ScenarioDRAMOnly, roots, 1)
+	want := treesFor(t, ScenarioDRAMOnly, roots)
 	list, err := generator.Generate(generator.Config{Scale: 10, EdgeFactor: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ type AblationRow struct {
 func Ablations(opts Options) ([]AblationRow, error) {
 	opts = opts.WithDefaults()
 	var rows []AblationRow
-	cfg := bfs.Config{Alpha: 1e4, Beta: 1e5, RealWorkers: opts.Workers}
+	cfg := bfs.Config{Alpha: 1e4, Beta: 1e5}
 
 	// Study 1: adjacency order (DRAM-only, isolates the BU scan).
 	for _, variant := range []struct {

@@ -13,7 +13,6 @@ import (
 // reference, with throughput figures populated.
 func TestAlgoSweepAcceptance(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 2
 	rows, err := AlgoSweep(opts)
 	if err != nil {
 		t.Fatal(err)

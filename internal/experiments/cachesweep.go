@@ -30,7 +30,7 @@ const CacheSweepAlpha = 64
 // sweepBFSConfig is the switching configuration every device-behaviour
 // sweep shares: CacheSweepAlpha, beta = 10*alpha, in the given mode.
 func sweepBFSConfig(opts Options, mode bfs.Mode) bfs.Config {
-	cfg := defaultBFSConfig(opts)
+	cfg := defaultBFSConfig()
 	cfg.Mode = mode
 	cfg.Alpha, cfg.Beta = CacheSweepAlpha, 10*CacheSweepAlpha
 	return cfg

@@ -7,12 +7,11 @@ import (
 )
 
 // TestCacheSweepAcceptance runs the acceptance criterion of the cache
-// layer: at a fixed seed with one real worker (fully deterministic), the
-// hybrid TEPS with a cache budget >= 1/8 of the forward graph is strictly
-// higher than with CacheBytes=0, on both the PCIe and SATA profiles.
+// layer: at a fixed seed (fully deterministic), the hybrid TEPS with a
+// cache budget >= 1/8 of the forward graph is strictly higher than with
+// CacheBytes=0, on both the PCIe and SATA profiles.
 func TestCacheSweepAcceptance(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 1
 	// Scale 13 with a dozen roots: at scale 10 a 1/32 budget is a single
 	// 4 KiB page (no ring for eviction to work with), and three roots
 	// give the cross-root reuse that carries the cache almost no weight.
@@ -67,7 +66,6 @@ func TestCacheSweepAcceptance(t *testing.T) {
 // rows — the fixed-seed reproducibility the acceptance criterion requires.
 func TestCacheSweepDeterminism(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 1
 	a, err := CacheSweep(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -52,18 +52,14 @@ type FailoverRow struct {
 
 // FailoverSweep measures TEPS and repair activity versus injected
 // per-device fault rate for 1-, 2- and 3-way mirrored device arrays — the
-// robustness payoff curve of the mirror layer. Runs use one real worker so
-// the interleaving of foreground reads and scrub catch-up (which share the
-// per-offset fault attempt counters) is schedule-independent, making every
-// row bit-reproducible. TEPS is the harmonic mean over roots, like the
-// cache sweep, because scrub repairs persist across roots. The expected
-// shape: replication costs nothing at rate 0 (reads spread over more
-// devices), and as the rate climbs the mirrored arrays hold TEPS by
-// absorbing failures in failover while the single device pays for every
-// error with retry backoff.
+// robustness payoff curve of the mirror layer. TEPS is the harmonic mean
+// over roots, like the cache sweep, because scrub repairs persist across
+// roots. The expected shape: replication costs nothing at rate 0 (reads
+// spread over more devices), and as the rate climbs the mirrored arrays
+// hold TEPS by absorbing failures in failover while the single device pays
+// for every error with retry backoff.
 func FailoverSweep(opts Options) ([]FailoverRow, error) {
 	opts = opts.WithDefaults()
-	opts.Workers = 1
 	lab, err := NewLab(opts, opts.Scale)
 	if err != nil {
 		return nil, err

@@ -48,7 +48,7 @@ func FaultSweep(opts Options) ([]FaultRow, error) {
 		sc := lab.scenario(base, false)
 		for _, rate := range FaultRates {
 			sc.Faults = faults.Config{Seed: opts.Seed, TransientRate: rate}
-			res, err := lab.Run(sc, defaultBFSConfig(opts), false, false)
+			res, err := lab.Run(sc, defaultBFSConfig(), false, false)
 			if err != nil {
 				return nil, fmt.Errorf("fault sweep %s rate=%g: %w", base.Name, rate, err)
 			}

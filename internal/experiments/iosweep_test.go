@@ -14,12 +14,10 @@ import (
 // the pipeline carried traffic where it is enabled.
 func TestIOSweepAcceptance(t *testing.T) {
 	// The exact configuration EXPERIMENTS.md reports (`analyze -exp io
-	// -scale 13 -roots 12`: default edge factor and seed), single-workered
-	// so the run is fully deterministic.
+	// -scale 13 -roots 12`: default edge factor and seed).
 	opts := Options{
 		Scale:                  13,
 		Roots:                  12,
-		Workers:                1,
 		ScaleEquivalentLatency: true,
 	}
 	rows, err := IOSweep(opts)
@@ -98,10 +96,9 @@ func TestIOSweepAcceptance(t *testing.T) {
 }
 
 // TestIOSweepDeterminism re-runs the sweep and demands bit-identical
-// rows — fixed-seed reproducibility with a single real worker.
+// rows — fixed-seed reproducibility.
 func TestIOSweepDeterminism(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 1
 	a, err := IOSweep(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,6 @@ type Options struct {
 	// headline); the device-usage experiments (Figures 11-13) always
 	// use the unscaled profiles.
 	ScaleEquivalentLatency bool
-	// Workers bounds real goroutines for the BFS engine.
-	Workers int
 	// Faults injects deterministic seeded faults into every NVM scenario
 	// a sweep builds (experiments that sweep fault parameters themselves,
 	// like FaultSweep and FailoverSweep, ignore it). The zero value
@@ -156,7 +154,6 @@ func (l *Lab) Run(sc core.Scenario, cfg bfs.Config, keepLevels, series bool) (*g
 	if err != nil {
 		return nil, err
 	}
-	cfg.RealWorkers = l.Opts.Workers
 	p := graph500.Params{
 		Scale:          l.Scale,
 		EdgeFactor:     l.Opts.EdgeFactor,

@@ -13,7 +13,6 @@ import (
 // past the knee.
 func TestLoadSweepGracefulDegradation(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 1
 	// 128 queries per row: the stream must be long enough to overflow 16
 	// lanes plus a 16-deep queue before saturation behaviour is visible.
 	opts.Roots = 32
@@ -66,19 +65,16 @@ func TestLoadSweepGracefulDegradation(t *testing.T) {
 	}
 }
 
-// TestLoadSweepDeterministicAcrossWorkers re-runs the sweep with different
-// real worker counts and demands bit-identical rows: offered load,
-// admission, shedding, and every latency quantile live on the virtual
-// clock, so parallelism must not leak into the results.
-func TestLoadSweepDeterministicAcrossWorkers(t *testing.T) {
+// TestLoadSweepDeterminism re-runs the sweep and demands bit-identical
+// rows: offered load, admission, shedding, and every latency quantile live
+// on the virtual clock, so the host must not leak into the results.
+func TestLoadSweepDeterminism(t *testing.T) {
 	opts := tinyOpts()
 	opts.Roots = 4
-	opts.Workers = 1
 	a, err := LoadSweep(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 2
 	b, err := LoadSweep(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +84,7 @@ func TestLoadSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("row %d differs between 1 and 2 workers:\n%+v\n%+v", i, a[i], b[i])
+			t.Fatalf("row %d differs between runs:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
 }

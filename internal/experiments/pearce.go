@@ -47,7 +47,7 @@ func PearceComparison(opts Options) ([]PearceRow, error) {
 
 	// Pearce-style scan BFS on the same device profile (unscaled
 	// latency is irrelevant: the scan is bandwidth-bound).
-	scan, err := bfs.NewScanRunner(lab.Src, topology(), defaultBFSConfig(opts).WithDefaults().Cost,
+	scan, err := bfs.NewScanRunner(lab.Src, topology(), defaultBFSConfig().WithDefaults().Cost,
 		core.ScenarioPCIeFlash.Device)
 	if err != nil {
 		return nil, err

@@ -7,13 +7,12 @@ import (
 )
 
 // TestQuerySweepAcceptance runs the batching acceptance criterion: at the
-// benchmark scale with one real worker (fully deterministic), the
-// harmonic-mean amortized per-query TEPS is monotone non-decreasing from
-// B=1 up through B=16 on the PCIe profile, every row serves the whole
-// stream, and wide batches share the page cache harder than B=1 does.
+// benchmark scale (fully deterministic), the harmonic-mean amortized
+// per-query TEPS is monotone non-decreasing from B=1 up through B=16 on the
+// PCIe profile, every row serves the whole stream, and wide batches share
+// the page cache harder than B=1 does.
 func TestQuerySweepAcceptance(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 1
 	// Scale 13 with a dozen roots, matching the recorded benchmark: tiny
 	// instances leave so few levels that a 4-wide batch can lose to the
 	// single-source baseline on scheduling noise alone.
@@ -67,7 +66,6 @@ func TestQuerySweepAcceptance(t *testing.T) {
 // reproducibility.
 func TestQuerySweepDeterminism(t *testing.T) {
 	opts := tinyOpts()
-	opts.Workers = 1
 	a, err := QuerySweep(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 )
 
 // defaultBFSConfig is the paper's default switching configuration.
-func defaultBFSConfig(opts Options) bfs.Config {
-	return bfs.Config{Alpha: 1e4, Beta: 1e5, RealWorkers: opts.Workers}
+func defaultBFSConfig() bfs.Config {
+	return bfs.Config{Alpha: 1e4, Beta: 1e5}
 }
 
 // SweepAlphas is the alpha grid of the Figure 7 heatmap. The paper sweeps
@@ -181,7 +181,6 @@ func figPerformance(opts Options, scale int, baselines bool) ([]Fig8Series, erro
 	ref, err := graph500.RunReference(lab.List, graph500.Params{
 		Scale: scale, EdgeFactor: opts.EdgeFactor, Seed: opts.Seed,
 		Roots: opts.Roots, ValidateRoots: 1,
-		BFS: bfs.Config{RealWorkers: opts.Workers},
 	})
 	if err != nil {
 		return nil, err

@@ -77,7 +77,7 @@ func TableII(opts Options) (measured, paper27 []TableIIRow, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	runner, err := sys.NewRunner(defaultBFSConfig(opts))
+	runner, err := sys.NewRunner(defaultBFSConfig())
 	if err != nil {
 		return nil, nil, err
 	}

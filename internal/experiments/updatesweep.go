@@ -65,11 +65,6 @@ type UpdateRow struct {
 // live generation, rewriting the backward graph, and replaying the log.
 func UpdateSweep(opts Options) ([]UpdateRow, error) {
 	opts = opts.WithDefaults()
-	// One real worker, for the reason FailoverSweep pins it: device
-	// arrival order is schedule-dependent above one (ROADMAP item 1), and
-	// the top-down rebuild each row is measured against goes to the device
-	// on every level.
-	opts.Workers = 1
 	lab, err := NewLab(opts, opts.SmallScale)
 	if err != nil {
 		return nil, err
@@ -102,7 +97,7 @@ func updateRun(opts Options, list *edgelist.List, sc core.Scenario, size int, cr
 		return row, err
 	}
 	defer ds.Close()
-	tr, err := graph500.NewTreeRepair(ds, clock, defaultBFSConfig(opts), 1)
+	tr, err := graph500.NewTreeRepair(ds, clock, defaultBFSConfig(), 1)
 	if err != nil {
 		return row, err
 	}

@@ -17,7 +17,7 @@ func RunReference(list *edgelist.List, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := bfs.NewRefRunner(g, p.BFS.Topology, p.BFS.Cost, p.BFS.RealWorkers)
+	runner, err := bfs.NewRefRunner(g, p.BFS.Topology, p.BFS.Cost)
 	if err != nil {
 		return nil, err
 	}

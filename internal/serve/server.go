@@ -191,8 +191,8 @@ type laneTrack struct {
 // to exactly one Outcome.
 //
 // A server is deterministic when driven single-threaded (ServeTrace):
-// virtual time and every outcome are a pure function of the trace,
-// independent of Options.Workers. The live mode (Start) adds a background
+// virtual time and every outcome are a pure function of the trace. The
+// live mode (Start) adds a background
 // pump goroutine; Submit, Cancel, Drain and Close are then safe from any
 // goroutine.
 type Server struct {
@@ -493,7 +493,7 @@ func (sv *Server) stepLocked() (bool, error) {
 // Arrivals are ingested at sweep boundaries: a query arriving mid-sweep
 // joins the next one, exactly as a real always-on loop would see it. The
 // trace's outcomes are deterministic: a fixed trace yields the same
-// served/shed/expired sets regardless of Options.Workers.
+// served/shed/expired sets on every run.
 //
 // ServeTrace owns the server while it runs; it must not race Submit or a
 // Start-ed pump loop.

@@ -22,7 +22,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for v := range deg {
 		deg[v] = bwd.Degree(int64(v))
 	}
-	eng, err := vp.NewEngine(fwd, bwd, part, vp.NewPageRank(deg, vp.PageRankOptions{Tol: 1e-4}), vpConfig(1, bfs.ModeHybrid))
+	eng, err := vp.NewEngine(fwd, bwd, part, vp.NewPageRank(deg, vp.PageRankOptions{Tol: 1e-4}), vpConfig(bfs.ModeHybrid))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,8 @@ import (
 type BFS struct {
 	n       int64
 	tree    []int64
-	visited *bitmap.Atomic
-	scratch []pullParent
-}
-
-// pullParent is one worker's pull accumulator, padded against false
-// sharing.
-type pullParent struct {
-	parent int64
-	_pad   [7]int64
+	visited *bitmap.Bitmap
+	parent  []int64 // per-worker pull accumulator: the parent found
 }
 
 // NewBFS returns an unsized BFS program; NewEngine sizes it.
@@ -50,8 +43,8 @@ func (b *BFS) Monotone() bool { return true }
 func (b *BFS) Setup(n int64, workers int) {
 	b.n = n
 	b.tree = make([]int64, n)
-	b.visited = bitmap.NewAtomic(int(n))
-	b.scratch = make([]pullParent, workers)
+	b.visited = bitmap.New(int(n))
+	b.parent = make([]int64, workers)
 }
 
 // Reset implements Program.
@@ -74,8 +67,8 @@ func (b *BFS) InitialFrontier(root int64, emit func(v int64)) { emit(root) }
 // Hint implements Program: BFS defers entirely to the alpha/beta rule.
 func (b *BFS) Hint(level int, frontier int64) Hint { return HintAuto }
 
-// PushEdge implements Program: competing frontier parents of an unvisited
-// vertex race in a min-CAS, so the survivor is the minimum.
+// PushEdge implements Program: every frontier parent of an unvisited vertex
+// is offered to bfs.MinParent, so the survivor is the minimum.
 func (b *BFS) PushEdge(w int, src, dst int64) bool {
 	if b.visited.Test(int(dst)) {
 		return false
@@ -88,13 +81,13 @@ func (b *BFS) PushEdge(w int, src, dst int64) bool {
 func (b *BFS) PullCandidate(v int64) bool { return !b.visited.Test(int(v)) }
 
 // BeginPull implements Program.
-func (b *BFS) BeginPull(w int, v int64) { b.scratch[w].parent = -1 }
+func (b *BFS) BeginPull(w int, v int64) { b.parent[w] = -1 }
 
 // PullEdge implements Program: claim the first frontier neighbor in scan
 // order and terminate the scan.
 func (b *BFS) PullEdge(w int, v, nb int64, inFrontier bool) bool {
 	if inFrontier {
-		b.scratch[w].parent = nb
+		b.parent[w] = nb
 		return false
 	}
 	return true
@@ -103,7 +96,7 @@ func (b *BFS) PullEdge(w int, v, nb int64, inFrontier bool) bool {
 // EndPull implements Program: pull claims become visited immediately (the
 // pull kernel's writes are worker-exclusive).
 func (b *BFS) EndPull(w int, v int64) bool {
-	if p := b.scratch[w].parent; p >= 0 {
+	if p := b.parent[w]; p >= 0 {
 		b.tree[v] = p
 		b.visited.Set(int(v))
 		return true

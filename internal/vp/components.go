@@ -1,7 +1,5 @@
 package vp
 
-import "sync/atomic"
-
 // Components is connected components by min-label propagation: every
 // vertex starts with its own ID as label and repeatedly adopts the
 // smallest label among its neighbors, so labels converge to the minimum
@@ -9,9 +7,8 @@ import "sync/atomic"
 // remains the test oracle.
 //
 // Labels are double-buffered: cur is frozen during a level and next
-// absorbs this level's improvements (atomically during push levels, where
-// many workers may race on one destination; plainly during pull levels,
-// where the engine guarantees exclusive writers), then EndLevel publishes
+// absorbs this level's improvements (a min over every frontier neighbor in
+// either direction), then EndLevel publishes
 // next into cur. The freeze makes every level's claim set — and therefore
 // the direction decisions and level count — independent of worker count.
 type Components struct {
@@ -73,13 +70,15 @@ func (c *Components) Hint(level int, frontier int64) Hint {
 }
 
 // PushEdge implements Program: scatter src's frozen label into next[dst]
-// with an atomic min; dst belongs in the next frontier whenever its next
+// with a min; dst belongs in the next frontier whenever its next
 // label has improved on its current one (by this edge or an earlier one —
 // the test is against the frozen cur, so a claim is never missed when a
 // partial degraded level already lowered next[dst]).
 func (c *Components) PushEdge(w int, src, dst int64) bool {
-	atomicMin(&c.next[dst], c.cur[src])
-	return atomic.LoadInt64(&c.next[dst]) < c.cur[dst]
+	if l := c.cur[src]; l < c.next[dst] {
+		c.next[dst] = l
+	}
+	return c.next[dst] < c.cur[dst]
 }
 
 // PullCandidate implements Program: label propagation gathers densely —
@@ -114,16 +113,3 @@ func (c *Components) EndLevel(level int) { copy(c.cur, c.next) }
 
 // Converged implements Program: the run ends when no label changes.
 func (c *Components) Converged() bool { return false }
-
-// atomicMin lowers *p to v if v is smaller.
-func atomicMin(p *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(p)
-		if cur <= v {
-			return
-		}
-		if atomic.CompareAndSwapInt64(p, cur, v) {
-			return
-		}
-	}
-}

@@ -28,7 +28,7 @@ type Engine struct {
 	// vertices in later levels, so a claim bit must not outlive its level.
 	// For BFS this is equivalence-neutral: a gathered vertex is visited,
 	// so PushEdge never exposes it to the dedup again.
-	dedup  *bitmap.Atomic
+	dedup  *bitmap.Bitmap
 	probes []pullProbe // per-worker gather probes
 }
 
@@ -46,7 +46,7 @@ func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partiti
 	if cfg.Mode == bfs.ModeBottomUpOnly && caps&CapPull == 0 {
 		return nil, fmt.Errorf("vp: program %q cannot run bottom-up-only (no pull kernel)", prog.Name())
 	}
-	e := &Engine{prog: prog, cfg: cfg, dedup: bitmap.NewAtomic(part.N)}
+	e := &Engine{prog: prog, cfg: cfg, dedup: bitmap.New(part.N)}
 	k := bfs.Kernels{
 		Name:     "vp: " + prog.Name(),
 		Finalize: e.activate,

@@ -43,15 +43,13 @@ func buildDRAM(t *testing.T, scale int, seed uint64) (bfs.ForwardAccess, bfs.Bac
 	return bfs.DRAMForward{G: fg}, bfs.HybridBackwardAccess{HB: hb}, list, part
 }
 
-func vpConfig(workers int, mode bfs.Mode) vp.Config {
-	return vp.Config{Config: bfs.Config{
-		Topology: testTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: workers,
-	}}
+func vpConfig(mode bfs.Mode) vp.Config {
+	return vp.Config{Config: bfs.Config{Topology: testTopo, Alpha: 4, Beta: 40, Mode: mode}}
 }
 
 // TestBFSMatchesRunner is the framework's correctness anchor: the vp BFS
 // program must produce bit-identical parent trees to bfs.Runner for every
-// mode and worker count, and — the two engines run the same top-down sweep and
+// mode, and — the two engines run the same top-down sweep and
 // the same bottom-up scan order — the same per-level claim, examined-edge and
 // frontier-degree counts, over a DRAM and over an NVM forward graph. Only the
 // virtual time differs, by the documented Finalize charge.
@@ -67,48 +65,44 @@ func TestBFSMatchesRunner(t *testing.T) {
 	roots := []int64{0, 3, 101, 777}
 	for _, fwd := range []bfs.ForwardAccess{dram, bfs.NVMForward{SF: sf}} {
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly, bfs.ModeBottomUpOnly} {
-			runner, err := bfs.NewRunner(fwd, bwd, part, bfs.Config{
-				Topology: testTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: 1,
-			})
+			runner, err := bfs.NewRunner(fwd, bwd, part, vpConfig(mode).Config)
 			if err != nil {
 				t.Fatalf("runner: %v", err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				prog := vp.NewBFS()
-				eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, mode))
+			prog := vp.NewBFS()
+			eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(mode))
+			if err != nil {
+				t.Fatalf("engine: %v", err)
+			}
+			for _, root := range roots {
+				tag := fmt.Sprintf("NVM %v mode %v root %d", fwd.OnNVM(), mode, root)
+				want, err := runner.Run(root)
 				if err != nil {
-					t.Fatalf("engine: %v", err)
+					t.Fatalf("%s: runner: %v", tag, err)
 				}
-				for _, root := range roots {
-					tag := fmt.Sprintf("NVM %v mode %v workers %d root %d", fwd.OnNVM(), mode, workers, root)
-					want, err := runner.Run(root)
-					if err != nil {
-						t.Fatalf("%s: runner: %v", tag, err)
+				wantTree := want.CloneTree()
+				got, err := eng.Run(root)
+				if err != nil {
+					t.Fatalf("%s: engine: %v", tag, err)
+				}
+				for v, p := range prog.Tree() {
+					if p != wantTree[v] {
+						t.Fatalf("%s: tree[%d] = %d, runner has %d", tag, v, p, wantTree[v])
 					}
-					wantTree := want.CloneTree()
-					got, err := eng.Run(root)
-					if err != nil {
-						t.Fatalf("%s: engine: %v", tag, err)
-					}
-					for v, p := range prog.Tree() {
-						if p != wantTree[v] {
-							t.Fatalf("%s: tree[%d] = %d, runner has %d", tag, v, p, wantTree[v])
-						}
-					}
-					if got.Claimed+1 != want.Visited {
-						t.Errorf("%s: claimed %d+root, runner visited %d", tag, got.Claimed, want.Visited)
-					}
-					if len(got.Levels) != len(want.Levels) {
-						t.Fatalf("%s: %d levels, runner has %d", tag, len(got.Levels), len(want.Levels))
-					}
-					for i, g := range got.Levels {
-						w := want.Levels[i]
-						if g.Direction != w.Direction || g.Claimed != w.Claimed || g.FrontierDegree != w.FrontierDegree ||
-							g.ExaminedDRAM != w.ExaminedDRAM || g.ExaminedNVM != w.ExaminedNVM {
-							t.Errorf("%s level %d: {%v claimed %d degree %d examined %d+%d}, runner {%v %d %d %d+%d}", tag, i,
-								g.Direction, g.Claimed, g.FrontierDegree, g.ExaminedDRAM, g.ExaminedNVM,
-								w.Direction, w.Claimed, w.FrontierDegree, w.ExaminedDRAM, w.ExaminedNVM)
-						}
+				}
+				if got.Claimed+1 != want.Visited {
+					t.Errorf("%s: claimed %d+root, runner visited %d", tag, got.Claimed, want.Visited)
+				}
+				if len(got.Levels) != len(want.Levels) {
+					t.Fatalf("%s: %d levels, runner has %d", tag, len(got.Levels), len(want.Levels))
+				}
+				for i, g := range got.Levels {
+					w := want.Levels[i]
+					if g.Direction != w.Direction || g.Claimed != w.Claimed || g.FrontierDegree != w.FrontierDegree ||
+						g.ExaminedDRAM != w.ExaminedDRAM || g.ExaminedNVM != w.ExaminedNVM {
+						t.Errorf("%s level %d: {%v claimed %d degree %d examined %d+%d}, runner {%v %d %d %d+%d}", tag, i,
+							g.Direction, g.Claimed, g.FrontierDegree, g.ExaminedDRAM, g.ExaminedNVM,
+							w.Direction, w.Claimed, w.FrontierDegree, w.ExaminedDRAM, w.ExaminedNVM)
 					}
 				}
 			}
@@ -159,54 +153,37 @@ func oracleMinLabels(list *edgelist.List) []int64 {
 }
 
 // TestComponentsMatchesUnionFind checks label propagation against the
-// union-find oracle and that the level structure is worker-independent.
+// union-find oracle, and that the run both pulls and pushes.
 func TestComponentsMatchesUnionFind(t *testing.T) {
 	fwd, bwd, list, part := buildDRAM(t, 10, 11)
 	want := oracleMinLabels(list)
-	var refLevels []bfs.LevelStats
-	for _, workers := range []int{1, 2, 8} {
-		prog := vp.NewComponents()
-		eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, bfs.ModeHybrid))
-		if err != nil {
-			t.Fatalf("engine: %v", err)
+	prog := vp.NewComponents()
+	eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(bfs.ModeHybrid))
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	res, err := eng.Run(0)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for v, l := range prog.Labels() {
+		if l != want[v] {
+			t.Fatalf("label[%d] = %d, oracle has %d", v, l, want[v])
 		}
-		res, err := eng.Run(0)
-		if err != nil {
-			t.Fatalf("run: %v", err)
+	}
+	// The dense start must pull and the sparse endgame must push, or the
+	// direction machinery isn't exercised.
+	if res.Levels[0].Direction != bfs.BottomUp {
+		t.Errorf("level 0 ran %v, want bottom-up (dense hint)", res.Levels[0].Direction)
+	}
+	sawPush := false
+	for _, ls := range res.Levels {
+		if ls.Direction == bfs.TopDown {
+			sawPush = true
 		}
-		for v, l := range prog.Labels() {
-			if l != want[v] {
-				t.Fatalf("workers %d: label[%d] = %d, oracle has %d", workers, v, l, want[v])
-			}
-		}
-		if workers == 1 {
-			refLevels = res.Levels
-			// The dense start must pull and the sparse endgame must push,
-			// or the direction machinery isn't exercised.
-			if res.Levels[0].Direction != bfs.BottomUp {
-				t.Errorf("level 0 ran %v, want bottom-up (dense hint)", res.Levels[0].Direction)
-			}
-			sawPush := false
-			for _, ls := range res.Levels {
-				if ls.Direction == bfs.TopDown {
-					sawPush = true
-				}
-			}
-			if !sawPush {
-				t.Errorf("no push level in %d levels; endgame never switched", len(res.Levels))
-			}
-			continue
-		}
-		if len(res.Levels) != len(refLevels) {
-			t.Fatalf("workers %d: %d levels, single-worker run had %d",
-				workers, len(res.Levels), len(refLevels))
-		}
-		for i, ls := range res.Levels {
-			if ls.Claimed != refLevels[i].Claimed || ls.Direction != refLevels[i].Direction {
-				t.Errorf("workers %d level %d: (%v, claimed %d) vs single-worker (%v, %d)",
-					workers, i, ls.Direction, ls.Claimed, refLevels[i].Direction, refLevels[i].Claimed)
-			}
-		}
+	}
+	if !sawPush {
+		t.Errorf("no push level in %d levels; endgame never switched", len(res.Levels))
 	}
 }
 
@@ -260,8 +237,8 @@ func referencePageRank(t *testing.T, bwd bfs.BackwardAccess, part *numa.Partitio
 }
 
 // TestPageRankMatchesReference validates the pull-mode sweeps against a
-// sequential DRAM reference, checks mass conservation, and requires
-// bit-identical ranks across worker counts.
+// sequential DRAM reference and checks mass conservation and that every
+// sweep pulls.
 func TestPageRankMatchesReference(t *testing.T) {
 	fwd, bwd, list, part := buildDRAM(t, 9, 23)
 	n := list.NumVertices
@@ -272,49 +249,8 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 	wantRank, wantIters := referencePageRank(t, bwd, part, n, opts)
 
-	var ranks1 []float64
-	for _, workers := range []int{1, 8} {
-		prog := vp.NewPageRank(deg, opts)
-		eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, bfs.ModeHybrid))
-		if err != nil {
-			t.Fatalf("engine: %v", err)
-		}
-		res, err := eng.Run(0)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		if !res.Converged {
-			t.Fatalf("workers %d: did not converge in %d iters (delta %g)",
-				workers, prog.Iterations(), prog.Delta())
-		}
-		if prog.Iterations() != wantIters {
-			t.Errorf("workers %d: %d iterations, reference took %d", workers, prog.Iterations(), wantIters)
-		}
-		var sum float64
-		for _, r := range prog.Ranks() {
-			sum += r
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("workers %d: ranks sum to %g, want 1", workers, sum)
-		}
-		for v, r := range prog.Ranks() {
-			if math.Abs(r-wantRank[v]) > 1e-10 {
-				t.Fatalf("workers %d: rank[%d] = %g, reference %g", workers, v, r, wantRank[v])
-			}
-		}
-		if workers == 1 {
-			ranks1 = append([]float64(nil), prog.Ranks()...)
-			continue
-		}
-		for v, r := range prog.Ranks() {
-			if r != ranks1[v] {
-				t.Fatalf("rank[%d] = %v with 8 workers, %v with 1 — not bit-identical", v, r, ranks1[v])
-			}
-		}
-	}
-	// Every sweep must be a pull sweep: the program is pull-only.
 	prog := vp.NewPageRank(deg, opts)
-	eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(2, bfs.ModeHybrid))
+	eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(bfs.ModeHybrid))
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -322,6 +258,25 @@ func TestPageRankMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	if !res.Converged {
+		t.Fatalf("did not converge in %d iters (delta %g)", prog.Iterations(), prog.Delta())
+	}
+	if prog.Iterations() != wantIters {
+		t.Errorf("%d iterations, reference took %d", prog.Iterations(), wantIters)
+	}
+	var sum float64
+	for _, r := range prog.Ranks() {
+		sum += r
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("ranks sum to %g, want 1", sum)
+	}
+	for v, r := range prog.Ranks() {
+		if math.Abs(r-wantRank[v]) > 1e-10 {
+			t.Fatalf("rank[%d] = %g, reference %g", v, r, wantRank[v])
+		}
+	}
+	// Every sweep must be a pull sweep: the program is pull-only.
 	for _, ls := range res.Levels {
 		if ls.Direction != bfs.BottomUp {
 			t.Fatalf("level %d ran %v; pull-only program must never push", ls.Level, ls.Direction)
@@ -337,10 +292,10 @@ func TestEngineRejectsImpossibleModes(t *testing.T) {
 		deg[v] = bwd.Degree(int64(v))
 	}
 	if _, err := vp.NewEngine(fwd, bwd, part, vp.NewPageRank(deg, vp.PageRankOptions{}),
-		vpConfig(1, bfs.ModeTopDownOnly)); err == nil {
+		vpConfig(bfs.ModeTopDownOnly)); err == nil {
 		t.Fatal("pull-only program accepted top-down-only mode")
 	}
-	if _, err := vp.NewEngine(fwd, bwd, part, vp.NewBFS(), vpConfig(1, bfs.ModeHybrid)); err != nil {
+	if _, err := vp.NewEngine(fwd, bwd, part, vp.NewBFS(), vpConfig(bfs.ModeHybrid)); err != nil {
 		t.Fatalf("bfs engine: %v", err)
 	}
 }

@@ -43,7 +43,7 @@ func TestEngineUsableAfterFailure(t *testing.T) {
 	}
 	defer sf.Close()
 	fwd := bfs.NVMForward{SF: sf}
-	cfg := vpConfig(1, bfs.ModeTopDownOnly)
+	cfg := vpConfig(bfs.ModeTopDownOnly)
 	root := int64(0)
 	for bwd.Degree(root) == 0 {
 		root++

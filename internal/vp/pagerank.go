@@ -68,12 +68,10 @@ type PageRank struct {
 	dmass float64 // dangling rank mass of the current rank vector
 }
 
-// prAcc is one worker's gather accumulator and L1-delta partial, padded
-// against false sharing.
+// prAcc is one worker's gather accumulator and L1-delta partial.
 type prAcc struct {
 	sum   float64
 	delta float64
-	_pad  [6]float64
 }
 
 // NewPageRank returns a PageRank program over a graph whose per-vertex

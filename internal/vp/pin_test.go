@@ -15,8 +15,7 @@ import (
 // TestVirtualTimePins is the vertex-program half of the pins in
 // internal/bfs/pin_test.go: the three programs on one seeded SCALE-8 DRAM
 // graph must reproduce these exact nanoseconds, level counts and per-level
-// (direction, claimed, time) sequences at one and two real workers. The
-// constants were recorded before the engine's level loop was merged with
+// (direction, claimed, time) sequences. The constants were recorded before the engine's level loop was merged with
 // bfs.Runner's; a refactor of the loop must leave them untouched.
 func TestVirtualTimePins(t *testing.T) {
 	fwd, bwd, list, part := buildDRAM(t, 8, 42)
@@ -44,23 +43,21 @@ func TestVirtualTimePins(t *testing.T) {
 		{"pagerank", func() vp.Program { return vp.NewPageRank(deg, vp.PageRankOptions{Tol: 1e-6}) }, pin{619190, 13, 0x53bbd26b2c698e5}},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 2} {
-			eng, err := vp.NewEngine(fwd, bwd, part, c.prog(), vpConfig(workers, bfs.ModeHybrid))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Run(root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := fnv.New64a()
-			for _, l := range res.Levels {
-				fmt.Fprintf(h, "%d,%d,%d;", l.Direction, l.Claimed, int64(l.Time))
-			}
-			if got := (pin{int64(res.Time), len(res.Levels), h.Sum64()}); got != c.want {
-				t.Errorf("%s, %d real workers: got {%d, %d, %#x}, pinned {%d, %d, %#x}", c.name, workers,
-					got.time, got.levels, got.hash, c.want.time, c.want.levels, c.want.hash)
-			}
+		eng, err := vp.NewEngine(fwd, bwd, part, c.prog(), vpConfig(bfs.ModeHybrid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, l := range res.Levels {
+			fmt.Fprintf(h, "%d,%d,%d;", l.Direction, l.Claimed, int64(l.Time))
+		}
+		if got := (pin{int64(res.Time), len(res.Levels), h.Sum64()}); got != c.want {
+			t.Errorf("%s: got {%d, %d, %#x}, pinned {%d, %d, %#x}", c.name,
+				got.time, got.levels, got.hash, c.want.time, c.want.levels, c.want.hash)
 		}
 	}
 }
@@ -90,7 +87,7 @@ func pinOf(res *vp.Result) nvmPin {
 // TestNVMVirtualTimePins is the vertex-program half of the NVM pins in
 // internal/bfs/pin_test.go: the two frontier programs over a forward graph
 // read through the paper's raw layout and through every optional layer at
-// once, at one real worker, each cell on its own device.
+// once, each cell on its own device.
 func TestNVMVirtualTimePins(t *testing.T) {
 	dram, bwd, _, part := buildDRAM(t, 10, 42)
 	root := int64(0)
@@ -132,7 +129,7 @@ func TestNVMVirtualTimePins(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sf.Close()
-			eng, err := vp.NewEngine(bfs.NVMForward{SF: sf}, bwd, part, c.prog(), vpConfig(1, c.mode))
+			eng, err := vp.NewEngine(bfs.NVMForward{SF: sf}, bwd, part, c.prog(), vpConfig(c.mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,8 +145,8 @@ func TestNVMVirtualTimePins(t *testing.T) {
 }
 
 // seedSpy reads a push rescue's seeded claim count from outside the engine:
-// on the run's first backward scan — the start of the pull re-run, with one
-// real worker before any pull claim has landed — it counts the bits the
+// on the run's first backward scan — the start of the pull re-run, before
+// any pull claim has landed — it counts the bits the
 // rescue left in the engine's next bitmap.
 type seedSpy struct {
 	bfs.HybridBackwardAccess
@@ -224,7 +221,7 @@ func TestRescuePins(t *testing.T) {
 		}
 		defer sf.Close()
 		spy := &seedSpy{HybridBackwardAccess: bwd.(bfs.HybridBackwardAccess), seen: !c.spyFirstScan}
-		cfg := vpConfig(1, bfs.ModeHybrid)
+		cfg := vpConfig(bfs.ModeHybrid)
 		cfg.Alpha, cfg.Beta = c.alpha, c.beta
 		eng, err := vp.NewEngine(bfs.NVMForward{SF: sf}, spy, part, c.prog, cfg)
 		if err != nil {

@@ -7,19 +7,18 @@ import (
 )
 
 // pullProbe is one worker's gather probe: the closure its scanner calls per
-// neighbor, and the candidate being scanned. Built once per Engine and padded,
-// like bfs.Runner's.
+// neighbor, and the candidate being scanned. Built once per Engine, like
+// bfs.Runner's.
 type pullProbe struct {
 	v  int64
 	fn func(nb int64) bool
-	_  [6]int64
 }
 
 // newPullProbe arms worker w's probe over its node's frontier replica. Out
 // of line for the reason newPushHook is.
 //
 //go:noinline
-func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Atomic) {
+func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Bitmap) {
 	p.fn = func(nb int64) bool {
 		return prog.PullEdge(w, p.v, nb, frontier.Test(int(nb)))
 	}

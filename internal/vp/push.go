@@ -10,7 +10,7 @@ import (
 // newPushHook builds worker w's bfs.Expand hook for the shared top-down
 // sweep (bfs.Kernels.Push): the engine's whole scatter kernel. Claims are
 // deterministic the same way the BFS runner's are: the program performs an
-// idempotent atomic state update per edge and reports whether the destination
+// idempotent state update per edge and reports whether the destination
 // belongs in the next frontier; the dedup TestAndSet picks exactly one worker
 // to enqueue it.
 //
@@ -18,7 +18,7 @@ import (
 // closure body loses the inlining of the bitmap probes.
 //
 //go:noinline
-func newPushHook(w int, prog Program, dedup *bitmap.Atomic, cm *numa.CostModel) bfs.Expand {
+func newPushHook(w int, prog Program, dedup *bitmap.Bitmap, cm *numa.CostModel) bfs.Expand {
 	won := cm.AtomicOp + cm.LocalAccess + cm.QueueAppend
 	lost := cm.AtomicOp
 	return func(v int64, nbs, nq []int64) ([]int64, vtime.Duration) {

@@ -42,12 +42,12 @@
 //
 // The program owns all per-vertex state and any per-worker scratch
 // (indexed by the simulated worker id w). During a push level the state of
-// frontier vertices must be treated as frozen — PushEdge may run
-// concurrently from many workers and must use atomic idempotent updates
-// (min-CAS and friends) on destination state so results are independent of
-// worker count and I/O completion order. During a pull level the engine
-// guarantees each candidate v is visited by exactly one worker (bitmap
-// words are worker-exclusive), so EndPull may write v's state plainly.
+// frontier vertices must be treated as frozen — many workers' PushEdge
+// calls may reach one destination, so its update must be idempotent and
+// order-free (a min and friends) to keep results independent of worker
+// count and I/O completion order. During a pull level each candidate v is
+// visited by exactly one worker (bitmap words are worker-exclusive). Every
+// call is made on the engine's goroutine, so updates are plain writes.
 //
 // # Direction hints
 //
@@ -113,8 +113,8 @@ type Program interface {
 	// current frontier size.
 	Hint(level int, frontier int64) Hint
 	// PushEdge processes frontier edge src -> dst during a push level and
-	// reports whether dst should join the next frontier. May run
-	// concurrently; state updates must be atomic and idempotent.
+	// reports whether dst should join the next frontier. Called for every
+	// frontier parent of dst; state updates must be idempotent.
 	PushEdge(w int, src, dst int64) bool
 	// PullCandidate reports whether v must be examined by a pull level.
 	PullCandidate(v int64) bool

@@ -28,7 +28,6 @@ func TestQueryPoolMatchesRunBatched(t *testing.T) {
 						Placement: place,
 						NUMANodes: 2, CoresPerNode: 2,
 						Alpha: 64, Beta: 640,
-						Workers: 1,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -108,8 +108,8 @@ func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
 	}
 	// Both directions on NVM so a dead device is unrescuable; checksums and
 	// a 2-way mirror so the exactly-once walk crosses the whole stack. No
-	// cache: with RealWorkers 1 that keeps the read count of a batch
-	// deterministic, which the budget trick below relies on.
+	// cache: that keeps the read count of a batch deterministic, which the
+	// budget trick below relies on.
 	sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{
 		Checksums: true, Replicas: 2,
 	})
@@ -140,7 +140,7 @@ func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
 	}
 
 	br, err := bfs.NewBatchRunner(bfs.NVMForward{SF: sf}, bfs.HybridBackwardAccess{HB: hb}, part, 4, bfs.Config{
-		Topology: topo, Mode: bfs.ModeTopDownOnly, RealWorkers: 1,
+		Topology: topo, Mode: bfs.ModeTopDownOnly,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestQueryPoolSurvivesDeathViaDegradedMode(t *testing.T) {
 	// Alpha 1 keeps the controller top-down, streaming the forward device
 	// when the budget runs out a few reads into the batch.
 	br, err := bfs.NewBatchRunner(bfs.NVMForward{SF: sf}, bfs.HybridBackwardAccess{HB: hbDram}, part, 4, bfs.Config{
-		Topology: topo, Mode: bfs.ModeHybrid, Alpha: 1, Beta: 10, RealWorkers: 2,
+		Topology: topo, Mode: bfs.ModeHybrid, Alpha: 1, Beta: 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -151,9 +151,6 @@ type Options struct {
 	// ScaleEquivalentLatency to reproduce paper-scale ratios on small
 	// instances.
 	DeviceLatencyScale float64
-	// Workers bounds the real goroutines driving the simulated cores;
-	// 0 selects GOMAXPROCS.
-	Workers int
 }
 
 // ScaleEquivalentLatency returns the DeviceLatencyScale that makes a
@@ -195,11 +192,10 @@ func NewSystem(edges *EdgeList, opts Options) (*System, error) {
 		return nil, err
 	}
 	cfg := bfs.Config{
-		Topology:    topo,
-		Alpha:       opts.Alpha,
-		Beta:        opts.Beta,
-		Mode:        bfs.Mode(opts.Mode),
-		RealWorkers: opts.Workers,
+		Topology: topo,
+		Alpha:    opts.Alpha,
+		Beta:     opts.Beta,
+		Mode:     bfs.Mode(opts.Mode),
 	}
 	runner, err := sys.NewRunner(cfg)
 	if err != nil {

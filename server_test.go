@@ -9,13 +9,12 @@ import (
 	"semibfs/internal/validate"
 )
 
-func serverTestSystem(t *testing.T, scale int, seed uint64, workers int) (*System, []int64) {
+func serverTestSystem(t *testing.T, scale int, seed uint64) (*System, []int64) {
 	t.Helper()
 	edges := poolTestEdges(t, scale, seed)
 	sys, err := NewSystem(edges, Options{
 		Placement: PlacePCIeFlash,
 		NUMANodes: 2, CoresPerNode: 2,
-		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func checkConservation(t *testing.T, srv *Server, outcomes []ServedQuery) {
 // late arrivals join in-flight sweeps on free lanes, yet each lane's answer
 // matches the single-source BFS.
 func TestServerContinuousBatchingServesAll(t *testing.T) {
-	sys, roots := serverTestSystem(t, 8, 21, 2)
+	sys, roots := serverTestSystem(t, 8, 21)
 	srv, err := sys.NewServer(ServerConfig{Lanes: 3, KeepTrees: true})
 	if err != nil {
 		t.Fatal(err)
@@ -116,15 +115,15 @@ func TestServerContinuousBatchingServesAll(t *testing.T) {
 	}
 }
 
-// TestServerSheddingDeterministicAcrossWorkers replays one overload trace —
-// burst arrivals, mixed priorities, tight deadlines, a bounded queue — on
-// three servers that differ only in real worker count. The virtual clock
-// makes admission, shedding, and expiry a pure function of the trace: every
-// outcome, time, and latency must be bit-identical.
-func TestServerSheddingDeterministicAcrossWorkers(t *testing.T) {
+// TestServerSheddingDeterministic replays one overload trace — burst
+// arrivals, mixed priorities, tight deadlines, a bounded queue — on two
+// identically built servers. The virtual clock makes admission, shedding,
+// and expiry a pure function of the trace: every outcome, time, and latency
+// must be bit-identical.
+func TestServerSheddingDeterministic(t *testing.T) {
 	var baseline []ServedQuery
-	for _, workers := range []int{1, 2, 8} {
-		sys, roots := serverTestSystem(t, 8, 33, workers)
+	for run := range 2 {
+		sys, roots := serverTestSystem(t, 8, 33)
 		srv, err := sys.NewServer(ServerConfig{
 			Lanes:           2,
 			QueueCap:        3,
@@ -156,12 +155,12 @@ func TestServerSheddingDeterministicAcrossWorkers(t *testing.T) {
 		checkConservation(t, srv, outs)
 		st := srv.Stats()
 		if st.Shed == 0 {
-			t.Fatalf("workers=%d: overload trace shed nothing (queue cap 3)", workers)
+			t.Fatalf("run %d: overload trace shed nothing (queue cap 3)", run)
 		}
-		if workers == 1 {
+		if run == 0 {
 			baseline = outs
 		} else if !reflect.DeepEqual(outs, baseline) {
-			t.Fatalf("workers=%d: outcomes diverge from workers=1", workers)
+			t.Fatalf("run %d: outcomes diverge from run 0", run)
 		}
 		srv.Close()
 	}
@@ -173,7 +172,7 @@ func TestServerSheddingDeterministicAcrossWorkers(t *testing.T) {
 // must finish with a correct tree, and a later arrival must reuse the
 // reclaimed lane.
 func TestServerDeadlineExpiryMidBatch(t *testing.T) {
-	sys, roots := serverTestSystem(t, 8, 5, 2)
+	sys, roots := serverTestSystem(t, 8, 5)
 	srv, err := sys.NewServer(ServerConfig{Lanes: 2, KeepTrees: true})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestServerDeadlineExpiryMidBatch(t *testing.T) {
 // bounded server must shed and keep its admitted queries' queue-wait flat;
 // the unbounded server must shed nothing and pay an arbitrarily deep queue.
 func TestServerBackpressureBoundsWait(t *testing.T) {
-	sys, roots := serverTestSystem(t, 8, 9, 2)
+	sys, roots := serverTestSystem(t, 8, 9)
 	// One simultaneous 24-query burst onto 2 lanes: 12x over capacity.
 	var trace []Arrival
 	for i := 0; i < 24; i++ {
@@ -273,7 +272,7 @@ func TestServerBackpressureBoundsWait(t *testing.T) {
 // it, and checks the exactly-once accounting survived. Run under -race this
 // is the serving loop's concurrency stress.
 func TestServerLiveConcurrentSubmitCancelClose(t *testing.T) {
-	sys, roots := serverTestSystem(t, 7, 17, 2)
+	sys, roots := serverTestSystem(t, 7, 17)
 	srv, err := sys.NewServer(ServerConfig{
 		Lanes: 4, QueueCap: 8, Policy: ShedRejectOldest, DefaultDeadline: 0.2,
 	})
@@ -319,7 +318,7 @@ func TestServerLiveConcurrentSubmitCancelClose(t *testing.T) {
 
 // TestServerRejectsBadInput covers the validation edges of the serving API.
 func TestServerRejectsBadInput(t *testing.T) {
-	sys, roots := serverTestSystem(t, 7, 3, 1)
+	sys, roots := serverTestSystem(t, 7, 3)
 	if _, err := sys.NewServer(ServerConfig{Lanes: 0}); err == nil {
 		t.Error("zero-lane server accepted")
 	}
@@ -370,7 +369,7 @@ func TestServerRejectsBadInput(t *testing.T) {
 // partition to packBatches, the pure (and fuzzed) specification the old
 // drain-mode pool executed directly.
 func TestQueryPoolCohortsMatchPackBatches(t *testing.T) {
-	sys, roots := serverTestSystem(t, 8, 27, 2)
+	sys, roots := serverTestSystem(t, 8, 27)
 	pool, err := sys.NewQueryPool(3)
 	if err != nil {
 		t.Fatal(err)
