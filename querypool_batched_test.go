@@ -15,28 +15,23 @@ import (
 // Visited and TraversedEdges, and — both being one protocol — exactly the
 // same levels, switches and virtual seconds per batch.
 //
-// Each side gets a fresh System: the device keeps its channel occupancy in
-// absolute time, so a second runner on the same System starts behind the
-// first one's queue and reports a different virtual time (ROADMAP 1(d)).
+// Both sides share one System: a run that starts behind another timeline's
+// device traffic opens a new device epoch, so RunBatched after the pool sees
+// the device the pool saw.
 func TestQueryPoolMatchesRunBatched(t *testing.T) {
 	edges := poolTestEdges(t, 10, 5)
 	for _, place := range []Placement{PlaceDRAM, PlacePCIeFlash} {
 		for _, lanes := range []int{1, 16, 64} {
 			t.Run(fmt.Sprintf("%v/B=%d", place, lanes), func(t *testing.T) {
-				fresh := func() *System {
-					sys, err := NewSystem(edges, Options{
-						Placement: place,
-						NUMANodes: 2, CoresPerNode: 2,
-						Alpha: 64, Beta: 640,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { sys.Close() })
-					return sys
+				poolSys, err := NewSystem(edges, Options{
+					Placement: place,
+					NUMANodes: 2, CoresPerNode: 2,
+					Alpha: 64, Beta: 640,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-
-				poolSys := fresh()
+				defer poolSys.Close()
 				// 70 roots: one full 64-lane batch plus a partial one.
 				var roots []int64
 				for v := int64(0); v < edges.NumVertices() && len(roots) < 70; v++ {
@@ -53,7 +48,7 @@ func TestQueryPoolMatchesRunBatched(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				refSys := fresh()
+				refSys := poolSys
 				cfg := refSys.runner.Config()
 				want, err := graph500.RunBatched(refSys.sys, refSys.src, cfg, lanes, roots, 0)
 				if err != nil {
