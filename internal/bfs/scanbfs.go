@@ -103,8 +103,6 @@ func (r *ScanRunner) Run(root int64) (*Result, error) {
 	r.visited.Reset()
 	r.frontier.Reset()
 	r.next.Reset()
-	r.clock.AdvanceTo(0)
-	r.dev.Reset()
 
 	r.tree[root] = root
 	r.visited.Set(int(root))

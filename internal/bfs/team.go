@@ -73,6 +73,12 @@ type Team struct {
 	start   vtime.Duration
 	layers0 nvm.StackStats
 
+	// The devices behind the graphs, and each one's lifetime request count
+	// when this team's previous run ended (-1 before the first): what begin
+	// hands Device.OpenEpoch.
+	devs    []*nvm.Device
+	devSeen []int64
+
 	// offs is concat's prefix-sum scratch, kept across levels so deep
 	// traversals don't allocate per level.
 	offs []int
@@ -111,6 +117,11 @@ func (t *Team) init(name string, fwd ForwardAccess, bwd BackwardAccess, part *nu
 		t.Cursors[w] = fwd.NewCursor(t.Clocks[w])
 		t.Scanners[w] = bwd.NewScanner(t.Clocks[w])
 		t.NextQ[w] = make([]int64, 0, 1024)
+	}
+	t.devs = nvm.StackDevices(t.stacks()...)
+	t.devSeen = make([]int64, len(t.devs))
+	for i := range t.devSeen {
+		t.devSeen[i] = -1
 	}
 	return nil
 }
@@ -168,8 +179,10 @@ func (t *Team) stacks() []nvm.Storage {
 func (t *Team) layerTotals() nvm.StackStats { return nvm.CollectStacks(t.stacks()...) }
 
 // begin starts a run: it empties the queues, unpins the controller, aligns
-// the worker clocks and stamps the run's baselines. Setup is not charged,
-// matching the Graph500 timing protocol which starts the clock at traversal.
+// the worker clocks, opens an epoch on every device another timeline has
+// used ahead of the run's start (Device.OpenEpoch) and stamps the run's
+// baselines. Setup is not charged, matching the Graph500 timing protocol
+// which starts the clock at traversal.
 func (t *Team) begin() {
 	t.FrontQ = t.FrontQ[:0]
 	for w := range t.NextQ {
@@ -182,6 +195,9 @@ func (t *Team) begin() {
 	for _, c := range t.Clocks {
 		c.AdvanceTo(t.start)
 	}
+	for i, d := range t.devs {
+		d.OpenEpoch(t.start, t.devSeen[i])
+	}
 	t.layers0 = t.layerTotals()
 }
 
@@ -193,6 +209,9 @@ func (t *Team) finish(s *RunStats) {
 	s.Resilience.fromLayers(s.Layers)
 	s.Resilience.Devices = nvm.CollectReplicaHealth(t.stacks()...)
 	s.Cache = s.Layers.CacheView()
+	for i, d := range t.devs {
+		t.devSeen[i] = d.Requests()
+	}
 }
 
 // concat lays the per-worker queues end to end in FrontQ and empties them.

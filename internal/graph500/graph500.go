@@ -266,19 +266,11 @@ func RunList(list *edgelist.List, p Params) (*Result, error) {
 
 // RunOnSystem executes Steps 3-4 (BFS iterations plus validation) over an
 // already-built system. The sweep harness uses it to amortize generation
-// and construction across many (alpha, beta) points. Device statistics are
-// reset at entry so each call observes only its own traffic.
+// and construction across many (alpha, beta) points. Its runner is new, so
+// its first run opens an epoch on every device earlier traffic reached
+// (bfs.Team's begin): the device statistics cover this call's roots alone.
 func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, error) {
 	p = p.WithDefaults()
-	for _, dev := range sys.Devices {
-		// Construction (or prior-run) traffic is not part of this
-		// run's measurements.
-		dev.Reset()
-	}
-	if len(sys.Devices) == 0 && sys.Device != nil {
-		// Hand-assembled systems may carry only the single device.
-		sys.Device.Reset()
-	}
 	if c := sys.PageCache(); c != nil {
 		// Start cold so repeated calls over a shared system measure the
 		// same thing (and stay deterministic). The cache warms across

@@ -19,18 +19,25 @@ import (
 // Little's law as total response time over the observation span) and
 // avgrq-sz is the mean request size in 512-byte sectors.
 //
-// Device is safe for concurrent use by many workers. Because workers'
-// clocks advance independently, arrivals are not globally ordered in
-// virtual time; the channel-assignment rule is insensitive to small
-// reorderings and keeps the model deterministic for a fixed schedule of
-// arrivals.
+// Queue state is kept in absolute virtual time, but every engine runs on
+// its own clock, so a device shared by two timelines would queue one behind
+// the other's requests. The device therefore has epochs: a run starting at
+// virtual time s opens a new one (Reset: queue state, statistics and series)
+// exactly when another timeline has submitted to the device since the
+// engine's previous run ended (or the engine has never run), and some
+// request arrived at or after s (OpenEpoch). A timeline that continues from
+// its own previous run never opens an epoch, even when its own background
+// traffic arrived after its last barrier.
 type Device struct {
 	mu      sync.Mutex
 	profile Profile
 	// channelFree[i] is the virtual time at which channel i next idles.
 	channelFree []vtime.Duration
-	stats       deviceStats
-	series      *seriesRecorder
+	// requests counts every request over the device's lifetime; Reset
+	// keeps it, so an engine can tell whether anyone else submitted.
+	requests int64
+	stats    deviceStats
+	series   *seriesRecorder
 }
 
 type deviceStats struct {
@@ -42,6 +49,7 @@ type deviceStats struct {
 	totalService  vtime.Duration
 	totalResponse vtime.Duration // wait + service
 	firstArrival  vtime.Duration
+	lastArrival   vtime.Duration
 	lastComplete  vtime.Duration
 	sawRequest    bool
 
@@ -111,15 +119,15 @@ func (d *Device) submit(at vtime.Duration, n int, write bool) vtime.Duration {
 	complete := start + service
 	d.channelFree[best] = complete
 
+	d.requests++
 	s := &d.stats
 	if !s.sawRequest || at < s.firstArrival {
-		if !s.sawRequest {
-			s.firstArrival = at
-		} else if at < s.firstArrival {
-			s.firstArrival = at
-		}
-		s.sawRequest = true
+		s.firstArrival = at
 	}
+	if !s.sawRequest || at > s.lastArrival {
+		s.lastArrival = at
+	}
+	s.sawRequest = true
 	if complete > s.lastComplete {
 		s.lastComplete = complete
 	}
@@ -243,11 +251,35 @@ func (d *Device) Snapshot() Stats {
 	return out
 }
 
-// Reset clears accumulated statistics and queue state. It is used between
-// benchmark iterations so each BFS run is observed in isolation.
+// Requests returns the number of requests the device has accepted over its
+// lifetime (Reset does not clear it).
+func (d *Device) Requests() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.requests
+}
+
+// OpenEpoch applies the epoch rule (see Device) for a run starting at
+// virtual time start, whose engine saw the device's request count at seen
+// when its previous run ended (-1: it has never run), and resets the device
+// when the rule opens one.
+func (d *Device) OpenEpoch(start vtime.Duration, seen int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.requests != seen && d.stats.sawRequest && d.stats.lastArrival >= start {
+		d.reset()
+	}
+}
+
+// Reset clears accumulated statistics and queue state: it opens a new
+// epoch unconditionally.
 func (d *Device) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.reset()
+}
+
+func (d *Device) reset() {
 	for i := range d.channelFree {
 		d.channelFree[i] = 0
 	}

@@ -203,6 +203,56 @@ func TestDeviceReset(t *testing.T) {
 	}
 }
 
+// TestDeviceOpenEpoch is the epoch rule: a run starting at s opens an epoch
+// only when another timeline submitted since the engine's previous run ended
+// and some request arrived at or after s.
+func TestDeviceOpenEpoch(t *testing.T) {
+	const ms = vtime.Millisecond
+	for _, tc := range []struct {
+		name string
+		// setup submits the device's history and returns the engine's count
+		// at the end of its previous run (-1: never ran) and its start time.
+		setup func(d *Device) (seen int64, start vtime.Duration)
+		epoch bool
+	}{
+		{"foreign traffic ahead of start opens an epoch", func(d *Device) (int64, vtime.Duration) {
+			d.Read(0, 4096) // the engine's previous run
+			seen := d.Requests()
+			d.Write(5*ms, 4096) // another timeline, ahead of the engine
+			return seen, 1 * ms
+		}, true},
+		{"foreign traffic before start accumulates", func(d *Device) (int64, vtime.Duration) {
+			d.Write(0, 4096)
+			d.Write(0, 4096)
+			return -1, 1 * ms
+		}, false},
+		{"continuing timeline keeps its own late requests", func(d *Device) (int64, vtime.Duration) {
+			d.Read(0, 4096)
+			d.Write(5*ms, 4096) // the run's own background write, past its barrier
+			return d.Requests(), 1 * ms
+		}, false},
+		{"fresh device", func(d *Device) (int64, vtime.Duration) { return -1, 0 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDevice(testProfile, 0)
+			seen, start := tc.setup(d)
+			before, free := d.Snapshot(), d.EarliestFree()
+			d.OpenEpoch(start, seen)
+			after := d.Snapshot()
+			if tc.epoch {
+				if after != (Stats{}) || d.EarliestFree() != 0 {
+					t.Fatalf("no epoch opened: %+v, earliest free %v", after, d.EarliestFree())
+				}
+			} else if after != before || d.EarliestFree() != free {
+				t.Fatalf("device changed: %+v -> %+v, earliest free %v -> %v", before, after, free, d.EarliestFree())
+			}
+			if d.Requests() != before.Reads+before.Writes {
+				t.Fatalf("lifetime count %d, want %d", d.Requests(), before.Reads+before.Writes)
+			}
+		})
+	}
+}
+
 func TestDeviceWriteStats(t *testing.T) {
 	d := NewDevice(testProfile, 0)
 	d.Write(0, 1024)

@@ -1,6 +1,10 @@
 package nvm
 
-import "semibfs/internal/vtime"
+import (
+	"slices"
+
+	"semibfs/internal/vtime"
+)
 
 // This file defines the uniform middleware contract every storage
 // decorator implements. The NVM data path is a *stack of concerns* —
@@ -263,6 +267,20 @@ func CollectReplicaHealth(stores ...Storage) []ReplicaHealth {
 		return nil
 	}
 	return MergeReplicaHealth(sets...)
+}
+
+// StackDevices returns every device the given stacks charge, each once, in
+// walk order.
+func StackDevices(stores ...Storage) []*Device {
+	var out []*Device
+	for _, st := range stores {
+		WalkStack(st, func(s Storage) {
+			if d := s.Device(); d != nil && !slices.Contains(out, d) {
+				out = append(out, d)
+			}
+		})
+	}
+	return out
 }
 
 // Prefetcher is implemented by layers that can fill [off, off+n) into
