@@ -238,15 +238,14 @@ func quantileExact(sorted []float64, q float64) float64 {
 	return sorted[rank-1]
 }
 
-// serveLoadTrace builds a fresh system for sc and plays the trace through a
-// server configured per scfg.
+// serveLoadTrace plays the trace through a server configured per scfg, on
+// the lab's system for sc (RunServed starts it cold).
 func serveLoadTrace(lab *Lab, sc core.Scenario, cfg bfs.Config, trace []serve.Arrival,
 	scfg serve.ServerConfig) (*graph500.ServedResult, error) {
-	sys, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
+	sys, err := lab.System(sc, false)
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
 	return graph500.RunServed(sys, cfg, scfg, trace)
 }
 

@@ -57,9 +57,10 @@ type QueryRow struct {
 // page cache) serves every lane, so the per-query amortized time falls as
 // B grows even though the batch itself takes longer than any single
 // search. Every lane of every batch is validated against the Graph500
-// rules. Each width runs on a freshly built system so no page-cache warmth
-// leaks between rows; device profiles are unscaled like the other
-// device-behaviour experiments.
+// rules. Every width runs on the lab's one system for the scenario, from a
+// cold page cache (RunBatched starts cold) and a device its new runner
+// finds in a fresh epoch, so nothing leaks between rows; device profiles
+// are unscaled like the other device-behaviour experiments.
 func QuerySweep(opts Options) ([]QueryRow, error) {
 	opts = opts.WithDefaults()
 	lab, err := NewLab(opts, opts.Scale)
@@ -88,31 +89,27 @@ func QuerySweep(opts Options) ([]QueryRow, error) {
 	return rows, nil
 }
 
-// servingSetup readies one scenario of the serving sweeps with a probe
-// build: it measures the forward footprint to size the shared page cache
-// (QuerySweepCacheFraction of it) and samples the fixed query stream off
-// the degree distribution.
+// servingSetup readies one scenario of the serving sweeps from the
+// uncached system: it measures the forward footprint to size the shared
+// page cache (QuerySweepCacheFraction of it) and samples the fixed query
+// stream off the degree distribution.
 func servingSetup(lab *Lab, sc core.Scenario, queries int, seed uint64) (core.Scenario, []int64, error) {
-	probe, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
+	probe, err := lab.System(sc, false)
 	if err != nil {
 		return sc, nil, err
 	}
 	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), queries, seed, probe.Backward.Degree)
 	cached := sc.WithCache(int64(QuerySweepCacheFraction*float64(probe.NVMForwardBytes)), CacheReadahead)
-	if cerr := probe.Close(); err == nil {
-		err = cerr
-	}
 	return cached, roots, err
 }
 
-// runQueryWidth serves the fixed root stream at one batch width on a fresh
-// system, every lane validated, and reduces the stream into a QueryRow.
+// runQueryWidth serves the fixed root stream at one batch width, every lane
+// validated, and reduces the stream into a QueryRow.
 func runQueryWidth(lab *Lab, sc core.Scenario, cfg bfs.Config, name string, lanes int, roots []int64) (*QueryRow, error) {
-	sys, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
+	sys, err := lab.System(sc, false)
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
 	res, err := graph500.RunBatched(sys, lab.Src, cfg, lanes, roots, 0)
 	if err != nil {
 		return nil, err

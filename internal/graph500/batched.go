@@ -91,9 +91,10 @@ func RunBatch(br *bfs.BatchRunner, roots []int64, degree func(int64) int64, src 
 // RunBatched serves roots through sys's batched multi-source engine, up to
 // lanes per batch in arrival order: every batch advances all its searches
 // in one sweep of the shared stores, and each query is priced at its
-// amortized share of that sweep. The first validateRoots queries (0 = all)
-// are validated against src.
+// amortized share of that sweep, from a cold page cache. The first
+// validateRoots queries (0 = all) are validated against src.
 func RunBatched(sys *core.System, src edgelist.Source, cfg bfs.Config, lanes int, roots []int64, validateRoots int) (*BatchedResult, error) {
+	coldCache(sys)
 	br, err := sys.NewBatchRunner(lanes, cfg)
 	if err != nil {
 		return nil, err

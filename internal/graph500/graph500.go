@@ -271,12 +271,7 @@ func RunList(list *edgelist.List, p Params) (*Result, error) {
 // (bfs.Team's begin): the device statistics cover this call's roots alone.
 func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, error) {
 	p = p.WithDefaults()
-	if c := sys.PageCache(); c != nil {
-		// Start cold so repeated calls over a shared system measure the
-		// same thing (and stay deterministic). The cache warms across
-		// this call's roots, as it would across a real benchmark run.
-		c.Reset()
-	}
+	coldCache(sys)
 
 	runner, err := sys.NewRunner(p.BFS)
 	if err != nil {
@@ -316,6 +311,16 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 	res.BackwardDRAMScans, res.BackwardNVMScans = runner.BackwardScanTotals()
 	res.Faults = sys.FaultCounters()
 	return res, nil
+}
+
+// coldCache empties the system's page cache, if it has one. Every protocol
+// run starts cold, so repeated runs over a shared system measure the same
+// thing (and stay deterministic); the cache warms across the run's roots,
+// as it would across a real benchmark run.
+func coldCache(sys *core.System) {
+	if c := sys.PageCache(); c != nil {
+		c.Reset()
+	}
 }
 
 // runRoots is Steps 3-4 over any single-source runner: one traversal per
