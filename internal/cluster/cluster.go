@@ -192,13 +192,12 @@ func (c Config) Validate() error {
 // (one per mirror replica), its page cache, its fault stream, and every
 // stack built on them.
 type nodeStacks struct {
-	profile nvm.Profile
-	devs    []*nvm.Device
-	cache   *nvm.PageCache
-	faults  *faults.Factory
-	mk      nvm.BaseFactory
-	stores  []nvm.Storage
-	closed  bool
+	devs   []*nvm.Device
+	cache  *nvm.PageCache
+	faults *faults.Factory
+	mk     nvm.BaseFactory
+	stores []nvm.Storage
+	closed bool
 }
 
 // newNodeStacks prepares machine idx's device/cache/fault plumbing. The
@@ -207,23 +206,13 @@ type nodeStacks struct {
 // DieReplica fault kills one whole device of one machine — the node-death
 // scenario the failover machinery rescues.
 func newNodeStacks(cfg Config, idx int) *nodeStacks {
-	profile := cfg.Device
-	if cfg.LatencyScale > 0 {
-		profile = profile.WithLatencyScale(cfg.LatencyScale)
-	}
-	ns := &nodeStacks{profile: profile}
+	devs, device := nvm.NewReplicaDevices(cfg.Device.WithLatencyScale(cfg.LatencyScale), cfg.Replicas, 0)
+	ns := &nodeStacks{devs: devs}
 	if cfg.CacheBytes > 0 {
 		ns.cache = nvm.NewPageCache(cfg.CacheBytes, nvm.DefaultChunkSize, cfg.Cost)
 	}
 	mk := func(name string, chunk int) (nvm.Storage, error) {
-		r := nvm.ReplicaIndex(name)
-		if r < 0 {
-			r = 0
-		}
-		for len(ns.devs) <= r {
-			ns.devs = append(ns.devs, nvm.NewDevice(profile, 0))
-		}
-		var st nvm.Storage = nvm.NewMemStore(ns.devs[r], chunk)
+		var st nvm.Storage = nvm.NewMemStore(device(name), chunk)
 		if cfg.WrapBase != nil {
 			st = cfg.WrapBase(idx, name, st)
 		}

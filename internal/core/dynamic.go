@@ -48,21 +48,9 @@ func BuildDynamic(src edgelist.Source, topo numa.Topology, sc Scenario, clock *v
 	if err != nil {
 		return nil, err
 	}
-	profile := sc.Device
-	if sc.LatencyScale > 0 && sc.LatencyScale != 1 {
-		profile = profile.WithLatencyScale(sc.LatencyScale)
-	}
-	devs := make([]*nvm.Device, sc.replicas())
-	for i := range devs {
-		devs[i] = nvm.NewDevice(profile, 0)
-	}
+	devs, device := nvm.NewReplicaDevices(sc.Device.WithLatencyScale(sc.LatencyScale), sc.Replicas, 0)
 	ds := &DynamicSystem{
-		Media: dyn.NewMediaFunc(func(name string) *nvm.Device {
-			if i := nvm.ReplicaIndex(name); i >= 0 {
-				return devs[i%len(devs)]
-			}
-			return devs[0]
-		}),
+		Media:   dyn.NewMediaFunc(device),
 		Part:    numa.NewPartition(topo, int(src.NumVertices())),
 		Devices: devs,
 		opts:    opts,

@@ -162,14 +162,6 @@ func (s Scenario) WithIO(compress bool, queueDepth, frontierPrefetch int) Scenar
 	return s
 }
 
-// replicas returns the effective replica count (always >= 1).
-func (s Scenario) replicas() int {
-	if s.Replicas < 1 {
-		return 1
-	}
-	return s.Replicas
-}
-
 // scrubInterval converts ScrubRate (blocks per virtual second) into the
 // mirror layer's per-step interval.
 func (s Scenario) scrubInterval() vtime.Duration {
@@ -356,21 +348,11 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 	part := numa.NewPartition(topo, int(src.NumVertices()))
 
 	sys := &System{Scenario: sc, Part: part}
-	var devs []*nvm.Device
+	device := func(string) *nvm.Device { return nil }
 	if sc.HasNVM() {
-		profile := sc.Device
-		if sc.LatencyScale > 0 && sc.LatencyScale != 1 {
-			profile = profile.WithLatencyScale(sc.LatencyScale)
-		}
-		// One independent device per replica: a mirrored array spans
-		// distinct simulated hardware with separate queues and fault
-		// streams, not N copies on one device.
-		devs = make([]*nvm.Device, sc.replicas())
-		for i := range devs {
-			devs[i] = nvm.NewDevice(profile, opts.SeriesBinWidth)
-		}
-		sys.Device = devs[0]
-		sys.Devices = devs
+		sys.Devices, device = nvm.NewReplicaDevices(sc.Device.WithLatencyScale(sc.LatencyScale),
+			sc.Replicas, opts.SeriesBinWidth)
+		sys.Device = sys.Devices[0]
 	} else if sc.ForwardOnNVM || sc.BackwardDRAMEdgeLimit > 0 {
 		return nil, fmt.Errorf("core: scenario %q offloads data but has no device", sc.Name)
 	} else if sc.Replicas > 1 || sc.ScrubRate > 0 {
@@ -380,20 +362,10 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 	}
 
 	base := func(name string, chunk int) (nvm.Storage, error) {
-		// Replica stores ("...-r<i>") are routed onto device i; stores
-		// without a replica suffix (unmirrored stores) use the first
-		// device.
-		dev := (*nvm.Device)(nil)
-		if len(devs) > 0 {
-			dev = devs[0]
-			if i := nvm.ReplicaIndex(name); i >= 0 {
-				dev = devs[i%len(devs)]
-			}
-		}
 		if opts.Dir == "" {
-			return nvm.NewNamedMemStore(name, dev, chunk), nil
+			return nvm.NewNamedMemStore(name, device(name), chunk), nil
 		}
-		return nvm.CreateFileStore(filepath.Join(opts.Dir, name+".bin"), dev, chunk)
+		return nvm.CreateFileStore(filepath.Join(opts.Dir, name+".bin"), device(name), chunk)
 	}
 	// The base factory produces the media plus fault injection; every layer
 	// above it — checksums, mirroring, cache, retry, metrics — is assembled

@@ -205,10 +205,7 @@ func RunList(list *edgelist.List, p Params) (*Result, error) {
 	if p.EdgeListOnNVM {
 		profile := nvm.ProfileIoDrive2
 		if p.Scenario.HasNVM() {
-			profile = p.Scenario.Device
-			if p.Scenario.LatencyScale > 0 {
-				profile = profile.WithLatencyScale(p.Scenario.LatencyScale)
-			}
+			profile = p.Scenario.Device.WithLatencyScale(p.Scenario.LatencyScale)
 		}
 		edgeDev = nvm.NewDevice(profile, 0)
 		var store nvm.Storage

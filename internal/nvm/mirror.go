@@ -244,6 +244,25 @@ func ReplicaIndex(name string) int {
 	return n
 }
 
+// NewReplicaDevices returns n independent devices of profile p (at least
+// one), one per mirror replica, and the route a store factory picks a
+// store's device by: a replica store ("...-r<i>", ReplicaIndex) goes to
+// device i mod n, any other store to device 0. A mirrored array spans
+// distinct simulated hardware with separate queues and fault streams, not
+// n copies on one device. binWidth is NewDevice's.
+func NewReplicaDevices(p Profile, n int, binWidth vtime.Duration) ([]*Device, func(name string) *Device) {
+	devs := make([]*Device, max(n, 1))
+	for i := range devs {
+		devs[i] = NewDevice(p, binWidth)
+	}
+	return devs, func(name string) *Device {
+		if i := ReplicaIndex(name); i >= 0 {
+			return devs[i%len(devs)]
+		}
+		return devs[0]
+	}
+}
+
 type mirrorReplica struct {
 	store Storage
 	name  string
