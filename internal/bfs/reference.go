@@ -75,9 +75,6 @@ func (r *RefRunner) Run(root int64) (*Result, error) {
 		r.tree[i] = -1
 	}
 	r.visited.Reset()
-	for _, c := range r.clocks {
-		c.AdvanceTo(0)
-	}
 	r.tree[root] = root
 	r.visited.Set(int(root))
 	r.frontQ = append(r.frontQ[:0], root)

@@ -74,8 +74,7 @@ type Team struct {
 	layers0 nvm.StackStats
 
 	// The devices behind the graphs, and each one's lifetime request count
-	// when this team's previous run ended (-1 before the first): what begin
-	// hands Device.OpenEpoch.
+	// when this team's previous run ended: what begin hands Device.OpenEpoch.
 	devs    []*nvm.Device
 	devSeen []int64
 
@@ -120,9 +119,6 @@ func (t *Team) init(name string, fwd ForwardAccess, bwd BackwardAccess, part *nu
 	}
 	t.devs = nvm.StackDevices(t.stacks()...)
 	t.devSeen = make([]int64, len(t.devs))
-	for i := range t.devSeen {
-		t.devSeen[i] = -1
-	}
 	return nil
 }
 
@@ -179,10 +175,9 @@ func (t *Team) stacks() []nvm.Storage {
 func (t *Team) layerTotals() nvm.StackStats { return nvm.CollectStacks(t.stacks()...) }
 
 // begin starts a run: it empties the queues, unpins the controller, aligns
-// the worker clocks, opens an epoch on every device another timeline has
-// used ahead of the run's start (Device.OpenEpoch) and stamps the run's
-// baselines. Setup is not charged, matching the Graph500 timing protocol
-// which starts the clock at traversal.
+// the worker clocks, opens device epochs (Device.OpenEpoch) and stamps the
+// run's baselines. Setup is not charged, matching the Graph500 timing
+// protocol which starts the clock at traversal.
 func (t *Team) begin() {
 	t.FrontQ = t.FrontQ[:0]
 	for w := range t.NextQ {

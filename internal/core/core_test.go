@@ -44,7 +44,7 @@ func TestBuildDRAMOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if sys.Device != nil {
+	if len(sys.Devices) > 0 {
 		t.Error("DRAM-only built a device")
 	}
 	if sys.NVMBytes() != 0 {
@@ -65,11 +65,11 @@ func TestBuildForwardOffload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if sys.Device == nil {
+	if len(sys.Devices) == 0 {
 		t.Fatal("no device built")
 	}
-	if sys.Device.Profile().Name != "ioDrive2" {
-		t.Errorf("device profile %q", sys.Device.Profile().Name)
+	if sys.Devices[0].Profile().Name != "ioDrive2" {
+		t.Errorf("device profile %q", sys.Devices[0].Profile().Name)
 	}
 	if sys.NVMForwardBytes == 0 || sys.DRAMForwardBytes != 0 {
 		t.Errorf("forward placement: DRAM %d NVM %d",
@@ -118,7 +118,7 @@ func TestBuildLatencyScale(t *testing.T) {
 	}
 	defer sys.Close()
 	want := nvm.ProfileIoDrive2.WithLatencyScale(0.25).ReadLatency
-	if got := sys.Device.Profile().ReadLatency; got != want {
+	if got := sys.Devices[0].Profile().ReadLatency; got != want {
 		t.Fatalf("scaled latency %v, want %v", got, want)
 	}
 }

@@ -226,9 +226,6 @@ type System struct {
 	Part     *numa.Partition
 	Forward  bfs.ForwardAccess
 	Backward bfs.BackwardAccess
-	// Device is the NVM device model (nil for DRAM-only). With a mirrored
-	// array it is the first replica's device; Devices holds them all.
-	Device *nvm.Device
 	// Devices is the per-replica device array (len 1 without mirroring,
 	// nil for DRAM-only).
 	Devices []*nvm.Device
@@ -352,7 +349,6 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 	if sc.HasNVM() {
 		sys.Devices, device = nvm.NewReplicaDevices(sc.Device.WithLatencyScale(sc.LatencyScale),
 			sc.Replicas, opts.SeriesBinWidth)
-		sys.Device = sys.Devices[0]
 	} else if sc.ForwardOnNVM || sc.BackwardDRAMEdgeLimit > 0 {
 		return nil, fmt.Errorf("core: scenario %q offloads data but has no device", sc.Name)
 	} else if sc.Replicas > 1 || sc.ScrubRate > 0 {

@@ -57,10 +57,9 @@ type QueryRow struct {
 // page cache) serves every lane, so the per-query amortized time falls as
 // B grows even though the batch itself takes longer than any single
 // search. Every lane of every batch is validated against the Graph500
-// rules. Every width runs on the lab's one system for the scenario, from a
-// cold page cache (RunBatched starts cold) and a device its new runner
-// finds in a fresh epoch, so nothing leaks between rows; device profiles
-// are unscaled like the other device-behaviour experiments.
+// rules. Every width runs on the lab's system for the scenario, from a cold
+// page cache and a new device epoch, so nothing leaks between rows; device
+// profiles are unscaled like the other device-behaviour experiments.
 func QuerySweep(opts Options) ([]QueryRow, error) {
 	opts = opts.WithDefaults()
 	lab, err := NewLab(opts, opts.Scale)

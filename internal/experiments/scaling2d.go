@@ -66,11 +66,10 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 
 	// The oracle: single-node, everything in DRAM, same alpha/beta on
 	// the same global frontier counts.
-	refSys, err := core.Build(lab.Src, topology(), core.ScenarioDRAMOnly, core.BuildOptions{})
+	refSys, err := lab.System(core.ScenarioDRAMOnly, false)
 	if err != nil {
 		return nil, err
 	}
-	defer refSys.Close()
 	refRun, err := refSys.NewRunner(bfs.Config{Topology: topology(), Alpha: 1e4, Beta: 1e5})
 	if err != nil {
 		return nil, err

@@ -263,9 +263,8 @@ func RunList(list *edgelist.List, p Params) (*Result, error) {
 
 // RunOnSystem executes Steps 3-4 (BFS iterations plus validation) over an
 // already-built system. The sweep harness uses it to amortize generation
-// and construction across many (alpha, beta) points. Its runner is new, so
-// its first run opens an epoch on every device earlier traffic reached
-// (bfs.Team's begin): the device statistics cover this call's roots alone.
+// and construction across many (alpha, beta) points. Its new runner opens a
+// device epoch (bfs.Team's begin), so device statistics cover only its roots.
 func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, error) {
 	p = p.WithDefaults()
 	coldCache(sys)
@@ -298,9 +297,9 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 	if err := res.runRoots(runner.Run, roots, src, degree); err != nil {
 		return nil, err
 	}
-	if sys.Device != nil {
-		res.DeviceStats = sys.Device.Snapshot()
-		res.DeviceSeries = sys.Device.Series()
+	if len(sys.Devices) > 0 {
+		res.DeviceStats = sys.Devices[0].Snapshot()
+		res.DeviceSeries = sys.Devices[0].Series()
 	}
 	for _, dev := range sys.Devices {
 		res.PerDevice = append(res.PerDevice, dev.Snapshot())
@@ -310,10 +309,8 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 	return res, nil
 }
 
-// coldCache empties the system's page cache, if it has one. Every protocol
-// run starts cold, so repeated runs over a shared system measure the same
-// thing (and stay deterministic); the cache warms across the run's roots,
-// as it would across a real benchmark run.
+// coldCache empties the system's page cache, if any: every protocol run
+// starts cold and warms across its own roots, as a real benchmark run would.
 func coldCache(sys *core.System) {
 	if c := sys.PageCache(); c != nil {
 		c.Reset()

@@ -19,10 +19,9 @@ type ServedResult struct {
 
 // RunServed plays trace as an open-loop arrival process through a fresh
 // continuous-batching server of scfg.Lanes lanes over sys, from a cold page
-// cache: arrivals join
-// the next sweep's free lanes while earlier queries are still in flight,
-// and scfg's queue bound, shedding policy and deadline decide what is not
-// served.
+// cache: arrivals join the next sweep's free lanes while earlier queries are
+// still in flight, and scfg's queue bound, shedding policy and deadline
+// decide what is not served.
 func RunServed(sys *core.System, cfg bfs.Config, scfg serve.ServerConfig, trace []serve.Arrival) (*ServedResult, error) {
 	coldCache(sys)
 	br, err := sys.NewBatchRunner(scfg.Lanes, cfg)

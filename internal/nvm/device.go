@@ -19,22 +19,18 @@ import (
 // Little's law as total response time over the observation span) and
 // avgrq-sz is the mean request size in 512-byte sectors.
 //
-// Queue state is kept in absolute virtual time, but every engine runs on
-// its own clock, so a device shared by two timelines would queue one behind
-// the other's requests. The device therefore has epochs: a run starting at
-// virtual time s opens a new one (Reset: queue state, statistics and series)
-// exactly when another timeline has submitted to the device since the
-// engine's previous run ended (or the engine has never run), and some
-// request arrived at or after s (OpenEpoch). A timeline that continues from
-// its own previous run never opens an epoch, even when its own background
-// traffic arrived after its last barrier.
+// Queue state is in absolute virtual time but every engine runs on its own
+// clock, so the device has epochs. A run starting at s opens one (Reset)
+// exactly when another timeline has submitted since the engine's previous
+// run ended (or it never ran) and some request arrived at or after s
+// (OpenEpoch). A timeline continuing its own previous run never opens one,
+// even when its own background traffic arrived after its last barrier.
 type Device struct {
 	mu      sync.Mutex
 	profile Profile
 	// channelFree[i] is the virtual time at which channel i next idles.
 	channelFree []vtime.Duration
-	// requests counts every request over the device's lifetime; Reset
-	// keeps it, so an engine can tell whether anyone else submitted.
+	// requests counts every request ever accepted; Reset keeps it.
 	requests int64
 	stats    deviceStats
 	series   *seriesRecorder
@@ -124,9 +120,7 @@ func (d *Device) submit(at vtime.Duration, n int, write bool) vtime.Duration {
 	if !s.sawRequest || at < s.firstArrival {
 		s.firstArrival = at
 	}
-	if !s.sawRequest || at > s.lastArrival {
-		s.lastArrival = at
-	}
+	s.lastArrival = max(s.lastArrival, at)
 	s.sawRequest = true
 	if complete > s.lastComplete {
 		s.lastComplete = complete
@@ -251,18 +245,16 @@ func (d *Device) Snapshot() Stats {
 	return out
 }
 
-// Requests returns the number of requests the device has accepted over its
-// lifetime (Reset does not clear it).
+// Requests returns the device's lifetime request count; Reset keeps it.
 func (d *Device) Requests() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.requests
 }
 
-// OpenEpoch applies the epoch rule (see Device) for a run starting at
-// virtual time start, whose engine saw the device's request count at seen
-// when its previous run ended (-1: it has never run), and resets the device
-// when the rule opens one.
+// OpenEpoch resets the device when the epoch rule (see Device) opens one
+// for a run starting at start; seen is Requests when the engine's previous
+// run ended (0 if it never ran).
 func (d *Device) OpenEpoch(start vtime.Duration, seen int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -211,7 +211,7 @@ func TestDeviceOpenEpoch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// setup submits the device's history and returns the engine's count
-		// at the end of its previous run (-1: never ran) and its start time.
+		// at the end of its previous run (0: never ran) and its start time.
 		setup func(d *Device) (seen int64, start vtime.Duration)
 		epoch bool
 	}{
@@ -224,14 +224,14 @@ func TestDeviceOpenEpoch(t *testing.T) {
 		{"foreign traffic before start accumulates", func(d *Device) (int64, vtime.Duration) {
 			d.Write(0, 4096)
 			d.Write(0, 4096)
-			return -1, 1 * ms
+			return 0, 1 * ms
 		}, false},
 		{"continuing timeline keeps its own late requests", func(d *Device) (int64, vtime.Duration) {
 			d.Read(0, 4096)
 			d.Write(5*ms, 4096) // the run's own background write, past its barrier
 			return d.Requests(), 1 * ms
 		}, false},
-		{"fresh device", func(d *Device) (int64, vtime.Duration) { return -1, 0 }, false},
+		{"fresh device", func(d *Device) (int64, vtime.Duration) { return 0, 0 }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := NewDevice(testProfile, 0)

@@ -260,10 +260,10 @@ func (s *System) NVMBytes() int64 { return s.sys.NVMBytes() }
 // DeviceStats returns the NVM device's accumulated request statistics
 // (zero value for PlaceDRAM).
 func (s *System) DeviceStats() DeviceStats {
-	if s.sys.Device == nil {
+	if len(s.sys.Devices) == 0 {
 		return DeviceStats{}
 	}
-	st := s.sys.Device.Snapshot()
+	st := s.sys.Devices[0].Snapshot()
 	return DeviceStats{
 		Reads:             st.Reads,
 		ReadBytes:         st.ReadBytes,
