@@ -1,6 +1,10 @@
 package nvm
 
-import "semibfs/internal/vtime"
+import (
+	"slices"
+
+	"semibfs/internal/vtime"
+)
 
 // This file defines the uniform middleware contract every storage
 // decorator implements. The NVM data path is a *stack of concerns* —
@@ -269,11 +273,9 @@ func CollectReplicaHealth(stores ...Storage) []ReplicaHealth {
 // walk order.
 func StackDevices(stores ...Storage) []*Device {
 	var out []*Device
-	seen := make(map[*Device]bool)
 	for _, st := range stores {
 		WalkStack(st, func(s Storage) {
-			if d := s.Device(); d != nil && !seen[d] {
-				seen[d] = true
+			if d := s.Device(); d != nil && !slices.Contains(out, d) {
 				out = append(out, d)
 			}
 		})
