@@ -104,6 +104,11 @@ func TestCacheFramesRecycledUnderContention(t *testing.T) {
 				}
 				runtime.Gosched()
 			}
+			// Stay "running" until some read has overlapped a writer: a
+			// scheduler may otherwise let the writers finish first.
+			for overlapped.Load() == 0 {
+				runtime.Gosched()
+			}
 		}(w)
 	}
 	for r := 0; r < readers; r++ {
