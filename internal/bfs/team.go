@@ -175,9 +175,8 @@ func (t *Team) stacks() []nvm.Storage {
 func (t *Team) layerTotals() nvm.StackStats { return nvm.CollectStacks(t.stacks()...) }
 
 // begin starts a run: it empties the queues, unpins the controller, aligns
-// the worker clocks, opens device epochs (Device.OpenEpoch) and stamps the
-// run's baselines. Setup is not charged, matching the Graph500 timing
-// protocol which starts the clock at traversal.
+// the worker clocks, opens device epochs and stamps the run's baselines.
+// Setup is not charged: the Graph500 protocol starts the clock at traversal.
 func (t *Team) begin() {
 	t.FrontQ = t.FrontQ[:0]
 	for w := range t.NextQ {

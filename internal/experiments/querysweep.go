@@ -88,17 +88,20 @@ func QuerySweep(opts Options) ([]QueryRow, error) {
 	return rows, nil
 }
 
-// servingSetup readies one scenario of the serving sweeps from the
-// uncached system: it measures the forward footprint to size the shared
-// page cache (QuerySweepCacheFraction of it) and samples the fixed query
-// stream off the degree distribution.
+// servingSetup readies one scenario of the serving sweeps with a probe
+// build: it measures the forward footprint to size the shared page cache
+// (QuerySweepCacheFraction of it) and samples the fixed query stream off
+// the degree distribution.
 func servingSetup(lab *Lab, sc core.Scenario, queries int, seed uint64) (core.Scenario, []int64, error) {
-	probe, err := lab.System(sc, false)
+	probe, err := core.Build(lab.Src, topology(), sc, core.BuildOptions{Dir: lab.Opts.Dir})
 	if err != nil {
 		return sc, nil, err
 	}
 	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), queries, seed, probe.Backward.Degree)
 	cached := sc.WithCache(int64(QuerySweepCacheFraction*float64(probe.NVMForwardBytes)), CacheReadahead)
+	if cerr := probe.Close(); err == nil {
+		err = cerr
+	}
 	return cached, roots, err
 }
 

@@ -82,6 +82,7 @@ func TestCacheFramesRecycledUnderContention(t *testing.T) {
 
 	var writing atomic.Int32
 	var overlapped atomic.Int64 // reads checked while a writer was running
+	var followed atomic.Int64   // writes made after some overlapped read
 	writing.Store(writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -95,6 +96,9 @@ func TestCacheFramesRecycledUnderContention(t *testing.T) {
 			buf := make([]byte, block)
 			clock := vtime.NewClock(0)
 			for b := int64(w); b < blocks; b += writers {
+				if overlapped.Load() > 0 {
+					followed.Add(1)
+				}
 				for k := range buf {
 					buf[k] = offsetByte(b*block+int64(k), 1)
 				}
@@ -102,11 +106,12 @@ func TestCacheFramesRecycledUnderContention(t *testing.T) {
 					t.Errorf("write block %d: %v", b, err)
 					return
 				}
-				runtime.Gosched()
-			}
-			// Stay "running" until some read has overlapped a writer: a
-			// scheduler may otherwise let the writers finish first.
-			for overlapped.Load() == 0 {
+				// After the first write, wait for some read to be checked
+				// before writing on: a scheduler may otherwise let the
+				// writers finish before any reader runs.
+				for b == int64(w) && overlapped.Load() == 0 {
+					runtime.Gosched()
+				}
 				runtime.Gosched()
 			}
 		}(w)
@@ -150,9 +155,9 @@ func TestCacheFramesRecycledUnderContention(t *testing.T) {
 	for off := int64(0); off < size; off += 3 * block {
 		check(clock, buf, off, min(3*block, size-off), true)
 	}
-	if st := cache.Stats(); st.Evictions == 0 || st.Hits == 0 || overlapped.Load() == 0 {
-		t.Fatalf("the trace recycled nothing, hit nothing or never read beside a writer (%d reads): %v",
-			overlapped.Load(), st)
+	if st := cache.Stats(); st.Evictions == 0 || st.Hits == 0 || followed.Load() == 0 {
+		t.Fatalf("the trace recycled nothing, hit nothing or wrote nothing after a read beside a writer (%d reads, %d writes after): %v",
+			overlapped.Load(), followed.Load(), st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,10 +31,9 @@ type Device struct {
 	profile Profile
 	// channelFree[i] is the virtual time at which channel i next idles.
 	channelFree []vtime.Duration
-	// requests counts every request ever accepted; Reset keeps it.
-	requests int64
-	stats    deviceStats
-	series   *seriesRecorder
+	requests    int64 // every request ever accepted; Reset keeps it
+	stats       deviceStats
+	series      *seriesRecorder
 }
 
 type deviceStats struct {
@@ -261,6 +261,20 @@ func (d *Device) OpenEpoch(start vtime.Duration, seen int64) {
 	if d.requests != seen && d.stats.sawRequest && d.stats.lastArrival >= start {
 		d.reset()
 	}
+}
+
+// StackDevices returns every device the given stacks charge, each once, in
+// walk order.
+func StackDevices(stores ...Storage) []*Device {
+	var out []*Device
+	for _, st := range stores {
+		WalkStack(st, func(s Storage) {
+			if d := s.Device(); d != nil && !slices.Contains(out, d) {
+				out = append(out, d)
+			}
+		})
+	}
+	return out
 }
 
 // Reset clears accumulated statistics and queue state: it opens a new

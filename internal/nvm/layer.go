@@ -1,10 +1,6 @@
 package nvm
 
-import (
-	"slices"
-
-	"semibfs/internal/vtime"
-)
+import "semibfs/internal/vtime"
 
 // This file defines the uniform middleware contract every storage
 // decorator implements. The NVM data path is a *stack of concerns* —
@@ -267,20 +263,6 @@ func CollectReplicaHealth(stores ...Storage) []ReplicaHealth {
 		return nil
 	}
 	return MergeReplicaHealth(sets...)
-}
-
-// StackDevices returns every device the given stacks charge, each once, in
-// walk order.
-func StackDevices(stores ...Storage) []*Device {
-	var out []*Device
-	for _, st := range stores {
-		WalkStack(st, func(s Storage) {
-			if d := s.Device(); d != nil && !slices.Contains(out, d) {
-				out = append(out, d)
-			}
-		})
-	}
-	return out
 }
 
 // Prefetcher is implemented by layers that can fill [off, off+n) into
