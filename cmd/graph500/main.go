@@ -29,7 +29,7 @@ import (
 	"semibfs/internal/graph500"
 	"semibfs/internal/nvm"
 	"semibfs/internal/serve"
-	"semibfs/internal/vtime"
+	"semibfs/internal/vp"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -76,7 +76,7 @@ type cli struct {
 	report
 	m      *mode
 	p      graph500.Params
-	alg    core.Algorithm
+	alg    vp.Algorithm
 	isRef  bool
 	policy serve.Policy
 	crash  string
@@ -165,7 +165,7 @@ type mode struct {
 var modes = []mode{
 	{"grid", "-grid RxC", func(c *cli) bool { return c.grid != "" },
 		graphFlags + rootFlags + "alpha beta-mult " + deviceFlags + "grid ", runGrid},
-	{"algo", "-algo cc/pagerank", func(c *cli) bool { return c.alg != core.AlgoBFS },
+	{"algo", "-algo cc/pagerank", func(c *cli) bool { return c.alg != vp.AlgoBFS },
 		graphFlags + searchFlags + deviceFlags + nodeFlags + "dir levels layers algo pr-tol pr-iters ", runAlgorithm},
 	{"updates", "-updates N", func(c *cli) bool { return c.updates > 0 },
 		graphFlags + "roots " + searchFlags + deviceFlags + nodeFlags + "updates update-rate crash-at ", runUpdates},
@@ -185,7 +185,7 @@ func has(flags, name string) bool { return strings.Contains(" "+flags, " "+name+
 // rule fails, and builds the scenario and benchmark parameters.
 func (c *cli) configure(fs *flag.FlagSet) error {
 	var err error
-	if c.alg, err = core.ParseAlgorithm(c.algo); err != nil {
+	if c.alg, err = vp.ParseAlgorithm(c.algo); err != nil {
 		return err
 	}
 	var bfsMode bfs.Mode
@@ -235,7 +235,7 @@ func (c *cli) configure(fs *flag.FlagSet) error {
 	if c.isRef && c.m.name != "reference" {
 		return fmt.Errorf("-mode reference is its own mode; it does not combine with %s mode (%s)", c.m.name, c.m.selector)
 	}
-	if (c.prTol != 0 || c.prIters != 0) && c.alg != core.AlgoPageRank {
+	if (c.prTol != 0 || c.prIters != 0) && c.alg != vp.AlgoPageRank {
 		return fmt.Errorf("-pr-tol / -pr-iters require -algo pagerank")
 	}
 	if sc, err = c.buildScenario(sc); err != nil {
@@ -247,9 +247,8 @@ func (c *cli) configure(fs *flag.FlagSet) error {
 		Seed:           c.seed,
 		Roots:          c.roots,
 		ValidateRoots:  c.validate,
-		Scenario:       sc.WithAlgorithm(c.alg),
+		Scenario:       sc,
 		Dir:            c.dir,
-		SeriesBinWidth: 10 * vtime.Millisecond,
 		KeepLevelStats: c.showLevels,
 		EdgeListOnNVM:  c.elNVM,
 		BFS:            bfs.Config{Alpha: c.alpha, Beta: c.betaMult * c.alpha, Mode: bfsMode},

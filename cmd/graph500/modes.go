@@ -351,20 +351,19 @@ func runAlgorithm(c *cli) error {
 		return err
 	}
 	defer sys.Close()
-	prog, err := sys.NewProgram(vp.PageRankOptions{Tol: c.prTol, MaxIters: c.prIters})
-	if err != nil {
-		return err
-	}
-	eng, err := sys.NewEngine(prog, vp.Config{Config: p.BFS})
-	if err != nil {
-		return err
-	}
-	res, err := eng.Run(0)
+	var prog vp.Program
+	var res *vp.Result
+	err = graph500.RunProgram(sys, c.alg, vp.Config{Config: p.BFS},
+		vp.PageRankOptions{Tol: c.prTol, MaxIters: c.prIters}, []int64{0},
+		func(_ int64, pg vp.Program, r *vp.Result) error {
+			prog, res = pg, r
+			return nil
+		})
 	if err != nil {
 		return err
 	}
 
-	c.header(p, -1, "algorithm", p.Scenario.Algorithm.String())
+	c.header(p, -1, "algorithm", c.alg.String())
 	c.kv("iterations", "%d (converged: %v, %d direction switches)", res.Iterations, res.Converged, res.Switches)
 	c.kv("examined edges", "%d push, %d pull (%d from NVM)", res.ExaminedPush, res.ExaminedPull, res.ExaminedNVM)
 	c.kv("vtime", "%v", res.Time.ToTime())

@@ -6,6 +6,7 @@ import (
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/edgelist"
+	"semibfs/internal/graph500"
 	"semibfs/internal/numa"
 	"semibfs/internal/vp"
 )
@@ -49,22 +50,18 @@ func (e *EdgeList) Components() ComponentStats {
 // and returns each vertex's component min-ID label.
 func propagateLabels(list *edgelist.List) ([]int64, error) {
 	sys, err := core.Build(edgelist.ListSource{List: list},
-		numa.Topology{Nodes: 2, CoresPerNode: 2},
-		core.ScenarioDRAMOnly.WithAlgorithm(core.AlgoComponents),
-		core.BuildOptions{})
+		numa.Topology{Nodes: 2, CoresPerNode: 2}, core.ScenarioDRAMOnly, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	prog := vp.NewComponents()
-	eng, err := sys.NewEngine(prog, vp.Config{Config: bfs.Config{Topology: sys.Part.Topology}})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.Run(0); err != nil {
-		return nil, err
-	}
-	return prog.Labels(), nil
+	var labels []int64
+	err = graph500.RunProgram(sys, vp.AlgoComponents, vp.Config{Config: bfs.Config{Topology: sys.Part.Topology}},
+		vp.PageRankOptions{}, []int64{0}, func(_ int64, prog vp.Program, _ *vp.Result) error {
+			labels = prog.(*vp.Components).Labels()
+			return nil
+		})
+	return labels, err
 }
 
 // statsFromLabels derives ComponentStats from component labels. A label

@@ -240,13 +240,13 @@ func TestRetryExhaustionIsStructured(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected failure in top-down-only mode")
 	}
-	var re *semiext.RetryExhaustedError
+	var re *nvm.RetryExhaustedError
 	if !errors.As(err, &re) {
 		t.Fatalf("error is not a RetryExhaustedError: %v", err)
 	}
-	if re.Attempts != semiext.DefaultRetryPolicy.MaxAttempts {
+	if re.Attempts != nvm.DefaultRetryPolicy.MaxAttempts {
 		t.Fatalf("exhausted after %d attempts, policy says %d",
-			re.Attempts, semiext.DefaultRetryPolicy.MaxAttempts)
+			re.Attempts, nvm.DefaultRetryPolicy.MaxAttempts)
 	}
 	if !errors.Is(err, errDeviceGone) {
 		t.Fatalf("root cause lost: %v", err)

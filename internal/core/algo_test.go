@@ -1,26 +1,28 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/core"
 	"semibfs/internal/edgelist"
 	"semibfs/internal/faults"
 	"semibfs/internal/generator"
+	"semibfs/internal/graph500"
 	"semibfs/internal/numa"
 	"semibfs/internal/vp"
 )
 
 // buildAlgoSystem builds a scale-10 system under sc and returns it with
 // the generated edge list.
-func buildAlgoSystem(t *testing.T, sc Scenario) (*System, *edgelist.List) {
+func buildAlgoSystem(t *testing.T, sc core.Scenario) (*core.System, *edgelist.List) {
 	t.Helper()
 	list, err := generator.Generate(generator.Config{Scale: 10, EdgeFactor: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
-	sys, err := Build(edgelist.ListSource{List: list}, topo, sc, BuildOptions{})
+	sys, err := core.Build(edgelist.ListSource{List: list}, topo, sc, core.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +30,20 @@ func buildAlgoSystem(t *testing.T, sc Scenario) (*System, *edgelist.List) {
 	return sys, list
 }
 
-func algoConfig() vp.Config {
-	return vp.Config{Config: bfs.Config{Topology: numa.Topology{Nodes: 2, CoresPerNode: 2}, Alpha: 4, Beta: 40}}
+// runProgram runs algorithm a once over sys through graph500.RunProgram.
+func runProgram(t *testing.T, sys *core.System, a vp.Algorithm, pr vp.PageRankOptions) (vp.Program, *vp.Result) {
+	t.Helper()
+	var prog vp.Program
+	var res *vp.Result
+	cfg := vp.Config{Config: bfs.Config{Topology: numa.Topology{Nodes: 2, CoresPerNode: 2}, Alpha: 4, Beta: 40}}
+	err := graph500.RunProgram(sys, a, cfg, pr, []int64{0}, func(_ int64, p vp.Program, r *vp.Result) error {
+		prog, res = p, r
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", sys.Scenario.Name, err)
+	}
+	return prog, res
 }
 
 // unionFindMinLabels is the label oracle: each vertex's component minimum
@@ -73,7 +87,7 @@ func unionFindMinLabels(list *edgelist.List) []int64 {
 // backward offload, under injected recoverable faults — and requires the
 // labels to match both the union-find oracle and a DRAM-only run exactly.
 func TestComponentsThroughFullStack(t *testing.T) {
-	sc := ScenarioPCIeFlash.WithAlgorithm(AlgoComponents)
+	sc := core.ScenarioPCIeFlash
 	sc.Name = "full-stack-cc"
 	sc.Checksums = true
 	sc.Replicas = 2
@@ -83,19 +97,9 @@ func TestComponentsThroughFullStack(t *testing.T) {
 	sc.Faults = faults.Config{Seed: 1234, TransientRate: 0.05, CorruptRate: 0.01}
 
 	var want []int64
-	for _, s := range []Scenario{ScenarioDRAMOnly.WithAlgorithm(AlgoComponents), sc} {
+	for _, s := range []core.Scenario{core.ScenarioDRAMOnly, sc} {
 		sys, list := buildAlgoSystem(t, s)
-		prog, err := sys.NewProgram(vp.PageRankOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := sys.NewEngine(prog, algoConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Run(0); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
+		prog, _ := runProgram(t, sys, vp.AlgoComponents, vp.PageRankOptions{})
 		labels := prog.(*vp.Components).Labels()
 		if want == nil {
 			want = unionFindMinLabels(list)
@@ -114,25 +118,15 @@ func TestComponentsThroughFullStack(t *testing.T) {
 // killed mid-run, the run must record failovers and still produce ranks
 // bit-identical to a DRAM-only run.
 func TestPageRankMirrorFailover(t *testing.T) {
-	dram := ScenarioDRAMOnly.WithAlgorithm(AlgoPageRank)
-	sys, _ := buildAlgoSystem(t, dram)
-	prog, err := sys.NewProgram(vp.PageRankOptions{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := sys.NewEngine(prog, algoConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	pr := vp.PageRankOptions{Tol: 1e-8}
+	sys, _ := buildAlgoSystem(t, core.ScenarioDRAMOnly)
+	prog, _ := runProgram(t, sys, vp.AlgoPageRank, pr)
 	want := append([]float64(nil), prog.(*vp.PageRank).Ranks()...)
 	wantIters := prog.(*vp.PageRank).Iterations()
 
 	// Pull sweeps read the backward graph, so its tails must be the
 	// offloaded, mirrored structure for a replica death to matter.
-	sc := ScenarioPCIeFlash.WithAlgorithm(AlgoPageRank)
+	sc := core.ScenarioPCIeFlash
 	sc.Name = "pcie-pr-failover"
 	sc.Checksums = true
 	sc.Replicas = 2
@@ -141,18 +135,7 @@ func TestPageRankMirrorFailover(t *testing.T) {
 	sc.Faults = faults.Config{Seed: 99, DieAfterReads: 10, DieReplica: 1}
 
 	fsys, _ := buildAlgoSystem(t, sc)
-	fprog, err := fsys.NewProgram(vp.PageRankOptions{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feng, err := fsys.NewEngine(fprog, algoConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := feng.Run(0)
-	if err != nil {
-		t.Fatalf("run with dying replica: %v", err)
-	}
+	fprog, res := runProgram(t, fsys, vp.AlgoPageRank, pr)
 	if res.Resilience.Failovers == 0 {
 		t.Error("no failovers recorded; the replica death did not exercise the mirror path")
 	}

@@ -52,8 +52,9 @@ var backwardEdgeLimits = []int{32, 16, 8, 4, 2}
 //
 // The backward-graph estimate assumes the Kronecker degree profile cannot
 // be known analytically, so it uses the conservative bound of keeping
-// limit*N edge slots plus the index arrays in DRAM; planning against a
-// *built* instance should use PlanPlacementMeasured instead.
+// limit*N edge slots plus the index arrays in DRAM. There is no planner for
+// a *built* instance; a System reports its measured placement in
+// DRAMBytes and NVMBytes.
 func PlanPlacement(sizes csr.SizeBreakdown, budget int64) Plan {
 	n := int64(1) << uint(sizes.Scale)
 	always := sizes.Status // BFS status data never offloads

@@ -85,9 +85,6 @@ type Scenario struct {
 	// worker announces for readahead per top-down chunk; 0 disables
 	// frontier-driven prefetch. Requires CacheBytes > 0 to have effect.
 	FrontierPrefetch int
-	// Algorithm selects the vertex program runs over this scenario
-	// execute (see NewProgram); the zero value is AlgoBFS.
-	Algorithm Algorithm
 	// GridRows / GridCols extend the scenario to a simulated R x C
 	// cluster in which every machine carries this scenario's per-node
 	// storage stack (see ClusterConfig). Both zero (or 1x1) keeps the
@@ -121,12 +118,6 @@ func (s Scenario) ClusterConfig() cluster.Config {
 		QueueDepth:   s.QueueDepth,
 		Faults:       s.Faults,
 	}
-}
-
-// WithAlgorithm returns the scenario with its vertex program selected.
-func (s Scenario) WithAlgorithm(a Algorithm) Scenario {
-	s.Algorithm = a
-	return s
 }
 
 // WithLatencyScale returns the scenario with its device latencies scaled.

@@ -36,7 +36,7 @@ func treesFor(t *testing.T, sc Scenario, roots []int64) [][]int64 {
 		t.Fatal(err)
 	}
 	prog := vp.NewBFS()
-	eng, err := sys.NewEngine(prog, vp.Config{Config: cfg})
+	eng, err := vp.NewEngine(sys.Forward, sys.Backward, sys.Part, prog, vp.Config{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

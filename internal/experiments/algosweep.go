@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"semibfs/internal/bfs"
@@ -58,50 +59,38 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 		return nil, err
 	}
 	defer lab.Close()
+	return algoSweep(lab)
+}
 
-	vcfg := vp.Config{Config: sweepBFSConfig(opts, bfs.ModeHybrid)}
-	prOpts := vp.PageRankOptions{}
+// programRun names one run of a program: the algorithm and its start.
+type programRun struct {
+	algo  vp.Algorithm
+	start int64
+}
 
-	// DRAM references, computed once per algorithm.
+// algoSweep runs the sweep over lab's instance. A (device, budget) point is
+// one lab system, and all three programs take turns on it.
+func algoSweep(lab *Lab) ([]AlgoRow, error) {
+	vcfg := vp.Config{Config: sweepBFSConfig(lab.Opts, bfs.ModeHybrid)}
 	dramSys, err := lab.System(core.ScenarioDRAMOnly, false)
 	if err != nil {
 		return nil, err
 	}
-	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), opts.Roots, opts.Seed, dramSys.Backward.Degree)
+	roots, err := graph500.SampleRoots(lab.Src.NumVertices(), lab.Opts.Roots, lab.Opts.Seed, dramSys.Backward.Degree)
 	if err != nil {
 		return nil, err
 	}
-	refTrees := make(map[int64][]int64)
-	var refLabels []int64
-	var refRanks []float64
-	{
-		bfsProg := vp.NewBFS()
-		eng, err := dramSys.NewEngine(bfsProg, vcfg)
+	// The DRAM references: every run's packed result state.
+	ref := make(map[programRun][]byte)
+	for _, algo := range vp.Algorithms() {
+		err := graph500.RunProgram(dramSys, algo, vcfg, vp.PageRankOptions{}, programStarts(algo, roots),
+			func(start int64, prog vp.Program, _ *vp.Result) error {
+				ref[programRun{algo, start}] = prog.(vp.StateSnapshotter).PackState(nil)
+				return nil
+			})
 		if err != nil {
 			return nil, err
 		}
-		for _, root := range roots {
-			if _, err := eng.Run(root); err != nil {
-				return nil, err
-			}
-			refTrees[root] = append([]int64(nil), bfsProg.Tree()...)
-		}
-		ccProg := vp.NewComponents()
-		if eng, err = dramSys.NewEngine(ccProg, vcfg); err != nil {
-			return nil, err
-		}
-		if _, err := eng.Run(0); err != nil {
-			return nil, err
-		}
-		refLabels = append([]int64(nil), ccProg.Labels()...)
-		pr := vp.NewPageRank(degreesOf(dramSys), prOpts)
-		if eng, err = dramSys.NewEngine(pr, vcfg); err != nil {
-			return nil, err
-		}
-		if _, err := eng.Run(0); err != nil {
-			return nil, err
-		}
-		refRanks = append([]float64(nil), pr.Ranks()...)
 	}
 
 	var rows []AlgoRow
@@ -117,16 +106,21 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 			return nil, err
 		}
 		fwdBytes := probe.NVMForwardBytes
-		for _, algo := range core.Algorithms() {
+		for _, algo := range vp.Algorithms() {
 			for _, frac := range CacheFractions {
-				cached := sc.WithAlgorithm(algo)
+				cached := sc
 				if frac > 0 {
-					cached = cached.WithCache(int64(frac*float64(fwdBytes)), CacheReadahead)
+					cached = sc.WithCache(int64(frac*float64(fwdBytes)), CacheReadahead)
 				}
-				row, err := runAlgoPoint(lab, cached, vcfg, prOpts, frac, roots, refTrees, refLabels, refRanks)
+				sys, err := lab.System(cached, false)
+				if err != nil {
+					return nil, err
+				}
+				row, err := runAlgoPoint(sys, algo, vcfg, roots, ref)
 				if err != nil {
 					return nil, fmt.Errorf("algo sweep %s %s frac=%g: %w", base.Name, algo, frac, err)
 				}
+				row.Fraction = frac
 				rows = append(rows, row)
 			}
 		}
@@ -134,99 +128,63 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 	return rows, nil
 }
 
-// degreesOf materializes the per-vertex degree array of a system.
-func degreesOf(sys *core.System) []int64 {
-	deg := make([]int64, sys.Part.N)
-	for v := range deg {
-		deg[v] = sys.Backward.Degree(int64(v))
+// programStarts returns where algo's runs start: BFS from every sampled
+// root; the iterative programs' work is root-independent, so they run once.
+func programStarts(algo vp.Algorithm, roots []int64) []int64 {
+	if algo == vp.AlgoBFS {
+		return roots
 	}
-	return deg
+	return []int64{0}
 }
 
-// runAlgoPoint runs one (scenario, algorithm, budget) point and validates
-// it against the DRAM reference.
-func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRankOptions,
-	frac float64, roots []int64, refTrees map[int64][]int64,
-	refLabels []int64, refRanks []float64) (AlgoRow, error) {
-	sys, err := lab.System(sc, false)
-	if err != nil {
-		return AlgoRow{}, err
-	}
-	prog, err := sys.NewProgram(prOpts)
-	if err != nil {
-		return AlgoRow{}, err
-	}
-	eng, err := sys.NewEngine(prog, vcfg)
-	if err != nil {
-		return AlgoRow{}, err
-	}
+// runAlgoPoint runs algo on one (device, budget) point's system and checks
+// every run's result state against the DRAM reference, byte for byte.
+func runAlgoPoint(sys *core.System, algo vp.Algorithm, vcfg vp.Config, roots []int64,
+	ref map[programRun][]byte) (AlgoRow, error) {
 	row := AlgoRow{
-		Scenario:   sc.Name,
-		Algo:       sc.Algorithm.String(),
-		Fraction:   frac,
-		CacheBytes: sc.CacheBytes,
+		Scenario:   sys.Scenario.Name,
+		Algo:       algo.String(),
+		CacheBytes: sys.Scenario.CacheBytes,
 		Converged:  true,
-	}
-	// BFS runs once per sampled root; the iterative programs' work is
-	// root-independent, so they run once.
-	isBFS := sc.Algorithm == core.AlgoBFS
-	starts := []int64{0}
-	var degree func(int64) int64
-	if isBFS {
-		starts, degree = roots, sys.Backward.Degree
 	}
 	var teps []float64
 	var examined, hits, misses int64
-	for _, start := range starts {
-		res, err := eng.Run(start)
-		if err != nil {
-			return row, err
-		}
-		switch p := prog.(type) {
-		case *vp.BFS:
-			tree := p.Tree()
-			for v, want := range refTrees[start] {
-				if tree[v] != want {
-					return row, fmt.Errorf("root %d: tree[%d] = %d, DRAM reference %d",
-						start, v, tree[v], want)
-				}
+	err := graph500.RunProgram(sys, algo, vcfg, vp.PageRankOptions{}, programStarts(algo, roots),
+		func(start int64, prog vp.Program, res *vp.Result) error {
+			state := prog.(vp.StateSnapshotter).PackState(nil)
+			if !bytes.Equal(state, ref[programRun{algo, start}]) {
+				return fmt.Errorf("start %d: result state differs from the DRAM reference", start)
 			}
-			teps = appendTEPS(teps, tree, degree, res.Time)
-		case *vp.Components:
-			for v, l := range p.Labels() {
-				if l != refLabels[v] {
-					return row, fmt.Errorf("label[%d] = %d, DRAM reference %d", v, l, refLabels[v])
-				}
+			row.StateBytes = int64(len(state))
+			if b, ok := prog.(*vp.BFS); ok {
+				teps = appendTEPS(teps, b.Tree(), sys.Backward.Degree, res.Time)
 			}
-		case *vp.PageRank:
-			for v, r := range p.Ranks() {
-				if r != refRanks[v] {
-					return row, fmt.Errorf("rank[%d] = %v, DRAM reference %v (not bit-identical)",
-						v, r, refRanks[v])
-				}
+			if algo == vp.AlgoPageRank {
+				row.Converged = res.Converged
 			}
-			row.Converged = res.Converged
-		}
-		examined += res.ExaminedPush + res.ExaminedPull
-		row.NVMReads += res.Layers.Get("mirror", "reads")
-		hits += res.Cache.Hits
-		misses += res.Cache.Misses
-		row.Seconds += res.Time.Seconds()
-		row.Iterations = res.Iterations
+			examined += res.ExaminedPush + res.ExaminedPull
+			row.NVMReads += res.Layers.Get("mirror", "reads")
+			hits += res.Cache.Hits
+			misses += res.Cache.Misses
+			row.Seconds += res.Time.Seconds()
+			row.Iterations = res.Iterations
+			return nil
+		})
+	if err != nil {
+		return row, err
 	}
-	if isBFS {
+	if algo == vp.AlgoBFS {
 		row.TEPS = stats.Summarize(teps).HarmonicMean
 	}
 	if row.Seconds > 0 {
 		row.EdgesPerSec = float64(examined) / row.Seconds
-		if !isBFS {
+		if algo != vp.AlgoBFS {
 			row.IterationsPerSec = float64(row.Iterations) / row.Seconds
 		}
 	}
 	if hits+misses > 0 {
 		row.HitRate = float64(hits) / float64(hits+misses)
 	}
-	row.StateBytes = vp.StateBytes(prog)
 	return row, nil
 }
 
@@ -255,16 +213,16 @@ var algoEntry = flat[AlgoRow]{
 		best := map[string]float64{}
 		for _, r := range rows {
 			rate := r.IterationsPerSec
-			if r.Algo == core.AlgoBFS.String() {
+			if r.Algo == vp.AlgoBFS.String() {
 				rate = r.TEPS
 			}
 			k := r.Scenario + "/" + r.Algo
 			best[k] = max(best[k], rate)
 		}
 		return []Metric{
-			{"pcie-bfs-MTEPS", best[core.ScenarioPCIeFlash.Name+"/"+core.AlgoBFS.String()] / 1e6},
-			{"ssd-bfs-MTEPS", best[core.ScenarioSSD.Name+"/"+core.AlgoBFS.String()] / 1e6},
-			{"pcie-pagerank-iters-per-s", best[core.ScenarioPCIeFlash.Name+"/"+core.AlgoPageRank.String()]},
+			{"pcie-bfs-MTEPS", best[core.ScenarioPCIeFlash.Name+"/"+vp.AlgoBFS.String()] / 1e6},
+			{"ssd-bfs-MTEPS", best[core.ScenarioSSD.Name+"/"+vp.AlgoBFS.String()] / 1e6},
+			{"pcie-pagerank-iters-per-s", best[core.ScenarioPCIeFlash.Name+"/"+vp.AlgoPageRank.String()]},
 		}
 	},
 }.entry()

@@ -57,3 +57,20 @@ func TestAlgoSweepAcceptance(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgoSweepOneSystemPerBudget checks that the program is part of the
+// run, not of the system: the sweep builds one system per (device, budget)
+// point, on which all three programs run, plus the DRAM reference's.
+func TestAlgoSweepOneSystemPerBudget(t *testing.T) {
+	lab, err := NewLab(tinyOpts(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lab.Close()
+	if _, err := algoSweep(lab); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(lab.systems), 2*len(CacheFractions)+1; got != want {
+		t.Fatalf("the sweep built %d systems, want %d", got, want)
+	}
+}

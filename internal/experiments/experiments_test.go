@@ -21,13 +21,8 @@ func tinyOpts() Options {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.Scale != 18 || o.SmallScale != 17 || o.EdgeFactor != 16 ||
-		o.Seed == 0 || o.Roots != 16 {
+	if o.Scale != 18 || o.EdgeFactor != 16 || o.Seed == 0 || o.Roots != 16 {
 		t.Fatalf("defaults: %+v", o)
-	}
-	o = Options{Scale: 20}.WithDefaults()
-	if o.SmallScale != 19 {
-		t.Fatalf("SmallScale = %d", o.SmallScale)
 	}
 }
 
@@ -149,9 +144,7 @@ func TestFig8IncludesBaselines(t *testing.T) {
 }
 
 func TestFig9OmitsBaselines(t *testing.T) {
-	opts := tinyOpts()
-	opts.SmallScale = 9
-	series, err := Fig9(opts)
+	series, err := Fig9(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,9 @@ const PaperScale = 27
 
 // Options parameterize a reproduction run.
 type Options struct {
-	// Scale is the "large" instance standing in for the paper's 27.
-	Scale int
-	// SmallScale is the "small" instance standing in for the paper's 26
-	// (Figure 9); 0 selects Scale-1.
-	SmallScale int
+	// Scale is the "large" instance standing in for the paper's 27; the
+	// "small" one standing in for its 26 (Figure 9) is Scale-1.
+	Scale      int
 	EdgeFactor int
 	Seed       uint64
 	// Roots is the number of BFS iterations per configuration. The
@@ -55,9 +53,6 @@ func (o Options) WithDefaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 18
 	}
-	if o.SmallScale == 0 {
-		o.SmallScale = o.Scale - 1
-	}
 	if o.EdgeFactor == 0 {
 		o.EdgeFactor = generator.DefaultEdgeFactor
 	}
@@ -75,7 +70,7 @@ func (o Options) WithDefaults() Options {
 // construction once per scenario.
 type Lab struct {
 	Opts Options
-	// Scale is this lab's instance scale (Opts.Scale or Opts.SmallScale).
+	// Scale is this lab's instance scale (Opts.Scale or Opts.Scale-1).
 	Scale int
 	List  *edgelist.List
 	Src   edgelist.Source

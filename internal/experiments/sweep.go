@@ -147,7 +147,7 @@ func Fig8(opts Options) ([]Fig8Series, error) {
 // competitive with DRAM-only. Baselines are omitted, as in the paper.
 func Fig9(opts Options) ([]Fig8Series, error) {
 	opts = opts.WithDefaults()
-	return figPerformance(opts, opts.SmallScale, false)
+	return figPerformance(opts, opts.Scale-1, false)
 }
 
 func figPerformance(opts Options, scale int, baselines bool) ([]Fig8Series, error) {

@@ -65,7 +65,7 @@ type UpdateRow struct {
 // live generation, rewriting the backward graph, and replaying the log.
 func UpdateSweep(opts Options) ([]UpdateRow, error) {
 	opts = opts.WithDefaults()
-	lab, err := NewLab(opts, opts.SmallScale)
+	lab, err := NewLab(opts, opts.Scale-1)
 	if err != nil {
 		return nil, err
 	}

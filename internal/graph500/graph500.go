@@ -45,8 +45,6 @@ type Params struct {
 	BFS bfs.Config
 	// Dir places store files on disk; empty uses in-memory stores.
 	Dir string
-	// SeriesBinWidth enables per-bin device statistics when positive.
-	SeriesBinWidth vtime.Duration
 	// SortMode overrides the backward graph's adjacency order; the zero
 	// value is csr.SortByDegreeDesc.
 	SortMode csr.SortMode
@@ -234,7 +232,6 @@ func RunList(list *edgelist.List, p Params) (*Result, error) {
 	// Step 2: construct and place the graphs.
 	opts := core.BuildOptions{
 		Dir:            p.Dir,
-		SeriesBinWidth: p.SeriesBinWidth,
 		SortMode:       p.SortMode,
 		ConstructClock: constructClock,
 	}
@@ -413,12 +410,9 @@ func SampleRoots(n int64, count int, seed uint64, degree func(int64) int64) ([]i
 // cluster's machines each build a block of it), and returns the degree
 // lookup it sampled against for the TEPS accounting.
 func ListRoots(list *edgelist.List, count int, seed uint64) ([]int64, func(int64) int64, error) {
-	deg := make([]int64, list.NumVertices)
-	for _, e := range list.Edges {
-		if e.U != e.V {
-			deg[e.U]++
-			deg[e.V]++
-		}
+	deg, err := csr.Degrees(edgelist.ListSource{List: list})
+	if err != nil {
+		return nil, nil, err
 	}
 	degree := func(v int64) int64 { return deg[v] }
 	roots, err := SampleRoots(list.NumVertices, count, seed, degree)

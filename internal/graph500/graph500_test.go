@@ -5,6 +5,7 @@ import (
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
+	"semibfs/internal/edgelist"
 	"semibfs/internal/vtime"
 )
 
@@ -225,8 +226,14 @@ func TestRunReference(t *testing.T) {
 
 func TestDeviceSeriesRecorded(t *testing.T) {
 	p := smallParams(core.ScenarioSSD)
-	p.SeriesBinWidth = 100 * vtime.Microsecond
-	res, err := Run(p)
+	src := edgelist.ListSource{List: smallList(t, p)}
+	sys, err := core.Build(src, p.BFS.WithDefaults().Topology, p.Scenario,
+		core.BuildOptions{SeriesBinWidth: 100 * vtime.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	res, err := RunOnSystem(sys, src, p)
 	if err != nil {
 		t.Fatal(err)
 	}

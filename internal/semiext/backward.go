@@ -31,9 +31,6 @@ type BackwardOptions struct {
 	// page cache — typically the forward graph's, so one DRAM budget
 	// serves the whole offloaded graph (the FlashGraph/SAFS layering).
 	Cache *nvm.PageCache
-	// Retry is the stack's retry/backoff policy; the zero value selects
-	// nvm.DefaultRetryPolicy.
-	Retry RetryPolicy
 	// Compress stores the tails delta+varint encoded (internal/enc). The
 	// element-count TailIndex is kept (Degree and the sweeps depend on
 	// it); a parallel TailByteIndex addresses the encoded stream. Tails
@@ -180,7 +177,6 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 				Cache:      opts.Cache,
 				QueueDepth: opts.QueueDepth,
 				BaseChunk:  AggregatedChunk,
-				Retry:      opts.Retry,
 			})
 			if err != nil {
 				return fail(err)

@@ -86,9 +86,6 @@ type ForwardOptions struct {
 	// Mirror tunes the replica health thresholds and background scrubber
 	// when Replicas > 1 (zero value: library defaults, no scrubbing).
 	Mirror nvm.MirrorConfig
-	// Retry is the stack's retry/backoff policy; the zero value selects
-	// nvm.DefaultRetryPolicy.
-	Retry RetryPolicy
 	// Compress stores the value arrays delta+varint encoded (internal/enc)
 	// instead of as raw 8-byte IDs: the index stores then hold byte
 	// offsets into the encoded stream, neighbor lists are sorted so hub
@@ -273,7 +270,6 @@ func forwardStackBuilder(sf *SemiForward, mk StoreFactory, opts ForwardOptions) 
 			Cache:      sf.cache,
 			QueueDepth: opts.QueueDepth,
 			BaseChunk:  AggregatedChunk,
-			Retry:      opts.Retry,
 		})
 	}
 }

@@ -60,9 +60,6 @@ func NewEngine(fwd bfs.ForwardAccess, bwd bfs.BackwardAccess, part *numa.Partiti
 		// fixed-point programs on tiny graphs.
 		MaxLevels: part.N + 64,
 	}
-	if cfg.MaxLevels > 0 {
-		k.MaxLevels = cfg.MaxLevels
-	}
 	if caps&CapPush != 0 {
 		k.Push = func(w int) bfs.Expand { return newPushHook(w, prog, e.dedup, &cfg.Cost) }
 	}

@@ -141,10 +141,6 @@ type Program interface {
 // worker bound, with the same defaults as the BFS runner.
 type Config struct {
 	bfs.Config
-	// MaxLevels bounds the level loop; 0 selects n + 64 (any frontier
-	// program converges within n levels; the slack covers fixed-point
-	// programs on tiny graphs).
-	MaxLevels int
 }
 
 // WithDefaults returns c with zero fields replaced by defaults.

@@ -35,7 +35,6 @@ import (
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/validate"
-	"semibfs/internal/vtime"
 )
 
 // Edge is one undirected edge (a Graph500 tuple).
@@ -184,10 +183,7 @@ func NewSystem(edges *EdgeList, opts Options) (*System, error) {
 		}
 	}
 	src := edgelist.ListSource{List: edges.list}
-	sys, err := core.Build(src, topo, sc, core.BuildOptions{
-		Dir:            opts.Dir,
-		SeriesBinWidth: vtime.Millisecond,
-	})
+	sys, err := core.Build(src, topo, sc, core.BuildOptions{Dir: opts.Dir})
 	if err != nil {
 		return nil, err
 	}
