@@ -35,6 +35,10 @@ var goldenCases = []struct{ name, args string }{
 	{"updates-wal", "-scale 10 -scenario pcie -updates 64 -update-rate 8 -backward-limit 4 -crash-at wal"},
 	{"updates-compaction", "-scale 10 -scenario ssd -updates 64 -update-rate 8 -backward-limit 4 -crash-at compaction"},
 	{"help", "-h"},
+	{"classic-pcie-degraded", "-scale 10 -roots 8 -scenario pcie -alpha 64 -fault-after 20 -fault-rate 0.02 -fault-seed 7"},
+	{"classic-pcie-scrub", "-scale 10 -roots 8 -scenario pcie -alpha 64 -cache-bytes 48K -replicas 2 -scrub-rate 100000 -fault-rate 0.05 -fault-corrupt 0.01 -fault-seed 7"},
+	{"batch-pcie-faults", "-scale 10 -scenario pcie -batch 8 -queries 20 -alpha 64 -cache-bytes 48K -fault-rate 0.01 -fault-seed 7"},
+	{"algo-cc-mirror", "-scale 10 -scenario pcie -algo cc -mode topdown -cache-bytes 48K -replicas 2 -fault-rate 0.05 -fault-seed 7"},
 }
 
 // runCLI drives run and returns what a golden file holds: the command
