@@ -68,7 +68,8 @@ func runClassic(c *cli) error {
 		c.kv("NVM avgrq-sz", "%.1f sectors", d.AvgRequestSectors)
 		c.kv("NVM await", "%v", (d.AvgWait + d.AvgService).ToTime())
 	}
-	if cs := res.CacheStats; cs.CapacityBytes > 0 {
+	l := res.Layers
+	if cs := l.CacheView(); cs.CapacityBytes > 0 {
 		c.kv("page cache", "%s (%d-byte blocks, readahead %d)",
 			stats.FormatBytes(cs.CapacityBytes), cs.BlockBytes, p.Scenario.ReadaheadBlocks)
 		c.cacheHits(cs, fmt.Sprintf(", %d evictions", cs.Evictions))
@@ -79,26 +80,25 @@ func runClassic(c *cli) error {
 	if p.Scenario.Compress && res.CompressionRatio > 0 {
 		c.kv("NVM compression", "%.2fx (delta+varint adjacency)", res.CompressionRatio)
 	}
-	if a, ok := res.Layers.Layer("async"); ok {
+	if a, ok := l.Layer("async"); ok {
 		c.kv("async pipeline", "depth %d, %d demand runs (%d blocks), %d prefetch runs (%d blocks)",
 			a.Get("queue_depth"), a.Get("demand_runs"), a.Get("demand_blocks"),
 			a.Get("prefetch_runs"), a.Get("prefetch_blocks"))
 	}
-	r := res.Resilience
-	if r.Retries > 0 || r.ReadErrors > 0 || r.DegradedRuns > 0 {
-		c.readErrors(r.ReadErrors, r.Retries, fmt.Sprintf(", backoff %v", r.BackoffTime.ToTime()))
-		if r.DegradedRuns > 0 {
-			c.kv("degraded runs", "%d (%d levels rescued)", r.DegradedRuns, r.DegradedLevels)
+	if l.Get("retry", "read_errors") > 0 || res.DegradedRuns > 0 {
+		c.readErrors(l, fmt.Sprintf(", backoff %v", vtime.Duration(l.Get("retry", "backoff_ns")).ToTime()))
+		if res.DegradedRuns > 0 {
+			c.kv("degraded runs", "%d (%d levels rescued)", res.DegradedRuns, res.DegradedLevels)
 		}
 		f := res.Faults
 		c.kv("injected faults", "%d transient, %d corrupt, %d spikes over %d reads",
 			f.Transient, f.Corrupted, f.Spikes, f.Reads)
 	}
 	if len(res.DeviceHealth) > 0 {
-		c.kv("mirror failovers", "%d", r.Failovers)
-		if r.ScrubbedBlocks > 0 || r.RepairedBlocks > 0 {
+		c.kv("mirror failovers", "%d", l.Get("mirror", "failovers"))
+		if scrubbed, repaired := l.Get("mirror", "scrubbed_blocks"), l.Get("mirror", "repaired_blocks"); scrubbed > 0 || repaired > 0 {
 			c.kv("scrubber", "%d blocks verified, %d repaired (repair vtime %v)",
-				r.ScrubbedBlocks, r.RepairedBlocks, r.RepairTime.ToTime())
+				scrubbed, repaired, vtime.Duration(l.Get("mirror", "repair_ns")).ToTime())
 		}
 		for i, d := range res.DeviceHealth {
 			media := ""
@@ -117,7 +117,7 @@ func runClassic(c *cli) error {
 		c.levels("per-level stats of first root", res.PerRoot[0].Levels)
 	}
 	if c.showLayers {
-		c.layers(res.Layers)
+		c.layers(l)
 	}
 	return nil
 }
@@ -226,11 +226,11 @@ func runBatched(c *cli) error {
 	if res.Seconds > 0 {
 		c.teps("aggregate_TEPS", res.AggregateTEPS())
 	}
-	if res.Cache.Hits+res.Cache.Misses > 0 {
-		c.cacheHits(res.Cache, "")
+	if cs := res.Layers.CacheView(); cs.Hits+cs.Misses > 0 {
+		c.cacheHits(cs, "")
 	}
-	if res.ReadErrors > 0 || res.DegradedLevels > 0 {
-		c.readErrors(res.ReadErrors, res.Retries, "")
+	if res.Layers.Get("retry", "read_errors") > 0 || res.DegradedLevels > 0 {
+		c.readErrors(res.Layers, "")
 		if res.DegradedLevels > 0 {
 			c.kv("degraded batches", "%d (%d levels rescued)", res.DegradedBatches, res.DegradedLevels)
 		}
@@ -323,8 +323,8 @@ func runServed(c *cli) error {
 	if degraded > 0 {
 		c.kv("degraded queries", "%d", degraded)
 	}
-	if readErrors := layers.Get("retry", "read_errors"); readErrors > 0 {
-		c.readErrors(readErrors, layers.Get("retry", "retries"), "")
+	if layers.Get("retry", "read_errors") > 0 {
+		c.readErrors(layers, "")
 	}
 	if cs := layers.CacheView(); cs.Hits+cs.Misses > 0 {
 		c.cacheHits(cs, "")
@@ -388,14 +388,14 @@ func runAlgorithm(c *cli) error {
 		}
 		c.kv("pagerank", "damping %g, tol %g, max %d iters; rank sum %.9f", o.Damping, o.Tol, o.MaxIters, sum)
 	}
-	if res.Cache.Hits+res.Cache.Misses > 0 {
-		c.cacheHits(res.Cache, "")
+	if cs := res.Layers.CacheView(); cs.Hits+cs.Misses > 0 {
+		c.cacheHits(cs, "")
 	}
-	if r := res.Resilience; r.ReadErrors > 0 || r.Retries > 0 {
-		c.readErrors(r.ReadErrors, r.Retries, "")
+	if res.Layers.Get("retry", "read_errors") > 0 {
+		c.readErrors(res.Layers, "")
 	}
-	if r := res.Resilience; r.Failovers > 0 {
-		c.kv("mirror failovers", "%d", r.Failovers)
+	if f := res.Layers.Get("mirror", "failovers"); f > 0 {
+		c.kv("mirror failovers", "%d", f)
 	}
 	c.wall()
 	if c.showLevels {

@@ -48,10 +48,11 @@ func (r report) cacheHits(c nvm.CacheStats, tail string) {
 	r.kv("cache hits", "%d of %d lookups (%.1f%%)%s", c.Hits, c.Hits+c.Misses, 100*c.HitRate(), tail)
 }
 
-// readErrors prints the retry layer's line; detail extends the "(N retried"
-// parenthesis.
-func (r report) readErrors(errors, retries int64, detail string) {
-	r.kv("NVM read errors", "%d (%d retried%s)", errors, retries, detail)
+// readErrors prints the retry layer's line from a run's layer counters;
+// detail extends the "(N retried" parenthesis. A retry always follows a
+// failed attempt, so callers need only check read_errors.
+func (r report) readErrors(l nvm.StackStats, detail string) {
+	r.kv("NVM read errors", "%d (%d retried%s)", l.Get("retry", "read_errors"), l.Get("retry", "retries"), detail)
 }
 
 // levels prints a per-level table.

@@ -74,7 +74,7 @@ func TestBatchRunnerSteadyStateAllocs(t *testing.T) {
 // (the guards in internal/nvm and internal/semiext), so what is left — 139
 // objects here and 241 on the benchmark's td-ssd-stack when written — is
 // per run, not per read: above all the CollectStacks / Stats() /
-// MirrorStore.Health snapshots behind Result.Layers, Cache and Resilience,
+// MirrorStore.Health snapshots behind Result.Layers and Resilience,
 // which ROADMAP item 2's typed counters retire (not chased here), then the
 // engine's own handful. The parent allocated a page, a channel, a clock and
 // a buffer per cache miss: 489 objects here, 7,790 on td-ssd-stack.
@@ -104,7 +104,7 @@ func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		misses += res.Cache.Misses
+		misses += res.Layers.Get("cache", "misses")
 	}
 	run()
 	misses = 0

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"semibfs/internal/nvm"
-	"semibfs/internal/vtime"
 )
 
 // DegradedEvent records one mid-run degradation: a level whose kernel
@@ -20,25 +19,11 @@ type DegradedEvent struct {
 	Cause string
 }
 
-// Resilience summarizes one run's fault handling: the retries and
-// virtual-time backoff absorbed by the semi-external read path, and any
-// degradations the controller performed.
+// Resilience is one run's fault outcome the storage counters cannot
+// express: the devices' health at the end of the run and any degradations
+// the controller performed. The retry, mirror and scrubber activity behind
+// it is in RunStats.Layers.
 type Resilience struct {
-	// Retries / ReadErrors count reissued reads and failed attempts.
-	Retries    int64
-	ReadErrors int64
-	// BackoffTime is the virtual time spent backing off before retries.
-	BackoffTime vtime.Duration
-	// Failovers counts mirror reads redirected to another replica after a
-	// replica failure (zero without a device array).
-	Failovers int64
-	// ScrubbedBlocks / RepairedBlocks count the background scrubber's
-	// verified and rewritten blocks during the run.
-	ScrubbedBlocks int64
-	RepairedBlocks int64
-	// RepairTime is the virtual time spent repairing corrupt or stale
-	// blocks (mean repair latency = RepairTime / RepairedBlocks).
-	RepairTime vtime.Duration
 	// Devices is the per-device health at the end of the run, merged
 	// across the mirrored stores (nil without a device array).
 	Devices []nvm.ReplicaHealth
@@ -59,18 +44,6 @@ func (r *Resilience) DeadDevices() int {
 		}
 	}
 	return n
-}
-
-// fromLayers fills the legacy Resilience summary counters as views over the
-// generic per-layer deltas.
-func (r *Resilience) fromLayers(layers nvm.StackStats) {
-	r.Retries = layers.Get("retry", "retries")
-	r.ReadErrors = layers.Get("retry", "read_errors")
-	r.BackoffTime = vtime.Duration(layers.Get("retry", "backoff_ns"))
-	r.Failovers = layers.Get("mirror", "failovers")
-	r.ScrubbedBlocks = layers.Get("mirror", "scrubbed_blocks")
-	r.RepairedBlocks = layers.Get("mirror", "repaired_blocks")
-	r.RepairTime = vtime.Duration(layers.Get("mirror", "repair_ns"))
 }
 
 // rescueTarget decides whether a failed level can be rescued by switching

@@ -60,10 +60,11 @@ func TestHybridRecoversFromTransientFaults(t *testing.T) {
 		t.Fatalf("run with 1-in-3 transient failures did not recover: %v", err)
 	}
 	checkAgainstSerial(t, res.Tree, list, root)
-	if res.Resilience.Retries == 0 || res.Resilience.ReadErrors == 0 {
-		t.Fatalf("resilience counters empty despite injected faults: %+v", res.Resilience)
+	retry, _ := res.Layers.Layer("retry")
+	if retry.Get("retries") == 0 || retry.Get("read_errors") == 0 {
+		t.Fatalf("retry counters empty despite injected faults: %+v", retry)
 	}
-	if res.Resilience.BackoffTime == 0 {
+	if retry.Get("backoff_ns") == 0 {
 		t.Fatal("retries recorded but no backoff time charged")
 	}
 	if n := res.Resilience.DegradedLevels(); n != 0 {
@@ -130,7 +131,7 @@ func TestForwardDeviceDeathDegradesToBottomUp(t *testing.T) {
 			t.Fatalf("level %d ran %v after pinning to bottom-up", l.Level, l.Direction)
 		}
 	}
-	if res.Resilience.Retries == 0 {
+	if res.Layers.Get("retry", "retries") == 0 {
 		t.Fatal("device death should have been preceded by retry attempts")
 	}
 

@@ -196,13 +196,11 @@ func (t *Team) begin() {
 }
 
 // finish closes a run's summary: its virtual time and the per-layer counter
-// deltas since begin, with the legacy Resilience and Cache fields as views.
+// deltas since begin, and the devices' health at its end.
 func (t *Team) finish(s *RunStats) {
 	s.Time = vtime.MaxOf(t.Clocks) - t.start
 	s.Layers = t.layerTotals().Sub(t.layers0)
-	s.Resilience.fromLayers(s.Layers)
 	s.Resilience.Devices = nvm.CollectReplicaHealth(t.stacks()...)
-	s.Cache = s.Layers.CacheView()
 	for i, d := range t.devs {
 		t.devSeen[i] = d.Requests()
 	}
@@ -370,16 +368,14 @@ type RunStats struct {
 	ExaminedNVM int64
 	// Switches counts direction changes, degraded rescues included.
 	Switches int
-	// Resilience summarizes the run's fault handling (zero for a healthy
-	// run over healthy devices). Its counters are views over Layers.
+	// Resilience holds the devices' health and the degraded levels (zero
+	// for a healthy run over healthy devices).
 	Resilience Resilience
-	// Cache summarizes the run's page-cache activity (zero when no cache
-	// is configured). It is a view over Layers.
-	Cache nvm.CacheStats
-	// Layers holds the per-run delta of every storage-stack layer's
-	// counters (retry, cache, mirror, checksum, fault injection, ...),
-	// aggregated across the forward and backward graphs' stacks. Nil for
-	// fully DRAM-resident graphs.
+	// Layers is the run's one record of storage activity: the per-run delta
+	// of every storage-stack layer's counters (retry, cache, mirror,
+	// checksum, fault injection, ...), aggregated across the forward and
+	// backward graphs' stacks. Reports read it through Get and CacheView.
+	// Nil for fully DRAM-resident graphs.
 	Layers nvm.StackStats
 }
 

@@ -136,7 +136,7 @@ func TestPageRankMirrorFailover(t *testing.T) {
 
 	fsys, _ := buildAlgoSystem(t, sc)
 	fprog, res := runProgram(t, fsys, vp.AlgoPageRank, pr)
-	if res.Resilience.Failovers == 0 {
+	if res.Layers.Get("mirror", "failovers") == 0 {
 		t.Error("no failovers recorded; the replica death did not exercise the mirror path")
 	}
 	if got := fprog.(*vp.PageRank).Iterations(); got != wantIters {

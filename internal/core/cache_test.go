@@ -75,11 +75,12 @@ func TestCacheTreeIdentity(t *testing.T) {
 				}
 			}
 		}
-		if tc.sc.CacheBytes > 0 && res.Cache.Hits == 0 {
-			t.Fatalf("%s: cache configured but saw no hits (%+v)", tc.name, res.Cache)
+		cs := res.Layers.CacheView()
+		if tc.sc.CacheBytes > 0 && cs.Hits == 0 {
+			t.Fatalf("%s: cache configured but saw no hits (%+v)", tc.name, cs)
 		}
-		if tc.sc.CacheBytes == 0 && (res.Cache.Hits != 0 || res.Cache.Misses != 0) {
-			t.Fatalf("%s: no cache configured but stats nonzero (%+v)", tc.name, res.Cache)
+		if tc.sc.CacheBytes == 0 && (cs.Hits != 0 || cs.Misses != 0) {
+			t.Fatalf("%s: no cache configured but stats nonzero (%+v)", tc.name, cs)
 		}
 		sys.Close()
 	}
@@ -116,7 +117,7 @@ func TestCacheDeterminism(t *testing.T) {
 	if a.Time != b.Time {
 		t.Fatalf("virtual time differs across identical runs: %v != %v", a.Time, b.Time)
 	}
-	if a.Cache != b.Cache {
-		t.Fatalf("cache stats differ across identical runs:\n%+v\n%+v", a.Cache, b.Cache)
+	if ca, cb := a.Layers.CacheView(), b.Layers.CacheView(); ca != cb {
+		t.Fatalf("cache stats differ across identical runs:\n%+v\n%+v", ca, cb)
 	}
 }

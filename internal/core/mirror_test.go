@@ -64,7 +64,7 @@ func TestMirrorSurvivesOneDeadReplica(t *testing.T) {
 	if res.Switches == 0 {
 		t.Fatal("hybrid run never switched direction; the death pinned it")
 	}
-	if res.Resilience.Failovers == 0 {
+	if res.Layers.Get("mirror", "failovers") == 0 {
 		t.Fatal("expected failovers > 0")
 	}
 	devs := res.Resilience.Devices
@@ -183,21 +183,23 @@ func TestMirrorScrubRepairsDeterministically(t *testing.T) {
 		return res
 	}
 	a := run()
-	if a.Resilience.ScrubbedBlocks == 0 {
+	ma, _ := a.Layers.Layer("mirror")
+	if ma.Get("scrubbed_blocks") == 0 {
 		t.Fatal("scrubber never ran; raise the scrub rate")
 	}
-	if a.Resilience.RepairedBlocks == 0 {
+	if ma.Get("repaired_blocks") == 0 {
 		t.Fatal("no blocks repaired; raise the corrupt rate")
 	}
 	b := run()
 	if a.Time != b.Time {
 		t.Errorf("virtual time %v vs %v across identical runs", a.Time, b.Time)
 	}
-	if a.Resilience.ScrubbedBlocks != b.Resilience.ScrubbedBlocks ||
-		a.Resilience.RepairedBlocks != b.Resilience.RepairedBlocks ||
-		a.Resilience.RepairTime != b.Resilience.RepairTime ||
-		a.Resilience.Failovers != b.Resilience.Failovers {
-		t.Errorf("scrub/repair activity differs:\n%+v\n%+v", a.Resilience, b.Resilience)
+	mb, _ := b.Layers.Layer("mirror")
+	for _, c := range []string{"scrubbed_blocks", "repaired_blocks", "repair_ns", "failovers"} {
+		if ma.Get(c) != mb.Get(c) {
+			t.Errorf("scrub/repair activity differs:\n%+v\n%+v", ma, mb)
+			break
+		}
 	}
 	for v := range a.Tree {
 		if a.Tree[v] != b.Tree[v] {

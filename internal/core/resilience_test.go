@@ -62,13 +62,15 @@ func TestFaultScenarioIsDeterministic(t *testing.T) {
 		if ra.Time != rb.Time {
 			t.Errorf("root %d: virtual time %v vs %v", roots[i], ra.Time, rb.Time)
 		}
-		if ra.Resilience.Retries != rb.Resilience.Retries ||
-			ra.Resilience.ReadErrors != rb.Resilience.ReadErrors ||
-			ra.Resilience.BackoffTime != rb.Resilience.BackoffTime {
-			t.Errorf("root %d: resilience %+v vs %+v",
-				roots[i], ra.Resilience, rb.Resilience)
+		qa, _ := ra.Layers.Layer("retry")
+		qb, _ := rb.Layers.Layer("retry")
+		for _, c := range []string{"retries", "read_errors", "backoff_ns"} {
+			if qa.Get(c) != qb.Get(c) {
+				t.Errorf("root %d: retry layer %+v vs %+v", roots[i], qa, qb)
+				break
+			}
 		}
-		if ra.Resilience.ReadErrors == 0 && i == 0 {
+		if qa.Get("read_errors") == 0 && i == 0 {
 			t.Log("note: no faults fired for the first root (rates may be too low for this instance)")
 		}
 		for v := range ra.Tree {
@@ -82,7 +84,7 @@ func TestFaultScenarioIsDeterministic(t *testing.T) {
 	// somewhere, or this test proves nothing.
 	var total int64
 	for _, r := range a {
-		total += r.Resilience.ReadErrors
+		total += r.Layers.Get("retry", "read_errors")
 	}
 	if total == 0 {
 		t.Fatal("no read errors across all roots; raise the rates")

@@ -164,8 +164,9 @@ func runAlgoPoint(sys *core.System, algo vp.Algorithm, vcfg vp.Config, roots []i
 			}
 			examined += res.ExaminedPush + res.ExaminedPull
 			row.NVMReads += res.Layers.Get("mirror", "reads")
-			hits += res.Cache.Hits
-			misses += res.Cache.Misses
+			cs := res.Layers.CacheView()
+			hits += cs.Hits
+			misses += cs.Misses
 			row.Seconds += res.Time.Seconds()
 			row.Iterations = res.Iterations
 			return nil

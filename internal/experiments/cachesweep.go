@@ -99,7 +99,7 @@ func CacheSweep(opts Options) ([]CacheRow, error) {
 					return nil, fmt.Errorf("cache sweep %s %s frac=%g: %w",
 						base.Name, mode, frac, err)
 				}
-				cs := res.CacheStats
+				cs := res.Layers.CacheView()
 				rows = append(rows, CacheRow{
 					Scenario:   base.Name,
 					Mode:       mode.String(),

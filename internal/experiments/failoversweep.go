@@ -87,14 +87,14 @@ func FailoverSweep(opts Options) ([]FailoverRow, error) {
 				Replicas:       replicas,
 				Rate:           rate,
 				TEPS:           res.TEPS.HarmonicMean,
-				Failovers:      res.Resilience.Failovers,
-				ReadErrors:     res.Resilience.ReadErrors,
-				ScrubbedBlocks: res.Resilience.ScrubbedBlocks,
-				RepairedBlocks: res.Resilience.RepairedBlocks,
-				DegradedRuns:   res.Resilience.DegradedRuns,
+				Failovers:      res.Layers.Get("mirror", "failovers"),
+				ReadErrors:     res.Layers.Get("retry", "read_errors"),
+				ScrubbedBlocks: res.Layers.Get("mirror", "scrubbed_blocks"),
+				RepairedBlocks: res.Layers.Get("mirror", "repaired_blocks"),
+				DegradedRuns:   res.DegradedRuns,
 			}
 			if row.RepairedBlocks > 0 {
-				row.MeanRepairUs = float64(res.Resilience.RepairTime) /
+				row.MeanRepairUs = float64(res.Layers.Get("mirror", "repair_ns")) /
 					float64(vtime.Microsecond) / float64(row.RepairedBlocks)
 			}
 			for _, d := range res.DeviceHealth {

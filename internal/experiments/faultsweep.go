@@ -56,11 +56,11 @@ func FaultSweep(opts Options) ([]FaultRow, error) {
 				Scenario:     base.Name,
 				Rate:         rate,
 				TEPS:         res.MedianTEPS(),
-				Retries:      res.Resilience.Retries,
-				ReadErrors:   res.Resilience.ReadErrors,
-				BackoffTime:  res.Resilience.BackoffTime,
+				Retries:      res.Layers.Get("retry", "retries"),
+				ReadErrors:   res.Layers.Get("retry", "read_errors"),
+				BackoffTime:  vtime.Duration(res.Layers.Get("retry", "backoff_ns")),
 				Injected:     res.Faults.Transient,
-				DegradedRuns: res.Resilience.DegradedRuns,
+				DegradedRuns: res.DegradedRuns,
 			})
 		}
 	}

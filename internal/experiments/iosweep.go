@@ -109,7 +109,7 @@ func IOSweep(opts Options) ([]IORow, error) {
 						TEPS:             teps,
 						Speedup:          speedup,
 						CompressionRatio: res.CompressionRatio,
-						HitRate:          res.CacheStats.HitRate(),
+						HitRate:          res.Layers.CacheView().HitRate(),
 						NVMReads:         res.DeviceStats.Reads,
 						NVMReadBytes:     res.DeviceStats.ReadBytes,
 						DemandRuns:       res.Layers.Get("async", "demand_runs"),

@@ -120,7 +120,7 @@ func runQueryWidth(lab *Lab, sc core.Scenario, cfg bfs.Config, name string, lane
 		Scenario: name, Lanes: lanes, Queries: res.Queries, Batches: len(res.Batches),
 		Seconds: res.Seconds, AmortizedSeconds: res.Seconds / float64(res.Queries),
 		TEPS: res.HarmonicTEPS, AggregateTEPS: res.AggregateTEPS(),
-		CacheHitRate: res.Cache.HitRate(), NVMEdges: res.NVMEdges,
+		CacheHitRate: res.Layers.CacheView().HitRate(), NVMEdges: res.NVMEdges,
 	}
 	for _, b := range res.Batches {
 		row.Switches += b.Switches

@@ -34,9 +34,8 @@ type BatchedResult struct {
 	HarmonicTEPS float64
 	StatusBytes  int64
 	NVMEdges     int64
-	Cache        nvm.CacheStats
-	ReadErrors   int64
-	Retries      int64
+	// Layers sums the batches' storage-layer counter deltas.
+	Layers nvm.StackStats
 	// DegradedBatches counts batches that lost a device mid-sweep,
 	// DegradedLevels the levels rescued in them.
 	DegradedBatches, DegradedLevels int
@@ -115,9 +114,7 @@ func RunBatched(sys *core.System, src edgelist.Source, cfg bfs.Config, lanes int
 		r.Validated += check
 		r.Seconds += b.Time.Seconds()
 		r.NVMEdges += b.Result.ExaminedNVM
-		r.Cache = r.Cache.Add(b.Result.Cache)
-		r.ReadErrors += b.Result.Resilience.ReadErrors
-		r.Retries += b.Result.Resilience.Retries
+		r.Layers = r.Layers.Add(b.Result.Layers)
 		if n := b.Result.Resilience.DegradedLevels(); n > 0 {
 			r.DegradedBatches++
 			r.DegradedLevels += n

@@ -86,38 +86,8 @@ type RootResult struct {
 	ExaminedBU  int64
 	ExaminedNVM int64
 	Switches    int
-	// Resilience summarizes the run's fault handling (zero over healthy
-	// devices).
-	Resilience bfs.Resilience
-	// Cache summarizes the run's forward-graph page-cache activity (zero
-	// when no cache is configured).
-	Cache nvm.CacheStats
-	// Layers is the run's per-layer storage-stack counter delta (nil for
-	// DRAM-resident graphs).
-	Layers nvm.StackStats
 	// Levels is retained only when Params.KeepLevelStats is set.
 	Levels []bfs.LevelStats
-}
-
-// ResilienceTotals aggregates fault handling across all BFS iterations.
-type ResilienceTotals struct {
-	Retries    int64
-	ReadErrors int64
-	// BackoffTime is the total virtual time spent in retry backoff.
-	BackoffTime vtime.Duration
-	// Failovers counts mirror reads redirected to another replica;
-	// ScrubbedBlocks / RepairedBlocks count the background scrubber's
-	// verified and rewritten blocks; RepairTime is the virtual time those
-	// repairs took (all zero without a device array).
-	Failovers      int64
-	ScrubbedBlocks int64
-	RepairedBlocks int64
-	RepairTime     vtime.Duration
-	// DegradedRuns counts roots whose traversal had to pin to the
-	// surviving direction after a device death; DegradedLevels counts the
-	// rescued levels themselves.
-	DegradedRuns   int
-	DegradedLevels int
 }
 
 // Result is a complete benchmark execution report.
@@ -150,21 +120,21 @@ type Result struct {
 	// EdgeListDevice snapshots the edge list's own device after the
 	// run (zero value unless EdgeListOnNVM).
 	EdgeListDevice nvm.Stats
-	// Resilience aggregates retry/backoff/degradation over all roots.
-	Resilience ResilienceTotals
+	// DegradedRuns counts roots whose traversal had to pin to the surviving
+	// direction after a device death; DegradedLevels counts the rescued
+	// levels themselves.
+	DegradedRuns, DegradedLevels int
 	// Faults snapshots the injected-fault totals (zero when the scenario
 	// injects none).
 	Faults faults.Counters
-	// CacheStats aggregates the forward-graph page cache's activity over
-	// all BFS iterations (zero when the scenario configures no cache).
-	CacheStats nvm.CacheStats
 	// CompressionRatio is the forward graph's raw adjacency bytes over
 	// the bytes actually stored on NVM (1 when not compressed, 0 for
 	// DRAM-only).
 	CompressionRatio float64
-	// Layers aggregates the per-layer storage-stack counters over all BFS
-	// iterations (nil for DRAM-resident graphs). Gauge counters keep their
-	// configured values instead of summing.
+	// Layers sums the per-layer storage-stack counters over all BFS
+	// iterations (nil for DRAM-resident graphs): the run's one record of
+	// retries, cache, mirror and scrubber activity. Gauge counters keep
+	// their configured values instead of summing.
 	Layers nvm.StackStats
 }
 
@@ -348,23 +318,12 @@ func (res *Result) runRoots(run func(root int64) (*bfs.Result, error), roots []i
 			ExaminedBU:  out.ExaminedBU,
 			ExaminedNVM: out.ExaminedNVM,
 			Switches:    out.Switches,
-			Resilience:  out.Resilience,
-			Cache:       out.Cache,
-			Layers:      out.Layers,
 		}
-		res.CacheStats = res.CacheStats.Add(out.Cache)
 		res.Layers = res.Layers.Add(out.Layers)
-		res.Resilience.Retries += out.Resilience.Retries
-		res.Resilience.ReadErrors += out.Resilience.ReadErrors
-		res.Resilience.BackoffTime += out.Resilience.BackoffTime
-		res.Resilience.Failovers += out.Resilience.Failovers
-		res.Resilience.ScrubbedBlocks += out.Resilience.ScrubbedBlocks
-		res.Resilience.RepairedBlocks += out.Resilience.RepairedBlocks
-		res.Resilience.RepairTime += out.Resilience.RepairTime
 		res.DeviceHealth = out.Resilience.Devices
 		if n := out.Resilience.DegradedLevels(); n > 0 {
-			res.Resilience.DegradedRuns++
-			res.Resilience.DegradedLevels += n
+			res.DegradedRuns++
+			res.DegradedLevels += n
 		}
 		if out.Time > 0 {
 			rr.TEPS = float64(traversed) / out.Time.Seconds()

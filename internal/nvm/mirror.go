@@ -151,36 +151,6 @@ type MirrorStats struct {
 	SkippedInFlight int64
 }
 
-// Add returns s plus o, field-wise.
-func (s MirrorStats) Add(o MirrorStats) MirrorStats {
-	s.Reads += o.Reads
-	s.Failovers += o.Failovers
-	s.AllDeadReads += o.AllDeadReads
-	s.ScrubbedBlocks += o.ScrubbedBlocks
-	s.ScrubErrors += o.ScrubErrors
-	s.RepairedBlocks += o.RepairedBlocks
-	s.RebuiltBlocks += o.RebuiltBlocks
-	s.RepairTime += o.RepairTime
-	s.RepairHist = s.RepairHist.Add(o.RepairHist)
-	s.SkippedInFlight += o.SkippedInFlight
-	return s
-}
-
-// Sub returns s minus o (for per-run deltas over cumulative counters).
-func (s MirrorStats) Sub(o MirrorStats) MirrorStats {
-	s.Reads -= o.Reads
-	s.Failovers -= o.Failovers
-	s.AllDeadReads -= o.AllDeadReads
-	s.ScrubbedBlocks -= o.ScrubbedBlocks
-	s.ScrubErrors -= o.ScrubErrors
-	s.RepairedBlocks -= o.RepairedBlocks
-	s.RebuiltBlocks -= o.RebuiltBlocks
-	s.RepairTime -= o.RepairTime
-	s.RepairHist = s.RepairHist.Sub(o.RepairHist)
-	s.SkippedInFlight -= o.SkippedInFlight
-	return s
-}
-
 // ReplicaHealth is one replica's externally visible health snapshot.
 type ReplicaHealth struct {
 	Name  string

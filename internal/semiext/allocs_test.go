@@ -78,11 +78,11 @@ func fullStackReadAllocs(t *testing.T, fg *csr.ForwardGraph, compress bool) {
 	for i := int64(0); i < n; i++ {
 		next()
 	}
-	before := sf.CacheStats()
+	before := sf.Cache().Stats()
 	if allocs := testing.AllocsPerRun(2000, next); allocs > 0 {
 		t.Errorf("ForwardReader.Neighbors allocates %.2f objects per steady-state call, want 0", allocs)
 	}
-	d := sf.CacheStats().Sub(before)
+	d := sf.Cache().Stats().Sub(before)
 	if d.Evictions < 100 || d.Hits == 0 || d.Prefetches == 0 || edges == 0 {
 		t.Errorf("the measured calls did not churn the cache: %v, %d edges", d, edges)
 	}

@@ -85,7 +85,7 @@ func TestCachedForwardRoundTrip(t *testing.T) {
 		}
 		passTime[pass] = clock.Now() - start
 	}
-	st := sf.CacheStats()
+	st := sf.Cache().Stats()
 	if st.Hits == 0 {
 		t.Fatalf("expected cache hits over two full passes, got %+v", st)
 	}
@@ -116,7 +116,7 @@ func TestCachedForwardReadahead(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return sf.CacheStats(), clock.Now()
+		return sf.Cache().Stats(), clock.Now()
 	}
 	plain, plainTime := run(0)
 	ahead, aheadTime := run(4)

@@ -414,14 +414,6 @@ func (sf *SemiForward) DecodedCacheStats() (hits, misses, bytes int64) { return 
 // Cache returns the shared page cache, or nil when none is configured.
 func (sf *SemiForward) Cache() *nvm.PageCache { return sf.cache }
 
-// CacheStats returns the page cache's counters (zero value if no cache).
-func (sf *SemiForward) CacheStats() nvm.CacheStats {
-	if sf.cache == nil {
-		return nvm.CacheStats{}
-	}
-	return sf.cache.Stats()
-}
-
 // Close closes all backing stacks (each stack closes its layers down to
 // the base store exactly once).
 func (sf *SemiForward) Close() error {

@@ -168,7 +168,6 @@ func (e *Engine) Run(root int64) (*Result, error) {
 		ExaminedNVM:  run.ExaminedNVM,
 		Switches:     run.Switches,
 		Resilience:   run.Resilience,
-		Cache:        run.Cache,
 		Layers:       run.Layers,
 	}, nil
 }

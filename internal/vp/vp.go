@@ -174,9 +174,8 @@ type Result struct {
 	ExaminedNVM  int64
 	// Switches counts direction changes (including degraded rescues).
 	Switches int
-	// Resilience, Cache, and Layers mirror bfs.Result: per-run views over
-	// the storage stacks' layer counters.
+	// Resilience and Layers are bfs.RunStats': the devices' health and
+	// degraded levels, and the run's storage-layer counter deltas.
 	Resilience bfs.Resilience
-	Cache      nvm.CacheStats
 	Layers     nvm.StackStats
 }

@@ -207,7 +207,7 @@ func (p *QueryPool) Flush() ([]QueryResult, []BatchStats, error) {
 			Roots:            roots,
 			Seconds:          b.Time.Seconds(),
 			AmortizedSeconds: b.Amortized(),
-			CacheHitRate:     b.Result.Cache.HitRate(),
+			CacheHitRate:     b.Result.Layers.CacheView().HitRate(),
 			Switches:         b.Switches,
 			Levels:           b.Levels,
 			Degraded:         b.Result.Resilience.DegradedLevels(),
