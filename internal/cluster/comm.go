@@ -31,6 +31,17 @@ func (s CommStats) Total() int64 {
 // TopDownBytes groups the top-down phase's traffic.
 func (s CommStats) TopDownBytes() int64 { return s.TDFrontier + s.TDCandidate }
 
+// Add returns s plus o, phase by phase.
+func (s CommStats) Add(o CommStats) CommStats {
+	return CommStats{
+		TDFrontier:  s.TDFrontier + o.TDFrontier,
+		TDCandidate: s.TDCandidate + o.TDCandidate,
+		BUAllgather: s.BUAllgather + o.BUAllgather,
+		BURing:      s.BURing + o.BURing,
+		Control:     s.Control + o.Control,
+	}
+}
+
 func (s CommStats) sub(o CommStats) CommStats {
 	return CommStats{
 		TDFrontier:  s.TDFrontier - o.TDFrontier,

@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/bitmap"
@@ -449,11 +450,11 @@ func sortDedupPairs(ps []pair) []pair {
 	if len(ps) < 2 {
 		return ps
 	}
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].child != ps[b].child {
-			return ps[a].child < ps[b].child
+	slices.SortFunc(ps, func(a, b pair) int {
+		if d := cmp.Compare(a.child, b.child); d != 0 {
+			return d
 		}
-		return ps[a].parent < ps[b].parent
+		return cmp.Compare(a.parent, b.parent)
 	})
 	out := ps[:1]
 	for _, p := range ps[1:] {

@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"semibfs/internal/bitmap"
 	"semibfs/internal/csr"
@@ -167,15 +168,19 @@ func BuildGrid(src edgelist.Source, cfg Config) (*Grid, error) {
 // the cross-topology bit-identity contract.
 func (g *Grid) sortBlocks() {
 	for _, m := range g.machines {
-		sortBlockLists(&m.td, func(a, b int64) bool { return a < b })
-		sortBlockLists(&m.bu, g.better)
+		sortBlockLists(&m.td, cmp.Compare[int64])
+		sortBlockLists(&m.bu, func(u, c int64) int {
+			if d := cmp.Compare(g.deg[c], g.deg[u]); d != 0 {
+				return d
+			}
+			return cmp.Compare(u, c)
+		})
 	}
 }
 
-func sortBlockLists(b *block, less func(a, b int64) bool) {
+func sortBlockLists(b *block, order func(a, b int64) int) {
 	for k := 0; k+1 < len(b.Index); k++ {
-		seg := b.Value[b.Index[k]:b.Index[k+1]]
-		sort.Slice(seg, func(x, y int) bool { return less(seg[x], seg[y]) })
+		slices.SortFunc(b.Value[b.Index[k]:b.Index[k+1]], order)
 	}
 }
 

@@ -43,7 +43,7 @@ func clusterMeans(roots []int64, degree func(int64) int64, run func(int64) (*clu
 		BURing:      t.Comm.BURing / n,
 		Control:     t.Comm.Control / n,
 	}
-	return stats.Median(t.TEPS), t.CommBytes / n, split, nil
+	return stats.Median(t.TEPS), t.Comm.Total() / n, split, nil
 }
 
 // ScalingMachines is the cluster-size sweep of the multi-node experiment.

@@ -11,10 +11,9 @@ import (
 type ClusterTotals struct {
 	// TEPS holds one rate per root that took virtual time.
 	TEPS []float64
-	// Comm and CommBytes sum the interconnect traffic over all roots, per
-	// phase and in total.
-	Comm      cluster.CommStats
-	CommBytes int64
+	// Comm sums the interconnect traffic over all roots, per phase
+	// (Comm.Total() is the total).
+	Comm cluster.CommStats
 	// Validated counts the roots check vetted; Degraded the runs a dead
 	// machine pinned to its DRAM-resident direction.
 	Validated, Degraded int
@@ -38,12 +37,7 @@ func RunCluster(run func(root int64) (*cluster.Result, error), roots []int64, de
 		if res.Time > 0 {
 			t.TEPS = append(t.TEPS, float64(validate.TraversedEdges(res.Tree, degree))/res.Time.Seconds())
 		}
-		t.Comm.TDFrontier += res.Comm.TDFrontier
-		t.Comm.TDCandidate += res.Comm.TDCandidate
-		t.Comm.BUAllgather += res.Comm.BUAllgather
-		t.Comm.BURing += res.Comm.BURing
-		t.Comm.Control += res.Comm.Control
-		t.CommBytes += res.CommBytes
+		t.Comm = t.Comm.Add(res.Comm)
 		if res.Degraded {
 			t.Degraded++
 		}

@@ -205,8 +205,8 @@ func TestRunCluster(t *testing.T) {
 		if tot.Validated != 2 || tot.Degraded != 0 || len(tot.TEPS) != len(roots) {
 			t.Fatalf("%s: %d validated, %d degraded, %d TEPS samples", name, tot.Validated, tot.Degraded, len(tot.TEPS))
 		}
-		if tot.CommBytes == 0 || tot.Comm.Total() != tot.CommBytes {
-			t.Fatalf("%s: phase sums %d != total traffic %d", name, tot.Comm.Total(), tot.CommBytes)
+		if tot.Comm.Total() == 0 {
+			t.Fatalf("%s: no interconnect traffic over %d roots: %+v", name, len(roots), tot.Comm)
 		}
 	}
 	boom := errors.New("boom")
