@@ -165,9 +165,9 @@ func (s StackStats) Add(o StackStats) StackStats {
 	return out
 }
 
-// CacheView reconstructs a CacheStats snapshot from the "cache" layer's
-// counters (the zero value when no cache layer is present), for reports
-// that predate the generic layer plumbing.
+// CacheView reads the "cache" layer's counters as a CacheStats (the zero
+// value when no cache layer is present): how reports read a run's
+// page-cache activity.
 func (s StackStats) CacheView() CacheStats {
 	l, ok := s.Layer("cache")
 	if !ok {
