@@ -21,8 +21,6 @@ package csr
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"semibfs/internal/edgelist"
 	"semibfs/internal/numa"
@@ -177,42 +175,16 @@ func (b *BackwardGraph) Neighbors(v int64) []int64 {
 }
 
 // BuildSimple constructs a plain, non-partitioned CSR over src — the
-// layout the Graph500 reference implementation uses. Self-loops are
-// dropped; duplicates kept.
+// layout the Graph500 reference implementation uses: the arrival-order
+// backward graph over one node. Self-loops are dropped; duplicates kept.
 func BuildSimple(src edgelist.Source) (*Graph, error) {
 	n := src.NumVertices()
-	index := make([]int64, n+1)
-	err := src.ForEach(func(e edgelist.Edge) error {
-		if e.U == e.V {
-			return nil
-		}
-		index[e.U+1]++
-		index[e.V+1]++
-		return nil
-	})
+	bg, _, err := buildArrival(src, numa.NewPartition(numa.Topology{Nodes: 1, CoresPerNode: 1}, int(n)), SortNone)
 	if err != nil {
 		return nil, err
 	}
-	for i := int64(0); i < n; i++ {
-		index[i+1] += index[i]
-	}
-	g := &Graph{NumVertices: n, Index: index, Value: make([]int64, index[n])}
-	cursor := make([]int64, n)
-	copy(cursor, index[:n])
-	err = src.ForEach(func(e edgelist.Edge) error {
-		if e.U == e.V {
-			return nil
-		}
-		g.Value[cursor[e.U]] = e.V
-		cursor[e.U]++
-		g.Value[cursor[e.V]] = e.U
-		cursor[e.V]++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	g := bg.PerNode[0]
+	return &Graph{NumVertices: n, Index: g.Index, Value: g.Value}, nil
 }
 
 // Degrees counts the undirected degree of every vertex in src (self-loops
@@ -234,162 +206,191 @@ func Degrees(src edgelist.Source) ([]int64, error) {
 	return deg, nil
 }
 
+// Build constructs the forward and the backward graph of src with two
+// passes over the edge list, no comparison sort and no scratch beyond the
+// two results and O(n + maximum degree) words. Self-loops are dropped;
+// duplicate edges are kept (as in the Graph500 reference construction).
+//
+// The passes place every backward list in arrival order. The graph is
+// symmetric, so forward node k is the transpose of backward node k, and a
+// transpose visits its rows in vertex order: every forward list comes out
+// ascending. For SortByID and SortByDegreeDesc each backward node's lists
+// are then re-placed from its forward node in the mode's vertex order.
+func Build(src edgelist.Source, part *numa.Partition, mode SortMode) (*ForwardGraph, *BackwardGraph, error) {
+	bg, deg, err := buildArrival(src, part, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, len(bg.PerNode))}
+	order := degreeOrder(deg, mode)
+	for k, g := range bg.PerNode {
+		fg.PerNode[k] = newGraph(int64(part.N), len(g.Value))
+		g.transpose(fg.PerNode[k])
+		if mode != SortNone {
+			g.relist(fg.PerNode[k], order)
+		}
+	}
+	return fg, bg, nil
+}
+
 // BuildForward constructs the destination-partitioned forward graph from
-// src. Self-loops are dropped; duplicate edges are kept (as in the
-// Graph500 reference construction).
+// src, with every neighbor list ascending: top-down claims are
+// order-independent (min-parent CAS), and sorted lists are what makes the
+// delta+varint NVM encoding tight. The arrival-order backward graph is its
+// only scratch.
 func BuildForward(src edgelist.Source, part *numa.Partition) (*ForwardGraph, error) {
-	n := src.NumVertices()
-	if int64(part.N) != n {
-		return nil, fmt.Errorf("csr: partition over %d vertices, source has %d", part.N, n)
-	}
-	nodes := part.Topology.Nodes
-	// Pass 1: per-node out-degree of every source vertex.
-	counts := make([][]int64, nodes)
-	for k := range counts {
-		counts[k] = make([]int64, n+1)
-	}
-	add := func(u, v int64) {
-		k := part.NodeOf(int(v))
-		counts[k][u+1]++
-	}
-	err := src.ForEach(func(e edgelist.Edge) error {
-		if e.U == e.V {
-			return nil
-		}
-		add(e.U, e.V)
-		add(e.V, e.U)
-		return nil
-	})
+	bg, _, err := buildArrival(src, part, SortNone)
 	if err != nil {
 		return nil, err
 	}
-	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, nodes)}
-	cursors := make([][]int64, nodes)
-	for k := 0; k < nodes; k++ {
-		index := counts[k]
-		for i := int64(0); i < n; i++ {
-			index[i+1] += index[i]
-		}
-		fg.PerNode[k] = &Graph{
-			NumVertices: n,
-			Index:       index,
-			Value:       make([]int64, index[n]),
-		}
-		cur := make([]int64, n)
-		copy(cur, index[:n])
-		cursors[k] = cur
-	}
-	// Pass 2: placement.
-	place := func(u, v int64) {
-		k := part.NodeOf(int(v))
-		g := fg.PerNode[k]
-		g.Value[cursors[k][u]] = v
-		cursors[k][u]++
-	}
-	err = src.ForEach(func(e edgelist.Edge) error {
-		if e.U == e.V {
-			return nil
-		}
-		place(e.U, e.V)
-		place(e.V, e.U)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Sort every neighbor list ascending. Top-down claims are
-	// order-independent (min-parent CAS), and sorted lists are what makes
-	// the delta+varint NVM encoding tight: consecutive IDs become 1-2 byte
-	// deltas instead of 8-byte words.
-	for _, g := range fg.PerNode {
-		for i := int64(0); i < n; i++ {
-			slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
-		}
+	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, len(bg.PerNode))}
+	for k, g := range bg.PerNode {
+		fg.PerNode[k] = newGraph(int64(part.N), len(g.Value))
+		g.transpose(fg.PerNode[k])
 	}
 	return fg, nil
 }
 
 // BuildBackward constructs the source-partitioned backward graph from src.
-// mode selects neighbor ordering; SortByDegreeDesc requires a second pass
-// over the degree array and is the NETAL default. It is an error if a
-// vertex ID and a degree do not fit one 63-bit sort key together.
+// mode selects neighbor ordering; SortByDegreeDesc is the NETAL default.
+// A node's lists are re-placed from its forward node, so one node-sized
+// forward graph is reused as scratch across nodes.
 func BuildBackward(src edgelist.Source, part *numa.Partition, mode SortMode) (*BackwardGraph, error) {
+	bg, deg, err := buildArrival(src, part, mode)
+	if err != nil || mode == SortNone {
+		return bg, err
+	}
+	var most int
+	for _, g := range bg.PerNode {
+		most = max(most, len(g.Value))
+	}
+	fwd := newGraph(int64(part.N), most)
+	order := degreeOrder(deg, mode)
+	for _, g := range bg.PerNode {
+		g.transpose(fwd)
+		g.relist(fwd, order)
+	}
+	return bg, nil
+}
+
+func newGraph(n int64, values int) *Graph {
+	return &Graph{NumVertices: n, Index: make([]int64, n+1), Value: make([]int64, values)}
+}
+
+// buildArrival is the backward graph with every list in edge-list arrival
+// order, and the degrees: one Degrees pass, one placement pass. It checks
+// part and mode for every builder.
+func buildArrival(src edgelist.Source, part *numa.Partition, mode SortMode) (*BackwardGraph, []int64, error) {
 	n := src.NumVertices()
 	if int64(part.N) != n {
-		return nil, fmt.Errorf("csr: partition over %d vertices, source has %d", part.N, n)
+		return nil, nil, fmt.Errorf("csr: partition over %d vertices, source has %d", part.N, n)
+	}
+	if mode != SortByDegreeDesc && mode != SortNone && mode != SortByID {
+		return nil, nil, fmt.Errorf("csr: unknown sort mode %d", mode)
 	}
 	deg, err := Degrees(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	nodes := part.Topology.Nodes
-	bg := &BackwardGraph{Part: part, PerNode: make([]*LocalGraph, nodes)}
-	offsets := make([]int64, n) // global cursor into each vertex's slot
-	for k := 0; k < nodes; k++ {
+	bg := &BackwardGraph{Part: part, PerNode: make([]*LocalGraph, part.Topology.Nodes)}
+	for k := range bg.PerNode {
 		lo, hi := part.Range(k)
-		ln := int64(hi - lo)
-		index := make([]int64, ln+1)
-		for i := int64(0); i < ln; i++ {
-			index[i+1] = index[i] + deg[int64(lo)+i]
+		index := make([]int64, hi-lo+1)
+		var sum int64
+		for i, d := range deg[lo:hi] {
+			index[i+1] = sum // i's start: its cursor until placement moves it to i's end
+			sum += d
 		}
-		bg.PerNode[k] = &LocalGraph{
-			Base:  int64(lo),
-			Len:   ln,
-			Index: index,
-			Value: make([]int64, index[ln]),
-		}
-	}
-	place := func(w, v int64) {
-		k := part.NodeOf(int(w))
-		g := bg.PerNode[k]
-		g.Value[g.Index[w-g.Base]+offsets[w]] = v
-		offsets[w]++
+		bg.PerNode[k] = &LocalGraph{Base: int64(lo), Len: int64(hi - lo), Index: index, Value: make([]int64, sum)}
 	}
 	err = src.ForEach(func(e edgelist.Edge) error {
 		if e.U == e.V {
 			return nil
 		}
-		place(e.U, e.V)
-		place(e.V, e.U)
+		bg.PerNode[part.NodeOf(int(e.U))].place(e.U, e.V)
+		bg.PerNode[part.NodeOf(int(e.V))].place(e.V, e.U)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	switch mode {
-	case SortNone:
-	case SortByID:
-		for _, g := range bg.PerNode {
-			for i := int64(0); i < g.Len; i++ {
-				slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
-			}
-		}
-	case SortByDegreeDesc:
-		// Hubs first, ties by ascending ID: (maxDeg - degree) is packed
-		// above the ID bits of every neighbour, so the order is a plain
-		// integer sort with no degree lookups inside the comparisons.
-		var maxDeg int64
-		for _, d := range deg {
-			maxDeg = max(maxDeg, d)
-		}
-		idBits := bits.Len64(uint64(n))
-		if idBits+bits.Len64(uint64(maxDeg)) > 63 {
-			return nil, fmt.Errorf("csr: %d vertices with maximum degree %d overflow the degree-sort key", n, maxDeg)
-		}
-		idMask := int64(1)<<idBits - 1
-		for _, g := range bg.PerNode {
-			for i, v := range g.Value {
-				g.Value[i] = (maxDeg-deg[v])<<idBits | v
-			}
-			for i := int64(0); i < g.Len; i++ {
-				slices.Sort(g.Value[g.Index[i]:g.Index[i+1]])
-			}
-			for i, key := range g.Value {
-				g.Value[i] = key & idMask
-			}
-		}
-	default:
-		return nil, fmt.Errorf("csr: unknown sort mode %d", mode)
+	return bg, deg, nil
+}
+
+// place appends v to w's list at w's cursor, Index[w-Base+1], which ends
+// at w's end once all of w's neighbours are placed.
+func (g *LocalGraph) place(w, v int64) {
+	c := &g.Index[w-g.Base+1]
+	g.Value[*c] = v
+	*c++
+}
+
+// transpose overwrites fwd, whose Value has room for g's, with forward
+// node k for g = backward node k: for every vertex u, u's neighbours in g's
+// range. g is read in vertex order, so each list fills ascending.
+func (g *LocalGraph) transpose(fwd *Graph) {
+	index := fwd.Index
+	clear(index)
+	for _, u := range g.Value {
+		index[u+1]++
 	}
-	return bg, nil
+	var sum int64
+	for u, c := range index[1:] {
+		index[u+1] = sum // u's start: its cursor until placement moves it to u's end
+		sum += c
+	}
+	fwd.Value = fwd.Value[:sum]
+	for i := int64(0); i < g.Len; i++ {
+		v := g.Base + i
+		for _, u := range g.Value[g.Index[i]:g.Index[i+1]] {
+			fwd.Value[index[u+1]] = v
+			index[u+1]++
+		}
+	}
+}
+
+// degreeOrder is every vertex, hubs first and ties by ascending ID, for
+// SortByDegreeDesc (a vertex is far more likely to find its parent among
+// hubs), and nil (ascending IDs) for the other modes: a counting sort on
+// degree.
+func degreeOrder(deg []int64, mode SortMode) []int64 {
+	if mode != SortByDegreeDesc {
+		return nil
+	}
+	var maxDeg int64
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	// start[d] counts the vertices of degree d, then becomes the first
+	// position of degree d: after every higher degree.
+	start := make([]int64, maxDeg+1)
+	for _, d := range deg {
+		start[d]++
+	}
+	var sum int64
+	for d := maxDeg; d >= 0; d-- {
+		start[d], sum = sum, sum+start[d]
+	}
+	order := make([]int64, len(deg))
+	for v, d := range deg {
+		order[start[d]] = int64(v)
+		start[d]++
+	}
+	return order
+}
+
+// relist re-places g's lists from fwd, its forward node, in vertex order
+// (order, or ascending IDs when order is nil): u's list receives v for
+// every u among v's neighbours in fwd, as v comes up.
+func (g *LocalGraph) relist(fwd *Graph, order []int64) {
+	copy(g.Index[1:], g.Index[:g.Len]) // every cursor back at its list's start
+	for i := int64(0); i < fwd.NumVertices; i++ {
+		v := i
+		if order != nil {
+			v = order[i]
+		}
+		for _, u := range fwd.Neighbors(v) {
+			g.place(u, v)
+		}
+	}
 }

@@ -1,6 +1,10 @@
 package csr
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -173,11 +177,259 @@ func TestBuildBackwardDegreeDescSort(t *testing.T) {
 
 func TestBuildRejectsMismatchedPartition(t *testing.T) {
 	part := numa.NewPartition(numa.Topology{Nodes: 2, CoresPerNode: 1}, 5)
+	if _, _, err := Build(tinyGraph(), part, SortNone); err == nil {
+		t.Error("build accepted wrong partition")
+	}
 	if _, err := BuildForward(tinyGraph(), part); err == nil {
 		t.Error("forward build accepted wrong partition")
 	}
 	if _, err := BuildBackward(tinyGraph(), part, SortNone); err == nil {
 		t.Error("backward build accepted wrong partition")
+	}
+}
+
+func TestBuildRejectsUnknownMode(t *testing.T) {
+	for _, mode := range []SortMode{-1, 3} {
+		if _, _, err := Build(tinyGraph(), twoNodes(), mode); err == nil {
+			t.Errorf("build accepted %v", mode)
+		}
+		if _, err := BuildBackward(tinyGraph(), twoNodes(), mode); err == nil {
+			t.Errorf("backward build accepted %v", mode)
+		}
+	}
+}
+
+// referenceBuild is the sort-based construction the transposing builders
+// replaced, kept as their oracle: per-node counting and placement passes
+// for the forward graph with every list sorted, and the backward graph in
+// arrival order, then sorted per mode.
+func referenceBuild(src edgelist.Source, part *numa.Partition, mode SortMode) (*ForwardGraph, *BackwardGraph) {
+	n := src.NumVertices()
+	nodes := part.Topology.Nodes
+	deg := make([]int64, n)
+	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, nodes)}
+	for k := range fg.PerNode {
+		fg.PerNode[k] = &Graph{NumVertices: n, Index: make([]int64, n+1)}
+	}
+	_ = src.ForEach(func(e edgelist.Edge) error {
+		if e.U != e.V {
+			deg[e.U]++
+			deg[e.V]++
+			fg.PerNode[part.NodeOf(int(e.V))].Index[e.U+1]++
+			fg.PerNode[part.NodeOf(int(e.U))].Index[e.V+1]++
+		}
+		return nil
+	})
+	fwdCursors := make([][]int64, nodes)
+	for k, g := range fg.PerNode {
+		for i := int64(0); i < n; i++ {
+			g.Index[i+1] += g.Index[i]
+		}
+		g.Value = make([]int64, g.Index[n])
+		fwdCursors[k] = slices.Clone(g.Index[:n])
+	}
+	bg := &BackwardGraph{Part: part, PerNode: make([]*LocalGraph, nodes)}
+	for k := range bg.PerNode {
+		lo, hi := part.Range(k)
+		index := make([]int64, hi-lo+1)
+		for i := range deg[lo:hi] {
+			index[i+1] = index[i] + deg[lo+i]
+		}
+		bg.PerNode[k] = &LocalGraph{Base: int64(lo), Len: int64(hi - lo), Index: index, Value: make([]int64, index[hi-lo])}
+	}
+	offsets := make([]int64, n)
+	place := func(u, v int64) {
+		k := part.NodeOf(int(v))
+		fg.PerNode[k].Value[fwdCursors[k][u]] = v
+		fwdCursors[k][u]++
+		g := bg.PerNode[part.NodeOf(int(u))]
+		g.Value[g.Index[u-g.Base]+offsets[u]] = v
+		offsets[u]++
+	}
+	_ = src.ForEach(func(e edgelist.Edge) error {
+		if e.U != e.V {
+			place(e.U, e.V)
+			place(e.V, e.U)
+		}
+		return nil
+	})
+	less := func(a, b int64) bool { return a < b }
+	if mode == SortByDegreeDesc {
+		less = func(a, b int64) bool { return deg[a] > deg[b] || deg[a] == deg[b] && a < b }
+	}
+	for _, g := range fg.PerNode {
+		for i := int64(0); i < n; i++ {
+			nb := g.Value[g.Index[i]:g.Index[i+1]]
+			sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
+		}
+	}
+	for _, g := range bg.PerNode {
+		for i := int64(0); mode != SortNone && i < g.Len; i++ {
+			nb := g.Value[g.Index[i]:g.Index[i+1]]
+			sort.Slice(nb, func(a, b int) bool { return less(nb[a], nb[b]) })
+		}
+	}
+	return fg, bg
+}
+
+// randomInstance is a seeded edge list over n vertices with hubs (endpoints
+// skewed toward low IDs), self-loops, duplicate edges in either
+// orientation, and isolated vertices: the top tenth of the IDs is never
+// drawn.
+func randomInstance(seed, n int64, m int) edgelist.Source {
+	r := rand.New(rand.NewSource(seed))
+	drawn := n - n/10
+	draw := func() int64 {
+		x := r.Int63n(drawn)
+		return x * x / drawn
+	}
+	list := &edgelist.List{NumVertices: n}
+	for len(list.Edges) < m {
+		e := edgelist.Edge{U: draw(), V: draw()}
+		switch r.Intn(20) {
+		case 0:
+			e.V = e.U
+		case 1:
+			if len(list.Edges) > 0 {
+				e = list.Edges[r.Intn(len(list.Edges))]
+				e.U, e.V = e.V, e.U
+			}
+		}
+		list.Edges = append(list.Edges, e)
+	}
+	return edgelist.ListSource{List: list}
+}
+
+func sameForward(t *testing.T, got, want *ForwardGraph) {
+	t.Helper()
+	if len(got.PerNode) != len(want.PerNode) {
+		t.Fatalf("%d forward nodes, want %d", len(got.PerNode), len(want.PerNode))
+	}
+	for k, g := range got.PerNode {
+		w := want.PerNode[k]
+		if g.NumVertices != w.NumVertices || !slices.Equal(g.Index, w.Index) || !slices.Equal(g.Value, w.Value) {
+			t.Fatalf("forward node %d differs from the reference", k)
+		}
+	}
+}
+
+func sameBackward(t *testing.T, got, want *BackwardGraph) {
+	t.Helper()
+	if len(got.PerNode) != len(want.PerNode) {
+		t.Fatalf("%d backward nodes, want %d", len(got.PerNode), len(want.PerNode))
+	}
+	for k, g := range got.PerNode {
+		w := want.PerNode[k]
+		if g.Base != w.Base || g.Len != w.Len || !slices.Equal(g.Index, w.Index) || !slices.Equal(g.Value, w.Value) {
+			t.Fatalf("backward node %d differs from the reference", k)
+		}
+	}
+}
+
+// TestBuildMatchesReference checks Build, BuildForward, BuildBackward and
+// BuildSimple array for array against the sort-based reference, in every
+// mode, on random instances over partitions whose node count does not
+// divide n, and on a Kronecker instance.
+func TestBuildMatchesReference(t *testing.T) {
+	kron, err := generator.Generate(generator.Config{Scale: 10, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type instance struct {
+		name string
+		src  edgelist.Source
+	}
+	var insts []instance
+	for seed := int64(1); seed <= 3; seed++ {
+		insts = append(insts, instance{fmt.Sprintf("random%d", seed), randomInstance(seed, 1000, 4000)})
+	}
+	insts = append(insts, instance{"kronecker", edgelist.ListSource{List: kron}})
+	for _, in := range insts {
+		n := int(in.src.NumVertices())
+		one := numa.NewPartition(numa.Topology{Nodes: 1, CoresPerNode: 1}, n)
+		_, want := referenceBuild(in.src, one, SortNone)
+		simple, err := BuildSimple(in.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(simple.Index, want.PerNode[0].Index) || !slices.Equal(simple.Value, want.PerNode[0].Value) {
+			t.Fatalf("%s: BuildSimple differs from the reference", in.name)
+		}
+		for _, nodes := range []int{1, 3, 4, 16} {
+			part := numa.NewPartition(numa.Topology{Nodes: nodes, CoresPerNode: 1}, n)
+			for _, mode := range []SortMode{SortNone, SortByID, SortByDegreeDesc} {
+				t.Run(fmt.Sprintf("%s/nodes%d/%v", in.name, nodes, mode), func(t *testing.T) {
+					wantF, wantB := referenceBuild(in.src, part, mode)
+					fg, bg, err := Build(in.src, part, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameForward(t, fg, wantF)
+					sameBackward(t, bg, wantB)
+					if fg, err = BuildForward(in.src, part); err != nil {
+						t.Fatal(err)
+					}
+					sameForward(t, fg, wantF)
+					if bg, err = BuildBackward(in.src, part, mode); err != nil {
+						t.Fatal(err)
+					}
+					sameBackward(t, bg, wantB)
+				})
+			}
+		}
+	}
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBuildAllocs bounds the builders' scratch: Build allocates its two
+// results and O(n + maximum degree) words besides, and BuildBackward at
+// most one node's forward graph more.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	list, err := generator.Generate(generator.Config{Scale: 14, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := edgelist.ListSource{List: list}
+	part := numa.NewPartition(numa.DefaultTopology, int(list.NumVertices))
+	n := list.NumVertices
+	for _, mode := range []SortMode{SortNone, SortByID, SortByDegreeDesc} {
+		var fg *ForwardGraph
+		var bg *BackwardGraph
+		got := allocated(func() { fg, bg, err = Build(src, part, mode) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var maxDeg, node int64
+		for _, g := range bg.PerNode {
+			node = max(node, int64(len(g.Value)))
+			for i := int64(0); i < g.Len; i++ {
+				maxDeg = max(maxDeg, g.Degree(g.Base+i))
+			}
+		}
+		// Degrees, the degree order and its counts; the allocator rounds
+		// each of those and the graphs' 4 arrays per node up to a page.
+		scratch := 8*(2*n+maxDeg+1) + 8<<10*int64(4*len(bg.PerNode)+3)
+		if limit := fg.Bytes() + bg.Bytes() + scratch; got > uint64(limit) {
+			t.Errorf("%v: Build allocated %d bytes, want at most %d", mode, got, limit)
+		}
+		got = allocated(func() { bg, err = BuildBackward(src, part, mode) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := bg.Bytes() + 8*(n+1+node) + scratch; got > uint64(limit) {
+			t.Errorf("%v: BuildBackward allocated %d bytes, want at most %d", mode, got, limit)
+		}
 	}
 }
 
@@ -320,6 +572,21 @@ func TestModelSizesMatchMeasured(t *testing.T) {
 	}
 	if bg.Bytes() > m.Backward || bg.Bytes() < m.Backward*9/10 {
 		t.Errorf("measured backward %d vs model %d", bg.Bytes(), m.Backward)
+	}
+}
+
+func BenchmarkBuildScale14(b *testing.B) {
+	list, err := generator.Generate(generator.Config{Scale: 14, EdgeFactor: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := edgelist.ListSource{List: list}
+	part := numa.NewPartition(numa.DefaultTopology, int(list.NumVertices))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Build(src, part, SortByDegreeDesc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

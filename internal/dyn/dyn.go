@@ -116,12 +116,7 @@ func Build(src edgelist.Source, part *numa.Partition, mk semiext.StoreFactory, c
 	}
 	fo, bo := opts.Forward, opts.Backward
 	fo.StoreSuffix, bo.StoreSuffix = genSuffix(0), genSuffix(0)
-	fg, err := csr.BuildForward(src, part)
-	if err != nil {
-		g.closeLogs()
-		return nil, err
-	}
-	bg, err := csr.BuildBackward(src, part, csr.SortByDegreeDesc)
+	fg, bg, err := csr.Build(src, part, csr.SortByDegreeDesc)
 	if err != nil {
 		g.closeLogs()
 		return nil, err
@@ -398,11 +393,7 @@ func (g *Graph) Compact(clock *vtime.Clock) error {
 	newGen := g.gen + 1
 	fo, bo := g.opts.Forward, g.opts.Backward
 	fo.StoreSuffix, bo.StoreSuffix = genSuffix(newGen), genSuffix(newGen)
-	fg, err := csr.BuildForward(src, g.Part)
-	if err != nil {
-		return err
-	}
-	bg, err := csr.BuildBackward(src, g.Part, csr.SortByDegreeDesc)
+	fg, bg, err := csr.Build(src, g.Part, csr.SortByDegreeDesc)
 	if err != nil {
 		return err
 	}
