@@ -99,10 +99,11 @@ func (c Config) Edge(i int64) edgelist.Edge {
 type prepared struct {
 	scale   int
 	seedMix uint64
-	// ab = A+B splits the row choice; aNorm and cNorm are the column
-	// thresholds within the upper and lower half.
-	ab, aNorm, cNorm float64
-	perm             permutation
+	// abT splits the row choice at A+B; aT and cT are the column
+	// thresholds within the upper and lower half, A/(A+B) and C/(C+D).
+	// Each is the threshold24 form of its probability.
+	abT, aT, cT uint64
+	perm        permutation
 }
 
 func (c Config) prepare() prepared {
@@ -111,45 +112,47 @@ func (c Config) prepare() prepared {
 	return prepared{
 		scale:   cc.Scale,
 		seedMix: rng.Mix64(cc.Seed),
-		ab:      ab,
-		aNorm:   cc.A / ab,
-		cNorm:   cc.C / (1 - ab),
+		abT:     threshold24(ab),
+		aT:      threshold24(cc.A / ab),
+		cT:      threshold24(cc.C / (1 - ab)),
 		perm:    newPermutation(cc.NumVertices(), cc.Seed),
 	}
 }
 
+// threshold24 is the integer form of a probability th ≥ 0 for 24-bit
+// uniforms: x > threshold24(th) exactly when float64(x)/(1<<24) > th. The
+// division is exact, so below 1 that is x > floor(th·2^24); th ≥ 1 and the
+// NaN of an A = B = 0 column split admit no x.
+func threshold24(th float64) uint64 {
+	if th < 1 {
+		return uint64(th * (1 << 24))
+	}
+	return 1 << 24
+}
+
+// above is 1 if the 24-bit x exceeds threshold t, else 0, without a
+// branch: t - x wraps past 2^63 exactly when x > t.
+func above(x, t uint64) uint64 { return (t - x) >> 63 }
+
 func (p *prepared) edge(i int64) edgelist.Edge {
 	// A private SplitMix64 stream per edge keeps generation order-free.
 	g := rng.NewSplitMix64(p.seedMix ^ rng.Mix64(uint64(i)+0x8000000000000000))
-	var u, v int64
+	var u, v uint64
 	for bit := 0; bit < p.scale; bit++ {
+		// Two independent 24-bit uniforms from one 64-bit draw.
 		r := g.Next()
-		// Two independent uniforms from one 64-bit draw.
-		r1 := float64(r>>40) / (1 << 24)
-		r2 := float64(r&0xFFFFFF) / (1 << 24)
-		uBit := r1 > p.ab
-		thresh := p.aNorm
-		if uBit {
-			thresh = p.cNorm
-		}
-		vBit := r2 > thresh
-		u = u<<1 | boolToInt64(uBit)
-		v = v<<1 | boolToInt64(vBit)
+		uBit := above(r>>40, p.abT)
+		vBit := above(r&0xFFFFFF, p.aT^(-uBit&(p.aT^p.cT))) // cT in the lower half
+		u = u<<1 | uBit
+		v = v<<1 | vBit
 	}
 	// Permute the vertex labels and randomly orient the tuple, as the
 	// Graph500 spec requires.
-	u, v = p.perm.apply(u), p.perm.apply(v)
+	pu, pv := p.perm.apply(int64(u)), p.perm.apply(int64(v))
 	if g.Next()&1 == 1 {
-		u, v = v, u
+		pu, pv = pv, pu
 	}
-	return edgelist.Edge{U: u, V: v}
-}
-
-func boolToInt64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	return edgelist.Edge{U: pu, V: pv}
 }
 
 // permutation is a seed-keyed bijection of [0, n) for a power-of-two n

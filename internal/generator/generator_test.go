@@ -1,6 +1,7 @@
 package generator
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -229,6 +230,28 @@ func TestEdgeIsPure(t *testing.T) {
 		b := c.Edge(i)
 		if a != b {
 			t.Fatalf("Edge(%d) not deterministic", i)
+		}
+	}
+}
+
+// TestThreshold24Exhaustive checks the integer thresholds the generator
+// draws with against the float compare they replace, for every 24-bit
+// uniform: the thresholds of the default and a flat initiator, the NaN
+// column split of A = B = 0, and the edges of the range.
+func TestThreshold24Exhaustive(t *testing.T) {
+	ths := []float64{0, 1, 0.5, 1.0 / (1 << 24), 12345.0 / (1 << 24), (1<<24 - 1) / float64(1<<24),
+		1.5, math.Inf(1), math.NaN()}
+	for _, in := range [][3]float64{{InitiatorA, InitiatorB, InitiatorC}, {0.45, 0.22, 0.22}, {0, 0, 0.5}} {
+		a, b, c := in[0], in[1], in[2]
+		ab := a + b
+		ths = append(ths, ab, a/ab, c/(1-ab))
+	}
+	for _, th := range ths {
+		tt := threshold24(th)
+		for x := uint64(0); x < 1<<24; x++ {
+			if got, want := above(x, tt) == 1, float64(x)/(1<<24) > th; got != want {
+				t.Fatalf("th %v: above(%d, %d) = %v, float compare %v", th, x, tt, got, want)
+			}
 		}
 	}
 }
