@@ -239,16 +239,8 @@ func Build(src edgelist.Source, part *numa.Partition, mode SortMode) (*ForwardGr
 // delta+varint NVM encoding tight. The arrival-order backward graph is its
 // only scratch.
 func BuildForward(src edgelist.Source, part *numa.Partition) (*ForwardGraph, error) {
-	bg, _, err := buildArrival(src, part, SortNone)
-	if err != nil {
-		return nil, err
-	}
-	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, len(bg.PerNode))}
-	for k, g := range bg.PerNode {
-		fg.PerNode[k] = newGraph(int64(part.N), len(g.Value))
-		g.transpose(fg.PerNode[k])
-	}
-	return fg, nil
+	fg, _, err := Build(src, part, SortNone)
+	return fg, err
 }
 
 // BuildBackward constructs the source-partitioned backward graph from src.
