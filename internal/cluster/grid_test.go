@@ -1,11 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
+	"semibfs/internal/enc"
+	"semibfs/internal/nvm"
 )
 
 func TestGridShape(t *testing.T) {
@@ -289,5 +297,216 @@ func TestGridOwnerOfCoversAllVertices(t *testing.T) {
 	}
 	if total != list.NumVertices {
 		t.Fatalf("ownership covers %d of %d vertices", total, list.NumVertices)
+	}
+}
+
+// referenceBlocks is the comparison-sort block construction BuildGrid
+// replaced, kept as its oracle: machine (i,j)'s td block (row-major in the
+// result) is filled by count and placement passes over column block j's
+// sources and sorted ascending, and its bu block the same way over row
+// block i's destinations, sorted hubs first (degree descending, ID
+// ascending).
+func referenceBlocks(src edgelist.Source, rows, cols int) (td, bu []csr.LocalGraph) {
+	n := src.NumVertices()
+	rowStart, colStart := referenceStarts(n, rows), referenceStarts(n, cols)
+	deg := make([]int64, n)
+	_ = src.ForEach(func(e edgelist.Edge) error {
+		if e.U != e.V {
+			deg[e.U]++
+			deg[e.V]++
+		}
+		return nil
+	})
+	fill := func(transpose bool) []csr.LocalGraph {
+		blocks := make([]csr.LocalGraph, rows*cols)
+		for k := range blocks {
+			i, j := k/cols, k%cols
+			b := &blocks[k]
+			b.Base, b.Len = colStart[j], colStart[j+1]-colStart[j]
+			if transpose {
+				b.Base, b.Len = rowStart[i], rowStart[i+1]-rowStart[i]
+			}
+			b.Index = make([]int64, b.Len+1)
+		}
+		// at returns the block holding the edge u->v and v's list in it.
+		at := func(u, v int64) (*csr.LocalGraph, int64) {
+			b := &blocks[blockOf(v, rowStart)*cols+blockOf(u, colStart)]
+			if transpose {
+				return b, v
+			}
+			return b, u
+		}
+		each := func(fn func(u, v int64)) {
+			_ = src.ForEach(func(e edgelist.Edge) error {
+				if e.U != e.V {
+					fn(e.U, e.V)
+					fn(e.V, e.U)
+				}
+				return nil
+			})
+		}
+		each(func(u, v int64) {
+			b, key := at(u, v)
+			b.Index[key-b.Base+1]++
+		})
+		cursors := make([][]int64, len(blocks))
+		for k := range blocks {
+			b := &blocks[k]
+			for i := int64(0); i < b.Len; i++ {
+				b.Index[i+1] += b.Index[i]
+			}
+			b.Value = make([]int64, b.Index[b.Len])
+			cursors[k] = slices.Clone(b.Index[:b.Len])
+		}
+		each(func(u, v int64) {
+			b, key := at(u, v)
+			c := cursors[blockOf(v, rowStart)*cols+blockOf(u, colStart)]
+			val := v
+			if transpose {
+				val = u
+			}
+			b.Value[c[key-b.Base]] = val
+			c[key-b.Base]++
+		})
+		return blocks
+	}
+	sortLists := func(blocks []csr.LocalGraph, order func(a, b int64) int) {
+		for _, b := range blocks {
+			for k := int64(0); k < b.Len; k++ {
+				slices.SortFunc(b.Value[b.Index[k]:b.Index[k+1]], order)
+			}
+		}
+	}
+	td, bu = fill(false), fill(true)
+	sortLists(td, cmp.Compare[int64])
+	sortLists(bu, func(u, c int64) int {
+		if d := cmp.Compare(deg[c], deg[u]); d != 0 {
+			return d
+		}
+		return cmp.Compare(u, c)
+	})
+	return td, bu
+}
+
+// referenceStarts splits [0, n) into parts blocks whose sizes differ by at
+// most one, the larger ones first.
+func referenceStarts(n int64, parts int) []int64 {
+	starts := make([]int64, parts+1)
+	base, rem := n/int64(parts), n%int64(parts)
+	for k := 0; k < parts; k++ {
+		starts[k+1] = starts[k] + base
+		if int64(k) < rem {
+			starts[k+1]++
+		}
+	}
+	return starts
+}
+
+// referenceBytes is block b as stored on its index and value stacks: raw
+// little-endian int64s, or byte offsets into back-to-back delta+varint
+// lists anchored at their global source IDs.
+func referenceBytes(b csr.LocalGraph, compress bool) (idx, val []byte) {
+	index := b.Index
+	if compress {
+		index = make([]int64, b.Len+1)
+		for k := int64(0); k < b.Len; k++ {
+			val = enc.AppendList(val, b.Base+k, b.Value[b.Index[k]:b.Index[k+1]])
+			index[k+1] = int64(len(val))
+		}
+	} else {
+		for _, v := range b.Value {
+			val = binary.LittleEndian.AppendUint64(val, uint64(v))
+		}
+	}
+	for _, x := range index {
+		idx = binary.LittleEndian.AppendUint64(idx, uint64(x))
+	}
+	return idx, val
+}
+
+// blockTestLists are seeded random graphs on a prime vertex count (no grid
+// shape divides it) with three hubs, self-loops, duplicate edges and
+// isolated vertices, plus one SCALE-10 Kronecker graph.
+func blockTestLists(t *testing.T) []*edgelist.List {
+	var lists []*edgelist.List
+	for seed, n := range []int64{101, 163, 211} {
+		r := rand.New(rand.NewPCG(uint64(seed), 33))
+		l := &edgelist.List{NumVertices: n}
+		reach := n - 7 // the last seven vertices stay isolated
+		for len(l.Edges) < int(6*n) {
+			u, v := r.Int64N(reach), r.Int64N(reach)
+			switch r.IntN(8) {
+			case 0, 1, 2:
+				v = []int64{0, reach / 2, reach - 1}[r.IntN(3)]
+			case 3:
+				v = u
+			case 4:
+				if len(l.Edges) > 0 {
+					e := l.Edges[r.IntN(len(l.Edges))]
+					u, v = e.V, e.U
+				}
+			}
+			l.Edges = append(l.Edges, edgelist.Edge{U: u, V: v})
+		}
+		lists = append(lists, l)
+	}
+	return append(lists, testList(t, 10, 99))
+}
+
+// TestGridBlocksMatchReference pins every machine's blocks to the
+// comparison-sort oracle, array for array in DRAM and byte for byte on the
+// stacks, raw and compressed.
+func TestGridBlocksMatchReference(t *testing.T) {
+	stored := func(st nvm.Storage) []byte {
+		buf := make([]byte, st.Size())
+		if err := st.ReadAt(nil, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	same := func(name string, got, want csr.LocalGraph) {
+		if got.Base != want.Base || got.Len != want.Len ||
+			!slices.Equal(got.Index, want.Index) || !slices.Equal(got.Value, want.Value) {
+			t.Fatalf("%s: block over [%d,+%d) differs from the reference over [%d,+%d)",
+				name, got.Base, got.Len, want.Base, want.Len)
+		}
+	}
+	for li, list := range blockTestLists(t) {
+		src := edgelist.ListSource{List: list}
+		for _, s := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {2, 3}, {3, 5}, {4, 4}} {
+			rows, cols := s[0], s[1]
+			td, bu := referenceBlocks(src, rows, cols)
+			for _, st := range []struct {
+				name          string
+				nvm, compress bool
+			}{{"dram", false, false}, {"raw", true, false}, {"compressed", true, true}} {
+				g, err := BuildGrid(src, Config{Machines: rows * cols, GridRows: rows, GridCols: cols,
+					ForwardOnNVM: st.nvm, Compress: st.compress})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, m := range g.machines {
+					name := fmt.Sprintf("list %d, %dx%d %s, machine %d", li, rows, cols, st.name, k)
+					same(name+" bu", m.bu.LocalGraph, bu[k])
+					if !st.nvm {
+						same(name+" td", m.td.LocalGraph, td[k])
+						continue
+					}
+					for _, b := range []struct {
+						dir string
+						got *block
+						ref csr.LocalGraph
+					}{{"td", &m.td, td[k]}, {"bu", &m.bu, bu[k]}} {
+						idx, val := referenceBytes(b.ref, st.compress)
+						if !bytes.Equal(stored(b.got.idx), idx) || !bytes.Equal(stored(b.got.val), val) {
+							t.Fatalf("%s %s: stored bytes differ from the reference", name, b.dir)
+						}
+					}
+				}
+				if err := g.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }
