@@ -31,8 +31,10 @@
 //     charged as a log2(P) latency tree).
 //
 // Both layouts embed one scaffold (core.go: machines, status arrays, the
-// level loop, the top-down exchange, barrier/allreduce/charge, the block
-// writer); run.go and grid_run.go hold only the collectives that differ.
+// level loop, the top-down exchange, barrier/allreduce/charge, block
+// offload); run.go and grid_run.go hold only the collectives that differ.
+// The adjacency itself is built by csr and written by semiext's one
+// writer, the same code that builds and offloads the single node's graphs.
 package cluster
 
 import (
@@ -293,12 +295,8 @@ func Build(src edgelist.Source, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	starts := make([]int64, len(part.Starts))
-	for k, s := range part.Starts {
-		starts[k] = int64(s)
-	}
 	c := &Cluster{}
-	c.init(cfg, n, cfg.Machines, starts, c)
+	c.init(cfg, n, cfg.Machines, starts(part), c)
 	for k, m := range c.machines {
 		m.td.LocalGraph = *bg.PerNode[k]
 		if cfg.ForwardOnNVM {

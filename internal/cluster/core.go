@@ -10,7 +10,7 @@ import (
 	"semibfs/internal/bfs"
 	"semibfs/internal/bitmap"
 	"semibfs/internal/csr"
-	"semibfs/internal/enc"
+	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/semiext"
 	"semibfs/internal/vtime"
@@ -200,7 +200,7 @@ func (c *core) init(cfg Config, n int64, cols int, ownStart []int64, lay layout)
 }
 
 // offload builds the stack pair name-idx / name-val on machine m and
-// writes block b through it, raw or as one delta+varint block per source
+// writes block b through it with semiext's writer, raw or compressed
 // (untimed setup clock; per-run device stats start from Run's device
 // reset).
 func (c *core) offload(m *machine, b *block, name string) error {
@@ -211,25 +211,8 @@ func (c *core) offload(m *machine, b *block, name string) error {
 	if b.val, err = m.stacks.build(c.cfg, name+"-val"); err != nil {
 		return err
 	}
-	setup := vtime.NewClock(0)
-	if !c.cfg.Compress {
-		if err := semiext.WriteInt64s(b.idx, setup, b.Index); err != nil {
-			return err
-		}
-		return semiext.WriteInt64s(b.val, setup, b.Value)
-	}
-	local := len(b.Index) - 1
-	offs := make([]int64, local+1)
-	var blob []byte
-	for k := 0; k < local; k++ {
-		offs[k] = int64(len(blob))
-		blob = enc.AppendList(blob, b.Base+int64(k), b.Value[b.Index[k]:b.Index[k+1]])
-	}
-	offs[local] = int64(len(blob))
-	if err := semiext.WriteInt64s(b.idx, setup, offs); err != nil {
-		return err
-	}
-	return semiext.WriteBytes(b.val, setup, blob)
+	_, _, err = semiext.WriteAdjacency(b.idx, b.val, vtime.NewClock(0), &b.LocalGraph, c.cfg.Compress)
+	return err
 }
 
 // stream calls fn for source u's neighbours in machine m's block b until fn
@@ -290,6 +273,15 @@ func (c *core) tally() (claimed, examined int64) {
 
 // owner returns the machine owning vertex v's status.
 func (c *core) owner(v int64) int { return blockOf(v, c.ownStart) }
+
+// starts returns p's block starts as vertex IDs.
+func starts(p *numa.Partition) []int64 {
+	out := make([]int64, len(p.Starts))
+	for k, s := range p.Starts {
+		out[k] = int64(s)
+	}
+	return out
+}
 
 // blockOf returns the block of starts containing v (the last one starting
 // at or before it, so empty blocks own nothing).

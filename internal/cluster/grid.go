@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"semibfs/internal/bitmap"
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
+	"semibfs/internal/numa"
 )
 
 // Grid is the 2D-partitioned distributed hybrid BFS of Beamer et al.
@@ -56,7 +55,7 @@ type Grid struct {
 	// destinations in row block i, neighbor lists ascending (dropped from
 	// DRAM once offloaded); its bu block is the transpose — a CSR over row
 	// block i's destinations listing their sources in column block j,
-	// neighbor lists sorted hubs-first (always kept in DRAM too: it is the
+	// neighbor lists hubs-first (always kept in DRAM too: it is the
 	// degraded-mode residence).
 	rowStart []int64
 	colStart []int64
@@ -104,15 +103,23 @@ func BuildGrid(src edgelist.Source, cfg Config) (*Grid, error) {
 		rows, cols = cfg.GridRows, cfg.GridCols
 	}
 	n := src.NumVertices()
-	deg, err := csr.Degrees(src)
+	rowPart := numa.NewPartition(numa.Topology{Nodes: rows, CoresPerNode: 1}, int(n))
+	colPart := numa.NewPartition(numa.Topology{Nodes: cols, CoresPerNode: 1}, int(n))
+	// Machine (i,j)'s blocks are block (i,j) of csr's 2D construction: td
+	// lists ascending, bu lists in the single-node engine's hubs-first
+	// order, which is better's. Each neighbour lives in exactly one column
+	// block, so merging per-block minima under that one global order
+	// reproduces the single-node scan order — the heart of the
+	// cross-topology bit-identity contract.
+	td, bu, deg, err := csr.BuildBlocks(src, rowPart, colPart, csr.SortByDegreeDesc)
 	if err != nil {
 		return nil, err
 	}
 	g := &Grid{
 		rows:     rows,
 		deg:      deg,
-		rowStart: blockStarts(n, rows),
-		colStart: blockStarts(n, cols),
+		rowStart: starts(rowPart),
+		colStart: starts(colPart),
 		fview:    bitmap.New(int(n)),
 		cand:     make([]int64, n),
 		touched:  make([][]int64, rows),
@@ -131,16 +138,9 @@ func BuildGrid(src edgelist.Source, cfg Config) (*Grid, error) {
 	for i := range g.cand {
 		g.cand[i] = -1
 	}
-	// The top-down blocks index by source u; the bottom-up transpose
-	// indexes by destination v. Each is filled in one count pass and one
-	// placement pass over the edge list.
-	if err := g.fillBlocks(src, false); err != nil {
-		return nil, err
+	for k, m := range g.machines {
+		m.td.LocalGraph, m.bu.LocalGraph = *td[k], *bu[k]
 	}
-	if err := g.fillBlocks(src, true); err != nil {
-		return nil, err
-	}
-	g.sortBlocks()
 	if cfg.ForwardOnNVM {
 		for k, m := range g.machines {
 			name := fmt.Sprintf("g%dx%d", k/cols, k%cols)
@@ -160,30 +160,6 @@ func BuildGrid(src edgelist.Source, cfg Config) (*Grid, error) {
 	return g, nil
 }
 
-// sortBlocks orders every top-down neighbor list ascending and every
-// bottom-up list by the single-node engine's hubs-first comparator
-// (degree descending, ID ascending). Because each neighbor lives in
-// exactly one column block, merging per-block minima under the same
-// global comparator reproduces the single-node scan order — the heart of
-// the cross-topology bit-identity contract.
-func (g *Grid) sortBlocks() {
-	for _, m := range g.machines {
-		sortBlockLists(&m.td, cmp.Compare[int64])
-		sortBlockLists(&m.bu, func(u, c int64) int {
-			if d := cmp.Compare(g.deg[c], g.deg[u]); d != 0 {
-				return d
-			}
-			return cmp.Compare(u, c)
-		})
-	}
-}
-
-func sortBlockLists(b *block, order func(a, b int64) int) {
-	for k := 0; k+1 < len(b.Index); k++ {
-		slices.SortFunc(b.Value[b.Index[k]:b.Index[k+1]], order)
-	}
-}
-
 // better reports whether u precedes c in the bottom-up scan order.
 func (g *Grid) better(u, c int64) bool {
 	if g.deg[u] != g.deg[c] {
@@ -191,120 +167,6 @@ func (g *Grid) better(u, c int64) bool {
 	}
 	return u < c
 }
-
-// fillBlocks builds either the source-indexed top-down blocks or the
-// destination-indexed bottom-up transpose.
-func (g *Grid) fillBlocks(src edgelist.Source, transpose bool) error {
-	rows, cols := g.rows, g.cols
-	target := func(i, j int) *block {
-		if transpose {
-			return &g.at(i, j).bu
-		}
-		return &g.at(i, j).td
-	}
-	counts := make([][][]int64, rows)
-	for i := range counts {
-		counts[i] = make([][]int64, cols)
-		for j := range counts[i] {
-			var span int64
-			if transpose {
-				span = g.rowStart[i+1] - g.rowStart[i]
-			} else {
-				span = g.colStart[j+1] - g.colStart[j]
-			}
-			counts[i][j] = make([]int64, span+1)
-		}
-	}
-	add := func(u, v int64) {
-		i, j := g.rowOf(v), g.colOf(u)
-		if transpose {
-			counts[i][j][v-g.rowStart[i]+1]++
-		} else {
-			counts[i][j][u-g.colStart[j]+1]++
-		}
-	}
-	err := src.ForEach(func(e edgelist.Edge) error {
-		if e.U == e.V {
-			return nil
-		}
-		add(e.U, e.V)
-		add(e.V, e.U)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	cursors := make([][][]int64, rows)
-	for i := 0; i < rows; i++ {
-		cursors[i] = make([][]int64, cols)
-		for j := 0; j < cols; j++ {
-			idx := counts[i][j]
-			for k := 0; k+1 < len(idx); k++ {
-				idx[k+1] += idx[k]
-			}
-			b := target(i, j)
-			b.Base, b.Len = g.colStart[j], int64(len(idx)-1)
-			if transpose {
-				b.Base = g.rowStart[i]
-			}
-			b.Index = idx
-			b.Value = make([]int64, idx[len(idx)-1])
-			cur := make([]int64, len(idx)-1)
-			copy(cur, idx[:len(idx)-1])
-			cursors[i][j] = cur
-		}
-	}
-	place := func(u, v int64) {
-		i, j := g.rowOf(v), g.colOf(u)
-		b := target(i, j)
-		c := cursors[i][j]
-		key := u
-		if transpose {
-			key = v
-		}
-		b.Value[c[key-b.Base]] = pick(transpose, u, v)
-		c[key-b.Base]++
-	}
-	err = src.ForEach(func(e edgelist.Edge) error {
-		if e.U == e.V {
-			return nil
-		}
-		place(e.U, e.V)
-		place(e.V, e.U)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return nil
-}
-
-// pick returns the stored endpoint: the destination for top-down blocks,
-// the source for the bottom-up transpose.
-func pick(transpose bool, u, v int64) int64 {
-	if transpose {
-		return u
-	}
-	return v
-}
-
-func blockStarts(n int64, parts int) []int64 {
-	starts := make([]int64, parts+1)
-	base, rem := n/int64(parts), n%int64(parts)
-	off := int64(0)
-	for k := 0; k < parts; k++ {
-		starts[k] = off
-		off += base
-		if int64(k) < rem {
-			off++
-		}
-	}
-	starts[parts] = n
-	return starts
-}
-
-func (g *Grid) rowOf(v int64) int { return blockOf(v, g.rowStart) }
-func (g *Grid) colOf(v int64) int { return blockOf(v, g.colStart) }
 
 // Shape returns the grid dimensions.
 func (g *Grid) Shape() (rows, cols int) { return g.rows, g.cols }

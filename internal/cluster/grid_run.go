@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"semibfs/internal/bfs"
+	"semibfs/internal/numa"
 	"semibfs/internal/vtime"
 )
 
@@ -61,7 +62,7 @@ func (g *Grid) distributeFrontier(dir bfs.Direction) error {
 	}
 	for j := 0; j < g.cols; j++ {
 		lo, hi := g.colStart[j], g.colStart[j+1]
-		parts := blockStarts(hi-lo, g.rows)
+		parts := numa.NewPartition(numa.Topology{Nodes: g.rows, CoresPerNode: 1}, int(hi-lo)).Starts
 		if sparse {
 			g.queues[j] = g.queues[j][:0]
 		}
@@ -69,7 +70,7 @@ func (g *Grid) distributeFrontier(dir bfs.Direction) error {
 		var total int64
 		for r := 0; r < g.rows; r++ {
 			m := g.at(r, j)
-			flo, fhi := lo+parts[r], lo+parts[r+1]
+			flo, fhi := lo+int64(parts[r]), lo+int64(parts[r+1])
 			if sparse {
 				q := m.idsBuf[:0]
 				g.frontier.ForEachSet(int(flo), int(fhi), func(i int) {

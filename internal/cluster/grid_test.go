@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
 	"semibfs/internal/enc"
+	"semibfs/internal/generator"
 	"semibfs/internal/nvm"
 )
 
@@ -508,5 +510,80 @@ func TestGridBlocksMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingSource counts the passes made over its edge list.
+type countingSource struct {
+	edgelist.ListSource
+	passes int
+}
+
+func (s *countingSource) ForEach(fn func(e edgelist.Edge) error) error {
+	s.passes++
+	return s.ListSource.ForEach(fn)
+}
+
+// TestBuildGridPasses: the degrees, the block sizes and the placement
+// take one pass over the edge list each; the transposes read the blocks.
+func TestBuildGridPasses(t *testing.T) {
+	src := &countingSource{ListSource: edgelist.ListSource{List: testList(t, 8, 100)}}
+	if _, err := BuildGrid(src, Config{Machines: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if src.passes != 3 {
+		t.Fatalf("BuildGrid read the edge list %d times, want 3", src.passes)
+	}
+}
+
+// TestBuildGridAllocs bounds BuildGrid's allocations by its blocks and
+// O(n) words besides: the degrees, the per-column degree orders and their
+// counts, and the run state (tree, claim candidates, four bitmaps).
+func TestBuildGridAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	list := testList(t, 14, 1)
+	src := edgelist.ListSource{List: list}
+	n := list.NumVertices
+	var g *Grid
+	var err error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err = BuildGrid(src, Config{Machines: 16})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	var blocks, maxDeg int64
+	for _, m := range g.machines {
+		blocks += m.td.Bytes() + m.bu.Bytes()
+	}
+	for _, d := range g.deg {
+		maxDeg = max(maxDeg, d)
+	}
+	// The allocator rounds each large array up to a page: 4 per machine,
+	// 2 per column and 8 more.
+	scratch := 8*(4*n+int64(g.cols)*(maxDeg+1)) + 4*n/8 + 8<<10*int64(4*len(g.machines)+2*g.cols+8)
+	if limit := blocks + scratch; got > uint64(limit) {
+		t.Errorf("BuildGrid allocated %d bytes, want at most %d (blocks %d)", got, limit, blocks)
+	}
+}
+
+func BenchmarkBuildGridScale14(b *testing.B) {
+	list, err := generator.Generate(generator.Config{Scale: 14, EdgeFactor: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := edgelist.ListSource{List: list}
+	cfg := Config{Machines: 16, ForwardOnNVM: true, Compress: true}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := BuildGrid(src, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Close()
 	}
 }

@@ -17,6 +17,9 @@
 //     over its own vertex range with the full neighbor lists, optionally
 //     sorted so high-degree neighbors come first (a vertex is far more
 //     likely to find its parent among hubs, shortening the bottom-up scan).
+//
+// BuildBlocks cuts the same adjacency into the blocks of a 2D processor
+// grid (the cluster's layout); Build is its one-column case.
 package csr
 
 import (
@@ -179,12 +182,12 @@ func (b *BackwardGraph) Neighbors(v int64) []int64 {
 // backward graph over one node. Self-loops are dropped; duplicates kept.
 func BuildSimple(src edgelist.Source) (*Graph, error) {
 	n := src.NumVertices()
-	bg, _, err := buildArrival(src, numa.NewPartition(numa.Topology{Nodes: 1, CoresPerNode: 1}, int(n)), SortNone)
+	one := whole(n)
+	bu, _, err := buildArrival(src, one, one, SortNone)
 	if err != nil {
 		return nil, err
 	}
-	g := bg.PerNode[0]
-	return &Graph{NumVertices: n, Index: g.Index, Value: g.Value}, nil
+	return &Graph{NumVertices: n, Index: bu[0].Index, Value: bu[0].Value}, nil
 }
 
 // Degrees counts the undirected degree of every vertex in src (self-loops
@@ -206,31 +209,64 @@ func Degrees(src edgelist.Source) ([]int64, error) {
 	return deg, nil
 }
 
+// whole is the one-block partition of [0, n).
+func whole(n int64) *numa.Partition {
+	return numa.NewPartition(numa.Topology{Nodes: 1, CoresPerNode: 1}, int(n))
+}
+
 // Build constructs the forward and the backward graph of src with two
 // passes over the edge list, no comparison sort and no scratch beyond the
 // two results and O(n + maximum degree) words. Self-loops are dropped;
 // duplicate edges are kept (as in the Graph500 reference construction).
 //
-// The passes place every backward list in arrival order. The graph is
-// symmetric, so forward node k is the transpose of backward node k, and a
-// transpose visits its rows in vertex order: every forward list comes out
-// ascending. For SortByID and SortByDegreeDesc each backward node's lists
-// are then re-placed from its forward node in the mode's vertex order.
+// Backward node k is block (k, 0) of BuildBlocks over part and one column,
+// and forward node k its transpose over all n vertices.
 func Build(src edgelist.Source, part *numa.Partition, mode SortMode) (*ForwardGraph, *BackwardGraph, error) {
-	bg, deg, err := buildArrival(src, part, mode)
+	td, bu, _, err := BuildBlocks(src, part, whole(int64(part.N)), mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, len(bg.PerNode))}
-	order := degreeOrder(deg, mode)
-	for k, g := range bg.PerNode {
-		fg.PerNode[k] = newGraph(int64(part.N), len(g.Value))
-		g.transpose(fg.PerNode[k])
-		if mode != SortNone {
-			g.relist(fg.PerNode[k], order)
+	fg := &ForwardGraph{Part: part, PerNode: make([]*Graph, len(td))}
+	for k, t := range td {
+		fg.PerNode[k] = &Graph{NumVertices: t.Len, Index: t.Index, Value: t.Value}
+	}
+	return fg, &BackwardGraph{Part: part, PerNode: bu}, nil
+}
+
+// BuildBlocks cuts the adjacency of src into the blocks of a rows x cols
+// grid (the 2D decomposition), row-major. Block (i, j) of bu is a CSR over
+// row block i listing every vertex's neighbours in column block j, in
+// mode's order; block (i, j) of td is its transpose, a CSR over column
+// block j listing every vertex's neighbours in row block i, ascending. deg
+// holds every vertex's degree. Self-loops are dropped; duplicate edges are
+// kept.
+//
+// One column takes two passes over the edge list, more columns three (the
+// block sizes need a count pass). The passes place every bu list in
+// arrival order. The graph is symmetric, so td block (i, j) is the
+// transpose of bu block (i, j), and a transpose visits its rows in vertex
+// order: every td list comes out ascending. For SortByID and
+// SortByDegreeDesc each bu block's lists are then re-placed from its td
+// block in the mode's vertex order. No comparison sort is involved.
+func BuildBlocks(src edgelist.Source, rows, cols *numa.Partition, mode SortMode) (td, bu []*LocalGraph, deg []int64, err error) {
+	bu, deg, err = buildArrival(src, rows, cols, mode)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	td = make([]*LocalGraph, len(bu))
+	c := cols.Topology.Nodes
+	for j := 0; j < c; j++ {
+		lo, hi := cols.Range(j)
+		order := degreeOrder(deg[lo:hi], mode)
+		for k := j; k < len(bu); k += c {
+			td[k] = newLocal(int64(lo), int64(hi), len(bu[k].Value))
+			bu[k].transpose(td[k])
+			if mode != SortNone {
+				bu[k].relist(td[k], order)
+			}
 		}
 	}
-	return fg, bg, nil
+	return td, bu, deg, nil
 }
 
 // BuildForward constructs the destination-partitioned forward graph from
@@ -248,34 +284,42 @@ func BuildForward(src edgelist.Source, part *numa.Partition) (*ForwardGraph, err
 // A node's lists are re-placed from its forward node, so one node-sized
 // forward graph is reused as scratch across nodes.
 func BuildBackward(src edgelist.Source, part *numa.Partition, mode SortMode) (*BackwardGraph, error) {
-	bg, deg, err := buildArrival(src, part, mode)
-	if err != nil || mode == SortNone {
-		return bg, err
+	n := int64(part.N)
+	one := whole(n)
+	bu, deg, err := buildArrival(src, part, one, mode)
+	if err != nil {
+		return nil, err
+	}
+	bg := &BackwardGraph{Part: part, PerNode: bu}
+	if mode == SortNone {
+		return bg, nil
 	}
 	var most int
-	for _, g := range bg.PerNode {
+	for _, g := range bu {
 		most = max(most, len(g.Value))
 	}
-	fwd := newGraph(int64(part.N), most)
+	fwd := newLocal(0, n, most)
 	order := degreeOrder(deg, mode)
-	for _, g := range bg.PerNode {
+	for _, g := range bu {
 		g.transpose(fwd)
 		g.relist(fwd, order)
 	}
 	return bg, nil
 }
 
-func newGraph(n int64, values int) *Graph {
-	return &Graph{NumVertices: n, Index: make([]int64, n+1), Value: make([]int64, values)}
+// newLocal is a CSR over [lo, hi) with room for values neighbours.
+func newLocal(lo, hi int64, values int) *LocalGraph {
+	return &LocalGraph{Base: lo, Len: hi - lo, Index: make([]int64, hi-lo+1), Value: make([]int64, values)}
 }
 
-// buildArrival is the backward graph with every list in edge-list arrival
-// order, and the degrees: one Degrees pass, one placement pass. It checks
-// part and mode for every builder.
-func buildArrival(src edgelist.Source, part *numa.Partition, mode SortMode) (*BackwardGraph, []int64, error) {
+// buildArrival is the bu blocks of BuildBlocks with every list in
+// edge-list arrival order, and the degrees: one Degrees pass, a count pass
+// when there is more than one column, and one placement pass. It checks
+// the partitions and mode for every builder.
+func buildArrival(src edgelist.Source, rows, cols *numa.Partition, mode SortMode) ([]*LocalGraph, []int64, error) {
 	n := src.NumVertices()
-	if int64(part.N) != n {
-		return nil, nil, fmt.Errorf("csr: partition over %d vertices, source has %d", part.N, n)
+	if int64(rows.N) != n || int64(cols.N) != n {
+		return nil, nil, fmt.Errorf("csr: partitions over %d and %d vertices, source has %d", rows.N, cols.N, n)
 	}
 	if mode != SortByDegreeDesc && mode != SortNone && mode != SortByID {
 		return nil, nil, fmt.Errorf("csr: unknown sort mode %d", mode)
@@ -284,30 +328,57 @@ func buildArrival(src edgelist.Source, part *numa.Partition, mode SortMode) (*Ba
 	if err != nil {
 		return nil, nil, err
 	}
-	bg := &BackwardGraph{Part: part, PerNode: make([]*LocalGraph, part.Topology.Nodes)}
-	for k := range bg.PerNode {
-		lo, hi := part.Range(k)
-		index := make([]int64, hi-lo+1)
+	c := cols.Topology.Nodes
+	blocks := make([]*LocalGraph, rows.Topology.Nodes*c)
+	for k := range blocks {
+		lo, hi := rows.Range(k / c)
+		blocks[k] = &LocalGraph{Base: int64(lo), Len: int64(hi - lo), Index: make([]int64, hi-lo+1)}
+		if c == 1 {
+			copy(blocks[k].Index[1:], deg[lo:hi])
+		}
+	}
+	if c > 1 {
+		err = src.ForEach(func(e edgelist.Edge) error {
+			if e.U == e.V {
+				return nil
+			}
+			blocks[rows.NodeOf(int(e.U))*c+cols.NodeOf(int(e.V))].count(e.U)
+			blocks[rows.NodeOf(int(e.V))*c+cols.NodeOf(int(e.U))].count(e.V)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, b := range blocks {
 		var sum int64
-		for i, d := range deg[lo:hi] {
-			index[i+1] = sum // i's start: its cursor until placement moves it to i's end
+		for i, d := range b.Index[1:] {
+			b.Index[i+1] = sum // i's start: its cursor until placement moves it to i's end
 			sum += d
 		}
-		bg.PerNode[k] = &LocalGraph{Base: int64(lo), Len: int64(hi - lo), Index: index, Value: make([]int64, sum)}
+		b.Value = make([]int64, sum)
 	}
 	err = src.ForEach(func(e edgelist.Edge) error {
 		if e.U == e.V {
 			return nil
 		}
-		bg.PerNode[part.NodeOf(int(e.U))].place(e.U, e.V)
-		bg.PerNode[part.NodeOf(int(e.V))].place(e.V, e.U)
+		ju, jv := 0, 0 // the column blocks of e.U and e.V
+		if c > 1 {
+			ju, jv = cols.NodeOf(int(e.U)), cols.NodeOf(int(e.V))
+		}
+		blocks[rows.NodeOf(int(e.U))*c+jv].place(e.U, e.V)
+		blocks[rows.NodeOf(int(e.V))*c+ju].place(e.V, e.U)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return bg, deg, nil
+	return blocks, deg, nil
 }
+
+// count adds one to w's degree, kept at Index[w-Base+1] until the starts
+// replace the degrees.
+func (g *LocalGraph) count(w int64) { g.Index[w-g.Base+1]++ }
 
 // place appends v to w's list at w's cursor, Index[w-Base+1], which ends
 // at w's end once all of w's neighbours are placed.
@@ -317,34 +388,37 @@ func (g *LocalGraph) place(w, v int64) {
 	*c++
 }
 
-// transpose overwrites fwd, whose Value has room for g's, with forward
-// node k for g = backward node k: for every vertex u, u's neighbours in g's
-// range. g is read in vertex order, so each list fills ascending.
-func (g *LocalGraph) transpose(fwd *Graph) {
-	index := fwd.Index
-	clear(index)
+// transpose overwrites t, whose Value has room for g's, with g's
+// transpose over t's vertex range: for every vertex u there, u's
+// neighbours in g's range. g is read in vertex order, so each list fills
+// ascending.
+func (g *LocalGraph) transpose(t *LocalGraph) {
+	// cursor[u-t.Base] is u's count, then its start, then its end.
+	cursor := t.Index[1:]
+	clear(t.Index)
 	for _, u := range g.Value {
-		index[u+1]++
+		cursor[u-t.Base]++
 	}
 	var sum int64
-	for u, c := range index[1:] {
-		index[u+1] = sum // u's start: its cursor until placement moves it to u's end
-		sum += c
+	for i, d := range cursor {
+		cursor[i] = sum
+		sum += d
 	}
-	fwd.Value = fwd.Value[:sum]
+	value := t.Value[:sum]
 	for i := int64(0); i < g.Len; i++ {
 		v := g.Base + i
 		for _, u := range g.Value[g.Index[i]:g.Index[i+1]] {
-			fwd.Value[index[u+1]] = v
-			index[u+1]++
+			value[cursor[u-t.Base]] = v
+			cursor[u-t.Base]++
 		}
 	}
+	t.Value = value
 }
 
-// degreeOrder is every vertex, hubs first and ties by ascending ID, for
-// SortByDegreeDesc (a vertex is far more likely to find its parent among
-// hubs), and nil (ascending IDs) for the other modes: a counting sort on
-// degree.
+// degreeOrder is every vertex of deg's range as an offset into it, hubs
+// first and ties by ascending ID, for SortByDegreeDesc (a vertex is far
+// more likely to find its parent among hubs), and nil (ascending IDs) for
+// the other modes: a counting sort on degree.
 func degreeOrder(deg []int64, mode SortMode) []int64 {
 	if mode != SortByDegreeDesc {
 		return nil
@@ -371,17 +445,18 @@ func degreeOrder(deg []int64, mode SortMode) []int64 {
 	return order
 }
 
-// relist re-places g's lists from fwd, its forward node, in vertex order
-// (order, or ascending IDs when order is nil): u's list receives v for
-// every u among v's neighbours in fwd, as v comes up.
-func (g *LocalGraph) relist(fwd *Graph, order []int64) {
+// relist re-places g's lists from t, its transpose, in the vertex order
+// of t's range (order, as offsets, or ascending IDs when order is nil):
+// u's list receives v for every u among v's neighbours in t, as v comes
+// up.
+func (g *LocalGraph) relist(t *LocalGraph, order []int64) {
 	copy(g.Index[1:], g.Index[:g.Len]) // every cursor back at its list's start
-	for i := int64(0); i < fwd.NumVertices; i++ {
-		v := i
+	for i := int64(0); i < t.Len; i++ {
+		v := t.Base + i
 		if order != nil {
-			v = order[i]
+			v = t.Base + order[i]
 		}
-		for _, u := range fwd.Neighbors(v) {
+		for _, u := range t.Neighbors(v) {
 			g.place(u, v)
 		}
 	}

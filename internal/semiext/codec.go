@@ -100,25 +100,6 @@ func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	return examined, nil
 }
 
-// StreamNeighbors is the exported stored-only form of streamNeighbors:
-// it streams the neighbor range [lo, hi) of store through fn until fn
-// returns false or the range is exhausted, with no overlay applied. When
-// compressed is false the range is element offsets of little-endian int64
-// IDs; when true it is byte offsets of one delta+varint block (enc
-// package) owned by source vertex src, with decode cost charged to clock.
-// Reads happen in chunks of at most chunkBytes (<= 0 selects
-// nvm.DefaultChunkSize) into *scratch / *ids, which are grown and reused
-// across calls.
-//
-// It exists so every consumer of raw NVM adjacency bytes — the cluster
-// simulation included — shares this package's decoder instead of
-// hand-rolling the layout, and therefore works on compressed stores too.
-func StreamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
-	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
-	fn func(nb int64) bool) (examined int64, err error) {
-	return streamNeighbors(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, nil, nil, fn)
-}
-
 // streamStored is streamNeighbors' stored-only core: it streams exactly
 // what the CSR holds, with no overlay applied.
 func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,

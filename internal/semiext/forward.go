@@ -30,7 +30,6 @@ import (
 	"fmt"
 
 	"semibfs/internal/csr"
-	"semibfs/internal/enc"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
@@ -203,30 +202,13 @@ func OffloadForward(fg *csr.ForwardGraph, mk StoreFactory, clock *vtime.Clock, o
 		// Offload writes go through the full stack: the cache layer is
 		// write-through with invalidation, so it stays cold and
 		// traversal-time fills are the only pages it ever holds.
-		index := g.Index
+		index, stored, err := WriteAdjacency(idxStore, valStore, clock,
+			&csr.LocalGraph{Len: g.NumVertices, Index: g.Index, Value: g.Value}, opts.Compress)
+		if err != nil {
+			return fail(fmt.Errorf("semiext: offload node %d: %w", k, err))
+		}
 		sf.ValueBytesRaw += int64(len(g.Value)) * 8
-		if opts.Compress {
-			// Encode each vertex's (sorted) list back to back; the index
-			// becomes byte offsets into the encoded stream.
-			var encoded []byte
-			index = make([]int64, g.NumVertices+1)
-			for v := int64(0); v < g.NumVertices; v++ {
-				encoded = enc.AppendList(encoded, v, g.Neighbors(v))
-				index[v+1] = int64(len(encoded))
-			}
-			sf.ValueBytesStored += int64(len(encoded))
-			if err := writeBytes(valStore, clock, encoded); err != nil {
-				return fail(fmt.Errorf("semiext: offload value node %d: %w", k, err))
-			}
-		} else {
-			sf.ValueBytesStored += int64(len(g.Value)) * 8
-			if err := writeInt64s(valStore, clock, g.Value); err != nil {
-				return fail(fmt.Errorf("semiext: offload value node %d: %w", k, err))
-			}
-		}
-		if err := writeInt64s(idxStore, clock, index); err != nil {
-			return fail(fmt.Errorf("semiext: offload index node %d: %w", k, err))
-		}
+		sf.ValueBytesStored += stored
 		node := &ForwardNode{
 			N:          g.NumVertices,
 			IndexStore: idxStore,

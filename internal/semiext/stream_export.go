@@ -3,37 +3,54 @@ package semiext
 import (
 	"encoding/binary"
 
+	"semibfs/internal/csr"
+	"semibfs/internal/enc"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
 
-// This file exports the store read/write glue that every consumer of
-// on-NVM adjacency shares. The cluster simulation (1D and 2D layouts)
-// used to hand-roll the same chunked writers and the same 16-byte
-// index-bracket read; keeping one copy here means the raw and compressed
-// on-media formats are defined in exactly one package.
+// This file holds the store glue every consumer of on-NVM adjacency
+// shares: the one writer of a CSR's (index, value) store pair and the
+// index-bracket read. The forward graph and the cluster machines' blocks
+// are written and read by the same code, so the raw and compressed
+// on-media formats are defined exactly once.
 
-// WriteInt64s streams vals into store as little-endian bytes from offset
-// 0, in chunk-sized writes charged to clock (nil clock writes untimed).
-func WriteInt64s(store nvm.Storage, clock *vtime.Clock, vals []int64) error {
-	return writeInt64s(store, clock, vals)
-}
-
-// WriteBytes streams p into store from offset 0 in chunk-sized writes
-// charged to clock (nil clock writes untimed).
-func WriteBytes(store nvm.Storage, clock *vtime.Clock, p []byte) error {
-	return writeBytes(store, clock, p)
+// WriteAdjacency writes g to the store pair idx / val, the value store
+// first, in chunk-sized writes charged to clock (nil clock writes
+// untimed). Raw, val holds g's neighbour IDs as little-endian int64s and
+// idx g.Index. Compressed, val holds every list as one delta+varint block
+// (enc package) anchored at its global source ID, and idx the blocks'
+// byte offsets. It returns the index it stored and the value bytes.
+func WriteAdjacency(idx, val nvm.Storage, clock *vtime.Clock, g *csr.LocalGraph, compress bool) (index []int64, valueBytes int64, err error) {
+	index = g.Index
+	if compress {
+		var encoded []byte
+		index = make([]int64, g.Len+1)
+		for i := int64(0); i < g.Len; i++ {
+			encoded = enc.AppendList(encoded, g.Base+i, g.Value[g.Index[i]:g.Index[i+1]])
+			index[i+1] = int64(len(encoded))
+		}
+		valueBytes = int64(len(encoded))
+		err = writeBytes(val, clock, encoded)
+	} else {
+		valueBytes = int64(len(g.Value)) * 8
+		err = writeInt64s(val, clock, g.Value)
+	}
+	if err == nil {
+		err = writeInt64s(idx, clock, index)
+	}
+	return index, valueBytes, err
 }
 
 // StreamIndexedNeighbors streams one vertex's adjacency out of an
 // (index, value) store pair laid out the standard way: idx holds n+1
 // little-endian int64 offsets, entry i bracketing local vertex i's range
 // in val. The bracket [i, i+1] is read as one 16-byte request, then the
-// value range streams through StreamNeighbors, so raw (element offsets)
+// value range streams like a forward reader's, so raw (element offsets)
 // and delta+varint-compressed (byte offsets) stores read identically.
 // src is the global vertex ID the compressed decoder needs; i is the
 // local index into idx. fn, scratch, ids and chunkBytes behave exactly
-// as in StreamNeighbors; the bracket is read into scratch too (a local
+// as in streamNeighbors; the bracket is read into scratch too (a local
 // array would escape through the Storage interface and cost one heap
 // object per call), and its offsets are extracted before scratch is
 // reused.
@@ -49,5 +66,5 @@ func StreamIndexedNeighbors(idx, val nvm.Storage, clock *vtime.Clock, compressed
 	}
 	lo := int64(binary.LittleEndian.Uint64(bracket[0:8]))
 	hi := int64(binary.LittleEndian.Uint64(bracket[8:16]))
-	return StreamNeighbors(val, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
+	return streamStored(val, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
 }

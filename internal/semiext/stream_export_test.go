@@ -3,13 +3,13 @@ package semiext
 import (
 	"testing"
 
-	"semibfs/internal/enc"
+	"semibfs/internal/csr"
 	"semibfs/internal/nvm"
 )
 
 // TestStreamIndexedNeighbors is the regression test for the exported
-// index-bracket glue the cluster layouts share: the same (index, value)
-// store pair must stream identically through the raw and compressed
+// glue the cluster layouts share: an (index, value) store pair written by
+// WriteAdjacency must stream identically through the raw and compressed
 // paths, including early exit.
 func TestStreamIndexedNeighbors(t *testing.T) {
 	adj := [][]int64{
@@ -19,33 +19,16 @@ func TestStreamIndexedNeighbors(t *testing.T) {
 		{1, 2, 4, 9, 10, 11},
 	}
 	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	g := &csr.LocalGraph{Len: int64(len(adj)), Index: make([]int64, len(adj)+1)}
+	for i, nbs := range adj {
+		g.Value = append(g.Value, nbs...)
+		g.Index[i+1] = int64(len(g.Value))
+	}
 
 	for _, compressed := range []bool{false, true} {
 		idxStore := nvm.NewMemStore(dev, 0)
 		valStore := nvm.NewMemStore(dev, 0)
-		offs := make([]int64, len(adj)+1)
-		if compressed {
-			var blob []byte
-			for i, nbs := range adj {
-				offs[i] = int64(len(blob))
-				blob = enc.AppendList(blob, int64(i), nbs)
-			}
-			offs[len(adj)] = int64(len(blob))
-			if err := WriteBytes(valStore, nil, blob); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			var flat []int64
-			for i, nbs := range adj {
-				offs[i] = int64(len(flat))
-				flat = append(flat, nbs...)
-			}
-			offs[len(adj)] = int64(len(flat))
-			if err := WriteInt64s(valStore, nil, flat); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := WriteInt64s(idxStore, nil, offs); err != nil {
+		if _, _, err := WriteAdjacency(idxStore, valStore, nil, g, compressed); err != nil {
 			t.Fatal(err)
 		}
 
