@@ -133,38 +133,6 @@ func (c *nvmForwardCursor) PrefetchFrontier(k int, vs []int64) {
 	c.r.PrefetchFrontier(k, vs)
 }
 
-// DRAMBackward adapts a DRAM-resident csr.BackwardGraph.
-type DRAMBackward struct {
-	G *csr.BackwardGraph
-}
-
-// NewScanner implements BackwardAccess.
-func (d DRAMBackward) NewScanner(*vtime.Clock) BackwardScan {
-	return &dramBackwardScan{g: d.G}
-}
-
-// Degree implements BackwardAccess.
-func (d DRAMBackward) Degree(v int64) int64 { return d.G.Degree(v) }
-
-// OnNVM implements BackwardNVM: the CSR graph is fully DRAM-resident.
-func (DRAMBackward) OnNVM() bool { return false }
-
-type dramBackwardScan struct {
-	g *csr.BackwardGraph
-}
-
-func (s *dramBackwardScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
-	nbs := s.g.PerNode[k].Neighbors(v)
-	var examined int64
-	for _, nb := range nbs {
-		examined++
-		if !fn(nb) {
-			break
-		}
-	}
-	return examined, 0, nil
-}
-
 // HybridBackwardAccess adapts a semiext.HybridBackward (DRAM prefix + NVM
 // tail).
 type HybridBackwardAccess struct {

@@ -13,6 +13,7 @@ import (
 	"semibfs/internal/edgelist"
 	"semibfs/internal/generator"
 	"semibfs/internal/numa"
+	"semibfs/internal/semiext"
 	"semibfs/internal/vtime"
 )
 
@@ -122,7 +123,11 @@ func freshTree(t *testing.T, src edgelist.Source, part *numa.Partition, topo num
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := bfs.NewRunner(bfs.DRAMForward{G: fg}, bfs.DRAMBackward{G: bg}, part,
+	hb, err := semiext.BuildHybridBackward(bg, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := bfs.NewRunner(bfs.DRAMForward{G: fg}, bfs.HybridBackwardAccess{HB: hb}, part,
 		bfs.Config{Topology: topo, Mode: bfs.ModeTopDownOnly})
 	if err != nil {
 		t.Fatal(err)
