@@ -245,15 +245,13 @@ func CollectStacks(stores ...Storage) StackStats {
 
 // CollectReplicaHealth walks the given stacks, finds every mirror, and
 // merges their per-replica health index-wise (replica i of every store
-// lives on simulated device i). Matching is by the Health method rather
-// than the concrete type, so ArrayStore's embedded mirror is found too.
+// lives on simulated device i).
 func CollectReplicaHealth(stores ...Storage) []ReplicaHealth {
-	type healthy interface{ Health() []ReplicaHealth }
 	var sets [][]ReplicaHealth
-	seen := make(map[any]bool)
+	seen := make(map[*MirrorStore]bool)
 	for _, st := range stores {
 		WalkStack(st, func(s Storage) {
-			if m, ok := s.(healthy); ok && !seen[m] {
+			if m, ok := s.(*MirrorStore); ok && !seen[m] {
 				seen[m] = true
 				sets = append(sets, m.Health())
 			}

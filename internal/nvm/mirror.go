@@ -788,23 +788,16 @@ func (m *MirrorStore) Rebuild(clock *vtime.Clock, i int) error {
 	return nil
 }
 
-// ArrayStore is the device-array form of MirrorStore: it creates its own
-// replica stacks from a factory — one per simulated device, named
-// "<name>-r<i>" so the factory can route each onto its device — and
-// embeds the mirror that serves them.
-type ArrayStore struct {
-	*MirrorStore
-}
-
 // NewArrayStore creates replicas stores via mk (each of at most chunk-byte
-// requests) and mirrors them. replicas < 1 is treated as 1. On factory
-// error, already-created replicas are closed.
-func NewArrayStore(name string, replicas, chunk int, mk func(name string, chunk int) (Storage, error), cfg MirrorConfig) (*ArrayStore, error) {
+// requests), one per simulated device, named "<name>-r<i>" so the factory
+// can route each onto its device, and mirrors them. replicas < 1 is
+// treated as 1. On factory error, already-created replicas are closed.
+func NewArrayStore(name string, replicas, chunk int, mk func(name string, chunk int) (Storage, error), cfg MirrorConfig) (*MirrorStore, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
 	stores := make([]Storage, 0, replicas)
-	fail := func(err error) (*ArrayStore, error) {
+	fail := func(err error) (*MirrorStore, error) {
 		for _, st := range stores {
 			st.Close()
 		}
@@ -821,5 +814,5 @@ func NewArrayStore(name string, replicas, chunk int, mk func(name string, chunk 
 	if err != nil {
 		return fail(err)
 	}
-	return &ArrayStore{MirrorStore: m}, nil
+	return m, nil
 }

@@ -17,9 +17,6 @@ import (
 // findMirror walks a built stack down to its mirror layer.
 func findMirror(st nvm.Storage) *nvm.MirrorStore {
 	for st != nil {
-		if a, ok := st.(*nvm.ArrayStore); ok {
-			return a.MirrorStore
-		}
 		if m, ok := st.(*nvm.MirrorStore); ok {
 			return m
 		}
