@@ -296,7 +296,7 @@ func Build(src edgelist.Source, cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{}
-	c.init(cfg, n, cfg.Machines, starts(part), c)
+	c.init(cfg, n, cfg.Machines, startsOf(part), c)
 	for k, m := range c.machines {
 		m.td.LocalGraph = *bg.PerNode[k]
 		if cfg.ForwardOnNVM {

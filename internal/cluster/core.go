@@ -274,8 +274,8 @@ func (c *core) tally() (claimed, examined int64) {
 // owner returns the machine owning vertex v's status.
 func (c *core) owner(v int64) int { return blockOf(v, c.ownStart) }
 
-// starts returns p's block starts as vertex IDs.
-func starts(p *numa.Partition) []int64 {
+// startsOf returns p's block starts as vertex IDs.
+func startsOf(p *numa.Partition) []int64 {
 	out := make([]int64, len(p.Starts))
 	for k, s := range p.Starts {
 		out[k] = int64(s)

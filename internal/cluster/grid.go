@@ -118,8 +118,8 @@ func BuildGrid(src edgelist.Source, cfg Config) (*Grid, error) {
 	g := &Grid{
 		rows:     rows,
 		deg:      deg,
-		rowStart: starts(rowPart),
-		colStart: starts(colPart),
+		rowStart: startsOf(rowPart),
+		colStart: startsOf(colPart),
 		fview:    bitmap.New(int(n)),
 		cand:     make([]int64, n),
 		touched:  make([][]int64, rows),

@@ -43,17 +43,18 @@ func WriteAdjacency(idx, val nvm.Storage, clock *vtime.Clock, g *csr.LocalGraph,
 }
 
 // StreamIndexedNeighbors streams one vertex's adjacency out of an
-// (index, value) store pair laid out the standard way: idx holds n+1
-// little-endian int64 offsets, entry i bracketing local vertex i's range
-// in val. The bracket [i, i+1] is read as one 16-byte request, then the
-// value range streams like a forward reader's, so raw (element offsets)
-// and delta+varint-compressed (byte offsets) stores read identically.
-// src is the global vertex ID the compressed decoder needs; i is the
-// local index into idx. fn, scratch, ids and chunkBytes behave exactly
-// as in streamNeighbors; the bracket is read into scratch too (a local
-// array would escape through the Storage interface and cost one heap
-// object per call), and its offsets are extracted before scratch is
-// reused.
+// (index, value) store pair written by WriteAdjacency through fn until fn
+// returns false or the list is exhausted, and returns how many neighbours
+// fn saw. idx holds n+1 little-endian int64 offsets, entry i bracketing
+// local vertex i's range in val: element offsets of raw IDs, or byte
+// offsets of one delta+varint block whose decode cost is charged to clock.
+// src is the global vertex ID the compressed decoder needs; i is the local
+// index into idx. The bracket [i, i+1] is read as one 16-byte request,
+// then the value range in reads of at most chunkBytes (<= 0 selects
+// nvm.DefaultChunkSize) into *scratch / *ids, which are grown and reused
+// across calls. The bracket is read into scratch too (a local array would
+// escape through the Storage interface and cost one heap object per
+// call), and its offsets are extracted before scratch is reused.
 func StreamIndexedNeighbors(idx, val nvm.Storage, clock *vtime.Clock, compressed bool,
 	src, i int64, scratch *[]byte, ids *[]int64, chunkBytes int,
 	fn func(nb int64) bool) (examined int64, err error) {
