@@ -29,7 +29,6 @@ package dyn
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
@@ -74,14 +73,12 @@ type Stats struct {
 // generation (forward + backward), the DRAM overlays holding pending
 // edits, the WAL they are logged to, and the generation manifest.
 //
-// Mutations (Apply, Compact) are serialized by an internal lock; readers
-// go through the semiext handles and overlay snapshots and may run
-// concurrently with mutations (the serve layer applies updates between
-// BFS sweeps).
+// A graph, its overlays and its stores are used by one goroutine at a
+// time: the serve layer applies updates between BFS sweeps, under the
+// server's lock.
 type Graph struct {
 	Part *numa.Partition
 
-	mu       sync.Mutex
 	mk       semiext.StoreFactory
 	opts     Options
 	sf       *semiext.SemiForward
@@ -215,16 +212,10 @@ func (g *Graph) Forward() *semiext.SemiForward { return g.sf }
 func (g *Graph) Backward() *semiext.HybridBackward { return g.hb }
 
 // Generation returns the live CSR generation number.
-func (g *Graph) Generation() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gen
-}
+func (g *Graph) Generation() uint64 { return g.gen }
 
 // Stats returns a snapshot of the update counters.
 func (g *Graph) Stats() Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	st := g.stats
 	ws := g.wal.Stats()
 	st.WALAppends, st.WALBytes = ws.Appends, ws.AppendedBytes
@@ -267,9 +258,6 @@ func (g *Graph) hasEdge(clock *vtime.Clock, u, v int64) (bool, error) {
 //
 // Returns the number of updates applied.
 func (g *Graph) Apply(clock *vtime.Clock, batch []Update) (int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-
 	// Validate in order, tracking the batch's own effects so a later
 	// update sees the earlier ones.
 	pending := make(map[[2]int64]bool) // normalized edge -> exists after pending updates
@@ -382,9 +370,6 @@ func (g *Graph) mergedEdges(clock *vtime.Clock) (*edgelist.List, error) {
 // the old generation plus the full WAL; after it, the new generation
 // with the folded records skipped by watermark.
 func (g *Graph) Compact(clock *vtime.Clock) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-
 	list, err := g.mergedEdges(clock)
 	if err != nil {
 		return fmt.Errorf("dyn: compact read: %w", err)
@@ -437,8 +422,6 @@ func (g *Graph) Compact(clock *vtime.Clock) error {
 
 // Close closes the graph handles and logs.
 func (g *Graph) Close() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	var first error
 	if g.sf != nil {
 		if err := g.sf.Close(); err != nil && first == nil {

@@ -1,8 +1,6 @@
 package dyn
 
 import (
-	"sync"
-
 	"semibfs/internal/nvm"
 	"semibfs/internal/semiext"
 )
@@ -17,7 +15,6 @@ import (
 // per "boot" so a power cut freezes the media exactly as it was, and the
 // next boot wraps the same media with a fresh (uncut) fault layer.
 type Media struct {
-	mu     sync.Mutex
 	dev    func(name string) *nvm.Device
 	stores map[string]*nvm.MemStore
 }
@@ -38,8 +35,6 @@ func NewMediaFunc(dev func(name string) *nvm.Device) *Media {
 // Factory resolves names against the pool, creating stores on first use.
 func (m *Media) Factory() semiext.StoreFactory {
 	return func(name string, chunk int) (nvm.Storage, error) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if st, ok := m.stores[name]; ok {
 			return st, nil
 		}
@@ -52,15 +47,11 @@ func (m *Media) Factory() semiext.StoreFactory {
 // Drop removes the named store from the pool, simulating media loss of
 // one replica (the next open starts from empty bytes).
 func (m *Media) Drop(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	delete(m.stores, name)
 }
 
 // Names returns the names of every store the pool holds.
 func (m *Media) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.stores))
 	for name := range m.stores {
 		out = append(out, name)

@@ -16,18 +16,19 @@
 //
 // Every decision is a pure function of (seed, store name, offset, attempt
 // number at that offset), drawn through the rng package's SplitMix64
-// finalizer. Two consequences: a given read fails identically no matter how
-// concurrent workers interleave, and a *retry* of the same offset draws
+// finalizer. Two consequences: a given read fails identically no matter
+// which simulated worker issues it, and a *retry* of the same offset draws
 // fresh randomness (its attempt number advanced), so transient faults are
 // recoverable. This is what makes whole fault scenarios reproducible from
 // a single seed.
+//
+// A Store, like every layer of a storage stack, is used by one goroutine
+// at a time, and so are a Factory and the stores it built.
 package faults
 
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"semibfs/internal/nvm"
 	"semibfs/internal/rng"
@@ -120,17 +121,16 @@ type Store struct {
 	canCut bool
 	// cut is the host power state, shared by every store a Factory built:
 	// one store tripping the cut takes the whole host down.
-	cut *atomic.Bool
+	cut *bool
 
-	reads     atomic.Int64
-	writes    atomic.Int64
-	transient atomic.Int64
-	spikes    atomic.Int64
-	corrupted atomic.Int64
-	torn      atomic.Int64
-	dead      atomic.Bool
+	reads     int64
+	writes    int64
+	transient int64
+	spikes    int64
+	corrupted int64
+	torn      int64
+	dead      bool
 
-	mu       sync.Mutex
 	attempts map[int64]uint64 // per-offset read attempt counts
 }
 
@@ -138,12 +138,12 @@ type Store struct {
 // in errors and salts its fault stream, so distinct stores built from the
 // same seed fail independently but reproducibly.
 func Wrap(inner nvm.Storage, name string, cfg Config) *Store {
-	return wrapShared(inner, name, cfg, new(atomic.Bool))
+	return wrapShared(inner, name, cfg, new(bool))
 }
 
 // wrapShared is Wrap with an explicit host power-state flag, so a
 // Factory's stores go down together when one of them trips the cut.
-func wrapShared(inner nvm.Storage, name string, cfg Config, cut *atomic.Bool) *Store {
+func wrapShared(inner nvm.Storage, name string, cfg Config, cut *bool) *Store {
 	return &Store{
 		inner:  inner,
 		name:   name,
@@ -188,20 +188,20 @@ func (s *Store) Unwrap() nvm.Storage { return s.inner }
 // Stats implements nvm.Layer.
 func (s *Store) Stats() nvm.LayerStats {
 	var dead int64
-	if s.dead.Load() {
+	if s.dead {
 		dead = 1
 	}
 	var cut int64
-	if s.cut.Load() {
+	if *s.cut {
 		cut = 1
 	}
 	return nvm.LayerStats{Kind: "faults", Counters: []nvm.Counter{
-		{Name: "reads", Value: s.reads.Load()},
-		{Name: "writes", Value: s.writes.Load()},
-		{Name: "transient_injected", Value: s.transient.Load()},
-		{Name: "spikes_injected", Value: s.spikes.Load()},
-		{Name: "corruptions_injected", Value: s.corrupted.Load()},
-		{Name: "torn_writes", Value: s.torn.Load()},
+		{Name: "reads", Value: s.reads},
+		{Name: "writes", Value: s.writes},
+		{Name: "transient_injected", Value: s.transient},
+		{Name: "spikes_injected", Value: s.spikes},
+		{Name: "corruptions_injected", Value: s.corrupted},
+		{Name: "torn_writes", Value: s.torn},
 		{Name: "dead", Value: dead},
 		{Name: "power_cut", Value: cut},
 	}}
@@ -210,23 +210,20 @@ func (s *Store) Stats() nvm.LayerStats {
 // Counters returns the store's injected-fault totals so far.
 func (s *Store) Counters() Counters {
 	return Counters{
-		Reads:     s.reads.Load(),
-		Writes:    s.writes.Load(),
-		Transient: s.transient.Load(),
-		Spikes:    s.spikes.Load(),
-		Corrupted: s.corrupted.Load(),
-		Torn:      s.torn.Load(),
-		Dead:      s.dead.Load(),
-		Cut:       s.cut.Load(),
+		Reads:     s.reads,
+		Writes:    s.writes,
+		Transient: s.transient,
+		Spikes:    s.spikes,
+		Corrupted: s.corrupted,
+		Torn:      s.torn,
+		Dead:      s.dead,
+		Cut:       *s.cut,
 	}
 }
 
 // Revive clears the dead flag and read count (tests use it to model a
 // replaced device).
-func (s *Store) Revive() {
-	s.dead.Store(false)
-	s.reads.Store(0)
-}
+func (s *Store) Revive() { s.dead, s.reads = false, 0 }
 
 // TransientError is the structured retryable error an injected fault
 // produces. It wraps nvm.ErrTransient.
@@ -270,18 +267,18 @@ func (s *Store) powerCutError(clock *vtime.Clock, off int64) error {
 // operation on this host fails the same way until recovery rebuilds the
 // stack over the surviving media.
 func (s *Store) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
-	if s.cut.Load() {
+	if *s.cut {
 		return s.powerCutError(clock, off)
 	}
 	if s.canCut {
-		if w := s.writes.Add(1); w == s.cfg.CutAtWrite {
-			s.cut.Store(true)
+		if s.writes++; s.writes == s.cfg.CutAtWrite {
+			*s.cut = true
 			if s.cfg.TornWrite && len(p) > 1 {
 				// The prefix length is a pure function of (seed, store,
 				// offset), so the torn frame is reproducible.
 				g := rng.NewSplitMix64(s.cfg.Seed ^ s.salt ^ rng.Mix64(uint64(off)) ^ 0x746f726e)
 				if n := int(g.Next() % uint64(len(p))); n > 0 {
-					s.torn.Add(1)
+					s.torn++
 					// The prefix reached the media before the cut; its
 					// error (if any) is irrelevant — the host is gone.
 					_ = s.inner.WriteAt(clock, p[:n], off)
@@ -297,21 +294,21 @@ func (s *Store) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 // charge the device model for the transfer (a failed request occupies the
 // device just like a successful one) and are counted in its health stats.
 func (s *Store) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	if s.cut.Load() {
+	if *s.cut {
 		return s.powerCutError(clock, off)
 	}
-	reads := s.reads.Add(1)
+	s.reads++
 
 	// Permanent death: sticky, and decided before any service.
 	if s.canDie {
-		if s.cfg.DieAfterReads > 0 && reads > s.cfg.DieAfterReads {
-			s.dead.Store(true)
+		if s.cfg.DieAfterReads > 0 && s.reads > s.cfg.DieAfterReads {
+			s.dead = true
 		}
 		if s.cfg.DieAtTime > 0 && clock != nil && clock.Now() >= s.cfg.DieAtTime {
-			s.dead.Store(true)
+			s.dead = true
 		}
 	}
-	if s.dead.Load() {
+	if s.dead {
 		var at vtime.Duration
 		if clock != nil {
 			at = clock.Now()
@@ -320,19 +317,16 @@ func (s *Store) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 			dev.NoteError()
 			dev.MarkDead()
 		}
-		return &nvm.DeadError{Store: s.name, Reads: reads - 1, At: at}
+		return &nvm.DeadError{Store: s.name, Reads: s.reads - 1, At: at}
 	}
 
 	// Draw this attempt's fault decisions: a pure function of
-	// (seed, store, offset, attempt), independent of worker interleaving.
-	s.mu.Lock()
+	// (seed, store, offset, attempt).
 	s.attempts[off]++
-	attempt := s.attempts[off]
-	s.mu.Unlock()
-	g := rng.NewSplitMix64(s.cfg.Seed ^ s.salt ^ rng.Mix64(uint64(off)) ^ rng.Mix64(attempt))
+	g := rng.NewSplitMix64(s.cfg.Seed ^ s.salt ^ rng.Mix64(uint64(off)) ^ rng.Mix64(s.attempts[off]))
 
 	if s.cfg.TransientRate > 0 && unit(g.Next()) < s.cfg.TransientRate {
-		s.transient.Add(1)
+		s.transient++
 		if dev := s.inner.Device(); dev != nil {
 			dev.NoteError()
 			// The failed transfer still occupies the device.
@@ -352,7 +346,7 @@ func (s *Store) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 		return err
 	}
 	if spike {
-		s.spikes.Add(1)
+		s.spikes++
 		if dev := s.inner.Device(); dev != nil && clock != nil {
 			extra := vtime.Duration(float64(dev.Profile().ReadServiceTime(len(p))) *
 				(s.cfg.SpikeMultiplier - 1))
@@ -360,7 +354,7 @@ func (s *Store) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 		}
 	}
 	if corrupt && len(p) > 0 {
-		s.corrupted.Add(1)
+		s.corrupted++
 		bit := bitPos % uint64(len(p)*8)
 		p[bit/8] ^= 1 << (bit % 8)
 	}
@@ -376,9 +370,8 @@ func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 type Factory struct {
 	mk  func(name string, chunk int) (nvm.Storage, error)
 	cfg Config
-	cut *atomic.Bool // host power state shared by every created store
+	cut *bool // host power state shared by every created store
 
-	mu     sync.Mutex
 	stores []*Store
 }
 
@@ -386,7 +379,7 @@ type Factory struct {
 // All created stores share one host power state: a power cut tripped by
 // any of them fails every store the factory built.
 func NewFactory(mk func(name string, chunk int) (nvm.Storage, error), cfg Config) *Factory {
-	return &Factory{mk: mk, cfg: cfg, cut: new(atomic.Bool)}
+	return &Factory{mk: mk, cfg: cfg, cut: new(bool)}
 }
 
 // Make creates a store named name and wraps it with fault injection.
@@ -396,21 +389,15 @@ func (f *Factory) Make(name string, chunk int) (nvm.Storage, error) {
 		return nil, err
 	}
 	st := wrapShared(inner, name, f.cfg, f.cut)
-	f.mu.Lock()
 	f.stores = append(f.stores, st)
-	f.mu.Unlock()
 	return st, nil
 }
 
 // Cut reports whether the factory's host has lost power.
-func (f *Factory) Cut() bool { return f.cut.Load() }
+func (f *Factory) Cut() bool { return *f.cut }
 
 // Stores returns every store the factory has created.
-func (f *Factory) Stores() []*Store {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*Store(nil), f.stores...)
-}
+func (f *Factory) Stores() []*Store { return append([]*Store(nil), f.stores...) }
 
 // TotalCounters sums the counters of every created store.
 func (f *Factory) TotalCounters() Counters {

@@ -1,11 +1,6 @@
 package nvm
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"semibfs/internal/vtime"
-)
+import "semibfs/internal/vtime"
 
 // AsyncStore is the asynchronous, coalescing I/O front of the storage
 // stack — the SAFS idea from FlashGraph applied to the simulated device.
@@ -19,9 +14,8 @@ import (
 //   - Multi-block demand reads and prefetches are routed through
 //     CachedStore.FillRunAt, which coalesces every absent block of the
 //     span into maximal contiguous runs — one large device request per
-//     run instead of one per 4 KiB block. Blocks already cached or being
-//     filled by another worker are skipped, so the pipeline dedups
-//     against the cache's single-flight fills for free.
+//     run instead of one per 4 KiB block. Blocks already cached are
+//     skipped, so the pipeline dedups against the cache for free.
 //   - Outstanding fills occupy one of QueueDepth virtual slots. A new
 //     request is issued at max(worker now, earliest slot free time), so
 //     at most QueueDepth fills are in flight at any virtual instant; the
@@ -44,17 +38,16 @@ type AsyncStore struct {
 	cached *CachedStore
 	name   string
 
-	mu    sync.Mutex
 	slots []vtime.Duration
 
-	cancelled atomic.Bool
+	cancelled bool
 
-	demandRuns     atomic.Int64
-	demandBlocks   atomic.Int64
-	prefetchOps    atomic.Int64
-	prefetchRuns   atomic.Int64
-	prefetchBlocks atomic.Int64
-	cancelledReqs  atomic.Int64
+	demandRuns     int64
+	demandBlocks   int64
+	prefetchOps    int64
+	prefetchRuns   int64
+	prefetchBlocks int64
+	cancelledReqs  int64
 }
 
 // WrapAsync places an async pipeline of the given queue depth above inner
@@ -76,8 +69,6 @@ func WrapAsync(inner Storage, name string, depth int) Storage {
 // for a request submitted at now. The slot is tentatively held at the
 // issue time until release records the true completion.
 func (a *AsyncStore) acquire(now vtime.Duration) (int, vtime.Duration) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	best := 0
 	for i, t := range a.slots {
 		if t < a.slots[best] {
@@ -93,11 +84,9 @@ func (a *AsyncStore) acquire(now vtime.Duration) (int, vtime.Duration) {
 }
 
 func (a *AsyncStore) release(slot int, completeAt vtime.Duration) {
-	a.mu.Lock()
 	if a.slots[slot] < completeAt {
 		a.slots[slot] = completeAt
 	}
-	a.mu.Unlock()
 }
 
 // QueueDepth returns the pipeline's slot count.
@@ -105,9 +94,7 @@ func (a *AsyncStore) QueueDepth() int { return len(a.slots) }
 
 // Cancel stops issuing new asynchronous fills. In-flight fills complete;
 // demand reads keep working through the synchronous path underneath.
-func (a *AsyncStore) Cancel() {
-	a.cancelled.Store(true)
-}
+func (a *AsyncStore) Cancel() { a.cancelled = true }
 
 // ReadAt implements Storage. A read spanning more than one cache block
 // first pushes the whole span through the coalescing queue, then serves
@@ -117,7 +104,7 @@ func (a *AsyncStore) Cancel() {
 // not len/block sequential ones. Errors surface through the inner path so
 // the retry layer above sees exactly what the synchronous stack would.
 func (a *AsyncStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	if a.cached != nil && !a.cancelled.Load() && int64(len(p)) > a.cached.Cache().BlockBytes() {
+	if a.cached != nil && !a.cancelled && int64(len(p)) > a.cached.Cache().BlockBytes() {
 		var now vtime.Duration
 		if clock != nil {
 			now = clock.Now()
@@ -125,24 +112,24 @@ func (a *AsyncStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 		slot, issueAt := a.acquire(now)
 		blocks, runs, readyAt := a.cached.FillRunAt(issueAt, off, int64(len(p)))
 		a.release(slot, readyAt)
-		a.demandRuns.Add(int64(runs))
-		a.demandBlocks.Add(int64(blocks))
-	} else if a.cancelled.Load() {
-		a.cancelledReqs.Add(1)
+		a.demandRuns += int64(runs)
+		a.demandBlocks += int64(blocks)
+	} else if a.cancelled {
+		a.cancelledReqs++
 	}
 	return a.inner.ReadAt(clock, p, off)
 }
 
 // Prefetch implements Prefetcher: the span is handed to the queue and the
-// caller returns immediately. Blocks already resident or in flight cost
-// nothing; a cancelled pipeline drops the hint.
+// caller returns immediately. Blocks already resident cost nothing; a
+// cancelled pipeline drops the hint.
 func (a *AsyncStore) Prefetch(clock *vtime.Clock, off, n int64) {
 	if n <= 0 || off < 0 {
 		return
 	}
-	if a.cached == nil || a.cancelled.Load() {
-		if a.cancelled.Load() {
-			a.cancelledReqs.Add(1)
+	if a.cached == nil || a.cancelled {
+		if a.cancelled {
+			a.cancelledReqs++
 		}
 		return
 	}
@@ -153,9 +140,9 @@ func (a *AsyncStore) Prefetch(clock *vtime.Clock, off, n int64) {
 	slot, issueAt := a.acquire(now)
 	blocks, runs, readyAt := a.cached.FillRunAt(issueAt, off, n)
 	a.release(slot, readyAt)
-	a.prefetchOps.Add(1)
-	a.prefetchRuns.Add(int64(runs))
-	a.prefetchBlocks.Add(int64(blocks))
+	a.prefetchOps++
+	a.prefetchRuns += int64(runs)
+	a.prefetchBlocks += int64(blocks)
 }
 
 // WriteAt implements Storage (pass-through; offload writes predate reads).
@@ -184,12 +171,12 @@ func (a *AsyncStore) Unwrap() Storage { return a.inner }
 // Stats implements Layer.
 func (a *AsyncStore) Stats() LayerStats {
 	return LayerStats{Kind: "async", Counters: []Counter{
-		{Name: "demand_runs", Value: a.demandRuns.Load()},
-		{Name: "demand_blocks", Value: a.demandBlocks.Load()},
-		{Name: "prefetch_ops", Value: a.prefetchOps.Load()},
-		{Name: "prefetch_runs", Value: a.prefetchRuns.Load()},
-		{Name: "prefetch_blocks", Value: a.prefetchBlocks.Load()},
-		{Name: "cancelled_requests", Value: a.cancelledReqs.Load()},
+		{Name: "demand_runs", Value: a.demandRuns},
+		{Name: "demand_blocks", Value: a.demandBlocks},
+		{Name: "prefetch_ops", Value: a.prefetchOps},
+		{Name: "prefetch_runs", Value: a.prefetchRuns},
+		{Name: "prefetch_blocks", Value: a.prefetchBlocks},
+		{Name: "cancelled_requests", Value: a.cancelledReqs},
 		{Name: "queue_depth", Value: int64(len(a.slots)), Gauge: true},
 	}}
 }

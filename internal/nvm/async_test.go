@@ -2,9 +2,6 @@ package nvm
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -21,21 +18,6 @@ type countingBase struct {
 
 func (s *countingBase) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	s.reads.Add(1)
-	return s.MemStore.ReadAt(clock, p, off)
-}
-
-// dyingBase is a MemStore whose reads can be atomically switched to a
-// permanent failure from another goroutine (injectStore's plain field
-// would itself be a data race under the stress test).
-type dyingBase struct {
-	*MemStore
-	dead atomic.Bool
-}
-
-func (s *dyingBase) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	if s.dead.Load() {
-		return fmt.Errorf("injected death: %w", ErrDeviceDead)
-	}
 	return s.MemStore.ReadAt(clock, p, off)
 }
 
@@ -223,104 +205,4 @@ func TestAsyncCancel(t *testing.T) {
 	if runs := stats.Get("demand_runs"); runs != 0 {
 		t.Errorf("demand_runs after cancel = %d, want 0 (sync path)", runs)
 	}
-}
-
-// TestAsyncConcurrentSubmitCancel hammers a full stack (retry -> async ->
-// cache -> checksum -> base) with concurrent demand reads and prefetches
-// while the device dies and the pipeline is cancelled mid-flight. Run
-// under -race this is the regression test for the async queue's
-// synchronization: every read must return either correct bytes or an
-// error that classifies under the storage taxonomy — never a panic, a
-// race, or silently wrong data.
-func TestAsyncConcurrentSubmitCancel(t *testing.T) {
-	const chunk = 256
-	const nblocks = 64
-	data := make([]byte, nblocks*chunk)
-	for i := range data {
-		data[i] = byte(i * 131)
-	}
-
-	var bases []*dyingBase
-	spec := StackSpec{
-		Name:  "asyncrace",
-		Chunk: chunk,
-		Base: func(name string, chunk int) (Storage, error) {
-			st := &dyingBase{MemStore: NewNamedMemStore(name, nil, chunk)}
-			bases = append(bases, st)
-			return st, nil
-		},
-		Checksum:   true,
-		Retry:      RetryPolicy{MaxAttempts: 2},
-		Cache:      NewPageCache(int64(nblocks*chunk/2), chunk, numa.CostModel{}),
-		QueueDepth: 4,
-		BaseChunk:  8 * chunk,
-	}
-	st, err := BuildStack(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.WriteAt(nil, data, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	var async *AsyncStore
-	WalkStack(st, func(s Storage) {
-		if a, ok := s.(*AsyncStore); ok && async == nil {
-			async = a
-		}
-	})
-	if async == nil {
-		t.Fatal("no async layer in stack")
-	}
-	pf := StackPrefetcher(st)
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	const readers = 4
-	const iters = 300
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			clock := vtime.NewClock(0)
-			buf := make([]byte, 4*chunk)
-			for i := 0; i < iters; i++ {
-				off := int64(((g*iters + i) * 7) % (nblocks - 4) * chunk)
-				err := st.ReadAt(clock, buf, off)
-				if err == nil {
-					if !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
-						t.Errorf("reader %d: wrong bytes at %d", g, off)
-						return
-					}
-				} else if !errors.Is(err, ErrDeviceDead) && !errors.Is(err, ErrTransient) {
-					t.Errorf("reader %d: unclassified error: %v", g, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		clock := vtime.NewClock(0)
-		for i := 0; i < iters; i++ {
-			off := int64((i * 11) % (nblocks - 8) * chunk)
-			pf.Prefetch(clock, off, 8*chunk)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		// Kill the device and cancel the pipeline mid-traffic — the
-		// order readers observe the two events in is deliberately
-		// unsynchronized.
-		bases[0].dead.Store(true)
-		async.Cancel()
-	}()
-	close(start)
-	wg.Wait()
 }

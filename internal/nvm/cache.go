@@ -2,8 +2,6 @@ package nvm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"semibfs/internal/numa"
 	"semibfs/internal/vtime"
@@ -21,34 +19,32 @@ import (
 //     exactly their verification granularity.
 //   - Eviction is GCLOCK (CLOCK with a saturating reference counter):
 //     each shard sweeps a clock hand over its page ring, decrementing
-//     counters until a zero-count settled page turns up. New fills enter
+//     counters until a zero-count page turns up. New fills enter
 //     cold (count 0) and each demand hit increments the counter, so a
 //     BFS level streaming adjacency blocks it will never revisit churns
 //     through the cold pages while the repeatedly-hit index blocks
 //     accumulate counts and stay resident — scan resistance one bit of
 //     CLOCK state cannot express. This approximates LRU-k without
-//     per-hit list surgery, which matters because hits take the shard
-//     lock only briefly.
-//   - The page table is sharded by key hash, so concurrent simulated
-//     workers touching different blocks never contend on one lock.
-//   - Fills are single-flighted: when two workers miss the same block at
-//     once, one issues the device request and the other waits for the
-//     filled page, modeling the request merging a shared OS page cache
-//     performs.
+//     per-hit list surgery.
+//   - The page table is split by key hash into shards, each with its own
+//     ring and clock hand. The split is part of the eviction policy: it
+//     decides which ring, and so which victim, a fill sweeps.
 //   - The cache is a buffer pool: it owns at most one page struct per page
 //     of budget, each with one block-sized frame allocated on first use and
 //     recycled from then on. The CLOCK victim's struct is reassigned in
 //     place, dropped pages wait on a per-shard free list, and the read path
-//     allocates nothing. Because frames are reused, page bytes are only
-//     touched under the shard lock (or by the one filler of an in-flight
-//     page): readBlock copies into the caller's slice before unlocking.
+//     allocates nothing. Because frames are reused, readBlock copies a
+//     page's bytes into the caller's slice before it returns.
+//
+// Like every layer of a storage stack, a cache is used by one goroutine at
+// a time; it takes no locks.
 //
 // Virtual-time accounting: a hit charges the worker's clock the DRAM
 // streaming cost of the copied bytes (numa.CostModel.Stream); a miss
 // charges the device request through the inner store and then the copy.
-// A page filled by prefetch or by another worker's in-flight request
-// carries its fill's completion time, and a reader arriving earlier
-// advances to it — an async prefetch is free only once it has completed.
+// A page filled by prefetch carries its fill's completion time, and the
+// first demand reader arriving earlier advances to it — an async prefetch
+// is free only once it has completed.
 type PageCache struct {
 	block  int64
 	cost   numa.CostModel
@@ -56,13 +52,16 @@ type PageCache struct {
 	// capacity is the page budget summed over shards.
 	capacity int64
 	// nextID hands out CachedStore identities.
-	nextID atomic.Uint32
-	// scratch pools fillRunAt's reservation list and multi-block buffer.
-	scratch sync.Pool
+	nextID uint32
+	// fill is the scratch clock a fill computes its device time on;
+	// reserved and runBuf are fillRunAt's reservation list and multi-block
+	// buffer, kept for the next call.
+	fill     vtime.Clock
+	reserved []reservation
+	runBuf   []byte
 }
 
-// maxCacheShards bounds the lock-shard count. 16 shards keep 48
-// simulated workers from serializing; small caches use fewer shards so
+// maxCacheShards bounds the shard count; small caches use fewer shards so
 // each ring keeps enough pages for CLOCK to have history to work with
 // (a 1-page shard degenerates to direct-mapped and thrashes on any two
 // hot blocks that collide).
@@ -90,39 +89,25 @@ type page struct {
 	key pageKey
 	// frame is the page's block-sized buffer, allocated when the struct is
 	// first used and kept for its life; n bytes of it are valid (a store's
-	// last block may be short). Touched only under the shard lock, or by
-	// the filler while filling is set.
+	// last block may be short).
 	frame []byte
 	n     int
 	// readyAt is the virtual completion time of the fill that produced
-	// the page; readers arriving earlier advance to it. fill is the scratch
-	// clock the filler computes that fill's device time on.
+	// the page; the first demand reader of a prefetched page advances to it.
 	readyAt vtime.Duration
-	fill    vtime.Clock
 	// refs is the GCLOCK reference counter: incremented (saturating at
 	// maxPageRefs) on each demand hit, decremented by the eviction sweep.
 	// New fills enter at zero, so unreferenced pages evict first.
 	refs uint8
-	// filling marks an in-flight fill. gen counts the struct's
-	// transitions (assigned to a key, fill settled, released): a waiter
-	// that recorded gen while filling sleeps on the shard's cond until it
-	// moves, and trusts the page only at exactly gen+1 — settled, and not
-	// evicted or invalidated since.
+	// filling marks a page fillRunAt has reserved but not yet filled; the
+	// sweep passes over it, so a run never evicts its own pages.
 	filling bool
-	gen     uint32
-	err     error
-	// stale marks a page invalidated by a write while its fill was in
-	// flight; the filler discards it instead of installing it.
-	stale bool
 	// prefetched marks a page filled by readahead; the first hit on it
 	// counts as a prefetch hit and clears the mark.
 	prefetched bool
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	// settled wakes the waiters merged onto this shard's in-flight fills.
-	settled sync.Cond
 	// pages indexes the ring by key; ring is the CLOCK ring, growing up
 	// to capacity before eviction starts.
 	pages    map[pageKey]*page
@@ -133,7 +118,7 @@ type cacheShard struct {
 	// counts the frames this shard has ever allocated.
 	free   []*page
 	frames int
-	// stats holds the shard's share of the counters, updated under mu.
+	// stats holds the shard's share of the counters.
 	stats CacheStats
 }
 
@@ -175,7 +160,6 @@ func NewPageCache(budget int64, block int, cost numa.CostModel) *PageCache {
 		}
 		c.shards[i].capacity = int(cap)
 		c.shards[i].pages = make(map[pageKey]*page)
-		c.shards[i].settled.L = &c.shards[i].mu
 	}
 	return c
 }
@@ -198,7 +182,8 @@ func (c *PageCache) CapacityBytes() int64 {
 // Every wrapped store gets a distinct identity, so stores sharing the
 // cache never alias each other's blocks.
 func (c *PageCache) Wrap(inner Storage) *CachedStore {
-	id := c.nextID.Add(1)
+	c.nextID++
+	id := c.nextID
 	if id >= 1<<24 {
 		panic("nvm: PageCache.Wrap: more than 2^24 stores on one cache")
 	}
@@ -207,24 +192,15 @@ func (c *PageCache) Wrap(inner Storage) *CachedStore {
 
 // Reset drops every cached page and zeroes the statistics (the benchmark
 // driver calls it so each run starts cold, like the device counters). The
-// dropped pages' frames stay with the cache; a fill still in flight is
-// marked stale, so its filler discards it.
+// dropped pages' frames stay with the cache.
 func (c *PageCache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
-		for _, pg := range s.ring {
-			if pg.filling {
-				pg.stale = true
-			} else {
-				s.releaseLocked(pg)
-			}
-		}
+		s.free = append(s.free, s.ring...)
 		clear(s.pages)
 		s.ring = s.ring[:0]
 		s.hand = 0
 		s.stats = CacheStats{}
-		s.mu.Unlock()
 	}
 }
 
@@ -301,59 +277,45 @@ func (s CacheStats) String() string {
 func (c *PageCache) Stats() CacheStats {
 	var st CacheStats
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st = st.Add(s.stats)
-		s.mu.Unlock()
+		st = st.Add(c.shards[i].stats)
 	}
 	st.CapacityBytes, st.BlockBytes = c.CapacityBytes(), c.block
 	return st
 }
 
-// Pages returns the number of resident (including in-flight) pages, for
-// tests asserting the budget is respected.
+// Pages returns the number of resident pages, for tests asserting the
+// budget is respected.
 func (c *PageCache) Pages() int {
 	var n int
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.ring)
-		s.mu.Unlock()
+		n += len(c.shards[i].ring)
 	}
 	return n
 }
 
-// shardOf picks the lock shard for a key (fibonacci hash).
+// shardOf picks the shard for a key (fibonacci hash).
 func (c *PageCache) shardOf(k pageKey) *cacheShard {
 	h := uint64(k) * 0x9e3779b97f4a7c15
 	return &c.shards[h>>48%uint64(len(c.shards))]
 }
 
-// releaseLocked puts a dropped page's struct, with its frame, on the free
-// list. The shard lock must be held.
-func (s *cacheShard) releaseLocked(pg *page) {
-	pg.gen++
-	s.free = append(s.free, pg)
-}
-
-// reserveLocked installs an in-flight page for key and returns it: the
-// CLOCK victim's struct reassigned in place when the ring is full, else a
-// struct off the free list (or a new one) appended to the ring. The shard
-// lock must be held.
-func (c *PageCache) reserveLocked(s *cacheShard, key pageKey) *page {
+// reserve installs an empty page for key and returns it: the CLOCK
+// victim's struct reassigned in place when the ring is full, else a struct
+// off the free list (or a new one) appended to the ring.
+func (c *PageCache) reserve(s *cacheShard, key pageKey) *page {
 	var pg *page
 	if len(s.ring) >= s.capacity {
-		// GCLOCK sweep: decrement reference counters until a zero-count,
-		// settled page turns up. maxPageRefs+1 full turns visit every page
-		// with its counter drained, so the only way out without a victim is a
-		// ring full of in-flight fills; grow past budget transiently rather
-		// than deadlock.
+		// GCLOCK sweep: decrement reference counters until a zero-count
+		// page turns up. maxPageRefs+1 full turns visit every page with its
+		// counter drained, so the only way out without a victim is a ring
+		// full of one run's reservations; grow past budget transiently
+		// rather than evict them.
 		for turns := 0; pg == nil && turns < (maxPageRefs+1)*len(s.ring); turns++ {
 			cand := s.ring[s.hand]
 			s.hand = (s.hand + 1) % len(s.ring)
 			switch {
 			case cand.filling:
-				// In-flight pages cannot be dropped.
+				// Reserved by the run being filled.
 			case cand.refs > 0:
 				cand.refs--
 			default:
@@ -375,20 +337,17 @@ func (c *PageCache) reserveLocked(s *cacheShard, key pageKey) *page {
 		pg.frame = make([]byte, c.block)
 		s.frames++
 	}
-	pg.key, pg.gen = key, pg.gen+1
-	pg.filling, pg.stale, pg.prefetched = true, false, false
-	pg.refs, pg.readyAt, pg.err = 0, 0, nil
+	pg.key, pg.prefetched = key, false
+	pg.refs, pg.readyAt = 0, 0
 	s.pages[key] = pg
 	return pg
 }
 
-// removeLocked drops pg from the shard's table and ring (used by failed
-// fills and write invalidation; a no-op for a page Reset already dropped).
-// The shard lock must be held.
-func (s *cacheShard) removeLocked(pg *page) {
-	if s.pages[pg.key] == pg {
-		delete(s.pages, pg.key)
-	}
+// drop removes pg from the shard's table and ring and puts its struct,
+// with its frame, on the free list (used by failed fills and write
+// invalidation).
+func (s *cacheShard) drop(pg *page) {
+	delete(s.pages, pg.key)
 	for i, q := range s.ring {
 		if q == pg {
 			last := len(s.ring) - 1
@@ -397,173 +356,96 @@ func (s *cacheShard) removeLocked(pg *page) {
 			if s.hand > last || (s.hand == last && last > 0) {
 				s.hand = 0
 			}
-			return
+			break
 		}
 	}
+	s.free = append(s.free, pg)
 }
 
-// settleLocked completes pg's fill and wakes its waiters. A failed or
-// invalidated fill leaves the table; its struct stays behind for the
-// waiters that hold it (they read err and stale from it), and only its
-// frame goes back to the free list. The shard lock must be held.
-func (s *cacheShard) settleLocked(pg *page, err error, readyAt vtime.Duration, prefetched bool) {
-	pg.err, pg.filling = err, false
-	pg.gen++
-	if err != nil || pg.stale {
-		s.removeLocked(pg)
-		s.releaseLocked(&page{frame: pg.frame})
-		pg.frame = nil
+// settle completes pg's fill. A failed fill leaves the cache; a good one
+// carries its completion time and counts as a prefetch or a miss.
+func (s *cacheShard) settle(pg *page, err error, readyAt vtime.Duration, prefetched bool) {
+	pg.filling = false
+	if err != nil {
+		s.drop(pg)
+		return
+	}
+	pg.readyAt, pg.prefetched = readyAt, prefetched
+	s.stats.FillBytes += int64(pg.n)
+	if prefetched {
+		s.stats.Prefetches++
 	} else {
-		pg.readyAt, pg.prefetched = readyAt, prefetched
+		s.stats.Misses++
 	}
-	if err == nil {
-		s.stats.FillBytes += int64(pg.n)
-		if prefetched {
-			s.stats.Prefetches++
-		} else {
-			s.stats.Misses++
-		}
-	}
-	s.settled.Broadcast()
 }
 
 // readBlock serves block `block` of store id, filling it from inner on a
-// miss, and copies the page's bytes from lo on into dst — under the shard
-// lock, the only place page bytes are read. It returns the bytes copied;
-// zero with a nil error means lo lies beyond the block's valid bytes.
-// prefetch fills install the page without advancing clock or copying;
-// demand reads advance clock to the page's fill completion. A prefetch
-// past the store's end is a no-op.
-//
-// Write-through races: a write landing while a fill is in flight marks
-// the page stale, and the fill's frame may hold pre-write bytes. A
-// demand read must never return stale bytes — both the filler and any
-// waiter that merged onto the fill check staleness once the fill settles
-// and retry the lookup (settling removed the stale page from the table, so
-// the retry refills from the post-write media). This covers single-block
-// fills and coalesced FillRunAt runs alike.
+// miss, and copies the page's bytes from lo on into dst. It returns the
+// bytes copied; zero with a nil error means lo lies beyond the block's
+// valid bytes. prefetch fills install the page without advancing clock or
+// copying; demand reads advance clock to the page's fill completion. A
+// prefetch past the store's end is a no-op.
 func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, block int64, prefetch bool, dst []byte, lo int64) (int, error) {
 	key := keyOf(id, block)
 	s := c.shardOf(key)
-
-	for {
-		s.mu.Lock()
-		pg, ok := s.pages[key]
-		if ok && prefetch {
-			// Resident or in flight already. A readahead touching a cached
-			// block is not evidence of reuse: only demand hits promote it.
-			s.mu.Unlock()
+	if pg, ok := s.pages[key]; ok {
+		if prefetch {
+			// A readahead touching a cached block is not evidence of
+			// reuse: only demand hits promote it.
 			return 0, nil
 		}
-		if ok {
-			// advance: the reader waits out the fill's completion. That is
-			// so for a fill it merged onto and for the first demand read of
-			// a prefetched page — an async readahead is free only once it has
-			// actually finished. Settled demand-filled pages cost nothing
-			// here: the page is plain DRAM, and dragging this worker's clock
-			// to the *filler's* timeline would couple independent workers'
-			// queueing delays.
-			advance := pg.filling
-			if pg.filling {
-				// Another worker's fill is in flight: wait for it instead of
-				// issuing a second device request for the same block.
-				s.stats.MergedFills++
-				gen := pg.gen
-				for pg.gen == gen {
-					s.settled.Wait()
-				}
-				if moved, err := pg.gen != gen+1, pg.err; moved || pg.stale || err != nil {
-					// Evicted or invalidated again since it settled (the
-					// struct may already describe another block), or raced a
-					// write-through (its bytes predate a write this reader may
-					// already have observed): retry. Failed: report the error.
-					s.mu.Unlock()
-					if !moved && err != nil {
-						return 0, err
-					}
-					continue
-				}
-			} else {
-				if pg.refs < maxPageRefs {
-					pg.refs++
-				}
-				if advance = pg.prefetched; advance {
-					s.stats.PrefetchHits++
-					pg.prefetched = false
-				}
+		if pg.refs < maxPageRefs {
+			pg.refs++
+		}
+		s.stats.Hits++
+		s.stats.HitBytes += int64(pg.n)
+		// The first demand read of a prefetched page waits out its fill:
+		// an async readahead is free only once it has actually finished.
+		// Demand-filled pages cost nothing here: the page is plain DRAM.
+		if pg.prefetched {
+			s.stats.PrefetchHits++
+			pg.prefetched = false
+			if clock != nil {
+				clock.AdvanceTo(pg.readyAt)
 			}
-			s.stats.Hits++
-			s.stats.HitBytes += int64(pg.n)
-			n, readyAt := pg.copyTo(dst, lo), pg.readyAt
-			s.mu.Unlock()
-			if advance && clock != nil {
-				clock.AdvanceTo(readyAt)
-			}
-			return n, nil
 		}
-
-		// Miss: reserve the page, then fill its frame outside the shard
-		// lock (nothing else touches the frame of an in-flight page).
-		off := block * c.block
-		size := inner.Size()
-		if off >= size {
-			s.mu.Unlock()
-			if prefetch {
-				return 0, nil
-			}
-			return 0, fmt.Errorf("nvm: cache read block %d beyond store size %d", block, size)
-		}
-		pg = c.reserveLocked(s, key)
-		pg.n = int(min(c.block, size-off))
-		// The fill's device time is computed on the page's scratch clock so
-		// prefetch issues the request at the worker's current time without
-		// stalling the worker on its completion; demand reads advance to it
-		// below.
-		pg.fill = vtime.Clock{}
-		if clock != nil {
-			pg.fill.AdvanceTo(clock.Now())
-		}
-		s.mu.Unlock()
-
-		err := inner.ReadAt(&pg.fill, pg.frame[:pg.n], off)
-
-		s.mu.Lock()
-		stale := pg.stale
-		s.settleLocked(pg, err, pg.fill.Now(), prefetch)
-		var n int
-		var readyAt vtime.Duration
-		if err == nil && !stale && !prefetch {
-			n, readyAt = pg.copyTo(dst, lo), pg.readyAt
-		}
-		s.mu.Unlock()
-		if err != nil || prefetch {
-			return 0, err
-		}
-		if stale {
-			// This fill raced a write-through and may predate it; re-read
-			// so a read issued after the write never returns stale bytes.
-			continue
-		}
-		if clock != nil {
-			clock.AdvanceTo(readyAt)
-		}
-		return n, nil
+		return pg.copyTo(dst, lo), nil
 	}
+
+	off := block * c.block
+	size := inner.Size()
+	if off >= size {
+		if prefetch {
+			return 0, nil
+		}
+		return 0, fmt.Errorf("nvm: cache read block %d beyond store size %d", block, size)
+	}
+	pg := c.reserve(s, key)
+	pg.n = int(min(c.block, size-off))
+	// The fill's device time is computed on the scratch clock so prefetch
+	// issues the request at the worker's current time without stalling the
+	// worker on its completion; demand reads advance to it below.
+	c.fill = vtime.Clock{}
+	if clock != nil {
+		c.fill.AdvanceTo(clock.Now())
+	}
+	err := inner.ReadAt(&c.fill, pg.frame[:pg.n], off)
+	s.settle(pg, err, c.fill.Now(), prefetch)
+	if err != nil || prefetch {
+		return 0, err
+	}
+	if clock != nil {
+		clock.AdvanceTo(pg.readyAt)
+	}
+	return pg.copyTo(dst, lo), nil
 }
 
-// copyTo copies the page's valid bytes from lo on into dst. The shard lock
-// must be held.
+// copyTo copies the page's valid bytes from lo on into dst.
 func (pg *page) copyTo(dst []byte, lo int64) int {
 	if lo >= int64(pg.n) {
 		return 0
 	}
 	return copy(dst, pg.frame[lo:pg.n])
-}
-
-// fillScratch is fillRunAt's per-call working memory, pooled per cache.
-type fillScratch struct {
-	reserved []reservation
-	buf      []byte
 }
 
 type reservation struct {
@@ -573,16 +455,14 @@ type reservation struct {
 
 // fillRunAt fills the nblocks blocks starting at block for store id,
 // coalescing adjacent absent blocks into single large inner reads — the
-// request-merging half of the async I/O pipeline. Blocks already cached or
-// in flight are skipped (dedup against single-flight demand fills), the
-// surviving blocks are grouped into maximal contiguous runs, and each run
-// issues ONE inner.ReadAt on a scratch clock starting at virtual time at:
-// a one-block run straight into its frame, a longer one into the pooled
-// scratch buffer, from which each page's frame is then filled. Pages carry
-// the run's completion as their readyAt and are marked prefetched, so the
-// first demand hit waits out the asynchronous fill exactly as with
-// per-block readahead. Failed runs publish the error to any waiters and
-// cache nothing.
+// request-merging half of the async I/O pipeline. Blocks already cached
+// are skipped, the rest are reserved and grouped into maximal contiguous
+// runs, and each run issues ONE inner.ReadAt on the scratch clock starting
+// at virtual time at: a one-block run straight into its frame, a longer
+// one into the kept run buffer, from which each page's frame is then
+// filled. Pages carry the run's completion as their readyAt and are marked
+// prefetched, so the first demand hit waits out the asynchronous fill
+// exactly as with per-block readahead. Failed runs cache nothing.
 //
 // Returns the blocks filled, the runs issued, and the latest run
 // completion time (at when nothing was issued).
@@ -592,25 +472,18 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 		return
 	}
 	size := inner.Size()
-	sc, _ := c.scratch.Get().(*fillScratch)
-	if sc == nil {
-		sc = new(fillScratch)
-	}
-	reserved := sc.reserved[:0]
-	for b := block; b < block+nblocks; b++ {
-		if b*c.block >= size {
-			break
-		}
+	reserved := c.reserved[:0]
+	for b := block; b < block+nblocks && b*c.block < size; b++ {
 		key := keyOf(id, b)
 		s := c.shardOf(key)
-		s.mu.Lock()
 		if _, ok := s.pages[key]; !ok {
-			pg := c.reserveLocked(s, key)
+			pg := c.reserve(s, key)
 			pg.n = int(min(c.block, size-b*c.block))
+			pg.filling = true
 			reserved = append(reserved, reservation{pg, b})
 		}
-		s.mu.Unlock()
 	}
+	c.reserved = reserved
 	for i := 0; i < len(reserved); {
 		j := i + 1
 		for j < len(reserved) && reserved[j].blk == reserved[j-1].blk+1 {
@@ -618,36 +491,28 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 		}
 		lo := reserved[i].blk * c.block
 		hi := min((reserved[j-1].blk+1)*c.block, size)
-		// The run's scratch clock is its first page's.
-		fill := &reserved[i].pg.fill
-		*fill = vtime.Clock{}
-		fill.AdvanceTo(at)
+		c.fill = vtime.Clock{}
+		c.fill.AdvanceTo(at)
 		var buf []byte
 		if j == i+1 {
 			buf = reserved[i].pg.frame[:hi-lo]
 		} else {
-			if int64(cap(sc.buf)) < hi-lo {
-				sc.buf = make([]byte, hi-lo)
+			if int64(cap(c.runBuf)) < hi-lo {
+				c.runBuf = make([]byte, hi-lo)
 			}
-			buf = sc.buf[:hi-lo]
+			buf = c.runBuf[:hi-lo]
 		}
-		err := inner.ReadAt(fill, buf, lo)
-		ready := fill.Now()
+		err := inner.ReadAt(&c.fill, buf, lo)
+		ready := c.fill.Now()
 		if err == nil && ready > readyAt {
 			readyAt = ready
 		}
 		for k := i; k < j; k++ {
 			pg := reserved[k].pg
-			s := c.shardOf(pg.key)
-			s.mu.Lock()
 			if err == nil && j > i+1 {
 				copy(pg.frame[:pg.n], buf[reserved[k].blk*c.block-lo:])
 			}
-			// A page invalidated mid-fill leaves the table here, and demand
-			// waiters that merged onto this run see the stale mark and retry
-			// against the rewritten media.
-			s.settleLocked(pg, err, ready, true)
-			s.mu.Unlock()
+			c.shardOf(pg.key).settle(pg, err, ready, true)
 		}
 		if err == nil {
 			filled += j - i
@@ -655,13 +520,10 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 		}
 		i = j
 	}
-	sc.reserved = reserved
-	c.scratch.Put(sc)
 	return
 }
 
-// invalidate drops every settled page covering [off, off+n) of store id
-// and marks in-flight ones stale so their fills are discarded.
+// invalidate drops every cached page covering [off, off+n) of store id.
 func (c *PageCache) invalidate(id uint32, off, n int64) {
 	if n <= 0 {
 		return
@@ -669,16 +531,9 @@ func (c *PageCache) invalidate(id uint32, off, n int64) {
 	for block := off / c.block; block*c.block < off+n; block++ {
 		key := keyOf(id, block)
 		s := c.shardOf(key)
-		s.mu.Lock()
 		if pg, ok := s.pages[key]; ok {
-			if pg.filling {
-				pg.stale = true
-			} else {
-				s.removeLocked(pg)
-				s.releaseLocked(pg)
-			}
+			s.drop(pg)
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -736,8 +591,7 @@ func (s *CachedStore) Stats() LayerStats {
 }
 
 // ReadAt implements Storage: each covered block is served from the cache
-// (filled from the inner store on a miss) and copied out under its lock. The copy
-// charges the DRAM streaming cost; fills charge the device through the
+// (filled from the inner store on a miss) and copied out. The copy charges the DRAM streaming cost; fills charge the device through the
 // worker's clock as usual.
 func (s *CachedStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	if len(p) == 0 {
@@ -771,8 +625,8 @@ func (s *CachedStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 // absent block's device request is issued at the worker's current virtual
 // time, but the worker does not wait for completion — a later demand read
 // of a prefetched page advances to the fill's completion time, so only
-// prefetches that have finished by then are free. Blocks already cached,
-// in flight, or beyond the store's end are skipped, as are failed fills
+// prefetches that have finished by then are free. Blocks already cached
+// or beyond the store's end are skipped, as are failed fills
 // (a demand read will retry them and surface the error).
 func (s *CachedStore) Prefetch(clock *vtime.Clock, off, n int64) {
 	if n <= 0 || off < 0 {

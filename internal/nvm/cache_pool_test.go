@@ -1,9 +1,6 @@
 package nvm
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"semibfs/internal/numa"
@@ -37,21 +34,19 @@ func offsetStore(t *testing.T, dev *Device, block int, n int64) *MemStore {
 func framesAllocated(c *PageCache) int {
 	var n int
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.frames
-		s.mu.Unlock()
+		n += c.shards[i].frames
 	}
 	return n
 }
 
 // TestCacheFramesRecycledUnderContention: six readers and two writers on an
-// 8-page cache over a 256-block store, so every frame is recycled thousands
-// of times while somebody is reading. The store's bytes are a function of
-// their offset, the writers replace it block by block with a second such
-// function, and every byte any reader gets must be one of the two for its
-// offset — a frame that changed hands mid-copy would show another offset's
-// bytes — and, once the writers are done, the newer one.
+// 8-page cache over a 256-block store, each with its own clock, take turns
+// in a seeded order, so every frame is recycled thousands of times between
+// one reader's reads. The store's bytes are a function of their offset, the
+// writers replace it block by block with a second such function, and every
+// byte any reader gets must be one of the two for its offset — a frame that
+// changed hands would show another offset's bytes — and, once the writers
+// are done, the newer one. The cache never holds more frames than pages.
 func TestCacheFramesRecycledUnderContention(t *testing.T) {
 	const (
 		block   = 128
@@ -59,105 +54,99 @@ func TestCacheFramesRecycledUnderContention(t *testing.T) {
 		size    = block * blocks
 		readers = 6
 		writers = 2
+		pages   = 8
 	)
-	cache := NewPageCache(8*block, block, numa.CostModel{})
+	cache := NewPageCache(pages*block, block, numa.CostModel{})
 	cs := cache.Wrap(offsetStore(t, nil, block, size))
 
 	// check reads [off, off+n) and reports the first byte that is neither
 	// version (newest: that is not version 1).
 	check := func(clock *vtime.Clock, buf []byte, off, n int64, newest bool) {
+		t.Helper()
 		if err := cs.ReadAt(clock, buf[:n], off); err != nil {
-			t.Errorf("read [%d,%d): %v", off, off+n, err)
-			return
+			t.Fatalf("read [%d,%d): %v", off, off+n, err)
 		}
 		for k, b := range buf[:n] {
 			at := off + int64(k)
 			if b != offsetByte(at, 1) && (newest || b != offsetByte(at, 0)) {
-				t.Errorf("read [%d,%d) (newest %v): byte at %d is %#x, want %#x or %#x",
+				t.Fatalf("read [%d,%d) (newest %v): byte at %d is %#x, want %#x or %#x",
 					off, off+n, newest, at, b, offsetByte(at, 0), offsetByte(at, 1))
-				return
 			}
 		}
 	}
 
-	var writing atomic.Int32
-	var overlapped atomic.Int64 // reads checked while a writer was running
-	var followed atomic.Int64   // writes made after some overlapped read
-	writing.Store(writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer writing.Add(-1)
-			// Each writer owns every writers-th block, rewritten one block
-			// per call; writers and readers yield while they overlap, so
-			// they interleave on one scheduler thread too.
-			buf := make([]byte, block)
-			clock := vtime.NewClock(0)
-			for b := int64(w); b < blocks; b += writers {
-				if overlapped.Load() > 0 {
-					followed.Add(1)
-				}
-				for k := range buf {
-					buf[k] = offsetByte(b*block+int64(k), 1)
-				}
-				if err := cs.WriteAt(clock, buf, b*block); err != nil {
-					t.Errorf("write block %d: %v", b, err)
-					return
-				}
-				// After the first write, wait for some read to be checked
-				// before writing on: a scheduler may otherwise let the
-				// writers finish before any reader runs.
-				for b == int64(w) && overlapped.Load() == 0 {
-					runtime.Gosched()
-				}
-				runtime.Gosched()
-			}
-		}(w)
+	type actor struct {
+		clock *vtime.Clock
+		g     *rng.Xoroshiro128
+		next  int64 // a writer's next block
+		after int   // a reader's turns since the writers finished
 	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			g := rng.NewXoroshiro128(uint64(r + 1))
-			clock := vtime.NewClock(0)
-			buf := make([]byte, 3*block)
-			// Keep going for a while after the writers stop, so the newest
-			// bytes are also checked under reader-only contention.
-			for after := 0; after < 2000; {
-				done := writing.Load() == 0
-				if done {
-					after++
-				} else {
-					runtime.Gosched()
-				}
-				off := int64(g.Uint64n(size - 3*block))
-				n := 1 + int64(g.Uint64n(3*block))
-				switch g.Uint64n(4) {
-				case 0:
-					cs.Prefetch(clock, off, n)
-				case 1:
-					cs.FillRunAt(clock.Now(), off, 4*block)
-				default:
-					check(clock, buf, off, n, done)
-					if !done {
-						overlapped.Add(1)
-					}
+	actors := make([]actor, writers+readers)
+	for i := range actors {
+		actors[i] = actor{clock: vtime.NewClock(0), g: rng.NewXoroshiro128(uint64(i + 1))}
+		if i < writers {
+			// Each writer owns every writers-th block.
+			actors[i].next = int64(i)
+		}
+	}
+	sched := rng.NewXoroshiro128(2014)
+	buf := make([]byte, 3*block)
+	writing, overlapped := writers, 0
+	for live := len(actors); live > 0; {
+		i := int(sched.Uint64n(uint64(len(actors))))
+		a := &actors[i]
+		switch {
+		case i < writers:
+			if a.next >= blocks {
+				continue
+			}
+			for k := range buf[:block] {
+				buf[k] = offsetByte(a.next*block+int64(k), 1)
+			}
+			if err := cs.WriteAt(a.clock, buf[:block], a.next*block); err != nil {
+				t.Fatalf("write block %d: %v", a.next, err)
+			}
+			if a.next += writers; a.next >= blocks {
+				writing--
+				live--
+			}
+		case a.after >= 2000:
+			// Kept going for a while after the writers stopped, so the
+			// newest bytes are also checked with only readers turning over
+			// the frames.
+		default:
+			done := writing == 0
+			if done {
+				if a.after++; a.after == 2000 {
+					live--
 				}
 			}
-		}(r)
+			off := int64(a.g.Uint64n(size - 3*block))
+			n := 1 + int64(a.g.Uint64n(3*block))
+			switch a.g.Uint64n(4) {
+			case 0:
+				cs.Prefetch(a.clock, off, n)
+			case 1:
+				cs.FillRunAt(a.clock.Now(), off, 4*block)
+			default:
+				check(a.clock, buf, off, n, done)
+				if !done {
+					overlapped++
+				}
+			}
+		}
 	}
-	wg.Wait()
 
 	clock := vtime.NewClock(0)
-	buf := make([]byte, 3*block)
 	for off := int64(0); off < size; off += 3 * block {
 		check(clock, buf, off, min(3*block, size-off), true)
 	}
-	if st := cache.Stats(); st.Evictions == 0 || st.Hits == 0 || followed.Load() == 0 {
-		t.Fatalf("the trace recycled nothing, hit nothing or wrote nothing after a read beside a writer (%d reads, %d writes after): %v",
-			overlapped.Load(), followed.Load(), st)
+	if st := cache.Stats(); st.Evictions == 0 || st.Hits == 0 || overlapped == 0 {
+		t.Fatalf("the trace recycled nothing, hit nothing or read nothing beside a writer (%d reads): %v",
+			overlapped, st)
+	}
+	if got := framesAllocated(cache); got > pages {
+		t.Errorf("%d frames allocated by a %d-page cache", got, pages)
 	}
 }
 
@@ -229,8 +218,8 @@ func TestPageCacheSteadyStateAllocs(t *testing.T) {
 
 // TestCacheFrameBudget: the cache's real memory is its budget. After 10^5
 // churned reads it has allocated no more frames than it has pages — a
-// shard only exceeds its share while every one of its pages is in flight,
-// which one goroutine reading at most three blocks at a time cannot cause.
+// shard only exceeds its share while one FillRunAt has reserved every one
+// of its pages, and this trace issues no FillRunAt.
 func TestCacheFrameBudget(t *testing.T) {
 	const (
 		block  = 64

@@ -3,8 +3,6 @@ package nvm
 import (
 	"bytes"
 	"errors"
-	"runtime"
-	"sync"
 	"testing"
 
 	"semibfs/internal/numa"
@@ -158,63 +156,15 @@ func TestCacheClockSecondChance(t *testing.T) {
 	}
 }
 
-func TestCacheSingleFlight(t *testing.T) {
-	dev := NewDevice(ProfileIoDrive2, 0)
-	inner := NewMemStore(dev, 0)
-	data := fillStore(t, inner, DefaultChunkSize)
-	dev.Reset()
-
-	c := NewPageCache(1<<20, 0, numa.CostModel{})
-	cs := c.Wrap(inner)
-
-	const workers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			clock := vtime.NewClock(0)
-			buf := make([]byte, DefaultChunkSize)
-			if err := cs.ReadAt(clock, buf, 0); err != nil {
-				errs[w] = err
-				return
-			}
-			if !bytes.Equal(buf, data) {
-				errs[w] = errors.New("data mismatch")
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	if got := dev.Snapshot().Reads; got != 1 {
-		t.Fatalf("single-flight: want 1 device read for %d concurrent misses, got %d", workers, got)
-	}
-	st := c.Stats()
-	// A lookup that merged onto the in-flight fill counts as a hit too.
-	if st.Misses != 1 || st.Hits != workers-1 || st.MergedFills > st.Hits {
-		t.Fatalf("want 1 miss and %d hits, some of them merged, got %+v", workers-1, st)
-	}
-}
-
 // failingStore returns an error for the first n reads, then succeeds.
 type failingStore struct {
 	*MemStore
-	mu    sync.Mutex
 	fails int
 	reads int
 }
 
 func (s *failingStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	s.mu.Lock()
-	s.reads++
-	fail := s.reads <= s.fails
-	s.mu.Unlock()
-	if fail {
+	if s.reads++; s.reads <= s.fails {
 		return &CorruptionError{Block: off / DefaultChunkSize, Off: off}
 	}
 	return s.MemStore.ReadAt(clock, p, off)
@@ -257,91 +207,6 @@ func TestCacheNeverCachesErrors(t *testing.T) {
 	}
 }
 
-// gatedStore blocks every read until the gate channel is closed, then
-// returns the configured error. It lets a test park one worker mid-fill
-// while another merges onto the in-flight page.
-type gatedStore struct {
-	*MemStore
-	gate    chan struct{}
-	started chan struct{}
-	err     error
-
-	once sync.Once
-}
-
-func (s *gatedStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	s.once.Do(func() { close(s.started) })
-	<-s.gate
-	if s.err != nil {
-		return s.err
-	}
-	return s.MemStore.ReadAt(clock, p, off)
-}
-
-// TestCacheSingleFlightErrorPropagates pins down the failed-fill contract
-// under concurrency: when a fill errors while another worker is merged
-// onto it, *both* workers observe the error and the page is not installed,
-// so a later read retries the device instead of serving a poisoned page.
-func TestCacheSingleFlightErrorPropagates(t *testing.T) {
-	mem := NewMemStore(nil, 0)
-	data := fillStore(t, mem, DefaultChunkSize)
-	inner := &gatedStore{
-		MemStore: mem,
-		gate:     make(chan struct{}),
-		started:  make(chan struct{}),
-		err:      &CorruptionError{Store: "gated", Block: 0},
-	}
-
-	c := NewPageCache(1<<20, 0, numa.CostModel{})
-	cs := c.Wrap(inner)
-
-	errA := make(chan error, 1)
-	go func() {
-		buf := make([]byte, DefaultChunkSize)
-		errA <- cs.ReadAt(vtime.NewClock(0), buf, 0)
-	}()
-	// Wait until worker A is inside the fill (page reserved, filling=true).
-	<-inner.started
-	if c.Pages() != 1 {
-		t.Fatalf("in-flight fill should reserve 1 page, got %d", c.Pages())
-	}
-
-	errB := make(chan error, 1)
-	go func() {
-		buf := make([]byte, DefaultChunkSize)
-		errB <- cs.ReadAt(vtime.NewClock(0), buf, 0)
-	}()
-	// Wait until worker B has merged onto A's fill.
-	for c.Stats().MergedFills == 0 {
-		runtime.Gosched()
-	}
-
-	// Release the fill; it fails.
-	close(inner.gate)
-	for i, ch := range []chan error{errA, errB} {
-		if err := <-ch; !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("worker %d: want ErrCorrupt, got %v", i, err)
-		}
-	}
-	if c.Pages() != 0 {
-		t.Fatalf("failed fill left %d pages installed", c.Pages())
-	}
-
-	// The store recovers; the next read must go back to the device and
-	// succeed (nothing poisoned stayed behind).
-	inner.err = nil
-	buf := make([]byte, DefaultChunkSize)
-	if err := cs.ReadAt(vtime.NewClock(0), buf, 0); err != nil {
-		t.Fatalf("read after recovery: %v", err)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("recovered read returned wrong data")
-	}
-	if c.Pages() != 1 {
-		t.Fatalf("recovered read should cache 1 page, got %d", c.Pages())
-	}
-}
-
 func TestCacheWriteInvalidates(t *testing.T) {
 	inner := NewMemStore(nil, 0)
 	fillStore(t, inner, 2*DefaultChunkSize)
@@ -364,6 +229,38 @@ func TestCacheWriteInvalidates(t *testing.T) {
 	}
 	if !bytes.Equal(got, fresh) {
 		t.Fatal("read after write returned stale cached data")
+	}
+}
+
+// TestCacheFillRunInvalidationRace: a write-through over pages a coalesced
+// FillRunAt installed drops exactly the written one, so a read across the
+// run returns the new bytes for it and the run's bytes for its neighbours.
+func TestCacheFillRunInvalidationRace(t *testing.T) {
+	const block = 64
+	c := NewPageCache(16*block, block, numa.CostModel{})
+	cs := c.Wrap(NewNamedMemStore("data", nil, block))
+	clock := vtime.NewClock(0)
+	want := bytes.Repeat([]byte{0x0A}, 3*block)
+	if err := cs.WriteAt(clock, want, 0); err != nil {
+		t.Fatalf("seed write: %v", err)
+	}
+	if blocks, runs, _ := cs.FillRunAt(0, 0, 3*block); blocks != 3 || runs != 1 {
+		t.Fatalf("FillRunAt filled %d blocks in %d runs, want 3 in 1", blocks, runs)
+	}
+
+	copy(want[block:2*block], bytes.Repeat([]byte{0x0B}, block))
+	if err := cs.WriteAt(clock, want[block:2*block], block); err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	if got := c.Pages(); got != 2 {
+		t.Fatalf("%d pages cached after rewriting one of a 3-block run, want 2", got)
+	}
+	got := make([]byte, 3*block)
+	if err := cs.ReadAt(clock, got, 0); err != nil {
+		t.Fatalf("read after rewrite: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read after rewrite returned % x, want % x", got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package nvm
 import (
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"semibfs/internal/vtime"
 )
@@ -27,13 +26,13 @@ type ChecksumStore struct {
 	name  string
 	block int64
 
-	mu   sync.Mutex
 	sums []uint32
 	size int64
 	// failures counts detected corruptions (for health reporting).
 	failures int64
-
-	pool sync.Pool
+	// buf is the block-aligned scratch reads and partial-block
+	// re-checksums go through, kept for the next call.
+	buf []byte
 }
 
 // WrapChecksum wraps inner with per-block verification. block <= 0 selects
@@ -51,10 +50,6 @@ func WrapChecksumNamed(inner Storage, name string, block int) (*ChecksumStore, e
 		block = DefaultChunkSize
 	}
 	s := &ChecksumStore{inner: inner, name: name, block: int64(block), size: inner.Size()}
-	s.pool.New = func() any {
-		b := make([]byte, 0, block)
-		return &b
-	}
 	if s.size > 0 {
 		nb := (s.size + s.block - 1) / s.block
 		s.sums = make([]uint32, nb)
@@ -80,18 +75,10 @@ func (s *ChecksumStore) Name() string { return s.name }
 func (s *ChecksumStore) Device() *Device { return s.inner.Device() }
 
 // Size returns the store's current size in bytes.
-func (s *ChecksumStore) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
+func (s *ChecksumStore) Size() int64 { return s.size }
 
 // Failures returns the number of corruptions detected so far.
-func (s *ChecksumStore) Failures() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failures
-}
+func (s *ChecksumStore) Failures() int64 { return s.failures }
 
 // Close closes the inner store.
 func (s *ChecksumStore) Close() error { return s.inner.Close() }
@@ -104,23 +91,19 @@ func (s *ChecksumStore) Unwrap() Storage { return s.inner }
 
 // Stats implements Layer.
 func (s *ChecksumStore) Stats() LayerStats {
-	s.mu.Lock()
-	failures := s.failures
-	sumBytes := int64(len(s.sums)) * 4
-	s.mu.Unlock()
 	return LayerStats{Kind: "checksum", Counters: []Counter{
-		{Name: "corruptions_detected", Value: failures},
+		{Name: "corruptions_detected", Value: s.failures},
 		{Name: "block_bytes", Value: s.block, Gauge: true},
-		{Name: "checksum_bytes", Value: sumBytes, Gauge: true},
+		{Name: "checksum_bytes", Value: int64(len(s.sums)) * 4, Gauge: true},
 	}}
 }
 
-func (s *ChecksumStore) scratch(n int64) (*[]byte, []byte) {
-	bp := s.pool.Get().(*[]byte)
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
+// scratch returns the kept buffer resized to n bytes.
+func (s *ChecksumStore) scratch(n int64) []byte {
+	if int64(cap(s.buf)) < n {
+		s.buf = make([]byte, n)
 	}
-	return bp, (*bp)[:n]
+	return s.buf[:n]
 }
 
 // WriteAt implements Storage: it writes through to the inner store and
@@ -132,8 +115,6 @@ func (s *ChecksumStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 	if err := s.inner.WriteAt(clock, p, off); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	end := off + int64(len(p))
 	oldSize := s.size
 	if end > s.size {
@@ -161,26 +142,19 @@ func (s *ChecksumStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 			s.sums[b] = crc32.Checksum(p[lo-off:hi-off], castagnoli)
 		case lo >= oldSize && hi <= off:
 			// Entirely inside the implicit zero-filled gap.
-			bp, buf := s.scratch(hi - lo)
-			for i := range buf {
-				buf[i] = 0
-			}
+			buf := s.scratch(hi - lo)
+			clear(buf)
 			s.sums[b] = crc32.Checksum(buf, castagnoli)
-			s.pool.Put(bp)
 		default:
 			// Partial block coverage: read the block back (contents
 			// are current post-write) to recompute its checksum. The
 			// extra read is charged like any other — partial-block
 			// writes pay for it.
-			bp, buf := s.scratch(hi - lo)
-			err := s.inner.ReadAt(clock, buf, lo)
-			if err == nil {
-				s.sums[b] = crc32.Checksum(buf, castagnoli)
-			}
-			s.pool.Put(bp)
-			if err != nil {
+			buf := s.scratch(hi - lo)
+			if err := s.inner.ReadAt(clock, buf, lo); err != nil {
 				return fmt.Errorf("nvm: checksum read-back @%d: %w", lo, err)
 			}
+			s.sums[b] = crc32.Checksum(buf, castagnoli)
 		}
 	}
 	return nil
@@ -194,9 +168,7 @@ func (s *ChecksumStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	if len(p) == 0 {
 		return nil
 	}
-	s.mu.Lock()
 	size := s.size
-	s.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > size {
 		name := s.name
 		if name == "" {
@@ -214,12 +186,10 @@ func (s *ChecksumStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	if ahi > size {
 		ahi = size
 	}
-	bp, buf := s.scratch(ahi - alo)
-	defer s.pool.Put(bp)
+	buf := s.scratch(ahi - alo)
 	if err := s.inner.ReadAt(clock, buf, alo); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	for b := alo / bs; b*bs < ahi; b++ {
 		lo, hi := b*bs, (b+1)*bs
 		if hi > size {
@@ -228,14 +198,12 @@ func (s *ChecksumStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 		got := crc32.Checksum(buf[lo-alo:hi-alo], castagnoli)
 		if want := s.sums[b]; got != want {
 			s.failures++
-			s.mu.Unlock()
 			if dev := s.inner.Device(); dev != nil {
 				dev.NoteError()
 			}
 			return &CorruptionError{Store: s.name, Block: b, Off: lo, Want: want, Got: got}
 		}
 	}
-	s.mu.Unlock()
 	copy(p, buf[off-alo:])
 	return nil
 }

@@ -3,7 +3,6 @@ package nvm
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"semibfs/internal/vtime"
 )
@@ -27,7 +26,6 @@ import (
 // (OpenEpoch). A timeline continuing its own previous run never opens one,
 // even when its own background traffic arrived after its last barrier.
 type Device struct {
-	mu      sync.Mutex
 	profile Profile
 	// channelFree[i] is the virtual time at which channel i next idles.
 	channelFree []vtime.Duration
@@ -98,9 +96,6 @@ func (d *Device) submit(at vtime.Duration, n int, write bool) vtime.Duration {
 		service = d.profile.ReadServiceTime(n)
 	}
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
 	// Earliest-free channel wins; ties broken by index for determinism.
 	best := 0
 	for i := 1; i < len(d.channelFree); i++ {
@@ -146,8 +141,6 @@ func (d *Device) submit(at vtime.Duration, n int, write bool) vtime.Duration {
 // device's channels next idles — the load signal the mirror layer uses
 // for least-loaded replica selection. It is 0 for an idle device.
 func (d *Device) EarliestFree() vtime.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	best := d.channelFree[0]
 	for _, t := range d.channelFree[1:] {
 		if t < best {
@@ -159,29 +152,19 @@ func (d *Device) EarliestFree() vtime.Duration {
 
 // NoteError records one failed request against the device's health
 // accounting (the request itself may or may not have been charged time).
-func (d *Device) NoteError() {
-	d.mu.Lock()
-	d.stats.errors++
-	d.mu.Unlock()
-}
+func (d *Device) NoteError() { d.stats.errors++ }
 
 // NoteRetry records one retry attempt and the virtual backoff time the
 // caller charged before reissuing the request.
 func (d *Device) NoteRetry(backoff vtime.Duration) {
-	d.mu.Lock()
 	d.stats.retries++
 	d.stats.backoff += backoff
-	d.mu.Unlock()
 }
 
 // MarkDead records that the device has permanently failed. Deadness is a
 // health annotation only: the queueing model keeps accepting requests (a
 // dead device's store layer is what refuses them).
-func (d *Device) MarkDead() {
-	d.mu.Lock()
-	d.stats.dead = true
-	d.mu.Unlock()
-}
+func (d *Device) MarkDead() { d.stats.dead = true }
 
 // Stats is a snapshot of the device's accumulated request statistics.
 type Stats struct {
@@ -214,8 +197,6 @@ type Stats struct {
 
 // Snapshot returns the device's statistics so far.
 func (d *Device) Snapshot() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s := d.stats
 	n := s.reads + s.writes
 	out := Stats{
@@ -246,20 +227,14 @@ func (d *Device) Snapshot() Stats {
 }
 
 // Requests returns the device's lifetime request count; Reset keeps it.
-func (d *Device) Requests() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.requests
-}
+func (d *Device) Requests() int64 { return d.requests }
 
 // OpenEpoch resets the device when the epoch rule (see Device) opens one
 // for a run starting at start; seen is Requests when the engine's previous
 // run ended (0 if it never ran).
 func (d *Device) OpenEpoch(start vtime.Duration, seen int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.requests != seen && d.stats.sawRequest && d.stats.lastArrival >= start {
-		d.reset()
+		d.Reset()
 	}
 }
 
@@ -280,12 +255,6 @@ func StackDevices(stores ...Storage) []*Device {
 // Reset clears accumulated statistics and queue state: it opens a new
 // epoch unconditionally.
 func (d *Device) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reset()
-}
-
-func (d *Device) reset() {
 	for i := range d.channelFree {
 		d.channelFree[i] = 0
 	}
@@ -307,8 +276,6 @@ type SeriesPoint struct {
 // Series returns the per-bin activity recorded so far, in time order, or
 // nil if series recording was not enabled.
 func (d *Device) Series() []SeriesPoint {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.series == nil {
 		return nil
 	}

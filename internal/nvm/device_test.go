@@ -2,7 +2,6 @@ package nvm
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"semibfs/internal/vtime"
@@ -291,29 +290,6 @@ func TestDeviceSeriesDisabled(t *testing.T) {
 	d.Read(0, 512)
 	if d.Series() != nil {
 		t.Fatal("series recorded with binWidth 0")
-	}
-}
-
-func TestDeviceConcurrentSubmission(t *testing.T) {
-	d := NewDevice(ProfileIoDrive2, 0)
-	var wg sync.WaitGroup
-	const workers, per = 8, 200
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				d.Read(vtime.Duration(i)*vtime.Microsecond, 4096)
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := d.Snapshot()
-	if s.Reads != workers*per {
-		t.Fatalf("Reads = %d, want %d", s.Reads, workers*per)
-	}
-	if s.ReadBytes != int64(workers*per*4096) {
-		t.Fatalf("ReadBytes = %d", s.ReadBytes)
 	}
 }
 

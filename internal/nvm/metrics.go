@@ -1,10 +1,6 @@
 package nvm
 
-import (
-	"sync/atomic"
-
-	"semibfs/internal/vtime"
-)
+import "semibfs/internal/vtime"
 
 // MetricsStore is the outermost stack layer: a pure observer counting the
 // requests and bytes that enter the stack and the errors that escape it.
@@ -15,12 +11,12 @@ type MetricsStore struct {
 	inner Storage
 	name  string
 
-	reads       atomic.Int64
-	writes      atomic.Int64
-	readBytes   atomic.Int64
-	writeBytes  atomic.Int64
-	readErrors  atomic.Int64
-	writeErrors atomic.Int64
+	reads       int64
+	writes      int64
+	readBytes   int64
+	writeBytes  int64
+	readErrors  int64
+	writeErrors int64
 }
 
 // WrapMetrics layers request/byte/error counting over inner.
@@ -49,33 +45,33 @@ func (m *MetricsStore) Unwrap() Storage { return m.inner }
 // Stats implements Layer.
 func (m *MetricsStore) Stats() LayerStats {
 	return LayerStats{Kind: "metrics", Counters: []Counter{
-		{Name: "reads", Value: m.reads.Load()},
-		{Name: "writes", Value: m.writes.Load()},
-		{Name: "read_bytes", Value: m.readBytes.Load()},
-		{Name: "write_bytes", Value: m.writeBytes.Load()},
-		{Name: "read_errors", Value: m.readErrors.Load()},
-		{Name: "write_errors", Value: m.writeErrors.Load()},
+		{Name: "reads", Value: m.reads},
+		{Name: "writes", Value: m.writes},
+		{Name: "read_bytes", Value: m.readBytes},
+		{Name: "write_bytes", Value: m.writeBytes},
+		{Name: "read_errors", Value: m.readErrors},
+		{Name: "write_errors", Value: m.writeErrors},
 	}}
 }
 
 // ReadAt implements Storage.
 func (m *MetricsStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	m.reads.Add(1)
+	m.reads++
 	if err := m.inner.ReadAt(clock, p, off); err != nil {
-		m.readErrors.Add(1)
+		m.readErrors++
 		return err
 	}
-	m.readBytes.Add(int64(len(p)))
+	m.readBytes += int64(len(p))
 	return nil
 }
 
 // WriteAt implements Storage.
 func (m *MetricsStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
-	m.writes.Add(1)
+	m.writes++
 	if err := m.inner.WriteAt(clock, p, off); err != nil {
-		m.writeErrors.Add(1)
+		m.writeErrors++
 		return err
 	}
-	m.writeBytes.Add(int64(len(p)))
+	m.writeBytes += int64(len(p))
 	return nil
 }

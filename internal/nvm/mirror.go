@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"semibfs/internal/stats"
 	"semibfs/internal/vtime"
@@ -256,17 +255,10 @@ type MirrorStore struct {
 	cfg   MirrorConfig
 	block int64
 
-	mu   sync.Mutex
 	reps []*mirrorReplica
 	size int64
 
 	stats MirrorStats
-	// fences holds the byte ranges of logical writes currently mid-fanout
-	// across the replicas. The scrubber must not verify a fenced block:
-	// until the last replica write lands the copies legitimately diverge,
-	// and a "repair" from whichever replica happened to be written first
-	// would race the writer's remaining replica writes.
-	fences []fenceRange
 	// Scrub cursor: scrubNext is the fixed virtual time of the next scrub
 	// step, scrubBlock the block it will verify. Steps run at exactly
 	// {k * ScrubInterval} no matter which worker's read triggers the
@@ -315,17 +307,11 @@ func (m *MirrorStore) Name() string { return m.name }
 func (m *MirrorStore) Replicas() int { return len(m.reps) }
 
 // Size returns the logical store size in bytes.
-func (m *MirrorStore) Size() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.size
-}
+func (m *MirrorStore) Size() int64 { return m.size }
 
 // PhysicalBytes returns the bytes occupied across all replicas — the real
 // NVM footprint of the mirrored store (R times the logical size).
 func (m *MirrorStore) PhysicalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var b int64
 	for _, rep := range m.reps {
 		b += rep.store.Size()
@@ -336,8 +322,6 @@ func (m *MirrorStore) PhysicalBytes() int64 {
 // Device returns the first live replica's device (the retry layer charges
 // its backoff accounting there), or the first replica's when all are dead.
 func (m *MirrorStore) Device() *Device {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, rep := range m.reps {
 		if rep.state != ReplicaDead {
 			return rep.store.Device()
@@ -358,11 +342,7 @@ func (m *MirrorStore) Close() error {
 }
 
 // MirrorStats returns the mirror's cumulative failover/scrub counters.
-func (m *MirrorStore) MirrorStats() MirrorStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
+func (m *MirrorStore) MirrorStats() MirrorStats { return m.stats }
 
 // Kind implements Layer.
 func (m *MirrorStore) Kind() string { return "mirror" }
@@ -373,8 +353,6 @@ func (m *MirrorStore) Unwrap() Storage { return nil }
 
 // Inners implements FanOut, exposing every replica stack.
 func (m *MirrorStore) Inners() []Storage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]Storage, len(m.reps))
 	for i, rep := range m.reps {
 		out[i] = rep.store
@@ -384,10 +362,7 @@ func (m *MirrorStore) Inners() []Storage {
 
 // Stats implements Layer.
 func (m *MirrorStore) Stats() LayerStats {
-	st := m.MirrorStats()
-	m.mu.Lock()
-	replicas := int64(len(m.reps))
-	m.mu.Unlock()
+	st := m.stats
 	return LayerStats{Kind: "mirror", Counters: []Counter{
 		{Name: "reads", Value: st.Reads},
 		{Name: "failovers", Value: st.Failovers},
@@ -403,14 +378,12 @@ func (m *MirrorStore) Stats() LayerStats {
 		// cumulative value rather than inventing a meaningless difference.
 		{Name: "repair_p50_ns", Value: int64(st.RepairHist.P50()), Gauge: true},
 		{Name: "repair_p99_ns", Value: int64(st.RepairHist.P99()), Gauge: true},
-		{Name: "replicas", Value: replicas, Gauge: true},
+		{Name: "replicas", Value: int64(len(m.reps)), Gauge: true},
 	}}
 }
 
 // Health snapshots every replica's health state.
 func (m *MirrorStore) Health() []ReplicaHealth {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]ReplicaHealth, len(m.reps))
 	for i, rep := range m.reps {
 		out[i] = ReplicaHealth{
@@ -427,8 +400,8 @@ func (m *MirrorStore) Health() []ReplicaHealth {
 	return out
 }
 
-// noteLocked advances one replica's health state machine after an access.
-func (m *MirrorStore) noteLocked(rep *mirrorReplica, err error) {
+// note advances one replica's health state machine after an access.
+func (m *MirrorStore) note(rep *mirrorReplica, err error) {
 	rep.reads++
 	if err == nil {
 		rep.consecutive = 0
@@ -459,8 +432,6 @@ func (m *MirrorStore) pick(clock *vtime.Clock, tried uint64) (*mirrorReplica, in
 	if clock != nil {
 		now = clock.Now()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	best := -1
 	var bestLoad vtime.Duration
 	bestSuspect := false
@@ -500,9 +471,7 @@ func (m *MirrorStore) pick(clock *vtime.Clock, tried uint64) (*mirrorReplica, in
 // wrap ErrDeviceDead, so the engine's degraded mode engages exactly when
 // no replica can ever serve again.
 func (m *MirrorStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	m.mu.Lock()
 	m.stats.Reads++
-	m.mu.Unlock()
 	var lastErr error
 	var tried uint64
 	attempt := 0
@@ -515,15 +484,11 @@ func (m *MirrorStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 			tried |= 1 << uint(idx)
 		}
 		if attempt > 0 {
-			m.mu.Lock()
 			m.stats.Failovers++
-			m.mu.Unlock()
 		}
 		attempt++
 		err := rep.store.ReadAt(clock, p, off)
-		m.mu.Lock()
-		m.noteLocked(rep, err)
-		m.mu.Unlock()
+		m.note(rep, err)
 		if err == nil {
 			m.maybeScrub(clock)
 			return nil
@@ -537,9 +502,7 @@ func (m *MirrorStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 		return lastErr
 	}
 	// No live replica at all: the array is gone.
-	m.mu.Lock()
 	m.stats.AllDeadReads++
-	m.mu.Unlock()
 	var at vtime.Duration
 	if clock != nil {
 		at = clock.Now()
@@ -547,77 +510,32 @@ func (m *MirrorStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	return &DeadError{Store: m.name, At: at}
 }
 
-// fenceRange is a half-open byte range [lo, hi) a logical write is
-// currently fanning out over.
-type fenceRange struct {
-	lo, hi int64
-}
-
-// fenceLocked registers a write's range so concurrent scrub steps treat
-// its blocks as in-flight. The m.mu lock must be held.
-func (m *MirrorStore) fenceLocked(lo, hi int64) {
-	m.fences = append(m.fences, fenceRange{lo, hi})
-}
-
-// unfence removes one registration of [lo, hi).
-func (m *MirrorStore) unfence(lo, hi int64) {
-	m.mu.Lock()
-	for i, f := range m.fences {
-		if f.lo == lo && f.hi == hi {
-			last := len(m.fences) - 1
-			m.fences[i] = m.fences[last]
-			m.fences = m.fences[:last]
-			break
-		}
-	}
-	m.mu.Unlock()
-}
-
-// fencedLocked reports whether [lo, hi) overlaps a write in flight.
-func (m *MirrorStore) fencedLocked(lo, hi int64) bool {
-	for _, f := range m.fences {
-		if lo < f.hi && f.lo < hi {
-			return true
-		}
-	}
-	return false
-}
-
 // WriteAt implements Storage: the write lands on every live replica (dead
 // replicas miss it and become stale; Rebuild or the scrubber restores
-// them). The first replica failure aborts the write. The written range is
-// fenced for the duration of the fanout so a scrub step triggered by a
-// concurrent read does not mistake the mid-write replica divergence for
-// staleness and "repair" a replica the writer is about to reach.
+// them). The first replica failure aborts the write. Scrub steps run only
+// from ReadAt, so none can see the replicas between one write's replica
+// writes.
 func (m *MirrorStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
-	end := off + int64(len(p))
-	m.mu.Lock()
-	live := make([]*mirrorReplica, 0, len(m.reps))
+	live := false
 	for _, rep := range m.reps {
-		if rep.state != ReplicaDead {
-			live = append(live, rep)
+		if rep.state == ReplicaDead {
+			continue
+		}
+		if !live {
+			live = true
+			m.size = max(m.size, off+int64(len(p)))
+		}
+		if err := rep.store.WriteAt(clock, p, off); err != nil {
+			return &BlockError{Store: rep.name, Block: off / m.block, Off: off,
+				Err: fmt.Errorf("nvm: mirror %s write: %w", m.name, err)}
 		}
 	}
-	if end > m.size && len(live) > 0 {
-		m.size = end
-	}
-	if len(live) > 0 {
-		m.fenceLocked(off, end)
-	}
-	m.mu.Unlock()
-	if len(live) == 0 {
+	if !live {
 		var at vtime.Duration
 		if clock != nil {
 			at = clock.Now()
 		}
 		return &DeadError{Store: m.name, At: at}
-	}
-	defer m.unfence(off, end)
-	for _, rep := range live {
-		if err := rep.store.WriteAt(clock, p, off); err != nil {
-			return &BlockError{Store: rep.name, Block: off / m.block, Off: off,
-				Err: fmt.Errorf("nvm: mirror %s write: %w", m.name, err)}
-		}
 	}
 	return nil
 }
@@ -632,8 +550,6 @@ func (m *MirrorStore) maybeScrub(clock *vtime.Clock) {
 		return
 	}
 	now := clock.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.size == 0 {
 		for m.scrubNext <= now {
 			m.scrubNext += m.cfg.ScrubInterval
@@ -646,7 +562,7 @@ func (m *MirrorStore) maybeScrub(clock *vtime.Clock) {
 	}
 	nb := (m.size + m.block - 1) / m.block
 	for steps := 0; steps < maxSteps && m.scrubNext <= now; steps++ {
-		m.scrubStepLocked(vtime.NewClock(m.scrubNext), m.scrubBlock)
+		m.scrubStep(vtime.NewClock(m.scrubNext), m.scrubBlock)
 		m.scrubBlock = (m.scrubBlock + 1) % nb
 		m.scrubNext += m.cfg.ScrubInterval
 	}
@@ -656,24 +572,22 @@ func (m *MirrorStore) maybeScrub(clock *vtime.Clock) {
 // to the caller's clock. The background scrubber performs the same steps
 // one block at a time, paced by ScrubInterval.
 func (m *MirrorStore) ScrubPass(clock *vtime.Clock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.size == 0 {
 		return
 	}
 	nb := (m.size + m.block - 1) / m.block
 	for b := int64(0); b < nb; b++ {
-		m.scrubStepLocked(clock, b)
+		m.scrubStep(clock, b)
 	}
 }
 
-// scrubStepLocked verifies one block on every live replica. A read that
+// scrubStep verifies one block on every live replica. A read that
 // fails (its checksum layer reporting corruption, or any other error)
 // marks the replica for repair; a read that succeeds but diverges from
 // the first verified copy is stale and is repaired too. Repairs rewrite
 // the block from the first verified copy through the replica's full
 // stack, so its checksums are refreshed along with the data.
-func (m *MirrorStore) scrubStepLocked(sc *vtime.Clock, b int64) {
+func (m *MirrorStore) scrubStep(sc *vtime.Clock, b int64) {
 	lo := b * m.block
 	if lo >= m.size {
 		return
@@ -683,14 +597,6 @@ func (m *MirrorStore) scrubStepLocked(sc *vtime.Clock, b int64) {
 		hi = m.size
 	}
 	n := hi - lo
-	if m.fencedLocked(lo, hi) {
-		// A logical write is mid-fanout over this block (e.g. a
-		// compaction shadow-block rewrite): the replicas are allowed to
-		// diverge until its last replica write lands, so verifying now
-		// would produce false "repairs". Skip; the next pass catches it.
-		m.stats.SkippedInFlight++
-		return
-	}
 	if int64(cap(m.scrubBuf)) < n {
 		m.scrubBuf = make([]byte, n)
 	}
@@ -707,7 +613,7 @@ func (m *MirrorStore) scrubStepLocked(sc *vtime.Clock, b int64) {
 		}
 		rep.scrubbed++
 		err := rep.store.ReadAt(sc, m.scrubBuf[:n], lo)
-		m.noteLocked(rep, err)
+		m.note(rep, err)
 		if err != nil {
 			m.stats.ScrubErrors++
 			if rep.state != ReplicaDead {
@@ -747,8 +653,6 @@ func (m *MirrorStore) scrubStepLocked(sc *vtime.Clock, b int64) {
 // underlying media first (e.g. faults.Store.Revive); Rebuild then copies
 // the data and returns the replica to service in the rebuilt state.
 func (m *MirrorStore) Rebuild(clock *vtime.Clock, i int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if i < 0 || i >= len(m.reps) {
 		return fmt.Errorf("nvm: mirror %s: rebuild replica %d of %d", m.name, i, len(m.reps))
 	}

@@ -3,7 +3,6 @@ package nvm
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"semibfs/internal/vtime"
 )
@@ -67,10 +66,10 @@ type RetryStore struct {
 	block  int64
 	policy RetryPolicy
 
-	retries   atomic.Int64
-	errors    atomic.Int64
-	backoffNs atomic.Int64
-	exhausted atomic.Int64
+	retries   int64
+	errors    int64
+	backoffNs int64
+	exhausted int64
 }
 
 // WrapRetry layers policy over inner. name is carried into BlockErrors;
@@ -107,10 +106,10 @@ func (r *RetryStore) Unwrap() Storage { return r.inner }
 // Stats implements Layer.
 func (r *RetryStore) Stats() LayerStats {
 	return LayerStats{Kind: "retry", Counters: []Counter{
-		{Name: "retries", Value: r.retries.Load()},
-		{Name: "read_errors", Value: r.errors.Load()},
-		{Name: "backoff_ns", Value: r.backoffNs.Load()},
-		{Name: "exhausted", Value: r.exhausted.Load()},
+		{Name: "retries", Value: r.retries},
+		{Name: "read_errors", Value: r.errors},
+		{Name: "backoff_ns", Value: r.backoffNs},
+		{Name: "exhausted", Value: r.exhausted},
 		{Name: "max_attempts", Value: int64(r.policy.attempts()), Gauge: true},
 	}}
 }
@@ -132,12 +131,12 @@ func (r *RetryStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 	var err error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			r.retries.Add(1)
+			r.retries++
 			if backoff > 0 {
 				if clock != nil {
 					clock.Advance(backoff)
 				}
-				r.backoffNs.Add(int64(backoff))
+				r.backoffNs += int64(backoff)
 			}
 			if dev := r.inner.Device(); dev != nil {
 				dev.NoteRetry(backoff)
@@ -151,12 +150,12 @@ func (r *RetryStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 		if err == nil {
 			return nil
 		}
-		r.errors.Add(1)
+		r.errors++
 		if errors.Is(err, ErrDeviceDead) {
 			return r.fail(off, err)
 		}
 	}
-	r.exhausted.Add(1)
+	r.exhausted++
 	return r.fail(off, &RetryExhaustedError{Attempts: attempts, Off: off, Err: err})
 }
 

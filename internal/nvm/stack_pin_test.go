@@ -98,13 +98,16 @@ func runStackPin(t *testing.T) (stackPin, string, string) {
 		t.Fatal(err)
 	}
 	defer stack.Close()
-	mirror := findMirror(stack)
 	pf := nvm.StackPrefetcher(stack)
 	cs := nvm.StackCache(stack)
+	var mirror *nvm.MirrorStore
 	var async *nvm.AsyncStore
 	nvm.WalkStack(stack, func(s nvm.Storage) {
-		if a, ok := s.(*nvm.AsyncStore); ok {
-			async = a
+		switch l := s.(type) {
+		case *nvm.MirrorStore:
+			mirror = l
+		case *nvm.AsyncStore:
+			async = l
 		}
 	})
 	if mirror == nil || pf == nil || cs == nil || async == nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sync"
 
 	"semibfs/internal/vtime"
 )
@@ -35,9 +34,7 @@ type FileStore struct {
 	dev   *Device
 	chunk int
 	path  string
-
-	mu   sync.Mutex
-	size int64
+	size  int64
 }
 
 // CreateFileStore creates (truncating) a file-backed store at path whose
@@ -78,11 +75,7 @@ func (s *FileStore) Path() string { return s.path }
 func (s *FileStore) Device() *Device { return s.dev }
 
 // Size returns the store's current size in bytes.
-func (s *FileStore) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
+func (s *FileStore) Size() int64 { return s.size }
 
 // ReadAt implements Storage. The read is split into chunks of at most the
 // store's chunk size; each chunk is one positioned read and one device
@@ -125,11 +118,9 @@ func (s *FileStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 		p = p[n:]
 		off += int64(n)
 	}
-	s.mu.Lock()
 	if end > s.size {
 		s.size = end
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -158,9 +149,7 @@ type MemStore struct {
 	dev   *Device
 	chunk int
 	name  string
-
-	mu  sync.Mutex
-	buf []byte
+	buf   []byte
 }
 
 // NewMemStore returns an empty in-memory store charging dev (which may be
@@ -184,24 +173,17 @@ func NewNamedMemStore(name string, dev *Device, chunk int) *MemStore {
 func (s *MemStore) Device() *Device { return s.dev }
 
 // Size returns the store's current size in bytes.
-func (s *MemStore) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.buf))
-}
+func (s *MemStore) Size() int64 { return int64(len(s.buf)) }
 
 // ReadAt implements Storage.
 func (s *MemStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
-	s.mu.Lock()
 	// Compared without forming off+len(p), which wraps negative for an
 	// offset near math.MaxInt64.
 	if size := int64(len(s.buf)); off < 0 || off > size || int64(len(p)) > size-off {
-		s.mu.Unlock()
 		return fmt.Errorf("nvm: %s: read of %d bytes at offset %d out of range [0,%d)",
 			s.name, len(p), off, size)
 	}
 	copy(p, s.buf[off:])
-	s.mu.Unlock()
 	if s.dev != nil && clock != nil {
 		for n := len(p); n > 0; {
 			c := n
@@ -220,7 +202,6 @@ func (s *MemStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 	if off < 0 || int64(len(p)) > math.MaxInt64-off {
 		return fmt.Errorf("nvm: %s: write of %d bytes at offset %d out of range", s.name, len(p), off)
 	}
-	s.mu.Lock()
 	if end := off + int64(len(p)); end > int64(len(s.buf)) {
 		if end > int64(cap(s.buf)) {
 			// Geometric growth: a run of appends copies each byte O(1)
@@ -234,7 +215,6 @@ func (s *MemStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 		s.buf = s.buf[:end]
 	}
 	copy(s.buf[off:], p)
-	s.mu.Unlock()
 	if s.dev != nil && clock != nil {
 		for n := len(p); n > 0; {
 			c := n

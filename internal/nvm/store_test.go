@@ -5,7 +5,6 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -318,41 +317,6 @@ func TestMemStoreSizeFollowsLenNotCap(t *testing.T) {
 	if err := s.ReadAt(nil, make([]byte, 1), 5101); err == nil {
 		t.Fatal("read past the new Size succeeded")
 	}
-}
-
-// TestMemStoreConcurrentAppendRead appends while readers verify everything
-// below the size they observed; run it with -race -count=10.
-func TestMemStoreConcurrentAppendRead(t *testing.T) {
-	const writes, block = 512, 256
-	s := NewMemStore(nil, 0)
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, block)
-			for size := int64(0); size < writes*block; {
-				if size = s.Size(); size == 0 {
-					continue
-				}
-				off := size - block
-				if err := s.ReadAt(nil, buf, off); err != nil {
-					t.Errorf("read [%d,%d) below observed size: %v", off, size, err)
-					return
-				}
-				if want := bytes.Repeat([]byte{byte(off / block)}, block); !bytes.Equal(buf, want) {
-					t.Errorf("block %d read back torn or stale", off/block)
-					return
-				}
-			}
-		}()
-	}
-	for i := int64(0); i < writes; i++ {
-		if err := s.WriteAt(nil, bytes.Repeat([]byte{byte(i)}, block), i*block); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
 }
 
 // BenchmarkMemStoreAppend is the offload's write pattern: 16 MiB appended

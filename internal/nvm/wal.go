@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"semibfs/internal/vtime"
 )
@@ -31,7 +30,6 @@ type WALStore struct {
 	name  string
 	store Storage
 
-	mu      sync.Mutex
 	tail    int64  // byte offset one past the last durable record
 	next    uint64 // sequence number the next Append will use
 	scratch []byte
@@ -133,8 +131,6 @@ func (w *WALStore) Append(clock *vtime.Clock, payload []byte) (uint64, error) {
 	if len(payload) > MaxWALRecord {
 		return 0, fmt.Errorf("nvm: wal %s: record %d bytes exceeds limit %d", w.name, len(payload), MaxWALRecord)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	seq := w.next
 	need := walFrameExtra + len(payload)
 	if cap(w.scratch) < need {
@@ -166,8 +162,6 @@ func (w *WALStore) Append(clock *vtime.Clock, payload []byte) (uint64, error) {
 // power cut, the surviving old records all sit at or below the watermark
 // and are skipped anyway.
 func (w *WALStore) Reset(clock *vtime.Clock) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.store.Size() > 0 {
 		var zero [walHeaderSize]byte
 		if err := w.store.WriteAt(clock, zero[:], 0); err != nil {
@@ -179,26 +173,14 @@ func (w *WALStore) Reset(clock *vtime.Clock) error {
 }
 
 // NextSeq returns the sequence number the next Append will use.
-func (w *WALStore) NextSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next
-}
+func (w *WALStore) NextSeq() uint64 { return w.next }
 
 // LastSeq returns the sequence number of the last durable record (0 if
 // none have been appended since the log was created or opened).
-func (w *WALStore) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next - 1
-}
+func (w *WALStore) LastSeq() uint64 { return w.next - 1 }
 
 // Tail returns the byte offset one past the last durable record.
-func (w *WALStore) Tail() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tail
-}
+func (w *WALStore) Tail() int64 { return w.tail }
 
 // WALStats reports log activity counters.
 type WALStats struct {
@@ -212,8 +194,6 @@ type WALStats struct {
 
 // Stats returns a snapshot of the log's counters.
 func (w *WALStore) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return WALStats{Appends: w.appends, AppendedBytes: w.bytes, TornTail: w.torn}
 }
 

@@ -72,8 +72,7 @@ type HybridBackward struct {
 
 // SetOverlay attaches the DRAM edge-delta overlay scanners merge into
 // the stored adjacency. The backward overlay is keyed by vertex: an
-// inserted edge (v, nb) lands in slot v. Attach before scanners run
-// concurrently.
+// inserted edge (v, nb) lands in slot v.
 func (hb *HybridBackward) SetOverlay(o *DeltaOverlay) { hb.overlay = o }
 
 // Overlay returns the attached overlay, or nil.

@@ -325,8 +325,7 @@ func OpenForward(part *numa.Partition, mk StoreFactory, clock *vtime.Clock, opts
 }
 
 // SetOverlay attaches the DRAM edge-delta overlay readers merge into the
-// stored adjacency. Attach it before readers run concurrently; the
-// overlay's own snapshots handle edits racing reads after that.
+// stored adjacency.
 func (sf *SemiForward) SetOverlay(o *DeltaOverlay) { sf.overlay = o }
 
 // Overlay returns the attached overlay, or nil.
@@ -412,8 +411,8 @@ func (sf *SemiForward) Close() error {
 }
 
 // ForwardReader is a per-worker cursor over one SemiForward. It owns the
-// scratch buffers so concurrent workers never contend, and charges all
-// device time to the owning worker's clock. Retry/backoff and caching
+// worker's scratch buffers and charges all device time to the worker's
+// clock. Retry/backoff and caching
 // happen inside the storage stack; the reader just reads.
 type ForwardReader struct {
 	sf      *SemiForward

@@ -1,9 +1,6 @@
 package semiext
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // DeltaOverlay is the DRAM edge-delta overlay that makes an offloaded
 // graph dynamic without rewriting its NVM-resident CSR: insertions and
@@ -30,12 +27,11 @@ import (
 //
 // Mutations are copy-on-write per slot: each builds the slot's next
 // snapshot and stores it in place of the old one, whose slices it never
-// writes, so readers racing a concurrent Insert/Delete (e.g. a serve-layer
-// update landing between BFS sweeps) see either the old or the new version
-// of a slot, never a torn one. A read is one map lookup that copies the
-// stored snapshot out; it allocates nothing.
+// writes, so a slice Adds returned stays unchanged while its holder reads
+// it, whatever Insert or Delete lands on the slot meanwhile. A read is one
+// map lookup; it allocates nothing. Like the storage stack under it, an
+// overlay is used by one goroutine at a time.
 type DeltaOverlay struct {
-	mu    sync.RWMutex
 	slots map[int64]vertexDelta
 	addN  int64
 	delN  int64
@@ -58,8 +54,6 @@ func NewDeltaOverlay() *DeltaOverlay {
 // deletion the two annihilate (the stored edge simply stops being
 // suppressed); otherwise nb joins the slot's sorted add list.
 func (o *DeltaOverlay) Insert(slot, nb int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	d := o.slots[slot]
 	if i, ok := slices.BinarySearch(d.dels, nb); ok {
 		d.dels = removed(d.dels, i)
@@ -79,8 +73,6 @@ func (o *DeltaOverlay) Insert(slot, nb int64) {
 // add the two annihilate; otherwise nb is marked deleted so the read
 // paths suppress the stored edge.
 func (o *DeltaOverlay) Delete(slot, nb int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	d := o.slots[slot]
 	if i, ok := slices.BinarySearch(d.adds, nb); ok {
 		d.adds = removed(d.adds, i)
@@ -134,13 +126,8 @@ func deleted(dels []int64, nb int64) bool {
 }
 
 // delta returns slot's snapshot, the zero value when the slot is clean. It
-// stays valid (and immutable) across concurrent mutations.
-func (o *DeltaOverlay) delta(slot int64) vertexDelta {
-	o.mu.RLock()
-	d := o.slots[slot]
-	o.mu.RUnlock()
-	return d
-}
+// stays valid (and immutable) across later mutations.
+func (o *DeltaOverlay) delta(slot int64) vertexDelta { return o.slots[slot] }
 
 // Adds returns slot's pending insertions, sorted ascending (nil when
 // none). The slice is an immutable snapshot.
@@ -160,24 +147,14 @@ func (o *DeltaOverlay) DegreeDelta(slot int64) int64 {
 }
 
 // Counts returns the overlay-wide pending (insertions, deletions).
-func (o *DeltaOverlay) Counts() (adds, dels int64) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.addN, o.delN
-}
+func (o *DeltaOverlay) Counts() (adds, dels int64) { return o.addN, o.delN }
 
 // Empty reports whether no edits are pending.
-func (o *DeltaOverlay) Empty() bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.addN == 0 && o.delN == 0
-}
+func (o *DeltaOverlay) Empty() bool { return o.addN == 0 && o.delN == 0 }
 
 // Clear drops every pending edit (called after a compaction folds the
 // overlay into a new CSR generation).
 func (o *DeltaOverlay) Clear() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.slots = make(map[int64]vertexDelta)
 	o.addN, o.delN = 0, 0
 }
@@ -185,8 +162,6 @@ func (o *DeltaOverlay) Clear() {
 // ForEach streams every pending edit as (slot, nb, del) triples. The
 // iteration order is unspecified.
 func (o *DeltaOverlay) ForEach(fn func(slot, nb int64, del bool)) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
 	for slot, d := range o.slots {
 		for _, nb := range d.adds {
 			fn(slot, nb, false)

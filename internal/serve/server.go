@@ -192,9 +192,11 @@ type laneTrack struct {
 //
 // A server is deterministic when driven single-threaded (ServeTrace):
 // virtual time and every outcome are a pure function of the trace. The
-// live mode (Start) adds a background
-// pump goroutine; Submit, Cancel, Drain and Close are then safe from any
-// goroutine.
+// live mode (Start) adds a background pump goroutine; every method is then
+// safe from any goroutine. The pump sweeps while holding the server's lock
+// and every method takes it, so the storage stacks under the runner, which
+// take no locks of their own, are only ever touched by one goroutine at a
+// time.
 type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond

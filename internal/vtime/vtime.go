@@ -41,9 +41,9 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 // String formats d using time.Duration's notation.
 func (d Duration) String() string { return time.Duration(d).String() }
 
-// Clock is one simulated worker's private notion of "now". It is not safe
-// for concurrent use; each simulated worker owns exactly one Clock and
-// advances it from its own goroutine.
+// Clock is one simulated worker's private notion of "now". Each simulated
+// worker owns exactly one Clock; a run's workers execute in order on one
+// goroutine, so no clock is ever advanced from two at once.
 type Clock struct {
 	now Duration
 }
@@ -81,9 +81,8 @@ type Barrier struct {
 func NewBarrier(overhead Duration) *Barrier { return &Barrier{overhead: overhead} }
 
 // Sync aligns all clocks to the maximum participant time plus the barrier
-// overhead and returns that time. The caller must ensure the goroutines
-// owning the clocks are quiescent (it is invoked between level phases,
-// after the real sync.WaitGroup has drained).
+// overhead and returns that time. It is invoked between level phases, once
+// every participating worker has run its share of the phase.
 func (b *Barrier) Sync(clocks []*Clock) Duration {
 	var max Duration
 	for _, c := range clocks {

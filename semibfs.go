@@ -159,7 +159,10 @@ func ScaleEquivalentLatency(scale int) float64 {
 	return nvm.ScaleEquivalenceFactor(scale, 27)
 }
 
-// System is a built, placed graph ready for repeated traversals.
+// System is a built, placed graph ready for repeated traversals. A System
+// and its storage stacks are used by one goroutine at a time; while a live
+// Server over it runs (Server.Start), only the Server's methods are safe to
+// call.
 type System struct {
 	sys    *core.System
 	src    edgelist.Source
