@@ -217,9 +217,6 @@ type CacheStats struct {
 	// prefetched pages that later served a demand read.
 	Prefetches   int64
 	PrefetchHits int64
-	// MergedFills counts misses that coalesced onto another worker's
-	// in-flight fill instead of issuing their own device request.
-	MergedFills int64
 	// CapacityBytes / BlockBytes describe the cache's configuration
 	// (zero when no cache is attached).
 	CapacityBytes int64
@@ -245,7 +242,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	s.Evictions -= o.Evictions
 	s.Prefetches -= o.Prefetches
 	s.PrefetchHits -= o.PrefetchHits
-	s.MergedFills -= o.MergedFills
 	return s
 }
 
@@ -259,7 +255,6 @@ func (s CacheStats) Add(o CacheStats) CacheStats {
 	s.Evictions += o.Evictions
 	s.Prefetches += o.Prefetches
 	s.PrefetchHits += o.PrefetchHits
-	s.MergedFills += o.MergedFills
 	if s.CapacityBytes == 0 {
 		s.CapacityBytes = o.CapacityBytes
 		s.BlockBytes = o.BlockBytes
@@ -269,8 +264,8 @@ func (s CacheStats) Add(o CacheStats) CacheStats {
 
 // String renders the stats for reports.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d (%.1f%%) evictions=%d prefetched=%d merged=%d",
-		s.Hits, s.Misses, 100*s.HitRate(), s.Evictions, s.Prefetches, s.MergedFills)
+	return fmt.Sprintf("hits=%d misses=%d (%.1f%%) evictions=%d prefetched=%d",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Evictions, s.Prefetches)
 }
 
 // Stats returns the cache's counters so far.
@@ -584,7 +579,6 @@ func (s *CachedStore) Stats() LayerStats {
 		{Name: "evictions", Value: st.Evictions},
 		{Name: "prefetches", Value: st.Prefetches},
 		{Name: "prefetch_hits", Value: st.PrefetchHits},
-		{Name: "merged_fills", Value: st.MergedFills},
 		{Name: "capacity_bytes", Value: st.CapacityBytes, Gauge: true},
 		{Name: "block_bytes", Value: st.BlockBytes, Gauge: true},
 	}}

@@ -181,7 +181,6 @@ func (s StackStats) CacheView() CacheStats {
 		Evictions:     l.Get("evictions"),
 		Prefetches:    l.Get("prefetches"),
 		PrefetchHits:  l.Get("prefetch_hits"),
-		MergedFills:   l.Get("merged_fills"),
 		CapacityBytes: l.Get("capacity_bytes"),
 		BlockBytes:    l.Get("block_bytes"),
 	}

@@ -143,11 +143,6 @@ type MirrorStats struct {
 	// RepairTime's sum: one sample per repaired block, in virtual
 	// nanoseconds, with mergeable log-spaced buckets (p50/p95/p99).
 	RepairHist stats.Histogram `json:"-"`
-	// SkippedInFlight counts scrub steps that skipped a block because a
-	// logical write (e.g. a compaction shadow-block rewrite) was mid-fanout
-	// across the replicas: replicas legitimately diverge inside that
-	// window, and "repairing" one from another would race the writer.
-	SkippedInFlight int64
 }
 
 // ReplicaHealth is one replica's externally visible health snapshot.
@@ -371,7 +366,6 @@ func (m *MirrorStore) Stats() LayerStats {
 		{Name: "scrub_errors", Value: st.ScrubErrors},
 		{Name: "repaired_blocks", Value: st.RepairedBlocks},
 		{Name: "rebuilt_blocks", Value: st.RebuiltBlocks},
-		{Name: "scrub_skipped_inflight", Value: st.SkippedInFlight},
 		{Name: "repair_ns", Value: int64(st.RepairTime)},
 		// Quantiles of the per-block repair-latency distribution. Gauges:
 		// a snapshot delta cannot subtract quantiles, so Sub keeps the
