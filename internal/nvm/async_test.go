@@ -2,10 +2,13 @@ package nvm
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"semibfs/internal/numa"
+	"semibfs/internal/rng"
 	"semibfs/internal/vtime"
 )
 
@@ -204,5 +207,110 @@ func TestAsyncCancel(t *testing.T) {
 	}
 	if runs := stats.Get("demand_runs"); runs != 0 {
 		t.Errorf("demand_runs after cancel = %d, want 0 (sync path)", runs)
+	}
+}
+
+// TestAsyncConcurrentSubmitCancel interleaves demand reads from four
+// workers, each on its own clock, with prefetches through a full stack
+// (retry -> async -> cache -> checksum -> base), while the device dies
+// and the pipeline is cancelled mid-traffic. A storage stack belongs to
+// one goroutine, so a seeded schedule on this goroutine stands in for the
+// submitters; each seed puts the death and the Cancel at different points
+// and in either order. Every read must return the written bytes or an
+// error that classifies under the storage taxonomy: before the death,
+// always the bytes.
+func TestAsyncConcurrentSubmitCancel(t *testing.T) {
+	const chunk = 256
+	const nblocks = 64
+	const readers = 4
+	const ops = 1500
+	data := make([]byte, nblocks*chunk)
+	for i := range data {
+		data[i] = byte(i * 131)
+	}
+
+	orders := make(map[bool]bool)
+	for seed := uint64(1); seed <= 4; seed++ {
+		var bases []*injectStore
+		st, err := BuildStack(StackSpec{
+			Name:  "asyncsched",
+			Chunk: chunk,
+			Base: func(name string, chunk int) (Storage, error) {
+				b := &injectStore{MemStore: NewNamedMemStore(name, nil, chunk)}
+				bases = append(bases, b)
+				return b, nil
+			},
+			Checksum:   true,
+			Retry:      RetryPolicy{MaxAttempts: 2},
+			Cache:      NewPageCache(int64(nblocks*chunk/2), chunk, numa.CostModel{}),
+			QueueDepth: 4,
+			BaseChunk:  8 * chunk,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WriteAt(nil, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		var async *AsyncStore
+		WalkStack(st, func(s Storage) {
+			if a, ok := s.(*AsyncStore); ok && async == nil {
+				async = a
+			}
+		})
+		if async == nil || len(bases) != 1 {
+			t.Fatal("stack lacks an async layer or a single base")
+		}
+		pf := StackPrefetcher(st)
+
+		g := rng.NewXoroshiro128(seed)
+		dieOp := ops/4 + int(g.Uint64n(ops/2))
+		cancelOp := ops/4 + int(g.Uint64n(ops/2))
+		orders[dieOp < cancelOp] = true
+		clocks := make([]*vtime.Clock, readers+1)
+		for i := range clocks {
+			clocks[i] = vtime.NewClock(0)
+		}
+		buf := make([]byte, 4*chunk)
+		outcomes := make(map[string]int)
+		for op := 0; op < ops; op++ {
+			if op == dieOp {
+				bases[0].fail = fmt.Errorf("injected death: %w", ErrDeviceDead)
+			}
+			if op == cancelOp {
+				async.Cancel()
+			}
+			w := int(g.Uint64n(readers + 1))
+			if w == readers {
+				off := int64(g.Uint64n(nblocks-8) * chunk)
+				pf.Prefetch(clocks[w], off, 8*chunk)
+				continue
+			}
+			off := int64(g.Uint64n(nblocks-4) * chunk)
+			err := st.ReadAt(clocks[w], buf, off)
+			switch {
+			case err == nil:
+				if !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
+					t.Fatalf("seed %d op %d: reader %d: wrong bytes at %d", seed, op, w, off)
+				}
+				outcomes["ok"]++
+			case op < dieOp:
+				t.Fatalf("seed %d op %d: reader %d: read at %d failed before the device died: %v", seed, op, w, off, err)
+			case errors.Is(err, ErrDeviceDead) || errors.Is(err, ErrTransient):
+				outcomes["failed"]++
+			default:
+				t.Fatalf("seed %d op %d: reader %d: unclassified error: %v", seed, op, w, err)
+			}
+		}
+		if outcomes["ok"] == 0 || outcomes["failed"] == 0 {
+			t.Fatalf("seed %d: read outcomes %v, want both successes and surfaced deaths", seed, outcomes)
+		}
+		if c := async.Stats().Get("cancelled_requests"); c == 0 {
+			t.Fatalf("seed %d: no request met the cancelled pipeline", seed)
+		}
+		st.Close()
+	}
+	if len(orders) != 2 {
+		t.Fatalf("the seeds put the death and the Cancel in one order only: %v", orders)
 	}
 }
