@@ -71,6 +71,16 @@ func NewDevice(p Profile, binWidth vtime.Duration) *Device {
 // Profile returns the device's profile.
 func (d *Device) Profile() Profile { return d.profile }
 
+// DecodeTime returns the host time to decode n encoded bytes read from the
+// device (Profile.DecodeTime). A nil device, a store with no device model,
+// decodes at DefaultDecodeBandwidth.
+func (d *Device) DecodeTime(n int) vtime.Duration {
+	if d == nil {
+		return Profile{}.DecodeTime(n)
+	}
+	return d.profile.DecodeTime(n)
+}
+
 // Read submits a read of n bytes arriving at virtual time at and returns
 // the request's completion time.
 func (d *Device) Read(at vtime.Duration, n int) vtime.Duration {

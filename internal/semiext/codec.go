@@ -20,11 +20,7 @@ func chargeDecode(store nvm.Storage, clock *vtime.Clock, n int64) {
 	if clock == nil || n <= 0 {
 		return
 	}
-	var p nvm.Profile
-	if dev := store.Device(); dev != nil {
-		p = dev.Profile()
-	}
-	clock.Advance(p.DecodeTime(int(n)))
+	clock.Advance(store.Device().DecodeTime(int(n)))
 }
 
 // growBytes returns *buf resized to hold n bytes, growing the backing
