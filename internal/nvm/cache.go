@@ -26,9 +26,16 @@ import (
 //     accumulate counts and stay resident — scan resistance one bit of
 //     CLOCK state cannot express. This approximates LRU-k without
 //     per-hit list surgery.
-//   - The page table is split by key hash into shards, each with its own
-//     ring and clock hand. The split is part of the eviction policy: it
-//     decides which ring, and so which victim, a fill sweeps.
+//   - The page table is one dense slice per wrapped store, indexed by
+//     block: tables[id][block] holds the resident page or nil, so a hit is
+//     two slice indexes, with no hashing. A table costs 8 B of host memory
+//     per block of its store (0.2 % of the store's bytes at 4 KiB blocks),
+//     outside the modelled budget; it is sized when the store is wrapped
+//     and grown by writes through the cache, so reads do not grow it.
+//   - The rings are split by key hash into shards, each with its own clock
+//     hand. The split is part of the eviction policy: it decides which
+//     ring, and so which victim, a fill sweeps. Only a miss, a drop or an
+//     invalidation hashes; a hit never touches a shard.
 //   - The cache is a buffer pool: it owns at most one page struct per page
 //     of budget, each with one block-sized frame allocated on first use and
 //     recycled from then on. The CLOCK victim's struct is reassigned in
@@ -51,13 +58,16 @@ type PageCache struct {
 	shards []cacheShard
 	// capacity is the page budget summed over shards.
 	capacity int64
-	// nextID hands out CachedStore identities.
-	nextID uint32
+	// tables[id][block] is the resident page of block `block` of the store
+	// with identity id, or nil. tables[0] is unused: identities start at 1,
+	// and keyOf hashes them into the choice of ring.
+	tables [][]*page
+	stats  CacheStats
 	// fill is the scratch clock a fill computes its device time on;
 	// reserved and runBuf are fillRunAt's reservation list and multi-block
 	// buffer, kept for the next call.
 	fill     vtime.Clock
-	reserved []reservation
+	reserved []*page
 	runBuf   []byte
 }
 
@@ -75,18 +85,18 @@ const minPagesPerShard = 8
 // formerly-hot page ages out within a few sweeps.
 const maxPageRefs = 3
 
-// pageKey is store<<40 ^ block — one word, so the page table hashes on the
-// runtime's 64-bit fast path, and the very word shardOf multiplies. Keys are
-// distinct for blocks below 2^40 and store identities below 2^24 (Wrap
-// enforces the latter).
-type pageKey uint64
-
-func keyOf(store uint32, block int64) pageKey {
-	return pageKey(uint64(store)<<40 ^ uint64(block))
+// keyOf is the word shardOf hashes to pick a page's ring: store<<40 ^
+// block. Lookups go through the page tables and never hash; this word only
+// decides which ring a fill sweeps, so it must not change without moving
+// every victim.
+func keyOf(store uint32, block int64) uint64 {
+	return uint64(store)<<40 ^ uint64(block)
 }
 
 type page struct {
-	key pageKey
+	// id and block locate the page's entry in the page tables.
+	id    uint32
+	block int64
 	// frame is the page's block-sized buffer, allocated when the struct is
 	// first used and kept for its life; n bytes of it are valid (a store's
 	// last block may be short).
@@ -108,9 +118,8 @@ type page struct {
 }
 
 type cacheShard struct {
-	// pages indexes the ring by key; ring is the CLOCK ring, growing up
-	// to capacity before eviction starts.
-	pages    map[pageKey]*page
+	// ring is the CLOCK ring, growing up to capacity before eviction
+	// starts.
 	ring     []*page
 	hand     int
 	capacity int
@@ -118,8 +127,6 @@ type cacheShard struct {
 	// counts the frames this shard has ever allocated.
 	free   []*page
 	frames int
-	// stats holds the shard's share of the counters.
-	stats CacheStats
 }
 
 // NewPageCache returns a cache with the given byte budget and block size.
@@ -149,6 +156,7 @@ func NewPageCache(budget int64, block int, cost numa.CostModel) *PageCache {
 		cost:     cost,
 		shards:   make([]cacheShard, nShards),
 		capacity: pages,
+		tables:   make([][]*page, 1),
 	}
 	// Spread the page budget over the shards, remainder to the leading
 	// ones.
@@ -159,7 +167,6 @@ func NewPageCache(budget int64, block int, cost numa.CostModel) *PageCache {
 			cap++
 		}
 		c.shards[i].capacity = int(cap)
-		c.shards[i].pages = make(map[pageKey]*page)
 	}
 	return c
 }
@@ -167,27 +174,30 @@ func NewPageCache(budget int64, block int, cost numa.CostModel) *PageCache {
 // BlockBytes returns the cache's page size in bytes.
 func (c *PageCache) BlockBytes() int64 { return c.block }
 
-// CapacityBytes returns the DRAM budget the cache may occupy. Shard
-// rounding can hold a few pages more than the requested budget; this
-// reports the actual bound.
-func (c *PageCache) CapacityBytes() int64 {
-	var pages int64
-	for i := range c.shards {
-		pages += int64(c.shards[i].capacity)
-	}
-	return pages * c.block
+// CapacityBytes returns the DRAM budget the cache may occupy: the budget
+// in whole pages, at least one.
+func (c *PageCache) CapacityBytes() int64 { return c.capacity * c.block }
+
+// Wrap returns a CachedStore routing inner's reads through the cache, with
+// a page table covering inner's current size. Every wrapped store gets a
+// distinct identity, so stores sharing the cache never alias each other's
+// blocks.
+func (c *PageCache) Wrap(inner Storage) *CachedStore {
+	id := uint32(len(c.tables))
+	c.tables = append(c.tables, nil)
+	c.grow(id, c.blocksBelow(inner.Size()))
+	return &CachedStore{inner: inner, cache: c, id: id}
 }
 
-// Wrap returns a CachedStore routing inner's reads through the cache.
-// Every wrapped store gets a distinct identity, so stores sharing the
-// cache never alias each other's blocks.
-func (c *PageCache) Wrap(inner Storage) *CachedStore {
-	c.nextID++
-	id := c.nextID
-	if id >= 1<<24 {
-		panic("nvm: PageCache.Wrap: more than 2^24 stores on one cache")
+// blocksBelow returns the number of blocks covering [0, end).
+func (c *PageCache) blocksBelow(end int64) int64 { return (end + c.block - 1) / c.block }
+
+// grow extends store id's page table to cover at least n blocks, with
+// append's amortised growth.
+func (c *PageCache) grow(id uint32, n int64) {
+	if t := c.tables[id]; n > int64(len(t)) {
+		c.tables[id] = append(t, make([]*page, n-int64(len(t)))...)
 	}
-	return &CachedStore{inner: inner, cache: c, id: id}
 }
 
 // Reset drops every cached page and zeroes the statistics (the benchmark
@@ -196,12 +206,14 @@ func (c *PageCache) Wrap(inner Storage) *CachedStore {
 func (c *PageCache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
+		for _, pg := range s.ring {
+			c.tables[pg.id][pg.block] = nil
+		}
 		s.free = append(s.free, s.ring...)
-		clear(s.pages)
 		s.ring = s.ring[:0]
 		s.hand = 0
-		s.stats = CacheStats{}
 	}
+	c.stats = CacheStats{}
 }
 
 // CacheStats is a snapshot of a cache's accumulated counters.
@@ -245,23 +257,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	return s
 }
 
-// Add returns s plus o counter-wise; configuration fields take o's when
-// s has none (for aggregating per-run deltas).
-func (s CacheStats) Add(o CacheStats) CacheStats {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.HitBytes += o.HitBytes
-	s.FillBytes += o.FillBytes
-	s.Evictions += o.Evictions
-	s.Prefetches += o.Prefetches
-	s.PrefetchHits += o.PrefetchHits
-	if s.CapacityBytes == 0 {
-		s.CapacityBytes = o.CapacityBytes
-		s.BlockBytes = o.BlockBytes
-	}
-	return s
-}
-
 // String renders the stats for reports.
 func (s CacheStats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d (%.1f%%) evictions=%d prefetched=%d",
@@ -270,10 +265,7 @@ func (s CacheStats) String() string {
 
 // Stats returns the cache's counters so far.
 func (c *PageCache) Stats() CacheStats {
-	var st CacheStats
-	for i := range c.shards {
-		st = st.Add(c.shards[i].stats)
-	}
+	st := c.stats
 	st.CapacityBytes, st.BlockBytes = c.CapacityBytes(), c.block
 	return st
 }
@@ -288,16 +280,20 @@ func (c *PageCache) Pages() int {
 	return n
 }
 
-// shardOf picks the shard for a key (fibonacci hash).
-func (c *PageCache) shardOf(k pageKey) *cacheShard {
-	h := uint64(k) * 0x9e3779b97f4a7c15
+// shardOf picks the shard whose ring holds block `block` of store id
+// (fibonacci hash of keyOf).
+func (c *PageCache) shardOf(id uint32, block int64) *cacheShard {
+	h := keyOf(id, block) * 0x9e3779b97f4a7c15
 	return &c.shards[h>>48%uint64(len(c.shards))]
 }
 
-// reserve installs an empty page for key and returns it: the CLOCK
-// victim's struct reassigned in place when the ring is full, else a struct
-// off the free list (or a new one) appended to the ring.
-func (c *PageCache) reserve(s *cacheShard, key pageKey) *page {
+// reserve installs an empty page for block `block` of store id and returns
+// it: the CLOCK victim's struct, in the ring shardOf picks, reassigned in
+// place when that ring is full, else a struct off the free list (or a new
+// one) appended to the ring. A block past the end of the store's table
+// grows it: a store the cache did not see grow.
+func (c *PageCache) reserve(id uint32, block int64) *page {
+	s := c.shardOf(id, block)
 	var pg *page
 	if len(s.ring) >= s.capacity {
 		// GCLOCK sweep: decrement reference counters until a zero-count
@@ -314,8 +310,8 @@ func (c *PageCache) reserve(s *cacheShard, key pageKey) *page {
 			case cand.refs > 0:
 				cand.refs--
 			default:
-				delete(s.pages, cand.key)
-				s.stats.Evictions++
+				c.tables[cand.id][cand.block] = nil
+				c.stats.Evictions++
 				pg = cand
 			}
 		}
@@ -332,17 +328,19 @@ func (c *PageCache) reserve(s *cacheShard, key pageKey) *page {
 		pg.frame = make([]byte, c.block)
 		s.frames++
 	}
-	pg.key, pg.prefetched = key, false
+	pg.id, pg.block, pg.prefetched = id, block, false
 	pg.refs, pg.readyAt = 0, 0
-	s.pages[key] = pg
+	c.grow(id, block+1)
+	c.tables[id][block] = pg
 	return pg
 }
 
-// drop removes pg from the shard's table and ring and puts its struct,
-// with its frame, on the free list (used by failed fills and write
+// drop removes pg from its page table and ring and puts its struct, with
+// its frame, on the free list (used by failed fills and write
 // invalidation).
-func (s *cacheShard) drop(pg *page) {
-	delete(s.pages, pg.key)
+func (c *PageCache) drop(pg *page) {
+	c.tables[pg.id][pg.block] = nil
+	s := c.shardOf(pg.id, pg.block)
 	for i, q := range s.ring {
 		if q == pg {
 			last := len(s.ring) - 1
@@ -359,19 +357,27 @@ func (s *cacheShard) drop(pg *page) {
 
 // settle completes pg's fill. A failed fill leaves the cache; a good one
 // carries its completion time and counts as a prefetch or a miss.
-func (s *cacheShard) settle(pg *page, err error, readyAt vtime.Duration, prefetched bool) {
+func (c *PageCache) settle(pg *page, err error, readyAt vtime.Duration, prefetched bool) {
 	pg.filling = false
 	if err != nil {
-		s.drop(pg)
+		c.drop(pg)
 		return
 	}
 	pg.readyAt, pg.prefetched = readyAt, prefetched
-	s.stats.FillBytes += int64(pg.n)
+	c.stats.FillBytes += int64(pg.n)
 	if prefetched {
-		s.stats.Prefetches++
+		c.stats.Prefetches++
 	} else {
-		s.stats.Misses++
+		c.stats.Misses++
 	}
+}
+
+// lookup returns the resident page of block `block` of store id, or nil.
+func (c *PageCache) lookup(id uint32, block int64) *page {
+	if t := c.tables[id]; uint64(block) < uint64(len(t)) {
+		return t[block]
+	}
+	return nil
 }
 
 // readBlock serves block `block` of store id, filling it from inner on a
@@ -381,9 +387,7 @@ func (s *cacheShard) settle(pg *page, err error, readyAt vtime.Duration, prefetc
 // copying; demand reads advance clock to the page's fill completion. A
 // prefetch past the store's end is a no-op.
 func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, block int64, prefetch bool, dst []byte, lo int64) (int, error) {
-	key := keyOf(id, block)
-	s := c.shardOf(key)
-	if pg, ok := s.pages[key]; ok {
+	if pg := c.lookup(id, block); pg != nil {
 		if prefetch {
 			// A readahead touching a cached block is not evidence of
 			// reuse: only demand hits promote it.
@@ -392,13 +396,13 @@ func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, bloc
 		if pg.refs < maxPageRefs {
 			pg.refs++
 		}
-		s.stats.Hits++
-		s.stats.HitBytes += int64(pg.n)
+		c.stats.Hits++
+		c.stats.HitBytes += int64(pg.n)
 		// The first demand read of a prefetched page waits out its fill:
 		// an async readahead is free only once it has actually finished.
 		// Demand-filled pages cost nothing here: the page is plain DRAM.
 		if pg.prefetched {
-			s.stats.PrefetchHits++
+			c.stats.PrefetchHits++
 			pg.prefetched = false
 			if clock != nil {
 				clock.AdvanceTo(pg.readyAt)
@@ -415,7 +419,7 @@ func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, bloc
 		}
 		return 0, fmt.Errorf("nvm: cache read block %d beyond store size %d", block, size)
 	}
-	pg := c.reserve(s, key)
+	pg := c.reserve(id, block)
 	pg.n = int(min(c.block, size-off))
 	// The fill's device time is computed on the scratch clock so prefetch
 	// issues the request at the worker's current time without stalling the
@@ -425,7 +429,7 @@ func (c *PageCache) readBlock(clock *vtime.Clock, inner Storage, id uint32, bloc
 		c.fill.AdvanceTo(clock.Now())
 	}
 	err := inner.ReadAt(&c.fill, pg.frame[:pg.n], off)
-	s.settle(pg, err, c.fill.Now(), prefetch)
+	c.settle(pg, err, c.fill.Now(), prefetch)
 	if err != nil || prefetch {
 		return 0, err
 	}
@@ -441,11 +445,6 @@ func (pg *page) copyTo(dst []byte, lo int64) int {
 		return 0
 	}
 	return copy(dst, pg.frame[lo:pg.n])
-}
-
-type reservation struct {
-	pg  *page
-	blk int64
 }
 
 // fillRunAt fills the nblocks blocks starting at block for store id,
@@ -469,28 +468,26 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 	size := inner.Size()
 	reserved := c.reserved[:0]
 	for b := block; b < block+nblocks && b*c.block < size; b++ {
-		key := keyOf(id, b)
-		s := c.shardOf(key)
-		if _, ok := s.pages[key]; !ok {
-			pg := c.reserve(s, key)
+		if c.lookup(id, b) == nil {
+			pg := c.reserve(id, b)
 			pg.n = int(min(c.block, size-b*c.block))
 			pg.filling = true
-			reserved = append(reserved, reservation{pg, b})
+			reserved = append(reserved, pg)
 		}
 	}
 	c.reserved = reserved
 	for i := 0; i < len(reserved); {
 		j := i + 1
-		for j < len(reserved) && reserved[j].blk == reserved[j-1].blk+1 {
+		for j < len(reserved) && reserved[j].block == reserved[j-1].block+1 {
 			j++
 		}
-		lo := reserved[i].blk * c.block
-		hi := min((reserved[j-1].blk+1)*c.block, size)
+		lo := reserved[i].block * c.block
+		hi := min((reserved[j-1].block+1)*c.block, size)
 		c.fill = vtime.Clock{}
 		c.fill.AdvanceTo(at)
 		var buf []byte
 		if j == i+1 {
-			buf = reserved[i].pg.frame[:hi-lo]
+			buf = reserved[i].frame[:hi-lo]
 		} else {
 			if int64(cap(c.runBuf)) < hi-lo {
 				c.runBuf = make([]byte, hi-lo)
@@ -503,11 +500,11 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 			readyAt = ready
 		}
 		for k := i; k < j; k++ {
-			pg := reserved[k].pg
+			pg := reserved[k]
 			if err == nil && j > i+1 {
-				copy(pg.frame[:pg.n], buf[reserved[k].blk*c.block-lo:])
+				copy(pg.frame[:pg.n], buf[pg.block*c.block-lo:])
 			}
-			c.shardOf(pg.key).settle(pg, err, ready, true)
+			c.settle(pg, err, ready, true)
 		}
 		if err == nil {
 			filled += j - i
@@ -518,16 +515,17 @@ func (c *PageCache) fillRunAt(at vtime.Duration, inner Storage, id uint32, block
 	return
 }
 
-// invalidate drops every cached page covering [off, off+n) of store id.
+// invalidate drops every cached page covering [off, off+n) of store id
+// and grows the store's page table to cover the write, so reads of what a
+// write appended find a table of the right size.
 func (c *PageCache) invalidate(id uint32, off, n int64) {
 	if n <= 0 {
 		return
 	}
+	c.grow(id, c.blocksBelow(off+n))
 	for block := off / c.block; block*c.block < off+n; block++ {
-		key := keyOf(id, block)
-		s := c.shardOf(key)
-		if pg, ok := s.pages[key]; ok {
-			s.drop(pg)
+		if pg := c.lookup(id, block); pg != nil {
+			c.drop(pg)
 		}
 	}
 }

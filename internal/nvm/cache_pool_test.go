@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"runtime"
 	"testing"
 
 	"semibfs/internal/numa"
@@ -208,11 +209,65 @@ func TestPageCacheSteadyStateAllocs(t *testing.T) {
 		// AllocsPerRun makes one warm-up call of its own.
 		want := before
 		for i := 0; i <= runs; i++ {
-			want = want.Add(op.want)
+			want = addCounters(want, op.want)
 		}
 		if got := cache.Stats(); got != want {
 			t.Errorf("%s: after %d calls the counters are %+v, want %+v", op.name, runs+1, got, want)
 		}
+	}
+}
+
+// TestCachedStoreReadAfterWriteAllocs: a store wrapped empty and then
+// written through its CachedStore has a page table covering what was
+// written, so the first read of each of its blocks, each a miss evicting a
+// page of a store that warmed every frame, allocates nothing: no table
+// growth is left on the read path.
+func TestCachedStoreReadAfterWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const (
+		block  = 256
+		blocks = 64
+		pages  = 16
+	)
+	cache := NewPageCache(pages*block, block, numa.CostModel{})
+	warm := cache.Wrap(offsetStore(t, nil, block, 2*pages*block))
+	buf := make([]byte, block)
+	for b := int64(0); b < 2*pages; b++ {
+		if err := warm.ReadAt(nil, buf, b*block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := cache.Wrap(NewMemStore(nil, block))
+	for b := int64(0); b < blocks; b++ {
+		for k := range buf {
+			buf[k] = offsetByte(b*block+int64(k), 1)
+		}
+		if err := cs.WriteAt(nil, buf, b*block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := cache.Stats()
+	// testing.AllocsPerRun rounds its mean down, which would hide a table
+	// grown on a few of the reads; count every allocation instead.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for b := int64(0); b < blocks; b++ {
+		if err := cs.ReadAt(nil, buf, b*block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > 0 {
+		t.Errorf("reading %d freshly written blocks allocated %d objects, want 0", blocks, n)
+	}
+	if d := cache.Stats().Sub(before); d.Misses != blocks || d.Hits != 0 || d.Evictions != blocks {
+		t.Errorf("the reads were not all first reads that evict: %+v", d)
+	}
+	if got := framesAllocated(cache); got != pages {
+		t.Errorf("%d frames allocated by a %d-page cache, want every one", got, pages)
 	}
 }
 
