@@ -417,44 +417,46 @@ func TestCacheChecksumComposition(t *testing.T) {
 // BenchmarkCachedStoreHit: page-cache hits through metrics → retry →
 // cache, the stack a cached forward graph is read through, at the two
 // sizes a bottom-up vertex reads: its 16-byte index bracket and a 4 KiB
-// value chunk.
+// value chunk. Every block is resident, and the reads walk 64 blocks
+// (256 KiB, inside the host's caches) or 4,096 (16 MiB, beyond them).
 func BenchmarkCachedStoreHit(b *testing.B) {
-	const blocks = 64
-	for _, n := range []int{16, DefaultChunkSize} {
-		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
-			dev := NewDevice(ProfileIoDrive2, 0)
-			st, err := BuildStack(StackSpec{
-				Name:  "hit",
-				Cache: NewPageCache(blocks*DefaultChunkSize, 0, numa.CostModel{}),
-				Base: func(name string, chunk int) (Storage, error) {
-					return NewNamedMemStore(name, dev, chunk), nil
-				},
+	for _, blocks := range []int{64, 4096} {
+		for _, n := range []int{16, DefaultChunkSize} {
+			b.Run(fmt.Sprintf("%dKiB/%dB", blocks*DefaultChunkSize>>10, n), func(b *testing.B) {
+				dev := NewDevice(ProfileIoDrive2, 0)
+				st, err := BuildStack(StackSpec{
+					Name:  "hit",
+					Cache: NewPageCache(int64(blocks)*DefaultChunkSize, 0, numa.CostModel{}),
+					Base: func(name string, chunk int) (Storage, error) {
+						return NewNamedMemStore(name, dev, chunk), nil
+					},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := st.WriteAt(nil, make([]byte, blocks*DefaultChunkSize), 0); err != nil {
+					b.Fatal(err)
+				}
+				clock := vtime.NewClock(0)
+				buf := make([]byte, n)
+				// off walks the blocks, and the 16-byte reads within them.
+				off := func(i int) int64 {
+					return int64(i%blocks)*DefaultChunkSize + int64(i/blocks*n%DefaultChunkSize)
+				}
+				for i := range blocks {
+					if err := st.ReadAt(clock, buf, off(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(n))
+				b.ResetTimer()
+				for i := range b.N {
+					if err := st.ReadAt(clock, buf, off(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := st.WriteAt(nil, make([]byte, blocks*DefaultChunkSize), 0); err != nil {
-				b.Fatal(err)
-			}
-			clock := vtime.NewClock(0)
-			buf := make([]byte, n)
-			// off walks the blocks, and the 16-byte reads within them.
-			off := func(i int) int64 {
-				return int64(i%blocks)*DefaultChunkSize + int64(i/blocks*n%DefaultChunkSize)
-			}
-			for i := range blocks {
-				if err := st.ReadAt(clock, buf, off(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			for i := range b.N {
-				if err := st.ReadAt(clock, buf, off(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
 }

@@ -301,6 +301,20 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 }
 
+// TestDeviceDecodeTime: a device decodes at its profile's bandwidth, and a
+// store with no device model (a nil *Device) at the default one.
+func TestDeviceDecodeTime(t *testing.T) {
+	p := ProfileIoDrive2
+	p.DecodeBandwidth = 1e9
+	if got, want := NewDevice(p, 0).DecodeTime(4096), vtime.Duration(4096); got != want {
+		t.Errorf("at 1 GB/s, 4096 bytes decode in %v, want %v", got, want)
+	}
+	var none *Device
+	if got, want := none.DecodeTime(4096), (Profile{}).DecodeTime(4096); got != want || want == 0 {
+		t.Errorf("a nil device decodes 4096 bytes in %v, want the default %v", got, want)
+	}
+}
+
 func BenchmarkDeviceRead(b *testing.B) {
 	d := NewDevice(ProfileIoDrive2, 0)
 	at := vtime.Duration(0)
