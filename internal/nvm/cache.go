@@ -30,8 +30,9 @@ import (
 //     block: tables[id][block] holds the resident page or nil, so a hit is
 //     two slice indexes, with no hashing. A table costs 8 B of host memory
 //     per block of its store (0.2 % of the store's bytes at 4 KiB blocks),
-//     outside the modelled budget; it is sized when the store is wrapped
-//     and grown by writes through the cache, so reads do not grow it.
+//     outside the modelled budget. It is sized when the store is wrapped
+//     and grown by writes through the cache, so reads do not grow it; only
+//     a store that grows below the cache has its table grown by a fill.
 //   - The rings are split by key hash into shards, each with its own clock
 //     hand. The split is part of the eviction policy: it decides which
 //     ring, and so which victim, a fill sweeps. Only a miss, a drop or an

@@ -31,35 +31,29 @@ func TestPageTableMatchesRings(t *testing.T) {
 	)
 	cache := nvm.NewPageCache(pages*block, block, numa.CostModel{})
 	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
-	byteAt := func(st int, off int64, gen uint64) byte {
-		return byte(rng.Mix64(uint64(st)<<56 ^ gen<<40 ^ uint64(off)))
-	}
 	var (
 		mems   [3]*nvm.MemStore
 		stores [3]*nvm.CachedStore
 		model  [3][]byte
 	)
+	// version returns the first size bytes of store st's gen-th version.
 	version := func(st int, size int64, gen uint64) []byte {
 		p := make([]byte, size)
 		for off := range p {
-			p[off] = byteAt(st, int64(off), gen)
+			p[off] = byte(rng.Mix64(uint64(st)<<56 ^ gen<<40 ^ uint64(off)))
 		}
 		return p
 	}
-	for i := range mems {
+	for i, size := range [3]int64{40 * block, 20*block + 37, 8 * block} {
 		mems[i] = nvm.NewMemStore(dev, block)
+		model[i] = version(i, size, 0)
 	}
-	model[0] = version(0, 40*block, 0)
 	if err := mems[0].WriteAt(nil, model[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	stores[0] = cache.Wrap(faults.Wrap(mems[0], "table0", faults.Config{Seed: 11, TransientRate: 0.05}))
-	for i, size := range []int64{1: 20*block + 37, 2: 8 * block} {
-		if i == 0 {
-			continue
-		}
+	for i := 1; i < 3; i++ {
 		stores[i] = cache.Wrap(mems[i])
-		model[i] = version(i, size, 0)
 		if err := stores[i].WriteAt(nil, model[i], 0); err != nil {
 			t.Fatal(err)
 		}
