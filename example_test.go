@@ -1,6 +1,7 @@
 package semibfs_test
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -76,4 +77,55 @@ func ExampleEstimateSizes() {
 	fmt.Println("backward graph:", semibfs.FormatBytes(est.BackwardBytes))
 	// Output:
 	// backward graph: 33.0 GiB
+}
+
+// A Server is driven by its caller on the virtual clock: submit queries as
+// they arrive, run the clock forward, then drain and close. Every outcome
+// is a function of these calls alone.
+func ExampleServer() {
+	edges, err := semibfs.GenerateKronecker(10, 16, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := semibfs.NewSystem(edges, semibfs.Options{Placement: semibfs.PlacePCIeFlash})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sys.Close()
+	srv, err := sys.NewServer(semibfs.ServerConfig{Lanes: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Three queries arrive now; two lanes take the first two at the next
+	// sweep, and the third is cancelled while it waits.
+	root := sys.FirstConnectedVertex()
+	for range 3 {
+		if _, err := srv.Submit(semibfs.Arrival{Root: root, At: srv.Now()}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := srv.RunUntil(srv.Now() + 1e-6); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("queued:", srv.QueueDepth())
+	srv.Cancel(2)
+	outs, err := srv.Drain()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, o := range outs {
+		fmt.Println("query", o.ID, o.Outcome)
+	}
+	if err := srv.Close(); err != nil {
+		log.Fatal(err)
+	}
+	_, err = srv.Submit(semibfs.Arrival{Root: root, At: srv.Now()})
+	fmt.Println("closed:", errors.Is(err, semibfs.ErrServerClosed))
+	// Output:
+	// queued: 1
+	// query 2 cancelled
+	// query 0 served
+	// query 1 served
+	// closed: true
 }

@@ -200,14 +200,21 @@ func (q *Queue) Take() (r Request, ok bool) {
 	return r, true
 }
 
-// Cancel removes the queued request with the given ID, reporting whether
-// it was present.
-func (q *Queue) Cancel(id int) bool {
+// Cancel removes and returns the queued request with the given ID; ok is
+// false when it is not queued.
+func (q *Queue) Cancel(id int) (r Request, ok bool) {
 	for i, r := range q.reqs {
 		if r.ID == id {
 			q.reqs = append(q.reqs[:i], q.reqs[i+1:]...)
-			return true
+			return r, true
 		}
 	}
-	return false
+	return Request{}, false
+}
+
+// Clear removes and returns every queued request, in arrival order.
+func (q *Queue) Clear() []Request {
+	reqs := q.reqs
+	q.reqs = nil
+	return reqs
 }

@@ -90,14 +90,21 @@ func TestQueueExpireAndCancel(t *testing.T) {
 	if len(exp) != 1 || exp[0].ID != 0 {
 		t.Fatalf("expired %v, want id 0", exp)
 	}
-	if !q.Cancel(2) {
-		t.Fatal("cancel of queued id 2 failed")
+	if r, ok := q.Cancel(2); !ok || r.ID != 2 || r.Deadline != 20 {
+		t.Fatalf("cancel of queued id 2 = %+v, %v; want the request back", r, ok)
 	}
-	if q.Cancel(2) || q.Cancel(99) {
-		t.Fatal("cancel of absent id succeeded")
+	if _, ok := q.Cancel(2); ok {
+		t.Fatal("cancel of absent id 2 succeeded")
+	}
+	if _, ok := q.Cancel(99); ok {
+		t.Fatal("cancel of absent id 99 succeeded")
 	}
 	if q.Len() != 1 {
 		t.Fatalf("queue length %d, want 1", q.Len())
+	}
+	q.Offer(req(3, 1, 0, 0))
+	if got := q.Clear(); len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 || q.Len() != 0 {
+		t.Fatalf("Clear returned %v and left %d queued; want ids 1 and 3 in arrival order and none", got, q.Len())
 	}
 	// Expired(now) is edge-inclusive; deadline 0 means none.
 	if (Request{Deadline: 5}).Expired(4) || !(Request{Deadline: 5}).Expired(5) {

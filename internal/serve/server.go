@@ -1,10 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
+	"slices"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/nvm"
@@ -43,15 +44,6 @@ type ServerConfig struct {
 	// over the evolving graph. An error aborts the step and surfaces to
 	// the driver.
 	BetweenSweeps func(now float64) error
-}
-
-// SubmitOptions carry a query's serving parameters.
-type SubmitOptions struct {
-	// Deadline in virtual seconds relative to arrival; 0 uses the server
-	// default.
-	Deadline float64
-	// Priority orders admission and priority-aware shedding: higher wins.
-	Priority int
 }
 
 // Outcome is a query's final disposition. Every accepted submission ends
@@ -160,14 +152,16 @@ func (s *ServerStats) MeanQueueDepth() float64 {
 	return float64(s.QueueDepthSum) / float64(s.Steps)
 }
 
-// Arrival is one open-loop trace entry for ServeTrace.
+// Arrival is one query as Submit takes it, and one entry of a
+// ServeTrace trace.
 type Arrival struct {
 	Root int64
 	// At is the absolute virtual arrival time in seconds.
 	At float64
-	// Deadline (relative seconds; 0 = server default) and Priority are
-	// the query's SubmitOptions.
+	// Deadline in virtual seconds relative to At; 0 uses the server
+	// default.
 	Deadline float64
+	// Priority orders admission and priority-aware shedding: higher wins.
 	Priority int
 }
 
@@ -190,17 +184,13 @@ type laneTrack struct {
 // direction without dropping admitted work. Every submission is accounted
 // to exactly one Outcome.
 //
-// A server is deterministic when driven single-threaded (ServeTrace):
-// virtual time and every outcome are a pure function of the trace. The
-// live mode (Start) adds a background pump goroutine; every method is then
-// safe from any goroutine. The pump sweeps while holding the server's lock
-// and every method takes it, so the storage stacks under the runner, which
-// take no locks of their own, are only ever touched by one goroutine at a
-// time.
+// The caller drives the server: Submit stamps a query with its own arrival
+// time, RunUntil sweeps the virtual clock forward to a point, Drain and
+// Close run it dry. ServeTrace is that loop over a whole trace. Virtual
+// time and every outcome are a pure function of the calls made. A server,
+// like the storage stacks under its runner, belongs to one goroutine at a
+// time: a caller that shares one wraps it in its own mutex.
 type Server struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
 	sess *bfs.BatchSession
 	deg  func(int64) int64
 	n    int64
@@ -211,20 +201,14 @@ type Server struct {
 	nextID   int
 	stats    ServerStats
 	outcomes []ServedQuery
-
-	closed  bool
-	started bool
-	loopErr error
-	done    chan struct{}
-
-	closeOnce sync.Once
+	closed   bool
 }
 
 // NewServer wires a server over an existing batch runner; deg is the
 // degree oracle for traversed-edge accounting and n the vertex-universe
 // size. The server shares the runner's stores; it closes none of them.
 func NewServer(br *bfs.BatchRunner, deg func(int64) int64, n int64, cfg ServerConfig) *Server {
-	sv := &Server{
+	return &Server{
 		sess:  br.OpenSession(),
 		deg:   deg,
 		n:     n,
@@ -232,65 +216,42 @@ func NewServer(br *bfs.BatchRunner, deg func(int64) int64, n int64, cfg ServerCo
 		queue: NewQueue(cfg.QueueCap, cfg.Policy),
 		lanes: make([]laneTrack, br.Lanes()),
 	}
-	sv.cond = sync.NewCond(&sv.mu)
-	return sv
 }
 
 // Lanes returns the server's batch width B.
 func (sv *Server) Lanes() int { return len(sv.lanes) }
 
 // Now returns the server's virtual time in seconds.
-func (sv *Server) Now() float64 {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.sess.Now().Seconds()
-}
+func (sv *Server) Now() float64 { return sv.sess.Now().Seconds() }
 
 // Stats snapshots the serving statistics.
-func (sv *Server) Stats() ServerStats {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.stats
-}
+func (sv *Server) Stats() ServerStats { return sv.stats }
 
 // Layers snapshots the cumulative per-layer storage-stack counters under
 // the server's session (empty when the graphs are DRAM-resident).
-func (sv *Server) Layers() nvm.StackStats {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.sess.LayerTotals()
-}
+func (sv *Server) Layers() nvm.StackStats { return sv.sess.LayerTotals() }
 
 // QueueDepth returns the current submission-queue length.
-func (sv *Server) QueueDepth() int {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.queue.Len()
-}
+func (sv *Server) QueueDepth() int { return sv.queue.Len() }
 
-// Submit enqueues a query at the current virtual time and returns its ID.
-// The queue may shed it (or another query) immediately per the policy;
-// shedding is visible in the outcomes, not in Submit's return. Submit
-// never blocks on a full queue — backpressure is explicit.
-func (sv *Server) Submit(root int64, opts SubmitOptions) (int, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
+// Submit enqueues a query that arrived at a.At and returns its ID. An
+// arrival later than Now is an error (RunUntil it first); an earlier one
+// is stamped as given, so its latency counts from a.At. The queue may shed
+// it (or another query) immediately per the policy; shedding is visible in
+// the outcomes, not in Submit's return. Submit never blocks on a full
+// queue — backpressure is explicit.
+func (sv *Server) Submit(a Arrival) (int, error) {
 	if sv.closed {
 		return 0, ErrServerClosed
 	}
-	id, err := sv.enqueueLocked(root, sv.sess.Now(), opts)
-	if err != nil {
-		return 0, err
+	if a.Root < 0 || a.Root >= sv.n {
+		return 0, fmt.Errorf("semibfs: root %d outside [0,%d)", a.Root, sv.n)
 	}
-	sv.cond.Broadcast()
-	return id, nil
-}
-
-func (sv *Server) enqueueLocked(root int64, at vtime.Duration, opts SubmitOptions) (int, error) {
-	if root < 0 || root >= sv.n {
-		return 0, fmt.Errorf("semibfs: root %d outside [0,%d)", root, sv.n)
+	at := secondsToVtime(a.At)
+	if now := sv.sess.Now(); at > now {
+		return 0, fmt.Errorf("semibfs: arrival at %v s is after the server's clock, %v s", a.At, now.Seconds())
 	}
-	rel := opts.Deadline
+	rel := a.Deadline
 	if rel == 0 {
 		rel = sv.cfg.DefaultDeadline
 	}
@@ -302,10 +263,10 @@ func (sv *Server) enqueueLocked(root int64, at vtime.Duration, opts SubmitOption
 	sv.nextID++
 	sv.stats.Submitted++
 	req := Request{
-		ID: id, Root: root,
+		ID: id, Root: a.Root,
 		Arrival:  at,
 		Deadline: dl,
-		Priority: opts.Priority,
+		Priority: a.Priority,
 	}
 	for _, shed := range sv.queue.Offer(req) {
 		sv.resolveQueued(shed, OutcomeShed, sv.sess.Now())
@@ -377,9 +338,8 @@ func (sv *Server) countOutcome(o Outcome) {
 	}
 }
 
-// admitLocked moves queued requests into free lanes, at every sweep
-// boundary.
-func (sv *Server) admitLocked(now vtime.Duration) error {
+// admit moves queued requests into free lanes, at every sweep boundary.
+func (sv *Server) admit(now vtime.Duration) error {
 	for free := sv.sess.FreeLanes(); free != 0; free &= free - 1 {
 		req, ok := sv.queue.Take()
 		if !ok {
@@ -395,9 +355,9 @@ func (sv *Server) admitLocked(now vtime.Duration) error {
 	return nil
 }
 
-// stepLocked runs one sweep and resolves its consequences. It returns
-// false when there was nothing to do (no live lanes).
-func (sv *Server) stepLocked() (bool, error) {
+// step runs one sweep and resolves its consequences. It returns false
+// when there was nothing to do (no live lanes).
+func (sv *Server) step() (bool, error) {
 	sess := sv.sess
 	now := sess.Now()
 
@@ -436,7 +396,7 @@ func (sv *Server) stepLocked() (bool, error) {
 		sv.resolveQueued(req, OutcomeExpired, now)
 	}
 	if !sv.closed {
-		if err := sv.admitLocked(now); err != nil {
+		if err := sv.admit(now); err != nil {
 			return false, err
 		}
 	}
@@ -490,78 +450,66 @@ func (sv *Server) stepLocked() (bool, error) {
 	return true, nil
 }
 
+// RunUntil runs sweeps until the server's clock reaches t (virtual
+// seconds). A sweep that starts before t runs to its end, so the clock may
+// pass t; an idle server's clock moves to t. Queries submitted at or
+// before the clock join the next sweep.
+func (sv *Server) RunUntil(t float64) error {
+	until := secondsToVtime(t)
+	for sv.sess.Now() < until {
+		progressed, err := sv.step()
+		if err != nil {
+			return err
+		}
+		if !progressed {
+			sv.sess.AdvanceTo(until)
+		}
+	}
+	return nil
+}
+
+// drain runs sweeps until nothing is in flight and nothing queued can be
+// admitted.
+func (sv *Server) drain() error {
+	for {
+		progressed, err := sv.step()
+		if err != nil || !progressed {
+			return err
+		}
+	}
+}
+
 // ServeTrace plays an open-loop arrival trace against the server on the
 // virtual clock and returns every query's outcome (in resolution order).
-// Arrivals are ingested at sweep boundaries: a query arriving mid-sweep
-// joins the next one, exactly as a real always-on loop would see it. The
-// trace's outcomes are deterministic: a fixed trace yields the same
-// served/shed/expired sets on every run.
-//
-// ServeTrace owns the server while it runs; it must not race Submit or a
-// Start-ed pump loop.
+// It is the caller-driven loop: for each arrival in time order (ties keep
+// trace order, so IDs increase with arrival) RunUntil its instant, then
+// Submit it; then drain. A query arriving mid-sweep joins the next one,
+// exactly as a real always-on loop would see it, and a fixed trace yields
+// the same outcomes on every run.
 func (sv *Server) ServeTrace(trace []Arrival) ([]ServedQuery, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
 	if sv.closed {
 		return nil, ErrServerClosed
 	}
-	// Stable-sort by arrival time (ties keep trace order), preserving the
-	// caller's ID assignment expectations: IDs increase with arrival.
 	idx := make([]int, len(trace))
 	for i := range idx {
 		idx[i] = i
 	}
-	for i := 1; i < len(idx); i++ { // insertion sort: stable, short traces
-		for j := i; j > 0 && trace[idx[j]].At < trace[idx[j-1]].At; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	// Arrival instants in ticks, fixed up front so ingestion and idle
-	// advancement compare exactly (no float round-trips).
-	atV := make([]vtime.Duration, len(trace))
-	for i, a := range trace {
-		atV[i] = secondsToVtime(a.At)
-	}
-	next := 0
-	ingest := func(upto vtime.Duration) error {
-		for next < len(idx) {
-			i := idx[next]
-			if atV[i] > upto {
-				return nil
-			}
-			if _, err := sv.enqueueLocked(trace[i].Root, atV[i], SubmitOptions{
-				Deadline: trace[i].Deadline, Priority: trace[i].Priority,
-			}); err != nil {
-				return err
-			}
-			next++
-		}
-		return nil
-	}
+	slices.SortStableFunc(idx, func(i, j int) int { return cmp.Compare(trace[i].At, trace[j].At) })
 	start := len(sv.outcomes)
-	for {
-		if err := ingest(sv.sess.Now()); err != nil {
-			return nil, err
-		}
-		progressed, err := sv.stepLocked()
-		if err != nil {
+	for _, i := range idx {
+		if err := sv.RunUntil(trace[i].At); err != nil {
 			return sv.outcomes[start:], err
 		}
-		if !progressed && sv.sess.InUse() == 0 && sv.queue.Len() == 0 {
-			if next >= len(idx) {
-				break
-			}
-			// Idle until the next arrival.
-			sv.sess.AdvanceTo(atV[idx[next]])
+		if _, err := sv.Submit(trace[i]); err != nil {
+			return nil, err
 		}
 	}
-	return sv.outcomes[start:], nil
+	err := sv.drain()
+	return sv.outcomes[start:], err
 }
 
 // TakeOutcomes returns the accumulated outcomes and clears them.
 func (sv *Server) TakeOutcomes() []ServedQuery {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
 	out := sv.outcomes
 	sv.outcomes = nil
 	return out
@@ -571,124 +519,40 @@ func (sv *Server) TakeOutcomes() []ServedQuery {
 // sweep boundary (lane reclaimed and scrubbed) if in flight. It reports
 // whether the query was found still unresolved.
 func (sv *Server) Cancel(id int) bool {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	for _, req := range sv.queue.Snapshot() {
-		if req.ID == id {
-			sv.queue.Cancel(id)
-			sv.resolveQueued(req, OutcomeCancelled, sv.sess.Now())
-			sv.cond.Broadcast()
-			return true
-		}
+	if req, ok := sv.queue.Cancel(id); ok {
+		sv.resolveQueued(req, OutcomeCancelled, sv.sess.Now())
+		return true
 	}
 	for l := range sv.lanes {
 		if sv.lanes[l].active && sv.lanes[l].req.ID == id && !sv.lanes[l].cancel {
 			sv.lanes[l].cancel = true
-			sv.cond.Broadcast()
 			return true
 		}
 	}
 	return false
 }
 
-// Start launches the live pump loop: a background goroutine that sweeps
-// whenever there is queued or in-flight work. With a live loop running,
-// Submit/Cancel/Drain/Close are safe from any goroutine. Virtual time
-// still only advances with the work performed.
-func (sv *Server) Start() {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if sv.started || sv.closed {
-		return
-	}
-	sv.started = true
-	sv.done = make(chan struct{})
-	go sv.pumpLoop()
-}
-
-func (sv *Server) pumpLoop() {
-	defer close(sv.done)
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	for {
-		progressed, err := sv.stepLocked()
-		if err != nil {
-			// Device death with no rescue: the loop parks, Submit still
-			// works (the next pump attempt will fail the same way unless
-			// the fault healed), Close can still drain.
-			sv.loopErr = err
-		}
-		if progressed {
-			sv.cond.Broadcast()
-			continue
-		}
-		if sv.closed {
-			// Drain-and-stop: queued work is cancelled, in-flight work
-			// already resolved by the final sweeps above.
-			now := sv.sess.Now()
-			for _, req := range sv.queue.Snapshot() {
-				sv.queue.Cancel(req.ID)
-				sv.resolveQueued(req, OutcomeCancelled, now)
-			}
-			sv.cond.Broadcast()
-			return
-		}
-		// Idle — or, after a sweep that errored and cleared the lanes, a
-		// queue that cannot progress: park until state changes.
-		sv.cond.Wait()
-	}
-}
-
-// Drain blocks until no query is queued or in flight, then returns the
-// accumulated outcomes (clearing them). It returns the pump loop's sticky
-// error, if a sweep failed unrescuably.
+// Drain runs sweeps until no query is queued or in flight, then returns
+// the accumulated outcomes (clearing them) and the error of a sweep that
+// failed unrescuably.
 func (sv *Server) Drain() ([]ServedQuery, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	for sv.queue.Len() > 0 || sv.sess.InUse() != 0 {
-		if !sv.started || sv.loopErr != nil || sv.closed {
-			break
-		}
-		sv.cond.Wait()
-	}
-	out := sv.outcomes
-	sv.outcomes = nil
-	return out, sv.loopErr
+	err := sv.drain()
+	return sv.TakeOutcomes(), err
 }
 
-// Close stops accepting queries, lets in-flight work finish (queued work
-// is cancelled) and stops the pump loop — exactly once, no matter how many
-// goroutines call it. The stores under the runner stay open.
+// Close stops accepting queries, runs the in-flight ones to their end,
+// cancels the queued ones and returns the error of those final sweeps.
+// The outcomes stay for TakeOutcomes, and the stores under the runner stay
+// open. A second Close does nothing.
 func (sv *Server) Close() error {
-	sv.closeOnce.Do(func() {
-		sv.mu.Lock()
-		sv.closed = true
-		started := sv.started
-		done := sv.done
-		sv.cond.Broadcast()
-		sv.mu.Unlock()
-		if started {
-			<-done
-		} else {
-			// No pump loop: drain synchronously for deterministic use.
-			sv.mu.Lock()
-			for {
-				progressed, err := sv.stepLocked()
-				if err != nil {
-					sv.loopErr = err
-					break
-				}
-				if !progressed {
-					break
-				}
-			}
-			now := sv.sess.Now()
-			for _, req := range sv.queue.Snapshot() {
-				sv.queue.Cancel(req.ID)
-				sv.resolveQueued(req, OutcomeCancelled, now)
-			}
-			sv.mu.Unlock()
-		}
-	})
-	return nil
+	if sv.closed {
+		return nil
+	}
+	sv.closed = true
+	err := sv.drain()
+	now := sv.sess.Now()
+	for _, req := range sv.queue.Clear() {
+		sv.resolveQueued(req, OutcomeCancelled, now)
+	}
+	return err
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/graph500"
@@ -85,10 +83,10 @@ type BatchStats struct {
 // report. An open stream with arrivals, deadlines and backpressure is what
 // Server is for.
 //
-// A pool is not safe for concurrent use, with one exception: Close may be
-// called from any goroutine, any number of times, concurrently with itself
-// — the shared stores are closed exactly once, even when a mid-batch
-// device death has aborted some lanes.
+// A pool belongs to one goroutine at a time; a caller that shares one
+// wraps it in its own mutex. Close may be called any number of times: the
+// shared stores are closed exactly once, even when a mid-batch device
+// death has aborted some lanes.
 type QueryPool struct {
 	br      *bfs.BatchRunner
 	deg     func(int64) int64
@@ -96,11 +94,8 @@ type QueryPool struct {
 	pending []Query
 	nextID  int
 	batches int // batches started so far, across Flush calls
-	closed  atomic.Bool
-
-	closers   []io.Closer
-	closeOnce sync.Once
-	closeErr  error
+	closed  bool
+	closers []io.Closer
 }
 
 // NewQueryPool builds a system from edges per opts and returns a pool
@@ -147,7 +142,7 @@ func (p *QueryPool) Pending() int { return len(p.pending) }
 // Submit accepts one root request and returns its query ID. The request
 // runs at the next Flush. A closed pool returns ErrPoolClosed.
 func (p *QueryPool) Submit(root int64) (int, error) {
-	if p.closed.Load() {
+	if p.closed {
 		return 0, ErrPoolClosed
 	}
 	if root < 0 || root >= p.n {
@@ -245,18 +240,20 @@ func (p *QueryPool) Run(roots []int64) ([]QueryResult, []BatchStats, error) {
 	return p.Flush()
 }
 
-// Close releases the stores the pool owns, exactly once no matter how
-// many times (or from how many goroutines) it is called, and regardless of
-// whether a batch died mid-run. Pools attached to a caller-owned System
-// own nothing, and their Close is a no-op.
+// Close releases the stores the pool owns and returns the first error,
+// regardless of whether a batch died mid-run. A second Close does
+// nothing. Pools attached to a caller-owned System own nothing, and their
+// Close only stops Submit.
 func (p *QueryPool) Close() error {
-	p.closeOnce.Do(func() {
-		p.closed.Store(true)
-		for _, c := range p.closers {
-			if err := c.Close(); err != nil && p.closeErr == nil {
-				p.closeErr = err
-			}
+	if p.closed {
+		return nil
+	}
+	p.closed = true
+	var first error
+	for _, c := range p.closers {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
 		}
-	})
-	return p.closeErr
+	}
+	return first
 }

@@ -2,7 +2,6 @@ package semibfs
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,6 +12,7 @@ import (
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/semiext"
+	"semibfs/internal/serve"
 	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
 )
@@ -86,45 +86,54 @@ func poolLeakRoots(t *testing.T, bg *csr.BackwardGraph, n int64, count int) []in
 	return roots
 }
 
-// TestQueryPoolClosesStoresOnceAfterMidBatchDeath kills the shared devices
-// in the middle of a multi-batch Flush — the first batch completes, the
-// second dies with no DRAM direction to rescue it — and then hammers Close
-// from several goroutines. Every base store must be closed exactly once:
-// zero is a leak, two a double close.
-func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
-	fg, bg, list, part := buildPoolLeakGraphs(t, 11)
-	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+// deadlyStack is a 4-lane top-down batch runner whose forward and
+// backward graphs both sit on tracked NVM stores, so a dead device is
+// unrescuable. Every store's reads count against one budget: set the
+// budget to the reads so far and the next read finds the device dead.
+type deadlyStack struct {
+	br            *bfs.BatchRunner
+	sf            *semiext.SemiForward
+	hb            *semiext.HybridBackward
+	bg            *csr.BackwardGraph
+	list          *edgelist.List
+	created       []*poolTrackedStore
+	reads, budget *atomic.Int64
+}
 
-	var created []*poolTrackedStore
-	var reads, budget atomic.Int64
-	budget.Store(1 << 60)
+func buildDeadlyStack(t *testing.T, seed uint64) *deadlyStack {
+	t.Helper()
+	fg, bg, list, part := buildPoolLeakGraphs(t, seed)
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	d := &deadlyStack{bg: bg, list: list, reads: new(atomic.Int64), budget: new(atomic.Int64)}
+	d.budget.Store(1 << 60)
 	mk := func(name string, chunk int) (nvm.Storage, error) {
 		st := &poolTrackedStore{
 			Storage: nvm.NewNamedMemStore(name, nil, chunk),
-			reads:   &reads, budget: &budget,
+			reads:   d.reads, budget: d.budget,
 		}
-		created = append(created, st)
+		d.created = append(d.created, st)
 		return st, nil
 	}
 	// Both directions on NVM so a dead device is unrescuable; checksums and
 	// a 2-way mirror so the exactly-once walk crosses the whole stack. No
 	// cache: that keeps the read count of a batch deterministic, which the
-	// budget trick below relies on.
-	sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{
+	// budget trick relies on.
+	var err error
+	d.sf, err = semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{
 		Checksums: true, Replicas: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := semiext.BuildHybridBackward(bg, 1, mk, nil)
+	d.hb, err = semiext.BuildHybridBackward(bg, 1, mk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(created) < 3 {
-		t.Fatalf("fixture built only %d stores", len(created))
+	if len(d.created) < 3 {
+		t.Fatalf("fixture built only %d stores", len(d.created))
 	}
-	// The pool's runner must see the full layered stack.
-	for _, root := range sf.Stacks() {
+	// The runner must see the full layered stack.
+	for _, root := range d.sf.Stacks() {
 		counts := map[string]int{}
 		nvm.WalkStack(root, func(s nvm.Storage) {
 			if l, ok := s.(nvm.Layer); ok {
@@ -138,15 +147,25 @@ func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
 			}
 		}
 	}
-
-	br, err := bfs.NewBatchRunner(bfs.NVMForward{SF: sf}, bfs.HybridBackwardAccess{HB: hb}, part, 4, bfs.Config{
+	d.br, err = bfs.NewBatchRunner(bfs.NVMForward{SF: d.sf}, bfs.HybridBackwardAccess{HB: d.hb}, part, 4, bfs.Config{
 		Topology: topo, Mode: bfs.ModeTopDownOnly,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+// TestQueryPoolClosesStoresOnceAfterMidBatchDeath kills the shared devices
+// in the middle of a multi-batch Flush — the first batch completes, the
+// second dies with no DRAM direction to rescue it — and then calls Close
+// several times. Every base store must be closed exactly once: zero is a
+// leak, two a double close.
+func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
+	d := buildDeadlyStack(t, 11)
+	br, bg, list, created, reads, budget := d.br, d.bg, d.list, d.created, d.reads, d.budget
 	pool := newQueryPool(br, bg.Degree, list.NumVertices)
-	pool.closers = append(pool.closers, sf, hb)
+	pool.closers = append(pool.closers, d.sf, d.hb)
 
 	// Measure the exact read cost of one batch of rootsA, healthy.
 	rootsA := poolLeakRoots(t, bg, list.NumVertices, 8)
@@ -182,23 +201,59 @@ func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
 		}
 	}
 
-	// Close from several goroutines at once, then twice more for good
-	// measure: the stores must be closed exactly once.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := pool.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
+	// Close five times: the stores must be closed exactly once.
+	for range 5 {
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	assertPoolStoresClosedOnce(t, created)
+}
+
+// TestServerCloseReturnsFinalSweepError lets a device death land while
+// queries are in flight and then closes the server: Close's final sweeps
+// hit the dead device with no DRAM direction to degrade to. Close must
+// return that error, the in-flight queries must fail, the queued ones be
+// cancelled, and every submission keep exactly one outcome.
+func TestServerCloseReturnsFinalSweepError(t *testing.T) {
+	d := buildDeadlyStack(t, 11)
+	defer d.sf.Close()
+	defer d.hb.Close()
+	srv := serve.NewServer(d.br, d.bg.Degree, d.list.NumVertices, ServerConfig{Lanes: 4})
+	for _, root := range poolLeakRoots(t, d.bg, d.list.NumVertices, 8) {
+		if _, err := srv.Submit(Arrival{Root: root}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One sweep admits four queries and runs their first level; then the
+	// device dies under them.
+	if err := srv.RunUntil(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Steps != 1 || srv.QueueDepth() != 4 {
+		t.Fatalf("after one sweep: %d steps, %d queued; want 1 and 4", st.Steps, srv.QueueDepth())
+	}
+	d.budget.Store(d.reads.Load())
+	if err := srv.Close(); !errors.Is(err, errPoolDeviceGone) {
+		t.Fatalf("close returned %v, want the final sweep's device death", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second close: %v, want nil", err)
+	}
+	outs := srv.TakeOutcomes()
+	checkConservation(t, srv, outs)
+	for _, o := range outs {
+		want := OutcomeCancelled
+		if o.Lane >= 0 {
+			want = OutcomeFailed
+		}
+		if o.Outcome != want {
+			t.Fatalf("query %d (lane %d) ended %v, want %v", o.ID, o.Lane, o.Outcome, want)
+		}
+	}
+	if st := srv.Stats(); st.Failed != 4 || st.Cancelled != 4 {
+		t.Fatalf("stats %+v, want 4 failed in flight and 4 cancelled in the queue", st)
+	}
 }
 
 // TestQueryPoolSurvivesDeathViaDegradedMode is the rescuable counterpart:

@@ -160,9 +160,8 @@ func ScaleEquivalentLatency(scale int) float64 {
 }
 
 // System is a built, placed graph ready for repeated traversals. A System
-// and its storage stacks are used by one goroutine at a time; while a live
-// Server over it runs (Server.Start), only the Server's methods are safe to
-// call.
+// and its storage stacks, like the Servers and QueryPools over them, are
+// used by one goroutine at a time.
 type System struct {
 	sys    *core.System
 	src    edgelist.Source

@@ -8,13 +8,15 @@ import "semibfs/internal/serve"
 // with explicit shedding policies provides backpressure; per-query
 // virtual-time deadlines expire unserved work between sweeps; and every
 // submission is accounted to exactly one Outcome.
+//
+// The caller drives it on the virtual clock — Submit, RunUntil, Drain,
+// Close, or ServeTrace for a whole trace — so every outcome is a function
+// of the calls made. A Server belongs to one goroutine at a time; a caller
+// that shares one wraps it in its own mutex.
 type Server = serve.Server
 
 // ServerConfig configures a serving loop; see serve.ServerConfig.
 type ServerConfig = serve.ServerConfig
-
-// SubmitOptions carry a query's deadline and priority.
-type SubmitOptions = serve.SubmitOptions
 
 // Outcome is a query's final disposition.
 type Outcome = serve.Outcome
@@ -25,7 +27,8 @@ type ServedQuery = serve.ServedQuery
 // ServerStats aggregates the serving loop's accounting.
 type ServerStats = serve.ServerStats
 
-// Arrival is one open-loop trace entry for Server.ServeTrace.
+// Arrival is one query for Server.Submit: root, arrival time, deadline
+// and priority; a slice of them is a trace for Server.ServeTrace.
 type Arrival = serve.Arrival
 
 // ShedPolicy selects which query is rejected when the submission queue is
@@ -61,8 +64,8 @@ var ErrServerClosed = serve.ErrServerClosed
 func ParseShedPolicy(s string) (ShedPolicy, error) { return serve.ParsePolicy(s) }
 
 // NewServer returns a serving loop of cfg.Lanes lanes over this System's
-// stores and page cache. The server shares the stores (its Close stops the
-// loop but closes nothing); the System must outlive it.
+// stores and page cache. The server shares the stores (its Close drains
+// it but closes nothing); the System must outlive it.
 func (s *System) NewServer(cfg ServerConfig) (*Server, error) {
 	br, err := s.sys.NewBatchRunner(cfg.Lanes, s.runner.Config())
 	if err != nil {

@@ -3,9 +3,9 @@ package semibfs
 import (
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 
+	"semibfs/internal/rng"
 	"semibfs/internal/validate"
 )
 
@@ -267,52 +267,65 @@ func TestServerBackpressureBoundsWait(t *testing.T) {
 	}
 }
 
-// TestServerLiveConcurrentSubmitCancelClose hammers a Start-ed server with
-// concurrent Submit and Cancel from several goroutines, drains it, closes
-// it, and checks the exactly-once accounting survived. Run under -race this
-// is the serving loop's concurrency stress.
-func TestServerLiveConcurrentSubmitCancelClose(t *testing.T) {
-	sys, roots := serverTestSystem(t, 7, 17)
-	srv, err := sys.NewServer(ServerConfig{
-		Lanes: 4, QueueCap: 8, Policy: ShedRejectOldest, DefaultDeadline: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				id, err := srv.Submit(roots[(g*20+i)%len(roots)], SubmitOptions{Priority: i % 2})
+// TestServerScheduleSubmitCancelClose drives a server from one goroutine
+// through a seeded interleaving of submissions at its clock, cancels of
+// earlier queries, RunUntil steps and counter reads, then drains and closes
+// it. The exactly-once accounting must hold, and the same schedule on a
+// fresh system must give bit-identical outcomes.
+func TestServerScheduleSubmitCancelClose(t *testing.T) {
+	var first []ServedQuery
+	for run := range 2 {
+		sys, roots := serverTestSystem(t, 7, 17)
+		srv, err := sys.NewServer(ServerConfig{
+			Lanes: 4, QueueCap: 8, Policy: ShedRejectOldest, DefaultDeadline: 0.2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := rng.NewXoroshiro128(17)
+		var ids []int
+		for len(ids) < 80 {
+			switch g.Uint64n(4) {
+			case 0, 1:
+				i := len(ids)
+				id, err := srv.Submit(Arrival{Root: roots[i%len(roots)], At: srv.Now(), Priority: i % 2})
 				if err != nil {
-					t.Errorf("submit: %v", err)
-					return
+					t.Fatalf("submit: %v", err)
 				}
-				if i%3 == 0 {
-					srv.Cancel(id)
+				ids = append(ids, id)
+			case 2:
+				if len(ids) > 0 && g.Uint64n(3) == 0 {
+					srv.Cancel(ids[g.Uint64n(uint64(len(ids)))])
+				}
+				srv.Layers()
+				srv.Stats()
+				srv.QueueDepth()
+			case 3:
+				if err := srv.RunUntil(srv.Now() + 1e-4*g.Float64()); err != nil {
+					t.Fatalf("run: %v", err)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	outs, err := srv.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	outs = append(outs, srv.TakeOutcomes()...)
-	checkConservation(t, srv, outs)
-	if st := srv.Stats(); st.Submitted != 80 || st.Served == 0 {
-		t.Fatalf("stats %+v, want 80 submissions with some served", st)
-	}
-	if _, err := srv.Submit(roots[0], SubmitOptions{}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("submit after close: %v, want ErrServerClosed", err)
+		}
+		outs, err := srv.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, srv.TakeOutcomes()...)
+		checkConservation(t, srv, outs)
+		if st := srv.Stats(); st.Submitted != 80 || st.Served == 0 || st.Cancelled == 0 {
+			t.Fatalf("stats %+v, want 80 submissions with some served and some cancelled", st)
+		}
+		if _, err := srv.Submit(Arrival{Root: roots[0], At: srv.Now()}); !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("submit after close: %v, want ErrServerClosed", err)
+		}
+		if run == 0 {
+			first = outs
+		} else if !reflect.DeepEqual(outs, first) {
+			t.Fatal("the same schedule on a fresh system gave different outcomes")
+		}
 	}
 }
 
@@ -330,16 +343,19 @@ func TestServerRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.Submit(-1, SubmitOptions{}); err == nil {
+	if _, err := srv.Submit(Arrival{Root: -1}); err == nil {
 		t.Error("negative root accepted")
 	}
-	if _, err := srv.Submit(1<<40, SubmitOptions{}); err == nil {
+	if _, err := srv.Submit(Arrival{Root: 1 << 40}); err == nil {
 		t.Error("out-of-range root accepted")
+	}
+	if _, err := srv.Submit(Arrival{Root: roots[0], At: srv.Now() + 1e-3}); err == nil {
+		t.Error("arrival after the server's clock accepted")
 	}
 	if srv.Cancel(12345) {
 		t.Error("cancel of unknown id reported success")
 	}
-	if _, err := srv.Submit(roots[0], SubmitOptions{}); err != nil {
+	if _, err := srv.Submit(Arrival{Root: roots[0]}); err != nil {
 		t.Fatal(err)
 	}
 	for s, want := range map[string]ShedPolicy{
