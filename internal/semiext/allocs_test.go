@@ -191,6 +191,23 @@ func TestOverlayReadSteadyStateAllocs(t *testing.T) {
 			if sc.NVMEdgesScanned == 0 || edges == 0 {
 				t.Errorf("the reads streamed %d edges, %d from NVM tails", edges, sc.NVMEdgesScanned)
 			}
+
+			// An update cycle (an add and the delete that annihilates it)
+			// into a dirty slot copies the slot's add list twice; into a
+			// clean slot below the highest dirty one, once.
+			clean := int64(0)
+			for slices.Contains(dirty, clean) {
+				clean++
+			}
+			for _, c := range []struct {
+				slot int64
+				want float64
+			}{{dirty[len(dirty)-1], 2}, {clean, 1}} {
+				cycle := func() { bo.Insert(c.slot, n); bo.Delete(c.slot, n) }
+				if allocs := testing.AllocsPerRun(100, cycle); allocs > c.want {
+					t.Errorf("an update cycle into slot %d allocates %.2f objects, want <= %v", c.slot, allocs, c.want)
+				}
+			}
 		})
 	}
 }
