@@ -195,10 +195,17 @@ func (g *Graph) closeLogs() {
 	}
 }
 
-// install swaps in a generation's graph handles with fresh overlays.
+// install swaps in a generation's graph handles with empty overlays. A
+// compaction closes the old handles first, so their overlays are cleared
+// and reused: they keep their tables and dirty bitmaps.
 func (g *Graph) install(sf *semiext.SemiForward, hb *semiext.HybridBackward) {
 	g.sf, g.hb = sf, hb
-	g.fo, g.bo = semiext.NewDeltaOverlay(), semiext.NewDeltaOverlay()
+	if g.fo == nil {
+		g.fo, g.bo = semiext.NewDeltaOverlay(), semiext.NewDeltaOverlay()
+	} else {
+		g.fo.Clear()
+		g.bo.Clear()
+	}
 	sf.SetOverlay(g.fo)
 	hb.SetOverlay(g.bo)
 	g.qr = nil

@@ -28,11 +28,16 @@ import "slices"
 // Mutations are copy-on-write per slot: each builds the slot's next
 // snapshot and stores it in place of the old one, whose slices it never
 // writes, so a slice Adds returned stays unchanged while its holder reads
-// it, whatever Insert or Delete lands on the slot meanwhile. A read is one
-// map lookup; it allocates nothing. Like the storage stack under it, an
-// overlay is used by one goroutine at a time.
+// it, whatever Insert or Delete lands on the slot meanwhile. Slots are
+// non-negative, and a dense bitmap beside the map marks the dirty ones, so
+// a read of a clean slot is one bit test and only a dirty slot's read
+// looks the map up; neither allocates. The bitmap grows by doubling and
+// Clear keeps its capacity, so steady-state updates allocate only the
+// slot snapshots. Like the storage stack under it, an overlay is used by
+// one goroutine at a time.
 type DeltaOverlay struct {
 	slots map[int64]vertexDelta
+	dirty []uint64 // bit slot set iff slots holds slot
 	addN  int64
 	delN  int64
 }
@@ -90,10 +95,23 @@ func (o *DeltaOverlay) Delete(slot, nb int64) {
 
 // store makes d slot's snapshot, dropping the slot once it is clean.
 func (o *DeltaOverlay) store(slot int64, d vertexDelta) {
+	if slot < 0 {
+		panic("semiext: negative overlay slot")
+	}
+	w, bit := slot>>6, uint64(1)<<(slot&63)
 	if len(d.adds) == 0 && len(d.dels) == 0 {
 		delete(o.slots, slot)
+		if w < int64(len(o.dirty)) {
+			o.dirty[w] &^= bit
+		}
 		return
 	}
+	if w >= int64(len(o.dirty)) {
+		grown := make([]uint64, max(2*len(o.dirty), int(w)+1))
+		copy(grown, o.dirty)
+		o.dirty = grown
+	}
+	o.dirty[w] |= bit
 	o.slots[slot] = d
 }
 
@@ -127,7 +145,22 @@ func deleted(dels []int64, nb int64) bool {
 
 // delta returns slot's snapshot, the zero value when the slot is clean. It
 // stays valid (and immutable) across later mutations.
-func (o *DeltaOverlay) delta(slot int64) vertexDelta { return o.slots[slot] }
+func (o *DeltaOverlay) delta(slot int64) vertexDelta {
+	if !o.isDirty(slot) {
+		return vertexDelta{}
+	}
+	return o.slots[slot]
+}
+
+// isDirty reports whether slot has pending edits: one bit test, false on
+// a nil overlay.
+func (o *DeltaOverlay) isDirty(slot int64) bool {
+	if o == nil {
+		return false
+	}
+	w := uint64(slot) >> 6
+	return w < uint64(len(o.dirty)) && o.dirty[w]&(1<<(slot&63)) != 0
+}
 
 // Adds returns slot's pending insertions, sorted ascending (nil when
 // none). The slice is an immutable snapshot.
@@ -153,9 +186,11 @@ func (o *DeltaOverlay) Counts() (adds, dels int64) { return o.addN, o.delN }
 func (o *DeltaOverlay) Empty() bool { return o.addN == 0 && o.delN == 0 }
 
 // Clear drops every pending edit (called after a compaction folds the
-// overlay into a new CSR generation).
+// overlay into a new CSR generation). The map and the dirty bitmap keep
+// their storage.
 func (o *DeltaOverlay) Clear() {
-	o.slots = make(map[int64]vertexDelta)
+	clear(o.slots)
+	clear(o.dirty)
 	o.addN, o.delN = 0, 0
 }
 

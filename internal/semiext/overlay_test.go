@@ -7,6 +7,7 @@ import (
 
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
+	"semibfs/internal/rng"
 	"semibfs/internal/vtime"
 )
 
@@ -72,6 +73,92 @@ func TestOverlayInsertDeleteAnnihilation(t *testing.T) {
 	o.Clear()
 	if !o.Empty() || o.Adds(1) != nil {
 		t.Fatal("Clear left edits behind")
+	}
+}
+
+// TestOverlayDirtyMatchesSlots drives a seeded schedule of inserts,
+// deletes, annihilating pairs, duplicates and clears over a slot range
+// that widens as it runs, and after every step checks the dirty bitmap
+// against the map: a bit is set exactly for the slots the map holds, each
+// of which has a pending edit, and a read sees a slot dirty exactly then.
+func TestOverlayDirtyMatchesSlots(t *testing.T) {
+	const ops = 4000
+	o := NewDeltaOverlay()
+	g := rng.NewXoroshiro128(2014)
+	var annihilated, duplicates, clears, grown int
+	for op := 0; op < ops; op++ {
+		// The slot range doubles every 250 steps, from 16 to 1<<19.
+		slot := int64(g.Uint64n(16 << (op / 250)))
+		nb := int64(g.Uint64n(12))
+		var what string
+		switch kind := g.Uint64n(100); {
+		case kind < 40:
+			what = "Insert"
+			o.Insert(slot, nb)
+		case kind < 75:
+			what = "Delete"
+			o.Delete(slot, nb)
+		case kind < 85:
+			what = "annihilating pair"
+			fresh := 100 + int64(op)
+			if g.Uint64n(2) == 0 {
+				o.Insert(slot, fresh)
+				o.Delete(slot, fresh)
+			} else {
+				o.Delete(slot, fresh)
+				o.Insert(slot, fresh)
+			}
+			annihilated++
+		case kind < 98:
+			what = "duplicate"
+			if g.Uint64n(2) == 0 {
+				o.Insert(slot, nb)
+				o.Insert(slot, nb)
+			} else {
+				o.Delete(slot, nb)
+				o.Delete(slot, nb)
+			}
+			duplicates++
+		default:
+			what = "Clear"
+			words := len(o.dirty)
+			o.Clear()
+			if len(o.dirty) != words {
+				t.Fatalf("op %d: Clear resized the dirty bitmap from %d to %d words", op, words, len(o.dirty))
+			}
+			clears++
+		}
+		if len(o.dirty) > grown {
+			grown = len(o.dirty)
+		}
+		var bits int
+		for w, word := range o.dirty {
+			for b := 0; b < 64; b++ {
+				if word&(1<<b) == 0 {
+					continue
+				}
+				bits++
+				if s := int64(w*64 + b); len(o.delta(s).adds)+len(o.delta(s).dels) == 0 {
+					t.Fatalf("op %d (%s on slot %d): slot %d is marked dirty but holds no edit", op, what, slot, s)
+				}
+			}
+		}
+		if bits != len(o.slots) {
+			t.Fatalf("op %d (%s on slot %d): %d dirty bits, %d slots in the map", op, what, slot, bits, len(o.slots))
+		}
+		for s, d := range o.slots {
+			if !o.isDirty(s) || len(d.adds)+len(d.dels) == 0 {
+				t.Fatalf("op %d (%s on slot %d): map slot %d has %d adds and %d dels, dirty bit %v",
+					op, what, slot, s, len(d.adds), len(d.dels), o.isDirty(s))
+			}
+		}
+		if o.isDirty(-1) || o.isDirty(int64(len(o.dirty))*64) {
+			t.Fatalf("op %d: a slot outside the bitmap reads dirty", op)
+		}
+	}
+	if annihilated == 0 || duplicates == 0 || clears == 0 || grown < 1<<12 {
+		t.Fatalf("the schedule missed a path: %d annihilating pairs, %d duplicates, %d clears, bitmap grew to %d words",
+			annihilated, duplicates, clears, grown)
 	}
 }
 
