@@ -43,10 +43,25 @@ type ForwardAccess interface {
 	OnNVM() bool
 }
 
-// BackwardScan is a per-worker view of the backward graph. Scan streams
-// v's neighbors through fn until fn returns false; it returns how many
-// neighbors were examined from DRAM and from NVM.
+// BackwardScan is a per-worker view of the backward graph. A bottom-up
+// kernel walks each vertex's DRAM prefix itself and hands only what
+// follows it to a probe closure:
+//
+//   - Prefix returns v's DRAM prefix and whether anything follows it: a
+//     stored tail, or — when v has pending edits, and nbs is nil — the
+//     whole merged adjacency. It charges and counts nothing.
+//   - Rest streams that remainder through fn until fn returns false.
+//   - CountPrefix adds the prefix entries the caller examined to the
+//     scanner's DRAM counter (see ScanCounters); kernels call it once per
+//     worker per level.
+//
+// Scan streams v's whole adjacency through fn until fn returns false.
+// Rest and Scan return how many neighbors were examined from DRAM and from
+// NVM.
 type BackwardScan interface {
+	Prefix(k int, v int64) (nbs []int64, rest bool)
+	Rest(k int, v int64, fn func(nb int64) bool) (dram, nvmEdges int64, err error)
+	CountPrefix(dram int64)
 	Scan(k int, v int64, fn func(nb int64) bool) (dram, nvmEdges int64, err error)
 }
 
@@ -141,7 +156,7 @@ type HybridBackwardAccess struct {
 
 // NewScanner implements BackwardAccess.
 func (h HybridBackwardAccess) NewScanner(clock *vtime.Clock) BackwardScan {
-	return &hybridBackwardScan{s: semiext.NewBackwardScanner(h.HB, clock)}
+	return &hybridBackwardScan{semiext.NewBackwardScanner(h.HB, clock)}
 }
 
 // Degree implements BackwardAccess.
@@ -160,19 +175,35 @@ func (h HybridBackwardAccess) OnNVM() bool {
 // Stacks implements StorageStacks.
 func (h HybridBackwardAccess) Stacks() []nvm.Storage { return h.HB.Stacks() }
 
+// hybridBackwardScan is a semiext.BackwardScanner with the engine's
+// per-tier counts: Prefix is the scanner's own (the embedded pointer makes
+// the interface call land on it directly).
 type hybridBackwardScan struct {
-	s *semiext.BackwardScanner
+	*semiext.BackwardScanner
 }
 
-func (s *hybridBackwardScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
-	dram0, nvm0 := s.s.DRAMEdgesScanned, s.s.NVMEdgesScanned
-	if _, err := s.s.Scan(k, v, fn); err != nil {
+// Rest implements BackwardScan.
+func (s *hybridBackwardScan) Rest(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+	dram0, nvm0 := s.DRAMEdgesScanned, s.NVMEdgesScanned
+	if _, err := s.BackwardScanner.Rest(k, v, fn); err != nil {
 		return 0, 0, err
 	}
-	return s.s.DRAMEdgesScanned - dram0, s.s.NVMEdgesScanned - nvm0, nil
+	return s.DRAMEdgesScanned - dram0, s.NVMEdgesScanned - nvm0, nil
+}
+
+// CountPrefix implements BackwardScan.
+func (s *hybridBackwardScan) CountPrefix(dram int64) { s.DRAMEdgesScanned += dram }
+
+// Scan implements BackwardScan.
+func (s *hybridBackwardScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+	dram0, nvm0 := s.DRAMEdgesScanned, s.NVMEdgesScanned
+	if _, err := s.BackwardScanner.Scan(k, v, fn); err != nil {
+		return 0, 0, err
+	}
+	return s.DRAMEdgesScanned - dram0, s.NVMEdgesScanned - nvm0, nil
 }
 
 // Counters implements ScanCounters.
 func (s *hybridBackwardScan) Counters() (int64, int64) {
-	return s.s.DRAMEdgesScanned, s.s.NVMEdgesScanned
+	return s.DRAMEdgesScanned, s.NVMEdgesScanned
 }

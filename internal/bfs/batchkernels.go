@@ -73,9 +73,9 @@ func (r *BatchRunner) mergeNext() error {
 }
 
 // lanesProbe is one worker's batched bottom-up probe: the closure its scanner
-// calls per neighbor, and the state of the vertex being scanned — the lanes
-// still unclaimed, the lanes claimed so far. Built once per BatchRunner,
-// like the Runner's pullProbe.
+// calls per neighbor after a DRAM prefix, and the state of the vertex being
+// scanned — the lanes still unclaimed, the lanes claimed so far. Built once
+// per BatchRunner, like the Runner's pullProbe.
 type lanesProbe struct {
 	rem, claimed uint64
 	v            int
@@ -106,7 +106,10 @@ func newLanesProbe(p *lanesProbe, r *BatchRunner) {
 // and stops early as soon as every lane is satisfied. Vertices are owned
 // in 64-vertex blocks with the same block -> worker mapping as the
 // single-source kernel, so trees/visited/next writes are worker-local and
-// the level is deterministic by construction.
+// the level is deterministic by construction. The kernel walks each DRAM
+// prefix itself, like the Runner's, and is out of line for the same reason.
+//
+//go:noinline
 func (r *BatchRunner) runBatchBottomUpLevel() error {
 	cm := &r.Cfg.Cost
 	n := int(r.N)
@@ -117,8 +120,10 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 		scanner := r.Scanners[w]
 		acc := &r.Acc[w]
 		probe := &r.probes[w]
+		frontier, trees := r.frontier, r.trees
 		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
+		var walked int64 // prefix entries examined, counted once per level
 		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			base := wi * 64
 			hiV := base + 64
@@ -130,8 +135,8 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 			// per vertex, not one bit.
 			t += cm.Stream((hiV - base) * 8)
 			for v := base; v < hiV; v++ {
-				probe.rem = r.activeMask &^ r.visited.Word(v)
-				if probe.rem == 0 {
+				rem := r.activeMask &^ r.visited.Word(v)
+				if rem == 0 {
 					continue
 				}
 				t += cm.VertexOverhead
@@ -142,18 +147,39 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 				if v < r.Part.Starts[k] || v >= r.Part.Starts[k+1] {
 					vk = r.Part.NodeOf(v)
 				}
-				probe.claimed = 0
-				probe.v = v
-				dram, nvmEdges, err := scanner.Scan(vk, int64(v), probe.fn)
-				claimed := probe.claimed
-				if err != nil {
-					// Scrub this vertex's partial parent entries so a
-					// degraded re-run's min-claims start from -1; claims
-					// count only once their visited lanes commit below.
-					for dd := claimed; dd != 0; dd &= dd - 1 {
-						r.trees[bits.TrailingZeros64(dd)][v] = -1
+				nbs, rest := scanner.Prefix(vk, int64(v))
+				var claimed uint64
+				var dram, nvmEdges int64
+				for _, nb := range nbs {
+					dram++
+					if d := frontier.Word(int(nb)) & rem; d != 0 {
+						for dd := d; dd != 0; dd &= dd - 1 {
+							trees[bits.TrailingZeros64(dd)][v] = nb
+						}
+						claimed |= d
+						if rem &^= d; rem == 0 {
+							rest = false
+							break
+						}
 					}
-					return err
+				}
+				walked += dram
+				if rest {
+					probe.rem, probe.claimed, probe.v = rem, claimed, v
+					d, nv, err := scanner.Rest(vk, int64(v), probe.fn)
+					claimed = probe.claimed
+					if err != nil {
+						// Scrub this vertex's partial parent entries so a
+						// degraded re-run's min-claims start from -1;
+						// claims count only once their visited lanes
+						// commit below.
+						for dd := claimed; dd != 0; dd &= dd - 1 {
+							trees[bits.TrailingZeros64(dd)][v] = -1
+						}
+						scanner.CountPrefix(walked)
+						return err
+					}
+					dram, nvmEdges = dram+d, nv
 				}
 				examined := dram + nvmEdges
 				t += edgeCost * vtime.Duration(examined)
@@ -169,6 +195,7 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 			}
 			clock.Advance(t)
 		}
+		scanner.CountPrefix(walked)
 		return nil
 	})
 }

@@ -26,9 +26,10 @@ func WordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 }
 
 // pullProbe is one worker's bottom-up probe: the closure its scanner calls
-// per neighbor and the frontier parent that closure found. Built once per
-// Runner — a closure made inside the level would cost an allocation per worker
-// per level, inside the vertex loop one per scanned vertex.
+// per neighbor of what follows a DRAM prefix (a tail, or a dirty vertex's
+// merged adjacency) and the frontier parent that closure found. Built once
+// per Runner — a closure made inside the level would cost an allocation per
+// worker per level, inside the vertex loop one per scanned vertex.
 type pullProbe struct {
 	parent int64
 	fn     func(nb int64) bool
@@ -52,7 +53,14 @@ func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
 // unvisited vertex scans its neighbor list (highest-degree first when the
 // backward graph was built with the NETAL ordering) and claims the first
 // neighbor found in the frontier as its parent, terminating the scan
-// early (Section III-B).
+// early (Section III-B). The kernel walks each DRAM prefix itself; only a
+// tail or a dirty vertex goes through the probe.
+//
+// Out of line: inlined into the Kernels method value, the level closure
+// loses the inlining of its bitmap and cost-model calls (DESIGN's inliner
+// trap).
+//
+//go:noinline
 func (r *Runner) runBottomUpLevel() error {
 	cm := &r.Cfg.Cost
 	n := int(r.N)
@@ -63,9 +71,11 @@ func (r *Runner) runBottomUpLevel() error {
 		scanner := r.Scanners[w]
 		acc := &r.Acc[w]
 		probe := &r.probes[w]
+		frontier := r.FrontBM[k]
 		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
 		visW := r.visited.Words()
+		var walked int64 // prefix entries examined, counted once per level
 		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // visited word load
@@ -87,18 +97,33 @@ func (r *Runner) runBottomUpLevel() error {
 				if v < int64(r.Part.Starts[k]) || v >= int64(r.Part.Starts[k+1]) {
 					vk = r.Part.NodeOf(int(v))
 				}
-				probe.parent = -1
-				dram, nvmEdges, err := scanner.Scan(vk, v, probe.fn)
-				if err != nil {
-					return err
+				nbs, rest := scanner.Prefix(vk, v)
+				parent := int64(-1)
+				var dram, nvmEdges int64
+				for _, nb := range nbs {
+					dram++
+					if frontier.Test(int(nb)) {
+						parent, rest = nb, false
+						break
+					}
+				}
+				walked += dram
+				if rest {
+					probe.parent = -1
+					d, nv, err := scanner.Rest(vk, v, probe.fn)
+					if err != nil {
+						scanner.CountPrefix(walked)
+						return err
+					}
+					dram, nvmEdges, parent = dram+d, nv, probe.parent
 				}
 				examined := dram + nvmEdges
 				t += edgeCost * vtime.Duration(examined)
 				t += cm.Stream(int(dram) * 8)
 				acc.ExaminedDRAM += dram
 				acc.ExaminedNVM += nvmEdges
-				if probe.parent >= 0 {
-					r.tree[v] = probe.parent
+				if parent >= 0 {
+					r.tree[v] = parent
 					r.visited.Set(int(v))
 					r.NextBM.Set(int(v))
 					t += cm.LocalAccess + 2*cm.BitmapProbe
@@ -107,6 +132,7 @@ func (r *Runner) runBottomUpLevel() error {
 			}
 			clock.Advance(t)
 		}
+		scanner.CountPrefix(walked)
 		return nil
 	})
 }

@@ -1,7 +1,7 @@
 package bfs
 
 // TailFetches returns how many vertex tails scanner s has streamed in.
-func TailFetches(s BackwardScan) int64 { return s.(*hybridBackwardScan).s.TailFetches }
+func TailFetches(s BackwardScan) int64 { return s.(*hybridBackwardScan).TailFetches }
 
 // StepPinSession is stepPinSession for the package's external tests.
 var StepPinSession = stepPinSession

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"semibfs/internal/edgelist"
 	"semibfs/internal/generator"
 	"semibfs/internal/numa"
+	"semibfs/internal/rng"
 	"semibfs/internal/semiext"
 	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
@@ -411,7 +413,18 @@ func TestDecideRule(t *testing.T) {
 	}
 }
 
-func BenchmarkHybridBFSScale14(b *testing.B) {
+func BenchmarkHybridBFSScale14(b *testing.B) { benchHybridBFSScale14(b, 0) }
+
+// BenchmarkHybridBFSOverlayScale14 is the same BFS over a backward graph
+// carrying ~1,000 pending overlay edits, as a dynamic graph does between
+// compactions: a few hundred dirty vertices, all others clean.
+func BenchmarkHybridBFSOverlayScale14(b *testing.B) { benchHybridBFSScale14(b, 250) }
+
+// benchHybridBFSScale14 times a hybrid BFS over a DRAM-resident SCALE-14
+// graph. edits > 0 attaches a backward overlay built from that many seeded
+// rounds, each deleting one stored edge and inserting one absent edge,
+// both in both directions.
+func benchHybridBFSScale14(b *testing.B, edits int) {
 	topo := numa.DefaultTopology
 	list, err := generator.Generate(generator.Config{Scale: 14, EdgeFactor: 16, Seed: 1})
 	if err != nil {
@@ -427,11 +440,31 @@ func BenchmarkHybridBFSScale14(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hb, err := hybridZero(bg)
+	hb, err := semiext.BuildHybridBackward(bg, 0, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := NewRunner(DRAMForward{G: fg}, hb, part, Config{Topology: topo, Alpha: 1e3, Beta: 1e4})
+	if edits > 0 {
+		o := semiext.NewDeltaOverlay()
+		n := uint64(part.N)
+		g := rng.NewXoroshiro128(14)
+		for i := 0; i < edits; i++ {
+			v := int64(g.Uint64n(n))
+			nbs := bg.Neighbors(v)
+			if len(nbs) > 0 {
+				if nb := nbs[g.Uint64n(uint64(len(nbs)))]; nb != v {
+					o.Delete(v, nb)
+					o.Delete(nb, v)
+				}
+			}
+			if u := int64(g.Uint64n(n)); u != v && !slices.Contains(nbs, u) {
+				o.Insert(v, u)
+				o.Insert(u, v)
+			}
+		}
+		hb.SetOverlay(o)
+	}
+	r, err := NewRunner(DRAMForward{G: fg}, HybridBackwardAccess{HB: hb}, part, Config{Topology: topo, Alpha: 1e3, Beta: 1e4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -439,6 +472,7 @@ func BenchmarkHybridBFSScale14(b *testing.B) {
 	for bg.Degree(root) == 0 {
 		root++
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Run(root); err != nil {

@@ -279,10 +279,10 @@ func (p rescuePin) String() string {
 }
 
 // seedSpy reads a top-down rescue's seeded claim count from outside the
-// engine: it wraps the backward access and, on the run's first backward scan,
-// counts the bits the rescue left in the engine's next structure. Alpha 1
-// never turns bottom-up by itself, so that scan opens the re-run, before any
-// bottom-up claim has landed.
+// engine: it wraps the backward access and, on the run's first backward scan
+// — a kernel's first Prefix call — counts the bits the rescue left in the
+// engine's next structure. Alpha 1 never turns bottom-up by itself, so that
+// scan opens the re-run, before any bottom-up claim has landed.
 type seedSpy struct {
 	HybridBackwardAccess
 	count  func() int64
@@ -299,11 +299,11 @@ type spyScan struct {
 	spy *seedSpy
 }
 
-func (s spyScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+func (s spyScan) Prefix(k int, v int64) ([]int64, bool) {
 	if !s.spy.seen {
 		s.spy.seen, s.spy.seeded = true, s.spy.count()
 	}
-	return s.BackwardScan.Scan(k, v, fn)
+	return s.BackwardScan.Prefix(k, v)
 }
 
 // TestRescuePins pins one rescued run per engine: the raw forward stores

@@ -312,6 +312,34 @@ func NewBackwardScanner(hb *HybridBackward, clock *vtime.Clock) *BackwardScanner
 	}
 }
 
+// Prefix returns vertex v's DRAM prefix for a caller that walks it
+// itself, and whether anything follows it: a stored tail, or — when v has
+// pending overlay edits, and nbs is nil — the whole merged adjacency. It
+// charges and counts nothing: the caller adds the prefix entries it
+// examined to DRAMEdgesScanned and, when rest is true and the walk found
+// what it wanted nowhere in nbs, streams the remainder with Rest. For a
+// clean vertex the overlay check is one bit test.
+func (s *BackwardScanner) Prefix(k int, v int64) (nbs []int64, rest bool) {
+	if s.hb.overlay.isDirty(v) {
+		return nil, true
+	}
+	node := s.hb.PerNode[k]
+	i := v - node.Base
+	return node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]],
+		node.TailIndex != nil && node.TailIndex[i] < node.TailIndex[i+1]
+}
+
+// Rest streams what Prefix left of vertex v through fn, with Scan's
+// accounting: the stored tail of a clean vertex, or the whole merged
+// adjacency of a dirty one. It returns the number of neighbors examined.
+func (s *BackwardScanner) Rest(k int, v int64, fn func(nb int64) bool) (examined int64, err error) {
+	if s.hb.overlay.isDirty(v) {
+		return s.Scan(k, v, fn)
+	}
+	node := s.hb.PerNode[k]
+	return s.tail(node, v-node.Base, v, nil, fn)
+}
+
 // Scan streams vertex v's neighbors — DRAM prefix first, then the NVM
 // tail — through fn until fn returns false (parent found) or the list is
 // exhausted. It returns the number of neighbors examined. Tail neighbors
@@ -338,37 +366,22 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined
 			return examined, nil
 		}
 	}
-	hasTail := node.TailIndex != nil && node.TailIndex[i] < node.TailIndex[i+1]
-	if hasTail {
-		tailLo, tailHi := node.TailIndex[i], node.TailIndex[i+1]
-		s.TailFetches++
-		// Stream the tail through the shared raw/compressed helper in
-		// chunks of at most 4 KiB, so an early parent hit in the first
-		// chunk never pays for the rest of the tail. Only the deletion
-		// half of the delta rides along: pending adds are DRAM-resident
-		// and are emitted below with DRAM accounting.
-		lo, hi := tailLo, tailHi
-		compress := s.hb.Options.Compress
-		if compress {
-			lo, hi = node.TailByteIndex[i], node.TailByteIndex[i+1]
+	// Only the deletion half of the delta rides along the tail: pending
+	// adds are DRAM-resident and are emitted below with DRAM accounting.
+	// The stream counts the neighbors fn saw, so fn is passed through
+	// unwrapped; only pending adds need to know it stopped.
+	stopped := false
+	tailFn := fn
+	if len(delta.adds) > 0 {
+		tailFn = func(nb int64) bool {
+			stopped = !fn(nb)
+			return !stopped
 		}
-		// The stream counts the neighbors fn saw, so fn is passed through
-		// unwrapped; only pending adds (below) need to know it stopped.
-		stopped := false
-		tailFn := fn
-		if len(delta.adds) > 0 {
-			tailFn = func(nb int64) bool {
-				stopped = !fn(nb)
-				return !stopped
-			}
-		}
-		n, err := streamNeighbors(node.TailStore, s.clock, compress, v, lo, hi,
-			&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, nil, delta.dels, tailFn)
-		examined += n
-		s.NVMEdgesScanned += n
-		if err != nil || stopped {
-			return examined, err
-		}
+	}
+	n, err := s.tail(node, i, v, delta.dels, tailFn)
+	examined += n
+	if err != nil || stopped {
+		return examined, err
 	}
 	for _, nb := range delta.adds {
 		examined++
@@ -378,6 +391,26 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined
 		}
 	}
 	return examined, nil
+}
+
+// tail streams node-local vertex i's (global v's) NVM tail, if it has
+// one, through the shared raw/compressed helper in chunks of at most
+// 4 KiB, so an early hit in the first chunk never pays for the rest. dels
+// are suppressed stored neighbors. It returns the neighbors fn saw.
+func (s *BackwardScanner) tail(node *BackwardNode, i, v int64, dels []int64, fn func(nb int64) bool) (int64, error) {
+	if node.TailIndex == nil || node.TailIndex[i] == node.TailIndex[i+1] {
+		return 0, nil
+	}
+	s.TailFetches++
+	lo, hi := node.TailIndex[i], node.TailIndex[i+1]
+	compress := s.hb.Options.Compress
+	if compress {
+		lo, hi = node.TailByteIndex[i], node.TailByteIndex[i+1]
+	}
+	n, err := streamNeighbors(node.TailStore, s.clock, compress, v, lo, hi,
+		&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, nil, dels, fn)
+	s.NVMEdgesScanned += n
+	return n, err
 }
 
 // Degree returns the full degree of global vertex v in the merged view

@@ -145,9 +145,9 @@ func TestNVMVirtualTimePins(t *testing.T) {
 }
 
 // seedSpy reads a push rescue's seeded claim count from outside the engine:
-// on the run's first backward scan — the start of the pull re-run, before
-// any pull claim has landed — it counts the bits the
-// rescue left in the engine's next bitmap.
+// on the run's first backward scan (the kernel's first Prefix call) — the
+// start of the pull re-run, before any pull claim has landed — it counts
+// the bits the rescue left in the engine's next bitmap.
 type seedSpy struct {
 	bfs.HybridBackwardAccess
 	eng    *vp.Engine
@@ -164,11 +164,11 @@ type spyScan struct {
 	spy *seedSpy
 }
 
-func (s spyScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+func (s spyScan) Prefix(k int, v int64) ([]int64, bool) {
 	if !s.spy.seen {
 		s.spy.seen, s.spy.seeded = true, s.spy.eng.NextBM.Count()
 	}
-	return s.BackwardScan.Scan(k, v, fn)
+	return s.BackwardScan.Prefix(k, v)
 }
 
 // TestRescuePins pins one rescued run of the engine per claim contract: the

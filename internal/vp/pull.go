@@ -7,8 +7,8 @@ import (
 )
 
 // pullProbe is one worker's gather probe: the closure its scanner calls per
-// neighbor, and the candidate being scanned. Built once per Engine, like
-// bfs.Runner's.
+// neighbor after a DRAM prefix, and the candidate being scanned. Built once
+// per Engine, like bfs.Runner's.
 type pullProbe struct {
 	v  int64
 	fn func(nb int64) bool
@@ -34,6 +34,12 @@ func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Bitmap) {
 // candidates whose bitmap word's base bit falls in its node's range and
 // delegates straddling vertices to the owner node's CSR, so every EndPull
 // state write stays worker-exclusive.
+//
+// The kernel walks each DRAM prefix itself, calling PullEdge directly, and
+// hands only a tail or a dirty vertex to the probe. It is out of line for
+// the reason bfs.Runner's bottom-up kernel is.
+//
+//go:noinline
 func (e *Engine) runPullLevel() error {
 	cm := &e.Cfg.Cost
 	n := int(e.N)
@@ -44,8 +50,10 @@ func (e *Engine) runPullLevel() error {
 		scanner := e.Scanners[w]
 		acc := &e.Acc[w]
 		probe := &e.probes[w]
+		prog, frontier := e.prog, e.FrontBM[k]
 		wordLo, wordHi := bfs.WordRangeOf(e.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
+		var walked int64 // prefix entries examined, counted once per level
 		for wi := wordLo + j; wi < wordHi; wi += e.CPN {
 			var t vtime.Duration
 			t += cm.Stream(8) // candidate word load
@@ -56,7 +64,7 @@ func (e *Engine) runPullLevel() error {
 			}
 			for vi := base; vi < hi; vi++ {
 				v := int64(vi)
-				if !e.prog.PullCandidate(v) {
+				if !prog.PullCandidate(v) {
 					continue
 				}
 				t += cm.VertexOverhead
@@ -67,18 +75,32 @@ func (e *Engine) runPullLevel() error {
 				if vi < e.Part.Starts[k] || vi >= e.Part.Starts[k+1] {
 					vk = e.Part.NodeOf(vi)
 				}
-				probe.v = v
-				e.prog.BeginPull(w, v)
-				dram, nvmEdges, err := scanner.Scan(vk, v, probe.fn)
-				if err != nil {
-					return err
+				prog.BeginPull(w, v)
+				nbs, rest := scanner.Prefix(vk, v)
+				var dram, nvmEdges int64
+				for _, nb := range nbs {
+					dram++
+					if !prog.PullEdge(w, v, nb, frontier.Test(int(nb))) {
+						rest = false
+						break
+					}
+				}
+				walked += dram
+				if rest {
+					probe.v = v
+					d, nv, err := scanner.Rest(vk, v, probe.fn)
+					if err != nil {
+						scanner.CountPrefix(walked)
+						return err
+					}
+					dram, nvmEdges = dram+d, nv
 				}
 				examined := dram + nvmEdges
 				t += edgeCost * vtime.Duration(examined)
 				t += cm.Stream(int(dram) * 8)
 				acc.ExaminedDRAM += dram
 				acc.ExaminedNVM += nvmEdges
-				if e.prog.EndPull(w, v) {
+				if prog.EndPull(w, v) {
 					e.NextBM.Set(vi)
 					t += cm.LocalAccess + 2*cm.BitmapProbe
 					acc.Claimed++
@@ -86,6 +108,7 @@ func (e *Engine) runPullLevel() error {
 			}
 			clock.Advance(t)
 		}
+		scanner.CountPrefix(walked)
 		return nil
 	})
 }
