@@ -2,7 +2,9 @@ package bfs_test
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"io"
 	"slices"
 	"testing"
 
@@ -93,7 +95,7 @@ func overlayBackward(t *testing.T, compress bool) (bfs.ForwardAccess, bfs.Hybrid
 }
 
 // foldScanners folds every scanner's edge counts and tail fetches into h.
-func foldScanners(h interface{ Write([]byte) (int, error) }, scanners []bfs.BackwardScan) {
+func foldScanners(h io.Writer, scanners []bfs.BackwardScan) {
 	for _, s := range scanners {
 		d, nv := s.(bfs.ScanCounters).Counters()
 		fmt.Fprintf(h, "%d,%d,%d|", d, nv, bfs.TailFetches(s))
@@ -106,10 +108,7 @@ func foldScanners(h interface{ Write([]byte) (int, error) }, scanners []bfs.Back
 // programs that pull. The forward graph stays the DRAM CSR without the
 // edits; the pins are about the backward scans, not about a valid tree.
 func TestOverlayBackwardPins(t *testing.T) {
-	levelsHash := func(levels []bfs.LevelStats) interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
-	} {
+	levelsHash := func(levels []bfs.LevelStats) hash.Hash64 {
 		h := fnv.New64a()
 		for _, l := range levels {
 			fmt.Fprintf(h, "%d,%d,%d,%d,%d;", l.Direction, l.Claimed, l.ExaminedDRAM, l.ExaminedNVM, int64(l.Time))

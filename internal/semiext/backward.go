@@ -348,10 +348,7 @@ func (s *BackwardScanner) Rest(k int, v int64, fn func(nb int64) bool) (examined
 func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined int64, err error) {
 	node := s.hb.PerNode[k]
 	i := v - node.Base
-	var delta vertexDelta
-	if o := s.hb.overlay; o != nil {
-		delta = o.delta(v)
-	}
+	delta := s.hb.overlay.delta(v)
 	prefix := node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]]
 	for _, nb := range prefix {
 		if deleted(delta.dels, nb) {

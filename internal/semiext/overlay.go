@@ -143,8 +143,8 @@ func deleted(dels []int64, nb int64) bool {
 	return ok
 }
 
-// delta returns slot's snapshot, the zero value when the slot is clean. It
-// stays valid (and immutable) across later mutations.
+// delta returns slot's snapshot, the zero value when the slot is clean or
+// the overlay nil. It stays valid (and immutable) across later mutations.
 func (o *DeltaOverlay) delta(slot int64) vertexDelta {
 	if !o.isDirty(slot) {
 		return vertexDelta{}
