@@ -53,34 +53,34 @@ type Partition struct {
 	Topology Topology
 	N        int
 	Starts   []int // len == Nodes+1
+
+	recip float64 // Nodes/N, NodeOf's first estimate; zero in a bare literal
 }
 
 // NewPartition block-partitions n vertices across t's nodes. The remainder
 // of an uneven division is spread one vertex at a time over the leading
 // nodes so every node's range differs in size by at most one.
 func NewPartition(t Topology, n int) *Partition {
-	p := &Partition{Topology: t, N: n, Starts: make([]int, t.Nodes+1)}
+	p := &Partition{Topology: t, N: n, Starts: make([]int, t.Nodes+1), recip: float64(t.Nodes) / float64(n)}
 	base, rem := n/t.Nodes, n%t.Nodes
-	off := 0
-	for k := 0; k < t.Nodes; k++ {
-		p.Starts[k] = off
-		off += base
-		if k < rem {
-			off++
-		}
+	for k := range p.Starts {
+		p.Starts[k] = k*base + min(k, rem)
 	}
-	p.Starts[t.Nodes] = n
 	return p
 }
 
 // NodeOf returns the NUMA node that owns vertex v.
 func (p *Partition) NodeOf(v int) int {
-	// The block sizes differ by at most one, so a direct computation
-	// followed by at most one correction step is exact and branch-cheap.
+	// v*Nodes/N by a multiply with the reciprocal NewPartition computed
+	// once, not a 64-bit divide. The block sizes differ by at most one and
+	// the float product misses v*Nodes/N by far less than one, so the
+	// estimate lands next to the owner and the correction loops make it
+	// exact. A Partition built as a literal has a zero reciprocal and
+	// walks up from node 0.
 	if p.N == 0 {
 		return 0
 	}
-	k := v * p.Topology.Nodes / p.N
+	k := int(float64(v) * p.recip)
 	if k >= p.Topology.Nodes {
 		k = p.Topology.Nodes - 1
 	}

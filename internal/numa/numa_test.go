@@ -91,6 +91,47 @@ func TestPartitionSingleNode(t *testing.T) {
 	}
 }
 
+// divideNodeOf is NodeOf as it was before the reciprocal: a 64-bit divide
+// for the estimate, then the same correction loops.
+func divideNodeOf(p *Partition, v int) int {
+	if p.N == 0 {
+		return 0
+	}
+	k := v * p.Topology.Nodes / p.N
+	if k >= p.Topology.Nodes {
+		k = p.Topology.Nodes - 1
+	}
+	for v < p.Starts[k] {
+		k--
+	}
+	for v >= p.Starts[k+1] {
+		k++
+	}
+	return k
+}
+
+// TestNodeOfMatchesDivide checks the reciprocal NodeOf against the divide
+// for every vertex over a grid of sizes: fewer vertices than nodes, uneven
+// divisions, powers of two and the default topology, and through a
+// Partition literal whose reciprocal is zero.
+func TestNodeOfMatchesDivide(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 10, 47, 63, 64, 65, 100, 999, 1000, 4097, 1<<16 + 3, 1 << 17} {
+		for _, nodes := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 48, 64, 100} {
+			p := NewPartition(Topology{Nodes: nodes, CoresPerNode: 1}, n)
+			lit := &Partition{Topology: p.Topology, N: p.N, Starts: p.Starts}
+			for v := 0; v < n; v++ {
+				want := divideNodeOf(p, v)
+				if got := p.NodeOf(v); got != want {
+					t.Fatalf("n %d, %d nodes: NodeOf(%d) = %d, the divide gives %d", n, nodes, v, got, want)
+				}
+				if got := lit.NodeOf(v); got != want {
+					t.Fatalf("n %d, %d nodes, zero reciprocal: NodeOf(%d) = %d, the divide gives %d", n, nodes, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCostModelAccess(t *testing.T) {
 	m := DefaultCostModel
 	if m.Access(true) != m.LocalAccess {
