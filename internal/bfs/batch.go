@@ -190,6 +190,31 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	return res, nil
 }
 
+// TraversedEdges returns, for every lane l in mask, the TEPS numerator of
+// lane l's search: half the degree sum of the vertices it visited, which is
+// what validate.TraversedEdges gives for lane l's tree. It is one pass over
+// the visited lane words that calls degree once per vertex some lane in mask
+// reached, not one pass over a tree per lane. It reads the lanes as they
+// stand: after RunBatch until the next batch, in a session until the lanes
+// are released. Lanes outside mask read zero.
+func (r *BatchRunner) TraversedEdges(mask uint64, degree func(int64) int64) (sums [bitmap.MaxLanes]int64) {
+	if mask == 0 {
+		return sums
+	}
+	for v, word := range r.visited.Words() {
+		if word &= mask; word != 0 {
+			d := degree(int64(v))
+			for ; word != 0; word &= word - 1 {
+				sums[bits.TrailingZeros64(word)] += d
+			}
+		}
+	}
+	for l := range sums {
+		sums[l] /= 2
+	}
+	return sums
+}
+
 // reset clears the status data of the first `lanes` lanes and begins a run
 // on the team (setup is not charged to BFS time, matching the Graph500 timing
 // protocol which starts the clock at traversal).

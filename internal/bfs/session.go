@@ -41,6 +41,10 @@ type BatchSession struct {
 
 	// per-worker per-lane claim counters for the post-level accounting scan
 	laneAcc [][bitmap.MaxLanes]int64
+	// Release's scratch: the lanes being released and each worker's count
+	// of surviving frontier bits
+	released  []int
+	remaining []int64
 }
 
 // SessionLevel reports one Step's outcome.
@@ -69,9 +73,11 @@ type SessionLevel struct {
 func (r *BatchRunner) OpenSession() *BatchSession {
 	r.reset(r.lanes)
 	return &BatchSession{
-		r:       r,
-		sw:      sweep{fresh: true},
-		laneAcc: make([][bitmap.MaxLanes]int64, r.nWorkers),
+		r:         r,
+		sw:        sweep{fresh: true},
+		laneAcc:   make([][bitmap.MaxLanes]int64, r.nWorkers),
+		released:  make([]int, 0, bitmap.MaxLanes),
+		remaining: make([]int64, r.nWorkers),
 	}
 }
 
@@ -113,6 +119,13 @@ func (s *BatchSession) VisitedCount(l int) int64 { return s.visCount[l] }
 // Tree returns lane l's parent array, aliasing session storage: it is valid
 // until the lane is released or the session reset. Clone it to keep it.
 func (s *BatchSession) Tree(l int) []int64 { return s.r.trees[l] }
+
+// TraversedEdges returns the TEPS numerator of every live lane in mask, read
+// from the session's visited lanes in one pass (BatchRunner.TraversedEdges):
+// call it for a level's Finished lanes before releasing them.
+func (s *BatchSession) TraversedEdges(mask uint64, degree func(int64) int64) [bitmap.MaxLanes]int64 {
+	return s.r.TraversedEdges(mask&s.inUse, degree)
+}
 
 // LayerTotals returns the cumulative storage-stack counters under the
 // session's graphs; serving layers diff snapshots for per-cohort stats.
@@ -235,7 +248,7 @@ func (s *BatchSession) Release(mask uint64) error {
 		return nil
 	}
 	n := int(r.N)
-	lanes := make([]int, 0, bits.OnesCount64(mask))
+	lanes := s.released[:0]
 	for m := mask; m != 0; m &= m - 1 {
 		lanes = append(lanes, bits.TrailingZeros64(m))
 	}
@@ -244,7 +257,8 @@ func (s *BatchSession) Release(mask uint64) error {
 	nextW := r.next.Words()
 	keep := ^mask
 	newInUse := s.inUse &^ mask
-	remaining := make([]int64, r.nWorkers)
+	remaining := s.remaining
+	clear(remaining)
 	err := r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
 		if lo >= hi {

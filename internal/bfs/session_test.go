@@ -7,6 +7,7 @@ import (
 	"semibfs/internal/edgelist"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
+	"semibfs/internal/rng"
 	"semibfs/internal/semiext"
 	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
@@ -498,5 +499,98 @@ func TestSessionRejectsBadUse(t *testing.T) {
 	s.AdvanceTo(now + 100)
 	if s.Now() != now+100 {
 		t.Errorf("AdvanceTo(+100) left Now at %v", s.Now())
+	}
+}
+
+// TestSessionTraversedEdgesMatchesPerLane drives seeded session schedules
+// over a forward graph on NVM — staggered admissions of random roots
+// (isolated vertices among them), cancels of live lanes, and a forward
+// device that dies mid-schedule so a degraded cohort is resolved too — and
+// checks at every Step that the one-pass count gives each finished lane
+// exactly what validate.TraversedEdges gives its tree, and zero to every
+// other lane.
+func TestSessionTraversedEdgesMatchesPerLane(t *testing.T) {
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	fg, bg, list, part := buildTestGraphs(t, 9, 37, topo)
+	n := list.NumVertices
+	_, bwd := wrapDRAM(t, fg, bg)
+	for seed := uint64(1); seed <= 4; seed++ {
+		var stores []*failingStore
+		mk := func(_ string, chunk int) (nvm.Storage, error) {
+			fs := &failingStore{Storage: nvm.NewMemStore(nil, chunk), failAfter: 1 << 60}
+			stores = append(stores, fs)
+			return fs, nil
+		}
+		sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := NewBatchRunner(NVMForward{SF: sf}, bwd, part, 8, Config{
+			Topology: topo, Mode: ModeHybrid, Alpha: 1, Beta: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := br.OpenSession()
+		g := rng.NewXoroshiro128(seed)
+		dieAt := 3 + int(g.Uint64n(8))
+		admitted, finished, cancelled, degradedFinished := 0, 0, 0, 0
+		degraded := false
+		for step := 0; admitted < 48 || s.InUse() != 0; step++ {
+			// Up to three admissions per boundary, into the lowest free lanes.
+			for k := g.Uint64n(4); k > 0 && admitted < 48 && s.FreeLanes() != 0; k-- {
+				if err := s.Admit(bits.TrailingZeros64(s.FreeLanes()), int64(g.Uint64n(uint64(n)))); err != nil {
+					t.Fatal(err)
+				}
+				admitted++
+			}
+			// Now and then cut a live search loose, as a serving loop cancels.
+			if live := s.InUse(); live != 0 && g.Uint64n(5) == 0 {
+				for k := g.Uint64n(uint64(bits.OnesCount64(live))); k > 0; k-- {
+					live &= live - 1
+				}
+				if err := s.Release(live & -live); err != nil {
+					t.Fatal(err)
+				}
+				cancelled++
+			}
+			if step == dieAt {
+				for _, fs := range stores {
+					fs.failAfter = 2
+					fs.reads.Store(0)
+				}
+			}
+			if s.InUse() == 0 {
+				continue
+			}
+			lv, err := s.Step()
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			degraded = degraded || len(lv.Degraded) > 0
+			got := s.TraversedEdges(lv.Finished, bg.Degree)
+			for l := range got {
+				want := int64(0)
+				if lv.Finished&(1<<uint(l)) != 0 {
+					want = validate.TraversedEdges(s.Tree(l), bg.Degree)
+					finished++
+					if degraded {
+						degradedFinished++
+					}
+				}
+				if got[l] != want {
+					t.Fatalf("seed %d step %d lane %d (finished %v): one pass counts %d traversed edges, the tree %d",
+						seed, step, l, lv.Finished&(1<<uint(l)) != 0, got[l], want)
+				}
+			}
+			if err := s.Release(lv.Finished); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if finished < 24 || cancelled == 0 || degradedFinished == 0 {
+			t.Fatalf("seed %d: %d finished, %d cancelled, %d finished after a degrade; the schedule must reach all three",
+				seed, finished, cancelled, degradedFinished)
+		}
+		sf.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/bitmap"
 	"semibfs/internal/core"
 	"semibfs/internal/edgelist"
 	"semibfs/internal/nvm"
@@ -62,7 +63,8 @@ type Batch struct {
 // RunBatch advances roots together as one batch on br — one sweep of the
 // shared stores — and prices it. The first validateLanes lanes are
 // validated against src, which also counts their traversed edges; the rest
-// are counted off degree (src may be nil when validateLanes is 0).
+// are counted off degree in one pass over the runner's visited lanes (src
+// may be nil when validateLanes is 0).
 func RunBatch(br *bfs.BatchRunner, roots []int64, degree func(int64) int64, src edgelist.Source, validateLanes int) (*Batch, error) {
 	res, err := br.RunBatch(roots)
 	if err != nil {
@@ -73,9 +75,10 @@ func RunBatch(br *bfs.BatchRunner, roots []int64, degree func(int64) int64, src 
 		Traversed: make([]int64, len(roots)),
 		Result:    res,
 	}
+	counted := br.TraversedEdges(bitmap.LaneMask(len(roots))&^bitmap.LaneMask(validateLanes), degree)
 	for l, root := range roots {
 		if l >= validateLanes {
-			b.Traversed[l] = validate.TraversedEdges(res.Trees[l], degree)
+			b.Traversed[l] = counted[l]
 			continue
 		}
 		rep, err := validate.Run(res.Trees[l], root, src)

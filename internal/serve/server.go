@@ -8,9 +8,9 @@ import (
 	"slices"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/bitmap"
 	"semibfs/internal/nvm"
 	"semibfs/internal/stats"
-	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
 )
 
@@ -202,6 +202,9 @@ type Server struct {
 	stats    ServerStats
 	outcomes []ServedQuery
 	closed   bool
+	// traversed holds the finished lanes' traversed edges, counted in one
+	// pass per sweep before their outcomes are resolved
+	traversed [bitmap.MaxLanes]int64
 }
 
 // NewServer wires a server over an existing batch runner; deg is the
@@ -311,10 +314,9 @@ func (sv *Server) resolveLane(l int, o Outcome, now vtime.Duration) {
 	}
 	if o == OutcomeServed {
 		sq.Visited = sv.sess.VisitedCount(l)
-		tree := sv.sess.Tree(l)
-		sq.TraversedEdges = validate.TraversedEdges(tree, sv.deg)
+		sq.TraversedEdges = sv.traversed[l]
 		if sv.cfg.KeepTrees {
-			sq.Parents = append([]int64(nil), tree...)
+			sq.Parents = append([]int64(nil), sv.sess.Tree(l)...)
 		}
 		sv.stats.Latency.Observe(int64(now - tr.req.Arrival))
 	}
@@ -440,6 +442,7 @@ func (sv *Server) step() (bool, error) {
 		}
 	}
 	if lv.Finished != 0 {
+		sv.traversed = sess.TraversedEdges(lv.Finished, sv.deg)
 		for m := lv.Finished; m != 0; m &= m - 1 {
 			sv.resolveLane(bits.TrailingZeros64(m), OutcomeServed, lv.End)
 		}
