@@ -587,3 +587,48 @@ func BenchmarkBuildGridScale14(b *testing.B) {
 		g.Close()
 	}
 }
+
+// gridRunAllocs bounds the objects one BFS on grid-4x4's shape allocates:
+// level-loop closures and per-column slices. It measures 67 here, and the
+// benchmark's grid-4x4 op 88. distributeFrontier builds a numa.Partition
+// per column per level, which stays on the stack only while NewPartition
+// inlines: a NewPartition that does not inline puts this test at 93.
+const gridRunAllocs = 88
+
+// TestGridRunAllocs runs steady-state BFSs on a 4x4 grid with the
+// benchmark's grid-4x4 configuration at SCALE 14: per-machine PCIe stacks
+// with compressed adjacency and a page cache, and compressed wire formats.
+func TestGridRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	list := testList(t, 14, 1)
+	g, err := BuildGrid(edgelist.ListSource{List: list}, Config{
+		Machines: 16, GridRows: 4, GridCols: 4, Alpha: 1e4, Beta: 1e5,
+		ForwardOnNVM: true, Compress: true, CacheBytes: 64 << 10,
+		LatencyScale: nvm.ScaleEquivalenceFactor(14, 27),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var roots []int64
+	for v := int64(0); len(roots) < 8; v += 97 {
+		if g.deg[v] > 0 {
+			roots = append(roots, v)
+		}
+	}
+	i := 0
+	run := func() {
+		if _, err := g.Run(roots[i%len(roots)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range roots {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(2*len(roots), run); allocs > gridRunAllocs {
+		t.Fatalf("a grid BFS allocates %.1f objects, want <= %d", allocs, gridRunAllocs)
+	}
+}
