@@ -258,7 +258,6 @@ func (s *BatchSession) Release(mask uint64) error {
 	keep := ^mask
 	newInUse := s.inUse &^ mask
 	remaining := s.remaining
-	clear(remaining)
 	err := r.Parallel(func(w int) error {
 		lo, hi := stripe(n, r.nWorkers, w)
 		if lo >= hi {
