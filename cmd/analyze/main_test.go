@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"semibfs/internal/experiments"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/all-scale10.json.golden from this build's output")
 
 func analyze(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -37,6 +42,40 @@ func TestAllMeansEveryEntry(t *testing.T) {
 		if raw := byName[name]; len(raw) == 0 || raw[0] != '[' {
 			t.Errorf("key %q is not an array of rows: %.40s", name, raw)
 		}
+	}
+}
+
+// TestAllGolden pins every virtual number the registry reports at SCALE 10
+// with 2 roots: TEPS, times, and the cache, retry and failover counters the
+// experiments read from the runs' per-layer storage records. A refactor
+// that must not move a virtual number leaves the golden byte-identical;
+// regenerate it (go test ./cmd/analyze -run AllGolden -update) only when a
+// number is meant to move.
+func TestAllGolden(t *testing.T) {
+	code, out, errOut := analyze(t, "-exp", "all", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	path := filepath.Join("testdata", "all-scale10.json.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		w, g := string(want), out
+		i := 0
+		for i < len(w) && i < len(g) && w[i] == g[i] {
+			i++
+		}
+		lo := max(i-80, 0)
+		t.Errorf("output differs from %s at byte %d (regenerate with -update only if the change is meant):\n  want …%.160s\n  got  …%.160s",
+			path, i, w[lo:], g[lo:])
 	}
 }
 
