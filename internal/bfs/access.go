@@ -90,9 +90,11 @@ type BackwardNVM interface {
 
 // StorageStacks is optionally implemented by ForwardAccess and
 // BackwardAccess values whose graphs live on NVM storage stacks. The
-// engine walks the returned stacks (see nvm.CollectStacks) to report
-// per-run, per-layer counters — retry/backoff, cache, mirror, checksum,
-// fault-injection — without knowing which layers a scenario enabled.
+// engine plans an nvm.Collector over the returned stacks once, at
+// construction, and reads it to report per-run, per-layer counters —
+// retry/backoff, cache, mirror, checksum, fault-injection — without knowing
+// which layers a scenario enabled. The stacks must stay the same for the
+// engine's life (a compaction that installs new stores builds new engines).
 type StorageStacks interface {
 	Stacks() []nvm.Storage
 }

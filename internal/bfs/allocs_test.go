@@ -71,14 +71,16 @@ func TestBatchRunnerSteadyStateAllocs(t *testing.T) {
 
 // fullStackAllocs bounds a top-down-only run whose every adjacency comes
 // through the full storage stack. The stack's read path allocates nothing
-// (the guards in internal/nvm and internal/semiext), so what is left — 139
-// objects here and 241 on the benchmark's td-ssd-stack when written — is
-// per run, not per read: above all the CollectStacks / Stats() /
-// MirrorStore.Health snapshots behind Result.Layers and Resilience,
-// which ROADMAP item 2's typed counters retire (not chased here), then the
-// engine's own handful. The parent allocated a page, a channel, a clock and
-// a buffer per cache miss: 489 objects here, 7,790 on td-ssd-stack.
-const fullStackAllocs = 256
+// (the guards in internal/nvm and internal/semiext), and the run's storage
+// record is planned once per engine (nvm.Collector): a run reads the
+// counters into two kept vectors and builds Result.Layers and Resilience
+// from them, so what is left is the result and the engine's handful, 8
+// objects when written. Walking and snapshotting the stacks per run
+// (CollectStacks twice, StackStats.Sub, MirrorStore.Health) put the parent
+// at 130 objects here and 229 per run on the benchmark's td-ssd-stack; the
+// parent before that allocated a page, a channel, a clock and a buffer per
+// cache miss: 489 objects here, 7,790 on td-ssd-stack.
+const fullStackAllocs = 16
 
 func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -113,6 +115,49 @@ func TestTopDownFullStackSteadyStateAllocs(t *testing.T) {
 	}
 	if misses < 6*50 {
 		t.Fatalf("%d cache misses in 6 runs: the runs did not churn the cache", misses)
+	}
+}
+
+// hybridNVMAllocs bounds a hybrid run over a raw forward graph on PCIe
+// flash with the backward graph in DRAM, the benchmark's g500-pcie shape:
+// its top-down levels read the device through metrics, retry and the base
+// store. 7 objects when written; per-run stack walks put the parent at 51
+// here and 79 per run on g500-pcie.
+const hybridNVMAllocs = 8
+
+func TestHybridNVMForwardSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	fg, bg, _, part := buildTestGraphs(t, 10, 42, pinTopo)
+	_, bwd := wrapDRAM(t, fg, bg)
+	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	mk := func(_ string, chunk int) (nvm.Storage, error) { return nvm.NewMemStore(dev, chunk), nil }
+	sf, err := semiext.OffloadForward(fg, mk, nil, pinStacks[0].opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	r, err := NewRunner(NVMForward{SF: sf}, bwd, part, pinConfig(ModeHybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := pinRoots(bwd, int64(part.N))
+	var reads int64
+	run := func() {
+		res, err := r.Run(root)
+		if err != nil || res.Switches == 0 {
+			t.Fatalf("run: %v, %+v; want a hybrid run with both directions", err, res)
+		}
+		reads += res.Layers.Get("metrics", "reads")
+	}
+	run()
+	reads = 0
+	if allocs := testing.AllocsPerRun(5, run); allocs > hybridNVMAllocs {
+		t.Fatalf("a hybrid run over an NVM forward graph allocates %.0f objects, want <= %d", allocs, hybridNVMAllocs)
+	}
+	if reads == 0 {
+		t.Fatal("the runs read nothing from the device: the guard did not reach the stack")
 	}
 }
 

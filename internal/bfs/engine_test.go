@@ -251,6 +251,40 @@ func TestRunnerReuseAcrossRoots(t *testing.T) {
 	}
 }
 
+// TestDRAMRunsReportNoStorage: over fully DRAM-resident graphs a run's
+// storage record is nil, as RunStats documents, not an empty slice.
+func TestDRAMRunsReportNoStorage(t *testing.T) {
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	fg, bg, _, part := buildTestGraphs(t, 8, 11, topo)
+	fwd, bwd := wrapDRAM(t, fg, bg)
+	cfg := Config{Topology: topo, Alpha: 16, Beta: 160}
+	r, err := NewRunner(fwd, bwd, part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBatchRunner(fwd, bwd, part, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := int64(0)
+	for bg.Degree(root) == 0 {
+		root++
+	}
+	res, err := r.Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err := br.RunBatch([]int64{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range []RunStats{res.RunStats, bres.RunStats} {
+		if rs.Layers != nil || rs.Resilience.Devices != nil {
+			t.Fatalf("a DRAM-only run reports Layers %#v and Devices %#v, want nil", rs.Layers, rs.Resilience.Devices)
+		}
+	}
+}
+
 func TestRunRejectsBadRoot(t *testing.T) {
 	topo := numa.Topology{Nodes: 2, CoresPerNode: 1}
 	fg, bg, _, part := buildTestGraphs(t, 6, 1, topo)

@@ -68,10 +68,13 @@ type Team struct {
 	pinned    bool
 	pinnedDir Direction
 
-	// Per-run baselines set by begin: the virtual start time, and the
-	// stack-layer counters (which accumulate across runs).
-	start   vtime.Duration
-	layers0 nvm.StackStats
+	// The storage record of the stacks behind the graphs, planned once, and
+	// the per-run baselines begin sets: the virtual start time and the
+	// stack-layer counters (which accumulate across runs). finish reads the
+	// counters again into layers1.
+	col              *nvm.Collector
+	start            vtime.Duration
+	layers0, layers1 []int64
 
 	// The devices behind the graphs, and each one's lifetime request count
 	// when this team's previous run ended: what begin hands Device.OpenEpoch.
@@ -117,7 +120,9 @@ func (t *Team) init(name string, fwd ForwardAccess, bwd BackwardAccess, part *nu
 		t.Scanners[w] = bwd.NewScanner(t.Clocks[w])
 		t.NextQ[w] = make([]int64, 0, 1024)
 	}
-	t.devs = nvm.StackDevices(t.stacks()...)
+	stacks := t.stacks()
+	t.col = nvm.NewCollector(stacks...)
+	t.devs = nvm.StackDevices(stacks...)
 	t.devSeen = make([]int64, len(t.devs))
 	return nil
 }
@@ -172,7 +177,7 @@ func (t *Team) stacks() []nvm.Storage {
 }
 
 // layerTotals collects the cumulative per-layer counters of every stack.
-func (t *Team) layerTotals() nvm.StackStats { return nvm.CollectStacks(t.stacks()...) }
+func (t *Team) layerTotals() nvm.StackStats { return t.col.Totals() }
 
 // begin starts a run: it empties the queues, unpins the controller, aligns
 // the worker clocks, opens device epochs and stamps the run's baselines.
@@ -192,15 +197,16 @@ func (t *Team) begin() {
 	for i, d := range t.devs {
 		d.OpenEpoch(t.start, t.devSeen[i])
 	}
-	t.layers0 = t.layerTotals()
+	t.layers0 = t.col.Snapshot(t.layers0)
 }
 
 // finish closes a run's summary: its virtual time and the per-layer counter
 // deltas since begin, and the devices' health at its end.
 func (t *Team) finish(s *RunStats) {
 	s.Time = vtime.MaxOf(t.Clocks) - t.start
-	s.Layers = t.layerTotals().Sub(t.layers0)
-	s.Resilience.Devices = nvm.CollectReplicaHealth(t.stacks()...)
+	t.layers1 = t.col.Snapshot(t.layers1)
+	s.Layers = t.col.Stats(t.layers0, t.layers1)
+	s.Resilience.Devices = t.col.Health()
 	for i, d := range t.devs {
 		t.devSeen[i] = d.Requests()
 	}

@@ -200,6 +200,9 @@ type nodeStacks struct {
 	mk     nvm.BaseFactory
 	stores []nvm.Storage
 	closed bool
+	// col is the stores' storage record, planned on first use (build
+	// drops it).
+	col *nvm.Collector
 }
 
 // newNodeStacks prepares machine idx's device/cache/fault plumbing. The
@@ -242,7 +245,17 @@ func (ns *nodeStacks) build(cfg Config, name string) (nvm.Storage, error) {
 		return nil, err
 	}
 	ns.stores = append(ns.stores, st)
+	ns.col = nil
 	return st, nil
+}
+
+// health merges the machine's mirrors' per-replica health (nil without
+// mirrors).
+func (ns *nodeStacks) health() []nvm.ReplicaHealth {
+	if ns.col == nil {
+		ns.col = nvm.NewCollector(ns.stores...)
+	}
+	return ns.col.Health()
 }
 
 // Close closes every stack exactly once (each stack closes its own

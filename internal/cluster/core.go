@@ -323,7 +323,7 @@ func (c *core) MachineReport() []MachineStatus {
 			if len(m.stacks.devs) > 0 {
 				st.Device = m.stacks.devs[0].Snapshot()
 			}
-			st.Health = nvm.CollectReplicaHealth(m.stacks.stores...)
+			st.Health = m.stacks.health()
 		}
 		out = append(out, st)
 	}

@@ -185,8 +185,8 @@ func (s *Store) Kind() string { return "faults" }
 // Unwrap implements nvm.Layer.
 func (s *Store) Unwrap() nvm.Storage { return s.inner }
 
-// Stats implements nvm.Layer.
-func (s *Store) Stats() nvm.LayerStats {
+// AppendCounters implements nvm.Layer.
+func (s *Store) AppendCounters(dst []nvm.Counter) []nvm.Counter {
 	var dead int64
 	if s.dead {
 		dead = 1
@@ -195,16 +195,16 @@ func (s *Store) Stats() nvm.LayerStats {
 	if *s.cut {
 		cut = 1
 	}
-	return nvm.LayerStats{Kind: "faults", Counters: []nvm.Counter{
-		{Name: "reads", Value: s.reads},
-		{Name: "writes", Value: s.writes},
-		{Name: "transient_injected", Value: s.transient},
-		{Name: "spikes_injected", Value: s.spikes},
-		{Name: "corruptions_injected", Value: s.corrupted},
-		{Name: "torn_writes", Value: s.torn},
-		{Name: "dead", Value: dead},
-		{Name: "power_cut", Value: cut},
-	}}
+	return append(dst,
+		nvm.Counter{Name: "reads", Value: s.reads},
+		nvm.Counter{Name: "writes", Value: s.writes},
+		nvm.Counter{Name: "transient_injected", Value: s.transient},
+		nvm.Counter{Name: "spikes_injected", Value: s.spikes},
+		nvm.Counter{Name: "corruptions_injected", Value: s.corrupted},
+		nvm.Counter{Name: "torn_writes", Value: s.torn},
+		nvm.Counter{Name: "dead", Value: dead},
+		nvm.Counter{Name: "power_cut", Value: cut},
+	)
 }
 
 // Counters returns the store's injected-fault totals so far.

@@ -168,15 +168,15 @@ func (a *AsyncStore) Kind() string { return "async" }
 // Unwrap implements Layer.
 func (a *AsyncStore) Unwrap() Storage { return a.inner }
 
-// Stats implements Layer.
-func (a *AsyncStore) Stats() LayerStats {
-	return LayerStats{Kind: "async", Counters: []Counter{
-		{Name: "demand_runs", Value: a.demandRuns},
-		{Name: "demand_blocks", Value: a.demandBlocks},
-		{Name: "prefetch_ops", Value: a.prefetchOps},
-		{Name: "prefetch_runs", Value: a.prefetchRuns},
-		{Name: "prefetch_blocks", Value: a.prefetchBlocks},
-		{Name: "cancelled_requests", Value: a.cancelledReqs},
-		{Name: "queue_depth", Value: int64(len(a.slots)), Gauge: true},
-	}}
+// AppendCounters implements Layer.
+func (a *AsyncStore) AppendCounters(dst []Counter) []Counter {
+	return append(dst,
+		Counter{Name: "demand_runs", Value: a.demandRuns},
+		Counter{Name: "demand_blocks", Value: a.demandBlocks},
+		Counter{Name: "prefetch_ops", Value: a.prefetchOps},
+		Counter{Name: "prefetch_runs", Value: a.prefetchRuns},
+		Counter{Name: "prefetch_blocks", Value: a.prefetchBlocks},
+		Counter{Name: "cancelled_requests", Value: a.cancelledReqs},
+		Counter{Name: "queue_depth", Value: int64(len(a.slots)), Gauge: true},
+	)
 }

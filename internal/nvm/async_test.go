@@ -77,7 +77,7 @@ func TestAsyncDemandCoalescing(t *testing.T) {
 	if n := base.reads.Load(); n != 1 {
 		t.Errorf("media reads = %d, want 1 coalesced run for 8 blocks", n)
 	}
-	stats := st.(*AsyncStore).Stats()
+	stats := StatsOf(st.(*AsyncStore))
 	if runs := stats.Get("demand_runs"); runs != 1 {
 		t.Errorf("demand_runs = %d, want 1", runs)
 	}
@@ -93,7 +93,7 @@ func TestAsyncDemandCoalescing(t *testing.T) {
 	if n := base.reads.Load(); n != 1 {
 		t.Errorf("media reads after resident re-read = %d, want 1", n)
 	}
-	if blocks := st.(*AsyncStore).Stats().Get("demand_blocks"); blocks != 8 {
+	if blocks := StatsOf(st.(*AsyncStore)).Get("demand_blocks"); blocks != 8 {
 		t.Errorf("demand_blocks after resident re-read = %d, want 8", blocks)
 	}
 }
@@ -113,7 +113,7 @@ func TestAsyncPrefetch(t *testing.T) {
 	if n := base.reads.Load(); n != 1 {
 		t.Errorf("media reads after prefetch = %d, want 1 coalesced run", n)
 	}
-	stats := st.(*AsyncStore).Stats()
+	stats := StatsOf(st.(*AsyncStore))
 	if ops, runs, blocks := stats.Get("prefetch_ops"), stats.Get("prefetch_runs"), stats.Get("prefetch_blocks"); ops != 1 || runs != 1 || blocks != 6 {
 		t.Errorf("prefetch ops/runs/blocks = %d/%d/%d, want 1/1/6", ops, runs, blocks)
 	}
@@ -139,7 +139,7 @@ func TestAsyncPrefetch(t *testing.T) {
 	if n := base.reads.Load(); n != 2 {
 		t.Errorf("media reads after overlapping prefetch = %d, want 2", n)
 	}
-	if blocks := st.(*AsyncStore).Stats().Get("prefetch_blocks"); blocks != 8 {
+	if blocks := StatsOf(st.(*AsyncStore)).Get("prefetch_blocks"); blocks != 8 {
 		t.Errorf("prefetch_blocks = %d, want 8 (6 + 2 deduped)", blocks)
 	}
 }
@@ -201,7 +201,7 @@ func TestAsyncCancel(t *testing.T) {
 	if !bytes.Equal(got, data[:len(got)]) {
 		t.Fatal("demand read after cancel returned wrong bytes")
 	}
-	stats := a.Stats()
+	stats := StatsOf(a)
 	if c := stats.Get("cancelled_requests"); c < 2 {
 		t.Errorf("cancelled_requests = %d, want >= 2", c)
 	}
@@ -305,7 +305,7 @@ func TestAsyncConcurrentSubmitCancel(t *testing.T) {
 		if outcomes["ok"] == 0 || outcomes["failed"] == 0 {
 			t.Fatalf("seed %d: read outcomes %v, want both successes and surfaced deaths", seed, outcomes)
 		}
-		if c := async.Stats().Get("cancelled_requests"); c == 0 {
+		if c := StatsOf(async).Get("cancelled_requests"); c == 0 {
 			t.Fatalf("seed %d: no request met the cancelled pipeline", seed)
 		}
 		st.Close()

@@ -567,20 +567,20 @@ func (s *CachedStore) Unwrap() Storage { return s.inner }
 // once per cache, not once per store.
 func (s *CachedStore) StatsKey() any { return s.cache }
 
-// Stats implements Layer.
-func (s *CachedStore) Stats() LayerStats {
+// AppendCounters implements Layer.
+func (s *CachedStore) AppendCounters(dst []Counter) []Counter {
 	st := s.cache.Stats()
-	return LayerStats{Kind: "cache", Counters: []Counter{
-		{Name: "hits", Value: st.Hits},
-		{Name: "misses", Value: st.Misses},
-		{Name: "hit_bytes", Value: st.HitBytes},
-		{Name: "fill_bytes", Value: st.FillBytes},
-		{Name: "evictions", Value: st.Evictions},
-		{Name: "prefetches", Value: st.Prefetches},
-		{Name: "prefetch_hits", Value: st.PrefetchHits},
-		{Name: "capacity_bytes", Value: st.CapacityBytes, Gauge: true},
-		{Name: "block_bytes", Value: st.BlockBytes, Gauge: true},
-	}}
+	return append(dst,
+		Counter{Name: "hits", Value: st.Hits},
+		Counter{Name: "misses", Value: st.Misses},
+		Counter{Name: "hit_bytes", Value: st.HitBytes},
+		Counter{Name: "fill_bytes", Value: st.FillBytes},
+		Counter{Name: "evictions", Value: st.Evictions},
+		Counter{Name: "prefetches", Value: st.Prefetches},
+		Counter{Name: "prefetch_hits", Value: st.PrefetchHits},
+		Counter{Name: "capacity_bytes", Value: st.CapacityBytes, Gauge: true},
+		Counter{Name: "block_bytes", Value: st.BlockBytes, Gauge: true},
+	)
 }
 
 // ReadAt implements Storage: each covered block is served from the cache

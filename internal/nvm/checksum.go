@@ -89,13 +89,13 @@ func (s *ChecksumStore) Kind() string { return "checksum" }
 // Unwrap implements Layer.
 func (s *ChecksumStore) Unwrap() Storage { return s.inner }
 
-// Stats implements Layer.
-func (s *ChecksumStore) Stats() LayerStats {
-	return LayerStats{Kind: "checksum", Counters: []Counter{
-		{Name: "corruptions_detected", Value: s.failures},
-		{Name: "block_bytes", Value: s.block, Gauge: true},
-		{Name: "checksum_bytes", Value: int64(len(s.sums)) * 4, Gauge: true},
-	}}
+// AppendCounters implements Layer.
+func (s *ChecksumStore) AppendCounters(dst []Counter) []Counter {
+	return append(dst,
+		Counter{Name: "corruptions_detected", Value: s.failures},
+		Counter{Name: "block_bytes", Value: s.block, Gauge: true},
+		Counter{Name: "checksum_bytes", Value: int64(len(s.sums)) * 4, Gauge: true},
+	)
 }
 
 // scratch returns the kept buffer resized to n bytes.

@@ -20,8 +20,11 @@ type Layer interface {
 	// Kind names the concern ("metrics", "retry", "cache", "mirror",
 	// "checksum", "faults", "mem", "file"). Stacks may not repeat kinds.
 	Kind() string
-	// Stats snapshots the layer's counters.
-	Stats() LayerStats
+	// AppendCounters appends the layer's counters to dst and returns the
+	// extended slice, allocating nothing when dst has room. Every call
+	// reports the same names with the same Gauge flags in the same order,
+	// so a Collector plans their slots once and reads them by position.
+	AppendCounters(dst []Counter) []Counter
 	// Unwrap returns the layer directly underneath, or nil for base
 	// stores and fan-out layers (a mirror exposes Inners instead).
 	Unwrap() Storage
@@ -56,6 +59,11 @@ type Counter struct {
 type LayerStats struct {
 	Kind     string    `json:"kind"`
 	Counters []Counter `json:"counters"`
+}
+
+// StatsOf snapshots one layer's counters.
+func StatsOf(l Layer) LayerStats {
+	return LayerStats{Kind: l.Kind(), Counters: l.AppendCounters(nil)}
 }
 
 // Get returns the named counter's value (0 when absent).
@@ -201,65 +209,6 @@ func WalkStack(root Storage, fn func(Storage)) {
 	if l, ok := root.(interface{ Unwrap() Storage }); ok {
 		WalkStack(l.Unwrap(), fn)
 	}
-}
-
-// CollectStacks walks every given stack and aggregates per-layer
-// statistics, outermost-first, deduping layers that share counters (all
-// CachedStores of one PageCache report once). Storage values that do not
-// implement Layer (bare test doubles) contribute nothing but do not stop
-// the walk above them.
-func CollectStacks(stores ...Storage) StackStats {
-	var out StackStats
-	seen := make(map[any]bool)
-	for _, st := range stores {
-		WalkStack(st, func(s Storage) {
-			l, ok := s.(Layer)
-			if !ok {
-				return
-			}
-			key := any(s)
-			if k, ok := s.(StatsKeyed); ok {
-				key = k.StatsKey()
-			}
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			ls := l.Stats()
-			merged := false
-			for i := range out {
-				if out[i].Kind == ls.Kind {
-					out[i] = out[i].add(ls)
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				out = append(out, ls)
-			}
-		})
-	}
-	return out
-}
-
-// CollectReplicaHealth walks the given stacks, finds every mirror, and
-// merges their per-replica health index-wise (replica i of every store
-// lives on simulated device i).
-func CollectReplicaHealth(stores ...Storage) []ReplicaHealth {
-	var sets [][]ReplicaHealth
-	seen := make(map[*MirrorStore]bool)
-	for _, st := range stores {
-		WalkStack(st, func(s Storage) {
-			if m, ok := s.(*MirrorStore); ok && !seen[m] {
-				seen[m] = true
-				sets = append(sets, m.Health())
-			}
-		})
-	}
-	if len(sets) == 0 {
-		return nil
-	}
-	return MergeReplicaHealth(sets...)
 }
 
 // Prefetcher is implemented by layers that can fill [off, off+n) into

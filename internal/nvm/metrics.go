@@ -42,16 +42,16 @@ func (m *MetricsStore) Kind() string { return "metrics" }
 // Unwrap implements Layer.
 func (m *MetricsStore) Unwrap() Storage { return m.inner }
 
-// Stats implements Layer.
-func (m *MetricsStore) Stats() LayerStats {
-	return LayerStats{Kind: "metrics", Counters: []Counter{
-		{Name: "reads", Value: m.reads},
-		{Name: "writes", Value: m.writes},
-		{Name: "read_bytes", Value: m.readBytes},
-		{Name: "write_bytes", Value: m.writeBytes},
-		{Name: "read_errors", Value: m.readErrors},
-		{Name: "write_errors", Value: m.writeErrors},
-	}}
+// AppendCounters implements Layer.
+func (m *MetricsStore) AppendCounters(dst []Counter) []Counter {
+	return append(dst,
+		Counter{Name: "reads", Value: m.reads},
+		Counter{Name: "writes", Value: m.writes},
+		Counter{Name: "read_bytes", Value: m.readBytes},
+		Counter{Name: "write_bytes", Value: m.writeBytes},
+		Counter{Name: "read_errors", Value: m.readErrors},
+		Counter{Name: "write_errors", Value: m.writeErrors},
+	)
 }
 
 // ReadAt implements Storage.

@@ -171,23 +171,28 @@ type ReplicaHealth struct {
 func MergeReplicaHealth(sets ...[]ReplicaHealth) []ReplicaHealth {
 	var out []ReplicaHealth
 	for _, set := range sets {
-		for i, h := range set {
+		for i := range set {
 			for len(out) <= i {
 				out = append(out, ReplicaHealth{Name: fmt.Sprintf("r%d", len(out))})
 			}
-			m := &out[i]
-			if h.State.severity() > m.State.severity() {
-				m.State = h.State
-			}
-			m.Reads += h.Reads
-			m.Errors += h.Errors
-			m.Consecutive += h.Consecutive
-			m.ScrubbedBlocks += h.ScrubbedBlocks
-			m.RepairedBlocks += h.RepairedBlocks
-			m.RepairHist = m.RepairHist.Add(h.RepairHist)
+			out[i].add(&set[i])
 		}
 	}
 	return out
+}
+
+// add merges h into r: the worse state wins, counts and repair latencies
+// sum. The one merge rule of MergeReplicaHealth and Collector.Health.
+func (r *ReplicaHealth) add(h *ReplicaHealth) {
+	if h.State.severity() > r.State.severity() {
+		r.State = h.State
+	}
+	r.Reads += h.Reads
+	r.Errors += h.Errors
+	r.Consecutive += h.Consecutive
+	r.ScrubbedBlocks += h.ScrubbedBlocks
+	r.RepairedBlocks += h.RepairedBlocks
+	r.RepairHist.Merge(&h.RepairHist)
 }
 
 // ReplicaIndex parses the trailing "-r<i>" suffix the mirror layer appends
@@ -227,17 +232,11 @@ func NewReplicaDevices(p Profile, n int, binWidth vtime.Duration) ([]*Device, fu
 	}
 }
 
+// mirrorReplica is one replica stack and its health, kept in the shape
+// Health reports it in.
 type mirrorReplica struct {
 	store Storage
-	name  string
-
-	state       ReplicaState
-	reads       int64
-	errors      int64
-	consecutive int
-	scrubbed    int64
-	repaired    int64
-	repairHist  stats.Histogram
+	ReplicaHealth
 }
 
 // MirrorStore replicates one logical store across N replica stacks. It
@@ -285,8 +284,8 @@ func NewMirror(name string, replicas []Storage, block int, cfg MirrorConfig) (*M
 	}
 	for i, st := range replicas {
 		m.reps = append(m.reps, &mirrorReplica{
-			store: st,
-			name:  fmt.Sprintf("%s-r%d", name, i),
+			store:         st,
+			ReplicaHealth: ReplicaHealth{Name: fmt.Sprintf("%s-r%d", name, i)},
 		})
 		if sz := st.Size(); sz > m.size {
 			m.size = sz
@@ -318,7 +317,7 @@ func (m *MirrorStore) PhysicalBytes() int64 {
 // its backoff accounting there), or the first replica's when all are dead.
 func (m *MirrorStore) Device() *Device {
 	for _, rep := range m.reps {
-		if rep.state != ReplicaDead {
+		if rep.State != ReplicaDead {
 			return rep.store.Device()
 		}
 	}
@@ -355,65 +354,56 @@ func (m *MirrorStore) Inners() []Storage {
 	return out
 }
 
-// Stats implements Layer.
-func (m *MirrorStore) Stats() LayerStats {
-	st := m.stats
-	return LayerStats{Kind: "mirror", Counters: []Counter{
-		{Name: "reads", Value: st.Reads},
-		{Name: "failovers", Value: st.Failovers},
-		{Name: "all_dead_reads", Value: st.AllDeadReads},
-		{Name: "scrubbed_blocks", Value: st.ScrubbedBlocks},
-		{Name: "scrub_errors", Value: st.ScrubErrors},
-		{Name: "repaired_blocks", Value: st.RepairedBlocks},
-		{Name: "rebuilt_blocks", Value: st.RebuiltBlocks},
-		{Name: "repair_ns", Value: int64(st.RepairTime)},
+// AppendCounters implements Layer.
+func (m *MirrorStore) AppendCounters(dst []Counter) []Counter {
+	st := &m.stats
+	return append(dst,
+		Counter{Name: "reads", Value: st.Reads},
+		Counter{Name: "failovers", Value: st.Failovers},
+		Counter{Name: "all_dead_reads", Value: st.AllDeadReads},
+		Counter{Name: "scrubbed_blocks", Value: st.ScrubbedBlocks},
+		Counter{Name: "scrub_errors", Value: st.ScrubErrors},
+		Counter{Name: "repaired_blocks", Value: st.RepairedBlocks},
+		Counter{Name: "rebuilt_blocks", Value: st.RebuiltBlocks},
+		Counter{Name: "repair_ns", Value: int64(st.RepairTime)},
 		// Quantiles of the per-block repair-latency distribution. Gauges:
-		// a snapshot delta cannot subtract quantiles, so Sub keeps the
+		// a snapshot delta cannot subtract quantiles, so a delta keeps the
 		// cumulative value rather than inventing a meaningless difference.
-		{Name: "repair_p50_ns", Value: int64(st.RepairHist.P50()), Gauge: true},
-		{Name: "repair_p99_ns", Value: int64(st.RepairHist.P99()), Gauge: true},
-		{Name: "replicas", Value: int64(len(m.reps)), Gauge: true},
-	}}
+		Counter{Name: "repair_p50_ns", Value: int64(st.RepairHist.P50()), Gauge: true},
+		Counter{Name: "repair_p99_ns", Value: int64(st.RepairHist.P99()), Gauge: true},
+		Counter{Name: "replicas", Value: int64(len(m.reps)), Gauge: true},
+	)
 }
 
 // Health snapshots every replica's health state.
 func (m *MirrorStore) Health() []ReplicaHealth {
 	out := make([]ReplicaHealth, len(m.reps))
 	for i, rep := range m.reps {
-		out[i] = ReplicaHealth{
-			Name:           rep.name,
-			State:          rep.state,
-			Reads:          rep.reads,
-			Errors:         rep.errors,
-			Consecutive:    rep.consecutive,
-			ScrubbedBlocks: rep.scrubbed,
-			RepairedBlocks: rep.repaired,
-			RepairHist:     rep.repairHist,
-		}
+		out[i] = rep.ReplicaHealth
 	}
 	return out
 }
 
 // note advances one replica's health state machine after an access.
 func (m *MirrorStore) note(rep *mirrorReplica, err error) {
-	rep.reads++
+	rep.Reads++
 	if err == nil {
-		rep.consecutive = 0
-		if rep.state == ReplicaSuspect {
-			rep.state = ReplicaHealthy
+		rep.Consecutive = 0
+		if rep.State == ReplicaSuspect {
+			rep.State = ReplicaHealthy
 		}
 		return
 	}
-	rep.errors++
-	rep.consecutive++
+	rep.Errors++
+	rep.Consecutive++
 	switch {
 	case errors.Is(err, ErrDeviceDead):
-		rep.state = ReplicaDead
-	case rep.consecutive >= m.cfg.deadAfter():
-		rep.state = ReplicaDead
-	case rep.consecutive >= m.cfg.suspectAfter() &&
-		(rep.state == ReplicaHealthy || rep.state == ReplicaRebuilt):
-		rep.state = ReplicaSuspect
+		rep.State = ReplicaDead
+	case rep.Consecutive >= m.cfg.deadAfter():
+		rep.State = ReplicaDead
+	case rep.Consecutive >= m.cfg.suspectAfter() &&
+		(rep.State == ReplicaHealthy || rep.State == ReplicaRebuilt):
+		rep.State = ReplicaSuspect
 	}
 }
 
@@ -433,7 +423,7 @@ func (m *MirrorStore) pick(clock *vtime.Clock, tried uint64) (*mirrorReplica, in
 		if i < 64 && tried&(1<<uint(i)) != 0 {
 			continue
 		}
-		if rep.state == ReplicaDead {
+		if rep.State == ReplicaDead {
 			continue
 		}
 		// The replica's next request would start at max(now, earliest
@@ -444,7 +434,7 @@ func (m *MirrorStore) pick(clock *vtime.Clock, tried uint64) (*mirrorReplica, in
 				load = ef
 			}
 		}
-		suspect := rep.state == ReplicaSuspect
+		suspect := rep.State == ReplicaSuspect
 		better := best == -1 ||
 			(!suspect && bestSuspect) ||
 			(suspect == bestSuspect && load < bestLoad)
@@ -487,7 +477,7 @@ func (m *MirrorStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 			m.maybeScrub(clock)
 			return nil
 		}
-		lastErr = &BlockError{Store: rep.name, Block: off / m.block, Off: off,
+		lastErr = &BlockError{Store: rep.Name, Block: off / m.block, Off: off,
 			Err: fmt.Errorf("nvm: mirror %s failover: %w", m.name, err)}
 	}
 	if lastErr != nil {
@@ -512,7 +502,7 @@ func (m *MirrorStore) ReadAt(clock *vtime.Clock, p []byte, off int64) error {
 func (m *MirrorStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 	live := false
 	for _, rep := range m.reps {
-		if rep.state == ReplicaDead {
+		if rep.State == ReplicaDead {
 			continue
 		}
 		if !live {
@@ -520,7 +510,7 @@ func (m *MirrorStore) WriteAt(clock *vtime.Clock, p []byte, off int64) error {
 			m.size = max(m.size, off+int64(len(p)))
 		}
 		if err := rep.store.WriteAt(clock, p, off); err != nil {
-			return &BlockError{Store: rep.name, Block: off / m.block, Off: off,
+			return &BlockError{Store: rep.Name, Block: off / m.block, Off: off,
 				Err: fmt.Errorf("nvm: mirror %s write: %w", m.name, err)}
 		}
 	}
@@ -602,15 +592,15 @@ func (m *MirrorStore) scrubStep(sc *vtime.Clock, b int64) {
 	var good []byte
 	var bad []*mirrorReplica
 	for _, rep := range m.reps {
-		if rep.state == ReplicaDead {
+		if rep.State == ReplicaDead {
 			continue
 		}
-		rep.scrubbed++
+		rep.ScrubbedBlocks++
 		err := rep.store.ReadAt(sc, m.scrubBuf[:n], lo)
 		m.note(rep, err)
 		if err != nil {
 			m.stats.ScrubErrors++
-			if rep.state != ReplicaDead {
+			if rep.State != ReplicaDead {
 				bad = append(bad, rep)
 			}
 			continue
@@ -633,10 +623,10 @@ func (m *MirrorStore) scrubStep(sc *vtime.Clock, b int64) {
 			m.stats.ScrubErrors++
 			continue
 		}
-		rep.repaired++
+		rep.RepairedBlocks++
 		m.stats.RepairedBlocks++
 		m.stats.RepairTime += sc.Now() - start
-		rep.repairHist.Observe(int64(sc.Now() - start))
+		rep.RepairHist.Observe(int64(sc.Now() - start))
 		m.stats.RepairHist.Observe(int64(sc.Now() - start))
 	}
 }
@@ -652,7 +642,7 @@ func (m *MirrorStore) Rebuild(clock *vtime.Clock, i int) error {
 	}
 	var src *mirrorReplica
 	for j, rep := range m.reps {
-		if j != i && (rep.state == ReplicaHealthy || rep.state == ReplicaRebuilt) {
+		if j != i && (rep.State == ReplicaHealthy || rep.State == ReplicaRebuilt) {
 			src = rep
 			break
 		}
@@ -673,16 +663,16 @@ func (m *MirrorStore) Rebuild(clock *vtime.Clock, i int) error {
 		buf := m.scrubBuf[:hi-lo]
 		if err := src.store.ReadAt(clock, buf, lo); err != nil {
 			return fmt.Errorf("nvm: mirror %s: replica %s: block %d @%d: rebuild read: %w",
-				m.name, src.name, lo/m.block, lo, err)
+				m.name, src.Name, lo/m.block, lo, err)
 		}
 		if err := dst.store.WriteAt(clock, buf, lo); err != nil {
 			return fmt.Errorf("nvm: mirror %s: replica %s: block %d @%d: rebuild write: %w",
-				m.name, dst.name, lo/m.block, lo, err)
+				m.name, dst.Name, lo/m.block, lo, err)
 		}
 		m.stats.RebuiltBlocks++
 	}
-	dst.state = ReplicaRebuilt
-	dst.consecutive = 0
+	dst.State = ReplicaRebuilt
+	dst.Consecutive = 0
 	return nil
 }
 

@@ -103,15 +103,15 @@ func (r *RetryStore) Kind() string { return "retry" }
 // Unwrap implements Layer.
 func (r *RetryStore) Unwrap() Storage { return r.inner }
 
-// Stats implements Layer.
-func (r *RetryStore) Stats() LayerStats {
-	return LayerStats{Kind: "retry", Counters: []Counter{
-		{Name: "retries", Value: r.retries},
-		{Name: "read_errors", Value: r.errors},
-		{Name: "backoff_ns", Value: r.backoffNs},
-		{Name: "exhausted", Value: r.exhausted},
-		{Name: "max_attempts", Value: int64(r.policy.attempts()), Gauge: true},
-	}}
+// AppendCounters implements Layer.
+func (r *RetryStore) AppendCounters(dst []Counter) []Counter {
+	return append(dst,
+		Counter{Name: "retries", Value: r.retries},
+		Counter{Name: "read_errors", Value: r.errors},
+		Counter{Name: "backoff_ns", Value: r.backoffNs},
+		Counter{Name: "exhausted", Value: r.exhausted},
+		Counter{Name: "max_attempts", Value: int64(r.policy.attempts()), Gauge: true},
+	)
 }
 
 // fail wraps the terminal error of a read so every caller sees the failing

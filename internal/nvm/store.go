@@ -133,11 +133,11 @@ func (s *FileStore) Kind() string { return "file" }
 // Unwrap implements Layer: a base store wraps nothing.
 func (s *FileStore) Unwrap() Storage { return nil }
 
-// Stats implements Layer.
-func (s *FileStore) Stats() LayerStats {
-	return LayerStats{Kind: "file", Counters: []Counter{
-		{Name: "bytes", Value: s.Size(), Gauge: true},
-	}}
+// AppendCounters implements Layer.
+func (s *FileStore) AppendCounters(dst []Counter) []Counter {
+	return append(dst,
+		Counter{Name: "bytes", Value: s.Size(), Gauge: true},
+	)
 }
 
 // MemStore is a Storage backed by an in-memory byte slice. It charges the
@@ -237,9 +237,9 @@ func (s *MemStore) Kind() string { return "mem" }
 // Unwrap implements Layer: a base store wraps nothing.
 func (s *MemStore) Unwrap() Storage { return nil }
 
-// Stats implements Layer.
-func (s *MemStore) Stats() LayerStats {
-	return LayerStats{Kind: "mem", Counters: []Counter{
-		{Name: "bytes", Value: s.Size(), Gauge: true},
-	}}
+// AppendCounters implements Layer.
+func (s *MemStore) AppendCounters(dst []Counter) []Counter {
+	return append(dst,
+		Counter{Name: "bytes", Value: s.Size(), Gauge: true},
+	)
 }

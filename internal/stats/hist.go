@@ -72,12 +72,18 @@ func (h *Histogram) Observe(v int64) {
 // exact: Quantile over a sum of histograms equals Quantile over the pooled
 // samples (up to bucket resolution).
 func (h Histogram) Add(o Histogram) Histogram {
+	h.Merge(&o)
+	return h
+}
+
+// Merge adds o's samples into h in place: Add without copying either
+// histogram's buckets.
+func (h *Histogram) Merge(o *Histogram) {
 	h.Count += o.Count
 	h.Sum += o.Sum
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
+	for i, n := range o.Buckets {
+		h.Buckets[i] += n
 	}
-	return h
 }
 
 // Sub returns h minus the earlier snapshot o.
