@@ -9,12 +9,12 @@ import "fmt"
 // into an []int64 without allocating, and a run's per-layer delta and its
 // replica health are built straight from the plan.
 //
-// The merge rule is the one CollectStacks has always applied: layers merge
-// by kind in first-seen order, counters sum by name, gauges take the first
-// non-zero value, and a delta keeps a gauge's later value. The plan relies
-// on two facts: the stacks do not change under it (a mirror's Rebuild
-// rewrites into its existing replica stores), and every layer reports the
-// same counter names in the same order on every AppendCounters call.
+// The merge rule is StackStats.Add's and Sub's: layers merge by kind in
+// first-seen order, counters sum by name, gauges take the first non-zero
+// value, and a delta keeps a gauge's later value. The plan relies on two
+// facts: the stacks do not change under it (a mirror's Rebuild rewrites
+// into its existing replica stores), and every layer reports the same
+// counter names in the same order on every AppendCounters call.
 //
 // Like the stacks it reads, a Collector is for one goroutine at a time.
 type Collector struct {

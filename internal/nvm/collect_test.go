@@ -461,21 +461,28 @@ func BenchmarkRunStackStats(b *testing.B) {
 		c := nvm.NewCollector(stores...)
 		var before, after []int64
 		b.ReportAllocs()
-		for b.Loop() {
+		b.ResetTimer()
+		for range b.N {
 			before = c.Snapshot(before)
 			after = c.Snapshot(after)
-			if c.Stats(before, after) == nil || c.Health() == nil {
-				b.Fatal("empty record")
-			}
+			runRecord.layers, runRecord.health = c.Stats(before, after), c.Health()
 		}
 	})
 	b.Run("walked", func(b *testing.B) {
 		b.ReportAllocs()
-		for b.Loop() {
+		b.ResetTimer()
+		for range b.N {
 			before := refCollectStacks(stores...)
-			if refCollectStacks(stores...).Sub(before) == nil || refCollectReplicaHealth(stores...) == nil {
-				b.Fatal("empty record")
-			}
+			runRecord.layers, runRecord.health = refCollectStacks(stores...).Sub(before), refCollectReplicaHealth(stores...)
 		}
 	})
+	if runRecord.layers == nil || runRecord.health == nil {
+		b.Fatal("empty record")
+	}
+}
+
+// runRecord keeps BenchmarkRunStackStats' results live.
+var runRecord struct {
+	layers nvm.StackStats
+	health []nvm.ReplicaHealth
 }
