@@ -128,8 +128,9 @@ func (s *BatchSession) TraversedEdges(mask uint64, degree func(int64) int64) [bi
 }
 
 // LayerTotals returns the cumulative storage-stack counters under the
-// session's graphs; serving layers diff snapshots for per-cohort stats.
-func (s *BatchSession) LayerTotals() nvm.StackStats { return s.r.layerTotals() }
+// session's graphs, read through the engine's planned record; serving
+// layers diff snapshots for per-cohort stats.
+func (s *BatchSession) LayerTotals() nvm.StackStats { return s.r.col.Totals() }
 
 // Admit starts a new search for root on free lane l, effective at the next
 // Step: the root becomes a frontier bit and rides the joint sweep. Admission

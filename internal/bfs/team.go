@@ -176,9 +176,6 @@ func (t *Team) stacks() []nvm.Storage {
 	return out
 }
 
-// layerTotals collects the cumulative per-layer counters of every stack.
-func (t *Team) layerTotals() nvm.StackStats { return t.col.Totals() }
-
 // begin starts a run: it empties the queues, unpins the controller, aligns
 // the worker clocks, opens device epochs and stamps the run's baselines.
 // Setup is not charged: the Graph500 protocol starts the clock at traversal.
