@@ -13,7 +13,7 @@ import (
 	"semibfs/internal/experiments"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/all-scale10.json.golden from this build's output")
+var update = flag.Bool("update", false, "rewrite testdata/all-scale10.*.golden from this build's output")
 
 func analyze(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -45,37 +45,91 @@ func TestAllMeansEveryEntry(t *testing.T) {
 	}
 }
 
-// TestAllGolden pins every virtual number the registry reports at SCALE 10
-// with 2 roots: TEPS, times, and the cache, retry and failover counters the
-// experiments read from the runs' per-layer storage records. A refactor
-// that must not move a virtual number leaves the golden byte-identical;
-// regenerate it (go test ./cmd/analyze -run AllGolden -update) only when a
-// number is meant to move.
+// goldens are the three renderings of analyze -exp all -scale 10 -roots 2,
+// each committed as testdata/all-scale10.<ext>.golden, with how to cut each
+// into its experiments' blocks.
+var goldens = []struct {
+	ext   string
+	flags []string
+	split func(string) map[string]string
+}{
+	{"json", []string{"-json"}, splitJSON},
+	{"csv", []string{"-csv"}, splitCSV},
+	{"txt", nil, splitText},
+}
+
+// splitJSON cuts the one indented object into its keys' values.
+func splitJSON(out string) map[string]string {
+	var byName map[string]json.RawMessage
+	json.Unmarshal([]byte(out), &byName) // a malformed output has no blocks
+	blocks := make(map[string]string, len(byName))
+	for name, raw := range byName {
+		blocks[name] = string(raw)
+	}
+	return blocks
+}
+
+// splitCSV cuts the output at the "# name" line that opens each block.
+func splitCSV(out string) map[string]string {
+	blocks := map[string]string{}
+	for _, block := range strings.Split(strings.TrimPrefix(out, "# "), "\n# ") {
+		name, body, _ := strings.Cut(block, "\n")
+		blocks[name] = body
+	}
+	return blocks
+}
+
+// splitText cuts the output at the blank line after each block; the blocks
+// come in registry order.
+func splitText(out string) map[string]string {
+	blocks := map[string]string{}
+	for i, block := range strings.Split(out, "\n\n") {
+		if i < len(experiments.Names()) {
+			blocks[experiments.Names()[i]] = block
+		}
+	}
+	return blocks
+}
+
+// TestAllGolden pins every rendering of every registered experiment at
+// SCALE 10 with 2 roots: in JSON every virtual number (TEPS, times, and the
+// cache, retry and failover counters the experiments read from the runs'
+// per-layer storage records), in CSV every column header, and in text every
+// title, heading, cell format and headline metric. A refactor that must not
+// move a number or a rendering leaves all three byte-identical, and a
+// mismatch names every experiment whose block differs. Regenerate them
+// (go test ./cmd/analyze -run AllGolden -update) only when a change is meant.
 func TestAllGolden(t *testing.T) {
-	code, out, errOut := analyze(t, "-exp", "all", "-json")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	path := filepath.Join("testdata", "all-scale10.json.golden")
-	if *update {
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(want) {
-		w, g := string(want), out
-		i := 0
-		for i < len(w) && i < len(g) && w[i] == g[i] {
-			i++
-		}
-		lo := max(i-80, 0)
-		t.Errorf("output differs from %s at byte %d (regenerate with -update only if the change is meant):\n  want …%.160s\n  got  …%.160s",
-			path, i, w[lo:], g[lo:])
+	for _, g := range goldens {
+		t.Run(g.ext, func(t *testing.T) {
+			code, out, errOut := analyze(t, append([]string{"-exp", "all"}, g.flags...)...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, errOut)
+			}
+			path := filepath.Join("testdata", "all-scale10."+g.ext+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out == string(want) {
+				return
+			}
+			wantBlocks, gotBlocks := g.split(string(want)), g.split(out)
+			var differ []string
+			for _, name := range experiments.Names() {
+				if wantBlocks[name] != gotBlocks[name] {
+					differ = append(differ, name)
+				}
+			}
+			t.Errorf("output differs from %s; differing experiments: %v (regenerate with -update only if the change is meant)",
+				path, differ)
+		})
 	}
 }
 
