@@ -12,15 +12,15 @@ import (
 
 // AblationRow is one design-choice measurement.
 type AblationRow struct {
-	Study   string  `json:"study"`
-	Variant string  `json:"variant"`
-	TEPS    float64 `json:"teps"`
+	Study   string  `json:"study" text:"study"`
+	Variant string  `json:"variant" text:"variant"`
+	TEPS    float64 `json:"teps" text:"TEPS,teps"`
 	// NVMReads / AvgRequestSectors are filled for NVM variants.
-	NVMReads          int64   `json:"nvm_reads"`
-	AvgRequestSectors float64 `json:"avg_request_sectors"`
+	NVMReads          int64   `json:"nvm_reads" text:"NVM reads"`
+	AvgRequestSectors float64 `json:"avg_request_sectors" text:"sectors/req"`
 	// ExaminedBU is the bottom-up examined-edge count (adjacency-order
 	// study).
-	ExaminedBU int64 `json:"examined_bu"`
+	ExaminedBU int64 `json:"examined_bu" text:"BU edges/BFS"`
 }
 
 // Ablations measures the design choices DESIGN.md calls out:
@@ -114,12 +114,4 @@ var ablationsEntry = flat[AblationRow]{
 	name: "ablations", doc: "DESIGN.md design choices: adjacency order, forward index placement, request aggregation",
 	run:   Ablations,
 	title: "Ablations: design choices of DESIGN.md",
-	cols: []Col[AblationRow]{
-		{"study", "study", func(r AblationRow) any { return r.Study }},
-		{"variant", "variant", func(r AblationRow) any { return r.Variant }},
-		{"teps", "TEPS", func(r AblationRow) any { return TEPS(r.TEPS) }},
-		{"nvm_reads", "NVM reads", func(r AblationRow) any { return r.NVMReads }},
-		{"avg_request_sectors", "sectors/req", func(r AblationRow) any { return r.AvgRequestSectors }},
-		{"examined_bu", "BU edges/BFS", func(r AblationRow) any { return r.ExaminedBU }},
-	},
 }.entry()

@@ -14,28 +14,28 @@ import (
 // AlgoRow is one (scenario, algorithm, cache budget) measurement of the
 // vertex-program sweep.
 type AlgoRow struct {
-	Scenario string `json:"scenario"`
-	Algo     string `json:"algo"`
+	Scenario string `json:"scenario" text:"scenario"`
+	Algo     string `json:"algo" text:"algo"`
 	// Fraction is the cache budget as a fraction of the forward graph's
 	// NVM bytes; CacheBytes is the resulting budget (0 = no cache).
-	Fraction   float64 `json:"fraction"`
+	Fraction   float64 `json:"fraction" text:"budget,budget"`
 	CacheBytes int64   `json:"cache_bytes"`
 	// TEPS is the harmonic-mean traversed-edges-per-second over the
 	// sampled roots (BFS only; 0 for the iterative algorithms).
-	TEPS float64 `json:"teps"`
+	TEPS float64 `json:"teps" text:"TEPS,teps"`
 	// EdgesPerSec is examined edges per virtual second over the whole
 	// run — the throughput figure that is comparable across algorithms.
-	EdgesPerSec float64 `json:"edges_per_sec"`
+	EdgesPerSec float64 `json:"edges_per_sec" text:"edges/s,teps"`
 	// Iterations / IterationsPerSec describe the iterative algorithms'
 	// sweep structure (for BFS, Iterations is the level count of the
 	// last root).
-	Iterations       int     `json:"iterations"`
-	IterationsPerSec float64 `json:"iterations_per_sec"`
+	Iterations       int     `json:"iterations" text:"iters"`
+	IterationsPerSec float64 `json:"iterations_per_sec" text:"iters/s"`
 	Converged        bool    `json:"converged"`
 	// StateBytes is the packed size of the program's per-vertex result
 	// state (the state codec's delta+varint or raw-float snapshot).
-	StateBytes int64   `json:"state_bytes"`
-	HitRate    float64 `json:"hit_rate"`
+	StateBytes int64   `json:"state_bytes" text:"state,bytes"`
+	HitRate    float64 `json:"hit_rate" text:"hit%,frac"`
 	// NVMReads counts post-cache device requests (the mirror layer's
 	// read total for this run).
 	NVMReads int64   `json:"nvm_reads"`
@@ -193,21 +193,6 @@ var algoEntry = flat[AlgoRow]{
 	name: "algo", doc: "algorithm sweep: BFS / components / PageRank vertex programs through the full stack vs cache budget",
 	run:   AlgoSweep,
 	title: "Algorithm sweep: vertex programs through the full NVM stack vs cache budget",
-	cols: []Col[AlgoRow]{
-		{"scenario", "scenario", func(r AlgoRow) any { return r.Scenario }},
-		{"algo", "algo", func(r AlgoRow) any { return r.Algo }},
-		{"fraction", "budget", func(r AlgoRow) any { return Budget(r.Fraction) }},
-		{"cache_bytes", "", func(r AlgoRow) any { return r.CacheBytes }},
-		{"teps", "TEPS", func(r AlgoRow) any { return TEPS(r.TEPS) }},
-		{"edges_per_sec", "edges/s", func(r AlgoRow) any { return TEPS(r.EdgesPerSec) }},
-		{"iterations", "iters", func(r AlgoRow) any { return r.Iterations }},
-		{"iterations_per_sec", "iters/s", func(r AlgoRow) any { return r.IterationsPerSec }},
-		{"converged", "", func(r AlgoRow) any { return r.Converged }},
-		{"state_bytes", "state", func(r AlgoRow) any { return Bytes(r.StateBytes) }},
-		{"hit_rate", "hit%", func(r AlgoRow) any { return Frac(r.HitRate) }},
-		{"nvm_reads", "", func(r AlgoRow) any { return r.NVMReads }},
-		{"seconds", "", func(r AlgoRow) any { return r.Seconds }},
-	},
 	// Best BFS TEPS through the full stack per device, and the best
 	// PageRank iteration throughput on the primary device.
 	headline: func(rows []AlgoRow) []Metric {

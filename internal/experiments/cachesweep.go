@@ -38,22 +38,22 @@ func sweepBFSConfig(opts Options, mode bfs.Mode) bfs.Config {
 
 // CacheRow is one (scenario, mode, budget) measurement of the cache sweep.
 type CacheRow struct {
-	Scenario string `json:"scenario"`
-	Mode     string `json:"mode"`
+	Scenario string `json:"scenario" text:"scenario"`
+	Mode     string `json:"mode" text:"mode"`
 	// Fraction is the cache budget as a fraction of the forward graph's
 	// NVM bytes; CacheBytes is the resulting budget (0 = no cache).
-	Fraction   float64 `json:"fraction"`
-	CacheBytes int64   `json:"cache_bytes"`
+	Fraction   float64 `json:"fraction" text:"budget,budget"`
+	CacheBytes int64   `json:"cache_bytes" text:"cache,bytes"`
 	Readahead  int     `json:"readahead"`
-	TEPS       float64 `json:"teps"`
-	HitRate    float64 `json:"hit_rate"`
+	TEPS       float64 `json:"teps" text:"TEPS,teps"`
+	HitRate    float64 `json:"hit_rate" text:"hit%,frac"`
 	Hits       int64   `json:"hits"`
 	Misses     int64   `json:"misses"`
-	Evictions  int64   `json:"evictions"`
+	Evictions  int64   `json:"evictions" text:"evictions"`
 	Prefetches int64   `json:"prefetches"`
 	// NVMReads is the device's request count over the benchmark — the
 	// traffic the cache absorbed is visible as the drop against row 0.
-	NVMReads int64 `json:"nvm_reads"`
+	NVMReads int64 `json:"nvm_reads" text:"NVM reads"`
 }
 
 // CacheSweep measures TEPS and cache effectiveness versus cache budget
@@ -124,18 +124,4 @@ var cacheEntry = flat[CacheRow]{
 	name: "cache", doc: "cache sweep: TEPS and hit rate vs forward-graph page-cache budget, hybrid and top-down",
 	run:   CacheSweep,
 	title: "Cache sweep: harmonic-mean TEPS vs forward-graph page-cache budget",
-	cols: []Col[CacheRow]{
-		{"scenario", "scenario", func(r CacheRow) any { return r.Scenario }},
-		{"mode", "mode", func(r CacheRow) any { return r.Mode }},
-		{"fraction", "budget", func(r CacheRow) any { return Budget(r.Fraction) }},
-		{"cache_bytes", "cache", func(r CacheRow) any { return Bytes(r.CacheBytes) }},
-		{"readahead", "", func(r CacheRow) any { return r.Readahead }},
-		{"teps", "TEPS", func(r CacheRow) any { return TEPS(r.TEPS) }},
-		{"hit_rate", "hit%", func(r CacheRow) any { return Frac(r.HitRate) }},
-		{"hits", "", func(r CacheRow) any { return r.Hits }},
-		{"misses", "", func(r CacheRow) any { return r.Misses }},
-		{"evictions", "evictions", func(r CacheRow) any { return r.Evictions }},
-		{"prefetches", "", func(r CacheRow) any { return r.Prefetches }},
-		{"nvm_reads", "NVM reads", func(r CacheRow) any { return r.NVMReads }},
-	},
 }.entry()

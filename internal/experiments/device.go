@@ -8,6 +8,7 @@ import (
 	"semibfs/internal/core"
 	"semibfs/internal/nvm"
 	"semibfs/internal/power"
+	"semibfs/internal/vtime"
 )
 
 // Fig11Point is one top-down level's degradation measurement.
@@ -93,15 +94,17 @@ func Fig11(opts Options) ([]Fig11Result, error) {
 
 // fig11Bucket is one decade of average frontier degree in one scenario's
 // degradation cloud — the resolution at which the text and CSV renderings
-// summarize Figure 11 (the JSON rows keep every point).
+// summarize Figure 11 (the JSON rows keep every point). Degrees below 10
+// all land in [1, 10).
 type fig11Bucket struct {
-	scenario string
-	lo       float64 // degrees in [lo, 10*lo); below 10 all land in [1, 10)
-	levels   int
-	sum      float64
+	Scenario  string  `json:"scenario" text:"scenario"`
+	From      float64 `json:"avg_degree_from" text:"avg degree >="`
+	Below     float64 `json:"avg_degree_below" text:"<"`
+	Levels    int     `json:"levels" text:"levels"`
+	MeanRatio float64 `json:"mean_ratio" text:"mean ratio,times"`
 }
 
-func fig11Buckets(results []Fig11Result) []fig11Bucket {
+func fig11Table(title string, results []Fig11Result) Table {
 	var out []fig11Bucket
 	for _, r := range results {
 		// Points are sorted by degree, so each decade is one run.
@@ -110,43 +113,34 @@ func fig11Buckets(results []Fig11Result) []fig11Bucket {
 			for p.AvgDegree >= 10*lo {
 				lo *= 10
 			}
-			if n := len(out); n == 0 || out[n-1].scenario != r.Scenario || out[n-1].lo != lo {
-				out = append(out, fig11Bucket{scenario: r.Scenario, lo: lo})
+			if n := len(out); n == 0 || out[n-1].Scenario != r.Scenario || out[n-1].From != lo {
+				out = append(out, fig11Bucket{Scenario: r.Scenario, From: lo, Below: 10 * lo})
 			}
-			out[len(out)-1].levels++
-			out[len(out)-1].sum += p.Ratio
+			out[len(out)-1].Levels++
+			out[len(out)-1].MeanRatio += p.Ratio // the sum, until divided below
 		}
 	}
-	return out
+	for i := range out {
+		out[i].MeanRatio /= float64(out[i].Levels)
+	}
+	return rowTable(title, out)
 }
 
-var fig11Entry = Entry{
-	Name: "fig11", Doc: "Figure 11: per-level top-down slowdown vs DRAM-only against average frontier degree",
-	Run: func(opts Options) (Result, error) {
-		results, err := Fig11(opts)
-		if err != nil {
-			return Result{}, err
+var fig11Entry = flat[Fig11Result]{
+	name: "fig11", doc: "Figure 11: per-level top-down slowdown vs DRAM-only against average frontier degree",
+	run: Fig11,
+	title: "Figure 11: top-down slowdown vs DRAM-only, by decade of average frontier degree\n" +
+		"(paper: ioDrive2 max 5758.5x / min 1.2x; SSD max 123482.6x / min 2.8x at SCALE 27)",
+	table: fig11Table,
+	headline: func(results []Fig11Result) []Metric {
+		return []Metric{
+			{"pcie-min-slowdown-x", results[0].Min},
+			{"pcie-max-slowdown-x", results[0].Max},
+			{"ssd-min-slowdown-x", results[1].Min},
+			{"ssd-max-slowdown-x", results[1].Max},
 		}
-		return Result{
-			Rows: results,
-			Table: tabulate("Figure 11: top-down slowdown vs DRAM-only, by decade of average frontier degree\n"+
-				"(paper: ioDrive2 max 5758.5x / min 1.2x; SSD max 123482.6x / min 2.8x at SCALE 27)",
-				fig11Buckets(results), []Col[fig11Bucket]{
-					{"scenario", "scenario", func(b fig11Bucket) any { return b.scenario }},
-					{"avg_degree_from", "avg degree >=", func(b fig11Bucket) any { return b.lo }},
-					{"avg_degree_below", "<", func(b fig11Bucket) any { return 10 * b.lo }},
-					{"levels", "levels", func(b fig11Bucket) any { return b.levels }},
-					{"mean_ratio", "mean ratio", func(b fig11Bucket) any { return Times(b.sum / float64(b.levels)) }},
-				}),
-			Headline: []Metric{
-				{"pcie-min-slowdown-x", results[0].Min},
-				{"pcie-max-slowdown-x", results[0].Max},
-				{"ssd-min-slowdown-x", results[1].Min},
-				{"ssd-max-slowdown-x", results[1].Max},
-			},
-		}, nil
 	},
-}
+}.entry()
 
 // DeviceUsage is one NVM scenario's iostat-style measurement over the full
 // multi-root benchmark run (Figures 12 and 13).
@@ -182,21 +176,31 @@ func Fig12And13(opts Options) ([]DeviceUsage, error) {
 	return out, nil
 }
 
-// The table is the iostat summary the paper quotes; the per-bin series
-// behind the two figures ride in the JSON rows.
+// deviceUsageRow is one scenario's iostat summary as tabulated: the
+// figures' per-bin series ride in the JSON rows.
+type deviceUsageRow struct {
+	Scenario    string         `json:"scenario" text:"scenario"`
+	Reads       int64          `json:"reads" text:"reads"`
+	AvgQueue    float64        `json:"avgqu_sz" text:"avgqu-sz"`
+	AvgRequest  float64        `json:"avgrq_sz" text:"avgrq-sz"`
+	Await       vtime.Duration `json:"await_ns" text:"await"`
+	Utilization float64        `json:"utilization" text:"util,frac"`
+	SeriesBins  int            `json:"series_bins" text:"series bins"`
+}
+
 var fig12And13Entry = flat[DeviceUsage]{
 	name: "fig12-13", doc: "Figures 12/13: iostat-style NVM queue length (avgqu-sz) and request size (avgrq-sz) during BFS",
 	run: Fig12And13,
 	title: "Figures 12/13: NVM request queue length and size during BFS\n" +
 		"(paper averages: avgqu-sz 36.1 ioDrive2 / 56.1 SSD; avgrq-sz 22.6 / 22.7 sectors)",
-	cols: []Col[DeviceUsage]{
-		{"scenario", "scenario", func(u DeviceUsage) any { return u.Scenario }},
-		{"reads", "reads", func(u DeviceUsage) any { return u.Stats.Reads }},
-		{"avgqu_sz", "avgqu-sz", func(u DeviceUsage) any { return u.Stats.AvgQueueSize }},
-		{"avgrq_sz", "avgrq-sz", func(u DeviceUsage) any { return u.Stats.AvgRequestSectors }},
-		{"await_ns", "await", func(u DeviceUsage) any { return u.Stats.AvgWait + u.Stats.AvgService }},
-		{"utilization", "util", func(u DeviceUsage) any { return Frac(u.Stats.Utilization) }},
-		{"series_bins", "series bins", func(u DeviceUsage) any { return len(u.Series) }},
+	table: func(title string, usages []DeviceUsage) Table {
+		view := make([]deviceUsageRow, len(usages))
+		for i, u := range usages {
+			st := u.Stats
+			view[i] = deviceUsageRow{u.Scenario, st.Reads, st.AvgQueueSize, st.AvgRequestSectors,
+				st.AvgWait + st.AvgService, st.Utilization, len(u.Series)}
+		}
+		return rowTable(title, view)
 	},
 	headline: func(usages []DeviceUsage) []Metric {
 		return []Metric{
@@ -210,14 +214,14 @@ var fig12And13Entry = flat[DeviceUsage]{
 
 // Fig14Row is one per-vertex DRAM edge cap measurement.
 type Fig14Row struct {
-	Limit int `json:"keep_edges"`
+	Limit int `json:"keep_edges" text:"k"`
 	// DRAMSizeReductionPct is the backward graph's DRAM savings
 	// relative to keeping it fully resident.
-	DRAMSizeReductionPct float64 `json:"bwd_dram_reduction_pct"`
+	DRAMSizeReductionPct float64 `json:"bwd_dram_reduction_pct" text:"BG DRAM reduction,pct"`
 	// NVMAccessPct is the fraction of bottom-up neighbor examinations
 	// served from NVM.
-	NVMAccessPct float64 `json:"nvm_access_pct"`
-	TEPS         float64 `json:"teps"`
+	NVMAccessPct float64 `json:"nvm_access_pct" text:"NVM access ratio,pct"`
+	TEPS         float64 `json:"teps" text:"TEPS,teps"`
 }
 
 // Fig14Limits are the per-vertex caps the paper evaluates.
@@ -273,12 +277,6 @@ var fig14Entry = flat[Fig14Row]{
 	run: Fig14,
 	title: "Figure 14: backward graph (BG) offloading vs DRAM edge cap k\n" +
 		"(paper: k=2 -> 38.2% of accesses on NVM; k=32 -> 0.7%)",
-	cols: []Col[Fig14Row]{
-		{"keep_edges", "k", func(r Fig14Row) any { return r.Limit }},
-		{"bwd_dram_reduction_pct", "BG DRAM reduction", func(r Fig14Row) any { return Pct(r.DRAMSizeReductionPct) }},
-		{"nvm_access_pct", "NVM access ratio", func(r Fig14Row) any { return Pct(r.NVMAccessPct) }},
-		{"teps", "TEPS", func(r Fig14Row) any { return TEPS(r.TEPS) }},
-	},
 	headline: func(rows []Fig14Row) []Metric {
 		return []Metric{
 			{"k2-nvm-access-pct", rows[0].NVMAccessPct},
@@ -289,10 +287,10 @@ var fig14Entry = flat[Fig14Row]{
 
 // GreenRow is the Green Graph500 efficiency estimate.
 type GreenRow struct {
-	Scenario  string  `json:"scenario"`
-	TEPS      float64 `json:"teps"`
-	Watts     float64 `json:"watts"`
-	MTEPSPerW float64 `json:"mteps_per_watt"`
+	Scenario  string  `json:"scenario" text:"scenario"`
+	TEPS      float64 `json:"teps" text:"TEPS,teps"`
+	Watts     float64 `json:"watts" text:"watts"`
+	MTEPSPerW float64 `json:"mteps_per_watt" text:"MTEPS/W"`
 }
 
 // Green evaluates the power model over each scenario's best headline
@@ -339,12 +337,6 @@ var greenEntry = flat[GreenRow]{
 	name: "green", doc: "Green Graph500 estimate: the power model over each scenario's best result (4.35 MTEPS/W)",
 	run:   Green,
 	title: "Green Graph500 estimate (paper: 4.35 MTEPS/W on a 4-way 500 GB + 4 TB NVM system)",
-	cols: []Col[GreenRow]{
-		{"scenario", "scenario", func(r GreenRow) any { return r.Scenario }},
-		{"teps", "TEPS", func(r GreenRow) any { return TEPS(r.TEPS) }},
-		{"watts", "watts", func(r GreenRow) any { return r.Watts }},
-		{"mteps_per_watt", "MTEPS/W", func(r GreenRow) any { return r.MTEPSPerW }},
-	},
 	headline: func(rows []GreenRow) []Metric {
 		return []Metric{{"pcie-MTEPS-per-W", rows[1].MTEPSPerW}}
 	},

@@ -29,25 +29,25 @@ const FailoverScrubRate = 20000
 
 // FailoverRow is one (replicas, fault-rate) measurement of the sweep.
 type FailoverRow struct {
-	Scenario string  `json:"scenario"`
-	Replicas int     `json:"replicas"`
-	Rate     float64 `json:"rate"`
-	TEPS     float64 `json:"teps"`
+	Scenario string  `json:"scenario" text:"scenario"`
+	Replicas int     `json:"replicas" text:"reps"`
+	Rate     float64 `json:"rate" text:"rate"`
+	TEPS     float64 `json:"teps" text:"TEPS,teps"`
 	// Failovers counts reads redirected to another replica; ReadErrors is
 	// the retry layer's failed-attempt count (errors the mirror absorbed
 	// never reach it).
-	Failovers  int64 `json:"failovers"`
-	ReadErrors int64 `json:"read_errors"`
+	Failovers  int64 `json:"failovers" text:"failovers"`
+	ReadErrors int64 `json:"read_errors" text:"errors"`
 	// ScrubbedBlocks / RepairedBlocks count the background scrubber's
 	// verified and rewritten blocks; MeanRepairUs is the mean virtual
 	// repair latency in microseconds (0 when nothing was repaired).
-	ScrubbedBlocks int64   `json:"scrubbed_blocks"`
-	RepairedBlocks int64   `json:"repaired_blocks"`
-	MeanRepairUs   float64 `json:"mean_repair_us"`
+	ScrubbedBlocks int64   `json:"scrubbed_blocks" text:"scrubbed"`
+	RepairedBlocks int64   `json:"repaired_blocks" text:"repaired"`
+	MeanRepairUs   float64 `json:"mean_repair_us" text:"repair-us"`
 	// DeadDevices / DegradedRuns count replicas lost by the end of the
 	// benchmark and roots that had to pin to the DRAM direction.
-	DeadDevices  int `json:"dead_devices"`
-	DegradedRuns int `json:"degraded_runs"`
+	DeadDevices  int `json:"dead_devices" text:"dead"`
+	DegradedRuns int `json:"degraded_runs" text:"degraded"`
 }
 
 // FailoverSweep measures TEPS and repair activity versus injected
@@ -112,17 +112,4 @@ var failoverEntry = flat[FailoverRow]{
 	name: "failover", doc: "failover sweep: TEPS and repair activity vs per-device fault rate, 1/2/3-way mirrors",
 	run:   FailoverSweep,
 	title: "Failover sweep: harmonic-mean TEPS vs per-device fault rate and replica count",
-	cols: []Col[FailoverRow]{
-		{"scenario", "scenario", func(r FailoverRow) any { return r.Scenario }},
-		{"replicas", "reps", func(r FailoverRow) any { return r.Replicas }},
-		{"rate", "rate", func(r FailoverRow) any { return r.Rate }},
-		{"teps", "TEPS", func(r FailoverRow) any { return TEPS(r.TEPS) }},
-		{"failovers", "failovers", func(r FailoverRow) any { return r.Failovers }},
-		{"read_errors", "errors", func(r FailoverRow) any { return r.ReadErrors }},
-		{"scrubbed_blocks", "scrubbed", func(r FailoverRow) any { return r.ScrubbedBlocks }},
-		{"repaired_blocks", "repaired", func(r FailoverRow) any { return r.RepairedBlocks }},
-		{"mean_repair_us", "repair-us", func(r FailoverRow) any { return r.MeanRepairUs }},
-		{"dead_devices", "dead", func(r FailoverRow) any { return r.DeadDevices }},
-		{"degraded_runs", "degraded", func(r FailoverRow) any { return r.DegradedRuns }},
-	},
 }.entry()

@@ -15,20 +15,20 @@ var FaultRates = []float64{0, 0.001, 0.01, 0.05}
 
 // FaultRow is one (scenario, error-rate) measurement of the fault sweep.
 type FaultRow struct {
-	Scenario string  `json:"scenario"`
-	Rate     float64 `json:"rate"`
-	TEPS     float64 `json:"teps"`
+	Scenario string  `json:"scenario" text:"scenario"`
+	Rate     float64 `json:"rate" text:"rate"`
+	TEPS     float64 `json:"teps" text:"TEPS,teps"`
 	// Retries / ReadErrors / BackoffTime are the per-benchmark totals the
 	// retry layer reports; Injected is the fault layer's own count of
 	// transient errors it produced (the two error counts agree when no
 	// other error source is active).
-	Retries     int64          `json:"retries"`
-	ReadErrors  int64          `json:"read_errors"`
-	BackoffTime vtime.Duration `json:"backoff_ns"`
+	Retries     int64          `json:"retries" text:"retries"`
+	ReadErrors  int64          `json:"read_errors" text:"errors"`
+	BackoffTime vtime.Duration `json:"backoff_ns" text:"backoff"`
 	Injected    int64          `json:"injected"`
 	// DegradedRuns counts roots that finished in degraded mode (expected
 	// zero in this sweep: transient faults recover by retry).
-	DegradedRuns int `json:"degraded_runs"`
+	DegradedRuns int `json:"degraded_runs" text:"degraded"`
 }
 
 // FaultSweep measures TEPS versus injected transient-error rate for both
@@ -71,14 +71,4 @@ var faultsEntry = flat[FaultRow]{
 	name: "faults", doc: "fault sweep: median TEPS vs injected transient-error rate, both NVM scenarios",
 	run:   FaultSweep,
 	title: "Fault sweep: median TEPS vs injected transient-error rate",
-	cols: []Col[FaultRow]{
-		{"scenario", "scenario", func(r FaultRow) any { return r.Scenario }},
-		{"rate", "rate", func(r FaultRow) any { return r.Rate }},
-		{"teps", "TEPS", func(r FaultRow) any { return TEPS(r.TEPS) }},
-		{"retries", "retries", func(r FaultRow) any { return r.Retries }},
-		{"read_errors", "errors", func(r FaultRow) any { return r.ReadErrors }},
-		{"backoff_ns", "backoff", func(r FaultRow) any { return r.BackoffTime }},
-		{"injected", "", func(r FaultRow) any { return r.Injected }},
-		{"degraded_runs", "degraded", func(r FaultRow) any { return r.DegradedRuns }},
-	},
 }.entry()

@@ -26,22 +26,22 @@ const (
 // IORow is one (scenario, mode, compress, queue depth) measurement of the
 // I/O sweep.
 type IORow struct {
-	Scenario   string  `json:"scenario"`
-	Mode       string  `json:"mode"`
-	Compress   bool    `json:"compress"`
-	QueueDepth int     `json:"queue_depth"`
-	Prefetch   int     `json:"prefetch"`
+	Scenario   string  `json:"scenario" text:"scenario"`
+	Mode       string  `json:"mode" text:"mode"`
+	Compress   bool    `json:"compress" text:"cmp"`
+	QueueDepth int     `json:"queue_depth" text:"qd"`
+	Prefetch   int     `json:"prefetch" text:"pf"`
 	CacheBytes int64   `json:"cache_bytes"`
-	TEPS       float64 `json:"teps"`
+	TEPS       float64 `json:"teps" text:"TEPS,teps"`
 	// Speedup is TEPS over the scenario+mode's raw synchronous row
 	// (compress off, queue depth 0) — the row the tentpole is judged by.
-	Speedup float64 `json:"speedup"`
+	Speedup float64 `json:"speedup" text:"speedup,times"`
 	// CompressionRatio is raw adjacency bytes over stored bytes (1 for
 	// uncompressed rows).
-	CompressionRatio float64 `json:"compression_ratio"`
-	HitRate          float64 `json:"hit_rate"`
-	NVMReads         int64   `json:"nvm_reads"`
-	NVMReadBytes     int64   `json:"nvm_read_bytes"`
+	CompressionRatio float64 `json:"compression_ratio" text:"ratio,times"`
+	HitRate          float64 `json:"hit_rate" text:"hit%,frac"`
+	NVMReads         int64   `json:"nvm_reads" text:"NVM reads"`
+	NVMReadBytes     int64   `json:"nvm_read_bytes" text:"NVM read,bytes"`
 	// DemandRuns / PrefetchBlocks are the async layer's coalescing
 	// counters (0 for synchronous rows).
 	DemandRuns     int64 `json:"demand_runs"`
@@ -126,22 +126,6 @@ var ioEntry = flat[IORow]{
 	name: "io", doc: "I/O sweep: TEPS vs async queue depth x adjacency compression at a fixed cache budget",
 	run:   IOSweep,
 	title: "I/O sweep: harmonic-mean TEPS vs queue depth x compression (cache = 1/8 raw forward bytes)",
-	cols: []Col[IORow]{
-		{"scenario", "scenario", func(r IORow) any { return r.Scenario }},
-		{"mode", "mode", func(r IORow) any { return r.Mode }},
-		{"compress", "cmp", func(r IORow) any { return r.Compress }},
-		{"queue_depth", "qd", func(r IORow) any { return r.QueueDepth }},
-		{"prefetch", "pf", func(r IORow) any { return r.Prefetch }},
-		{"cache_bytes", "", func(r IORow) any { return r.CacheBytes }},
-		{"teps", "TEPS", func(r IORow) any { return TEPS(r.TEPS) }},
-		{"speedup", "speedup", func(r IORow) any { return Times(r.Speedup) }},
-		{"compression_ratio", "ratio", func(r IORow) any { return Times(r.CompressionRatio) }},
-		{"hit_rate", "hit%", func(r IORow) any { return Frac(r.HitRate) }},
-		{"nvm_reads", "NVM reads", func(r IORow) any { return r.NVMReads }},
-		{"nvm_read_bytes", "NVM read", func(r IORow) any { return Bytes(r.NVMReadBytes) }},
-		{"demand_runs", "", func(r IORow) any { return r.DemandRuns }},
-		{"prefetch_blocks", "", func(r IORow) any { return r.PrefetchBlocks }},
-	},
 	// The rows the tentpole is judged by: the adjacency compression ratio
 	// and, per device, the best compressed+async hybrid row over the raw
 	// synchronous baseline.

@@ -1,9 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI) and the repository's extension sweeps. Each
 // experiment is one function returning typed rows plus one registry Entry
-// (registry.go) whose column description renders them as text, CSV and
-// JSON; cmd/analyze and the repository's bench_test.go are loops over that
-// registry, so the numbers in EXPERIMENTS.md come from exactly this code.
+// (registry.go) that renders them as text, CSV and JSON. A row type is its
+// own table (rowTable, table.go): its JSON tags name the CSV columns and
+// its text tags the text table's; an entry that shows a summary of its rows
+// tabulates a small view type the same way. cmd/analyze and the
+// repository's bench_test.go are loops over that registry, so the numbers
+// in EXPERIMENTS.md come from exactly this code.
 package experiments
 
 import (

@@ -31,35 +31,35 @@ const LoadSweepQueriesPerRootOpt = 4
 
 // LoadRow is one (scenario, offered load, admission policy) measurement.
 type LoadRow struct {
-	Scenario string `json:"scenario"`
+	Scenario string `json:"scenario" text:"scenario"`
 	// LoadFactor is offered QPS over calibrated capacity QPS; QPS is the
 	// absolute open-loop arrival rate on the virtual clock.
-	LoadFactor float64 `json:"load_factor"`
-	QPS        float64 `json:"qps"`
+	LoadFactor float64 `json:"load_factor" text:"load,times"`
+	QPS        float64 `json:"qps" text:"qps"`
 	// CapacityQPS is the calibrated closed-loop serving rate of the
 	// scenario (shared by every row of the scenario).
 	CapacityQPS float64 `json:"capacity_qps"`
 	// Shedding reports whether the row ran with admission control (a
 	// bounded queue plus a deadline) or the unbounded baseline.
-	Shedding bool `json:"shedding"`
+	Shedding bool `json:"shedding" text:"shed?"`
 	// Queries is the stream length; Served/Shed/Expired partition it.
 	Queries int   `json:"queries"`
-	Served  int64 `json:"served"`
-	Shed    int64 `json:"shed"`
-	Expired int64 `json:"expired"`
+	Served  int64 `json:"served" text:"served"`
+	Shed    int64 `json:"shed" text:"shed"`
+	Expired int64 `json:"expired" text:"expired"`
 	// P50/P95/P99/Mean are completion-latency quantiles of the served
 	// queries, in virtual seconds (arrival to finish, queueing included).
-	P50  float64 `json:"p50_seconds"`
+	P50  float64 `json:"p50_seconds" text:"p50 s"`
 	P95  float64 `json:"p95_seconds"`
-	P99  float64 `json:"p99_seconds"`
+	P99  float64 `json:"p99_seconds" text:"p99 s"`
 	Mean float64 `json:"mean_seconds"`
 	// WaitP99 is the 99th-percentile queue wait of admitted queries.
-	WaitP99 float64 `json:"wait_p99_seconds"`
+	WaitP99 float64 `json:"wait_p99_seconds" text:"wait99 s"`
 	// MaxQueueDepth / MeanQueueDepth describe the submission queue;
 	// Occupancy is the mean fraction of lanes doing useful work per sweep.
-	MaxQueueDepth  int     `json:"max_queue_depth"`
+	MaxQueueDepth  int     `json:"max_queue_depth" text:"maxq"`
 	MeanQueueDepth float64 `json:"mean_queue_depth"`
-	Occupancy      float64 `json:"occupancy"`
+	Occupancy      float64 `json:"occupancy" text:"occ%,frac"`
 	// AggregateTEPS is served traversed edges over the stream makespan.
 	AggregateTEPS float64 `json:"aggregate_teps"`
 }
@@ -253,24 +253,4 @@ var loadEntry = flat[LoadRow]{
 	name: "load", doc: "load sweep: serving latency quantiles vs open-loop offered load, with and without shedding",
 	run:   LoadSweep,
 	title: fmt.Sprintf("Load sweep: serving latency vs offered load (open-loop arrivals, B = %d lanes)", LoadSweepLanes),
-	cols: []Col[LoadRow]{
-		{"scenario", "scenario", func(r LoadRow) any { return r.Scenario }},
-		{"load_factor", "load", func(r LoadRow) any { return Times(r.LoadFactor) }},
-		{"qps", "qps", func(r LoadRow) any { return r.QPS }},
-		{"capacity_qps", "", func(r LoadRow) any { return r.CapacityQPS }},
-		{"shedding", "shed?", func(r LoadRow) any { return r.Shedding }},
-		{"queries", "", func(r LoadRow) any { return r.Queries }},
-		{"served", "served", func(r LoadRow) any { return r.Served }},
-		{"shed", "shed", func(r LoadRow) any { return r.Shed }},
-		{"expired", "expired", func(r LoadRow) any { return r.Expired }},
-		{"p50_seconds", "p50 s", func(r LoadRow) any { return r.P50 }},
-		{"p95_seconds", "", func(r LoadRow) any { return r.P95 }},
-		{"p99_seconds", "p99 s", func(r LoadRow) any { return r.P99 }},
-		{"mean_seconds", "", func(r LoadRow) any { return r.Mean }},
-		{"wait_p99_seconds", "wait99 s", func(r LoadRow) any { return r.WaitP99 }},
-		{"max_queue_depth", "maxq", func(r LoadRow) any { return r.MaxQueueDepth }},
-		{"mean_queue_depth", "", func(r LoadRow) any { return r.MeanQueueDepth }},
-		{"occupancy", "occ%", func(r LoadRow) any { return Frac(r.Occupancy) }},
-		{"aggregate_teps", "", func(r LoadRow) any { return r.AggregateTEPS }},
-	},
 }.entry()

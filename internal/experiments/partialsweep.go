@@ -17,22 +17,22 @@ var PartialLimits = []int{0, 64, 16, 4, 1}
 // PartialRow is one (scenario, mode, k) measurement of the partial
 // backward-offload sweep.
 type PartialRow struct {
-	Scenario string `json:"scenario"`
-	Mode     string `json:"mode"`
+	Scenario string `json:"scenario" text:"scenario"`
+	Mode     string `json:"mode" text:"mode"`
 	// KeepEdges is the paper's k: DRAM neighbors per vertex of the
 	// backward graph (0 = whole graph in DRAM).
-	KeepEdges int     `json:"keep_edges"`
-	TEPS      float64 `json:"teps"`
+	KeepEdges int     `json:"keep_edges" text:"k"`
+	TEPS      float64 `json:"teps" text:"TEPS,teps"`
 	// BwdDRAMReductionPct is the backward graph's DRAM savings relative
 	// to full residency.
-	BwdDRAMReductionPct float64 `json:"bwd_dram_reduction_pct"`
+	BwdDRAMReductionPct float64 `json:"bwd_dram_reduction_pct" text:"BG DRAM cut,pct"`
 	// NVMAccessPct is the fraction of bottom-up neighbor examinations
 	// served from the NVM tails.
-	NVMAccessPct float64 `json:"nvm_access_pct"`
+	NVMAccessPct float64 `json:"nvm_access_pct" text:"NVM access,pct"`
 	BwdDRAMScans int64   `json:"bwd_dram_scans"`
 	BwdNVMScans  int64   `json:"bwd_nvm_scans"`
 	// BwdNVMBytes is the tails' physical NVM footprint.
-	BwdNVMBytes int64 `json:"bwd_nvm_bytes"`
+	BwdNVMBytes int64 `json:"bwd_nvm_bytes" text:"tail bytes,bytes"`
 }
 
 // PartialSweep measures TEPS versus the backward graph's DRAM edge cap k
@@ -108,15 +108,4 @@ var partialEntry = flat[PartialRow]{
 	run: PartialSweep,
 	title: "Partial backward-graph offload: harmonic-mean TEPS vs DRAM edge cap k\n" +
 		"(k = DRAM neighbors kept per vertex; 0 keeps the whole backward graph in DRAM)",
-	cols: []Col[PartialRow]{
-		{"scenario", "scenario", func(r PartialRow) any { return r.Scenario }},
-		{"mode", "mode", func(r PartialRow) any { return r.Mode }},
-		{"keep_edges", "k", func(r PartialRow) any { return r.KeepEdges }},
-		{"teps", "TEPS", func(r PartialRow) any { return TEPS(r.TEPS) }},
-		{"bwd_dram_reduction_pct", "BG DRAM cut", func(r PartialRow) any { return Pct(r.BwdDRAMReductionPct) }},
-		{"nvm_access_pct", "NVM access", func(r PartialRow) any { return Pct(r.NVMAccessPct) }},
-		{"bwd_dram_scans", "", func(r PartialRow) any { return r.BwdDRAMScans }},
-		{"bwd_nvm_scans", "", func(r PartialRow) any { return r.BwdNVMScans }},
-		{"bwd_nvm_bytes", "tail bytes", func(r PartialRow) any { return Bytes(r.BwdNVMBytes) }},
-	},
 }.entry()

@@ -9,14 +9,14 @@ import (
 // PearceRow compares the paper's technique against the Pearce-style
 // semi-external baseline on the same instance.
 type PearceRow struct {
-	System    string  `json:"system"`
-	TEPS      float64 `json:"teps"`
-	DRAMBytes int64   `json:"dram_bytes"`
-	NVMBytes  int64   `json:"nvm_bytes"`
+	System    string  `json:"system" text:"system"`
+	TEPS      float64 `json:"teps" text:"TEPS,teps"`
+	DRAMBytes int64   `json:"dram_bytes" text:"DRAM,bytes"`
+	NVMBytes  int64   `json:"nvm_bytes" text:"NVM,bytes"`
 	// DRAMRatio is DRAM / (DRAM + NVM) — the capacity trade-off the
 	// paper's Related Work discusses ("our approach uses higher DRAM
 	// to NVM ratio").
-	DRAMRatio float64 `json:"dram_ratio"`
+	DRAMRatio float64 `json:"dram_ratio" text:"DRAM ratio,frac"`
 }
 
 // PearceComparison reproduces the paper's Related Work comparison
@@ -83,13 +83,6 @@ var pearceEntry = flat[PearceRow]{
 	name: "pearce", doc: "Related Work: the hybrid vs a Pearce-style edge-scan semi-external BFS on the same device",
 	run:   PearceComparison,
 	title: "Pearce comparison (paper §VII: 4.22 GTEPS vs 0.05 GTEPS, higher DRAM:NVM ratio)",
-	cols: []Col[PearceRow]{
-		{"system", "system", func(r PearceRow) any { return r.System }},
-		{"teps", "TEPS", func(r PearceRow) any { return TEPS(r.TEPS) }},
-		{"dram_bytes", "DRAM", func(r PearceRow) any { return Bytes(r.DRAMBytes) }},
-		{"nvm_bytes", "NVM", func(r PearceRow) any { return Bytes(r.NVMBytes) }},
-		{"dram_ratio", "DRAM ratio", func(r PearceRow) any { return Frac(r.DRAMRatio) }},
-	},
 	headline: func(rows []PearceRow) []Metric {
 		if rows[1].TEPS == 0 {
 			return nil

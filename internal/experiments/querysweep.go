@@ -25,28 +25,28 @@ const QuerySweepCacheFraction = 1.0 / 8
 
 // QueryRow is one (scenario, batch width) measurement of the query sweep.
 type QueryRow struct {
-	Scenario string `json:"scenario"`
+	Scenario string `json:"scenario" text:"scenario"`
 	// Lanes is the batch width B; Queries the stream length; Batches the
 	// number of batched sweeps that served it (ceil(Queries/Lanes)).
-	Lanes   int `json:"lanes"`
-	Queries int `json:"queries"`
-	Batches int `json:"batches"`
+	Lanes   int `json:"lanes" text:"B"`
+	Queries int `json:"queries" text:"queries"`
+	Batches int `json:"batches" text:"batches"`
 	// Seconds is the stream's total virtual time; AmortizedSeconds is the
 	// mean per-query share of it (Seconds/Queries) — the serving-layer
 	// latency cost batching buys down.
 	Seconds          float64 `json:"seconds"`
-	AmortizedSeconds float64 `json:"amortized_seconds"`
+	AmortizedSeconds float64 `json:"amortized_seconds" text:"amort s/qry"`
 	// TEPS is the harmonic mean over queries of amortized per-query TEPS
 	// (traversed edges over the query's share of its batch's time) — the
 	// Graph500 aggregate, applied to the batched serving cost.
-	TEPS float64 `json:"teps"`
+	TEPS float64 `json:"teps" text:"hm TEPS,teps"`
 	// AggregateTEPS is total traversed edges over total time: the stream
 	// throughput of the whole pool.
-	AggregateTEPS float64 `json:"aggregate_teps"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
+	AggregateTEPS float64 `json:"aggregate_teps" text:"agg TEPS,teps"`
+	CacheHitRate  float64 `json:"cache_hit_rate" text:"hit%,frac"`
 	// NVMEdges counts adjacency edges read from NVM across the stream —
 	// the traffic the lane sharing collapses as B grows.
-	NVMEdges int64 `json:"nvm_edges"`
+	NVMEdges int64 `json:"nvm_edges" text:"NVM edges"`
 	Switches int   `json:"switches"`
 	Levels   int   `json:"levels"`
 }
@@ -133,18 +133,4 @@ var queryEntry = flat[QueryRow]{
 	name: "query", doc: "query sweep: amortized per-query BFS cost vs multi-source batch width B",
 	run:   QuerySweep,
 	title: "Query sweep: amortized per-query cost vs batch width B (fixed query stream)",
-	cols: []Col[QueryRow]{
-		{"scenario", "scenario", func(r QueryRow) any { return r.Scenario }},
-		{"lanes", "B", func(r QueryRow) any { return r.Lanes }},
-		{"queries", "queries", func(r QueryRow) any { return r.Queries }},
-		{"batches", "batches", func(r QueryRow) any { return r.Batches }},
-		{"seconds", "", func(r QueryRow) any { return r.Seconds }},
-		{"amortized_seconds", "amort s/qry", func(r QueryRow) any { return r.AmortizedSeconds }},
-		{"teps", "hm TEPS", func(r QueryRow) any { return TEPS(r.TEPS) }},
-		{"aggregate_teps", "agg TEPS", func(r QueryRow) any { return TEPS(r.AggregateTEPS) }},
-		{"cache_hit_rate", "hit%", func(r QueryRow) any { return Frac(r.CacheHitRate) }},
-		{"nvm_edges", "NVM edges", func(r QueryRow) any { return r.NVMEdges }},
-		{"switches", "", func(r QueryRow) any { return r.Switches }},
-		{"levels", "", func(r QueryRow) any { return r.Levels }},
-	},
 }.entry()

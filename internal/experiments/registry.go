@@ -47,13 +47,14 @@ func (r Result) Text() string {
 	return b.String()
 }
 
-// flat describes an experiment whose typed rows are the table rows.
+// flat describes an experiment by its typed rows. Its table is the rows
+// themselves (rowTable) unless table tabulates a view of them instead.
 type flat[R any] struct {
 	name, doc string
 	run       func(Options) ([]R, error)
 	title     string
-	cols      []Col[R]
-	headline  func([]R) []Metric // optional
+	table     func(title string, rows []R) Table // optional
+	headline  func([]R) []Metric                 // optional
 }
 
 func (f flat[R]) entry() Entry {
@@ -62,7 +63,11 @@ func (f flat[R]) entry() Entry {
 		if err != nil {
 			return Result{}, err
 		}
-		res := Result{Rows: rows, Table: tabulate(f.title, rows, f.cols)}
+		table := f.table
+		if table == nil {
+			table = rowTable[R]
+		}
+		res := Result{Rows: rows, Table: table(f.title, rows)}
 		if f.headline != nil {
 			res.Headline = f.headline(rows)
 		}

@@ -112,19 +112,30 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 	return rows, nil
 }
 
+// scalingView is one cluster size as tabulated: the 1D and 2D rates,
+// their traffic totals and the bottom-up allgather bucket of each.
+type scalingView struct {
+	Machines    int     `json:"machines" text:"machines"`
+	TEPS        float64 `json:"teps" text:"1D TEPS,teps"`
+	NVMTEPS     float64 `json:"nvm_teps" text:"1D+node NVM,teps"`
+	CommBytes   int64   `json:"comm_bytes" text:"1D comm,bytes"`
+	Allgather   int64   `json:"bu_allgather_bytes" text:"1D allgather,bytes"`
+	TEPS2D      float64 `json:"teps_2d" text:"2D TEPS,teps"`
+	CommBytes2D int64   `json:"comm_bytes_2d" text:"2D comm,bytes"`
+	Allgather2D int64   `json:"bu_allgather_bytes_2d" text:"2D allgather,bytes"`
+}
+
 var scalingEntry = flat[ScalingRow]{
 	name: "scaling", doc: "multi-node extension (the paper's future work): TEPS and traffic vs machine count, 1D and 2D",
 	run:   Scaling,
 	title: "Multi-node extension: distributed hybrid BFS (paper future work)",
-	cols: []Col[ScalingRow]{
-		{"machines", "machines", func(r ScalingRow) any { return r.Machines }},
-		{"teps", "1D TEPS", func(r ScalingRow) any { return TEPS(r.TEPS) }},
-		{"nvm_teps", "1D+node NVM", func(r ScalingRow) any { return TEPS(r.NVMTEPS) }},
-		{"comm_bytes", "1D comm", func(r ScalingRow) any { return Bytes(r.CommBytes) }},
-		{"bu_allgather_bytes", "1D allgather", func(r ScalingRow) any { return Bytes(r.Comm.BUAllgather) }},
-		{"teps_2d", "2D TEPS", func(r ScalingRow) any { return TEPS(r.TEPS2D) }},
-		{"comm_bytes_2d", "2D comm", func(r ScalingRow) any { return Bytes(r.CommBytes2D) }},
-		{"bu_allgather_bytes_2d", "2D allgather", func(r ScalingRow) any { return Bytes(r.Comm2D.BUAllgather) }},
+	table: func(title string, rows []ScalingRow) Table {
+		view := make([]scalingView, len(rows))
+		for i, r := range rows {
+			view[i] = scalingView{r.Machines, r.TEPS, r.NVMTEPS, r.CommBytes, r.Comm.BUAllgather,
+				r.TEPS2D, r.CommBytes2D, r.Comm2D.BUAllgather}
+		}
+		return rowTable(title, view)
 	},
 	headline: func(rows []ScalingRow) []Metric {
 		return []Metric{{"speedup-at-max-machines", rows[len(rows)-1].TEPS / rows[0].TEPS}}

@@ -154,26 +154,38 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 	return rows, nil
 }
 
+// scaling2DView is one cell as tabulated: the grid shape first, and the
+// communication split flattened into its phases.
+type scaling2DView struct {
+	Machines    int     `json:"machines" text:"machines"`
+	Rows        int     `json:"rows" text:"rows"`
+	Cols        int     `json:"cols" text:"cols"`
+	Layout      string  `json:"layout" text:"layout"`
+	Device      string  `json:"device" text:"device"`
+	Compressed  bool    `json:"compressed" text:"cmp"`
+	TEPS        float64 `json:"teps" text:"TEPS,teps"`
+	CommBytes   int64   `json:"comm_bytes" text:"comm,bytes"`
+	TDFrontier  int64   `json:"td_frontier_bytes"`
+	TDCandidate int64   `json:"td_candidate_bytes"`
+	BUAllgather int64   `json:"bu_allgather_bytes" text:"allgather,bytes"`
+	BURing      int64   `json:"bu_ring_bytes" text:"ring,bytes"`
+	Control     int64   `json:"control_bytes"`
+	Validated   bool    `json:"validated"`
+}
+
 var scaling2DEntry = flat[Scaling2DRow]{
 	name: "scale", doc: "grid-over-NVM cluster scaling: 1D vs 2D x raw vs compressed, per-machine storage stacks",
 	run: Scaling2D,
 	title: "Unified grid-over-NVM scaling: per-machine semi-external stacks\n" +
 		"(every row's parent trees validated against the single-node DRAM reference)",
-	cols: []Col[Scaling2DRow]{
-		{"machines", "machines", func(r Scaling2DRow) any { return r.Machines }},
-		{"rows", "rows", func(r Scaling2DRow) any { return r.Rows }},
-		{"cols", "cols", func(r Scaling2DRow) any { return r.Cols }},
-		{"layout", "layout", func(r Scaling2DRow) any { return r.Layout }},
-		{"device", "device", func(r Scaling2DRow) any { return r.Device }},
-		{"compressed", "cmp", func(r Scaling2DRow) any { return r.Compressed }},
-		{"teps", "TEPS", func(r Scaling2DRow) any { return TEPS(r.TEPS) }},
-		{"comm_bytes", "comm", func(r Scaling2DRow) any { return Bytes(r.CommBytes) }},
-		{"td_frontier_bytes", "", func(r Scaling2DRow) any { return r.Comm.TDFrontier }},
-		{"td_candidate_bytes", "", func(r Scaling2DRow) any { return r.Comm.TDCandidate }},
-		{"bu_allgather_bytes", "allgather", func(r Scaling2DRow) any { return Bytes(r.Comm.BUAllgather) }},
-		{"bu_ring_bytes", "ring", func(r Scaling2DRow) any { return Bytes(r.Comm.BURing) }},
-		{"control_bytes", "", func(r Scaling2DRow) any { return r.Comm.Control }},
-		{"validated", "", func(r Scaling2DRow) any { return r.Validated }},
+	table: func(title string, rows []Scaling2DRow) Table {
+		view := make([]scaling2DView, len(rows))
+		for i, r := range rows {
+			c := r.Comm
+			view[i] = scaling2DView{r.Machines, r.Rows, r.Cols, r.Layout, r.Device, r.Compressed, r.TEPS, r.CommBytes,
+				c.TDFrontier, c.TDCandidate, c.BUAllgather, c.BURing, c.Control, r.Validated}
+		}
+		return rowTable(title, view)
 	},
 	// At the largest machine count on the primary device: the 2D
 	// allgather as a share of 1D's (the sqrt(P) column fan-out claim) and

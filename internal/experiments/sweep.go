@@ -81,52 +81,58 @@ func sweepScenarios(lab *Lab, alphas, betaMults []float64) ([]ScenarioSweep, err
 	return out, nil
 }
 
-// cellTable flattens the (alpha, beta) cells of Figures 7-9 into one table,
-// marking each series' best cell; key names the grouping column.
-func cellTable(title, key string, series []Fig8Series) Table {
-	type cell struct {
-		group string
-		HeatCell
-		best bool
-	}
-	var cells []cell
+// scenarioCell is one (alpha, beta) cell of Figure 7 as tabulated, marked
+// when it is its scenario's best; seriesCell is the same cell of a Figure
+// 8/9 bar series.
+type scenarioCell struct {
+	Group string  `json:"scenario" text:"scenario"`
+	Alpha float64 `json:"alpha" text:"alpha"`
+	Beta  float64 `json:"beta" text:"beta"`
+	TEPS  float64 `json:"teps" text:"TEPS,teps"`
+	Best  bool    `json:"best" text:"best"`
+}
+
+type seriesCell struct {
+	Group string  `json:"series" text:"series"`
+	Alpha float64 `json:"alpha" text:"alpha"`
+	Beta  float64 `json:"beta" text:"beta"`
+	TEPS  float64 `json:"teps" text:"TEPS,teps"`
+	Best  bool    `json:"best" text:"best"`
+}
+
+// cellTable flattens the (alpha, beta) cells of Figures 7-9 into one table
+// of C, marking each series' best cell.
+func cellTable[C scenarioCell | seriesCell](title string, series []Fig8Series) Table {
+	var cells []C
 	for _, s := range series {
 		best := 0
 		for i, p := range s.Points {
-			cells = append(cells, cell{group: s.Name, HeatCell: p})
 			if p.TEPS > s.Points[best].TEPS {
 				best = i
 			}
 		}
-		cells[len(cells)-len(s.Points)+best].best = true
+		for i, p := range s.Points {
+			cells = append(cells, C(scenarioCell{s.Name, p.Alpha, p.Beta, p.TEPS, i == best}))
+		}
 	}
-	return tabulate(title, cells, []Col[cell]{
-		{key, key, func(c cell) any { return c.group }},
-		{"alpha", "alpha", func(c cell) any { return c.Alpha }},
-		{"beta", "beta", func(c cell) any { return c.Beta }},
-		{"teps", "TEPS", func(c cell) any { return TEPS(c.TEPS) }},
-		{"best", "best", func(c cell) any { return c.best }},
-	})
+	return rowTable(title, cells)
 }
 
-var fig7Entry = Entry{
-	Name: "fig7", Doc: "Figure 7: median TEPS over the (alpha, beta) grid, three scenarios",
-	Run: func(opts Options) (Result, error) {
-		sweeps, err := Fig7(opts)
-		if err != nil {
-			return Result{}, err
-		}
+var fig7Entry = flat[ScenarioSweep]{
+	name: "fig7", doc: "Figure 7: median TEPS over the (alpha, beta) grid, three scenarios",
+	run:   Fig7,
+	title: "Figure 7: median TEPS over the (alpha, beta) grid",
+	table: func(title string, sweeps []ScenarioSweep) Table {
 		series := make([]Fig8Series, len(sweeps))
 		for i, sw := range sweeps {
 			series[i] = Fig8Series{Name: sw.Scenario, Points: sw.Cells}
 		}
-		return Result{
-			Rows:     sweeps,
-			Table:    cellTable("Figure 7: median TEPS over the (alpha, beta) grid", "scenario", series),
-			Headline: []Metric{{"best-DRAM-GTEPS", sweeps[0].Best.TEPS / 1e9}},
-		}, nil
+		return cellTable[scenarioCell](title, series)
 	},
-}
+	headline: func(sweeps []ScenarioSweep) []Metric {
+		return []Metric{{"best-DRAM-GTEPS", sweeps[0].Best.TEPS / 1e9}}
+	},
+}.entry()
 
 // Fig8Series is one bar series of Figure 8/9: a scenario or baseline.
 type Fig8Series struct {
@@ -192,32 +198,29 @@ func figPerformance(opts Options, scale int, baselines bool) ([]Fig8Series, erro
 	return out, nil
 }
 
-// barsEntry registers a Figure 8/9 comparison: the series' cells as one
-// flat table.
-func barsEntry(name, doc, title string, run func(Options) ([]Fig8Series, error)) Entry {
-	return Entry{Name: name, Doc: doc, Run: func(opts Options) (Result, error) {
-		series, err := run(opts)
-		return Result{Rows: series, Table: cellTable(title, "series", series)}, err
-	}}
-}
-
 var (
-	fig8Entry = barsEntry("fig8", "Figure 8: scenarios x nine (alpha, beta) settings plus DRAM baselines, large scale",
-		"Figure 8: BFS performance at -scale (baselines carry no alpha/beta)", Fig8)
-	fig9Entry = barsEntry("fig9", "Figure 9: the same comparison one scale down, where everything fits in DRAM",
-		"Figure 9: BFS performance one scale below -scale (fits in DRAM)", Fig9)
+	fig8Entry = flat[Fig8Series]{
+		name: "fig8", doc: "Figure 8: scenarios x nine (alpha, beta) settings plus DRAM baselines, large scale",
+		run: Fig8, title: "Figure 8: BFS performance at -scale (baselines carry no alpha/beta)",
+		table: cellTable[seriesCell],
+	}.entry()
+	fig9Entry = flat[Fig8Series]{
+		name: "fig9", doc: "Figure 9: the same comparison one scale down, where everything fits in DRAM",
+		run: Fig9, title: "Figure 9: BFS performance one scale below -scale (fits in DRAM)",
+		table: cellTable[seriesCell],
+	}.entry()
 )
 
 // Fig10Row is one (alpha, beta) point of the traversed-edges comparison.
 type Fig10Row struct {
-	Alpha float64 `json:"alpha"`
-	Beta  float64 `json:"beta"`
+	Alpha float64 `json:"alpha" text:"alpha"`
+	Beta  float64 `json:"beta" text:"beta"`
 	// TD/BU/Total are the average edges examined per BFS by each
 	// direction. They are independent of device placement (the same
 	// vertices are traversed), so one scenario's numbers represent all.
-	TD    float64 `json:"top_down_edges"`
-	BU    float64 `json:"bottom_up_edges"`
-	Total float64 `json:"total_edges"`
+	TD    float64 `json:"top_down_edges" text:"top-down"`
+	BU    float64 `json:"bottom_up_edges" text:"bottom-up"`
+	Total float64 `json:"total_edges" text:"total"`
 }
 
 // Fig10 measures the average traversed (examined) edges per direction for
@@ -259,24 +262,17 @@ var fig10Entry = flat[Fig10Row]{
 	name: "fig10", doc: "Figure 10: average traversed edges per BFS by direction, nine (alpha, beta) settings",
 	run:   Fig10,
 	title: "Figure 10: average traversed edges per BFS (top-down / bottom-up / total)",
-	cols: []Col[Fig10Row]{
-		{"alpha", "alpha", func(r Fig10Row) any { return r.Alpha }},
-		{"beta", "beta", func(r Fig10Row) any { return r.Beta }},
-		{"top_down_edges", "top-down", func(r Fig10Row) any { return r.TD }},
-		{"bottom_up_edges", "bottom-up", func(r Fig10Row) any { return r.BU }},
-		{"total_edges", "total", func(r Fig10Row) any { return r.Total }},
-	},
 }.entry()
 
 // HeadlineRow is one scenario's best result (the abstract's comparison).
 type HeadlineRow struct {
-	Scenario       string  `json:"scenario"`
-	Alpha          float64 `json:"alpha"`
-	Beta           float64 `json:"beta"`
-	TEPS           float64 `json:"teps"`
-	DegradationPct float64 `json:"degradation_pct"` // vs DRAM-only best
-	DRAMBytes      int64   `json:"dram_bytes"`
-	NVMBytes       int64   `json:"nvm_bytes"`
+	Scenario       string  `json:"scenario" text:"scenario"`
+	Alpha          float64 `json:"alpha" text:"best alpha"`
+	Beta           float64 `json:"beta" text:"beta"`
+	TEPS           float64 `json:"teps" text:"TEPS,teps"`
+	DegradationPct float64 `json:"degradation_pct" text:"degradation,pct"` // vs DRAM-only best
+	DRAMBytes      int64   `json:"dram_bytes" text:"graph DRAM,bytes"`
+	NVMBytes       int64   `json:"nvm_bytes" text:"graph NVM,bytes"`
 }
 
 // Headline finds each scenario's best (alpha, beta) over the Figure 8 grid
@@ -323,15 +319,6 @@ var headlineEntry = flat[HeadlineRow]{
 	name: "headline", doc: "the abstract's comparison: best TEPS per scenario and degradation vs DRAM-only (-19% / -47%)",
 	run:   Headline,
 	title: "Headline: best configuration per scenario (paper: 5.12 G / 4.22 G -19.18% / 2.76 G -47.1%)",
-	cols: []Col[HeadlineRow]{
-		{"scenario", "scenario", func(r HeadlineRow) any { return r.Scenario }},
-		{"alpha", "best alpha", func(r HeadlineRow) any { return r.Alpha }},
-		{"beta", "beta", func(r HeadlineRow) any { return r.Beta }},
-		{"teps", "TEPS", func(r HeadlineRow) any { return TEPS(r.TEPS) }},
-		{"degradation_pct", "degradation", func(r HeadlineRow) any { return Pct(r.DegradationPct) }},
-		{"dram_bytes", "graph DRAM", func(r HeadlineRow) any { return Bytes(r.DRAMBytes) }},
-		{"nvm_bytes", "graph NVM", func(r HeadlineRow) any { return Bytes(r.NVMBytes) }},
-	},
 	headline: func(rows []HeadlineRow) []Metric {
 		return []Metric{
 			{"dram-GTEPS", rows[0].TEPS / 1e9},

@@ -24,26 +24,58 @@ type Table struct {
 	Rows         [][]any // one cell per column
 }
 
-// Col describes one column of typed rows: its CSV name, its text heading
-// and how to read its cell off a row.
-type Col[R any] struct {
-	Name, Head string
-	Cell       func(R) any
-}
-
-// tabulate lays typed rows out under cols.
-func tabulate[R any](title string, rows []R, cols []Col[R]) Table {
+// rowTable lays rows out as a table whose columns are the row type's
+// fields: one per field encoding/json names, in field order, under its JSON
+// name in CSV. A `text:"heading[,kind]"` tag also shows the field in the
+// text table under heading, its cell typed by kind (a key of cellKinds); a
+// field without one is CSV-only. An unknown kind panics.
+func rowTable[R any](title string, rows []R) Table {
+	typ := reflect.TypeFor[R]()
 	t := Table{Title: title, Rows: make([][]any, len(rows))}
-	for _, c := range cols {
-		t.Names, t.Heads = append(t.Names, c.Name), append(t.Heads, c.Head)
+	var fields []int
+	var kinds []reflect.Type
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		tag := f.Tag.Get("json")
+		name, _, _ := strings.Cut(tag, ",")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		head, kind, _ := strings.Cut(f.Tag.Get("text"), ",")
+		cell, ok := cellKinds[kind]
+		if !ok {
+			panic(fmt.Sprintf("experiments: %s.%s: unknown cell kind %q", typ, f.Name, kind))
+		}
+		t.Names, t.Heads = append(t.Names, name), append(t.Heads, head)
+		fields, kinds = append(fields, i), append(kinds, cell)
 	}
-	for i, r := range rows {
-		t.Rows[i] = make([]any, len(cols))
-		for j, c := range cols {
-			t.Rows[i][j] = c.Cell(r)
+	for r, row := range rows {
+		v := reflect.ValueOf(row)
+		t.Rows[r] = make([]any, len(fields))
+		for j, i := range fields {
+			if c := v.Field(i); kinds[j] != nil {
+				t.Rows[r][j] = c.Convert(kinds[j]).Interface()
+			} else {
+				t.Rows[r][j] = c.Interface()
+			}
 		}
 	}
 	return t
+}
+
+// cellKinds are the typed cells a text tag may name; no kind keeps the
+// field's own value.
+var cellKinds = map[string]reflect.Type{
+	"":       nil,
+	"teps":   reflect.TypeFor[TEPS](),
+	"bytes":  reflect.TypeFor[Bytes](),
+	"pct":    reflect.TypeFor[Pct](),
+	"frac":   reflect.TypeFor[Frac](),
+	"times":  reflect.TypeFor[Times](),
+	"budget": reflect.TypeFor[Budget](),
 }
 
 // Typed cells: each formats itself for the text table and stays the plain

@@ -1,29 +1,23 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"semibfs/internal/vtime"
 )
 
 type goldenRow struct {
-	Name  string
-	N     int
-	Rate  float64
-	Size  int64
-	Wait  vtime.Duration
-	Ready bool
-}
-
-var goldenCols = []Col[goldenRow]{
-	{"name", "name", func(r goldenRow) any { return r.Name }},
-	{"n", "", func(r goldenRow) any { return r.N }},
-	{"budget", "budget", func(r goldenRow) any { return Budget(1 / float64(r.N)) }},
-	{"rate", "TEPS", func(r goldenRow) any { return TEPS(r.Rate) }},
-	{"raw", "raw", func(r goldenRow) any { return r.Rate }},
-	{"size_bytes", "size", func(r goldenRow) any { return Bytes(r.Size) }},
-	{"wait_ns", "wait", func(r goldenRow) any { return r.Wait }},
-	{"ready", "ready", func(r goldenRow) any { return r.Ready }},
+	Name   string         `json:"name" text:"name"`
+	N      int            `json:"n"`
+	Budget float64        `json:"budget" text:"budget,budget"`
+	Rate   float64        `json:"rate" text:"TEPS,teps"`
+	Raw    float64        `json:"raw" text:"raw"`
+	Size   int64          `json:"size_bytes" text:"size,bytes"`
+	Wait   vtime.Duration `json:"wait_ns" text:"wait"`
+	Ready  bool           `json:"ready" text:"ready"`
+	Skip   int            `json:"-"` // no column, as in JSON
 }
 
 // TestTableGolden pins the renderer itself: column alignment (words left,
@@ -33,10 +27,10 @@ var goldenCols = []Col[goldenRow]{
 // comma.
 func TestTableGolden(t *testing.T) {
 	rows := []goldenRow{
-		{"plain", 8, 4.22e9, 1 << 20, 50 * vtime.Microsecond, true},
-		{"with, comma", 32, 123456.789, 3 << 30, 0, false},
+		{Name: "plain", N: 8, Budget: 1.0 / 8, Rate: 4.22e9, Raw: 4.22e9, Size: 1 << 20, Wait: 50 * vtime.Microsecond, Ready: true},
+		{Name: "with, comma", N: 32, Budget: 1.0 / 32, Rate: 123456.789, Raw: 123456.789, Size: 3 << 30},
 	}
-	tab := tabulate("Golden: title\n(second title line)", rows, goldenCols)
+	tab := rowTable("Golden: title\n(second title line)", rows)
 	wantText := "Golden: title\n(second title line)\n" +
 		"name         budget   TEPS         raw     size  wait  ready\n" +
 		"plain           1/8  4.22G  4220000000  1.0 MiB  50µs  true\n" +
@@ -54,11 +48,25 @@ func TestTableGolden(t *testing.T) {
 
 // TestTableEmpty: no rows still renders the title and both headers.
 func TestTableEmpty(t *testing.T) {
-	tab := tabulate("Empty", nil, goldenCols)
+	tab := rowTable[goldenRow]("Empty", nil)
 	if got, want := tab.Text(), "Empty\nname  budget  TEPS  raw  size  wait  ready\n"; got != want {
 		t.Errorf("text %q, want %q", got, want)
 	}
 	if got, want := tab.CSV(), "name,n,budget,rate,raw,size_bytes,wait_ns,ready\n"; got != want {
 		t.Errorf("csv %q, want %q", got, want)
 	}
+}
+
+// TestTableUnknownCellKind: a typo in a text tag's kind panics, naming the
+// field, the first time the table is built.
+func TestTableUnknownCellKind(t *testing.T) {
+	type typoRow struct {
+		Rate float64 `json:"rate" text:"TEPS,tesp"`
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "typoRow.Rate") {
+			t.Errorf("recovered %v, want a panic naming typoRow.Rate", r)
+		}
+	}()
+	rowTable[typoRow]("Typo", nil)
 }

@@ -10,13 +10,13 @@ import (
 
 // TableIRow describes one machine configuration (Table I).
 type TableIRow struct {
-	Scenario     string `json:"scenario"`
+	Scenario     string `json:"scenario" text:"scenario"`
 	CPU          string `json:"cpu"`
-	DRAM         string `json:"dram"`
-	NVM          string `json:"nvm"`
-	ReadLatency  string `json:"read_latency"`
-	ReadBW       string `json:"read_bw"`
-	PeakReadIOPS string `json:"peak_read_iops"`
+	DRAM         string `json:"dram" text:"DRAM"`
+	NVM          string `json:"nvm" text:"NVM"`
+	ReadLatency  string `json:"read_latency" text:"read lat"`
+	ReadBW       string `json:"read_bw" text:"read BW"`
+	PeakReadIOPS string `json:"peak_read_iops" text:"4K IOPS"`
 }
 
 // TableI renders the three machine configurations together with the
@@ -46,15 +46,6 @@ var tableIEntry = flat[TableIRow]{
 	name: "table1", doc: "Table I: the three machine configurations and their modeled devices",
 	run:   func(Options) ([]TableIRow, error) { return TableI(), nil },
 	title: "Table I: machine configurations",
-	cols: []Col[TableIRow]{
-		{"scenario", "scenario", func(r TableIRow) any { return r.Scenario }},
-		{"cpu", "", func(r TableIRow) any { return r.CPU }},
-		{"dram", "DRAM", func(r TableIRow) any { return r.DRAM }},
-		{"nvm", "NVM", func(r TableIRow) any { return r.NVM }},
-		{"read_latency", "read lat", func(r TableIRow) any { return r.ReadLatency }},
-		{"read_bw", "read BW", func(r TableIRow) any { return r.ReadBW }},
-		{"peak_read_iops", "4K IOPS", func(r TableIRow) any { return r.PeakReadIOPS }},
-	},
 }.entry()
 
 // TableIIRow is one dataset-size row (Table II).
@@ -103,9 +94,9 @@ func TableII(opts Options) (measured, paper27 []TableIIRow, err error) {
 // tableIISides is one Table II row as emitted: the measured instance
 // beside the analytic SCALE 27 column.
 type tableIISides struct {
-	Name     string `json:"name"`
-	Measured int64  `json:"measured_bytes"`
-	Paper27  int64  `json:"scale27_bytes"`
+	Name     string `json:"name" text:"structure"`
+	Measured int64  `json:"measured_bytes" text:"measured,bytes"`
+	Paper27  int64  `json:"scale27_bytes" text:"SCALE 27,bytes"`
 }
 
 var tableIIEntry = flat[tableIISides]{
@@ -119,11 +110,6 @@ var tableIIEntry = flat[tableIISides]{
 		return rows, err
 	},
 	title: "Table II: graph size, measured at -scale | analytic at SCALE 27 (paper: 40.1/33.1/15.1/88.3 GB)",
-	cols: []Col[tableIISides]{
-		{"name", "structure", func(r tableIISides) any { return r.Name }},
-		{"measured_bytes", "measured", func(r tableIISides) any { return Bytes(r.Measured) }},
-		{"scale27_bytes", "SCALE 27", func(r tableIISides) any { return Bytes(r.Paper27) }},
-	},
 }.entry()
 
 // Fig3 computes the analytic size breakdown per SCALE (the paper plots
@@ -144,16 +130,25 @@ func Fig3(scales []int, edgeFactor int) []csr.SizeBreakdown {
 	return out
 }
 
+// fig3Row is one SCALE's breakdown as tabulated, with its total.
+type fig3Row struct {
+	Scale    int   `json:"scale" text:"SCALE"`
+	EdgeList int64 `json:"edge_list_bytes" text:"edge list,bytes"`
+	Forward  int64 `json:"forward_bytes" text:"forward graph,bytes"`
+	Backward int64 `json:"backward_bytes" text:"backward graph,bytes"`
+	Status   int64 `json:"status_bytes" text:"status,bytes"`
+	Total    int64 `json:"total_bytes" text:"total,bytes"`
+}
+
 var fig3Entry = flat[csr.SizeBreakdown]{
 	name: "fig3", doc: "Figure 3: analytic breakdown of graph size at SCALE 20-31",
 	run:   func(o Options) ([]csr.SizeBreakdown, error) { return Fig3(nil, o.EdgeFactor), nil },
 	title: "Figure 3: breakdown of graph size at each SCALE",
-	cols: []Col[csr.SizeBreakdown]{
-		{"scale", "SCALE", func(r csr.SizeBreakdown) any { return r.Scale }},
-		{"edge_list_bytes", "edge list", func(r csr.SizeBreakdown) any { return Bytes(r.EdgeList) }},
-		{"forward_bytes", "forward graph", func(r csr.SizeBreakdown) any { return Bytes(r.Forward) }},
-		{"backward_bytes", "backward graph", func(r csr.SizeBreakdown) any { return Bytes(r.Backward) }},
-		{"status_bytes", "status", func(r csr.SizeBreakdown) any { return Bytes(r.Status) }},
-		{"total_bytes", "total", func(r csr.SizeBreakdown) any { return Bytes(r.Total()) }},
+	table: func(title string, rows []csr.SizeBreakdown) Table {
+		view := make([]fig3Row, len(rows))
+		for i, r := range rows {
+			view[i] = fig3Row{r.Scale, r.EdgeList, r.Forward, r.Backward, r.Status, r.Total()}
+		}
+		return rowTable(title, view)
 	},
 }.entry()

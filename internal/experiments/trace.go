@@ -7,14 +7,14 @@ import (
 
 // TraceRow is one BFS level of the execution trace.
 type TraceRow struct {
-	Scenario  string  `json:"scenario"`
-	Level     int     `json:"level"`
-	Direction string  `json:"direction"`
-	Frontier  int64   `json:"frontier"`
-	AvgDegree float64 `json:"avg_degree"`
-	Examined  int64   `json:"examined"`
-	NVMEdges  int64   `json:"nvm_edges"`
-	Seconds   float64 `json:"seconds"`
+	Scenario  string  `json:"scenario" text:"scenario"`
+	Level     int     `json:"level" text:"level"`
+	Direction string  `json:"direction" text:"direction"`
+	Frontier  int64   `json:"frontier" text:"frontier"`
+	AvgDegree float64 `json:"avg_degree" text:"avgdeg"`
+	Examined  int64   `json:"examined" text:"examined"`
+	NVMEdges  int64   `json:"nvm_edges" text:"NVM"`
+	Seconds   float64 `json:"seconds" text:"vtime s"`
 }
 
 // Trace records the per-level anatomy of one BFS on each scenario — the
@@ -62,14 +62,4 @@ var traceEntry = flat[TraceRow]{
 	name: "trace", doc: "Section VI-C narrative: the per-level anatomy of one BFS on each scenario",
 	run:   Trace,
 	title: "Execution trace: per-level anatomy of one BFS (Section VI-C narrative)",
-	cols: []Col[TraceRow]{
-		{"scenario", "scenario", func(r TraceRow) any { return r.Scenario }},
-		{"level", "level", func(r TraceRow) any { return r.Level }},
-		{"direction", "direction", func(r TraceRow) any { return r.Direction }},
-		{"frontier", "frontier", func(r TraceRow) any { return r.Frontier }},
-		{"avg_degree", "avgdeg", func(r TraceRow) any { return r.AvgDegree }},
-		{"examined", "examined", func(r TraceRow) any { return r.Examined }},
-		{"nvm_edges", "NVM", func(r TraceRow) any { return r.NVMEdges }},
-		{"seconds", "vtime s", func(r TraceRow) any { return r.Seconds }},
-	},
 }.entry()

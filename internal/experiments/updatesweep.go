@@ -28,32 +28,32 @@ var UpdateCrashes = []string{"none", "wal", "compaction"}
 
 // UpdateRow is one (scenario, batch size, crash kind) measurement.
 type UpdateRow struct {
-	Scenario  string `json:"scenario"`
-	BatchSize int    `json:"batch_size"`
-	Crash     string `json:"crash"`
+	Scenario  string `json:"scenario" text:"scenario"`
+	BatchSize int    `json:"batch_size" text:"batch"`
+	Crash     string `json:"crash" text:"crash"`
 	// Applied counts updates that became durable; WALBytes is what they
 	// cost on the log.
-	Applied  int64 `json:"applied"`
-	WALBytes int64 `json:"wal_bytes"`
+	Applied  int64 `json:"applied" text:"applied"`
+	WALBytes int64 `json:"wal_bytes" text:"wal-bytes"`
 	// UpdateUs is the mean virtual microseconds per durable update (WAL
 	// append plus overlay application).
-	UpdateUs float64 `json:"update_us"`
+	UpdateUs float64 `json:"update_us" text:"update-us"`
 	// RepairUs / RepairEdges are the incremental repair's mean virtual
 	// microseconds and scanned edges per batch; RebuildUs is one full
 	// fresh BFS over the same graph — the cost repair avoids — and
 	// RepairSpeedup their ratio.
-	RepairUs      float64 `json:"repair_us"`
-	RepairEdges   float64 `json:"repair_edges"`
-	RebuildUs     float64 `json:"rebuild_us"`
-	RepairSpeedup float64 `json:"repair_speedup"`
+	RepairUs      float64 `json:"repair_us" text:"repair-us"`
+	RepairEdges   float64 `json:"repair_edges" text:"repair-edges"`
+	RebuildUs     float64 `json:"rebuild_us" text:"rebuild-us"`
+	RepairSpeedup float64 `json:"repair_speedup" text:"speedup,times"`
 	// RecoveryUs is the virtual cost of post-crash recovery (reopen +
 	// backward rewrite + WAL replay) and Replayed the updates replayed
 	// from the log; both 0 for the crash-free run.
-	RecoveryUs float64 `json:"recovery_us"`
-	Replayed   int64   `json:"replayed"`
+	RecoveryUs float64 `json:"recovery_us" text:"recovery-us"`
+	Replayed   int64   `json:"replayed" text:"replayed"`
 	// CompactUs is the crash-free compaction's virtual cost (0 when the
 	// run crashed instead).
-	CompactUs float64 `json:"compact_us"`
+	CompactUs float64 `json:"compact_us" text:"compact-us"`
 }
 
 // UpdateSweep measures durable-update throughput, incremental BFS repair
@@ -162,21 +162,6 @@ var updateEntry = flat[UpdateRow]{
 	name: "update", doc: "update sweep: durable update cost, incremental repair vs rebuild, crash-recovery cost",
 	run:   UpdateSweep,
 	title: "Update sweep: durable update cost, incremental repair vs rebuild, crash recovery",
-	cols: []Col[UpdateRow]{
-		{"scenario", "scenario", func(r UpdateRow) any { return r.Scenario }},
-		{"batch_size", "batch", func(r UpdateRow) any { return r.BatchSize }},
-		{"crash", "crash", func(r UpdateRow) any { return r.Crash }},
-		{"applied", "applied", func(r UpdateRow) any { return r.Applied }},
-		{"wal_bytes", "wal-bytes", func(r UpdateRow) any { return r.WALBytes }},
-		{"update_us", "update-us", func(r UpdateRow) any { return r.UpdateUs }},
-		{"repair_us", "repair-us", func(r UpdateRow) any { return r.RepairUs }},
-		{"repair_edges", "repair-edges", func(r UpdateRow) any { return r.RepairEdges }},
-		{"rebuild_us", "rebuild-us", func(r UpdateRow) any { return r.RebuildUs }},
-		{"repair_speedup", "speedup", func(r UpdateRow) any { return Times(r.RepairSpeedup) }},
-		{"recovery_us", "recovery-us", func(r UpdateRow) any { return r.RecoveryUs }},
-		{"replayed", "replayed", func(r UpdateRow) any { return r.Replayed }},
-		{"compact_us", "compact-us", func(r UpdateRow) any { return r.CompactUs }},
-	},
 	// Best incremental-repair speedup over a fresh rebuild per device,
 	// and the costliest post-crash recovery.
 	headline: func(rows []UpdateRow) []Metric {
