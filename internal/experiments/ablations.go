@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/csr"
 	"semibfs/internal/graph500"
-	"semibfs/internal/nvm"
 )
 
 // AblationRow is one design-choice measurement.
@@ -36,8 +34,9 @@ func Ablations(opts Options) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lab.Close()
 	var rows []AblationRow
-	cfg := bfs.Config{Alpha: 1e4, Beta: 1e5}
+	cfg := defaultBFSConfig()
 
 	// Study 1: adjacency order (DRAM-only, isolates the BU scan).
 	for _, variant := range []struct {
@@ -71,10 +70,7 @@ func Ablations(opts Options) ([]AblationRow, error) {
 
 	// Studies 2 and 3: forward-graph placement variants on PCIe flash. Both
 	// studies' paper rows are one configuration, run once.
-	base := core.ScenarioPCIeFlash
-	if opts.ScaleEquivalentLatency {
-		base.LatencyScale = nvm.ScaleEquivalenceFactor(opts.Scale, PaperScale)
-	}
+	base := lab.scenario(core.ScenarioPCIeFlash, false)
 	runs := make(map[core.Scenario]*graph500.Result)
 	for _, variant := range []struct {
 		study, name string
@@ -89,11 +85,7 @@ func Ablations(opts Options) ([]AblationRow, error) {
 		variant.mutate(&sc)
 		res, ok := runs[sc]
 		if !ok {
-			res, err = graph500.RunList(lab.List, graph500.Params{
-				Scale: opts.Scale, EdgeFactor: opts.EdgeFactor, Seed: opts.Seed,
-				Roots: opts.Roots, ValidateRoots: 1,
-				Scenario: sc, BFS: cfg,
-			})
+			res, err = lab.Run(sc, cfg, false, false)
 			if err != nil {
 				return nil, fmt.Errorf("ablation %s/%s: %w", variant.study, variant.name, err)
 			}

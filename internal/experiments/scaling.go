@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"semibfs/internal/cluster"
+	"semibfs/internal/core"
 	"semibfs/internal/graph500"
-	"semibfs/internal/nvm"
 	"semibfs/internal/stats"
 )
 
@@ -65,19 +65,11 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 		return nil, err
 	}
 	var rows []ScalingRow
+	// cluster.Config's zero alpha and beta are the paper's 1e4 and 1e5.
 	for _, p := range ScalingMachines {
 		row := ScalingRow{Machines: p}
-		for _, onNVM := range []bool{false, true} {
-			cfg := cluster.Config{
-				Machines:     p,
-				Alpha:        1e4,
-				Beta:         1e5,
-				ForwardOnNVM: onNVM,
-			}
-			if onNVM && opts.ScaleEquivalentLatency {
-				cfg.LatencyScale = nvm.ScaleEquivalenceFactor(opts.Scale, PaperScale)
-			}
-			c, err := cluster.Build(lab.Src, cfg)
+		for _, base := range []core.Scenario{core.ScenarioDRAMOnly, core.ScenarioPCIeFlash} {
+			c, err := cluster.Build(lab.Src, lab.scenario(base, false).WithGrid(1, p).ClusterConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +78,7 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			if onNVM {
+			if base.HasNVM() {
 				row.NVMTEPS = median
 			} else {
 				row.TEPS = median
@@ -94,9 +86,7 @@ func Scaling(opts Options) ([]ScalingRow, error) {
 				row.Comm = split
 			}
 		}
-		grid, err := cluster.BuildGrid(lab.Src, cluster.Config{
-			Machines: p, Alpha: 1e4, Beta: 1e5,
-		})
+		grid, err := cluster.BuildGrid(lab.Src, cluster.Config{Machines: p})
 		if err != nil {
 			return nil, err
 		}

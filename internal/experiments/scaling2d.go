@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 
-	"semibfs/internal/bfs"
 	"semibfs/internal/cluster"
 	"semibfs/internal/core"
 	"semibfs/internal/nvm"
@@ -70,7 +69,9 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	refRun, err := refSys.NewRunner(bfs.Config{Topology: topology(), Alpha: 1e4, Beta: 1e5})
+	refCfg := defaultBFSConfig()
+	refCfg.Topology = topology()
+	refRun, err := refSys.NewRunner(refCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -108,11 +109,8 @@ func Scaling2D(opts Options) ([]Scaling2DRow, error) {
 					sc.Checksums = true
 					sc.CacheBytes = 1 << 20
 					sc.Compress = compressed
-					if opts.ScaleEquivalentLatency {
-						sc.LatencyScale = nvm.ScaleEquivalenceFactor(opts.Scale, PaperScale)
-					}
-					cfg := sc.WithGrid(r, c).ClusterConfig()
-					cfg.Alpha, cfg.Beta = 1e4, 1e5
+					// cluster.Config's zero alpha and beta are the paper's.
+					cfg := lab.scenario(sc, false).WithGrid(r, c).ClusterConfig()
 					row := Scaling2DRow{
 						Machines: p, Layout: layout, Rows: r, Cols: c,
 						Device: profile.Name, Compressed: compressed,

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
+
+	"semibfs/internal/faults"
 )
 
 func TestScaling(t *testing.T) {
@@ -103,5 +106,33 @@ func TestPearceComparison(t *testing.T) {
 	}
 	if scan.DRAMRatio > 0.2 {
 		t.Fatalf("scan baseline DRAM ratio %v implausibly high", scan.DRAMRatio)
+	}
+}
+
+// TestAmbientFaultsReachAssembledScenarios: Options.Faults applies to every
+// NVM scenario a sweep builds, the ones ablations, scaling and scale
+// assemble themselves included. With a transient rate set, each entry still
+// succeeds and its rows differ from the fault-free ones.
+func TestAmbientFaultsReachAssembledScenarios(t *testing.T) {
+	entries, err := Select("ablations,scaling,scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := tinyOpts()
+	faulty.Faults = faults.Config{Seed: 7, TransientRate: 0.3}
+	for _, e := range entries {
+		t.Run(e.Name, func(t *testing.T) {
+			clean, err := e.Run(tinyOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(faulty)
+			if err != nil {
+				t.Fatalf("with faults: %v", err)
+			}
+			if reflect.DeepEqual(clean.Rows, res.Rows) {
+				t.Error("rows with a 30% transient fault rate equal the fault-free rows")
+			}
+		})
 	}
 }
