@@ -71,7 +71,7 @@ type programRun struct {
 // algoSweep runs the sweep over lab's instance. A (device, budget) point is
 // one lab system, and all three programs take turns on it.
 func algoSweep(lab *Lab) ([]AlgoRow, error) {
-	vcfg := vp.Config{Config: sweepBFSConfig(lab.Opts, bfs.ModeHybrid)}
+	vcfg := vp.Config{Config: sweepBFSConfig(bfs.ModeHybrid)}
 	dramSys, err := lab.System(core.ScenarioDRAMOnly, false)
 	if err != nil {
 		return nil, err
@@ -100,17 +100,11 @@ func algoSweep(lab *Lab) ([]AlgoRow, error) {
 		sc.Replicas = 2
 		sc.Compress = true
 		sc.BackwardDRAMEdgeLimit = 4
-		// Anchor the budget grid to the measured forward footprint.
-		probe, err := lab.System(sc, false)
-		if err != nil {
-			return nil, err
-		}
-		fwdBytes := probe.NVMForwardBytes
 		for _, algo := range vp.Algorithms() {
 			for _, frac := range CacheFractions {
-				cached := sc
-				if frac > 0 {
-					cached = sc.WithCache(int64(frac*float64(fwdBytes)), CacheReadahead)
+				cached, err := lab.withCacheFraction(sc, frac)
+				if err != nil {
+					return nil, err
 				}
 				sys, err := lab.System(cached, false)
 				if err != nil {

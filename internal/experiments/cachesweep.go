@@ -18,6 +18,20 @@ var CacheFractions = []float64{0, 1.0 / 32, 1.0 / 8, 1.0 / 2}
 // sweep enables the cache.
 const CacheReadahead = 4
 
+// withCacheFraction returns sc with a page cache of frac times its forward
+// graph's NVM footprint, read off sc's own system (the sweeps anchor their
+// budgets to the measured graph), and CacheReadahead; frac 0 is sc itself.
+func (l *Lab) withCacheFraction(sc core.Scenario, frac float64) (core.Scenario, error) {
+	if frac == 0 {
+		return sc, nil
+	}
+	probe, err := l.System(sc, false)
+	if err != nil {
+		return sc, err
+	}
+	return sc.WithCache(int64(frac*float64(probe.NVMForwardBytes)), CacheReadahead), nil
+}
+
 // CacheSweepAlpha is the top-down -> bottom-up threshold the sweep uses
 // (beta = 10*alpha). The headline alpha of 1e4 is tuned for SCALE 27,
 // where N/alpha leaves several top-down levels; at reproduction scales
@@ -29,7 +43,7 @@ const CacheSweepAlpha = 64
 
 // sweepBFSConfig is the switching configuration every device-behaviour
 // sweep shares: CacheSweepAlpha, beta = 10*alpha, in the given mode.
-func sweepBFSConfig(opts Options, mode bfs.Mode) bfs.Config {
+func sweepBFSConfig(mode bfs.Mode) bfs.Config {
 	cfg := defaultBFSConfig()
 	cfg.Mode = mode
 	cfg.Alpha, cfg.Beta = CacheSweepAlpha, 10*CacheSweepAlpha
@@ -80,19 +94,12 @@ func CacheSweep(opts Options) ([]CacheRow, error) {
 	var rows []CacheRow
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
 		sc := lab.scenario(base, true)
-		// The budget grid is anchored to the measured forward-graph
-		// footprint, so build the uncached system first and read it off.
-		sys, err := lab.System(sc, false)
-		if err != nil {
-			return nil, err
-		}
-		fwdBytes := sys.NVMForwardBytes
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly} {
-			cfg := sweepBFSConfig(opts, mode)
+			cfg := sweepBFSConfig(mode)
 			for _, frac := range CacheFractions {
-				cached := sc
-				if frac > 0 {
-					cached = sc.WithCache(int64(frac*float64(fwdBytes)), CacheReadahead)
+				cached, err := lab.withCacheFraction(sc, frac)
+				if err != nil {
+					return nil, err
 				}
 				res, err := lab.Run(cached, cfg, false, false)
 				if err != nil {

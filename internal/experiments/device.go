@@ -42,7 +42,7 @@ func Fig11(opts Options) ([]Fig11Result, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := bfs.Config{Alpha: 1e4, Beta: 1e5}
+	cfg := defaultBFSConfig()
 	base, err := lab.Run(core.ScenarioDRAMOnly, cfg, true, false)
 	if err != nil {
 		return nil, err
@@ -160,7 +160,7 @@ func Fig12And13(opts Options) ([]DeviceUsage, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := bfs.Config{Alpha: 1e4, Beta: 1e5}
+	cfg := defaultBFSConfig()
 	var out []DeviceUsage
 	for _, sc := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
 		res, err := lab.Run(lab.scenario(sc, true), cfg, false, true)
@@ -238,36 +238,19 @@ func Fig14(opts Options) ([]Fig14Row, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := bfs.Config{Alpha: 1e4, Beta: 1e5}
-	// Full-DRAM backward bytes for the reduction baseline.
-	fullSys, err := lab.System(lab.scenario(core.ScenarioPCIeFlash, false), false)
-	if err != nil {
-		return nil, err
-	}
-	fullBwd := fullSys.DRAMBackwardBytes + fullSys.NVMBackwardBytes
-
+	sc := lab.scenario(core.ScenarioPCIeFlash, false)
 	var rows []Fig14Row
 	for _, k := range Fig14Limits {
-		sc := lab.scenario(core.ScenarioPCIeFlash, false)
-		sc.BackwardDRAMEdgeLimit = k
-		res, err := lab.Run(sc, cfg, false, false)
+		part, res, err := backwardOffload(lab, sc, defaultBFSConfig(), k)
 		if err != nil {
 			return nil, err
 		}
-		row := Fig14Row{Limit: k, TEPS: res.MedianTEPS()}
-		sys, err := lab.System(sc, false)
-		if err != nil {
-			return nil, err
-		}
-		bwdDRAM := sys.DRAMBackwardBytes
-		if fullBwd > 0 {
-			row.DRAMSizeReductionPct = 100 * (1 - float64(bwdDRAM)/float64(fullBwd))
-		}
-		total := res.BackwardDRAMScans + res.BackwardNVMScans
-		if total > 0 {
-			row.NVMAccessPct = 100 * float64(res.BackwardNVMScans) / float64(total)
-		}
-		rows = append(rows, row)
+		rows = append(rows, Fig14Row{
+			Limit:                k,
+			DRAMSizeReductionPct: part.BwdDRAMReductionPct,
+			NVMAccessPct:         part.NVMAccessPct,
+			TEPS:                 res.MedianTEPS(),
+		})
 	}
 	return rows, nil
 }

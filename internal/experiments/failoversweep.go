@@ -76,7 +76,7 @@ func FailoverSweep(opts Options) ([]FailoverRow, error) {
 				TransientRate: rate,
 				CorruptRate:   rate / 2,
 			}
-			cfg := sweepBFSConfig(opts, bfs.ModeHybrid)
+			cfg := sweepBFSConfig(bfs.ModeHybrid)
 			res, err := lab.Run(sc, cfg, false, false)
 			if err != nil {
 				return nil, fmt.Errorf("failover sweep r=%d rate=%g: %w",

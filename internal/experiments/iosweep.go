@@ -69,15 +69,12 @@ func IOSweep(opts Options) ([]IORow, error) {
 	defer lab.Close()
 	var rows []IORow
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
-		sc := lab.scenario(base, true)
-		// Anchor the cache budget to the measured raw footprint.
-		probe, err := lab.System(sc, false)
+		cached, err := lab.withCacheFraction(lab.scenario(base, true), IOCacheFraction)
 		if err != nil {
 			return nil, err
 		}
-		budget := int64(IOCacheFraction * float64(probe.NVMForwardBytes))
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly} {
-			cfg := sweepBFSConfig(opts, mode)
+			cfg := sweepBFSConfig(mode)
 			var baseTEPS float64
 			for _, compress := range []bool{false, true} {
 				for _, qd := range IOQueueDepths {
@@ -85,8 +82,7 @@ func IOSweep(opts Options) ([]IORow, error) {
 					if qd > 0 {
 						pf = IOFrontierPrefetch
 					}
-					rowSc := sc.WithCache(budget, CacheReadahead).WithIO(compress, qd, pf)
-					res, err := lab.Run(rowSc, cfg, false, false)
+					res, err := lab.Run(cached.WithIO(compress, qd, pf), cfg, false, false)
 					if err != nil {
 						return nil, fmt.Errorf("io sweep %s %s cmp=%v qd=%d: %w",
 							base.Name, mode, compress, qd, err)
@@ -105,7 +101,7 @@ func IOSweep(opts Options) ([]IORow, error) {
 						Compress:         compress,
 						QueueDepth:       qd,
 						Prefetch:         pf,
-						CacheBytes:       budget,
+						CacheBytes:       cached.CacheBytes,
 						TEPS:             teps,
 						Speedup:          speedup,
 						CompressionRatio: res.CompressionRatio,

@@ -85,7 +85,7 @@ func LoadSweep(opts Options) ([]LoadRow, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := sweepBFSConfig(opts, bfs.ModeHybrid)
+	cfg := sweepBFSConfig(bfs.ModeHybrid)
 	queries := LoadSweepQueriesPerRootOpt * opts.Roots
 
 	var rows []LoadRow

@@ -5,6 +5,7 @@ import (
 
 	"semibfs/internal/bfs"
 	"semibfs/internal/core"
+	"semibfs/internal/graph500"
 )
 
 // PartialLimits is the per-vertex DRAM edge cap grid of the partial
@@ -56,51 +57,58 @@ func PartialSweep(opts Options) ([]PartialRow, error) {
 	var rows []PartialRow
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {
 		sc := lab.scenario(base, true)
-		// Full-DRAM backward bytes anchor the reduction column.
-		fullSys, err := lab.System(sc, false)
-		if err != nil {
-			return nil, err
-		}
-		fullBwd := fullSys.DRAMBackwardBytes + fullSys.NVMBackwardBytes
 		for _, mode := range []bfs.Mode{bfs.ModeHybrid, bfs.ModeTopDownOnly} {
 			// The cache sweep's switching point, for the same reason: the
 			// headline alpha of 1e4 never leaves top-down at reproduction
 			// scales, and this sweep is about the bottom-up levels' tail
 			// traffic.
-			cfg := sweepBFSConfig(opts, mode)
+			cfg := sweepBFSConfig(mode)
 			for _, k := range PartialLimits {
-				part := sc
-				part.BackwardDRAMEdgeLimit = k
-				res, err := lab.Run(part, cfg, false, false)
+				row, res, err := backwardOffload(lab, sc, cfg, k)
 				if err != nil {
-					return nil, fmt.Errorf("partial sweep %s %s k=%d: %w",
-						base.Name, mode, k, err)
+					return nil, fmt.Errorf("partial sweep %s %s k=%d: %w", base.Name, mode, k, err)
 				}
-				sys, err := lab.System(part, false)
-				if err != nil {
-					return nil, err
-				}
-				row := PartialRow{
-					Scenario:     base.Name,
-					Mode:         mode.String(),
-					KeepEdges:    k,
-					TEPS:         res.TEPS.HarmonicMean,
-					BwdDRAMScans: res.BackwardDRAMScans,
-					BwdNVMScans:  res.BackwardNVMScans,
-					BwdNVMBytes:  sys.NVMBackwardBytes,
-				}
-				if fullBwd > 0 {
-					row.BwdDRAMReductionPct =
-						100 * (1 - float64(sys.DRAMBackwardBytes)/float64(fullBwd))
-				}
-				if total := row.BwdDRAMScans + row.BwdNVMScans; total > 0 {
-					row.NVMAccessPct = 100 * float64(row.BwdNVMScans) / float64(total)
-				}
+				row.Scenario, row.Mode, row.TEPS = base.Name, mode.String(), res.TEPS.HarmonicMean
 				rows = append(rows, row)
 			}
 		}
 	}
 	return rows, nil
+}
+
+// backwardOffload runs sc, which keeps the whole backward graph in DRAM,
+// with the backward graph capped at k DRAM neighbors per vertex instead,
+// and measures the offload as a PartialRow: the bottom-up scans, the tails'
+// NVM bytes, the backward graph's DRAM savings against sc's full residency
+// and the share of bottom-up scans served from NVM. The run itself is
+// returned for its rates.
+func backwardOffload(lab *Lab, sc core.Scenario, cfg bfs.Config, k int) (PartialRow, *graph500.Result, error) {
+	full, err := lab.System(sc, false)
+	if err != nil {
+		return PartialRow{}, nil, err
+	}
+	sc.BackwardDRAMEdgeLimit = k
+	res, err := lab.Run(sc, cfg, false, false)
+	if err != nil {
+		return PartialRow{}, nil, err
+	}
+	sys, err := lab.System(sc, false)
+	if err != nil {
+		return PartialRow{}, nil, err
+	}
+	row := PartialRow{
+		KeepEdges:    k,
+		BwdDRAMScans: res.BackwardDRAMScans,
+		BwdNVMScans:  res.BackwardNVMScans,
+		BwdNVMBytes:  sys.NVMBackwardBytes,
+	}
+	if fullBwd := full.DRAMBackwardBytes + full.NVMBackwardBytes; fullBwd > 0 {
+		row.BwdDRAMReductionPct = 100 * (1 - float64(sys.DRAMBackwardBytes)/float64(fullBwd))
+	}
+	if total := row.BwdDRAMScans + row.BwdNVMScans; total > 0 {
+		row.NVMAccessPct = 100 * float64(row.BwdNVMScans) / float64(total)
+	}
+	return row, res, nil
 }
 
 var partialEntry = flat[PartialRow]{

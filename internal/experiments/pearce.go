@@ -34,7 +34,7 @@ func PearceComparison(opts Options) ([]PearceRow, error) {
 
 	// The paper's technique at its defaults on PCIe flash.
 	sc := lab.scenario(core.ScenarioPCIeFlash, false)
-	hybrid, err := lab.Run(sc, bfs.Config{Alpha: 1e4, Beta: 1e5}, false, false)
+	hybrid, err := lab.Run(sc, defaultBFSConfig(), false, false)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func QuerySweep(opts Options) ([]QueryRow, error) {
 		return nil, err
 	}
 	defer lab.Close()
-	cfg := sweepBFSConfig(opts, bfs.ModeHybrid)
+	cfg := sweepBFSConfig(bfs.ModeHybrid)
 
 	var rows []QueryRow
 	for _, base := range []core.Scenario{core.ScenarioPCIeFlash, core.ScenarioSSD} {

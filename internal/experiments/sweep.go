@@ -174,8 +174,9 @@ func figPerformance(opts Options, scale int, baselines bool) ([]Fig8Series, erro
 		return out, nil
 	}
 	for _, mode := range []bfs.Mode{bfs.ModeTopDownOnly, bfs.ModeBottomUpOnly} {
-		res, err := lab.Run(core.ScenarioDRAMOnly,
-			bfs.Config{Alpha: 1e4, Beta: 1e5, Mode: mode}, false, false)
+		cfg := defaultBFSConfig()
+		cfg.Mode = mode
+		res, err := lab.Run(core.ScenarioDRAMOnly, cfg, false, false)
 		if err != nil {
 			return nil, err
 		}
