@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-json benchpair simdiff golden loc
+.PHONY: build test check lint bench bench-json benchpair golden loc
 
 build:
 	$(GO) build ./...
@@ -40,10 +40,6 @@ bench-json:
 WL ?= td-ssd-stack,grid-4x4,pr-tails,g500-pcie,g500-dram
 benchpair:
 	bash scripts/benchpair.sh $(REF) $(WL) $(PAIRS) $(SEED0)
-
-# Are this tree's virtual numbers byte-identical to REF's? (make simdiff REF=HEAD~1)
-simdiff:
-	bash scripts/simdiff.sh $(REF)
 
 # Non-test Go lines per package, here or at REF (make loc REF=HEAD~1).
 loc:

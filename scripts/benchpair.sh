@@ -5,8 +5,8 @@
 # binaries and prints one table each.
 #
 # Builds ./bench from <git-ref> (exported with `git archive` into a
-# temporary directory outside the checkout, as simdiff.sh does) and from
-# the working tree, then runs the two binaries alternately on <workload>
+# temporary directory outside the checkout) and from the working tree, then
+# runs the two binaries alternately on <workload>
 # with `--seconds 6 --trace 0`: pair i uses seed seed0+i on both sides, and
 # the side that goes first swaps every pair, because host noise on the
 # bench machine comes in minutes-long regimes that a single run, or
