@@ -44,6 +44,12 @@ type BatchRunner struct {
 	frontier *bitmap.Lanes
 	next     *bitmap.Lanes
 
+	// keepTrees says whether the kernels write trees. RunBatch always
+	// does; a session opened without trees leaves them untouched (and
+	// stale) and charges the same virtual time, so reset fills them again
+	// before the next run that keeps them.
+	keepTrees bool
+
 	probes []lanesProbe // per-worker bottom-up probes
 }
 
@@ -145,6 +151,7 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 	}
 	r.active = len(roots)
 	r.activeMask = bitmap.LaneMask(r.active)
+	r.keepTrees = true
 	r.reset(r.active)
 
 	for l, root := range roots {
@@ -192,18 +199,21 @@ func (r *BatchRunner) RunBatch(roots []int64) (*BatchResult, error) {
 
 // TraversedEdges returns, for every lane l in mask, the TEPS numerator of
 // lane l's search: half the degree sum of the vertices it visited, which is
-// what validate.TraversedEdges gives for lane l's tree. It is one pass over
-// the visited lane words that calls degree once per vertex some lane in mask
-// reached, not one pass over a tree per lane. It reads the lanes as they
-// stand: after RunBatch until the next batch, in a session until the lanes
-// are released. Lanes outside mask read zero.
-func (r *BatchRunner) TraversedEdges(mask uint64, degree func(int64) int64) (sums [bitmap.MaxLanes]int64) {
+// what validate.TraversedEdges gives for lane l's tree. degrees[v] is vertex
+// v's degree (DegreeTable). It is one pass over the visited lane words that
+// reads degrees once per vertex some lane in mask reached, not one pass over
+// a tree per lane. It reads the lanes as they stand: after RunBatch until
+// the next batch, in a session until the lanes are released. Lanes outside
+// mask read zero.
+func (r *BatchRunner) TraversedEdges(mask uint64, degrees []int64) (sums [bitmap.MaxLanes]int64) {
 	if mask == 0 {
 		return sums
 	}
-	for v, word := range r.visited.Words() {
+	words := r.visited.Words()
+	degrees = degrees[:len(words)]
+	for v, word := range words {
 		if word &= mask; word != 0 {
-			d := degree(int64(v))
+			d := degrees[v]
 			for ; word != 0; word &= word - 1 {
 				sums[bits.TrailingZeros64(word)] += d
 			}
@@ -215,13 +225,26 @@ func (r *BatchRunner) TraversedEdges(mask uint64, degree func(int64) int64) (sum
 	return sums
 }
 
-// reset clears the status data of the first `lanes` lanes and begins a run
-// on the team (setup is not charged to BFS time, matching the Graph500 timing
-// protocol which starts the clock at traversal).
+// DegreeTable tabulates degree over the vertices [0, n): the table
+// TraversedEdges reads.
+func DegreeTable(n int64, degree func(int64) int64) []int64 {
+	degrees := make([]int64, n)
+	for v := range degrees {
+		degrees[v] = degree(int64(v))
+	}
+	return degrees
+}
+
+// reset clears the status data of the first `lanes` lanes (their trees only
+// when the run keeps them) and begins a run on the team (setup is not
+// charged to BFS time, matching the Graph500 timing protocol which starts
+// the clock at traversal).
 func (r *BatchRunner) reset(lanes int) {
-	for _, tree := range r.trees[:lanes] {
-		for i := range tree {
-			tree[i] = -1
+	if r.keepTrees {
+		for _, tree := range r.trees[:lanes] {
+			for i := range tree {
+				tree[i] = -1
+			}
 		}
 	}
 	n := int(r.N)
@@ -327,8 +350,9 @@ func (r *BatchRunner) promote() error {
 // committed (seeded).
 //
 // A failed top-down scatter has committed nothing to visited (the merge
-// phase never ran): its partial next bits and parent entries are simply
-// scrubbed and the bottom-up re-run re-derives every claim from scratch.
+// phase never ran): its partial next bits and parent entries (if trees are
+// kept) are simply scrubbed and the bottom-up re-run re-derives every claim
+// from scratch.
 // A failed bottom-up level has committed its finished vertices completely
 // (trees + visited + next are written together per vertex); those claims
 // are kept and counted as seeded, and the top-down re-run skips them
@@ -337,15 +361,17 @@ func (r *BatchRunner) enterDegraded(from, to Direction) (int64, error) {
 	n := int(r.N)
 	if from == TopDown {
 		nextW := r.next.Words()
-		for v := 0; v < n; v++ {
-			for w := nextW[v]; w != 0; w &= w - 1 {
-				lane := bits.TrailingZeros64(w)
-				if !r.visited.Test(v, lane) {
-					r.trees[lane][v] = -1
+		if r.keepTrees {
+			for v := 0; v < n; v++ {
+				for w := nextW[v]; w != 0; w &= w - 1 {
+					lane := bits.TrailingZeros64(w)
+					if !r.visited.Test(v, lane) {
+						r.trees[lane][v] = -1
+					}
 				}
 			}
-			nextW[v] = 0
 		}
+		clear(nextW[:n])
 		return 0, nil
 	}
 	// from == BottomUp: count the committed claims, then build the queue

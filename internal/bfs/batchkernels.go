@@ -15,10 +15,11 @@ import (
 //
 // is computed against the *frozen* pre-level visited lanes (visited is only
 // written by the merge phase), so d does not depend on worker order; the
-// claims are committed with an OR into the next lanes and MinParent per
-// claimed lane's parent slot. Costs are charged from d alone, never from
-// which worker claimed first. Nothing is queued: no claim reaches visited before the merge phase, and a rescue scrubs
-// the partial next/parent writes (enterDegraded).
+// claims are committed with an OR into the next lanes and, when trees are
+// kept, MinParent per claimed lane's parent slot. Costs are charged from d
+// alone, never from which worker claimed first or whether a parent is
+// written. Nothing is queued: no claim reaches visited before the merge
+// phase, and a rescue scrubs the partial next/parent writes (enterDegraded).
 //
 // Out of line for the reason newExpander is.
 //
@@ -28,6 +29,7 @@ func newScatter(r *BatchRunner) Expand {
 	visited, frontier, next, trees := r.visited, r.frontier, r.next, r.trees
 	return func(v int64, nbs, nq []int64) ([]int64, vtime.Duration) {
 		fw := frontier.Word(int(v)) & r.activeMask
+		keep := r.keepTrees
 		var t vtime.Duration
 		for _, nb := range nbs {
 			d := fw &^ visited.Word(int(nb))
@@ -35,8 +37,10 @@ func newScatter(r *BatchRunner) Expand {
 				continue
 			}
 			next.Or(int(nb), d)
-			for dd := d; dd != 0; dd &= dd - 1 {
-				MinParent(&trees[bits.TrailingZeros64(dd)][nb], v)
+			if keep {
+				for dd := d; dd != 0; dd &= dd - 1 {
+					MinParent(&trees[bits.TrailingZeros64(dd)][nb], v)
+				}
 			}
 			t += atomicOp + vtime.Duration(bits.OnesCount64(d))*localAccess
 		}
@@ -90,8 +94,10 @@ func newLanesProbe(p *lanesProbe, r *BatchRunner) {
 	p.fn = func(nb int64) bool {
 		d := frontier.Word(int(nb)) & p.rem
 		if d != 0 {
-			for dd := d; dd != 0; dd &= dd - 1 {
-				trees[bits.TrailingZeros64(dd)][p.v] = nb
+			if r.keepTrees {
+				for dd := d; dd != 0; dd &= dd - 1 {
+					trees[bits.TrailingZeros64(dd)][p.v] = nb
+				}
 			}
 			p.claimed |= d
 			p.rem &^= d
@@ -106,8 +112,10 @@ func newLanesProbe(p *lanesProbe, r *BatchRunner) {
 // and stops early as soon as every lane is satisfied. Vertices are owned
 // in 64-vertex blocks with the same block -> worker mapping as the
 // single-source kernel, so trees/visited/next writes are worker-local and
-// the level is deterministic by construction. The kernel walks each DRAM
-// prefix itself, like the Runner's, and is out of line for the same reason.
+// the level is deterministic by construction. Parents are written only when
+// trees are kept; the level costs the same either way. The kernel walks each
+// DRAM prefix itself, like the Runner's, and is out of line for the same
+// reason.
 //
 //go:noinline
 func (r *BatchRunner) runBatchBottomUpLevel() error {
@@ -120,7 +128,7 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 		scanner := r.Scanners[w]
 		acc := &r.Acc[w]
 		probe := &r.probes[w]
-		frontier, trees := r.frontier, r.trees
+		frontier, trees, keep := r.frontier, r.trees, r.keepTrees
 		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
 		var walked int64 // prefix entries examined, counted once per level
@@ -153,8 +161,10 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 				for _, nb := range nbs {
 					dram++
 					if d := frontier.Word(int(nb)) & rem; d != 0 {
-						for dd := d; dd != 0; dd &= dd - 1 {
-							trees[bits.TrailingZeros64(dd)][v] = nb
+						if keep {
+							for dd := d; dd != 0; dd &= dd - 1 {
+								trees[bits.TrailingZeros64(dd)][v] = nb
+							}
 						}
 						claimed |= d
 						if rem &^= d; rem == 0 {
@@ -173,8 +183,10 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 						// degraded re-run's min-claims start from -1;
 						// claims count only once their visited lanes
 						// commit below.
-						for dd := claimed; dd != 0; dd &= dd - 1 {
-							trees[bits.TrailingZeros64(dd)][v] = -1
+						if keep {
+							for dd := claimed; dd != 0; dd &= dd - 1 {
+								trees[bits.TrailingZeros64(dd)][v] = -1
+							}
 						}
 						scanner.CountPrefix(walked)
 						return err

@@ -59,7 +59,7 @@ func pinRoots(bwd BackwardAccess, n int64) (root int64, roots64 []int64) {
 // stepPinSession admits three searches one joint level apart, releases
 // finished lanes at every boundary and steps until the session drains.
 func stepPinSession(t *testing.T, r *BatchRunner, roots64 []int64) (*BatchSession, []LevelStats) {
-	s := r.OpenSession()
+	s := r.OpenSession(true)
 	var levels []LevelStats
 	for step := 0; step < 3 || s.InUse() != 0; step++ {
 		if step < 3 {

@@ -28,7 +28,10 @@ import (
 // lanes a session thinks it owns). Sessions are not safe for concurrent use.
 //
 // Given the same admit/step/release sequence, virtual time and every lane's
-// parent tree are the same on every run.
+// parent tree are the same on every run. A session opened without trees
+// writes no parent entry at all, and every Step, Release and count it
+// reports is the same as a tree-keeping session's: the modelled engine
+// still builds and scrubs 64 trees, only the host skips them.
 type BatchSession struct {
 	r *BatchRunner
 
@@ -69,8 +72,11 @@ type SessionLevel struct {
 }
 
 // OpenSession resets the runner's lane structures and returns a session
-// over them. The session borrows the runner exclusively; see BatchSession.
-func (r *BatchRunner) OpenSession() *BatchSession {
+// over them; keepTrees says whether it writes each lane's parent array (a
+// server that returns no trees passes false, and Tree then returns nil).
+// The session borrows the runner exclusively; see BatchSession.
+func (r *BatchRunner) OpenSession(keepTrees bool) *BatchSession {
+	r.keepTrees = keepTrees
 	r.reset(r.lanes)
 	return &BatchSession{
 		r:         r,
@@ -117,14 +123,21 @@ func (s *BatchSession) Root(l int) int64 { return s.roots[l] }
 func (s *BatchSession) VisitedCount(l int) int64 { return s.visCount[l] }
 
 // Tree returns lane l's parent array, aliasing session storage: it is valid
-// until the lane is released or the session reset. Clone it to keep it.
-func (s *BatchSession) Tree(l int) []int64 { return s.r.trees[l] }
+// until the lane is released or the session reset. Clone it to keep it. A
+// session opened without trees returns nil.
+func (s *BatchSession) Tree(l int) []int64 {
+	if !s.r.keepTrees {
+		return nil
+	}
+	return s.r.trees[l]
+}
 
 // TraversedEdges returns the TEPS numerator of every live lane in mask, read
-// from the session's visited lanes in one pass (BatchRunner.TraversedEdges):
-// call it for a level's Finished lanes before releasing them.
-func (s *BatchSession) TraversedEdges(mask uint64, degree func(int64) int64) [bitmap.MaxLanes]int64 {
-	return s.r.TraversedEdges(mask&s.inUse, degree)
+// from the session's visited lanes in one pass over the degree table
+// (BatchRunner.TraversedEdges): call it for a level's Finished lanes before
+// releasing them.
+func (s *BatchSession) TraversedEdges(mask uint64, degrees []int64) [bitmap.MaxLanes]int64 {
+	return s.r.TraversedEdges(mask&s.inUse, degrees)
 }
 
 // LayerTotals returns the cumulative storage-stack counters under the
@@ -145,7 +158,9 @@ func (s *BatchSession) Admit(l int, root int64) error {
 	if root < 0 || root >= s.r.N {
 		return fmt.Errorf("bfs: root %d outside [0,%d)", root, s.r.N)
 	}
-	s.r.trees[l][root] = root
+	if s.r.keepTrees {
+		s.r.trees[l][root] = root
+	}
 	s.r.visited.Set(int(root), l)
 	s.r.frontier.Set(int(root), l)
 	s.inUse |= 1 << uint(l)
@@ -241,7 +256,8 @@ func (s *BatchSession) countNext() error {
 // next admission starts clean. It serves finished lanes, cancelled or
 // expired searches, and the cleanup after an unrescuable Step error alike.
 // The scrub streams the status structures in worker stripes and charges
-// virtual time accordingly (reclamation is not free).
+// virtual time accordingly (reclamation is not free), the lanes' trees
+// included even when the session keeps none.
 func (s *BatchSession) Release(mask uint64) error {
 	r := s.r
 	mask &= s.inUse
@@ -271,10 +287,12 @@ func (s *BatchSession) Release(mask uint64) error {
 			frontW[v] &= keep
 			rem += int64(bits.OnesCount64(frontW[v] & newInUse))
 		}
-		for _, l := range lanes {
-			tree := r.trees[l][lo:hi]
-			for i := range tree {
-				tree[i] = -1
+		if r.keepTrees {
+			for _, l := range lanes {
+				tree := r.trees[l][lo:hi]
+				for i := range tree {
+					tree[i] = -1
+				}
 			}
 		}
 		remaining[w] = rem

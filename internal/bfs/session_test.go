@@ -2,6 +2,8 @@ package bfs
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 
 	"semibfs/internal/edgelist"
@@ -47,7 +49,7 @@ func TestSessionContinuousAdmissionMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := br.OpenSession()
+	s := br.OpenSession(true)
 
 	next := 0
 	admitSome := func() {
@@ -124,7 +126,7 @@ func TestSessionGangMatchesRunBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := br2.OpenSession()
+		s := br2.OpenSession(true)
 		for l, root := range roots {
 			if err := s.Admit(l, root); err != nil {
 				t.Fatal(err)
@@ -155,7 +157,7 @@ func TestSessionGangMatchesRunBatch(t *testing.T) {
 		_ = list
 		// Trees were collected per finish above in other tests; here just
 		// re-run to compare final trees lane by lane.
-		s2 := br2.OpenSession()
+		s2 := br2.OpenSession(true)
 		for l, root := range roots {
 			if err := s2.Admit(l, root); err != nil {
 				t.Fatal(err)
@@ -200,7 +202,7 @@ func TestSessionDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := br.OpenSession()
+		s := br.OpenSession(true)
 		next := 0
 		trees := make(map[int64][]int64)
 		// Stagger admissions: two up front, then refill one lane per level.
@@ -265,7 +267,7 @@ func TestSessionLaneScrubIsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := br.OpenSession()
+	s := br.OpenSession(true)
 	for l := 0; l < 3; l++ {
 		if err := s.Admit(l, roots[l]); err != nil {
 			t.Fatal(err)
@@ -320,7 +322,7 @@ func TestSessionForwardDeathDegradesLiveCohort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := br.OpenSession()
+	s := br.OpenSession(true)
 	// Two searches in flight, then the device dies before the next step.
 	if err := s.Admit(0, roots[0]); err != nil {
 		t.Fatal(err)
@@ -412,7 +414,7 @@ func TestSessionUnrescuableDeathCleansUpViaRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := br.OpenSession()
+	s := br.OpenSession(true)
 	if err := s.Admit(0, roots[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +466,7 @@ func TestSessionRejectsBadUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := br.OpenSession()
+	s := br.OpenSession(true)
 	if _, err := s.Step(); err == nil {
 		t.Error("step with no live lanes accepted")
 	}
@@ -513,6 +515,7 @@ func TestSessionTraversedEdgesMatchesPerLane(t *testing.T) {
 	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
 	fg, bg, list, part := buildTestGraphs(t, 9, 37, topo)
 	n := list.NumVertices
+	degrees := DegreeTable(n, bg.Degree)
 	_, bwd := wrapDRAM(t, fg, bg)
 	for seed := uint64(1); seed <= 4; seed++ {
 		var stores []*failingStore
@@ -531,7 +534,7 @@ func TestSessionTraversedEdgesMatchesPerLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := br.OpenSession()
+		s := br.OpenSession(true)
 		g := rng.NewXoroshiro128(seed)
 		dieAt := 3 + int(g.Uint64n(8))
 		admitted, finished, cancelled, degradedFinished := 0, 0, 0, 0
@@ -568,7 +571,7 @@ func TestSessionTraversedEdgesMatchesPerLane(t *testing.T) {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			degraded = degraded || len(lv.Degraded) > 0
-			got := s.TraversedEdges(lv.Finished, bg.Degree)
+			got := s.TraversedEdges(lv.Finished, degrees)
 			for l := range got {
 				want := int64(0)
 				if lv.Finished&(1<<uint(l)) != 0 {
@@ -592,5 +595,176 @@ func TestSessionTraversedEdgesMatchesPerLane(t *testing.T) {
 				seed, finished, cancelled, degradedFinished)
 		}
 		sf.Close()
+	}
+}
+
+// TestTreelessSessionMatchesTreeSession drives one seeded schedule —
+// staggered admissions of random roots, cancels of live lanes, finished
+// lanes released, and a device that dies mid-level — on two runners over
+// identical stacks, one session keeping trees and one not. The tree-less
+// session must report exactly what the tree-keeping one reports at every
+// boundary (each SessionLevel, visited counts, traversed edges, layer
+// counters, virtual time) and hand out no trees; afterwards RunBatch on its
+// runner must return the trees a fresh runner returns. It runs once per
+// rescue direction: the forward graph dying under top-down, and the
+// backward tails dying under bottom-up.
+func TestTreelessSessionMatchesTreeSession(t *testing.T) {
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	fg, bg, list, part := buildTestGraphs(t, 9, 37, topo)
+	n := list.NumVertices
+	degrees := DegreeTable(n, bg.Degree)
+	batchRoots := pickRoots(t, bg.Degree, n, 6)
+	const lanes, queries = 8, 40
+	for _, tc := range []struct {
+		name        string
+		from        Direction // the direction whose device dies
+		alpha, beta float64
+	}{
+		// Alpha 1 keeps the rule on top-down over the offloaded forward
+		// graph; a huge alpha and beta keep it bottom-up over offloaded
+		// backward tails once a cohort's frontier grows.
+		{"forward-dies", TopDown, 1, 10},
+		{"backward-dies", BottomUp, 1e6, 1e18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// build returns a runner over a fresh stack whose NVM stores
+			// the schedule can kill and heal.
+			build := func() (*BatchRunner, []*failingStore) {
+				var stores []*failingStore
+				mk := func(_ string, chunk int) (nvm.Storage, error) {
+					fs := &failingStore{Storage: nvm.NewMemStore(nil, chunk), failAfter: 1 << 60}
+					stores = append(stores, fs)
+					return fs, nil
+				}
+				fwd, bwd := wrapDRAM(t, fg, bg)
+				if tc.from == TopDown {
+					sf, err := semiext.OffloadForward(fg, mk, nil, semiext.ForwardOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { sf.Close() })
+					fwd = NVMForward{SF: sf}
+				} else {
+					hb, err := semiext.BuildHybridBackward(bg, 1, mk, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { hb.Close() })
+					bwd = HybridBackwardAccess{HB: hb}
+				}
+				br, err := NewBatchRunner(fwd, bwd, part, lanes, Config{
+					Topology: topo, Mode: ModeHybrid, Alpha: tc.alpha, Beta: tc.beta,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return br, stores
+			}
+			setStores := func(failAfter int64, stores ...[]*failingStore) {
+				for _, ss := range stores {
+					for _, fs := range ss {
+						fs.failAfter = failAfter
+						fs.reads.Store(0)
+					}
+				}
+			}
+			keepRunner, keepStores := build()
+			bareRunner, bareStores := build()
+			keep, bare := keepRunner.OpenSession(true), bareRunner.OpenSession(false)
+			both := func(f func(s *BatchSession) error) {
+				t.Helper()
+				for _, s := range []*BatchSession{keep, bare} {
+					if err := f(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			sched := rng.NewXoroshiro128(11)
+			dieAt := 3 + int(sched.Uint64n(4))
+			admitted, cancelled, rescued := 0, 0, 0
+			for step := 0; admitted < queries || keep.InUse() != 0; step++ {
+				// Up to three admissions per boundary, into the lowest free lanes.
+				for k := sched.Uint64n(4); k > 0 && admitted < queries && keep.FreeLanes() != 0; k-- {
+					l, root := bits.TrailingZeros64(keep.FreeLanes()), int64(sched.Uint64n(uint64(n)))
+					both(func(s *BatchSession) error { return s.Admit(l, root) })
+					admitted++
+				}
+				// Now and then cut a live search loose, as a serving loop cancels.
+				if live := keep.InUse(); live != 0 && sched.Uint64n(5) == 0 {
+					for k := sched.Uint64n(uint64(bits.OnesCount64(live))); k > 0; k-- {
+						live &= live - 1
+					}
+					both(func(s *BatchSession) error { return s.Release(live & -live) })
+					cancelled++
+				}
+				if step == dieAt {
+					setStores(2, keepStores, bareStores)
+				}
+				if keep.InUse() != bare.InUse() {
+					t.Fatalf("step %d: lanes in use %b without trees, %b with", step, bare.InUse(), keep.InUse())
+				}
+				if keep.InUse() == 0 {
+					continue
+				}
+				want, err := keep.Step()
+				if err != nil {
+					t.Fatalf("step %d, keeping trees: %v", step, err)
+				}
+				got, err := bare.Step()
+				if err != nil {
+					t.Fatalf("step %d, without trees: %v", step, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: level without trees\n%+v\nwith trees\n%+v", step, got, want)
+				}
+				for _, ev := range want.Degraded {
+					if ev.From != tc.from {
+						t.Fatalf("step %d: rescued %v -> %v, want a rescue from %v", step, ev.From, ev.To, tc.from)
+					}
+					rescued++
+				}
+				if g, w := bare.TraversedEdges(want.Finished, degrees), keep.TraversedEdges(want.Finished, degrees); g != w {
+					t.Fatalf("step %d: traversed edges %v without trees, %v with", step, g, w)
+				}
+				for l := range lanes {
+					if g, w := bare.VisitedCount(l), keep.VisitedCount(l); g != w {
+						t.Fatalf("step %d lane %d: visited %d without trees, %d with", step, l, g, w)
+					}
+					if bare.Tree(l) != nil {
+						t.Fatalf("step %d lane %d: a session without trees returned one", step, l)
+					}
+				}
+				if g, w := bare.LayerTotals(), keep.LayerTotals(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("step %d: layer totals %v without trees, %v with", step, g, w)
+				}
+				if g, w := bare.Now(), keep.Now(); g != w {
+					t.Fatalf("step %d: now %v without trees, %v with", step, g, w)
+				}
+				both(func(s *BatchSession) error { return s.Release(want.Finished) })
+			}
+			if cancelled == 0 || rescued == 0 {
+				t.Fatalf("%d cancelled, %d rescued; the schedule must reach both", cancelled, rescued)
+			}
+
+			// The tree-less session left the runner's trees unwritten;
+			// RunBatch must still start from clean ones.
+			setStores(1<<60, keepStores, bareStores)
+			fresh, _ := build()
+			want, err := fresh.RunBatch(batchRoots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bareRunner.RunBatch(batchRoots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, root := range batchRoots {
+				checkAgainstSerial(t, want.Trees[l], list, root)
+				if !slices.Equal(got.Trees[l], want.Trees[l]) {
+					t.Fatalf("lane %d (root %d): RunBatch after a session without trees differs from a fresh runner's", l, root)
+				}
+			}
+		})
 	}
 }

@@ -63,9 +63,9 @@ type Batch struct {
 // RunBatch advances roots together as one batch on br — one sweep of the
 // shared stores — and prices it. The first validateLanes lanes are
 // validated against src, which also counts their traversed edges; the rest
-// are counted off degree in one pass over the runner's visited lanes (src
-// may be nil when validateLanes is 0).
-func RunBatch(br *bfs.BatchRunner, roots []int64, degree func(int64) int64, src edgelist.Source, validateLanes int) (*Batch, error) {
+// are counted off the degree table (bfs.DegreeTable) in one pass over the
+// runner's visited lanes (src may be nil when validateLanes is 0).
+func RunBatch(br *bfs.BatchRunner, roots []int64, degrees []int64, src edgelist.Source, validateLanes int) (*Batch, error) {
 	res, err := br.RunBatch(roots)
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func RunBatch(br *bfs.BatchRunner, roots []int64, degree func(int64) int64, src 
 		Traversed: make([]int64, len(roots)),
 		Result:    res,
 	}
-	counted := br.TraversedEdges(bitmap.LaneMask(len(roots))&^bitmap.LaneMask(validateLanes), degree)
+	counted := br.TraversedEdges(bitmap.LaneMask(len(roots))&^bitmap.LaneMask(validateLanes), degrees)
 	for l, root := range roots {
 		if l >= validateLanes {
 			b.Traversed[l] = counted[l]
@@ -105,11 +105,12 @@ func RunBatched(sys *core.System, src edgelist.Source, cfg bfs.Config, lanes int
 		validateRoots = len(roots)
 	}
 	r := &BatchedResult{Queries: len(roots), StatusBytes: br.StatusBytes()}
+	degrees := bfs.DegreeTable(br.N, sys.Backward.Degree)
 	var invSum float64 // sum of 1/TEPS_q
 	for lo := 0; lo < len(roots); lo += lanes {
 		batch := roots[lo:min(lo+lanes, len(roots))]
 		check := min(len(batch), validateRoots-r.Validated)
-		b, err := RunBatch(br, batch, sys.Backward.Degree, src, check)
+		b, err := RunBatch(br, batch, degrees, src, check)
 		if err != nil {
 			return nil, fmt.Errorf("batch %d: %w", len(r.Batches), err)
 		}

@@ -80,16 +80,25 @@ func TestServerSweepSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkServeTrace plays a seeded 512-query trace through a 64-lane
 // server over a SCALE-12 PCIe system: admission, sweeps, traversed-edge
-// counting and lane release, with the graph built once.
+// counting and lane release, with the graph built once. keep-trees also
+// writes, scrubs and copies out every query's parent array; no-trees is
+// the load-experiment server, which writes none.
 func BenchmarkServeTrace(b *testing.B) {
 	br, deg, n, roots := allocSystem(b, 12, 64)
 	trace := pinTrace(12, roots, 512, 2e-5, 1, []float64{0})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		sv := NewServer(br, deg, n, ServerConfig{Lanes: 64})
-		if _, err := sv.ServeTrace(trace); err != nil {
-			b.Fatal(err)
+	for _, keep := range []bool{true, false} {
+		name := "no-trees"
+		if keep {
+			name = "keep-trees"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				sv := NewServer(br, deg, n, ServerConfig{Lanes: 64, KeepTrees: keep})
+				if _, err := sv.ServeTrace(trace); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

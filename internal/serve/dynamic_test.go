@@ -9,6 +9,7 @@ import (
 	"semibfs/internal/generator"
 	"semibfs/internal/numa"
 	"semibfs/internal/semiext"
+	"semibfs/internal/validate"
 	"semibfs/internal/vtime"
 )
 
@@ -103,5 +104,49 @@ func TestServerInterleavesUpdatesBetweenSweeps(t *testing.T) {
 	}
 	if adds, dels := g.PendingEdits(); adds+dels == 0 {
 		t.Fatal("overlay shows no pending edits after the run")
+	}
+}
+
+// TestServerCountsDegreesOfTheFinishingGraph: NewServer tabulates the
+// degree oracle once, but a BetweenSweeps hook may change the graph under
+// it. A served query's traversed edges must be counted with the degrees the
+// oracle gives when the query finishes: here every degree doubles from the
+// hook's eighth call on.
+func TestServerCountsDegreesOfTheFinishingGraph(t *testing.T) {
+	br, deg, n, roots := allocSystem(t, 10, 8)
+	factor, hooks := int64(1), 0
+	var doubled float64
+	sv := NewServer(br, func(v int64) int64 { return factor * deg(v) }, n, ServerConfig{
+		Lanes: 8, KeepTrees: true,
+		BetweenSweeps: func(now float64) error {
+			if hooks++; hooks == 8 {
+				factor, doubled = 2, now
+			}
+			return nil
+		},
+	})
+	outs, err := sv.ServeTrace(pinTrace(3, roots, 64, 2e-5, 1, []float64{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := 0, 0
+	for _, q := range outs {
+		if q.Outcome != OutcomeServed {
+			t.Fatalf("query %d ended %v, want served", q.ID, q.Outcome)
+		}
+		want := validate.TraversedEdges(q.Parents, deg)
+		if q.Finished > doubled {
+			want *= 2
+			after++
+		} else {
+			before++
+		}
+		if q.TraversedEdges != want {
+			t.Fatalf("query %d (root %d, finished at %v s, degrees doubled at %v s): %d traversed edges, want %d",
+				q.ID, q.Root, q.Finished, doubled, q.TraversedEdges, want)
+		}
+	}
+	if before == 0 || after == 0 {
+		t.Fatalf("%d queries finished before the degrees doubled, %d after; the trace must reach both", before, after)
 	}
 }

@@ -34,7 +34,8 @@ type ServerConfig struct {
 	DefaultDeadline float64
 	// KeepTrees retains each served query's parent array in its
 	// ServedQuery (one int64 per vertex per query — expensive; off for
-	// load experiments).
+	// load experiments). Without it the sweeps write no parent arrays at
+	// all; virtual time is the same either way.
 	KeepTrees bool
 	// BetweenSweeps, when set, runs at every sweep boundary with the
 	// current virtual time (seconds). No search is mid-sweep at that
@@ -195,6 +196,11 @@ type Server struct {
 	deg  func(int64) int64
 	n    int64
 	cfg  ServerConfig
+	// degrees is deg tabulated for the per-sweep traversed-edge count;
+	// a BetweenSweeps hook may change the graph, so after one has run
+	// (stale) the table is filled again before the next count reads it
+	degrees []int64
+	stale   bool
 
 	queue    *Queue
 	lanes    []laneTrack
@@ -208,16 +214,18 @@ type Server struct {
 }
 
 // NewServer wires a server over an existing batch runner; deg is the
-// degree oracle for traversed-edge accounting and n the vertex-universe
-// size. The server shares the runner's stores; it closes none of them.
+// degree oracle for traversed-edge accounting, tabulated here once, and n
+// the vertex-universe size. The server shares the runner's stores; it
+// closes none of them.
 func NewServer(br *bfs.BatchRunner, deg func(int64) int64, n int64, cfg ServerConfig) *Server {
 	return &Server{
-		sess:  br.OpenSession(),
-		deg:   deg,
-		n:     n,
-		cfg:   cfg,
-		queue: NewQueue(cfg.QueueCap, cfg.Policy),
-		lanes: make([]laneTrack, br.Lanes()),
+		sess:    br.OpenSession(cfg.KeepTrees),
+		deg:     deg,
+		n:       n,
+		cfg:     cfg,
+		degrees: bfs.DegreeTable(n, deg),
+		queue:   NewQueue(cfg.QueueCap, cfg.Policy),
+		lanes:   make([]laneTrack, br.Lanes()),
 	}
 }
 
@@ -364,6 +372,7 @@ func (sv *Server) step() (bool, error) {
 	now := sess.Now()
 
 	if sv.cfg.BetweenSweeps != nil && !sv.closed {
+		sv.stale = true
 		if err := sv.cfg.BetweenSweeps(now.Seconds()); err != nil {
 			return false, err
 		}
@@ -442,7 +451,13 @@ func (sv *Server) step() (bool, error) {
 		}
 	}
 	if lv.Finished != 0 {
-		sv.traversed = sess.TraversedEdges(lv.Finished, sv.deg)
+		if sv.stale {
+			for v := range sv.degrees {
+				sv.degrees[v] = sv.deg(int64(v))
+			}
+			sv.stale = false
+		}
+		sv.traversed = sess.TraversedEdges(lv.Finished, sv.degrees)
 		for m := lv.Finished; m != 0; m &= m - 1 {
 			sv.resolveLane(bits.TrailingZeros64(m), OutcomeServed, lv.End)
 		}

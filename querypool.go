@@ -89,7 +89,7 @@ type BatchStats struct {
 // death has aborted some lanes.
 type QueryPool struct {
 	br      *bfs.BatchRunner
-	deg     func(int64) int64
+	deg     []int64 // degree table, one entry per vertex
 	n       int64
 	pending []Query
 	nextID  int
@@ -124,13 +124,13 @@ func (s *System) NewQueryPool(lanes int) (*QueryPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newQueryPool(br, s.Degree, s.src.NumVertices()), nil
+	return newQueryPool(br, s.deg), nil
 }
 
-// newQueryPool wires a pool over an existing batch runner; closers are
-// appended by the callers that own stores.
-func newQueryPool(br *bfs.BatchRunner, deg func(int64) int64, n int64) *QueryPool {
-	return &QueryPool{br: br, deg: deg, n: n}
+// newQueryPool wires a pool over an existing batch runner and the degree
+// table of its graph; closers are appended by the callers that own stores.
+func newQueryPool(br *bfs.BatchRunner, deg []int64) *QueryPool {
+	return &QueryPool{br: br, deg: deg, n: int64(len(deg))}
 }
 
 // Lanes returns the pool's batch capacity B.

@@ -164,7 +164,7 @@ func buildDeadlyStack(t *testing.T, seed uint64) *deadlyStack {
 func TestQueryPoolClosesStoresOnceAfterMidBatchDeath(t *testing.T) {
 	d := buildDeadlyStack(t, 11)
 	br, bg, list, created, reads, budget := d.br, d.bg, d.list, d.created, d.reads, d.budget
-	pool := newQueryPool(br, bg.Degree, list.NumVertices)
+	pool := newQueryPool(br, bfs.DegreeTable(list.NumVertices, bg.Degree))
 	pool.closers = append(pool.closers, d.sf, d.hb)
 
 	// Measure the exact read cost of one batch of rootsA, healthy.
@@ -294,7 +294,7 @@ func TestQueryPoolSurvivesDeathViaDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newQueryPool(br, bg.Degree, list.NumVertices)
+	pool := newQueryPool(br, bfs.DegreeTable(list.NumVertices, bg.Degree))
 	pool.closers = append(pool.closers, sf, hbDram)
 
 	roots := poolLeakRoots(t, bg, list.NumVertices, 4)

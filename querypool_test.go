@@ -132,7 +132,7 @@ func TestQueryPoolOwnsItsSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := int64(0)
-	for pool.deg(root) == 0 {
+	for pool.deg[root] == 0 {
 		root++
 	}
 	results, stats, err := pool.Run([]int64{root, root + 1})
