@@ -92,7 +92,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 	}
 
+	// A failed entry is named on stderr and left out of the output; the
+	// others still run and render, and the exit status reports the failure.
 	byName := make(map[string]json.RawMessage, len(entries))
+	var failed []string
 	for _, e := range entries {
 		res, err := e.Run(opts)
 		switch {
@@ -109,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "analyze: %s: %v\n", e.Name, err)
-			return 1
+			failed = append(failed, e.Name)
 		}
 	}
 	if *asJSON {
@@ -119,6 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintln(stdout, string(out))
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(stderr, "analyze: %d of %d experiments failed: %s\n", len(failed), len(entries), strings.Join(failed, ","))
+		return 1
 	}
 	return 0
 }

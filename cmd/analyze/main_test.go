@@ -179,6 +179,29 @@ func TestSingleExperimentJSONAndCSV(t *testing.T) {
 	}
 }
 
+// TestFailedEntryDoesNotStopTheRest: under a permanent fault partial's
+// forward index dies unrescued, while headline degrades and finishes. The
+// run must name partial on stderr, still render headline, and exit 1.
+func TestFailedEntryDoesNotStopTheRest(t *testing.T) {
+	args := []string{"-exp", "partial,headline", "-fault-after", "1"}
+	code, out, errOut := analyze(t, args...)
+	if code != 1 || !strings.Contains(errOut, "analyze: partial:") || strings.Contains(errOut, "analyze: headline:") {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut)
+	}
+	if !strings.HasPrefix(out, "Headline:") || strings.Count(out, "\n\n") != 1 {
+		t.Fatalf("stdout is not headline's block alone:\n%s", out)
+	}
+
+	code, out, errOut = analyze(t, append(args, "-json")...)
+	var byName map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(out), &byName); code != 1 || err != nil {
+		t.Fatalf("-json: exit %d, err %v, stderr:\n%s", code, err, errOut)
+	}
+	if _, ok := byName["headline"]; !ok || len(byName) != 1 {
+		t.Fatalf("-json output is not headline alone:\n%s", out)
+	}
+}
+
 func TestBadInvocations(t *testing.T) {
 	code, out, errOut := analyze(t, "-exp", "headline,nosuch")
 	if code == 0 || out != "" {
