@@ -90,7 +90,6 @@ type BatchStats struct {
 type QueryPool struct {
 	br      *bfs.BatchRunner
 	deg     []int64 // degree table, one entry per vertex
-	n       int64
 	pending []Query
 	nextID  int
 	batches int // batches started so far, across Flush calls
@@ -130,7 +129,7 @@ func (s *System) NewQueryPool(lanes int) (*QueryPool, error) {
 // newQueryPool wires a pool over an existing batch runner and the degree
 // table of its graph; closers are appended by the callers that own stores.
 func newQueryPool(br *bfs.BatchRunner, deg []int64) *QueryPool {
-	return &QueryPool{br: br, deg: deg, n: int64(len(deg))}
+	return &QueryPool{br: br, deg: deg}
 }
 
 // Lanes returns the pool's batch capacity B.
@@ -145,8 +144,8 @@ func (p *QueryPool) Submit(root int64) (int, error) {
 	if p.closed {
 		return 0, ErrPoolClosed
 	}
-	if root < 0 || root >= p.n {
-		return 0, fmt.Errorf("semibfs: root %d outside [0,%d)", root, p.n)
+	if n := int64(len(p.deg)); root < 0 || root >= n {
+		return 0, fmt.Errorf("semibfs: root %d outside [0,%d)", root, n)
 	}
 	id := p.nextID
 	p.nextID++
