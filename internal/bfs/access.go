@@ -50,19 +50,22 @@ type ForwardAccess interface {
 //   - Prefix returns v's DRAM prefix and whether anything follows it: a
 //     stored tail, or — when v has pending edits, and nbs is nil — the
 //     whole merged adjacency. It charges and counts nothing.
-//   - Rest streams that remainder through fn until fn returns false.
+//   - Rest streams that remainder to fn a slice at a time (a tail chunk's
+//     batch, a run of the merged adjacency) until fn stops. fn returns how
+//     many of the slice it examined — all of them, or through the one it
+//     stopped at — and must not keep or modify the slice.
 //   - CountPrefix adds the prefix entries the caller examined to the
 //     scanner's DRAM counter (see ScanCounters); kernels call it once per
 //     worker per level.
 //
-// Scan streams v's whole adjacency through fn until fn returns false.
+// Scan streams v's whole adjacency to fn the same way.
 // Rest and Scan return how many neighbors were examined from DRAM and from
 // NVM.
 type BackwardScan interface {
 	Prefix(k int, v int64) (nbs []int64, rest bool)
-	Rest(k int, v int64, fn func(nb int64) bool) (dram, nvmEdges int64, err error)
+	Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 	CountPrefix(dram int64)
-	Scan(k int, v int64, fn func(nb int64) bool) (dram, nvmEdges int64, err error)
+	Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 }
 
 // BackwardAccess hands out per-worker scanners over a backward graph.
@@ -185,7 +188,7 @@ type hybridBackwardScan struct {
 }
 
 // Rest implements BackwardScan.
-func (s *hybridBackwardScan) Rest(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+func (s *hybridBackwardScan) Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (int64, int64, error) {
 	dram0, nvm0 := s.DRAMEdgesScanned, s.NVMEdgesScanned
 	if _, err := s.BackwardScanner.Rest(k, v, fn); err != nil {
 		return 0, 0, err
@@ -197,7 +200,7 @@ func (s *hybridBackwardScan) Rest(k int, v int64, fn func(nb int64) bool) (int64
 func (s *hybridBackwardScan) CountPrefix(dram int64) { s.DRAMEdgesScanned += dram }
 
 // Scan implements BackwardScan.
-func (s *hybridBackwardScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+func (s *hybridBackwardScan) Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (int64, int64, error) {
 	dram0, nvm0 := s.DRAMEdgesScanned, s.NVMEdgesScanned
 	if _, err := s.BackwardScanner.Scan(k, v, fn); err != nil {
 		return 0, 0, err

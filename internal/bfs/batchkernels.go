@@ -77,13 +77,13 @@ func (r *BatchRunner) mergeNext() error {
 }
 
 // lanesProbe is one worker's batched bottom-up probe: the closure its scanner
-// calls per neighbor after a DRAM prefix, and the state of the vertex being
-// scanned — the lanes still unclaimed, the lanes claimed so far. Built once
-// per BatchRunner, like the Runner's pullProbe.
+// calls per slice of what follows a DRAM prefix, and the state of the vertex
+// being scanned — the lanes still unclaimed, the lanes claimed so far. Built
+// once per BatchRunner, like the Runner's pullProbe.
 type lanesProbe struct {
 	rem, claimed uint64
 	v            int
-	fn           func(nb int64) bool
+	fn           func(nbs []int64) (int, bool)
 }
 
 // newLanesProbe arms p. Out of line for the reason newExpander is.
@@ -91,18 +91,23 @@ type lanesProbe struct {
 //go:noinline
 func newLanesProbe(p *lanesProbe, r *BatchRunner) {
 	frontier, trees := r.frontier, r.trees
-	p.fn = func(nb int64) bool {
-		d := frontier.Word(int(nb)) & p.rem
-		if d != 0 {
+	p.fn = func(nbs []int64) (int, bool) {
+		for i, nb := range nbs {
+			d := frontier.Word(int(nb)) & p.rem
+			if d == 0 {
+				continue
+			}
 			if r.keepTrees {
 				for dd := d; dd != 0; dd &= dd - 1 {
 					trees[bits.TrailingZeros64(dd)][p.v] = nb
 				}
 			}
 			p.claimed |= d
-			p.rem &^= d
+			if p.rem &^= d; p.rem == 0 {
+				return i + 1, true
+			}
 		}
-		return p.rem != 0
+		return len(nbs), false
 	}
 }
 

@@ -26,13 +26,14 @@ func WordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 }
 
 // pullProbe is one worker's bottom-up probe: the closure its scanner calls
-// per neighbor of what follows a DRAM prefix (a tail, or a dirty vertex's
-// merged adjacency) and the frontier parent that closure found. Built once
-// per Runner — a closure made inside the level would cost an allocation per
-// worker per level, inside the vertex loop one per scanned vertex.
+// per slice of what follows a DRAM prefix (a tail chunk's batch, or a run
+// of a dirty vertex's merged adjacency) and the frontier parent that
+// closure found. Built once per Runner — a closure made inside the level
+// would cost an allocation per worker per level, inside the vertex loop
+// one per scanned vertex.
 type pullProbe struct {
 	parent int64
-	fn     func(nb int64) bool
+	fn     func(nbs []int64) (int, bool)
 }
 
 // newPullProbe arms p over a node's frontier replica. Kept out of line for
@@ -40,12 +41,14 @@ type pullProbe struct {
 //
 //go:noinline
 func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
-	p.fn = func(nb int64) bool {
-		if frontier.Test(int(nb)) {
-			p.parent = nb
-			return false
+	p.fn = func(nbs []int64) (int, bool) {
+		for i, nb := range nbs {
+			if frontier.Test(int(nb)) {
+				p.parent = nb
+				return i + 1, true
+			}
 		}
-		return true
+		return len(nbs), false
 	}
 }
 

@@ -139,15 +139,15 @@ type repairState struct {
 	// nbs receives one scanned adjacency through collectFn, which is built
 	// once: a callback created per scan escapes into the scanner.
 	nbs       []int64
-	collectFn func(nb int64) bool
+	collectFn func(nbs []int64) (int, bool)
 	stats     RepairStats
 }
 
 func newRepairState() *repairState {
 	r := &repairState{last: make(map[[2]int64]int)}
-	r.collectFn = func(nb int64) bool {
-		r.nbs = append(r.nbs, nb)
-		return true
+	r.collectFn = func(nbs []int64) (int, bool) {
+		r.nbs = append(r.nbs, nbs...)
+		return len(nbs), false
 	}
 	return r
 }

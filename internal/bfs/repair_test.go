@@ -269,7 +269,7 @@ type failAfterScan struct {
 	f *failAfter
 }
 
-func (s failAfterScan) Scan(k int, v int64, fn func(nb int64) bool) (int64, int64, error) {
+func (s failAfterScan) Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (int64, int64, error) {
 	if s.f.limit == 0 {
 		return 0, 0, errors.New("tail store died")
 	}

@@ -215,19 +215,18 @@ func (c *core) offload(m *machine, b *block, name string) error {
 	return err
 }
 
-// stream calls fn for source u's neighbours in machine m's block b until fn
-// returns false: from the block's stacks when it is offloaded (the NVM requests
-// charge m's clock), from the DRAM copy (charged to *t) otherwise. A dead
-// machine reads DRAM — the degraded residence; only blocks that keep their
-// DRAM copy are streamed once a machine has died.
-func (c *core) stream(m *machine, b *block, u int64, t *vtime.Duration, fn func(v int64) bool) error {
+// stream hands source u's neighbours in machine m's block b to fn a slice at
+// a time until fn stops (fn's contract is semiext.StreamIndexedNeighbors'):
+// from the block's stacks when it is offloaded (the NVM requests charge m's
+// clock, a slice per decoded batch), from the DRAM copy (charged to *t, one
+// slice) otherwise. A dead machine reads DRAM — the degraded residence; only
+// blocks that keep their DRAM copy are streamed once a machine has died.
+func (c *core) stream(m *machine, b *block, u int64, t *vtime.Duration, fn func(vs []int64) (int, bool)) error {
 	if b.idx == nil || m.dead {
 		nbs := b.Neighbors(u)
 		*t += c.cfg.Cost.LocalAccess + c.cfg.Cost.Stream(len(nbs)*8)
-		for _, w := range nbs {
-			if !fn(w) {
-				break
-			}
+		if len(nbs) > 0 {
+			fn(nbs)
 		}
 		return nil
 	}
@@ -476,15 +475,17 @@ func (c *core) topDownLevel() (claimed, examined int64, err error) {
 		for _, u := range c.queues[k%c.cols] {
 			t += cm.VertexOverhead
 			parent := u
-			serr := c.stream(m, &m.td, u, &t, func(v int64) bool {
-				t += cm.EdgeCompute + cm.BitmapProbe
-				m.examined++
-				if !c.visited.Test(int(v)) {
-					o := c.owner(v) % c.cols
-					m.outbox[o] = append(m.outbox[o], pair{v, parent})
-					t += cm.QueueAppend
+			serr := c.stream(m, &m.td, u, &t, func(vs []int64) (int, bool) {
+				t += (cm.EdgeCompute + cm.BitmapProbe) * vtime.Duration(len(vs))
+				m.examined += int64(len(vs))
+				for _, v := range vs {
+					if !c.visited.Test(int(v)) {
+						o := c.owner(v) % c.cols
+						m.outbox[o] = append(m.outbox[o], pair{v, parent})
+						t += cm.QueueAppend
+					}
 				}
-				return true
+				return len(vs), false
 			})
 			if serr != nil {
 				return &machineError{machine: k, err: serr}

@@ -143,26 +143,33 @@ func (g *Grid) scanLevel(emulateTD bool) (claimed, examined int64, err error) {
 					best := cur
 					var serr error
 					if emulateTD {
-						serr = g.stream(m, &m.bu, v, &t, func(u int64) bool {
-							t += cm.EdgeCompute + cm.BitmapProbe
-							m.examined++
-							if g.fview.Test(int(u)) && (best == -1 || u < best) {
-								best = u
+						serr = g.stream(m, &m.bu, v, &t, func(us []int64) (int, bool) {
+							t += (cm.EdgeCompute + cm.BitmapProbe) * vtime.Duration(len(us))
+							m.examined += int64(len(us))
+							for _, u := range us {
+								if g.fview.Test(int(u)) && (best == -1 || u < best) {
+									best = u
+								}
 							}
-							return true
+							return len(us), false
 						})
 					} else {
-						serr = g.stream(m, &m.bu, v, &t, func(u int64) bool {
-							t += cm.EdgeCompute + cm.BitmapProbe
-							m.examined++
-							if cur != -1 && !g.better(u, cur) {
-								return false
+						serr = g.stream(m, &m.bu, v, &t, func(us []int64) (int, bool) {
+							seen, stop := len(us), false
+							for i, u := range us {
+								if cur != -1 && !g.better(u, cur) {
+									seen, stop = i+1, true
+									break
+								}
+								if g.fview.Test(int(u)) {
+									best = u
+									seen, stop = i+1, true
+									break
+								}
 							}
-							if g.fview.Test(int(u)) {
-								best = u
-								return false
-							}
-							return true
+							t += (cm.EdgeCompute + cm.BitmapProbe) * vtime.Duration(seen)
+							m.examined += int64(seen)
+							return seen, stop
 						})
 					}
 					if serr != nil {

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"semibfs/internal/nvm"
 )
@@ -58,47 +59,49 @@ func AppendList(dst []byte, src int64, nbs []int64) []byte {
 // DecodeList decodes one complete list from the front of data, appending
 // the neighbors to out (pass out[:0] to reuse a buffer). It returns the
 // extended slice and the number of bytes consumed. Truncated or malformed
-// input returns an error wrapping nvm.ErrCorrupt.
+// input returns an error wrapping nvm.ErrCorrupt; consumed is then the
+// bytes of the neighbors decoded before the data ran out — what a
+// streaming reader has consumed when it finds the list cut short — or 0
+// when a varint is malformed. It is the Decoder's batch loop over the
+// whole list, with out grown once to the count the header announces.
 func DecodeList(data []byte, src int64, out []int64) ([]int64, int, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return out, 0, corruptf("list header: bad count varint (n=%d)", n)
+	var d Decoder
+	d.Reset(src)
+	_, pos, err := d.Next(data, nil) // the count header alone
+	if err != nil {
+		return out, 0, err
 	}
-	pos := n
-	// Each delta occupies at least one byte, so a count exceeding the
-	// remaining bytes is impossible — reject before allocating.
-	if count > uint64(len(data)-pos) {
-		return out, 0, corruptf("list header: count %d exceeds %d encoded bytes",
-			count, len(data)-pos)
+	if !d.started {
+		return out, 0, corruptf("list header: truncated count varint")
 	}
-	if need := len(out) + int(count); cap(out) < need {
-		grown := make([]int64, len(out), need)
-		copy(grown, out)
-		out = grown
+	// Each delta occupies at least one byte, so out never grows past the
+	// bytes left, whatever a corrupt count says.
+	base := len(out)
+	out = slices.Grow(out, int(min(d.remaining, uint64(len(data)-pos))))
+	nbs, n, err := d.Next(data[pos:], out[base:cap(out)])
+	out = out[:base+len(nbs)]
+	if err != nil {
+		return out, 0, err
 	}
-	prev := src
-	for i := uint64(0); i < count; i++ {
-		delta, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return out, 0, corruptf("element %d at byte %d: bad delta varint (n=%d)", i, pos, n)
-		}
-		pos += n
-		prev += delta
-		out = append(out, prev)
+	if !d.Done() {
+		return out, pos + n, corruptf("list truncated after %d neighbors", len(nbs))
 	}
-	return out, pos, nil
+	return out, pos + n, nil
 }
 
-// Decoder decodes one list incrementally from a stream of byte chunks, so
-// a reader can stop early (bottom-up tail scans) without buffering or
-// decoding the whole block. Feed chunks to Decode; it consumes only whole
+// Decoder decodes one list incrementally from a stream of byte chunks, a
+// batch of neighbors at a time, so a reader can hand its consumer a slice
+// per chunk and stop early (bottom-up tail scans) without buffering or
+// decoding the whole block. Feed chunks to Next; it consumes only whole
 // varints, and the caller carries unconsumed trailing bytes into the next
 // chunk.
 type Decoder struct {
 	prev      int64
-	count     uint64
 	remaining uint64
 	started   bool
+	// first is the offset in the last Next call's data of its first delta
+	// (past the count header when that call read it), where Through starts.
+	first int
 }
 
 // Reset prepares the decoder for a new list owned by source vertex src.
@@ -109,31 +112,40 @@ func (d *Decoder) Reset(src int64) {
 // Done reports whether the whole list has been decoded.
 func (d *Decoder) Done() bool { return d.started && d.remaining == 0 }
 
-// Emitted returns how many neighbors Decode has passed to emit since
-// Reset, so a caller that only counts them needs no wrapper around emit.
-func (d *Decoder) Emitted() int64 { return int64(d.count - d.remaining) }
-
-// Decode consumes as many complete varints from data as possible, calling
-// emit for each decoded neighbor until emit returns false. It returns the
-// bytes consumed and whether emit stopped the stream. A partial varint at
-// the end of data is left unconsumed (consumed < len(data), no error);
-// the caller prepends it to the next chunk. Malformed varints return an
-// error wrapping nvm.ErrCorrupt.
-func (d *Decoder) Decode(data []byte, emit func(nb int64) bool) (consumed int, stopped bool, err error) {
+// Next decodes complete varints from the front of data into out's backing
+// array — at most cap(out) neighbors, and no more than the list has left —
+// and returns them as a slice of it, with the bytes consumed. A partial
+// varint at the end of data is left unconsumed (consumed < len(data), no
+// error); the caller prepends it to the next chunk. A call that returns
+// cap(out) neighbors may have left complete varints behind: call again on
+// data[consumed:].
+//
+// A malformed varint returns an error wrapping nvm.ErrCorrupt together
+// with the neighbors decoded before it, and consumed counts the bytes
+// through the last of them: a caller hands those neighbors on first, and
+// reports the error only if its consumer did not stop among them.
+func (d *Decoder) Next(data []byte, out []int64) (nbs []int64, consumed int, err error) {
 	pos := 0
 	if !d.started {
 		count, n := binary.Uvarint(data)
 		if n == 0 {
-			return 0, false, nil // header split across chunks
+			return out[:0], 0, nil // header split across chunks
 		}
 		if n < 0 {
-			return 0, false, corruptf("stream header: count varint overflow")
+			return out[:0], 0, corruptf("stream header: count varint overflow")
 		}
-		d.count, d.remaining = count, count
+		d.remaining = count
 		d.started = true
 		pos = n
 	}
-	for d.remaining > 0 && pos < len(data) {
+	d.first = pos
+	out = out[:cap(out)]
+	if uint64(len(out)) > d.remaining {
+		out = out[:d.remaining]
+	}
+	prev := d.prev
+	i := 0
+	for i < len(out) && pos < len(data) {
 		// Deltas of up to four bytes (|delta| < 2^27) are decoded inline and
 		// without a branch on their length: this loop runs once per NVM
 		// edge, the lengths are random, and a mispredicted length costs as
@@ -154,18 +166,33 @@ func (d *Decoder) Decode(data []byte, emit func(nb int64) bool) (consumed int, s
 		} else {
 			ux, n = binary.Uvarint(rest)
 			if n == 0 {
-				return pos, false, nil // delta split across chunks
+				break // delta split across chunks
 			}
 			if n < 0 {
-				return pos, false, corruptf("stream at byte %d: delta varint overflow", pos)
+				err = corruptf("stream at byte %d: delta varint overflow", pos)
+				break
 			}
 		}
 		pos += n
-		d.prev += int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
-		d.remaining--
-		if !emit(d.prev) {
-			return pos, true, nil
+		prev += int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
+		out[i] = prev
+		i++
+	}
+	d.prev = prev
+	d.remaining -= uint64(i)
+	return out[:i], pos, err
+}
+
+// Through returns the bytes of data — the last Next call's argument — that
+// call would have consumed had it stopped after its k-th neighbor: the
+// count header if the call read it, then k deltas. A reader whose consumer
+// stops inside a batch charges decode time for exactly these bytes.
+func (d *Decoder) Through(data []byte, k int) int {
+	pos := d.first
+	for ; k > 0; pos++ {
+		if data[pos] < 0x80 {
+			k--
 		}
 	}
-	return pos, false, nil
+	return pos
 }

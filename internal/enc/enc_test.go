@@ -1,10 +1,12 @@
 package enc
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,36 +14,14 @@ import (
 	"semibfs/internal/nvm"
 )
 
-// decodeAll runs the streaming Decoder over data split into chunks of
-// chunkLen bytes, carrying partial varints across chunk boundaries the
-// way the semiext tail scanner does.
+// decodeAll streams data through the Decoder in chunks of chunkLen bytes,
+// carrying partial varints across chunk boundaries the way the semiext
+// tail scanner does, in batches of at most 5 neighbors.
 func decodeAll(t *testing.T, data []byte, src int64, chunkLen int) []int64 {
 	t.Helper()
-	var d Decoder
-	d.Reset(src)
-	var out []int64
-	var carry []byte
-	for pos := 0; pos < len(data) && !d.Done(); {
-		end := pos + chunkLen
-		if end > len(data) {
-			end = len(data)
-		}
-		carry = append(carry, data[pos:end]...)
-		pos = end
-		n, _, err := d.Decode(carry, func(nb int64) bool {
-			out = append(out, nb)
-			return true
-		})
-		if err != nil {
-			t.Fatalf("stream decode: %v", err)
-		}
-		if n == 0 && d.Done() {
-			break
-		}
-		carry = carry[:copy(carry, carry[n:])]
-	}
-	if !d.Done() {
-		t.Fatalf("stream decode: exhausted %d bytes with %d elements outstanding", len(data), d.remaining)
+	out, consumed, class := pinDecode(data, src, chunkLen, 5, -1)
+	if class != "done" || consumed != len(data) {
+		t.Fatalf("stream decode: %s after %d of %d bytes", class, consumed, len(data))
 	}
 	return out
 }
@@ -149,19 +129,14 @@ func TestDecoderEarlyExit(t *testing.T) {
 	buf := AppendList(nil, 0, nbs)
 	var d Decoder
 	d.Reset(0)
-	var got []int64
-	n, stopped, err := d.Decode(buf, func(nb int64) bool {
-		got = append(got, nb)
-		return len(got) < 3
-	})
-	if err != nil {
-		t.Fatal(err)
+	got, n, err := d.Next(buf, make([]int64, 16))
+	if err != nil || n != len(buf) || !reflect.DeepEqual(got, nbs) {
+		t.Fatalf("Next: %v after %d/%d bytes, err %v", got, n, len(buf), err)
 	}
-	if !stopped {
-		t.Fatal("expected emit to stop the stream")
-	}
-	if len(got) != 3 || n >= len(buf) {
-		t.Fatalf("got %v after %d/%d bytes", got, n, len(buf))
+	// A consumer that stops after the third neighbor has consumed the
+	// header and three one-byte deltas.
+	if through := d.Through(buf, 3); through != 4 {
+		t.Fatalf("Through(3) = %d bytes, want 4", through)
 	}
 }
 
@@ -190,10 +165,13 @@ func TestDecoderVarintLengths(t *testing.T) {
 			t.Fatalf("chunk %d: got %v want %v", chunk, got, nbs)
 		}
 	}
-	var d Decoder
-	d.Reset(0)
-	if _, stopped, err := d.Decode(buf, func(int64) bool { return d.Emitted() < 7 }); err != nil || !stopped || d.Emitted() != 7 {
-		t.Fatalf("stopped=%v err=%v emitted=%d, want a stop after 7", stopped, err, d.Emitted())
+	// A stop after 7 neighbors consumes the header and the first 7 deltas,
+	// which encode as the first 7 neighbors do under a one-byte count.
+	for _, chunk := range []int{1, 4, len(buf)} {
+		got, consumed, class := pinDecode(buf, 0, chunk, 3, 7)
+		if want := len(AppendList(nil, 0, nbs[:7])); class != "stopped" || consumed != want || !reflect.DeepEqual(got, nbs[:7]) {
+			t.Fatalf("chunk %d: %s after %d bytes with %v, want a stop after 7 neighbors and %d bytes", chunk, class, consumed, got, want)
+		}
 	}
 }
 
@@ -216,20 +194,28 @@ func TestDecodeListCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzVarintDecode holds the batch decoder to DecodeList on arbitrary
+// bytes, at a chunk length and batch capacity the fuzzer picks (chunks of
+// four bytes and more reach the branchless fast path), and a stop after k
+// neighbors to exactly the bytes through the k-th delta.
 func FuzzVarintDecode(f *testing.F) {
-	f.Add([]byte{}, int64(0))
-	f.Add([]byte{0}, int64(7))
-	f.Add(AppendList(nil, 3, []int64{1, 2, 3}), int64(3))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, int64(0))
+	f.Add([]byte{}, int64(0), uint16(3), uint16(1), uint16(0))
+	f.Add([]byte{0}, int64(7), uint16(3), uint16(4), uint16(0))
+	f.Add(AppendList(nil, 3, []int64{1, 2, 3}), int64(3), uint16(3), uint16(2), uint16(1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, int64(0), uint16(5), uint16(8), uint16(0))
 	rng := rand.New(rand.NewSource(1))
 	big := make([]int64, 300)
 	for i := range big {
 		big[i] = rng.Int63n(1 << 30)
 	}
 	sort.Slice(big, func(i, j int) bool { return big[i] < big[j] })
-	f.Add(AppendList(nil, 12, big), int64(12))
+	f.Add(AppendList(nil, 12, big), int64(12), uint16(4096), uint16(512), uint16(150))
+	f.Add(AppendList(nil, 12, big), int64(12), uint16(7), uint16(13), uint16(299))
+	// Degree-ordered (unsorted) neighbors: deltas of random length and sign.
+	rng.Shuffle(len(big), func(i, j int) { big[i], big[j] = big[j], big[i] })
+	f.Add(AppendList(nil, 12, big), int64(12), uint16(64), uint16(40), uint16(77))
 
-	f.Fuzz(func(t *testing.T, data []byte, src int64) {
+	f.Fuzz(func(t *testing.T, data []byte, src int64, chunkSel, batchSel, stopSel uint16) {
 		// DecodeList must either succeed or surface nvm.ErrCorrupt — never
 		// panic, never OOM on a hostile count header.
 		got, n, err := DecodeList(data, src, nil)
@@ -245,59 +231,96 @@ func FuzzVarintDecode(f *testing.F) {
 			// (varints aren't canonical, so byte equality is not required).
 			re := AppendList(nil, src, got)
 			back, m, err2 := DecodeList(re, src, nil)
-			if err2 != nil || m != len(re) {
-				t.Fatalf("re-decode: err=%v consumed=%d/%d", err2, m, len(re))
-			}
-			if len(back) != len(got) {
-				t.Fatalf("re-decode produced %d elements, want %d", len(back), len(got))
-			}
-			for i := range got {
-				if back[i] != got[i] {
-					t.Fatalf("re-decode element %d: %d != %d", i, back[i], got[i])
-				}
+			if err2 != nil || m != len(re) || !slices.Equal(back, got) {
+				t.Fatalf("re-decode: %v after %d/%d bytes, err %v; want %v", back, m, len(re), err2, got)
 			}
 		}
 
-		// The streaming decoder must agree with DecodeList on both the
-		// error class and, on success, the decoded values.
-		var d Decoder
-		d.Reset(src)
-		var stream []int64
-		pos, guard := 0, 0
-		var carry []byte
-		var streamErr error
-		for pos < len(data) && !d.Done() {
-			end := pos + 3
-			if end > len(data) {
-				end = len(data)
-			}
-			carry = append(carry, data[pos:end]...)
-			pos = end
-			n, _, err := d.Decode(carry, func(nb int64) bool {
-				stream = append(stream, nb)
-				return true
-			})
-			if err != nil {
-				streamErr = err
-				break
-			}
-			carry = carry[:copy(carry, carry[n:])]
-			if guard++; guard > len(data)+8 {
-				t.Fatal("stream decode failed to make progress")
-			}
+		// The batch decoder must agree with DecodeList: a list decodes to
+		// its end exactly when DecodeList accepts it, to the same neighbors
+		// and bytes; anything else is truncated or ErrCorrupt.
+		chunk, batch := 1+int(chunkSel)%8192, 1+int(batchSel)%1024
+		stream, consumed, class := pinDecode(data, src, chunk, batch, -1)
+		switch {
+		case class == "error":
+			t.Fatalf("chunk %d batch %d: stream error does not wrap nvm.ErrCorrupt", chunk, batch)
+		case (class == "done") != (err == nil):
+			t.Fatalf("chunk %d batch %d: stream %s, DecodeList err %v", chunk, batch, class, err)
+		case err == nil && (consumed != n || !slices.Equal(stream, got)):
+			t.Fatalf("chunk %d batch %d: stream %v after %d bytes, DecodeList %v after %d", chunk, batch, stream, consumed, got, n)
 		}
-		if streamErr != nil && !errors.Is(streamErr, nvm.ErrCorrupt) {
-			t.Fatalf("stream error does not wrap nvm.ErrCorrupt: %v", streamErr)
+		if len(stream) == 0 {
+			return
 		}
-		if err == nil && streamErr == nil && d.Done() {
-			if len(stream) != len(got) {
-				t.Fatalf("stream decoded %d elements, DecodeList %d", len(stream), len(got))
-			}
-			for i := range got {
-				if stream[i] != got[i] {
-					t.Fatalf("stream element %d: %d != %d", i, stream[i], got[i])
-				}
-			}
+
+		// A stop after k neighbors consumes the header and k deltas.
+		k := 1 + int(stopSel)%len(stream)
+		_, through := binary.Uvarint(data)
+		for i := 0; i < k; i++ {
+			_, m := binary.Varint(data[through:])
+			through += m
+		}
+		stopped, consumed, class := pinDecode(data, src, chunk, batch, k)
+		if class != "stopped" || consumed != through || !slices.Equal(stopped, stream[:k]) {
+			t.Fatalf("chunk %d batch %d stop %d: %s after %d bytes with %v, want %d bytes and %v",
+				chunk, batch, k, class, consumed, stopped, through, stream[:k])
 		}
 	})
+}
+
+var benchSink int64
+
+// BenchmarkDecoder streams degree-ordered tail lists — neighbor IDs in no
+// ID order, as a backward graph's NETAL sort leaves them, so delta lengths
+// and signs are random — through the Decoder in 4 KiB chunks and batches
+// of 512 neighbors, carrying split varints the way semiext's tail scanner
+// does. Bytes are encoded bytes.
+func BenchmarkDecoder(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var data []byte
+	offs := []int{0}
+	for v := int64(0); v < 256; v++ {
+		nbs := make([]int64, 8+rng.Intn(1500))
+		for i := range nbs {
+			nbs[i] = rng.Int63n(1 << 20)
+		}
+		data = AppendList(data, v<<12, nbs)
+		offs = append(offs, len(data))
+	}
+	const chunk = 4096
+	buf := make([]byte, chunk)
+	out := make([]int64, chunk/8)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		for v := 0; v+1 < len(offs); v++ {
+			var d Decoder
+			d.Reset(int64(v) << 12)
+			list := data[offs[v]:offs[v+1]]
+			carried := 0
+			for off := 0; off < len(list) && !d.Done(); {
+				n := copy(buf[carried:], list[off:])
+				off += n
+				read := buf[:carried+n]
+				used := 0
+				for {
+					nbs, m, err := d.Next(read[used:], out)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, nb := range nbs {
+						sum += nb
+					}
+					used += m
+					if len(nbs) < len(out) || d.Done() {
+						break
+					}
+				}
+				carried = copy(buf, read[used:])
+			}
+		}
+	}
+	benchSink = sum
 }

@@ -140,44 +140,56 @@ func pinClass(err error, stopped, done bool) string {
 
 // pinDecode streams data through a Decoder in reads of chunk bytes,
 // carrying an unconsumed partial varint into the next read the way
-// semiext's tail scanner does, and stops after stop neighbors (stop < 0:
-// never). It returns the neighbors the consumer took, the bytes consumed
-// through the last of them, and the outcome's class.
-func pinDecode(data []byte, src int64, chunk, stop int) (nbs []int64, consumed int, class string) {
+// semiext's tail scanner does, decoding batches of at most batch neighbors,
+// and stops after stop neighbors (stop < 0: never). It returns the
+// neighbors the consumer took, the bytes consumed through the last of
+// them, and the outcome's class.
+func pinDecode(data []byte, src int64, chunk, batch, stop int) (nbs []int64, consumed int, class string) {
 	var d Decoder
 	d.Reset(src)
+	out := make([]int64, batch)
 	var carry []byte
 	for pos := 0; !d.Done() && pos < len(data); {
 		end := min(pos+chunk, len(data))
 		carry = append(carry, data[pos:end]...)
 		pos = end
-		n, stopped, err := d.Decode(carry, func(nb int64) bool {
-			nbs = append(nbs, nb)
-			return len(nbs) != stop
-		})
-		consumed += n
-		if err != nil || stopped {
-			return nbs, consumed, pinClass(err, stopped, false)
+		used := 0
+		for {
+			got, n, err := d.Next(carry[used:], out)
+			for i, nb := range got {
+				if nbs = append(nbs, nb); len(nbs) == stop {
+					return nbs, consumed + used + d.Through(carry[used:], i+1), pinClass(nil, true, false)
+				}
+			}
+			if err != nil {
+				return nbs, consumed + used + n, pinClass(err, false, false)
+			}
+			used += n
+			if len(got) < batch || d.Done() {
+				break
+			}
 		}
-		carry = carry[:copy(carry, carry[n:])]
+		consumed += used
+		carry = carry[:copy(carry, carry[used:])]
 	}
 	return nbs, consumed, pinClass(nil, false, d.Done())
 }
 
-// runDecoderPin runs every pinned case at every chunk length and stop.
-func runDecoderPin(t *testing.T) decoderPin {
+// runDecoderPin runs every pinned case at every chunk length and stop,
+// decoding batches of at most batch neighbors.
+func runDecoderPin(t *testing.T, batch int) decoderPin {
 	h := fnv.New64a()
 	var pin decoderPin
 	classes := map[string]int{}
 	for _, c := range pinCases() {
 		want, _, wantErr := DecodeList(c.data, c.src, nil)
 		for _, chunk := range pinChunks {
-			full, _, _ := pinDecode(c.data, c.src, chunk, -1)
+			full, _, _ := pinDecode(c.data, c.src, chunk, batch, -1)
 			for stop := -1; stop <= len(full); stop++ {
 				if stop == 0 {
 					continue
 				}
-				nbs, consumed, class := pinDecode(c.data, c.src, chunk, stop)
+				nbs, consumed, class := pinDecode(c.data, c.src, chunk, batch, stop)
 				if wantErr == nil {
 					for i, nb := range nbs {
 						if nb != want[i] {
@@ -203,8 +215,12 @@ func runDecoderPin(t *testing.T) decoderPin {
 	return pin
 }
 
+// TestDecoderPins holds every batch capacity to the pin: a batch boundary
+// must not move a neighbor, a consumed byte or an outcome.
 func TestDecoderPins(t *testing.T) {
-	if got := runDecoderPin(t); got != pinnedDecoder {
-		t.Errorf("got  %#v\nwant %#v", got, pinnedDecoder)
+	for _, batch := range []int{1, 3, 512} {
+		if got := runDecoderPin(t, batch); got != pinnedDecoder {
+			t.Errorf("batch %d: got  %#v\nwant %#v", batch, got, pinnedDecoder)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package semiext
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestOverlayReadSteadyStateAllocs(t *testing.T) {
 			sc := NewBackwardScanner(hb, clock)
 			var i int
 			var edges int64
-			count := func(int64) bool { edges++; return true }
+			count := func(nbs []int64) (int, bool) { edges += int64(len(nbs)); return len(nbs), false }
 			read := func() {
 				v := dirty[i%len(dirty)]
 				i++
@@ -209,5 +210,74 @@ func TestOverlayReadSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompressedTailRestAllocs: Rest over compressed NVM tails behind a
+// warm page cache allocates nothing, from a fresh scanner's first call on —
+// whole tails across several decoded batches, and tails stopped inside a
+// batch. The scanner's chunk and batch buffers are sized by
+// NewBackwardScanner, so a buffer grown on first use fails here too
+// (testing.AllocsPerRun's warm-up call would hide that, so the calls are
+// counted from the first).
+func TestCompressedTailRestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, bg, part := buildGraphs(t, 12, numa.Topology{Nodes: 2, CoresPerNode: 2})
+	dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+	cache := nvm.NewPageCache(4<<20, nvm.DefaultChunkSize, numa.CostModel{})
+	hb, err := OffloadBackward(bg, memFactory(dev), nil, BackwardOptions{KeepEdges: 8, Compress: true, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hb.Close()
+	var tails []int64
+	var longest int64
+	probe := NewBackwardScanner(hb, nil)
+	for v := int64(0); v < int64(part.N); v++ {
+		k := part.NodeOf(int(v))
+		if _, rest := probe.Prefix(k, v); rest {
+			tails = append(tails, v)
+			longest = max(longest, hb.PerNode[k].Degree(v)-8)
+		}
+	}
+	if len(tails) < 100 || longest <= nvm.DefaultChunkSize/8 {
+		t.Fatalf("%d tails, the longest %d neighbors: want some spanning several batches", len(tails), longest)
+	}
+	var edges int64
+	all := func(nbs []int64) (int, bool) { edges += int64(len(nbs)); return len(nbs), false }
+	// Stops at the 600th neighbor of a tail, inside its second batch.
+	var seen int
+	stop := func(nbs []int64) (int, bool) {
+		if seen+len(nbs) >= 600 {
+			e := 600 - seen
+			seen = 0
+			return e, true
+		}
+		seen += len(nbs)
+		return len(nbs), false
+	}
+	scan := func(sc *BackwardScanner, fn func([]int64) (int, bool)) {
+		for _, v := range tails {
+			seen = 0
+			if _, err := sc.Rest(part.NodeOf(int(v)), v, fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan(NewBackwardScanner(hb, vtime.NewClock(0)), all) // warms the page cache
+	edges = 0
+	sc := NewBackwardScanner(hb, vtime.NewClock(0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scan(sc, all)
+	scan(sc, stop)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 0 {
+		t.Errorf("a fresh scanner's Rest over %d warm compressed tails allocated %d objects, want 0", 2*len(tails), n)
+	}
+	if edges != hb.TailEdges() {
+		t.Errorf("streamed %d tail edges, the graph has %d", edges, hb.TailEdges())
 	}
 }

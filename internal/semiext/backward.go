@@ -303,13 +303,29 @@ type BackwardScanner struct {
 	TailFetches int64
 }
 
-// NewBackwardScanner returns a scanner charging device time to clock.
+// tailBatch is how many decoded neighbors a scanner hands its consumer at
+// most at once from a compressed tail. Most tails are shorter; a hub's
+// spans a few batches, each one call of the consumer.
+const tailBatch = 64
+
+// NewBackwardScanner returns a scanner charging device time to clock. Its
+// buffers are sized here, once, for the tails the graph stores: a chunk's
+// bytes, and a chunk of raw IDs or a batch of decoded ones, so a tail read
+// never grows one.
 func NewBackwardScanner(hb *HybridBackward, clock *vtime.Clock) *BackwardScanner {
-	return &BackwardScanner{
+	s := &BackwardScanner{
 		hb:      hb,
 		clock:   clock,
 		byteBuf: make([]byte, nvm.DefaultChunkSize),
 	}
+	switch {
+	case hb.Limit <= 0:
+	case hb.Options.Compress:
+		s.valBuf = make([]int64, tailBatch)
+	default:
+		s.valBuf = make([]int64, nvm.DefaultChunkSize/8)
+	}
+	return s
 }
 
 // Prefix returns vertex v's DRAM prefix for a caller that walks it
@@ -329,10 +345,10 @@ func (s *BackwardScanner) Prefix(k int, v int64) (nbs []int64, rest bool) {
 		node.TailIndex != nil && node.TailIndex[i] < node.TailIndex[i+1]
 }
 
-// Rest streams what Prefix left of vertex v through fn, with Scan's
+// Rest streams what Prefix left of vertex v to fn, with Scan's
 // accounting: the stored tail of a clean vertex, or the whole merged
 // adjacency of a dirty one. It returns the number of neighbors examined.
-func (s *BackwardScanner) Rest(k int, v int64, fn func(nb int64) bool) (examined int64, err error) {
+func (s *BackwardScanner) Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (examined int64, err error) {
 	if s.hb.overlay.isDirty(v) {
 		return s.Scan(k, v, fn)
 	}
@@ -341,60 +357,54 @@ func (s *BackwardScanner) Rest(k int, v int64, fn func(nb int64) bool) (examined
 }
 
 // Scan streams vertex v's neighbors — DRAM prefix first, then the NVM
-// tail — through fn until fn returns false (parent found) or the list is
-// exhausted. It returns the number of neighbors examined. Tail neighbors
-// are streamed chunk-by-chunk, so an early hit inside the first tail chunk
-// avoids reading the rest.
-func (s *BackwardScanner) Scan(k int, v int64, fn func(nb int64) bool) (examined int64, err error) {
+// tail, then pending adds — to fn a slice at a time until fn stops
+// (parent found) or the list is exhausted. fn returns how many of the
+// slice it examined and whether to stop (see streamNeighbors). Scan
+// returns the number of neighbors examined. Tail neighbors are streamed
+// chunk-by-chunk, so an early hit inside the first tail chunk avoids
+// reading the rest.
+func (s *BackwardScanner) Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (examined int64, err error) {
 	node := s.hb.PerNode[k]
 	i := v - node.Base
 	delta := s.hb.overlay.delta(v)
 	prefix := node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]]
-	for _, nb := range prefix {
-		if deleted(delta.dels, nb) {
-			// The DRAM entry was still examined; it just no longer exists
-			// in the merged adjacency.
-			s.DRAMEdgesScanned++
-			continue
-		}
-		examined++
-		s.DRAMEdgesScanned++
-		if !fn(nb) {
-			return examined, nil
-		}
+	// A deleted DRAM entry was still examined; it just no longer exists in
+	// the merged adjacency.
+	walked, e, stop := keptRuns(prefix, delta.dels, fn)
+	s.DRAMEdgesScanned += int64(walked)
+	examined = int64(e)
+	if stop {
+		return examined, nil
 	}
 	// Only the deletion half of the delta rides along the tail: pending
-	// adds are DRAM-resident and are emitted below with DRAM accounting.
-	// The stream counts the neighbors fn saw, so fn is passed through
-	// unwrapped; only pending adds need to know it stopped.
+	// adds are DRAM-resident and are handed over below with DRAM
+	// accounting. The stream counts the neighbors fn examined, so fn is
+	// passed through unwrapped; only pending adds need to know it stopped.
 	stopped := false
 	tailFn := fn
 	if len(delta.adds) > 0 {
-		tailFn = func(nb int64) bool {
-			stopped = !fn(nb)
-			return !stopped
+		tailFn = func(nbs []int64) (int, bool) {
+			e, stop := fn(nbs)
+			stopped = stop
+			return e, stop
 		}
 	}
 	n, err := s.tail(node, i, v, delta.dels, tailFn)
 	examined += n
-	if err != nil || stopped {
+	if err != nil || stopped || len(delta.adds) == 0 {
 		return examined, err
 	}
-	for _, nb := range delta.adds {
-		examined++
-		s.DRAMEdgesScanned++
-		if !fn(nb) {
-			return examined, nil
-		}
-	}
+	e, _ = fn(delta.adds)
+	examined += int64(e)
+	s.DRAMEdgesScanned += int64(e)
 	return examined, nil
 }
 
 // tail streams node-local vertex i's (global v's) NVM tail, if it has
 // one, through the shared raw/compressed helper in chunks of at most
 // 4 KiB, so an early hit in the first chunk never pays for the rest. dels
-// are suppressed stored neighbors. It returns the neighbors fn saw.
-func (s *BackwardScanner) tail(node *BackwardNode, i, v int64, dels []int64, fn func(nb int64) bool) (int64, error) {
+// are suppressed stored neighbors. It returns the neighbors fn examined.
+func (s *BackwardScanner) tail(node *BackwardNode, i, v int64, dels []int64, fn func(nbs []int64) (int, bool)) (int64, error) {
 	if node.TailIndex == nil || node.TailIndex[i] == node.TailIndex[i+1] {
 		return 0, nil
 	}
@@ -405,7 +415,7 @@ func (s *BackwardScanner) tail(node *BackwardNode, i, v int64, dels []int64, fn 
 		lo, hi = node.TailByteIndex[i], node.TailByteIndex[i+1]
 	}
 	n, err := streamNeighbors(node.TailStore, s.clock, compress, v, lo, hi,
-		&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, nil, dels, fn)
+		&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, dels, fn)
 	s.NVMEdgesScanned += n
 	return n, err
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // This file is the single place where the raw and compressed on-NVM
-// neighbor formats meet the readers. Both the forward reader and the
-// backward tail scanner stream through streamNeighbors, so the
-// delta+varint path is wired in exactly once.
+// neighbor formats meet the streaming readers: the backward tail scanner
+// and the cluster's indexed blocks stream through streamNeighbors /
+// streamStored, so the chunked delta+varint path is wired in exactly once.
+// The forward reader materializes whole lists with enc.DecodeList, the
+// same decode loop, and shares chargeDecode.
 
 // chargeDecode advances clock by the modeled CPU cost of decoding n
 // encoded bytes, using the backing device's profile (decode is host work,
@@ -32,145 +34,148 @@ func growBytes(buf *[]byte, n int64) []byte {
 	return (*buf)[:n]
 }
 
-// streamNeighbors streams one vertex's neighbor range [lo, hi) of store
-// through fn until fn returns false (early exit) or the range is
-// exhausted, returning the number of neighbors emitted.
+// streamNeighbors streams one vertex's stored neighbor range [lo, hi) of
+// store to fn a batch at a time, until fn stops (early exit) or the range
+// is exhausted, and returns how many neighbors fn examined. fn sees the
+// neighbors in stored order, as slices it must neither keep nor modify,
+// and returns how many of them it examined — all of them unless it stops,
+// or through the one it stopped at.
 //
 // When compressed is false the range is element offsets of little-endian
 // int64 IDs; when true it is *byte* offsets of one delta+varint block
 // (enc package) owned by source vertex src, and the decode cost of every
-// consumed byte is charged to clock. Reads happen in chunks of at most
-// chunkBytes (<= 0 selects nvm.DefaultChunkSize), so an early exit in the
-// first chunk never pays for the rest of a long tail; partial varints at
-// a chunk boundary are carried into the next read.
+// consumed byte is charged to clock, once per chunk. Reads happen in
+// chunks of at most chunkBytes (<= 0 selects nvm.DefaultChunkSize), so an
+// early exit in the first chunk never pays for the rest of a long tail;
+// partial varints at a chunk boundary are carried into the next read.
+// Raw IDs are read into *ids a chunk (chunkBytes/8) at a time; decoded
+// ones are handed over in batches of cap(*ids). *ids is grown to a chunk
+// when a raw read needs it or it is empty; a caller on a hot path sizes it
+// when it is built.
 //
-// A slot's pending edits are merged into the stored stream at read time:
-// neighbors in dels never reach fn, adds (sorted ascending) are
-// interleaved into the stream — which must then be ascending too, as
-// forward adjacencies are — with the ones past its end emitted after it,
-// and examined counts the merged view fn actually saw. An early exit skips
-// the remaining adds, exactly as it skips the remaining stored tail.
-// Backward tails keep degree-descending order, so there is no order to
-// merge into: their scanner passes dels only and emits the adds itself.
+// Stored neighbors in dels (a slot's pending deletions, sorted ascending)
+// never reach fn: it is handed the runs between them. Pending adds are the
+// caller's: the backward scanner emits them after the tail, the forward
+// reader merges them into the list it returns (mergeDelta).
 func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
-	adds, dels []int64, fn func(nb int64) bool) (examined int64, err error) {
-	if len(adds) == 0 && len(dels) == 0 {
+	dels []int64, fn func(nbs []int64) (int, bool)) (examined int64, err error) {
+	if len(dels) == 0 {
 		return streamStored(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
 	}
-	ai := 0
-	stopped := false
-	merged := func(nb int64) bool {
-		// Strict '<' is safe: the overlay contract keeps pending adds
-		// disjoint from live stored neighbors.
-		for ai < len(adds) && adds[ai] < nb {
-			examined++
-			if !fn(adds[ai]) {
-				stopped = true
-				return false
-			}
-			ai++
+	_, err = streamStored(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes,
+		func(nbs []int64) (int, bool) {
+			walked, e, stop := keptRuns(nbs, dels, fn)
+			examined += int64(e)
+			return walked, stop
+		})
+	return examined, err
+}
+
+// keptRuns hands fn the maximal runs of nbs that hold no neighbor in dels,
+// in order, until fn stops. It returns how many entries of nbs it went
+// through (deleted ones included, up to the one fn stopped at), how many
+// fn examined, and whether fn stopped.
+func keptRuns(nbs, dels []int64, fn func(nbs []int64) (int, bool)) (walked, examined int, stop bool) {
+	for a := 0; a < len(nbs); {
+		if deleted(dels, nbs[a]) {
+			a++
+			continue
 		}
-		if deleted(dels, nb) {
-			return true
+		b := a + 1
+		for b < len(nbs) && !deleted(dels, nbs[b]) {
+			b++
 		}
-		examined++
-		if !fn(nb) {
-			stopped = true
-			return false
+		e, stop := fn(nbs[a:b])
+		examined += e
+		if stop {
+			return a + e, examined, true
 		}
-		return true
+		a = b
 	}
-	if _, err := streamStored(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, merged); err != nil {
-		return examined, err
-	}
-	if stopped {
-		return examined, nil
-	}
-	for ; ai < len(adds); ai++ {
-		examined++
-		if !fn(adds[ai]) {
-			return examined, nil
-		}
-	}
-	return examined, nil
+	return len(nbs), examined, false
 }
 
 // streamStored is streamNeighbors' stored-only core: it streams exactly
 // what the CSR holds, with no overlay applied.
 func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
-	fn func(nb int64) bool) (examined int64, err error) {
+	fn func(nbs []int64) (int, bool)) (examined int64, err error) {
 	if hi <= lo {
 		return 0, nil
 	}
 	if chunkBytes <= 0 {
 		chunkBytes = nvm.DefaultChunkSize
 	}
+	perChunk := max(int64(chunkBytes/8), 1)
+	if (!compressed && int64(cap(*ids)) < perChunk) || cap(*ids) == 0 {
+		*ids = make([]int64, perChunk)
+	}
 
 	if !compressed {
-		perChunk := int64(chunkBytes / 8)
-		if perChunk < 1 {
-			perChunk = 1
-		}
-		if int64(cap(*ids)) < perChunk {
-			*ids = make([]int64, perChunk)
-		}
 		for off := lo; off < hi; {
-			count := hi - off
-			if count > perChunk {
-				count = perChunk
-			}
+			count := min(hi-off, perChunk)
 			chunk := (*ids)[:count]
 			if err := readInt64s(store, clock, off, count, chunk, scratch); err != nil {
 				return examined, err
 			}
-			for _, nb := range chunk {
-				examined++
-				if !fn(nb) {
-					return examined, nil
-				}
+			e, stop := fn(chunk)
+			examined += int64(e)
+			if stop {
+				return examined, nil
 			}
 			off += count
 		}
 		return examined, nil
 	}
 
-	// Compressed: decode the varint stream chunk by chunk. carried tracks
-	// the partial varint left over from the previous chunk, kept at the
-	// front of the scratch buffer. fn goes to the decoder as it is and the
-	// decoder counts what it emitted: a counting wrapper here would be one
-	// more call per edge.
+	// Compressed: decode the varint stream chunk by chunk, a batch at a
+	// time. carried tracks the partial varint left over from the previous
+	// chunk, kept at the front of the scratch buffer. The decode charge is
+	// one per chunk, for the bytes through the neighbor fn stopped at when
+	// it stops: DecodeTime rounds per call, so a split charge would move
+	// virtual time.
 	var dec enc.Decoder
 	dec.Reset(src)
+	out := (*ids)[:cap(*ids)]
 	carried := int64(0)
-	stopped := false
-	for off := lo; off < hi && !dec.Done() && !stopped; {
-		n := int64(chunkBytes) - carried
-		if n > hi-off {
-			n = hi - off
-		}
+	for off := lo; off < hi && !dec.Done(); {
+		n := min(int64(chunkBytes)-carried, hi-off)
 		buf := growBytes(scratch, carried+n)
 		if err := store.ReadAt(clock, buf[carried:], off); err != nil {
-			return dec.Emitted(), err
+			return examined, err
 		}
 		off += n
-		var used int
-		used, stopped, err = dec.Decode(buf, fn)
-		if err != nil {
-			return dec.Emitted(), err
+		used := 0
+		for {
+			nbs, m, err := dec.Next(buf[used:], out)
+			if len(nbs) > 0 {
+				e, stop := fn(nbs)
+				examined += int64(e)
+				if stop {
+					chargeDecode(store, clock, int64(used+dec.Through(buf[used:], e)))
+					return examined, nil
+				}
+			}
+			if err != nil {
+				return examined, err
+			}
+			used += m
+			if len(nbs) < len(out) || dec.Done() {
+				break
+			}
 		}
 		chargeDecode(store, clock, int64(used))
 		carried = int64(copy(buf, buf[used:]))
 		if used == 0 && carried >= int64(chunkBytes) {
 			// No progress with a full buffer: the stream cannot be valid.
-			return dec.Emitted(), corruptStream(src, off)
+			return examined, corruptStream(src, off)
 		}
 	}
-	if !dec.Done() && !stopped {
-		return dec.Emitted(), corruptStream(src, hi)
+	if !dec.Done() {
+		return examined, corruptStream(src, hi)
 	}
-	return dec.Emitted(), nil
+	return examined, nil
 }
 
 // corruptStream reports a compressed block that ended mid-list.

@@ -28,8 +28,10 @@ package semiext
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"semibfs/internal/csr"
+	"semibfs/internal/enc"
 	"semibfs/internal/numa"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
@@ -419,8 +421,6 @@ type ForwardReader struct {
 	clock   *vtime.Clock
 	byteBuf []byte
 	valBuf  []int64
-	// idBuf is streamNeighbors' per-chunk decode scratch.
-	idBuf []int64
 	// EdgesRead counts neighbor IDs delivered from NVM.
 	EdgesRead int64
 	// IndexReads counts index-entry fetches that went to NVM.
@@ -506,22 +506,70 @@ func (r *ForwardReader) indexRange(node *ForwardNode, v int64) (lo, hi int64, er
 }
 
 // readRange materializes the whole range [lo, hi) of v's neighbors into
-// out (appending), merging delta's pending edits at stream time. The span
-// travels as one stack read (see streamNeighbors with a whole-span chunk),
-// so multi-block hubs hit the async pipeline's coalescer when it is
-// configured.
+// out (appending), then merges delta's pending edits (mergeDelta). The span
+// travels as one stack read, so multi-block hubs hit the async pipeline's
+// coalescer when it is configured. Raw IDs are read straight into out; a
+// compressed list is decoded straight into it by enc.DecodeList, which
+// grows out once to the count its header announces, and the bytes it
+// consumed are charged as one decode.
 func (r *ForwardReader) readRange(node *ForwardNode, v, lo, hi int64, delta vertexDelta, out []int64) ([]int64, error) {
-	compress := r.sf.Options.Compress
-	span := hi - lo
-	if !compress {
-		span *= 8
+	base := len(out)
+	store := node.ValueStore
+	if !r.sf.Options.Compress {
+		out = slices.Grow(out, int(hi-lo))[:base+int(hi-lo)]
+		if err := readInt64s(store, r.clock, lo, hi-lo, out[base:], &r.byteBuf); err != nil {
+			return out, err
+		}
+		return mergeDelta(out, base, delta), nil
 	}
-	_, err := streamNeighbors(node.ValueStore, r.clock, compress, v, lo, hi,
-		&r.byteBuf, &r.idBuf, int(span), delta.adds, delta.dels, func(nb int64) bool {
-			out = append(out, nb)
-			return true
-		})
-	return out, err
+	buf := growBytes(&r.byteBuf, hi-lo)
+	if err := store.ReadAt(r.clock, buf, lo); err != nil {
+		return out, err
+	}
+	out, n, err := enc.DecodeList(buf, v, out)
+	chargeDecode(store, r.clock, int64(n))
+	if err != nil {
+		return out, err
+	}
+	return mergeDelta(out, base, delta), nil
+}
+
+// mergeDelta applies a slot's pending edits to the stored neighbors
+// out[base:], which are ascending, as forward adjacencies are: neighbors in
+// dels are dropped, and adds (sorted ascending, disjoint from the live
+// stored neighbors by the overlay contract) are merged in, the ones past
+// the last stored neighbor after it.
+func mergeDelta(out []int64, base int, d vertexDelta) []int64 {
+	if len(d.dels) > 0 {
+		kept := base
+		for _, nb := range out[base:] {
+			if !deleted(d.dels, nb) {
+				out[kept] = nb
+				kept++
+			}
+		}
+		out = out[:kept]
+	}
+	if len(d.adds) == 0 {
+		return out
+	}
+	// Move the stored neighbors up by len(adds) and merge forward into the
+	// gap: the write cursor never passes the stored neighbor being read.
+	n := len(out) - base
+	out = slices.Grow(out, len(d.adds))[:len(out)+len(d.adds)]
+	stored := out[base+len(d.adds):]
+	copy(stored, out[base:base+n])
+	w, ai := base, 0
+	for _, nb := range stored {
+		for ai < len(d.adds) && d.adds[ai] < nb {
+			out[w] = d.adds[ai]
+			w, ai = w+1, ai+1
+		}
+		out[w] = nb
+		w++
+	}
+	copy(out[w:], d.adds[ai:])
+	return out
 }
 
 // blockBytes returns the cache page size, or the default chunk when no

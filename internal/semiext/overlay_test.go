@@ -282,10 +282,12 @@ func TestOverlayMergedReads(t *testing.T) {
 					k := part.NodeOf(int(v))
 					seen := map[int64]int{}
 					var scanned int64
-					if _, err := sc.Scan(k, v, func(nb int64) bool {
-						seen[nb]++
-						scanned++
-						return true
+					if _, err := sc.Scan(k, v, func(nbs []int64) (int, bool) {
+						for _, nb := range nbs {
+							seen[nb]++
+						}
+						scanned += int64(len(nbs))
+						return len(nbs), false
 					}); err != nil {
 						t.Fatal(err)
 					}

@@ -181,7 +181,12 @@ func TestStreamIndexedNeighborsNoSteadyStateAllocs(t *testing.T) {
 	var scratch []byte
 	var ids []int64
 	var sum int64
-	fn := func(nb int64) bool { sum += nb; return true }
+	fn := func(nbs []int64) (int, bool) {
+		for _, nb := range nbs {
+			sum += nb
+		}
+		return len(nbs), false
+	}
 	lookup := func() {
 		n, err := StreamIndexedNeighbors(idx, val, nil, false, 2, 2, &scratch, &ids, 0, fn)
 		if err != nil || n != 37 {

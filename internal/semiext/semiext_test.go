@@ -189,9 +189,9 @@ func TestHybridBackwardLimitZeroShares(t *testing.T) {
 	for v := int64(0); v < int64(bg.Part.N); v += 13 {
 		k := bg.Part.NodeOf(int(v))
 		var got []int64
-		if _, err := s.Scan(k, v, func(nb int64) bool {
-			got = append(got, nb)
-			return true
+		if _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
+			got = append(got, nbs...)
+			return len(nbs), false
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -234,9 +234,9 @@ func TestHybridBackwardSplit(t *testing.T) {
 	for v := int64(0); v < int64(part.N); v += 11 {
 		k := part.NodeOf(int(v))
 		var got []int64
-		if _, err := s.Scan(k, v, func(nb int64) bool {
-			got = append(got, nb)
-			return true
+		if _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
+			got = append(got, nbs...)
+			return len(nbs), false
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestHybridBackwardEarlyTermination(t *testing.T) {
 	dev.Reset()
 	s := NewBackwardScanner(hb, vtime.NewClock(0))
 	// Stop at the first neighbor: the tail store must not be touched.
-	n, err := s.Scan(part.NodeOf(int(v)), v, func(int64) bool { return false })
+	n, err := s.Scan(part.NodeOf(int(v)), v, func([]int64) (int, bool) { return 1, true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +311,9 @@ func TestHybridBackwardDegreeOrderPrefix(t *testing.T) {
 	for v := int64(0); v < int64(part.N); v += 17 {
 		k := part.NodeOf(int(v))
 		var all []int64
-		if _, err := s.Scan(k, v, func(nb int64) bool {
-			all = append(all, nb)
-			return true
+		if _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
+			all = append(all, nbs...)
+			return len(nbs), false
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -83,14 +83,16 @@ func (b *BFS) PullCandidate(v int64) bool { return !b.visited.Test(int(v)) }
 // BeginPull implements Program.
 func (b *BFS) BeginPull(w int, v int64) { b.parent[w] = -1 }
 
-// PullEdge implements Program: claim the first frontier neighbor in scan
+// PullEdges implements Program: claim the first frontier neighbor in scan
 // order and terminate the scan.
-func (b *BFS) PullEdge(w int, v, nb int64, inFrontier bool) bool {
-	if inFrontier {
-		b.parent[w] = nb
-		return false
+func (b *BFS) PullEdges(w int, v int64, nbs []int64, frontier *bitmap.Bitmap) (int, bool) {
+	for i, nb := range nbs {
+		if frontier.Test(int(nb)) {
+			b.parent[w] = nb
+			return i + 1, true
+		}
 	}
-	return true
+	return len(nbs), false
 }
 
 // EndPull implements Program: pull claims become visited immediately (the

@@ -1,5 +1,7 @@
 package vp
 
+import "semibfs/internal/bitmap"
+
 // Components is connected components by min-label propagation: every
 // vertex starts with its own ID as label and repeatedly adopts the
 // smallest label among its neighbors, so labels converge to the minimum
@@ -89,16 +91,18 @@ func (c *Components) PullCandidate(v int64) bool { return true }
 // BeginPull implements Program.
 func (c *Components) BeginPull(w int, v int64) {}
 
-// PullEdge implements Program: fold frontier neighbors' frozen labels into
+// PullEdges implements Program: fold frontier neighbors' frozen labels into
 // next[v] (exclusive write; no early exit — the minimum needs the whole
 // scan).
-func (c *Components) PullEdge(w int, v, nb int64, inFrontier bool) bool {
-	if inFrontier {
-		if l := c.cur[nb]; l < c.next[v] {
-			c.next[v] = l
+func (c *Components) PullEdges(w int, v int64, nbs []int64, frontier *bitmap.Bitmap) (int, bool) {
+	for _, nb := range nbs {
+		if frontier.Test(int(nb)) {
+			if l := c.cur[nb]; l < c.next[v] {
+				c.next[v] = l
+			}
 		}
 	}
-	return true
+	return len(nbs), false
 }
 
 // EndPull implements Program.

@@ -198,9 +198,9 @@ func referencePageRank(t *testing.T, bwd bfs.BackwardAccess, part *numa.Partitio
 	deg := make([]int64, n)
 	for v := int64(0); v < n; v++ {
 		deg[v] = bwd.Degree(v)
-		_, _, err := scan.Scan(part.NodeOf(int(v)), v, func(nb int64) bool {
-			adj[v] = append(adj[v], nb)
-			return true
+		_, _, err := scan.Scan(part.NodeOf(int(v)), v, func(nbs []int64) (int, bool) {
+			adj[v] = append(adj[v], nbs...)
+			return len(nbs), false
 		})
 		if err != nil {
 			t.Fatalf("scan %d: %v", v, err)

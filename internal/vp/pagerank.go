@@ -3,6 +3,8 @@ package vp
 import (
 	"fmt"
 	"math"
+
+	"semibfs/internal/bitmap"
 )
 
 // PageRankOptions parameterize the PageRank program.
@@ -160,11 +162,16 @@ func (p *PageRank) PullCandidate(v int64) bool { return true }
 // BeginPull implements Program.
 func (p *PageRank) BeginPull(w int, v int64) { p.scratch[w].sum = 0 }
 
-// PullEdge implements Program: accumulate nb's rank share in the engine's
-// fixed scan order (no early exit).
-func (p *PageRank) PullEdge(w int, v, nb int64, inFrontier bool) bool {
-	p.scratch[w].sum += p.share[nb]
-	return true
+// PullEdges implements Program: accumulate the neighbors' rank shares in
+// the engine's fixed scan order (no early exit). Every vertex is in a
+// PageRank frontier, so nothing is probed.
+func (p *PageRank) PullEdges(w int, v int64, nbs []int64, frontier *bitmap.Bitmap) (int, bool) {
+	sum, share := p.scratch[w].sum, p.share
+	for _, nb := range nbs {
+		sum += share[nb]
+	}
+	p.scratch[w].sum = sum
+	return len(nbs), false
 }
 
 // EndPull implements Program: finalize v's new rank and fold its change

@@ -7,11 +7,12 @@ import (
 )
 
 // pullProbe is one worker's gather probe: the closure its scanner calls per
-// neighbor after a DRAM prefix, and the candidate being scanned. Built once
-// per Engine, like bfs.Runner's.
+// slice after a DRAM prefix (a tail batch, a run of a dirty vertex's merged
+// adjacency), and the candidate being scanned. Built once per Engine, like
+// bfs.Runner's.
 type pullProbe struct {
 	v  int64
-	fn func(nb int64) bool
+	fn func(nbs []int64) (int, bool)
 }
 
 // newPullProbe arms worker w's probe over its node's frontier replica. Out
@@ -19,8 +20,8 @@ type pullProbe struct {
 //
 //go:noinline
 func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Bitmap) {
-	p.fn = func(nb int64) bool {
-		return prog.PullEdge(w, p.v, nb, frontier.Test(int(nb)))
+	p.fn = func(nbs []int64) (int, bool) {
+		return prog.PullEdges(w, p.v, nbs, frontier)
 	}
 }
 
@@ -35,9 +36,9 @@ func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Bitmap) {
 // delegates straddling vertices to the owner node's CSR, so every EndPull
 // state write stays worker-exclusive.
 //
-// The kernel walks each DRAM prefix itself, calling PullEdge directly, and
-// hands only a tail or a dirty vertex to the probe. It is out of line for
-// the reason bfs.Runner's bottom-up kernel is.
+// The kernel hands each DRAM prefix to PullEdges itself, in one call, and
+// only a tail or a dirty vertex to the probe, which calls PullEdges once per
+// batch. It is out of line for the reason bfs.Runner's bottom-up kernel is.
 //
 //go:noinline
 func (e *Engine) runPullLevel() error {
@@ -77,14 +78,10 @@ func (e *Engine) runPullLevel() error {
 				}
 				prog.BeginPull(w, v)
 				nbs, rest := scanner.Prefix(vk, v)
-				var dram, nvmEdges int64
-				for _, nb := range nbs {
-					dram++
-					if !prog.PullEdge(w, v, nb, frontier.Test(int(nb))) {
-						rest = false
-						break
-					}
-				}
+				var nvmEdges int64
+				seen, stop := prog.PullEdges(w, v, nbs, frontier)
+				dram := int64(seen)
+				rest = rest && !stop
 				walked += dram
 				if rest {
 					probe.v = v

@@ -8,8 +8,8 @@
 // direction-switching rule, NUMA-partitioned worker loops, sorted-gather
 // frontiers, frontier-driven prefetch, and degraded-mode rescue.
 //
-// A Program supplies only the per-vertex state and the per-edge/per-vertex
-// hooks. The level loop itself is not this package's: Engine embeds
+// A Program supplies only the per-vertex state and the per-edge,
+// per-adjacency and per-vertex hooks. The level loop itself is not this package's: Engine embeds
 // bfs.Hybrid — the one single-source skeleton bfs.Runner also runs on,
 // owner of the worker team and its top-down sweep, the frontier queue, the
 // per-node frontier bitmap replicas, the next bitmap, the direction
@@ -32,8 +32,9 @@
 //	             the level boundary, when the engine gathers the queues and
 //	             calls Activate(dst) for each claimed vertex.
 //	pull level:  for every vertex v with PullCandidate(v): BeginPull(w, v),
-//	             then PullEdge(w, v, nb, inFrontier) over v's backward
-//	             adjacency until it returns false (early exit), then
+//	             then PullEdges(w, v, nbs, frontier) over v's backward
+//	             adjacency a slice at a time — the DRAM prefix, then each
+//	             NVM tail batch — until it stops (early exit), then
 //	             EndPull(w, v); a true return marks v claimed immediately.
 //	boundary:    EndLevel(level), then Converged() is consulted; a level
 //	             claiming nothing also terminates the run.
@@ -62,6 +63,7 @@ package vp
 
 import (
 	"semibfs/internal/bfs"
+	"semibfs/internal/bitmap"
 	"semibfs/internal/nvm"
 	"semibfs/internal/vtime"
 )
@@ -120,10 +122,13 @@ type Program interface {
 	PullCandidate(v int64) bool
 	// BeginPull resets worker w's accumulator for v's gather.
 	BeginPull(w int, v int64)
-	// PullEdge folds backward edge v <- nb into the accumulator; returning
-	// false terminates v's scan early. inFrontier tells whether nb is in
-	// the current frontier (probed from the node-local replica).
-	PullEdge(w int, v, nb int64, inFrontier bool) bool
+	// PullEdges folds backward edges v <- nb, for nb in nbs in order, into
+	// the accumulator and returns how many it examined and whether v's scan
+	// stops there (early exit): all of nbs and false, or through the edge
+	// it stopped at and true. frontier is the current frontier's
+	// node-local replica, for programs that test membership per edge;
+	// nbs must not be kept or modified.
+	PullEdges(w int, v int64, nbs []int64, frontier *bitmap.Bitmap) (examined int, stop bool)
 	// EndPull finalizes v and reports whether v was claimed (changed).
 	EndPull(w int, v int64) bool
 	// Activate finalizes a push-level claim of v at the gather boundary.
