@@ -13,8 +13,9 @@ import (
 // is the shared hybrid level loop (bfs.Hybrid, which owns the worker team,
 // the frontier, the top-down sweep and the direction controller) driven by
 // the generic push hook of push.go and pull kernel of pull.go, which call the
-// Program per edge and per vertex; the per-vertex state that is bfs.Runner's
-// tree/visited pair lives in the Program.
+// Program per pushed edge, per pulled slice of an adjacency and per vertex;
+// the per-vertex state that is bfs.Runner's tree/visited pair lives in the
+// Program.
 type Engine struct {
 	bfs.Hybrid
 	prog Program
