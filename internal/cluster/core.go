@@ -193,6 +193,9 @@ func (c *core) init(cfg Config, n int64, cols int, ownStart []int64, lay layout)
 		if cfg.ForwardOnNVM {
 			m.stacks = newNodeStacks(cfg, k)
 			m.readBuf = make([]byte, nvm.DefaultChunkSize)
+			// A chunk of raw IDs, or up to a chunk of decoded ones (see
+			// semiext.StreamIndexedNeighbors), sized before the first run.
+			m.idsBuf = make([]int64, nvm.DefaultChunkSize/8)
 		}
 		c.machines = append(c.machines, m)
 		c.clocks = append(c.clocks, m.clock)

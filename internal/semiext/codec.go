@@ -49,9 +49,9 @@ func growBytes(buf *[]byte, n int64) []byte {
 // early exit in the first chunk never pays for the rest of a long tail;
 // partial varints at a chunk boundary are carried into the next read.
 // Raw IDs are read into *ids a chunk (chunkBytes/8) at a time; decoded
-// ones are handed over in batches of cap(*ids). *ids is grown to a chunk
-// when a raw read needs it or it is empty; a caller on a hot path sizes it
-// when it is built.
+// ones are handed over in batches of at most cap(*ids). *ids is grown to a
+// chunk when a raw read needs it or it is empty; a caller on a hot path
+// sizes it when it is built.
 //
 // Stored neighbors in dels (a slot's pending deletions, sorted ascending)
 // never reach fn: it is handed the runs between them. Pending adds are the
@@ -134,10 +134,14 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	// chunk, kept at the front of the scratch buffer. The decode charge is
 	// one per chunk, for the bytes through the neighbor fn stopped at when
 	// it stops: DecodeTime rounds per call, so a split charge would move
-	// virtual time.
+	// virtual time. Batches start at firstBatch neighbors and double up to
+	// cap(*ids): a consumer that stops among the first neighbors — a
+	// bottom-up scan that finds its parent — decodes little more than it
+	// examines, and a gather still takes a long list in a few calls.
 	var dec enc.Decoder
 	dec.Reset(src)
-	out := (*ids)[:cap(*ids)]
+	full := (*ids)[:cap(*ids)]
+	size := min(firstBatch, len(full))
 	carried := int64(0)
 	for off := lo; off < hi && !dec.Done(); {
 		n := min(int64(chunkBytes)-carried, hi-off)
@@ -148,7 +152,7 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 		off += n
 		used := 0
 		for {
-			nbs, m, err := dec.Next(buf[used:], out)
+			nbs, m, err := dec.Next(buf[used:], full[:size:size])
 			if len(nbs) > 0 {
 				e, stop := fn(nbs)
 				examined += int64(e)
@@ -161,9 +165,10 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 				return examined, err
 			}
 			used += m
-			if len(nbs) < len(out) || dec.Done() {
+			if len(nbs) < size || dec.Done() {
 				break
 			}
+			size = min(2*size, len(full))
 		}
 		chargeDecode(store, clock, int64(used))
 		carried = int64(copy(buf, buf[used:]))
@@ -177,6 +182,9 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 	}
 	return examined, nil
 }
+
+// firstBatch is the size of a compressed stream's first decoded batch.
+const firstBatch = 8
 
 // corruptStream reports a compressed block that ended mid-list.
 func corruptStream(src, off int64) error {
