@@ -145,32 +145,29 @@ func (d *Decoder) Next(data []byte, out []int64) (nbs []int64, consumed int, err
 	}
 	prev := d.prev
 	i := 0
-	for i < len(out) && pos < len(data) {
+	for i < len(out) {
 		// Deltas of up to four bytes (|delta| < 2^27) are decoded inline and
 		// without a branch on their length: this loop runs once per NVM
 		// edge, the lengths are random, and a mispredicted length costs as
 		// much as the neighbor's use. Longer, split and malformed varints
-		// (and the last three bytes of a chunk) take the encoding/binary
-		// path, so their handling is the library's.
+		// (and the last three bytes of a chunk) take longVarint, out of
+		// line so that its error path does not crowd the loop's registers.
 		var ux uint64
 		n := 0
-		rest := data[pos:]
-		var ends uint32 // bit 7 of each of the next four bytes that ends a varint
-		if len(rest) >= 4 {
-			ends = ^binary.LittleEndian.Uint32(rest) & 0x80808080
-		}
-		if ends != 0 {
-			n = bits.TrailingZeros32(ends)/8 + 1
-			w := binary.LittleEndian.Uint32(rest) & uint32(1<<(8*n)-1)
-			ux = uint64(w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000 | w>>3&0xfe00000)
-		} else {
-			ux, n = binary.Uvarint(rest)
-			if n == 0 {
-				break // delta split across chunks
+		if len(data)-pos >= 4 {
+			w := binary.LittleEndian.Uint32(data[pos:])
+			if ends := ^w & 0x80808080; ends != 0 { // bit 7 of each byte that ends a varint
+				n = bits.TrailingZeros32(ends)>>3 + 1
+				w &= ends ^ (ends - 1) // the first varint's bytes
+				ux = uint64(w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000 | w>>3&0xfe00000)
 			}
-			if n < 0 {
-				err = corruptf("stream at byte %d: delta varint overflow", pos)
-				break
+		}
+		if n == 0 {
+			if ux, n = longVarint(data[pos:]); n <= 0 {
+				if n < 0 {
+					err = corruptf("stream at byte %d: delta varint overflow", pos)
+				}
+				break // n == 0: the delta is split across chunks
 			}
 		}
 		pos += n
@@ -182,6 +179,11 @@ func (d *Decoder) Next(data []byte, out []int64) (nbs []int64, consumed int, err
 	d.remaining -= uint64(i)
 	return out[:i], pos, err
 }
+
+// longVarint is binary.Uvarint, kept out of Next's loop.
+//
+//go:noinline
+func longVarint(data []byte) (uint64, int) { return binary.Uvarint(data) }
 
 // Through returns the bytes of data — the last Next call's argument — that
 // call would have consumed had it stopped after its k-th neighbor: the
