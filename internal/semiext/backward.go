@@ -303,9 +303,9 @@ type BackwardScanner struct {
 	TailFetches int64
 }
 
-// tailBatch is how many decoded neighbors a scanner hands its consumer at
-// most at once from a compressed tail. Most tails are shorter; a hub's
-// spans a few batches, each one call of the consumer.
+// tailBatch caps the batches of decoded neighbors a scanner hands its
+// consumer from a compressed tail; they start at firstBatch and double
+// (see streamStored), so a hub's tail is a few calls of the consumer.
 const tailBatch = 64
 
 // NewBackwardScanner returns a scanner charging device time to clock. Its
