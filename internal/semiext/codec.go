@@ -77,6 +77,13 @@ func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
 // through (deleted ones included, up to the one fn stopped at), how many
 // fn examined, and whether fn stopped.
 func keptRuns(nbs, dels []int64, fn func(nbs []int64) (int, bool)) (walked, examined int, stop bool) {
+	if len(dels) == 0 && len(nbs) > 0 {
+		e, stop := fn(nbs)
+		if !stop {
+			return len(nbs), e, false
+		}
+		return e, e, true
+	}
 	for a := 0; a < len(nbs); {
 		if deleted(dels, nbs[a]) {
 			a++

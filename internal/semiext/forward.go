@@ -536,17 +536,34 @@ func (r *ForwardReader) readRange(node *ForwardNode, v, lo, hi int64, delta vert
 
 // mergeDelta applies a slot's pending edits to the stored neighbors
 // out[base:], which are ascending, as forward adjacencies are: neighbors in
-// dels are dropped, and each add (disjoint from the live stored neighbors
-// by the overlay contract) is inserted in order.
+// dels are dropped, and adds (sorted ascending, disjoint from the live
+// stored neighbors by the overlay contract) are merged in, the ones past
+// the last stored neighbor after it.
 func mergeDelta(out []int64, base int, d vertexDelta) []int64 {
 	if len(d.dels) > 0 {
 		kept := slices.DeleteFunc(out[base:], func(nb int64) bool { return deleted(d.dels, nb) })
 		out = out[:base+len(kept)]
 	}
-	for _, nb := range d.adds {
-		i, _ := slices.BinarySearch(out[base:], nb)
-		out = slices.Insert(out, base+i, nb)
+	if len(d.adds) == 0 {
+		return out
 	}
+	// Move the stored neighbors up by len(adds) and merge forward into the
+	// gap, in one pass: the write cursor never passes the stored neighbor
+	// being read.
+	n := len(out) - base
+	out = slices.Grow(out, len(d.adds))[:len(out)+len(d.adds)]
+	stored := out[base+len(d.adds):]
+	copy(stored, out[base:base+n])
+	w, ai := base, 0
+	for _, nb := range stored {
+		for ai < len(d.adds) && d.adds[ai] < nb {
+			out[w] = d.adds[ai]
+			w, ai = w+1, ai+1
+		}
+		out[w] = nb
+		w++
+	}
+	copy(out[w:], d.adds[ai:])
 	return out
 }
 
