@@ -2,7 +2,6 @@ package semiext
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -217,9 +216,9 @@ func TestOverlayReadSteadyStateAllocs(t *testing.T) {
 // warm page cache allocates nothing, from a fresh scanner's first call on —
 // whole tails across several decoded batches, and tails stopped inside a
 // batch. The scanner's chunk and batch buffers are sized by
-// NewBackwardScanner, so a buffer grown on first use fails here too
-// (testing.AllocsPerRun's warm-up call would hide that, so the calls are
-// counted from the first).
+// NewBackwardScanner, so a buffer grown on first use fails here too: each
+// measured run builds a fresh scanner and scans every tail with it, and
+// must allocate no more than building the scanner alone.
 func TestCompressedTailRestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -232,12 +231,13 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hb.Close()
+	clock := vtime.NewClock(0)
+	sc := NewBackwardScanner(hb, clock)
 	var tails []int64
 	var longest int64
-	probe := NewBackwardScanner(hb, nil)
 	for v := int64(0); v < int64(part.N); v++ {
 		k := part.NodeOf(int(v))
-		if _, rest := probe.Prefix(k, v); rest {
+		if _, rest := sc.Prefix(k, v); rest {
 			tails = append(tails, v)
 			longest = max(longest, hb.PerNode[k].Degree(v)-8)
 		}
@@ -247,7 +247,7 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 	}
 	var edges int64
 	all := func(nbs []int64) (int, bool) { edges += int64(len(nbs)); return len(nbs), false }
-	// Stops at the 600th neighbor of a tail, inside its second batch.
+	// Stops at the 600th neighbor of a tail, inside a later batch.
 	var seen int
 	stop := func(nbs []int64) (int, bool) {
 		if seen+len(nbs) >= 600 {
@@ -258,7 +258,7 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 		seen += len(nbs)
 		return len(nbs), false
 	}
-	scan := func(sc *BackwardScanner, fn func([]int64) (int, bool)) {
+	scan := func(fn func([]int64) (int, bool)) {
 		for _, v := range tails {
 			seen = 0
 			if _, err := sc.Rest(part.NodeOf(int(v)), v, fn); err != nil {
@@ -266,18 +266,19 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 			}
 		}
 	}
-	scan(NewBackwardScanner(hb, vtime.NewClock(0)), all) // warms the page cache
-	edges = 0
-	sc := NewBackwardScanner(hb, vtime.NewClock(0))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	scan(sc, all)
-	scan(sc, stop)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 0 {
-		t.Errorf("a fresh scanner's Rest over %d warm compressed tails allocated %d objects, want 0", 2*len(tails), n)
-	}
+	scan(all) // warms the page cache
 	if edges != hb.TailEdges() {
-		t.Errorf("streamed %d tail edges, the graph has %d", edges, hb.TailEdges())
+		t.Fatalf("streamed %d tail edges, the graph has %d", edges, hb.TailEdges())
+	}
+	fresh := func() { sc = NewBackwardScanner(hb, clock) }
+	scanFresh := func() {
+		fresh()
+		scan(all)
+		scan(stop)
+	}
+	build := testing.AllocsPerRun(20, fresh)
+	if allocs := testing.AllocsPerRun(20, scanFresh); allocs > build {
+		t.Errorf("a fresh scanner and its Rest over %d warm compressed tails, twice, allocate %.0f objects; the scanner alone %.0f",
+			len(tails), allocs, build)
 	}
 }

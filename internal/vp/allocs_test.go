@@ -70,7 +70,7 @@ func TestPageRankNVMTailsSteadyStateAllocs(t *testing.T) {
 		t.Fatal("the run streamed no NVM tail")
 	}
 	const limit = 9
-	if allocs := testing.AllocsPerRun(5, run); allocs > limit {
+	if allocs := testing.AllocsPerRun(10, run); allocs > limit {
 		t.Fatalf("Engine.Run allocates %.0f objects per steady-state PageRank run over NVM tails, want <= %d", allocs, limit)
 	}
 }
