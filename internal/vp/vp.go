@@ -9,11 +9,12 @@
 // frontiers, frontier-driven prefetch, and degraded-mode rescue.
 //
 // A Program supplies only the per-vertex state and the per-edge,
-// per-adjacency and per-vertex hooks. The level loop itself is not this package's: Engine embeds
-// bfs.Hybrid — the one single-source skeleton bfs.Runner also runs on,
-// owner of the worker team and its top-down sweep, the frontier queue, the
-// per-node frontier bitmap replicas, the next bitmap, the direction
-// controller and the degraded rescue — and supplies as its bfs.Kernels the
+// per-adjacency and per-vertex hooks. The level loop itself is not this
+// package's: Engine embeds bfs.Hybrid — the one single-source skeleton
+// bfs.Runner also runs on, owner of the worker team and its top-down sweep,
+// the frontier queue, the per-node frontier bitmap replicas, the next
+// bitmap, the direction controller and the degraded rescue — and supplies
+// as its bfs.Kernels the
 // per-adjacency push hook of push.go and the pull kernel of pull.go,
 // together with the claim-deduplication bitmap the hook needs and the
 // virtual-time cost of a claim. BFS is one program among
