@@ -57,6 +57,11 @@ type ForwardAccess interface {
 //   - CountPrefix adds the prefix entries the caller examined to the
 //     scanner's DRAM counter (see ScanCounters); kernels call it once per
 //     worker per level.
+//   - Idle returns the vertices of bitmap word wi with no neighbors at
+//     all, stored or pending: those Prefix would answer with an empty
+//     prefix and rest == false. It lets the Runner's kernel charge such a
+//     vertex its overhead in place without calling Prefix for it, one call
+//     per word instead of one per vertex.
 //
 // Scan streams v's whole adjacency to fn the same way.
 // Rest and Scan return how many neighbors were examined from DRAM and from
@@ -65,6 +70,7 @@ type BackwardScan interface {
 	Prefix(k int, v int64) (nbs []int64, rest bool)
 	Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 	CountPrefix(dram int64)
+	Idle(wi int) uint64
 	Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 }
 

@@ -57,7 +57,11 @@ func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
 // backward graph was built with the NETAL ordering) and claims the first
 // neighbor found in the frontier as its parent, terminating the scan
 // early (Section III-B). The kernel walks each DRAM prefix itself; only a
-// tail or a dirty vertex goes through the probe.
+// tail or a dirty vertex goes through the probe. A vertex with no neighbors
+// at all (scanner.Idle) is never asked for: the kernel adds its
+// VertexOverhead to the charge the next vertex it does walk books before
+// Prefix, or to the word's closing charge, so the clock reads the same at
+// every Rest as if the walk had stopped at it.
 //
 // Out of line: inlined into the Kernels method value, the level closure
 // loses the inlining of its bitmap and cost-model calls (DESIGN's inliner
@@ -87,11 +91,15 @@ func (r *Runner) runBottomUpLevel() error {
 			if base+64 > n {
 				unvisited &= (1 << uint(n-base)) - 1
 			}
+			idle := unvisited & scanner.Idle(wi)
+			unvisited &^= idle
 			for unvisited != 0 {
 				bit := bits.TrailingZeros64(unvisited)
 				unvisited &= unvisited - 1
 				v := int64(base + bit)
-				t += cm.VertexOverhead
+				below := idle & (1<<uint(bit) - 1)
+				idle &^= below
+				t += cm.VertexOverhead * vtime.Duration(1+bits.OnesCount64(below))
 				clock.Advance(t)
 				t = 0
 				// Delegate straddling vertices to their owner
@@ -133,6 +141,7 @@ func (r *Runner) runBottomUpLevel() error {
 					acc.Claimed++
 				}
 			}
+			t += cm.VertexOverhead * vtime.Duration(bits.OnesCount64(idle))
 			clock.Advance(t)
 		}
 		scanner.CountPrefix(walked)

@@ -68,6 +68,11 @@ type HybridBackward struct {
 	// overlay, when set, holds pending dynamic-graph edits that scanners
 	// merge into the stored adjacency, keyed by vertex (see SetOverlay).
 	overlay *DeltaOverlay
+	// empty has bit v set iff stored vertex v has no neighbors at all: no
+	// DRAM prefix and no tail (see BackwardScanner.Idle). It is the
+	// simulator's own index, not modelled memory, so DRAMBytes leaves it
+	// out.
+	empty []uint64
 }
 
 // SetOverlay attaches the DRAM edge-delta overlay scanners merge into
@@ -122,6 +127,7 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 		Limit:   opts.KeepEdges,
 		PerNode: make([]*BackwardNode, len(bg.PerNode)),
 		Options: opts,
+		empty:   make([]uint64, (bg.Part.N+63)/64),
 	}
 	// Close every stack created so far on any error (same close-on-error
 	// discipline as OffloadForward), so a failed build leaks nothing.
@@ -138,6 +144,12 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 	}
 	for k, g := range bg.PerNode {
 		node := &BackwardNode{Base: g.Base, Len: g.Len}
+		for i := int64(0); i < g.Len; i++ {
+			if g.Index[i] == g.Index[i+1] {
+				v := g.Base + i
+				hb.empty[v>>6] |= 1 << (v & 63)
+			}
+		}
 		if opts.KeepEdges <= 0 {
 			// Whole graph in DRAM: share the source arrays.
 			node.DRAMIndex = g.Index
@@ -326,6 +338,16 @@ func NewBackwardScanner(hb *HybridBackward, clock *vtime.Clock) *BackwardScanner
 		s.valBuf = make([]int64, nvm.DefaultChunkSize/8)
 	}
 	return s
+}
+
+// Idle returns the vertices of bitmap word wi (vertices 64·wi to
+// 64·wi+63) that have no neighbors at all, stored or pending: bit b is set
+// exactly when Prefix(k, 64·wi+b) would return an empty prefix and rest ==
+// false. A vertex with pending overlay edits is never idle, whether it
+// gained its first edge or lost every stored one. A bottom-up kernel
+// charges an idle vertex its per-vertex overhead and makes no call for it.
+func (s *BackwardScanner) Idle(wi int) uint64 {
+	return s.hb.empty[wi] &^ s.hb.overlay.dirtyWord(wi)
 }
 
 // Prefix returns vertex v's DRAM prefix for a caller that walks it

@@ -162,6 +162,15 @@ func (o *DeltaOverlay) isDirty(slot int64) bool {
 	return w < uint64(len(o.dirty)) && o.dirty[w]&(1<<(slot&63)) != 0
 }
 
+// dirtyWord returns word wi of the dirty bitmap (slots 64·wi to
+// 64·wi+63): 0 past its end or on a nil overlay.
+func (o *DeltaOverlay) dirtyWord(wi int) uint64 {
+	if o == nil || uint(wi) >= uint(len(o.dirty)) {
+		return 0
+	}
+	return o.dirty[wi]
+}
+
 // Adds returns slot's pending insertions, sorted ascending (nil when
 // none). The slice is an immutable snapshot.
 func (o *DeltaOverlay) Adds(slot int64) []int64 {
