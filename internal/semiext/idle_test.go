@@ -2,6 +2,7 @@ package semiext
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"semibfs/internal/csr"
@@ -14,7 +15,7 @@ import (
 
 // idleGraph is a SCALE-9 Kronecker graph cut to its first 300 vertices on
 // two nodes: the last bitmap word is partial, the node boundary (vertex
-// 150) falls inside a word, and a third of the vertices have no neighbor.
+// 150) falls inside a word, and 81 of the 300 vertices have no neighbor.
 func idleGraph(tb testing.TB) *csr.BackwardGraph {
 	tb.Helper()
 	const n = 300
@@ -85,7 +86,7 @@ func idleEdits(tb testing.TB, bg *csr.BackwardGraph, keep int, compress bool, op
 		lo, hi := int(v/64), int(v/64)+1
 		switch ops[i+3] % 4 {
 		case 0:
-			if u := (v + 1 + x) % n; !contains(stored, u) || o.IsDeleted(v, u) {
+			if u := (v + 1 + x) % n; !slices.Contains(stored, u) || o.IsDeleted(v, u) {
 				o.Insert(v, u)
 			}
 		case 1:
@@ -114,15 +115,6 @@ func idleEdits(tb testing.TB, bg *csr.BackwardGraph, keep int, compress bool, op
 		checkIdle(tb, sc, part, lo, hi, fmt.Sprintf("edit %d", i/4))
 	}
 	checkIdle(tb, sc, part, 0, words, "after the edits")
-}
-
-func contains(s []int64, x int64) bool {
-	for _, y := range s {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }
 
 // TestIdleMatchesPrefix: for every DRAM edge limit the engines use — the
