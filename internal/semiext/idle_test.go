@@ -139,6 +139,11 @@ func TestIdleMatchesPrefix(t *testing.T) {
 	}
 	// Both edits land in word 0, so the dirty bitmap stays one word long
 	// while the graph spans five.
+	o := NewDeltaOverlay()
+	o.Insert(isolated, hub)
+	if len(o.dirty) != 1 {
+		t.Fatalf("one edit in word 0 grew the dirty bitmap to %d words", len(o.dirty))
+	}
 	var short []byte
 	edit := func(v int64, x byte, op byte) { short = append(short, byte(v), byte(v>>8), x, op) }
 	edit(isolated, 0, 0)
@@ -159,11 +164,6 @@ func TestIdleMatchesPrefix(t *testing.T) {
 				idleEdits(t, bg, keep, compress, append(short, random...))
 			})
 		}
-	}
-	o := NewDeltaOverlay()
-	o.Insert(isolated, hub)
-	if len(o.dirty) != 1 {
-		t.Fatalf("one edit in word 0 grew the dirty bitmap to %d words", len(o.dirty))
 	}
 }
 
