@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"semibfs/internal/bfs"
 	"semibfs/internal/cluster"
 	"semibfs/internal/core"
 	"semibfs/internal/dyn"
@@ -488,7 +489,9 @@ func runUpdates(c *cli) error {
 			if err != nil {
 				return err
 			}
-			te, sec := float64(validate.TraversedEdges(res.Tree, degree)), res.Time.Seconds()
+			// Updates move degrees, so each search gets a fresh table.
+			degrees := bfs.DegreeTable(c.list.NumVertices, degree)
+			te, sec := float64(validate.TraversedEdges(res.Tree, degrees)), res.Time.Seconds()
 			if sec > 0 && te > 0 {
 				teps = append(teps, te/sec)
 			}

@@ -47,9 +47,12 @@ type ForwardAccess interface {
 // kernel walks each vertex's DRAM prefix itself and hands only what
 // follows it to a probe closure:
 //
-//   - Prefix returns v's DRAM prefix and whether anything follows it: a
-//     stored tail, or — when v has pending edits, and nbs is nil — the
-//     whole merged adjacency. It charges and counts nothing.
+//   - Prefix returns v's DRAM prefix as 32-bit vertex IDs, its first
+//     entry (head == nbs[0] whenever nbs is not empty, read from a dense
+//     column so a kernel can test it before loading the prefix) and
+//     whether anything follows it: a stored tail, or — when v has
+//     pending edits, and nbs is nil — the whole merged adjacency. It
+//     charges and counts nothing.
 //   - Rest streams that remainder to fn a slice at a time (a tail chunk's
 //     batch, a run of the merged adjacency) until fn stops. fn returns how
 //     many of the slice it examined — all of them, or through the one it
@@ -67,7 +70,7 @@ type ForwardAccess interface {
 // Rest and Scan return how many neighbors were examined from DRAM and from
 // NVM.
 type BackwardScan interface {
-	Prefix(k int, v int64) (nbs []int64, rest bool)
+	Prefix(k int, v int64) (head uint32, nbs []uint32, rest bool)
 	Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 	CountPrefix(dram int64)
 	Idle(wi int) uint64

@@ -160,7 +160,7 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 				if v < r.Part.Starts[k] || v >= r.Part.Starts[k+1] {
 					vk = r.Part.NodeOf(v)
 				}
-				nbs, rest := scanner.Prefix(vk, int64(v))
+				_, nbs, rest := scanner.Prefix(vk, int64(v))
 				var claimed uint64
 				var dram, nvmEdges int64
 				for _, nb := range nbs {
@@ -168,7 +168,7 @@ func (r *BatchRunner) runBatchBottomUpLevel() error {
 					if d := frontier.Word(int(nb)) & rem; d != 0 {
 						if keep {
 							for dd := d; dd != 0; dd &= dd - 1 {
-								trees[bits.TrailingZeros64(dd)][v] = nb
+								trees[bits.TrailingZeros64(dd)][v] = int64(nb)
 							}
 						}
 						claimed |= d

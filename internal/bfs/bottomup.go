@@ -56,8 +56,9 @@ func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
 // unvisited vertex scans its neighbor list (highest-degree first when the
 // backward graph was built with the NETAL ordering) and claims the first
 // neighbor found in the frontier as its parent, terminating the scan
-// early (Section III-B). The kernel walks each DRAM prefix itself; only a
-// tail or a dirty vertex goes through the probe. A vertex with no neighbors
+// early (Section III-B). The kernel walks each DRAM prefix itself, testing
+// the vertex's head entry before it loads the prefix (most walked vertices
+// stop there); only a tail or a dirty vertex goes through the probe. A vertex with no neighbors
 // at all (scanner.Idle) is never asked for: the kernel adds its
 // VertexOverhead to the charge the next vertex it does walk books before
 // Prefix, or to the word's closing charge, so the clock reads the same at
@@ -108,14 +109,21 @@ func (r *Runner) runBottomUpLevel() error {
 				if v < int64(r.Part.Starts[k]) || v >= int64(r.Part.Starts[k+1]) {
 					vk = r.Part.NodeOf(int(v))
 				}
-				nbs, rest := scanner.Prefix(vk, v)
+				head, nbs, rest := scanner.Prefix(vk, v)
 				parent := int64(-1)
 				var dram, nvmEdges int64
-				for _, nb := range nbs {
-					dram++
-					if frontier.Test(int(nb)) {
-						parent, rest = nb, false
-						break
+				if len(nbs) > 0 {
+					dram = 1
+					if frontier.Test(int(head)) {
+						parent, rest = int64(head), false
+					} else {
+						for _, nb := range nbs[1:] {
+							dram++
+							if frontier.Test(int(nb)) {
+								parent, rest = int64(nb), false
+								break
+							}
+						}
 					}
 				}
 				walked += dram

@@ -575,7 +575,7 @@ func TestSessionTraversedEdgesMatchesPerLane(t *testing.T) {
 			for l := range got {
 				want := int64(0)
 				if lv.Finished&(1<<uint(l)) != 0 {
-					want = validate.TraversedEdges(s.Tree(l), bg.Degree)
+					want = validate.TraversedEdges(s.Tree(l), degrees)
 					finished++
 					if degraded {
 						degradedFinished++

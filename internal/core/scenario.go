@@ -230,7 +230,6 @@ type System struct {
 	semiFwd *semiext.SemiForward
 	hybBwd  *semiext.HybridBackward
 	dramFwd *csr.ForwardGraph
-	dramBwd *csr.BackwardGraph
 	hybrid  bool
 
 	faultFactory *faults.Factory
@@ -404,14 +403,14 @@ func Build(src edgelist.Source, topo numa.Topology, sc Scenario, opts BuildOptio
 		sys.NVMBackwardBytes = hb.NVMBytes()
 	} else {
 		// The all-DRAM case still flows through HybridBackward with
-		// limit 0, which shares the CSR arrays (no copy) and gives
-		// uniform scan accounting.
+		// limit 0, which shares the CSR index, narrows the neighbor IDs
+		// into its own prefix array (bg's values are garbage after this)
+		// and gives uniform scan accounting.
 		hb, err := semiext.BuildHybridBackward(bg, 0, mk, opts.ConstructClock)
 		if err != nil {
 			return nil, err
 		}
 		sys.hybBwd = hb
-		sys.dramBwd = bg
 		sys.Backward = bfs.HybridBackwardAccess{HB: hb}
 		sys.DRAMBackwardBytes = hb.DRAMBytes()
 	}

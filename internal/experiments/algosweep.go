@@ -80,6 +80,8 @@ func algoSweep(lab *Lab) ([]AlgoRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every point's system holds the same graph, so one table prices them all.
+	degrees := bfs.DegreeTable(lab.Src.NumVertices(), dramSys.Backward.Degree)
 	// The DRAM references: every run's packed result state.
 	ref := make(map[programRun][]byte)
 	for _, algo := range vp.Algorithms() {
@@ -110,7 +112,7 @@ func algoSweep(lab *Lab) ([]AlgoRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				row, err := runAlgoPoint(sys, algo, vcfg, roots, ref)
+				row, err := runAlgoPoint(sys, algo, vcfg, roots, degrees, ref)
 				if err != nil {
 					return nil, fmt.Errorf("algo sweep %s %s frac=%g: %w", base.Name, algo, frac, err)
 				}
@@ -133,7 +135,7 @@ func programStarts(algo vp.Algorithm, roots []int64) []int64 {
 
 // runAlgoPoint runs algo on one (device, budget) point's system and checks
 // every run's result state against the DRAM reference, byte for byte.
-func runAlgoPoint(sys *core.System, algo vp.Algorithm, vcfg vp.Config, roots []int64,
+func runAlgoPoint(sys *core.System, algo vp.Algorithm, vcfg vp.Config, roots, degrees []int64,
 	ref map[programRun][]byte) (AlgoRow, error) {
 	row := AlgoRow{
 		Scenario:   sys.Scenario.Name,
@@ -151,7 +153,7 @@ func runAlgoPoint(sys *core.System, algo vp.Algorithm, vcfg vp.Config, roots []i
 			}
 			row.StateBytes = int64(len(state))
 			if b, ok := prog.(*vp.BFS); ok {
-				teps = appendTEPS(teps, b.Tree(), sys.Backward.Degree, res.Time)
+				teps = appendTEPS(teps, b.Tree(), degrees, res.Time)
 			}
 			if algo == vp.AlgoPageRank {
 				row.Converged = res.Converged

@@ -166,16 +166,17 @@ func (l *Lab) Run(sc core.Scenario, cfg bfs.Config, keepLevels, series bool) (*g
 }
 
 // sampleRoots draws Opts.Roots Graph500 search keys off the lab's edge list
-// and returns them with the degree lookup TEPS accounting needs.
-func (l *Lab) sampleRoots() ([]int64, func(int64) int64, error) {
+// and returns them with the degree table TEPS accounting needs.
+func (l *Lab) sampleRoots() ([]int64, []int64, error) {
 	return graph500.ListRoots(l.List, l.Opts.Roots, l.Opts.Seed)
 }
 
 // appendTEPS appends one search's Graph500 rate — undirected edges incident
-// to the vertices tree reached, over its virtual time t — unless t is zero.
-func appendTEPS(teps []float64, tree []int64, degree func(int64) int64, t vtime.Duration) []float64 {
+// to the vertices tree reached (degrees[v] each), over its virtual time t —
+// unless t is zero.
+func appendTEPS(teps []float64, tree []int64, degrees []int64, t vtime.Duration) []float64 {
 	if t > 0 {
-		teps = append(teps, float64(validate.TraversedEdges(tree, degree))/t.Seconds())
+		teps = append(teps, float64(validate.TraversedEdges(tree, degrees))/t.Seconds())
 	}
 	return teps
 }

@@ -29,9 +29,9 @@ type ScalingRow struct {
 // clusterMeans runs every root through one cluster (graph500.RunCluster;
 // check, when set, vets each result) and reduces the totals to the median
 // TEPS, the mean total traffic per BFS and its mean per-phase split.
-func clusterMeans(roots []int64, degree func(int64) int64, run func(int64) (*cluster.Result, error),
+func clusterMeans(roots []int64, degrees []int64, run func(int64) (*cluster.Result, error),
 	check func(root int64, res *cluster.Result) error) (float64, int64, cluster.CommStats, error) {
-	t, err := graph500.RunCluster(run, roots, degree, 0, check)
+	t, err := graph500.RunCluster(run, roots, degrees, 0, check)
 	if err != nil {
 		return 0, 0, cluster.CommStats{}, err
 	}

@@ -20,9 +20,10 @@ type ClusterTotals struct {
 }
 
 // RunCluster runs Steps 3-4 on a simulated cluster: every root goes through
-// run (a 1D cluster's or a grid's Run), its tree is priced off degree, and
-// the first validateRoots roots (0 = all) are vetted by check (nil = none).
-func RunCluster(run func(root int64) (*cluster.Result, error), roots []int64, degree func(int64) int64,
+// run (a 1D cluster's or a grid's Run), its tree is priced off the degree
+// table, and the first validateRoots roots (0 = all) are vetted by check
+// (nil = none).
+func RunCluster(run func(root int64) (*cluster.Result, error), roots []int64, degrees []int64,
 	validateRoots int, check func(root int64, res *cluster.Result) error) (*ClusterTotals, error) {
 	t := &ClusterTotals{}
 	for i, root := range roots {
@@ -35,7 +36,7 @@ func RunCluster(run func(root int64) (*cluster.Result, error), roots []int64, de
 			return nil, fmt.Errorf("root %d: %w", root, err)
 		}
 		if res.Time > 0 {
-			t.TEPS = append(t.TEPS, float64(validate.TraversedEdges(res.Tree, degree))/res.Time.Seconds())
+			t.TEPS = append(t.TEPS, float64(validate.TraversedEdges(res.Tree, degrees))/res.Time.Seconds())
 		}
 		t.Comm = t.Comm.Add(res.Comm)
 		if res.Degraded {

@@ -253,15 +253,15 @@ func RunOnSystem(sys *core.System, src edgelist.Source, p Params) (*Result, erro
 		res.CompressionRatio = sf.CompressionRatio()
 	}
 
-	// Degree lookup for TEPS denominators and root selection.
-	degree := func(v int64) int64 { return sys.Backward.Degree(v) }
+	// Degree table for root selection and TEPS numerators, tabulated once.
+	degrees := bfs.DegreeTable(src.NumVertices(), sys.Backward.Degree)
 
-	roots, err := SampleRoots(src.NumVertices(), p.Roots, p.Seed, degree)
+	roots, err := SampleRoots(src.NumVertices(), p.Roots, p.Seed, func(v int64) int64 { return degrees[v] })
 	if err != nil {
 		return nil, err
 	}
 
-	if err := res.runRoots(runner.Run, roots, src, degree); err != nil {
+	if err := res.runRoots(runner.Run, roots, src, degrees); err != nil {
 		return nil, err
 	}
 	if len(sys.Devices) > 0 {
@@ -286,10 +286,10 @@ func coldCache(sys *core.System) {
 
 // runRoots is Steps 3-4 over any single-source runner: one traversal per
 // root, fully validated against src for the first Params.ValidateRoots
-// roots (0 = all) and priced off the visited degrees for the rest, folded
-// into res.
+// roots (0 = all) and priced off the visited vertices' degrees (degrees[v],
+// a table) for the rest, folded into res.
 func (res *Result) runRoots(run func(root int64) (*bfs.Result, error), roots []int64,
-	src edgelist.Source, degree func(int64) int64) error {
+	src edgelist.Source, degrees []int64) error {
 	p := res.Params
 	teps := make([]float64, 0, len(roots))
 	for i, root := range roots {
@@ -307,7 +307,7 @@ func (res *Result) runRoots(run func(root int64) (*bfs.Result, error), roots []i
 			}
 			traversed = rep.TraversedEdges
 		} else {
-			traversed = validate.TraversedEdges(out.Tree, degree)
+			traversed = validate.TraversedEdges(out.Tree, degrees)
 		}
 		rr := RootResult{
 			Root:        root,
@@ -367,13 +367,12 @@ func SampleRoots(n int64, count int, seed uint64, degree func(int64) int64) ([]i
 
 // ListRoots samples roots for a graph held only as an edge list (a
 // cluster's machines each build a block of it), and returns the degree
-// lookup it sampled against for the TEPS accounting.
-func ListRoots(list *edgelist.List, count int, seed uint64) ([]int64, func(int64) int64, error) {
+// table it sampled against for the TEPS accounting.
+func ListRoots(list *edgelist.List, count int, seed uint64) ([]int64, []int64, error) {
 	deg, err := csr.Degrees(edgelist.ListSource{List: list})
 	if err != nil {
 		return nil, nil, err
 	}
-	degree := func(v int64) int64 { return deg[v] }
-	roots, err := SampleRoots(list.NumVertices, count, seed, degree)
-	return roots, degree, err
+	roots, err := SampleRoots(list.NumVertices, count, seed, func(v int64) int64 { return deg[v] })
+	return roots, deg, err
 }

@@ -31,7 +31,7 @@ func RunReference(list *edgelist.List, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.runRoots(runner.Run, roots, src, g.Degree); err != nil {
+	if err := res.runRoots(runner.Run, roots, src, bfs.DegreeTable(src.NumVertices(), g.Degree)); err != nil {
 		return nil, err
 	}
 	return res, nil

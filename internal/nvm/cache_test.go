@@ -417,16 +417,22 @@ func TestCacheChecksumComposition(t *testing.T) {
 // BenchmarkCachedStoreHit: page-cache hits through metrics → retry →
 // cache, the stack a cached forward graph is read through, at the two
 // sizes a bottom-up vertex reads: its 16-byte index bracket and a 4 KiB
-// value chunk. Every block is resident, and the reads walk 64 blocks
-// (256 KiB, inside the host's caches) or 4,096 (16 MiB, beyond them).
+// value chunk. The reads walk 64 blocks (256 KiB, inside the host's
+// caches) or 4,096 (16 MiB, beyond them), and every one must be resident:
+// the benchmark fails if its timed loop misses. A cache sized to the
+// working set does not hold it — its shards each take a fixed share of
+// the pages, and the blocks hash unevenly across them — so the cache has
+// cacheHeadroom times the working set.
 func BenchmarkCachedStoreHit(b *testing.B) {
+	const cacheHeadroom = 2
 	for _, blocks := range []int{64, 4096} {
 		for _, n := range []int{16, DefaultChunkSize} {
 			b.Run(fmt.Sprintf("%dKiB/%dB", blocks*DefaultChunkSize>>10, n), func(b *testing.B) {
 				dev := NewDevice(ProfileIoDrive2, 0)
+				cache := NewPageCache(cacheHeadroom*int64(blocks)*DefaultChunkSize, 0, numa.CostModel{})
 				st, err := BuildStack(StackSpec{
 					Name:  "hit",
-					Cache: NewPageCache(int64(blocks)*DefaultChunkSize, 0, numa.CostModel{}),
+					Cache: cache,
 					Base: func(name string, chunk int) (Storage, error) {
 						return NewNamedMemStore(name, dev, chunk), nil
 					},
@@ -450,11 +456,16 @@ func BenchmarkCachedStoreHit(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.SetBytes(int64(n))
+				before := cache.Stats()
 				b.ResetTimer()
 				for i := range b.N {
 					if err := st.ReadAt(clock, buf, off(i)); err != nil {
 						b.Fatal(err)
 					}
+				}
+				b.StopTimer()
+				if s := cache.Stats().Sub(before); s.Misses != 0 {
+					b.Fatalf("%d of %d reads missed a resident cache (%d evictions)", s.Misses, b.N, s.Evictions)
 				}
 			})
 		}

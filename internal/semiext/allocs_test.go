@@ -237,7 +237,7 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 	var longest int64
 	for v := int64(0); v < int64(part.N); v++ {
 		k := part.NodeOf(int(v))
-		if _, rest := sc.Prefix(k, v); rest {
+		if _, _, rest := sc.Prefix(k, v); rest {
 			tails = append(tails, v)
 			longest = max(longest, hb.PerNode[k].Degree(v)-8)
 		}
@@ -280,5 +280,78 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, scanFresh); allocs > build {
 		t.Errorf("a fresh scanner and its Rest over %d warm compressed tails, twice, allocate %.0f objects; the scanner alone %.0f",
 			len(tails), allocs, build)
+	}
+}
+
+// TestDirtyPrefixScanAllocs: Scan widens a dirty vertex's 32-bit DRAM
+// prefix through the scanner's batch buffer a batch at a time, so a prefix
+// longer than the buffer costs no allocation — whole, and stopped inside
+// its second batch — for the whole graph in DRAM and for compressed tails
+// behind a prefix wider than a decoded batch.
+func TestDirtyPrefixScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, bg, part := buildGraphs(t, 12, numa.Topology{Nodes: 2, CoresPerNode: 2})
+	for _, bo := range []BackwardOptions{{}, {KeepEdges: 3 * tailBatch, Compress: true}} {
+		t.Run(fmt.Sprintf("keep=%d", bo.KeepEdges), func(t *testing.T) {
+			dev := nvm.NewDevice(nvm.ProfileIoDrive2, 0)
+			hb, err := OffloadBackward(bg, memFactory(dev), nil, bo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hb.Close()
+			sc := NewBackwardScanner(hb, vtime.NewClock(0))
+			// The hub: the vertex with the longest DRAM prefix, made dirty
+			// by deleting its second stored neighbor (every copy of it).
+			hub, longest := int64(-1), int64(0)
+			for v := int64(0); v < int64(part.N); v++ {
+				node := hb.PerNode[part.NodeOf(int(v))]
+				i := v - node.Base
+				if l := node.DRAMIndex[i+1] - node.DRAMIndex[i]; l > longest {
+					hub, longest = v, l
+				}
+			}
+			if longest <= int64(len(sc.valBuf)) {
+				t.Fatalf("the longest DRAM prefix has %d entries, want more than the %d-entry batch", longest, len(sc.valBuf))
+			}
+			k := part.NodeOf(int(hub))
+			stored := bg.Neighbors(hub)
+			o := NewDeltaOverlay()
+			o.Delete(hub, stored[1])
+			hb.SetOverlay(o)
+			want := int64(len(stored))
+			for _, nb := range stored {
+				if nb == stored[1] {
+					want--
+				}
+			}
+			var edges int64
+			all := func(nbs []int64) (int, bool) { edges += int64(len(nbs)); return len(nbs), false }
+			stopAt := int64(len(sc.valBuf)) + 2 // inside the second batch
+			var seen int64
+			stop := func(nbs []int64) (int, bool) {
+				if seen+int64(len(nbs)) >= stopAt {
+					e := stopAt - seen
+					seen = 0
+					return int(e), true
+				}
+				seen += int64(len(nbs))
+				return len(nbs), false
+			}
+			scan := func() {
+				edges = 0
+				if n, err := sc.Scan(k, hub, all); err != nil || n != want || edges != want {
+					t.Fatalf("Scan of the hub: %d examined, %d handed over, err %v; want %d", n, edges, err, want)
+				}
+				if n, err := sc.Scan(k, hub, stop); err != nil || n != stopAt {
+					t.Fatalf("stopping Scan of the hub: %d examined, err %v; want %d", n, err, stopAt)
+				}
+			}
+			scan() // reads the tail into the device's store once
+			if allocs := testing.AllocsPerRun(100, scan); allocs > 0 {
+				t.Errorf("Scan of a dirty vertex with a %d-entry prefix allocates %.2f objects, want 0", longest, allocs)
+			}
+		})
 	}
 }

@@ -88,9 +88,17 @@ type BackwardNode struct {
 	Base int64
 	Len  int64
 	// DRAMIndex/DRAMValue is a CSR over the per-vertex DRAM prefixes
-	// (min(Limit, degree) neighbors each).
+	// (min(Limit, degree) neighbors each). The prefixes hold 32-bit
+	// vertex IDs, half the bytes the bottom-up kernels walk; the model
+	// still prices an entry at 8 bytes (DRAMBytes, the kernels'
+	// Stream(8·examined)).
 	DRAMIndex []int64
-	DRAMValue []int64
+	DRAMValue []uint32
+	// Head[i] is local vertex i's first neighbor, DRAMValue[DRAMIndex[i]]
+	// (0 when it has none): a dense column the Runner's kernel tests
+	// before it loads the prefix at all. Like empty, it is the
+	// simulator's index, not modelled memory.
+	Head []uint32
 	// TailIndex is the CSR index of the offloaded tails in *elements*
 	// (degrees derive from it regardless of encoding); TailStore holds
 	// the concatenated tails behind the full storage stack built by
@@ -122,6 +130,9 @@ func (n *BackwardNode) Degree(v int64) int64 {
 // uses, so the tail stores carry the identical middleware — retry,
 // optional cache, mirroring, and checksums.
 func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock, opts BackwardOptions) (*HybridBackward, error) {
+	if bg.Part.N > 1<<32 {
+		return nil, fmt.Errorf("semiext: offload backward: %d vertices do not fit 32-bit prefix IDs", bg.Part.N)
+	}
 	hb := &HybridBackward{
 		Part:    bg.Part,
 		Limit:   opts.KeepEdges,
@@ -143,17 +154,19 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 		replicas = 1
 	}
 	for k, g := range bg.PerNode {
-		node := &BackwardNode{Base: g.Base, Len: g.Len}
+		node := &BackwardNode{Base: g.Base, Len: g.Len, Head: make([]uint32, g.Len)}
 		for i := int64(0); i < g.Len; i++ {
 			if g.Index[i] == g.Index[i+1] {
 				v := g.Base + i
 				hb.empty[v>>6] |= 1 << (v & 63)
+			} else {
+				node.Head[i] = uint32(g.Value[g.Index[i]])
 			}
 		}
 		if opts.KeepEdges <= 0 {
-			// Whole graph in DRAM: share the source arrays.
+			// Whole graph in DRAM: share the index, narrow the values.
 			node.DRAMIndex = g.Index
-			node.DRAMValue = g.Value
+			node.DRAMValue = narrow(g.Value)
 			hb.PerNode[k] = node
 			continue
 		}
@@ -169,13 +182,15 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 			node.DRAMIndex[i+1] = node.DRAMIndex[i] + keep
 			node.TailIndex[i+1] = node.TailIndex[i] + (deg - keep)
 		}
-		node.DRAMValue = make([]int64, node.DRAMIndex[g.Len])
+		node.DRAMValue = make([]uint32, node.DRAMIndex[g.Len])
 		tail := make([]int64, node.TailIndex[g.Len])
 		for i := int64(0); i < g.Len; i++ {
 			nb := g.Value[g.Index[i]:g.Index[i+1]]
-			keep := node.DRAMIndex[i+1] - node.DRAMIndex[i]
-			copy(node.DRAMValue[node.DRAMIndex[i]:], nb[:keep])
-			copy(tail[node.TailIndex[i]:], nb[keep:])
+			lo, hi := node.DRAMIndex[i], node.DRAMIndex[i+1]
+			for j, u := range nb[:hi-lo] {
+				node.DRAMValue[lo+int64(j)] = uint32(u)
+			}
+			copy(tail[node.TailIndex[i]:], nb[hi-lo:])
 		}
 		if len(tail) > 0 {
 			store, err := nvm.BuildStack(nvm.StackSpec{
@@ -221,6 +236,15 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 	return hb, nil
 }
 
+// narrow copies vertex IDs below 1<<32 into a new 32-bit slice.
+func narrow(ids []int64) []uint32 {
+	out := make([]uint32, len(ids))
+	for i, u := range ids {
+		out[i] = uint32(u)
+	}
+	return out
+}
+
 // BuildHybridBackward is OffloadBackward with only the DRAM edge limit
 // set — the historical entry point, kept for its many call sites.
 func BuildHybridBackward(bg *csr.BackwardGraph, limit int, mk StoreFactory, clock *vtime.Clock) (*HybridBackward, error) {
@@ -245,11 +269,12 @@ func (hb *HybridBackward) LayerStats() nvm.StackStats {
 	return nvm.CollectStacks(hb.Stacks()...)
 }
 
-// DRAMBytes returns the graph's DRAM-resident footprint.
+// DRAMBytes returns the graph's modelled DRAM-resident footprint: 8 bytes
+// per index and prefix entry, whatever width the simulator stores.
 func (hb *HybridBackward) DRAMBytes() int64 {
 	var b int64
 	for _, n := range hb.PerNode {
-		b += int64(len(n.DRAMIndex))*8 + int64(len(n.DRAMValue))*8 +
+		b += int64(len(n.DRAMIndex))*8 + n.DRAMIndex[n.Len]*8 +
 			int64(len(n.TailIndex))*8 + int64(len(n.TailByteIndex))*8
 	}
 	return b
@@ -269,7 +294,7 @@ func (hb *HybridBackward) NVMBytes() int64 {
 func (hb *HybridBackward) DRAMEdges() int64 {
 	var e int64
 	for _, n := range hb.PerNode {
-		e += int64(len(n.DRAMValue))
+		e += n.DRAMIndex[n.Len]
 	}
 	return e
 }
@@ -323,18 +348,18 @@ const tailBatch = 64
 // NewBackwardScanner returns a scanner charging device time to clock. Its
 // buffers are sized here, once, for the tails the graph stores: a chunk's
 // bytes, and a chunk of raw IDs or a batch of decoded ones, so a tail read
-// never grows one.
+// never grows one. Scan widens the DRAM prefix through the same batch
+// buffer, so a graph without tails gets a batch and no chunk.
 func NewBackwardScanner(hb *HybridBackward, clock *vtime.Clock) *BackwardScanner {
-	s := &BackwardScanner{
-		hb:      hb,
-		clock:   clock,
-		byteBuf: make([]byte, nvm.DefaultChunkSize),
-	}
+	s := &BackwardScanner{hb: hb, clock: clock}
 	switch {
 	case hb.Limit <= 0:
+		s.valBuf = make([]int64, tailBatch)
 	case hb.Options.Compress:
+		s.byteBuf = make([]byte, nvm.DefaultChunkSize)
 		s.valBuf = make([]int64, tailBatch)
 	default:
+		s.byteBuf = make([]byte, nvm.DefaultChunkSize)
 		s.valBuf = make([]int64, nvm.DefaultChunkSize/8)
 	}
 	return s
@@ -351,19 +376,21 @@ func (s *BackwardScanner) Idle(wi int) uint64 {
 }
 
 // Prefix returns vertex v's DRAM prefix for a caller that walks it
-// itself, and whether anything follows it: a stored tail, or — when v has
-// pending overlay edits, and nbs is nil — the whole merged adjacency. It
-// charges and counts nothing: the caller adds the prefix entries it
-// examined to DRAMEdgesScanned and, when rest is true and the walk found
-// what it wanted nowhere in nbs, streams the remainder with Rest. For a
-// clean vertex the overlay check is one bit test.
-func (s *BackwardScanner) Prefix(k int, v int64) (nbs []int64, rest bool) {
+// itself, its first entry from the dense head column (head == nbs[0]
+// whenever nbs is not empty), and whether anything follows it: a stored
+// tail, or — when v has pending overlay edits, and head is 0 and nbs nil —
+// the whole merged adjacency. It charges and counts nothing: the caller
+// adds the prefix entries it examined to DRAMEdgesScanned and, when rest
+// is true and the walk found what it wanted nowhere in nbs, streams the
+// remainder with Rest. For a clean vertex the overlay check is one bit
+// test.
+func (s *BackwardScanner) Prefix(k int, v int64) (head uint32, nbs []uint32, rest bool) {
 	if s.hb.overlay.isDirty(v) {
-		return nil, true
+		return 0, nil, true
 	}
 	node := s.hb.PerNode[k]
 	i := v - node.Base
-	return node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]],
+	return node.Head[i], node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]],
 		node.TailIndex != nil && node.TailIndex[i] < node.TailIndex[i+1]
 }
 
@@ -392,7 +419,7 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nbs []int64) (int, bool))
 	prefix := node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]]
 	// A deleted DRAM entry was still examined; it just no longer exists in
 	// the merged adjacency.
-	walked, e, stop := keptRuns(prefix, delta.dels, fn)
+	walked, e, stop := s.prefixRuns(prefix, delta.dels, fn)
 	s.DRAMEdgesScanned += int64(walked)
 	examined = int64(e)
 	if stop {
@@ -420,6 +447,25 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nbs []int64) (int, bool))
 	examined += int64(e)
 	s.DRAMEdgesScanned += int64(e)
 	return examined, nil
+}
+
+// prefixRuns is keptRuns over a DRAM prefix: it widens the prefix into the
+// batch buffer a batch at a time and hands fn the kept runs of each, so a
+// prefix longer than the buffer is a few calls of fn and no allocation.
+func (s *BackwardScanner) prefixRuns(prefix []uint32, dels []int64, fn func(nbs []int64) (int, bool)) (walked, examined int, stop bool) {
+	for len(prefix) > 0 {
+		batch := s.valBuf[:min(len(prefix), len(s.valBuf))]
+		for j := range batch {
+			batch[j] = int64(prefix[j])
+		}
+		w, e, stop := keptRuns(batch, dels, fn)
+		walked, examined = walked+w, examined+e
+		if stop {
+			return walked, examined, true
+		}
+		prefix = prefix[len(batch):]
+	}
+	return walked, examined, false
 }
 
 // tail streams node-local vertex i's (global v's) NVM tail, if it has

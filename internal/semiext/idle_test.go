@@ -39,22 +39,53 @@ func idleGraph(tb testing.TB) *csr.BackwardGraph {
 
 // checkIdle holds every bit Idle returns for words lo to hi-1 against
 // Prefix: set exactly when the vertex's prefix is empty and nothing follows
-// it, and never past the last vertex.
-func checkIdle(tb testing.TB, sc *BackwardScanner, part *numa.Partition, lo, hi int, step string) {
+// it, and never past the last vertex. It also holds Prefix to the CSR: a
+// clean vertex's prefix, widened, is bg's first min(keep, degree) neighbors
+// (all of them at keep <= 0) and head is its first entry; a dirty vertex
+// has head 0, no prefix and a rest.
+func checkIdle(tb testing.TB, sc *BackwardScanner, bg *csr.BackwardGraph, keep int, lo, hi int, step string) {
 	tb.Helper()
+	part := bg.Part
 	for wi := lo; wi < hi; wi++ {
 		idle := sc.Idle(wi)
 		for b := 0; b < 64; b++ {
 			v := wi*64 + b
 			want := false
 			if v < part.N {
-				nbs, rest := sc.Prefix(part.NodeOf(v), int64(v))
+				head, nbs, rest := sc.Prefix(part.NodeOf(v), int64(v))
 				want = len(nbs) == 0 && !rest
+				checkPrefix(tb, sc, bg, keep, int64(v), head, nbs, rest, step)
 			}
 			if got := idle>>b&1 != 0; got != want {
 				tb.Fatalf("%s: vertex %d idle %v, Prefix says %v", step, v, got, want)
 			}
 		}
+	}
+}
+
+// checkPrefix holds one Prefix answer for v against bg (see checkIdle).
+func checkPrefix(tb testing.TB, sc *BackwardScanner, bg *csr.BackwardGraph, keep int, v int64, head uint32, nbs []uint32, rest bool, step string) {
+	tb.Helper()
+	if sc.hb.overlay.isDirty(v) {
+		if head != 0 || nbs != nil || !rest {
+			tb.Fatalf("%s: dirty vertex %d: Prefix = (%d, %v, %v), want (0, nil, true)", step, v, head, nbs, rest)
+		}
+		return
+	}
+	stored := bg.Neighbors(v)
+	if keep > 0 && len(stored) > keep {
+		stored = stored[:keep]
+	}
+	if len(nbs) != len(stored) {
+		tb.Fatalf("%s: vertex %d: %d prefix entries, want the CSR's first %d", step, v, len(nbs), len(stored))
+	}
+	for i, nb := range nbs {
+		if int64(nb) != stored[i] {
+			tb.Fatalf("%s: vertex %d: prefix entry %d is %d, the CSR's is %d", step, v, i, nb, stored[i])
+		}
+	}
+	if len(nbs) > 0 && head != nbs[0] {
+		tb.Fatalf("%s: vertex %d: head %d, prefix starts at %d", step, v, head, nbs[0])
 	}
 }
 
@@ -74,10 +105,10 @@ func idleEdits(tb testing.TB, bg *csr.BackwardGraph, keep int, compress bool, op
 	part := bg.Part
 	words := (part.N + 63) / 64
 	sc := NewBackwardScanner(hb, vtime.NewClock(0))
-	checkIdle(tb, sc, part, 0, words, "no overlay")
+	checkIdle(tb, sc, bg, keep, 0, words, "no overlay")
 	o := NewDeltaOverlay()
 	hb.SetOverlay(o)
-	checkIdle(tb, sc, part, 0, words, "empty overlay")
+	checkIdle(tb, sc, bg, keep, 0, words, "empty overlay")
 	n := int64(part.N)
 	for i := 0; i+4 <= len(ops) && i < 1024; i += 4 {
 		v := (int64(ops[i]) | int64(ops[i+1])<<8) % n
@@ -112,17 +143,18 @@ func idleEdits(tb testing.TB, bg *csr.BackwardGraph, keep int, compress bool, op
 				hb.SetOverlay(nil)
 			}
 		}
-		checkIdle(tb, sc, part, lo, hi, fmt.Sprintf("edit %d", i/4))
+		checkIdle(tb, sc, bg, keep, lo, hi, fmt.Sprintf("edit %d", i/4))
 	}
-	checkIdle(tb, sc, part, 0, words, "after the edits")
+	checkIdle(tb, sc, bg, keep, 0, words, "after the edits")
 }
 
 // TestIdleMatchesPrefix: for every DRAM edge limit the engines use — the
 // whole graph in DRAM, the paper's one-neighbor prefix and a wider one —
-// raw and compressed, Idle agrees with Prefix on every vertex without an
-// overlay, with an empty one, with a dirty bitmap shorter than the vertex
-// range, after an isolated vertex gains an edge and a vertex loses every
-// stored edge, after Clear, and along a seeded run of random edits.
+// raw and compressed, Idle agrees with Prefix on every vertex, and Prefix's
+// 32-bit prefix and head agree with the CSR, without an overlay, with an
+// empty one, with a dirty bitmap shorter than the vertex range, after an
+// isolated vertex gains an edge and a vertex loses every stored edge, after
+// Clear, and along a seeded run of random edits.
 func TestIdleMatchesPrefix(t *testing.T) {
 	bg := idleGraph(t)
 	var isolated, hub int64 = -1, -1
@@ -167,8 +199,9 @@ func TestIdleMatchesPrefix(t *testing.T) {
 	}
 }
 
-// FuzzIdleMatchesPrefix drives Idle against Prefix through arbitrary edit
-// sequences at a fuzzed DRAM edge limit, raw and compressed.
+// FuzzIdleMatchesPrefix drives Idle against Prefix, and Prefix against the
+// CSR, through arbitrary edit sequences at a fuzzed DRAM edge limit, raw and
+// compressed.
 func FuzzIdleMatchesPrefix(f *testing.F) {
 	bg := idleGraph(f)
 	f.Add(uint8(1), false, []byte{3, 0, 7, 0, 3, 0, 0, 2, 9, 0, 2, 3})

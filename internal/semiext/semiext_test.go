@@ -402,3 +402,19 @@ func BenchmarkOffloadForwardScale14(b *testing.B) {
 		sf.Close()
 	}
 }
+
+// TestOffloadBackwardVertexLimit: DRAM prefixes hold 32-bit vertex IDs, so
+// a graph past 1<<32 vertices is refused before anything is allocated —
+// the partition literal here has no vertex arrays, and no store is made.
+func TestOffloadBackwardVertexLimit(t *testing.T) {
+	bg := &csr.BackwardGraph{Part: &numa.Partition{N: 1<<32 + 1}}
+	mk := func(string, int) (nvm.Storage, error) {
+		t.Fatal("OffloadBackward made a store for a graph it must refuse")
+		return nil, nil
+	}
+	for _, keep := range []int{0, 1} {
+		if hb, err := OffloadBackward(bg, mk, nil, BackwardOptions{KeepEdges: keep}); err == nil || hb != nil {
+			t.Errorf("KeepEdges %d: OffloadBackward over %d vertices = (%v, %v), want an error", keep, bg.Part.N, hb, err)
+		}
+	}
+}

@@ -130,11 +130,12 @@ func TestServerCountsDegreesOfTheFinishingGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, after := 0, 0
+	degrees := bfs.DegreeTable(n, deg)
 	for _, q := range outs {
 		if q.Outcome != OutcomeServed {
 			t.Fatalf("query %d ended %v, want served", q.ID, q.Outcome)
 		}
-		want := validate.TraversedEdges(q.Parents, deg)
+		want := validate.TraversedEdges(q.Parents, degrees)
 		if q.Finished > doubled {
 			want *= 2
 			after++

@@ -139,13 +139,16 @@ func Run(tree []int64, root int64, src edgelist.Source) (*Report, error) {
 
 // TraversedEdges is the TEPS numerator of a tree that was not streamed
 // through Run: the input edges inside the traversed component, counted as
-// half the degree sum of the visited vertices. Rule 5 (no edge joins a
-// visited and an unvisited vertex) makes this exactly Run's streamed count.
-func TraversedEdges(tree []int64, degree func(int64) int64) int64 {
+// half the degree sum of the visited vertices. degrees[v] is vertex v's
+// degree (a caller tabulates it once per run, e.g. with bfs.DegreeTable).
+// Rule 5 (no edge joins a visited and an unvisited vertex) makes this
+// exactly Run's streamed count.
+func TraversedEdges(tree []int64, degrees []int64) int64 {
+	degrees = degrees[:len(tree)]
 	var sum int64
 	for v, parent := range tree {
 		if parent != unreached {
-			sum += degree(int64(v))
+			sum += degrees[v]
 		}
 	}
 	return sum / 2

@@ -244,7 +244,11 @@ func TestRunOnGeneratedGraph(t *testing.T) {
 	if rep.TraversedEdges != degSum/2 {
 		t.Fatalf("TraversedEdges = %d, want %d", rep.TraversedEdges, degSum/2)
 	}
-	if got := TraversedEdges(tree, func(v int64) int64 { return int64(len(adj[v])) }); got != rep.TraversedEdges {
+	degrees := make([]int64, n)
+	for v := range degrees {
+		degrees[v] = int64(len(adj[v]))
+	}
+	if got := TraversedEdges(tree, degrees); got != rep.TraversedEdges {
 		t.Fatalf("TraversedEdges(tree, degree) = %d, Run streamed %d", got, rep.TraversedEdges)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"semibfs/internal/bfs"
+	"semibfs/internal/bitmap"
 	"semibfs/internal/csr"
 	"semibfs/internal/edgelist"
 	"semibfs/internal/generator"
@@ -132,5 +133,67 @@ func BenchmarkPageRankNVMTails(b *testing.B) {
 		if _, err := eng.Run(0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// prefixProbe is a program that records the prefix entries PullEdges is
+// handed and stops at entry stopAt (never when negative).
+type prefixProbe struct {
+	vp.Program
+	got    []int64
+	calls  int
+	stopAt int
+}
+
+func (p *prefixProbe) PullEdges(w int, v int64, nbs []int64, frontier *bitmap.Bitmap) (int, bool) {
+	p.calls++
+	for i, nb := range nbs {
+		p.got = append(p.got, nb)
+		if len(p.got)-1 == p.stopAt {
+			return i + 1, true
+		}
+	}
+	return len(nbs), false
+}
+
+// TestPullPrefixWidening: the pull kernel hands a 32-bit DRAM prefix to
+// PullEdges widened a batch at a time, in order, allocating nothing per
+// vertex; a program that stops has been handed at most one batch past its
+// stop.
+func TestPullPrefixWidening(t *testing.T) {
+	nbs := make([]uint32, 3*vp.PullBatch+5)
+	for i := range nbs {
+		nbs[i] = uint32(1<<32 - 1 - i)
+	}
+	wide := make([]int64, vp.PullBatch)
+	for _, stopAt := range []int{-1, 0, vp.PullBatch + 2, len(nbs) - 1} {
+		p := &prefixProbe{stopAt: stopAt, got: make([]int64, 0, len(nbs))}
+		seen, stop := vp.PullPrefix(p, 0, 7, nbs, wide, nil)
+		want := len(nbs)
+		if stopAt >= 0 {
+			want = stopAt + 1
+		}
+		if seen != want || stop != (stopAt >= 0) || len(p.got) != want {
+			t.Fatalf("stop at %d: (%d, %v) after %d entries, want (%d, %v)", stopAt, seen, stop, len(p.got), want, stopAt >= 0)
+		}
+		for i, nb := range p.got {
+			if nb != int64(nbs[i]) {
+				t.Fatalf("stop at %d: entry %d widened to %d, want %d", stopAt, i, nb, nbs[i])
+			}
+		}
+		if batches := (want + vp.PullBatch - 1) / vp.PullBatch; p.calls != batches {
+			t.Errorf("stop at %d: %d PullEdges calls, want %d", stopAt, p.calls, batches)
+		}
+	}
+	if raceEnabled {
+		return // the race detector allocates
+	}
+	p := &prefixProbe{stopAt: -1, got: make([]int64, 0, len(nbs))}
+	pull := func() {
+		p.got = p.got[:0]
+		vp.PullPrefix(p, 0, 7, nbs, wide, nil)
+	}
+	if allocs := testing.AllocsPerRun(100, pull); allocs > 0 {
+		t.Errorf("widening a %d-entry prefix allocates %.2f objects, want 0", len(nbs), allocs)
 	}
 }

@@ -164,7 +164,7 @@ type spyScan struct {
 	spy *seedSpy
 }
 
-func (s spyScan) Prefix(k int, v int64) ([]int64, bool) {
+func (s spyScan) Prefix(k int, v int64) (uint32, []uint32, bool) {
 	if !s.spy.seen {
 		s.spy.seen, s.spy.seeded = true, s.spy.eng.NextBM.Count()
 	}

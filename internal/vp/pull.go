@@ -8,12 +8,17 @@ import (
 
 // pullProbe is one worker's gather probe: the closure its scanner calls per
 // slice after a DRAM prefix (a tail batch, a run of a dirty vertex's merged
-// adjacency), and the candidate being scanned. Built once per Engine, like
+// adjacency), the candidate being scanned, and the batch its 32-bit DRAM
+// prefix is widened into for PullEdges. Built once per Engine, like
 // bfs.Runner's.
 type pullProbe struct {
-	v  int64
-	fn func(nbs []int64) (int, bool)
+	v    int64
+	fn   func(nbs []int64) (int, bool)
+	wide []int64
 }
+
+// pullBatch is how many DRAM prefix entries one PullEdges call gets.
+const pullBatch = 64
 
 // newPullProbe arms worker w's probe over its node's frontier replica. Out
 // of line for the reason newPushHook is.
@@ -23,6 +28,27 @@ func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Bitmap) {
 	p.fn = func(nbs []int64) (int, bool) {
 		return prog.PullEdges(w, p.v, nbs, frontier)
 	}
+	p.wide = make([]int64, pullBatch)
+}
+
+// pullPrefix hands v's DRAM prefix nbs to prog.PullEdges widened into wide,
+// a batch at a time, until the program stops or the prefix ends, and
+// returns how many entries the program examined and whether it stopped. A
+// program that stops early has had at most one batch widened past its stop.
+func pullPrefix(prog Program, w int, v int64, nbs []uint32, wide []int64, frontier *bitmap.Bitmap) (seen int, stop bool) {
+	for len(nbs) > 0 {
+		batch := wide[:min(len(nbs), len(wide))]
+		for j := range batch {
+			batch[j] = int64(nbs[j])
+		}
+		e, stop := prog.PullEdges(w, v, batch, frontier)
+		seen += e
+		if stop {
+			return seen, true
+		}
+		nbs = nbs[len(batch):]
+	}
+	return seen, false
 }
 
 // runPullLevel runs one gather sweep: every pull candidate scans its
@@ -36,9 +62,9 @@ func newPullProbe(p *pullProbe, w int, prog Program, frontier *bitmap.Bitmap) {
 // delegates straddling vertices to the owner node's CSR, so every EndPull
 // state write stays worker-exclusive.
 //
-// The kernel hands each DRAM prefix to PullEdges itself, in one call, and
-// only a tail or a dirty vertex to the probe, which calls PullEdges once per
-// batch. It is out of line for the reason bfs.Runner's bottom-up kernel is.
+// The kernel hands each DRAM prefix to PullEdges itself, widened a batch of
+// pullBatch entries at a time, and only a tail or a dirty vertex to the
+// probe, which calls PullEdges once per batch. It is out of line for the reason bfs.Runner's bottom-up kernel is.
 //
 //go:noinline
 func (e *Engine) runPullLevel() error {
@@ -77,9 +103,9 @@ func (e *Engine) runPullLevel() error {
 					vk = e.Part.NodeOf(vi)
 				}
 				prog.BeginPull(w, v)
-				nbs, rest := scanner.Prefix(vk, v)
+				_, nbs, rest := scanner.Prefix(vk, v)
 				var nvmEdges int64
-				seen, stop := prog.PullEdges(w, v, nbs, frontier)
+				seen, stop := pullPrefix(prog, w, v, nbs, probe.wide, frontier)
 				dram := int64(seen)
 				rest = rest && !stop
 				walked += dram

@@ -99,7 +99,7 @@ func TestQueryPoolMatchesRunBatched(t *testing.T) {
 						if !slices.Equal(qr.Parents, res.Trees[l]) {
 							t.Fatalf("query %d (root %d): tree differs from RunBatch's", lo+l, root)
 						}
-						if te := validate.TraversedEdges(res.Trees[l], refSys.Degree); qr.Visited != res.Visited[l] || qr.TraversedEdges != te {
+						if te := validate.TraversedEdges(res.Trees[l], refSys.deg); qr.Visited != res.Visited[l] || qr.TraversedEdges != te {
 							t.Fatalf("query %d (root %d): visited/traversed (%d,%d), RunBatch (%d,%d)",
 								lo+l, root, qr.Visited, qr.TraversedEdges, res.Visited[l], te)
 						}

@@ -331,7 +331,7 @@ func (s *System) BFS(root int64) (*Result, error) {
 		ExaminedBU: out.ExaminedBU,
 		Switches:   out.Switches,
 	}
-	res.TraversedEdges = validate.TraversedEdges(res.Parents, func(v int64) int64 { return s.deg[v] })
+	res.TraversedEdges = validate.TraversedEdges(res.Parents, s.deg)
 	for _, l := range out.Levels {
 		res.Levels = append(res.Levels, LevelInfo{
 			Level:        l.Level,
