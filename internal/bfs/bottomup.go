@@ -58,11 +58,11 @@ func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
 // neighbor found in the frontier as its parent, terminating the scan
 // early (Section III-B). The kernel walks each DRAM prefix itself, testing
 // the vertex's head entry before it loads the prefix (most walked vertices
-// stop there); only a tail or a dirty vertex goes through the probe. A vertex with no neighbors
-// at all (scanner.Idle) is never asked for: the kernel adds its
-// VertexOverhead to the charge the next vertex it does walk books before
-// Prefix, or to the word's closing charge, so the clock reads the same at
-// every Rest as if the walk had stopped at it.
+// stop there); only a tail or a dirty vertex goes through the probe. A
+// vertex with no neighbors at all (scanner.Idle) is never asked for: the
+// kernel adds its VertexOverhead to the charge the next vertex it does walk
+// books before Prefix, or to the word's closing charge, so the clock reads
+// the same at every Rest as if the walk had stopped at it.
 //
 // Out of line: inlined into the Kernels method value, the level closure
 // loses the inlining of its bitmap and cost-model calls (DESIGN's inliner

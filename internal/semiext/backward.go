@@ -166,7 +166,8 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 		if opts.KeepEdges <= 0 {
 			// Whole graph in DRAM: share the index, narrow the values.
 			node.DRAMIndex = g.Index
-			node.DRAMValue = narrow(g.Value)
+			node.DRAMValue = make([]uint32, len(g.Value))
+			narrow(node.DRAMValue, g.Value)
 			hb.PerNode[k] = node
 			continue
 		}
@@ -187,9 +188,7 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 		for i := int64(0); i < g.Len; i++ {
 			nb := g.Value[g.Index[i]:g.Index[i+1]]
 			lo, hi := node.DRAMIndex[i], node.DRAMIndex[i+1]
-			for j, u := range nb[:hi-lo] {
-				node.DRAMValue[lo+int64(j)] = uint32(u)
-			}
+			narrow(node.DRAMValue[lo:hi], nb[:hi-lo])
 			copy(tail[node.TailIndex[i]:], nb[hi-lo:])
 		}
 		if len(tail) > 0 {
@@ -236,13 +235,11 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 	return hb, nil
 }
 
-// narrow copies vertex IDs below 1<<32 into a new 32-bit slice.
-func narrow(ids []int64) []uint32 {
-	out := make([]uint32, len(ids))
+// narrow copies vertex IDs below 1<<32 into the 32-bit dst.
+func narrow(dst []uint32, ids []int64) {
 	for i, u := range ids {
-		out[i] = uint32(u)
+		dst[i] = uint32(u)
 	}
-	return out
 }
 
 // BuildHybridBackward is OffloadBackward with only the DRAM edge limit
