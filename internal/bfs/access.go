@@ -65,6 +65,12 @@ type ForwardAccess interface {
 //     prefix and rest == false. It lets the Runner's kernel charge such a
 //     vertex its overhead in place without calling Prefix for it, one call
 //     per word instead of one per vertex.
+//   - HeadHits returns the vertices of want (a subset of word wi) that are
+//     clean, have a neighbor, and whose head is set in frontier (a
+//     frontier bitmap's words), and sets tree[v] to that head for each:
+//     the Runner's kernel claims every vertex that stops at its first
+//     neighbor with one call per word, and calls Prefix only for the
+//     rest. It charges and counts nothing.
 //
 // Scan streams v's whole adjacency to fn the same way.
 // Rest and Scan return how many neighbors were examined from DRAM and from
@@ -74,6 +80,7 @@ type BackwardScan interface {
 	Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 	CountPrefix(dram int64)
 	Idle(wi int) uint64
+	HeadHits(wi int, want uint64, frontier []uint64, tree []int64) uint64
 	Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error)
 }
 
@@ -163,14 +170,15 @@ func (c *nvmForwardCursor) PrefetchFrontier(k int, vs []int64) {
 }
 
 // HybridBackwardAccess adapts a semiext.HybridBackward (DRAM prefix + NVM
-// tail).
+// tail). Its scanners are semiext.BackwardScanners, which implement
+// BackwardScan and ScanCounters themselves.
 type HybridBackwardAccess struct {
 	HB *semiext.HybridBackward
 }
 
 // NewScanner implements BackwardAccess.
 func (h HybridBackwardAccess) NewScanner(clock *vtime.Clock) BackwardScan {
-	return &hybridBackwardScan{semiext.NewBackwardScanner(h.HB, clock)}
+	return semiext.NewBackwardScanner(h.HB, clock)
 }
 
 // Degree implements BackwardAccess.
@@ -188,36 +196,3 @@ func (h HybridBackwardAccess) OnNVM() bool {
 
 // Stacks implements StorageStacks.
 func (h HybridBackwardAccess) Stacks() []nvm.Storage { return h.HB.Stacks() }
-
-// hybridBackwardScan is a semiext.BackwardScanner with the engine's
-// per-tier counts: Prefix is the scanner's own (the embedded pointer makes
-// the interface call land on it directly).
-type hybridBackwardScan struct {
-	*semiext.BackwardScanner
-}
-
-// Rest implements BackwardScan.
-func (s *hybridBackwardScan) Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (int64, int64, error) {
-	dram0, nvm0 := s.DRAMEdgesScanned, s.NVMEdgesScanned
-	if _, err := s.BackwardScanner.Rest(k, v, fn); err != nil {
-		return 0, 0, err
-	}
-	return s.DRAMEdgesScanned - dram0, s.NVMEdgesScanned - nvm0, nil
-}
-
-// CountPrefix implements BackwardScan.
-func (s *hybridBackwardScan) CountPrefix(dram int64) { s.DRAMEdgesScanned += dram }
-
-// Scan implements BackwardScan.
-func (s *hybridBackwardScan) Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (int64, int64, error) {
-	dram0, nvm0 := s.DRAMEdgesScanned, s.NVMEdgesScanned
-	if _, err := s.BackwardScanner.Scan(k, v, fn); err != nil {
-		return 0, 0, err
-	}
-	return s.DRAMEdgesScanned - dram0, s.NVMEdgesScanned - nvm0, nil
-}
-
-// Counters implements ScanCounters.
-func (s *hybridBackwardScan) Counters() (int64, int64) {
-	return s.DRAMEdgesScanned, s.NVMEdgesScanned
-}

@@ -56,13 +56,18 @@ func newPullProbe(p *pullProbe, frontier *bitmap.Bitmap) {
 // unvisited vertex scans its neighbor list (highest-degree first when the
 // backward graph was built with the NETAL ordering) and claims the first
 // neighbor found in the frontier as its parent, terminating the scan
-// early (Section III-B). The kernel walks each DRAM prefix itself, testing
-// the vertex's head entry before it loads the prefix (most walked vertices
-// stop there); only a tail or a dirty vertex goes through the probe. A
-// vertex with no neighbors at all (scanner.Idle) is never asked for: the
-// kernel adds its VertexOverhead to the charge the next vertex it does walk
-// books before Prefix, or to the word's closing charge, so the clock reads
-// the same at every Rest as if the walk had stopped at it.
+// early (Section III-B). Most walked vertices stop at their first
+// neighbor, so the kernel asks the scanner once per bitmap word which of
+// its wanted vertices do (scanner.HeadHits) and claims them together;
+// only a head miss or a dirty vertex is walked, a miss from its second
+// prefix entry, and only a tail or a dirty vertex goes through the probe.
+// Neither a vertex with no neighbors at all (scanner.Idle) nor a head hit
+// is charged where it stands: the kernel adds its charge — VertexOverhead,
+// or hitCost — to the charge the next vertex it does walk books before
+// Prefix, or to the word's closing charge, so the clock reads the same at
+// every Rest as if the walk had visited each vertex in turn. A Rest that
+// fails first takes back the word's head hits above the failing vertex, so
+// the failed level leaves exactly the claims a vertex-by-vertex walk left.
 //
 // Out of line: inlined into the Kernels method value, the level closure
 // loses the inlining of its bitmap and cost-model calls (DESIGN's inliner
@@ -80,9 +85,12 @@ func (r *Runner) runBottomUpLevel() error {
 		acc := &r.Acc[w]
 		probe := &r.probes[w]
 		frontier := r.FrontBM[k]
+		frontW := frontier.Words()
 		wordLo, wordHi := WordRangeOf(r.Part, k)
 		edgeCost := cm.EdgeCompute + cm.BitmapProbe
-		visW := r.visited.Words()
+		// A head hit examines one DRAM entry and claims.
+		hitCost := cm.VertexOverhead + edgeCost + cm.Stream(8) + cm.LocalAccess + 2*cm.BitmapProbe
+		visW, nextW := r.visited.Words(), r.NextBM.Words()
 		var walked int64 // prefix entries examined, counted once per level
 		for wi := wordLo + j; wi < wordHi; wi += r.CPN {
 			var t vtime.Duration
@@ -94,13 +102,26 @@ func (r *Runner) runBottomUpLevel() error {
 			}
 			idle := unvisited & scanner.Idle(wi)
 			unvisited &^= idle
+			// The head hits are claimed here. hits keeps those whose
+			// charge is still unbooked: the next walked vertex above
+			// books it, the word's closing charge books the rest.
+			hits := scanner.HeadHits(wi, unvisited, frontW, r.tree)
+			unvisited &^= hits
+			visW[wi] |= hits
+			nextW[wi] |= hits
+			nh := int64(bits.OnesCount64(hits))
+			walked += nh
+			acc.ExaminedDRAM += nh
+			acc.Claimed += nh
 			for unvisited != 0 {
 				bit := bits.TrailingZeros64(unvisited)
 				unvisited &= unvisited - 1
 				v := int64(base + bit)
-				below := idle & (1<<uint(bit) - 1)
+				below := uint64(1)<<uint(bit) - 1
+				t += cm.VertexOverhead * vtime.Duration(1+bits.OnesCount64(idle&below))
+				t += hitCost * vtime.Duration(bits.OnesCount64(hits&below))
 				idle &^= below
-				t += cm.VertexOverhead * vtime.Duration(1+bits.OnesCount64(below))
+				hits &^= below
 				clock.Advance(t)
 				t = 0
 				// Delegate straddling vertices to their owner
@@ -109,20 +130,16 @@ func (r *Runner) runBottomUpLevel() error {
 				if v < int64(r.Part.Starts[k]) || v >= int64(r.Part.Starts[k+1]) {
 					vk = r.Part.NodeOf(int(v))
 				}
-				head, nbs, rest := scanner.Prefix(vk, v)
+				_, nbs, rest := scanner.Prefix(vk, v)
 				parent := int64(-1)
 				var dram, nvmEdges int64
 				if len(nbs) > 0 {
-					dram = 1
-					if frontier.Test(int(head)) {
-						parent, rest = int64(head), false
-					} else {
-						for _, nb := range nbs[1:] {
-							dram++
-							if frontier.Test(int(nb)) {
-								parent, rest = int64(nb), false
-								break
-							}
+					dram = 1 // the head, which HeadHits found missing
+					for _, nb := range nbs[1:] {
+						dram++
+						if frontier.Test(int(nb)) {
+							parent, rest = int64(nb), false
+							break
 						}
 					}
 				}
@@ -131,6 +148,7 @@ func (r *Runner) runBottomUpLevel() error {
 					probe.parent = -1
 					d, nv, err := scanner.Rest(vk, v, probe.fn)
 					if err != nil {
+						walked -= r.dropHeadHits(wi, hits, acc)
 						scanner.CountPrefix(walked)
 						return err
 					}
@@ -150,9 +168,25 @@ func (r *Runner) runBottomUpLevel() error {
 				}
 			}
 			t += cm.VertexOverhead * vtime.Duration(bits.OnesCount64(idle))
+			t += hitCost * vtime.Duration(bits.OnesCount64(hits))
 			clock.Advance(t)
 		}
 		scanner.CountPrefix(walked)
 		return nil
 	})
+}
+
+// dropHeadHits takes back the head hits of word wi a failed walk did not
+// reach: their tree entries, visited and next bits, and counts. It returns
+// how many it took back.
+func (r *Runner) dropHeadHits(wi int, hits uint64, acc *WorkerAcc) int64 {
+	r.visited.Words()[wi] &^= hits
+	r.NextBM.Words()[wi] &^= hits
+	nh := int64(bits.OnesCount64(hits))
+	acc.ExaminedDRAM -= nh
+	acc.Claimed -= nh
+	for ; hits != 0; hits &= hits - 1 {
+		r.tree[wi*64+bits.TrailingZeros64(hits)] = -1
+	}
+	return nh
 }

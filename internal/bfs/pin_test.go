@@ -280,9 +280,11 @@ func (p rescuePin) String() string {
 
 // seedSpy reads a top-down rescue's seeded claim count from outside the
 // engine: it wraps the backward access and, on the run's first backward scan
-// — a kernel's first Prefix call — counts the bits the rescue left in the
-// engine's next structure. Alpha 1 never turns bottom-up by itself, so that
-// scan opens the re-run, before any bottom-up claim has landed.
+// — a kernel's first scanner call, Idle for the Runner (whose HeadHits
+// claims before any Prefix) and Prefix for a batch — counts the bits the
+// rescue left in the engine's next structure. Alpha 1 never turns bottom-up
+// by itself, so that scan opens the re-run, before any bottom-up claim has
+// landed.
 type seedSpy struct {
 	HybridBackwardAccess
 	count  func() int64
@@ -294,15 +296,58 @@ func (s *seedSpy) NewScanner(clock *vtime.Clock) BackwardScan {
 	return spyScan{s.HybridBackwardAccess.NewScanner(clock), s}
 }
 
+// tailDeathSpy wraps a backward access whose tail stores die, records the
+// failed kernel's claims (seeded, set by the test) and whether the Rest that
+// failed was at a vertex whose word holds head hits above it: claims the
+// kernel must take back before the rescue seeds from what it left.
+type tailDeathSpy struct {
+	HybridBackwardAccess
+	seeded    int64
+	hitsAbove bool
+}
+
+func (s *tailDeathSpy) NewScanner(clock *vtime.Clock) BackwardScan {
+	return &tailDeathScan{BackwardScan: s.HybridBackwardAccess.NewScanner(clock), spy: s}
+}
+
+type tailDeathScan struct {
+	BackwardScan
+	spy  *tailDeathSpy
+	wi   int
+	hits uint64
+}
+
+func (s *tailDeathScan) HeadHits(wi int, want uint64, frontier []uint64, tree []int64) uint64 {
+	s.wi, s.hits = wi, s.BackwardScan.HeadHits(wi, want, frontier, tree)
+	return s.hits
+}
+
+func (s *tailDeathScan) Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (int64, int64, error) {
+	dram, nvmEdges, err := s.BackwardScan.Rest(k, v, fn)
+	if err != nil && int(v/64) == s.wi && s.hits>>(v%64)>>1 != 0 {
+		s.spy.hitsAbove = true
+	}
+	return dram, nvmEdges, err
+}
+
 type spyScan struct {
 	BackwardScan
 	spy *seedSpy
 }
 
-func (s spyScan) Prefix(k int, v int64) (uint32, []uint32, bool) {
+func (s spyScan) fire() {
 	if !s.spy.seen {
 		s.spy.seen, s.spy.seeded = true, s.spy.count()
 	}
+}
+
+func (s spyScan) Idle(wi int) uint64 {
+	s.fire()
+	return s.BackwardScan.Idle(wi)
+}
+
+func (s spyScan) Prefix(k int, v int64) (uint32, []uint32, bool) {
+	s.fire()
 	return s.BackwardScan.Prefix(k, v)
 }
 
@@ -372,6 +417,49 @@ func TestRescuePins(t *testing.T) {
 			}
 			return summarize(t, res.Time, res.Levels, res.Switches, res.Resilience, spy, res.Trees)
 		}, rescuePin{pin{19382606, 7, 0x351f549cc3c63e81}, 1, 0, 0x82c791bd0e184ce7}},
+		{"runner/tail-death", func(t *testing.T) rescuePin {
+			mk := func(_ string, chunk int) (nvm.Storage, error) {
+				return &failingStore{Storage: nvm.NewMemStore(nil, chunk), failAfter: 100}, nil
+			}
+			hb, err := semiext.BuildHybridBackward(bg, 1, mk, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { hb.Close() })
+			spy := &tailDeathSpy{HybridBackwardAccess: HybridBackwardAccess{HB: hb}}
+			// A huge alpha turns bottom-up at level 1, a huge beta keeps
+			// it there, so the tails are read from the first sweep on.
+			cfg := pinConfig(ModeHybrid)
+			cfg.Alpha, cfg.Beta = 1e6, 1e18
+			r, err := NewRunner(DRAMForward{G: fg}, spy, part, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The claims the failed kernel left, counted before the
+			// engine's rescue counts them itself; a vertex it did not
+			// claim keeps no parent.
+			degrade := r.degrade
+			r.degrade = func(from, to Direction) (int64, error) {
+				spy.seeded = int64(r.NextBM.Count())
+				for v, p := range r.tree {
+					if p >= 0 && !r.visited.Test(v) {
+						t.Errorf("failed level left parent %d on unclaimed vertex %d", p, v)
+					}
+				}
+				return degrade(from, to)
+			}
+			res, err := r.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := res.Resilience.Degraded; len(d) != 1 || d[0].From != BottomUp {
+				t.Fatalf("degraded events %+v, want one bottom-up rescue", d)
+			}
+			if !spy.hitsAbove {
+				t.Fatal("the tail store did not die at a vertex with head hits above it in its word")
+			}
+			return rescuePin{examinedPin(res.Time, res.Levels), res.Switches, spy.seeded, treeHash(res.Tree)}
+		}, rescuePin{pin{578544, 5, 0xf0712c5c995451c6}, 2, 195, 0xe408b7fc5cc93200}},
 	}
 	for _, c := range cases {
 		if got := c.run(t); got != c.want {

@@ -86,6 +86,9 @@ type pair struct{ child, parent int64 }
 type block struct {
 	csr.LocalGraph             // Index/Value are nil once the DRAM copy is dropped
 	idx, val       nvm.Storage // nil unless offloaded
+	// valDev is val's device, resolved once at offload: it prices the
+	// decode of a compressed block (semiext.StreamIndexedNeighbors).
+	valDev *nvm.Device
 }
 
 // machine is one simulated node of either layout: its clock, its storage
@@ -214,6 +217,7 @@ func (c *core) offload(m *machine, b *block, name string) error {
 	if b.val, err = m.stacks.build(c.cfg, name+"-val"); err != nil {
 		return err
 	}
+	b.valDev = b.val.Device()
 	_, _, err = semiext.WriteAdjacency(b.idx, b.val, vtime.NewClock(0), &b.LocalGraph, c.cfg.Compress)
 	return err
 }
@@ -233,7 +237,7 @@ func (c *core) stream(m *machine, b *block, u int64, t *vtime.Duration, fn func(
 		}
 		return nil
 	}
-	_, err := semiext.StreamIndexedNeighbors(b.idx, b.val, m.clock, c.cfg.Compress,
+	_, err := semiext.StreamIndexedNeighbors(b.idx, b.val, b.valDev, m.clock, c.cfg.Compress,
 		u, u-b.Base, &m.readBuf, &m.idsBuf, 0, fn)
 	return err
 }

@@ -101,7 +101,7 @@ func (rg *refGraph) verify(t *testing.T, g *Graph, tag string) {
 			}
 		}
 		count := int64(0)
-		if _, err := sc.Scan(g.Part.NodeOf(int(v)), v, func(nbs []int64) (int, bool) {
+		if _, _, err := sc.Scan(g.Part.NodeOf(int(v)), v, func(nbs []int64) (int, bool) {
 			count += int64(len(nbs))
 			return len(nbs), false
 		}); err != nil {
@@ -349,7 +349,7 @@ func TestDynTailsShareForwardCache(t *testing.T) {
 		sc := semiext.NewBackwardScanner(hb, clock)
 		scanAll := func() {
 			for v := int64(0); v < list.NumVertices; v++ {
-				if _, err := sc.Scan(part.NodeOf(int(v)), v, func(nbs []int64) (int, bool) { return len(nbs), false }); err != nil {
+				if _, _, err := sc.Scan(part.NodeOf(int(v)), v, func(nbs []int64) (int, bool) { return len(nbs), false }); err != nil {
 					t.Fatalf("%s: backward scan v=%d: %v", tag, v, err)
 				}
 			}

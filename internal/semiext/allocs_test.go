@@ -178,7 +178,7 @@ func TestOverlayReadSteadyStateAllocs(t *testing.T) {
 					}
 					edges += int64(len(nbs))
 				}
-				if _, err := sc.Scan(part.NodeOf(int(v)), v, count); err != nil {
+				if _, _, err := sc.Scan(part.NodeOf(int(v)), v, count); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -261,7 +261,7 @@ func TestCompressedTailRestAllocs(t *testing.T) {
 	scan := func(fn func([]int64) (int, bool)) {
 		for _, v := range tails {
 			seen = 0
-			if _, err := sc.Rest(part.NodeOf(int(v)), v, fn); err != nil {
+			if _, _, err := sc.Rest(part.NodeOf(int(v)), v, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -339,13 +339,24 @@ func TestDirtyPrefixScanAllocs(t *testing.T) {
 				seen += int64(len(nbs))
 				return len(nbs), false
 			}
+			// Scan counts every stored entry it walks, deleted ones
+			// included: the stop lands on the stopAt-th kept one.
+			var kept, stopWalked int64
+			for i, nb := range stored {
+				if nb != stored[1] {
+					if kept++; kept == stopAt {
+						stopWalked = int64(i + 1)
+						break
+					}
+				}
+			}
 			scan := func() {
 				edges = 0
-				if n, err := sc.Scan(k, hub, all); err != nil || n != want || edges != want {
-					t.Fatalf("Scan of the hub: %d examined, %d handed over, err %v; want %d", n, edges, err, want)
+				if d, nv, err := sc.Scan(k, hub, all); err != nil || d+nv != int64(len(stored)) || edges != want {
+					t.Fatalf("Scan of the hub: %d examined, %d handed over, err %v; want %d and %d", d+nv, edges, err, len(stored), want)
 				}
-				if n, err := sc.Scan(k, hub, stop); err != nil || n != stopAt {
-					t.Fatalf("stopping Scan of the hub: %d examined, err %v; want %d", n, err, stopAt)
+				if d, nv, err := sc.Scan(k, hub, stop); err != nil || d+nv != stopWalked {
+					t.Fatalf("stopping Scan of the hub: %d examined, err %v; want %d", d+nv, err, stopWalked)
 				}
 			}
 			scan() // reads the tail into the device's store once

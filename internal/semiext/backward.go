@@ -2,6 +2,7 @@ package semiext
 
 import (
 	"fmt"
+	"math/bits"
 
 	"semibfs/internal/csr"
 	"semibfs/internal/enc"
@@ -106,6 +107,9 @@ type BackwardNode struct {
 	// this node.
 	TailIndex []int64
 	TailStore nvm.Storage
+	// tailDev is TailStore's device, resolved once here: it prices a
+	// compressed tail's decode (see chargeDecode).
+	tailDev *nvm.Device
 	// TailByteIndex addresses each vertex's encoded tail in the store
 	// when the tails are compressed (nil for raw tails, where the byte
 	// offset is TailIndex * 8).
@@ -226,7 +230,7 @@ func OffloadBackward(bg *csr.BackwardGraph, mk StoreFactory, clock *vtime.Clock,
 			} else if err := writeInt64s(store, clock, tail); err != nil {
 				return fail(fmt.Errorf("semiext: offload backward tail node %d: %w", k, err))
 			}
-			node.TailStore = store
+			node.TailStore, node.tailDev = store, store.Device()
 		} else {
 			node.TailIndex = nil
 		}
@@ -323,6 +327,7 @@ func (hb *HybridBackward) Close() error {
 // BackwardScanner is a per-worker cursor over a HybridBackward graph. It
 // owns scratch buffers and per-worker access counters; device time goes to
 // the owning worker's clock. Resilience lives in the tail stores' stacks.
+// It is the bfs.BackwardScan the engines drive.
 type BackwardScanner struct {
 	hb      *HybridBackward
 	clock   *vtime.Clock
@@ -372,13 +377,44 @@ func (s *BackwardScanner) Idle(wi int) uint64 {
 	return s.hb.empty[wi] &^ s.hb.overlay.dirtyWord(wi)
 }
 
+// HeadHits tests the head entries of the vertices want selects in bitmap
+// word wi against frontier (a frontier bitmap's words). A wanted vertex
+// hits when it is clean, has a neighbor, and Prefix's head is in the
+// frontier; for each hit it sets tree[v] = head, and it returns the hits
+// as a mask over the word. Dirty and idle vertices never hit. The node
+// lookup is made once per node the word touches, so a word straddling a
+// node boundary costs two. It charges and counts nothing: a hit is one
+// examined DRAM entry the caller books.
+func (s *BackwardScanner) HeadHits(wi int, want uint64, frontier []uint64, tree []int64) (hits uint64) {
+	want &^= s.hb.empty[wi] | s.hb.overlay.dirtyWord(wi)
+	base := int64(wi) * 64
+	for want != 0 {
+		node := s.hb.PerNode[s.hb.Part.NodeOf(int(base)+bits.TrailingZeros64(want))]
+		in := want
+		if end := node.Base + node.Len - base; end < 64 {
+			in &= 1<<uint(end) - 1
+		}
+		want &^= in
+		off := base - node.Base
+		for ; in != 0; in &= in - 1 {
+			b := bits.TrailingZeros64(in)
+			h := node.Head[off+int64(b)]
+			if frontier[h>>6]&(1<<(h&63)) != 0 {
+				hits |= 1 << uint(b)
+				tree[base+int64(b)] = int64(h)
+			}
+		}
+	}
+	return hits
+}
+
 // Prefix returns vertex v's DRAM prefix for a caller that walks it
 // itself, its first entry from the dense head column (head == nbs[0]
 // whenever nbs is not empty), and whether anything follows it: a stored
 // tail, or — when v has pending overlay edits, and head is 0 and nbs nil —
 // the whole merged adjacency. It charges and counts nothing: the caller
-// adds the prefix entries it examined to DRAMEdgesScanned and, when rest
-// is true and the walk found what it wanted nowhere in nbs, streams the
+// adds the prefix entries it examined with CountPrefix and, when rest is
+// true and the walk found what it wanted nowhere in nbs, streams the
 // remainder with Rest. For a clean vertex the overlay check is one bit
 // test.
 func (s *BackwardScanner) Prefix(k int, v int64) (head uint32, nbs []uint32, rest bool) {
@@ -391,36 +427,45 @@ func (s *BackwardScanner) Prefix(k int, v int64) (head uint32, nbs []uint32, res
 		node.TailIndex != nil && node.TailIndex[i] < node.TailIndex[i+1]
 }
 
+// CountPrefix adds the prefix entries a caller of Prefix examined to
+// DRAMEdgesScanned.
+func (s *BackwardScanner) CountPrefix(dram int64) { s.DRAMEdgesScanned += dram }
+
+// Counters returns the cumulative DRAM and NVM entries examined.
+func (s *BackwardScanner) Counters() (dram, nvmEdges int64) {
+	return s.DRAMEdgesScanned, s.NVMEdgesScanned
+}
+
 // Rest streams what Prefix left of vertex v to fn, with Scan's
 // accounting: the stored tail of a clean vertex, or the whole merged
-// adjacency of a dirty one. It returns the number of neighbors examined.
-func (s *BackwardScanner) Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (examined int64, err error) {
+// adjacency of a dirty one. It returns the entries examined from each
+// tier.
+func (s *BackwardScanner) Rest(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error) {
 	if s.hb.overlay.isDirty(v) {
 		return s.Scan(k, v, fn)
 	}
 	node := s.hb.PerNode[k]
-	return s.tail(node, v-node.Base, v, nil, fn)
+	nvmEdges, err = s.tail(node, v-node.Base, v, nil, fn)
+	return 0, nvmEdges, err
 }
 
 // Scan streams vertex v's neighbors — DRAM prefix first, then the NVM
 // tail, then pending adds — to fn a slice at a time until fn stops
 // (parent found) or the list is exhausted. fn returns how many of the
 // slice it examined and whether to stop (see streamNeighbors). Scan
-// returns the number of neighbors examined. Tail neighbors are streamed
-// chunk-by-chunk, so an early hit inside the first tail chunk avoids
-// reading the rest.
-func (s *BackwardScanner) Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (examined int64, err error) {
+// returns the entries examined from DRAM (a deleted DRAM entry was still
+// examined) and from NVM. Tail neighbors are streamed chunk-by-chunk, so
+// an early hit inside the first tail chunk avoids reading the rest.
+func (s *BackwardScanner) Scan(k int, v int64, fn func(nbs []int64) (int, bool)) (dram, nvmEdges int64, err error) {
 	node := s.hb.PerNode[k]
 	i := v - node.Base
 	delta := s.hb.overlay.delta(v)
 	prefix := node.DRAMValue[node.DRAMIndex[i]:node.DRAMIndex[i+1]]
-	// A deleted DRAM entry was still examined; it just no longer exists in
-	// the merged adjacency.
-	walked, e, stop := s.prefixRuns(prefix, delta.dels, fn)
-	s.DRAMEdgesScanned += int64(walked)
-	examined = int64(e)
+	walked, stop := s.prefixRuns(prefix, delta.dels, fn)
+	dram = int64(walked)
+	s.DRAMEdgesScanned += dram
 	if stop {
-		return examined, nil
+		return dram, 0, nil
 	}
 	// Only the deletion half of the delta rides along the tail: pending
 	// adds are DRAM-resident and are handed over below with DRAM
@@ -435,34 +480,34 @@ func (s *BackwardScanner) Scan(k int, v int64, fn func(nbs []int64) (int, bool))
 			return e, stop
 		}
 	}
-	n, err := s.tail(node, i, v, delta.dels, tailFn)
-	examined += n
+	nvmEdges, err = s.tail(node, i, v, delta.dels, tailFn)
 	if err != nil || stopped || len(delta.adds) == 0 {
-		return examined, err
+		return dram, nvmEdges, err
 	}
-	e, _ = fn(delta.adds)
-	examined += int64(e)
+	e, _ := fn(delta.adds)
+	dram += int64(e)
 	s.DRAMEdgesScanned += int64(e)
-	return examined, nil
+	return dram, nvmEdges, nil
 }
 
 // prefixRuns is keptRuns over a DRAM prefix: it widens the prefix into the
 // batch buffer a batch at a time and hands fn the kept runs of each, so a
-// prefix longer than the buffer is a few calls of fn and no allocation.
-func (s *BackwardScanner) prefixRuns(prefix []uint32, dels []int64, fn func(nbs []int64) (int, bool)) (walked, examined int, stop bool) {
+// prefix longer than the buffer is a few calls of fn and no allocation. It
+// returns how many prefix entries it went through, deleted ones included.
+func (s *BackwardScanner) prefixRuns(prefix []uint32, dels []int64, fn func(nbs []int64) (int, bool)) (walked int, stop bool) {
 	for len(prefix) > 0 {
 		batch := s.valBuf[:min(len(prefix), len(s.valBuf))]
 		for j := range batch {
 			batch[j] = int64(prefix[j])
 		}
-		w, e, stop := keptRuns(batch, dels, fn)
-		walked, examined = walked+w, examined+e
+		w, _, stop := keptRuns(batch, dels, fn)
+		walked += w
 		if stop {
-			return walked, examined, true
+			return walked, true
 		}
 		prefix = prefix[len(batch):]
 	}
-	return walked, examined, false
+	return walked, false
 }
 
 // tail streams node-local vertex i's (global v's) NVM tail, if it has
@@ -479,7 +524,7 @@ func (s *BackwardScanner) tail(node *BackwardNode, i, v int64, dels []int64, fn 
 	if compress {
 		lo, hi = node.TailByteIndex[i], node.TailByteIndex[i+1]
 	}
-	n, err := streamNeighbors(node.TailStore, s.clock, compress, v, lo, hi,
+	n, err := streamNeighbors(node.TailStore, node.tailDev, s.clock, compress, v, lo, hi,
 		&s.byteBuf, &s.valBuf, nvm.DefaultChunkSize, dels, fn)
 	s.NVMEdgesScanned += n
 	return n, err

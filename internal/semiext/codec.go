@@ -17,12 +17,16 @@ import (
 
 // chargeDecode advances clock by the modeled CPU cost of decoding n
 // encoded bytes, using the backing device's profile (decode is host work,
-// so it lands on the worker's clock, not the device queue).
-func chargeDecode(store nvm.Storage, clock *vtime.Clock, n int64) {
+// so it lands on the worker's clock, not the device queue). dev is the
+// store's Device, resolved once when the graph node or cluster block is
+// built rather than walked down the stack per chunk: every replica of a
+// mirrored stack is made by one factory over one profile, so the first
+// live replica a failover lands on prices decode the same.
+func chargeDecode(dev *nvm.Device, clock *vtime.Clock, n int64) {
 	if clock == nil || n <= 0 {
 		return
 	}
-	clock.Advance(store.Device().DecodeTime(int(n)))
+	clock.Advance(dev.DecodeTime(int(n)))
 }
 
 // growBytes returns *buf resized to hold n bytes, growing the backing
@@ -44,7 +48,8 @@ func growBytes(buf *[]byte, n int64) []byte {
 // When compressed is false the range is element offsets of little-endian
 // int64 IDs; when true it is *byte* offsets of one delta+varint block
 // (enc package) owned by source vertex src, and the decode cost of every
-// consumed byte is charged to clock, once per chunk. Reads happen in
+// consumed byte is charged to clock, once per chunk, at the rate of dev,
+// store's device (see chargeDecode). Reads happen in
 // chunks of at most chunkBytes (<= 0 selects nvm.DefaultChunkSize), so an
 // early exit in the first chunk never pays for the rest of a long tail;
 // partial varints at a chunk boundary are carried into the next read.
@@ -57,13 +62,13 @@ func growBytes(buf *[]byte, n int64) []byte {
 // never reach fn: it is handed the runs between them. Pending adds are the
 // caller's: the backward scanner emits them after the tail, the forward
 // reader merges them into the list it returns (mergeDelta).
-func streamNeighbors(store nvm.Storage, clock *vtime.Clock, compressed bool,
+func streamNeighbors(store nvm.Storage, dev *nvm.Device, clock *vtime.Clock, compressed bool,
 	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
 	dels []int64, fn func(nbs []int64) (int, bool)) (examined int64, err error) {
 	if len(dels) == 0 {
-		return streamStored(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
+		return streamStored(store, dev, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
 	}
-	_, err = streamStored(store, clock, compressed, src, lo, hi, scratch, ids, chunkBytes,
+	_, err = streamStored(store, dev, clock, compressed, src, lo, hi, scratch, ids, chunkBytes,
 		func(nbs []int64) (int, bool) {
 			walked, e, stop := keptRuns(nbs, dels, fn)
 			examined += int64(e)
@@ -105,7 +110,7 @@ func keptRuns(nbs, dels []int64, fn func(nbs []int64) (int, bool)) (walked, exam
 
 // streamStored is streamNeighbors' stored-only core: it streams exactly
 // what the CSR holds, with no overlay applied.
-func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
+func streamStored(store nvm.Storage, dev *nvm.Device, clock *vtime.Clock, compressed bool,
 	src, lo, hi int64, scratch *[]byte, ids *[]int64, chunkBytes int,
 	fn func(nbs []int64) (int, bool)) (examined int64, err error) {
 	if hi <= lo {
@@ -164,7 +169,7 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 				e, stop := fn(nbs)
 				examined += int64(e)
 				if stop {
-					chargeDecode(store, clock, int64(used+dec.Through(buf[used:], e)))
+					chargeDecode(dev, clock, int64(used+dec.Through(buf[used:], e)))
 					return examined, nil
 				}
 			}
@@ -177,7 +182,7 @@ func streamStored(store nvm.Storage, clock *vtime.Clock, compressed bool,
 			}
 			size = min(2*size, len(full))
 		}
-		chargeDecode(store, clock, int64(used))
+		chargeDecode(dev, clock, int64(used))
 		carried = int64(copy(buf, buf[used:]))
 		if used == 0 && carried >= int64(chunkBytes) {
 			// No progress with a full buffer: the stream cannot be valid.

@@ -159,6 +159,9 @@ type ForwardNode struct {
 	// element offsets for raw graphs and byte offsets into the encoded
 	// stream for compressed ones, mirroring the on-NVM index.
 	dramIndex []int64
+	// valueDev is ValueStore's device, resolved once here: it prices a
+	// compressed list's decode (see chargeDecode).
+	valueDev *nvm.Device
 	// valueCache is ValueStore's cache layer when a page cache is
 	// configured; readers use it for readahead prefetch.
 	valueCache *nvm.CachedStore
@@ -215,6 +218,7 @@ func OffloadForward(fg *csr.ForwardGraph, mk StoreFactory, clock *vtime.Clock, o
 			N:          g.NumVertices,
 			IndexStore: idxStore,
 			ValueStore: valStore,
+			valueDev:   valStore.Device(),
 			valueCache: nvm.StackCache(valStore),
 			valuePre:   nvm.StackPrefetcher(valStore),
 			idxPre:     nvm.StackPrefetcher(idxStore),
@@ -314,6 +318,7 @@ func OpenForward(part *numa.Partition, mk StoreFactory, clock *vtime.Clock, opts
 			N:          n,
 			IndexStore: idxStore,
 			ValueStore: valStore,
+			valueDev:   valStore.Device(),
 			valueCache: nvm.StackCache(valStore),
 			valuePre:   nvm.StackPrefetcher(valStore),
 			idxPre:     nvm.StackPrefetcher(idxStore),
@@ -527,7 +532,7 @@ func (r *ForwardReader) readRange(node *ForwardNode, v, lo, hi int64, delta vert
 		return out, err
 	}
 	out, n, err := enc.DecodeList(buf, v, out)
-	chargeDecode(store, r.clock, int64(n))
+	chargeDecode(node.valueDev, r.clock, int64(n))
 	if err != nil {
 		return out, err
 	}

@@ -42,11 +42,17 @@ func idleGraph(tb testing.TB) *csr.BackwardGraph {
 // it, and never past the last vertex. It also holds Prefix to the CSR: a
 // clean vertex's prefix, widened, is bg's first min(keep, degree) neighbors
 // (all of them at keep <= 0) and head is its first entry; a dirty vertex
-// has head 0, no prefix and a rest.
+// has head 0, no prefix and a rest. Each word's HeadHits is held to Prefix
+// too (checkHeadHits).
 func checkIdle(tb testing.TB, sc *BackwardScanner, bg *csr.BackwardGraph, keep int, lo, hi int, step string) {
 	tb.Helper()
 	part := bg.Part
+	seed := uint64(0x9e3779b97f4a7c15)
+	for _, c := range step {
+		seed = (seed ^ uint64(c)) * 0x100000001b3
+	}
 	for wi := lo; wi < hi; wi++ {
+		checkHeadHits(tb, sc, part, wi, seed+uint64(wi), step)
 		idle := sc.Idle(wi)
 		for b := 0; b < 64; b++ {
 			v := wi*64 + b
@@ -59,6 +65,64 @@ func checkIdle(tb testing.TB, sc *BackwardScanner, bg *csr.BackwardGraph, keep i
 			if got := idle>>b&1 != 0; got != want {
 				tb.Fatalf("%s: vertex %d idle %v, Prefix says %v", step, v, got, want)
 			}
+		}
+	}
+}
+
+// checkHeadHits holds HeadHits for word wi against Prefix, for a want word
+// and a frontier drawn from seed (a quarter, a half or three quarters of
+// the vertices): the mask it returns is exactly the wanted vertices that
+// are clean, have a prefix, and whose head is in the frontier, and tree is
+// set to the head for exactly those, nowhere else.
+func checkHeadHits(tb testing.TB, sc *BackwardScanner, part *numa.Partition, wi int, seed uint64, step string) {
+	tb.Helper()
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		x := seed ^ seed>>33
+		x *= 0xff51afd7ed558ccd
+		return x ^ x>>29
+	}
+	n := part.N
+	density := next() % 3
+	frontier := make([]uint64, (n+63)/64)
+	for i := range frontier {
+		switch density {
+		case 0:
+			frontier[i] = next() & next()
+		case 1:
+			frontier[i] = next()
+		default:
+			frontier[i] = next() | next()
+		}
+	}
+	want := next()
+	if base := wi * 64; base+64 > n {
+		want &= 1<<uint(n-base) - 1
+	}
+	tree := make([]int64, n)
+	for i := range tree {
+		tree[i] = -1
+	}
+	hits := sc.HeadHits(wi, want, frontier, tree)
+	for b := 0; b < 64; b++ {
+		v := wi*64 + b
+		parent := int64(-1)
+		if want>>b&1 != 0 && !sc.hb.overlay.isDirty(int64(v)) {
+			head, nbs, _ := sc.Prefix(part.NodeOf(v), int64(v))
+			if len(nbs) > 0 && frontier[head>>6]>>(head&63)&1 != 0 {
+				parent = int64(head)
+			}
+		}
+		if got := hits>>b&1 != 0; got != (parent >= 0) {
+			tb.Fatalf("%s: word %d: vertex %d hit %v, Prefix says %v", step, wi, v, got, parent >= 0)
+		}
+		if v < n && tree[v] != parent {
+			tb.Fatalf("%s: word %d: tree[%d] = %d, want %d", step, wi, v, tree[v], parent)
+		}
+	}
+	for v, p := range tree {
+		if p != -1 && v/64 != wi {
+			tb.Fatalf("%s: HeadHits of word %d wrote tree[%d] = %d", step, wi, v, p)
 		}
 	}
 }
@@ -150,13 +214,18 @@ func idleEdits(tb testing.TB, bg *csr.BackwardGraph, keep int, compress bool, op
 
 // TestIdleMatchesPrefix: for every DRAM edge limit the engines use — the
 // whole graph in DRAM, the paper's one-neighbor prefix and a wider one —
-// raw and compressed, Idle agrees with Prefix on every vertex, and Prefix's
-// 32-bit prefix and head agree with the CSR, without an overlay, with an
-// empty one, with a dirty bitmap shorter than the vertex range, after an
-// isolated vertex gains an edge and a vertex loses every stored edge, after
-// Clear, and along a seeded run of random edits.
+// raw and compressed, Idle and HeadHits agree with Prefix on every vertex
+// (HeadHits for a random want word and frontier, in a word that straddles
+// the node boundary too), and Prefix's 32-bit prefix and head agree with
+// the CSR, without an overlay, with an empty one, with a dirty bitmap
+// shorter than the vertex range, after an isolated vertex gains an edge and
+// a vertex loses every stored edge, after Clear, and along a seeded run of
+// random edits.
 func TestIdleMatchesPrefix(t *testing.T) {
 	bg := idleGraph(t)
+	if bg.Part.NodeOf(2*64) == bg.Part.NodeOf(3*64-1) {
+		t.Fatal("word 2 does not straddle the node boundary")
+	}
 	var isolated, hub int64 = -1, -1
 	for v := int64(0); v < int64(bg.Part.N); v++ {
 		switch d := bg.Degree(v); {
@@ -199,9 +268,9 @@ func TestIdleMatchesPrefix(t *testing.T) {
 	}
 }
 
-// FuzzIdleMatchesPrefix drives Idle against Prefix, and Prefix against the
-// CSR, through arbitrary edit sequences at a fuzzed DRAM edge limit, raw and
-// compressed.
+// FuzzIdleMatchesPrefix drives Idle and HeadHits against Prefix, and Prefix
+// against the CSR, through arbitrary edit sequences at a fuzzed DRAM edge
+// limit, raw and compressed.
 func FuzzIdleMatchesPrefix(f *testing.F) {
 	bg := idleGraph(f)
 	f.Add(uint8(1), false, []byte{3, 0, 7, 0, 3, 0, 0, 2, 9, 0, 2, 3})

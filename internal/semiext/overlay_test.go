@@ -282,7 +282,7 @@ func TestOverlayMergedReads(t *testing.T) {
 					k := part.NodeOf(int(v))
 					seen := map[int64]int{}
 					var scanned int64
-					if _, err := sc.Scan(k, v, func(nbs []int64) (int, bool) {
+					if _, _, err := sc.Scan(k, v, func(nbs []int64) (int, bool) {
 						for _, nb := range nbs {
 							seen[nb]++
 						}

@@ -188,7 +188,7 @@ func TestStreamIndexedNeighborsNoSteadyStateAllocs(t *testing.T) {
 		return len(nbs), false
 	}
 	lookup := func() {
-		n, err := StreamIndexedNeighbors(idx, val, nil, false, 2, 2, &scratch, &ids, 0, fn)
+		n, err := StreamIndexedNeighbors(idx, val, nil, nil, false, 2, 2, &scratch, &ids, 0, fn)
 		if err != nil || n != 37 {
 			t.Fatalf("streamed %d neighbors, err %v; want 37", n, err)
 		}

@@ -189,7 +189,7 @@ func TestHybridBackwardLimitZeroShares(t *testing.T) {
 	for v := int64(0); v < int64(bg.Part.N); v += 13 {
 		k := bg.Part.NodeOf(int(v))
 		var got []int64
-		if _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
+		if _, _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
 			got = append(got, nbs...)
 			return len(nbs), false
 		}); err != nil {
@@ -234,7 +234,7 @@ func TestHybridBackwardSplit(t *testing.T) {
 	for v := int64(0); v < int64(part.N); v += 11 {
 		k := part.NodeOf(int(v))
 		var got []int64
-		if _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
+		if _, _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
 			got = append(got, nbs...)
 			return len(nbs), false
 		}); err != nil {
@@ -281,12 +281,12 @@ func TestHybridBackwardEarlyTermination(t *testing.T) {
 	dev.Reset()
 	s := NewBackwardScanner(hb, vtime.NewClock(0))
 	// Stop at the first neighbor: the tail store must not be touched.
-	n, err := s.Scan(part.NodeOf(int(v)), v, func([]int64) (int, bool) { return 1, true })
+	dram, nvmEdges, err := s.Scan(part.NodeOf(int(v)), v, func([]int64) (int, bool) { return 1, true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("examined %d, want 1", n)
+	if dram != 1 || nvmEdges != 0 {
+		t.Fatalf("examined %d from DRAM and %d from NVM, want 1 and 0", dram, nvmEdges)
 	}
 	if dev.Snapshot().Reads != 0 {
 		t.Fatal("early termination still read the tail from NVM")
@@ -311,7 +311,7 @@ func TestHybridBackwardDegreeOrderPrefix(t *testing.T) {
 	for v := int64(0); v < int64(part.N); v += 17 {
 		k := part.NodeOf(int(v))
 		var all []int64
-		if _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
+		if _, _, err := s.Scan(k, v, func(nbs []int64) (int, bool) {
 			all = append(all, nbs...)
 			return len(nbs), false
 		}); err != nil {

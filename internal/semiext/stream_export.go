@@ -48,7 +48,9 @@ func WriteAdjacency(idx, val nvm.Storage, clock *vtime.Clock, g *csr.LocalGraph,
 // neighbours fn examined (fn's contract is streamNeighbors'). idx holds n+1
 // little-endian int64 offsets, entry i bracketing local vertex i's range
 // in val: element offsets of raw IDs, or byte offsets of one delta+varint
-// block whose decode cost is charged to clock. src is the global vertex ID
+// block whose decode cost is charged to clock at the rate of dev, val's
+// device, which the caller resolves once when it builds the pair (see
+// chargeDecode). src is the global vertex ID
 // the compressed decoder needs; i is the local index into idx. The bracket
 // [i, i+1] is read as one 16-byte request, then the value range in reads
 // of at most chunkBytes (<= 0 selects nvm.DefaultChunkSize) into *scratch
@@ -57,7 +59,7 @@ func WriteAdjacency(idx, val nvm.Storage, clock *vtime.Clock, g *csr.LocalGraph,
 // local array would escape through the Storage interface and cost one
 // heap object per call), and its offsets are extracted before scratch is
 // reused.
-func StreamIndexedNeighbors(idx, val nvm.Storage, clock *vtime.Clock, compressed bool,
+func StreamIndexedNeighbors(idx, val nvm.Storage, dev *nvm.Device, clock *vtime.Clock, compressed bool,
 	src, i int64, scratch *[]byte, ids *[]int64, chunkBytes int,
 	fn func(nbs []int64) (int, bool)) (examined int64, err error) {
 	if cap(*scratch) < 16 {
@@ -69,5 +71,5 @@ func StreamIndexedNeighbors(idx, val nvm.Storage, clock *vtime.Clock, compressed
 	}
 	lo := int64(binary.LittleEndian.Uint64(bracket[0:8]))
 	hi := int64(binary.LittleEndian.Uint64(bracket[8:16]))
-	return streamStored(val, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
+	return streamStored(val, dev, clock, compressed, src, lo, hi, scratch, ids, chunkBytes, fn)
 }

@@ -36,7 +36,7 @@ func TestStreamIndexedNeighbors(t *testing.T) {
 		var ids []int64
 		for v, want := range adj {
 			var got []int64
-			n, err := StreamIndexedNeighbors(idxStore, valStore, nil, compressed,
+			n, err := StreamIndexedNeighbors(idxStore, valStore, dev, nil, compressed,
 				int64(v), int64(v), &scratch, &ids, 0, func(nbs []int64) (int, bool) {
 					got = append(got, nbs...)
 					return len(nbs), false
@@ -54,7 +54,7 @@ func TestStreamIndexedNeighbors(t *testing.T) {
 			}
 		}
 		// Early exit stops after the first neighbor and reports one examined.
-		n, err := StreamIndexedNeighbors(idxStore, valStore, nil, compressed,
+		n, err := StreamIndexedNeighbors(idxStore, valStore, dev, nil, compressed,
 			3, 3, &scratch, &ids, 0, func([]int64) (int, bool) { return 1, true })
 		if err != nil || n != 1 {
 			t.Fatalf("compressed=%v early exit: examined %d err %v, want 1/nil", compressed, n, err)
